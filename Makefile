@@ -1,6 +1,6 @@
 # Convenience targets; `just` users get the same recipes from ./justfile.
 
-.PHONY: build test test-workspace bench-smoke fleet-smoke fleet-scale fleet-bench fleet-bench-smoke net-scale net-scale-10k net-campaign net-cluster net-smoke net-bench net-bench-smoke obs-smoke agg-smoke fmt clippy ci
+.PHONY: build test test-workspace perfbench-test bench-smoke fleet-smoke fleet-scale fleet-bench fleet-bench-smoke net-scale net-scale-10k net-campaign net-cluster net-smoke net-bench net-bench-smoke obs-smoke agg-smoke fmt clippy ci
 
 build:
 	cargo build --release
@@ -12,6 +12,12 @@ test:
 
 test-workspace:
 	cargo test -q --workspace
+
+# The benchmark crate's own tests. perfbench/ is a workspace of its own
+# that builds against the repository's crates by path, so this is what
+# catches an API change it depends on.
+perfbench-test:
+	cargo test --release --manifest-path perfbench/Cargo.toml
 
 # One fast pass over every criterion bench (stub timing, no statistics).
 bench-smoke:

@@ -458,6 +458,23 @@ impl DeltaUpdateRequest {
         }
     }
 
+    /// The full-image request as a delta: one segment covering the
+    /// whole target range, applicable whatever bytes the device holds
+    /// there.
+    pub fn whole(full: UpdateRequest) -> Self {
+        DeltaUpdateRequest {
+            target: full.target,
+            base_len: full.payload.len() as u32,
+            segments: vec![DeltaSegment {
+                offset: 0,
+                bytes: full.payload,
+            }],
+            nonce: full.nonce,
+            version: full.version,
+            mac: full.mac,
+        }
+    }
+
     /// Bytes of actual patch content this delta ships (the wire win
     /// over `base_len` full-image bytes).
     pub fn delta_bytes(&self) -> usize {

@@ -1,7 +1,7 @@
 //! Fixed-layout byte serialisation of the protocol types.
 //!
 //! The networked attestation gateway (`eilid_net`) moves [`Challenge`]s,
-//! [`AttestationReport`]s and [`UpdateRequest`]s across an untrusted
+//! [`AttestationReport`]s and [`DeltaUpdateRequest`]s across an untrusted
 //! transport. This module defines their canonical little-endian byte
 //! layouts and a pair of small, allocation-conscious primitives —
 //! writer-style append helpers and a bounds-checked [`Reader`] —
@@ -21,7 +21,6 @@
 //! ```text
 //! Challenge          := nonce:u64 ‖ start:u16 ‖ end:u16                  (12 B)
 //! AttestationReport  := Challenge ‖ measurement:[u8;32] ‖ mac:[u8;32]   (76 B)
-//! UpdateRequest      := target:u16 ‖ nonce:u64 ‖ version:u64 ‖ len:u32 ‖ payload ‖ mac:[u8;32]
 //! DeltaUpdateRequest := target:u16 ‖ nonce:u64 ‖ version:u64 ‖ base_len:u32
 //!                       ‖ seg_count:u32 ‖ (offset:u32 ‖ len:u32 ‖ bytes)* ‖ mac:[u8;32]
 //! ```
@@ -30,7 +29,7 @@ use std::fmt;
 
 use crate::attest::{AttestationReport, Challenge};
 use crate::hmac::TAG_SIZE;
-use crate::update::{DeltaSegment, DeltaUpdateRequest, UpdateRequest};
+use crate::update::{DeltaSegment, DeltaUpdateRequest};
 
 /// Encoded size of a [`Challenge`] in bytes.
 pub const CHALLENGE_WIRE_LEN: usize = 12;
@@ -38,7 +37,7 @@ pub const CHALLENGE_WIRE_LEN: usize = 12;
 /// Encoded size of an [`AttestationReport`] in bytes.
 pub const REPORT_WIRE_LEN: usize = CHALLENGE_WIRE_LEN + 32 + TAG_SIZE;
 
-/// Hard ceiling on an [`UpdateRequest`] payload on the wire — larger
+/// Hard ceiling on an update's target range on the wire — larger
 /// than any PMEM region (6 KiB in the default layout) but small enough
 /// that a forged length can never drive a large allocation.
 pub const MAX_UPDATE_PAYLOAD: usize = 0x2000;
@@ -220,64 +219,6 @@ pub fn decode_report(reader: &mut Reader<'_>) -> Result<AttestationReport, Codec
     })
 }
 
-/// Appends an [`UpdateRequest`] in wire layout.
-///
-/// # Panics
-///
-/// Panics if the payload exceeds [`MAX_UPDATE_PAYLOAD`] — such a request
-/// is not representable on the wire and callers construct payloads from
-/// PMEM-sized patches, so this is a programming error, not input.
-pub fn encode_update_request(request: &UpdateRequest, out: &mut Vec<u8>) {
-    assert!(
-        request.payload.len() <= MAX_UPDATE_PAYLOAD,
-        "update payload of {} bytes exceeds the wire maximum {}",
-        request.payload.len(),
-        MAX_UPDATE_PAYLOAD
-    );
-    out.extend_from_slice(&request.target.to_le_bytes());
-    out.extend_from_slice(&request.nonce.to_le_bytes());
-    out.extend_from_slice(&request.version.to_le_bytes());
-    out.extend_from_slice(&(request.payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&request.payload);
-    out.extend_from_slice(&request.mac);
-}
-
-/// Decodes an [`UpdateRequest`] from `reader`.
-///
-/// The payload length is validated against [`MAX_UPDATE_PAYLOAD`]
-/// *before* any allocation, so a forged length cannot drive memory use;
-/// a zero-length payload (which the update protocol rejects anyway) is
-/// refused here as structurally invalid.
-///
-/// # Errors
-///
-/// Returns a [`CodecError`] on truncated input or an out-of-bounds
-/// length claim.
-pub fn decode_update_request(reader: &mut Reader<'_>) -> Result<UpdateRequest, CodecError> {
-    let target = reader.u16()?;
-    let nonce = reader.u64()?;
-    let version = reader.u64()?;
-    let len = reader.u32()? as usize;
-    if len > MAX_UPDATE_PAYLOAD {
-        return Err(CodecError::Oversized {
-            claimed: len,
-            max: MAX_UPDATE_PAYLOAD,
-        });
-    }
-    if len == 0 {
-        return Err(CodecError::BadLength { len: 0 });
-    }
-    let payload = reader.take(len)?.to_vec();
-    let mac = reader.array()?;
-    Ok(UpdateRequest {
-        target,
-        payload,
-        nonce,
-        version,
-        mac,
-    })
-}
-
 /// Appends a [`DeltaUpdateRequest`] in wire layout.
 ///
 /// # Panics
@@ -402,22 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn update_request_round_trips() {
-        let request = UpdateRequest {
-            target: 0xE100,
-            payload: vec![1, 2, 3, 4, 5],
-            nonce: 42,
-            version: 7,
-            mac: [9; 32],
-        };
-        let mut buf = Vec::new();
-        encode_update_request(&request, &mut buf);
-        let mut reader = Reader::new(&buf);
-        assert_eq!(decode_update_request(&mut reader).unwrap(), request);
-        assert!(reader.is_empty());
-    }
-
-    #[test]
     fn delta_update_request_round_trips() {
         let request = DeltaUpdateRequest {
             target: 0xE100,
@@ -490,32 +415,16 @@ mod tests {
     }
 
     #[test]
-    fn oversized_and_zero_update_payload_claims_are_rejected() {
-        // target ‖ nonce ‖ version ‖ forged huge length.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&0xE000u16.to_le_bytes());
-        buf.extend_from_slice(&1u64.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        buf.extend_from_slice(&(u32::MAX).to_le_bytes());
-        buf.extend_from_slice(&[0; 64]);
-        let mut reader = Reader::new(&buf);
-        assert_eq!(
-            decode_update_request(&mut reader),
-            Err(CodecError::Oversized {
-                claimed: u32::MAX as usize,
-                max: MAX_UPDATE_PAYLOAD,
-            })
-        );
-
+    fn zero_length_delta_base_is_rejected() {
+        // target ‖ nonce ‖ version ‖ empty base range.
         let mut buf = Vec::new();
         buf.extend_from_slice(&0xE000u16.to_le_bytes());
         buf.extend_from_slice(&1u64.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&[0; 32]);
         let mut reader = Reader::new(&buf);
         assert_eq!(
-            decode_update_request(&mut reader),
+            decode_delta_update_request(&mut reader),
             Err(CodecError::BadLength { len: 0 })
         );
     }

@@ -33,6 +33,11 @@ pub struct Device {
     config: EilidConfig,
     artifacts: Option<BuildArtifacts>,
     resets: u64,
+    /// Secure DMEM as built, on monitored (EILID) devices. The trusted
+    /// runtime keeps its function-table count and shadow-stack index
+    /// there; every reset restores them so each boot starts from an
+    /// empty table and stack.
+    secure_boot: Option<Box<[u8]>>,
 }
 
 impl Device {
@@ -48,6 +53,9 @@ impl Device {
         // *before* it commits (and still reset via the trace check), as
         // on the real CASU hardware. Baseline cores stay ungated.
         cpu.set_write_gate(monitor.as_ref().map(CasuMonitor::write_gate));
+        let secure_boot = monitor
+            .is_some()
+            .then(|| cpu.memory.slice(secure_dmem(&layout)).into());
         Device {
             cpu,
             monitor,
@@ -55,6 +63,7 @@ impl Device {
             config,
             artifacts,
             resets: 0,
+            secure_boot,
         }
     }
 
@@ -119,13 +128,10 @@ impl Device {
         self.cpu.total_cycles()
     }
 
-    /// Resets the core (and monitor state), as the hardware does after a
-    /// violation.
+    /// Resets the core, the monitor state and the EILID runtime state in
+    /// secure DMEM, as the hardware does after a violation.
     pub fn reset(&mut self) {
-        self.cpu.reset();
-        if let Some(monitor) = &mut self.monitor {
-            monitor.reset();
-        }
+        self.restart();
         self.resets += 1;
     }
 
@@ -137,9 +143,21 @@ impl Device {
     /// [`Device::resets`].
     pub fn reboot(&mut self) {
         self.cpu.peripherals.reset();
+        self.restart();
+    }
+
+    /// Core, monitor and EILID runtime state back to their boot values.
+    fn restart(&mut self) {
         self.cpu.reset();
         if let Some(monitor) = &mut self.monitor {
             monitor.reset();
+        }
+        if let Some(boot) = &self.secure_boot {
+            let start = *self.layout.secure_dmem.start();
+            self.cpu
+                .memory
+                .load(start, boot)
+                .expect("secure DMEM lies inside the address space");
         }
     }
 
@@ -221,4 +239,9 @@ impl Device {
             }
         }
     }
+}
+
+/// The secure DMEM region as a byte range.
+fn secure_dmem(layout: &MemoryLayout) -> std::ops::Range<usize> {
+    usize::from(*layout.secure_dmem.start())..usize::from(*layout.secure_dmem.end()) + 1
 }

@@ -10,42 +10,42 @@
 //! the previous firmware, when the wave's failure rate exceeds the
 //! configured threshold.
 //!
-//! # The executor seam
+//! # One machine, two drivers
 //!
-//! Since the operator-plane unification, the campaign engine is split in
-//! two layers:
+//! The campaign engine has three layers:
 //!
-//! * **Decision logic** — wave cursor, failure threshold, quarantine,
-//!   rollback ordering, golden promotion — lives in [`CampaignRun`] and
-//!   is *transport-agnostic*: [`Campaign::begin_with`] /
-//!   [`CampaignRun::step_with`] drive any [`WaveExecutor`].
-//! * **Mechanism** — how a wave's updates, probes and rollbacks actually
-//!   reach devices — lives behind the [`WaveExecutor`] trait. The
-//!   in-process [`LocalExecutor`] calls devices directly (today's
-//!   behaviour, verbatim); `eilid_net`'s gateway implements the same
-//!   trait by pushing `UpdateRequest`/`ProbeRequest` frames to connected
-//!   device clients.
+//! * **Campaign decisions** — wave cursor, failure threshold, quarantine,
+//!   rollback ordering, golden promotion — live in [`CampaignRun`]:
+//!   [`Campaign::begin_with`] / [`CampaignRun::step_with`] run against
+//!   any [`WaveExecutor`].
+//! * **Per-device protocol** — snapshot, delta or full-range update,
+//!   attest probe, memoized smoke verdict, rollback — is one sans-IO
+//!   state machine, [`Rollout`]. Each wave and each rollback pass
+//!   builds one and hands it to the executor.
+//! * **Transport** — how the machine's requests reach devices — sits
+//!   behind [`WaveExecutor::drive`]. The in-process [`LocalExecutor`]
+//!   serves each round of requests on the fleet's worker threads;
+//!   `eilid_net`'s gateway streams them as frames to device agents,
+//!   which answer with the same [`serve`] handler.
 //!
-//! Because both backends share the decision layer, a wire-driven
+//! Both backends share the decisions and the protocol, so a wire-driven
 //! campaign's [`CampaignReport`] matches the in-process one wave for
 //! wave — a property the `eilid_net` equivalence suite pins.
 //!
 //! # Resumable campaigns
 //!
-//! [`Campaign::run`] drives a rollout to completion in one call, but the
-//! engine underneath is a stateful driver: [`Campaign::begin`] returns a
-//! [`CampaignRun`] whose [`CampaignRun::step`] executes exactly one
-//! wave. Between waves the run can be [paused](CampaignRun::pause) into
-//! a [`PausedCampaign`] — a self-contained, byte-serialisable record
-//! (persisted wave cursor, accumulated wave reports, per-device
-//! pre-update snapshots, the patched golden image) — and later resumed
-//! with [`Campaign::resume`], producing bit-for-bit the same
-//! [`CampaignReport`] an uninterrupted run would have produced. Nonces
-//! keep flowing from the verifier's single challenge-nonce domain, so a
-//! resumed campaign is also cryptographically indistinguishable from an
-//! uninterrupted one. The same bytes survive a *gateway* restart: the
-//! networked operator plane pauses into, and resumes from, this exact
-//! record.
+//! [`Campaign::begin`] returns a [`CampaignRun`] whose
+//! [`CampaignRun::step`] executes exactly one wave. Between waves the
+//! run can be [paused](CampaignRun::pause) into a [`PausedCampaign`] — a
+//! self-contained, byte-serialisable record (persisted wave cursor,
+//! accumulated wave reports, per-device pre-update snapshots, the
+//! patched golden image) — and later resumed with [`Campaign::resume`],
+//! producing bit-for-bit the same [`CampaignReport`] an uninterrupted
+//! run would have produced. Nonces keep flowing from the verifier's
+//! single challenge-nonce domain, so a resumed campaign is also
+//! cryptographically indistinguishable from an uninterrupted one. The
+//! same bytes survive a *gateway* restart: the networked operator plane
+//! pauses into, and resumes from, this exact record.
 //!
 //! # Quarantine and rollback verification
 //!
@@ -62,14 +62,10 @@
 //! from doing it) is recorded `RollbackIncomplete` instead of
 //! `RolledBack`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
-use eilid::RunOutcome;
 use eilid_casu::wire::{self, CodecError, Reader};
-use eilid_casu::{
-    AttestationVerifier, DeltaUpdateRequest, DeviceKey, MeasurementScheme, MemoryLayout,
-    UpdateAuthority,
-};
+use eilid_casu::{MeasurementScheme, MemoryLayout};
 use eilid_msp430::{Memory, ADDRESS_SPACE};
 use eilid_workloads::WorkloadId;
 
@@ -78,6 +74,7 @@ use crate::error::FleetError;
 use crate::exec::parallel_map_mut;
 use crate::fleet::Fleet;
 use crate::report::LedgerEvent;
+use crate::rollout::{serve, Next, PreUpdateSnapshot, Request, RollbackOutcome, Rollout};
 use crate::verifier::Verifier;
 
 /// Configuration of one staged OTA campaign.
@@ -282,77 +279,12 @@ pub struct CohortInfo {
     pub scheme: MeasurementScheme,
 }
 
-/// Everything an executor needs to roll out one wave besides the device
-/// ids themselves.
-#[derive(Debug, Clone, Copy)]
-pub struct WaveSpec<'a> {
-    /// The cohort being updated.
-    pub cohort: WorkloadId,
-    /// First PMEM address the patch writes.
-    pub target: u16,
-    /// The patch bytes.
-    pub payload: &'a [u8],
-    /// Expected post-patch golden measurement.
-    pub expected_after: [u8; 32],
-    /// Cycle budget for the post-update smoke run.
-    pub smoke_cycles: u64,
-    /// Firmware version the patch carries (anti-rollback counter).
-    pub version: u64,
-    /// Ship the patch as a sparse delta against the cohort golden.
-    pub delta: bool,
-}
-
-/// Device state captured immediately before an update is applied — what
-/// a real device's A/B-slot update routine would preserve. Rollbacks
-/// restore `patch_range` and verify the result against `measurement`;
-/// paused campaigns carry these snapshots across the pause.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PreUpdateSnapshot {
-    /// The device's own bytes in the patch range, pre-update.
-    pub patch_range: Vec<u8>,
-    /// The device's full-PMEM measurement, pre-update.
-    pub measurement: [u8; 32],
-}
-
-/// What one wave rollout produced.
-#[derive(Debug, Default)]
-pub struct WaveRollout {
-    /// Ledger events, in device order.
-    pub events: Vec<LedgerEvent>,
-    /// Devices that accepted and applied the update.
-    pub updated: Vec<DeviceId>,
-    /// Subset of `updated` whose post-update probe failed.
-    pub probe_failed: Vec<DeviceId>,
-    /// Total failures: rejected updates + failed probes.
-    pub failures: usize,
-    /// Pre-update snapshot of every updated device, for rollback.
-    pub snapshots: BTreeMap<DeviceId, PreUpdateSnapshot>,
-    /// Post-update smoke runs actually executed on a device (the cohort
-    /// reference plus every fallback probe).
-    pub probes_executed: usize,
-    /// Devices whose health verdict was inherited from the cohort
-    /// reference instead of running their own smoke probe.
-    pub probes_memoized: usize,
-}
-
-/// What a rollback pass achieved, per device.
-#[derive(Debug, Default)]
-pub struct RollbackOutcome {
-    /// Ledger events, in device order.
-    pub events: Vec<LedgerEvent>,
-    /// Devices verified restored to their pre-campaign measurement.
-    pub rolled_back: Vec<DeviceId>,
-    /// Devices whose rollback was rejected or left them measuring
-    /// differently from their pre-campaign state.
-    pub incomplete: Vec<DeviceId>,
-}
-
-/// The mechanism half of the campaign engine: how updates, probes and
-/// rollbacks actually reach devices. [`LocalExecutor`] applies them
-/// in-process; `eilid_net`'s gateway implements the same trait by
-/// pushing protocol frames to connected device clients. The decision
-/// layer ([`CampaignRun::step_with`]) is identical above both, which is
-/// what makes a wire-driven campaign report wave-for-wave equal to an
+/// The mechanism half of the campaign engine: how a [`Rollout`]
+/// machine's requests reach devices. [`LocalExecutor`] answers them
+/// in-process; `eilid_net`'s gateway pushes them as frames to connected
+/// device agents. The per-device protocol ([`Rollout`]) and the campaign
+/// decisions ([`CampaignRun::step_with`]) are the same above both, which
+/// is what makes a wire-driven campaign report wave-for-wave equal to an
 /// in-process one.
 pub trait WaveExecutor {
     /// Describes `cohort` before the campaign starts: its members (the
@@ -364,36 +296,14 @@ pub trait WaveExecutor {
     /// cohort firmware.
     fn cohort_info(&mut self, cohort: WorkloadId) -> Result<CohortInfo, FleetError>;
 
-    /// Applies the patch to one wave of devices, probes each updated
-    /// device (post-update attestation against `spec.expected_after`
-    /// plus a bounded smoke run from reset), and snapshots every device
-    /// just before its update so a rollback can restore it exactly.
+    /// Runs `rollout` until every device retired, answering each
+    /// request it emits.
     ///
     /// # Errors
     ///
-    /// Backend-level failures only (transport loss, exhausted nonce
-    /// blocks); per-device failures are reported inside the rollout.
-    fn roll_out(
-        &mut self,
-        wave: &[DeviceId],
-        spec: &WaveSpec<'_>,
-    ) -> Result<WaveRollout, FleetError>;
-
-    /// Rolls `ids` back to their own pre-campaign patch-range bytes
-    /// (from `snapshots`) and verifies each device's post-rollback PMEM
-    /// measurement against its pre-campaign value.
-    ///
-    /// # Errors
-    ///
-    /// Backend-level failures only; unverifiable rollbacks are reported
-    /// inside the outcome.
-    fn roll_back(
-        &mut self,
-        cohort: WorkloadId,
-        ids: &[DeviceId],
-        target: u16,
-        snapshots: &BTreeMap<DeviceId, PreUpdateSnapshot>,
-    ) -> Result<RollbackOutcome, FleetError>;
+    /// Backend-level failures only; per-device failures end up inside
+    /// the machine's outcome.
+    fn drive(&mut self, rollout: &mut Rollout<'_>) -> Result<(), FleetError>;
 
     /// Promotes `golden`/`measurement` to the cohort's current golden
     /// state (the previous golden becomes "stale but authentic").
@@ -403,10 +313,10 @@ pub trait WaveExecutor {
     fn record(&mut self, events: Vec<LedgerEvent>);
 }
 
-/// The in-process [`WaveExecutor`]: devices are called directly on the
-/// fleet's worker threads, probe-challenge nonces come from the
-/// verifier's single strictly-increasing nonce domain, and events land
-/// in the fleet ledger.
+/// The in-process [`WaveExecutor`]: each round of outstanding requests
+/// is served on the fleet's worker threads, probe-challenge nonces come
+/// from the verifier's single strictly-increasing nonce domain, and
+/// events land in the fleet ledger.
 #[derive(Debug)]
 pub struct LocalExecutor<'a> {
     fleet: &'a mut Fleet,
@@ -435,59 +345,42 @@ impl WaveExecutor for LocalExecutor<'_> {
         })
     }
 
-    fn roll_out(
-        &mut self,
-        wave: &[DeviceId],
-        spec: &WaveSpec<'_>,
-    ) -> Result<WaveRollout, FleetError> {
+    fn drive(&mut self, rollout: &mut Rollout<'_>) -> Result<(), FleetError> {
         let threads = self.fleet.threads();
-        let root = self.verifier.root().clone();
         let scheme = self.fleet.scheme();
-        // Delta updates are encoded against the cohort's *current*
-        // golden bytes in the patch range (the base every untampered
-        // device still holds — promotion happens only after the last
-        // wave).
-        let base = self
-            .fleet
-            .cohort(spec.cohort)
-            .map(|state| {
-                let start = usize::from(spec.target);
-                state
-                    .golden
-                    .slice(start..start + spec.payload.len())
-                    .to_vec()
-            })
-            .ok_or(FleetError::UnknownCohort(spec.cohort))?;
-        // Probe-challenge nonces come from the verifier's single
-        // strictly-increasing nonce domain (shared with sweeps), so no
-        // attestation challenge to a device key ever repeats.
-        let params = WaveParams {
-            root: &root,
-            target: spec.target,
-            payload: spec.payload,
-            expected_after: spec.expected_after,
-            scheme,
-            smoke_cycles: spec.smoke_cycles,
-            version: spec.version,
-            delta_base: spec.delta.then_some(base.as_slice()),
-            probe_nonce_base: self.verifier.reserve_challenge_nonces(wave),
-        };
-        let mut devices = self.fleet.devices_by_ids_mut(wave);
-        Ok(roll_out_wave(&mut devices, threads, &params))
-    }
-
-    fn roll_back(
-        &mut self,
-        _cohort: WorkloadId,
-        ids: &[DeviceId],
-        target: u16,
-        snapshots: &BTreeMap<DeviceId, PreUpdateSnapshot>,
-    ) -> Result<RollbackOutcome, FleetError> {
-        let root = self.verifier.root().clone();
-        let threads = self.fleet.threads();
-        Ok(roll_back(
-            self.fleet, &root, ids, target, snapshots, threads,
-        ))
+        let mut requests: Vec<Request> = std::iter::from_fn(|| rollout.admit()).collect();
+        // One round per step of the chain: every outstanding request is
+        // served in parallel, then the replies go through the machine in
+        // device order, which makes the first eligible device in wave
+        // order the cohort reference.
+        while !requests.is_empty() {
+            let mut pending: HashMap<DeviceId, Request> =
+                requests.drain(..).map(|r| (r.device(), r)).collect();
+            let devices = self.fleet.devices_mut().iter_mut();
+            let mut work: Vec<(&mut SimDevice, Request)> = devices
+                .filter_map(|device| {
+                    let request = pending.remove(&device.id())?;
+                    Some((device, request))
+                })
+                .collect();
+            let replies = parallel_map_mut(&mut work, threads, |(device, request)| {
+                (device.id(), serve(device, scheme, request))
+            });
+            // Requests for devices outside the fleet are lost.
+            for device in pending.into_keys() {
+                rollout.lost(device);
+            }
+            for (device, reply) in replies {
+                let Some(reply) = reply else {
+                    rollout.lost(device);
+                    continue;
+                };
+                if let Next::Push(request) = rollout.reply(device, reply, self.verifier) {
+                    requests.push(request);
+                }
+            }
+        }
+        Ok(())
     }
 
     fn promote(&mut self, cohort: WorkloadId, golden: &Memory, measurement: [u8; 32]) {
@@ -519,28 +412,6 @@ impl Campaign {
     pub fn new(config: CampaignConfig) -> Result<Self, FleetError> {
         config.validate()?;
         Ok(Campaign { config })
-    }
-
-    /// Runs the campaign over `fleet` to completion, drawing
-    /// authenticated update requests from per-device authorities derived
-    /// from the verifier's root key.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::UnknownCohort`] if no fleet device runs the
-    /// configured cohort firmware.
-    #[deprecated(note = "drive campaigns through the unified operator plane: \
-                `eilid_fleet::ops::FleetOps::run_campaign` on a \
-                `LocalOps` (in-process) or `eilid_net` `RemoteOps` \
-                (wire-driven) backend")]
-    pub fn run(
-        &self,
-        fleet: &mut Fleet,
-        verifier: &mut Verifier,
-    ) -> Result<CampaignReport, FleetError> {
-        let mut run = self.begin(fleet, verifier)?;
-        while run.step(fleet, verifier)? != CampaignStatus::Finished {}
-        Ok(run.report().expect("finished run has a report"))
     }
 
     /// Starts the campaign against any [`WaveExecutor`] and returns the
@@ -718,16 +589,22 @@ impl CampaignRun {
 
         let wave_index = self.cursor;
         let wave_ids = self.waves[wave_index].clone();
-        let spec = WaveSpec {
-            cohort: self.config.cohort,
-            target: self.config.target,
-            payload: &self.config.payload,
-            expected_after: self.expected_after,
-            smoke_cycles: self.config.smoke_cycles,
-            version: self.config.version,
-            delta: self.config.delta,
+        // Sparse deltas are encoded against the cohort's current golden
+        // (the base every untampered device still holds: promotion
+        // happens only after the last wave).
+        let start = usize::from(self.config.target);
+        let golden = if self.config.delta {
+            exec.cohort_info(self.config.cohort).ok()
+        } else {
+            None
         };
-        let rollout = exec.roll_out(&wave_ids, &spec)?;
+        let delta_base = golden.map(|info| {
+            let range = start..start + self.config.payload.len();
+            info.golden.slice(range).to_vec()
+        });
+        let mut machine = Rollout::wave(&wave_ids, &self.config, self.expected_after, delta_base);
+        exec.drive(&mut machine)?;
+        let rollout = machine.into_wave();
         exec.record(rollout.events);
         self.updated_so_far.extend(&rollout.updated);
         self.snapshots.extend(rollout.snapshots);
@@ -751,12 +628,7 @@ impl CampaignRun {
                 wave: wave_index,
                 failure_rate,
             }]);
-            let result = exec.roll_back(
-                self.config.cohort,
-                &self.updated_so_far,
-                self.config.target,
-                &self.snapshots,
-            )?;
+            let result = self.roll_back(exec, &self.updated_so_far)?;
             exec.record(result.events);
             self.rollback_incomplete.extend(result.incomplete);
             self.outcome = Some(CampaignOutcome::HaltedAndRolledBack {
@@ -774,12 +646,7 @@ impl CampaignRun {
         // them for operator follow-up; if the campaign goes on to
         // promote a new golden, later sweeps flag them too.
         if !rollout.probe_failed.is_empty() {
-            let result = exec.roll_back(
-                self.config.cohort,
-                &rollout.probe_failed,
-                self.config.target,
-                &self.snapshots,
-            )?;
+            let result = self.roll_back(exec, &rollout.probe_failed)?;
             exec.record(result.events);
             self.quarantined.extend(result.rolled_back);
             self.rollback_incomplete.extend(result.incomplete);
@@ -799,6 +666,19 @@ impl CampaignRun {
         Ok(CampaignStatus::InProgress {
             next_wave: self.cursor,
         })
+    }
+
+    /// Rolls `ids` back to their own pre-campaign patch-range bytes and
+    /// verifies each against its pre-campaign measurement.
+    fn roll_back(
+        &self,
+        exec: &mut dyn WaveExecutor,
+        ids: &[DeviceId],
+    ) -> Result<RollbackOutcome, FleetError> {
+        let mut machine =
+            Rollout::rollback(self.config.cohort, ids, self.config.target, &self.snapshots);
+        exec.drive(&mut machine)?;
+        Ok(machine.into_rollback())
     }
 
     /// [`CampaignRun::step_with`] specialised to the in-process
@@ -1131,322 +1011,4 @@ fn read_ids(reader: &mut Reader<'_>) -> Result<Vec<DeviceId>, CodecError> {
         ids.push(reader.u64()?);
     }
     Ok(ids)
-}
-
-/// Rolls `ids` back to their own pre-campaign patch-range bytes (from
-/// the per-device [`PreUpdateSnapshot`]s) and verifies each device's
-/// post-rollback PMEM measurement against its pre-campaign value.
-/// Devices whose rollback was rejected or whose measurement still
-/// differs (memory corrupted outside the patch range) land in
-/// `incomplete` and are recorded [`LedgerEvent::RollbackIncomplete`].
-fn roll_back(
-    fleet: &mut Fleet,
-    root: &DeviceKey,
-    ids: &[DeviceId],
-    target: u16,
-    snapshots: &BTreeMap<DeviceId, PreUpdateSnapshot>,
-    threads: usize,
-) -> RollbackOutcome {
-    let scheme = fleet.scheme();
-    let events = {
-        let mut devices = fleet.devices_by_ids_mut(ids);
-        parallel_map_mut(&mut devices, threads, |device| {
-            let snapshot = snapshots
-                .get(&device.id())
-                .expect("rolled-back devices were updated and snapshotted");
-            let key = root.derive(device.id());
-            let mut authority = resumed_authority(&key, device);
-            let request = authority.authorize(target, &snapshot.patch_range);
-            let result = device.apply_update(&request);
-            device.reboot();
-            match result {
-                Ok(()) => {
-                    let layout = device.device().layout();
-                    let restored = scheme.measure_pmem(&device.device().cpu().memory, layout)
-                        == snapshot.measurement;
-                    if restored {
-                        vec![LedgerEvent::RolledBack {
-                            device: device.id(),
-                        }]
-                    } else {
-                        vec![LedgerEvent::RollbackIncomplete {
-                            device: device.id(),
-                        }]
-                    }
-                }
-                // Should be unreachable (the authority holds the
-                // right key, a fresh nonce and the range the update
-                // already passed) — but if a rollback is ever
-                // rejected the device keeps the campaign firmware,
-                // so flag it for operator follow-up rather than
-                // letting it vanish behind a generic rejection.
-                Err(error) => vec![
-                    LedgerEvent::UpdateRejected {
-                        device: device.id(),
-                        error,
-                    },
-                    LedgerEvent::RollbackIncomplete {
-                        device: device.id(),
-                    },
-                ],
-            }
-        })
-    };
-    let mut result = RollbackOutcome::default();
-    for event in events.into_iter().flatten() {
-        match &event {
-            LedgerEvent::RolledBack { device } => result.rolled_back.push(*device),
-            LedgerEvent::RollbackIncomplete { device } => result.incomplete.push(*device),
-            _ => {}
-        }
-        result.events.push(event);
-    }
-    result
-}
-
-/// Builds an update authority for `device` whose nonce resumes above the
-/// device engine's last accepted nonce. The real verifier persists this
-/// state; re-deriving it from the (trusted, device-reported) engine state
-/// keeps the simulation honest without a database — and is exactly what
-/// the networked backend does too, with the device *reporting* its last
-/// nonce over the wire.
-fn resumed_authority(key: &DeviceKey, device: &SimDevice) -> UpdateAuthority {
-    // Rollbacks (and other re-issues) are stamped with the device's own
-    // current version: the anti-rollback counter accepts equal versions
-    // precisely so an operator can restore previous *bytes* without
-    // presenting an older counter value.
-    UpdateAuthority::with_key_resuming(key, device.engine().last_nonce() + 1)
-        .with_version(device.engine().last_version())
-}
-
-/// Everything one in-process wave rollout needs besides the devices
-/// themselves.
-struct WaveParams<'a> {
-    /// Fleet root key; per-device keys are derived from it.
-    root: &'a DeviceKey,
-    /// First PMEM address the patch writes.
-    target: u16,
-    /// The patch bytes.
-    payload: &'a [u8],
-    /// Expected post-patch golden measurement.
-    expected_after: [u8; 32],
-    /// Measurement scheme snapshots and probes are computed under.
-    scheme: MeasurementScheme,
-    /// Cycle budget for the post-update smoke run.
-    smoke_cycles: u64,
-    /// Firmware version the patch carries (anti-rollback counter).
-    version: u64,
-    /// When `Some`, ship sparse deltas encoded against these cohort
-    /// golden bytes in the patch range; `None` ships full images.
-    delta_base: Option<&'a [u8]>,
-    /// Base of the nonce block reserved (from the verifier's challenge
-    /// nonce domain) for this wave's probe challenges; device `id` uses
-    /// `probe_nonce_base + id`.
-    probe_nonce_base: u64,
-}
-
-/// Per-device outcome of the update-and-attest pass, before any smoke
-/// probe has run.
-struct UpdatePass {
-    /// `UpdateApplied` or `UpdateRejected`, so far.
-    events: Vec<LedgerEvent>,
-    /// Pre-update snapshot; `Some` iff the update applied.
-    snapshot: Option<PreUpdateSnapshot>,
-    id: DeviceId,
-    /// The update was accepted and applied.
-    applied: bool,
-    /// The post-update attestation matched `expected_after`.
-    attested: bool,
-    /// The device opted out of probe memoization.
-    isolated: bool,
-}
-
-/// Applies the patch, reboots and probes one wave of devices.
-///
-/// The expensive post-update smoke run is *memoized per wave*: every
-/// updated device attests against the expected post-patch measurement,
-/// and devices whose attested state equals `expected_after` are running
-/// byte-identical firmware — so the smoke run is executed once, on the
-/// wave's first such device (the *reference*), and its deterministic
-/// verdict is inherited by the rest. Devices whose measurement differs
-/// (tampered, or a rejected-then-divergent state) and devices marked
-/// [`SimDevice::probe_isolated`] never inherit: each runs its own full
-/// smoke probe. Ledger events, verdicts and report fields are exactly
-/// what the per-device path produces.
-fn roll_out_wave(
-    devices: &mut [&mut SimDevice],
-    threads: usize,
-    params: &WaveParams<'_>,
-) -> WaveRollout {
-    let patch_start = usize::from(params.target);
-    let patch_end = patch_start + params.payload.len();
-
-    // Pass 1 (parallel): snapshot, update (delta with same-nonce
-    // full-image fallback), attest, reboot into the new firmware.
-    let pass = parallel_map_mut(devices, threads, |device| {
-        let key = params.root.derive(device.id());
-        let mut authority = resumed_authority(&key, device).with_version(params.version);
-        let request = authority.authorize(params.target, params.payload);
-        let nonce = request.nonce;
-        let mut events = Vec::new();
-
-        // Snapshot the device's own pre-update state (patch-range bytes
-        // plus full-PMEM measurement) so a rollback can restore and
-        // verify exactly what this device held, not the cohort golden.
-        // The measurement comes from the device's live incremental
-        // measurer when it covers PMEM — only dirty granules re-hash —
-        // instead of a from-scratch measure_pmem.
-        let snapshot = PreUpdateSnapshot {
-            measurement: device.measure_pmem_cached(params.scheme),
-            patch_range: device
-                .device()
-                .cpu()
-                .memory
-                .slice(patch_start..patch_end)
-                .to_vec(),
-        };
-
-        let result = match params.delta_base {
-            Some(base) => {
-                let delta = DeltaUpdateRequest::from_full(&request, base);
-                match device.apply_delta_update(&delta) {
-                    Ok(()) => Ok(()),
-                    // A rejected request never advances the device's
-                    // nonce or version, so a device whose base bytes
-                    // diverged from the cohort golden (delta MAC
-                    // failure) retries with the full image under the
-                    // *same* nonce — the recorded outcome is bit-for-bit
-                    // what the full-image path would have produced.
-                    Err(_) => device.apply_update(&request),
-                }
-            }
-            None => device.apply_update(&request),
-        };
-        match result {
-            Ok(()) => events.push(LedgerEvent::UpdateApplied {
-                device: device.id(),
-                nonce,
-            }),
-            Err(error) => {
-                events.push(LedgerEvent::UpdateRejected {
-                    device: device.id(),
-                    error,
-                });
-                return UpdatePass {
-                    events,
-                    snapshot: None,
-                    id: device.id(),
-                    applied: false,
-                    attested: false,
-                    isolated: device.probe_isolated(),
-                };
-            }
-        }
-
-        // Post-update health probe 1: attest against the expected
-        // post-patch measurement, under a challenge nonce reserved from
-        // the verifier's sweep nonce domain. This is also the
-        // memoization gate: only devices whose attested measurement
-        // *equals* the expected post-patch golden may inherit the
-        // reference verdict.
-        let attest_verifier = AttestationVerifier::with_key(&key);
-        let challenge = attest_verifier.challenge_pmem(
-            device.device().layout(),
-            params.probe_nonce_base + device.id(),
-        );
-        let report = device.attest(challenge);
-        let attested = attest_verifier
-            .verify(&challenge, &report, Some(&params.expected_after))
-            .is_ok();
-
-        // Reboot into the new firmware; whether this device *runs* it
-        // is decided by the probe pass.
-        device.reboot();
-        UpdatePass {
-            events,
-            snapshot: Some(snapshot),
-            id: device.id(),
-            applied: true,
-            attested,
-            isolated: device.probe_isolated(),
-        }
-    });
-
-    // The reference device: first in wave order that applied the update
-    // and attests byte-identical post-patch firmware, excluding
-    // probe-isolated devices. Its smoke verdict is deterministic for
-    // every device in the same attested state.
-    let reference = pass
-        .iter()
-        .position(|p| p.applied && p.attested && !p.isolated);
-
-    // Pass 2 (parallel): run the smoke probe on the devices that
-    // actually need one — the reference, every measurement-mismatched
-    // device and every probe-isolated device. Everyone else inherits.
-    let needs_smoke: Vec<usize> = pass
-        .iter()
-        .enumerate()
-        .filter(|(index, p)| {
-            Some(*index) == reference || (p.applied && (!p.attested || p.isolated))
-        })
-        .map(|(index, _)| index)
-        .collect();
-    let mut smoke_devices: Vec<&mut SimDevice> = Vec::with_capacity(needs_smoke.len());
-    {
-        let mut wanted = needs_smoke.iter().copied().peekable();
-        for (index, device) in devices.iter_mut().enumerate() {
-            if wanted.peek() == Some(&index) {
-                wanted.next();
-                smoke_devices.push(&mut **device);
-            }
-        }
-    }
-    let smoke_results = parallel_map_mut(&mut smoke_devices, threads, |device| {
-        let outcome = device.run_slice(params.smoke_cycles);
-        matches!(
-            outcome,
-            RunOutcome::Completed { .. } | RunOutcome::Timeout { .. }
-        )
-    });
-    let healthy_by_index: BTreeMap<usize, bool> =
-        needs_smoke.into_iter().zip(smoke_results).collect();
-    let reference_healthy = reference.map(|index| healthy_by_index[&index]);
-
-    let mut rollout = WaveRollout::default();
-    for (index, device_pass) in pass.into_iter().enumerate() {
-        let UpdatePass {
-            mut events,
-            snapshot,
-            id,
-            applied,
-            attested,
-            ..
-        } = device_pass;
-        if !applied {
-            rollout.failures += 1;
-            rollout.events.append(&mut events);
-            continue;
-        }
-        let failed = match healthy_by_index.get(&index) {
-            Some(&healthy) => {
-                rollout.probes_executed += 1;
-                !(attested && healthy)
-            }
-            None => {
-                rollout.probes_memoized += 1;
-                !reference_healthy.expect("memoized devices imply a reference device")
-            }
-        };
-        if failed {
-            events.push(LedgerEvent::ProbeFailed { device: id });
-            rollout.failures += 1;
-            rollout.probe_failed.push(id);
-        }
-        rollout.updated.push(id);
-        rollout
-            .snapshots
-            .insert(id, snapshot.expect("applied devices are snapshotted"));
-        rollout.events.append(&mut events);
-    }
-    rollout
 }

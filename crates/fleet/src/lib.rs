@@ -30,7 +30,9 @@
 //!   ([`eilid_casu::UpdateAuthority`] / [`eilid_casu::UpdateEngine`]),
 //!   with automatic halt-and-rollback when a wave's post-update health
 //!   check fails beyond a configured threshold, and per-device rollback
-//!   of the stray probe failures in waves that pass it.
+//!   of the stray probe failures in waves that pass it. The per-device
+//!   protocol under every wave is one sans-IO state machine,
+//!   [`Rollout`], shared by the in-process and networked drivers.
 //! * violation telemetry — devices that trip the
 //!   [`eilid_casu::CasuMonitor`] report their
 //!   [`eilid_casu::Violation`] upstream; the fleet [`Ledger`] records the
@@ -79,12 +81,12 @@ pub mod fleet;
 pub mod ops;
 pub mod pool;
 pub mod report;
+pub mod rollout;
 pub mod verifier;
 
 pub use campaign::{
     partition_waves, Campaign, CampaignConfig, CampaignOutcome, CampaignReport, CampaignRun,
-    CampaignStatus, CohortInfo, LocalExecutor, PausedCampaign, PreUpdateSnapshot, RollbackOutcome,
-    WaveExecutor, WaveReport, WaveRollout, WaveSpec,
+    CampaignStatus, CohortInfo, LocalExecutor, PausedCampaign, WaveExecutor, WaveReport,
 };
 pub use device::{DeviceId, SimDevice};
 pub use eilid_casu::MeasurementScheme;
@@ -96,4 +98,8 @@ pub use ops::{
 };
 pub use pool::{PoolBusy, WorkerPool};
 pub use report::{DeviceHealth, FleetReport, HealthClass, Ledger, LedgerEvent};
+pub use rollout::{
+    PreUpdateSnapshot, ProbeMode, Reply, Request, RollbackOutcome, Rollout, RolloutKeys,
+    WaveRollout,
+};
 pub use verifier::{CohortSnapshot, ServiceSnapshot, Verifier, SHARD_COUNT};

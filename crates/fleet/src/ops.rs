@@ -217,12 +217,13 @@ pub trait FleetOps {
         ))
     }
 
-    /// Loads and validates a campaign into the backend's campaign slot.
-    /// Nothing is rolled out yet.
+    /// Loads and validates a campaign into the backend's campaign slot,
+    /// replacing a finished one. Nothing is rolled out yet.
     ///
     /// # Errors
     ///
-    /// [`OpsError::CampaignActive`] if a campaign is already loaded;
+    /// [`OpsError::CampaignActive`] if an unfinished campaign is loaded
+    /// (or, on a gateway, a paused one is retained);
     /// [`OpsError::Fleet`] for invalid configs or unknown cohorts.
     fn campaign_begin(&mut self, config: &CampaignConfig) -> Result<(), OpsError>;
 
@@ -318,7 +319,9 @@ impl FleetOps for LocalOps<'_> {
     }
 
     fn campaign_begin(&mut self, config: &CampaignConfig) -> Result<(), OpsError> {
-        if self.run.is_some() {
+        // A finished run only keeps its report readable; the next
+        // campaign replaces it.
+        if self.run.as_ref().is_some_and(|run| !run.is_finished()) {
             return Err(OpsError::CampaignActive);
         }
         let campaign = Campaign::new(config.clone())?;

@@ -140,7 +140,7 @@ impl fmt::Display for FleetReport {
 }
 
 /// One entry in the fleet's append-only event ledger.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LedgerEvent {
     /// A device was enrolled into the fleet.
     Enrolled {

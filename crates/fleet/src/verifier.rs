@@ -9,8 +9,8 @@ use std::time::Instant;
 
 use eilid_casu::agg::{evidence_leaf, shard_agg_key, AggProof, EvidenceTree};
 use eilid_casu::{
-    AttestError, AttestationVerifier, CryptoProvider, DeviceKey, MeasurementScheme, MemoryLayout,
-    SoftwareProvider,
+    AttestError, AttestationVerifier, Challenge, CryptoProvider, DeviceKey, MeasurementScheme,
+    MemoryLayout, SoftwareProvider,
 };
 use eilid_msp430::Memory;
 use eilid_workloads::WorkloadId;
@@ -20,6 +20,7 @@ use crate::fleet::Fleet;
 use crate::ops::{class_index, AggSweepSummary, SweepSummary};
 use crate::pool::WorkerPool;
 use crate::report::{DeviceHealth, FleetReport, HealthClass, LedgerEvent};
+use crate::rollout::RolloutKeys;
 
 /// One shard's sweep job, ready for [`WorkerPool::scope`].
 type ShardJob<'env> = (usize, Box<dyn FnOnce() -> Vec<DeviceHealth> + Send + 'env>);
@@ -286,12 +287,6 @@ impl Verifier {
     /// costs a re-derivation.
     pub fn set_parallelism(&mut self, workers: usize) {
         self.pool.set_workers(workers);
-    }
-
-    /// The fleet root key (campaigns derive per-device authorities from
-    /// it).
-    pub(crate) fn root(&self) -> &DeviceKey {
-        &self.root
     }
 
     /// The current golden measurement for `cohort`.
@@ -819,5 +814,21 @@ impl Verifier {
             threads: workers,
             scheme,
         }
+    }
+}
+/// In-process campaigns draw keys and probe challenges from the
+/// verifier.
+impl RolloutKeys for Verifier {
+    fn device_key(&self, device: DeviceId) -> DeviceKey {
+        Verifier::device_key(self, device)
+    }
+
+    fn challenge(&mut self, cohort: WorkloadId, _device: DeviceId) -> Option<Challenge> {
+        let pmem = &self.expected.get(&cohort)?.layout.pmem;
+        let (start, end) = (*pmem.start(), *pmem.end());
+        // One nonce from the domain sweeps draw from too, so no
+        // challenge to a device key ever repeats.
+        let nonce = self.reserve_challenge_nonces(&[0]);
+        Some(Challenge { nonce, start, end })
     }
 }

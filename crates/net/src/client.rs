@@ -77,9 +77,7 @@ impl<T: Transport> DeviceClient<T> {
 
     /// Attests one device through the gateway: requests a challenge,
     /// answers it from the device's measurement engine, and returns the
-    /// gateway's verdict. Gateway-pushed [`Frame::UpdateRequest`]s
-    /// arriving mid-exchange are applied to the device and acknowledged
-    /// transparently.
+    /// gateway's verdict.
     ///
     /// `Error{Busy}` — the gateway's backpressure signal when its
     /// worker queues are full — is honoured, not fatal: the exchange
@@ -136,26 +134,6 @@ impl<T: Transport> DeviceClient<T> {
                     }
                     return Ok(health_from_wire(class));
                 }
-                Frame::UpdateRequest {
-                    device: for_device,
-                    request,
-                } => {
-                    // Device-side update handling: apply through the
-                    // authenticated engine and acknowledge. A request
-                    // for a device this client doesn't hold is refused.
-                    let status = if for_device == id {
-                        match device.apply_update(&request) {
-                            Ok(()) => 0,
-                            Err(err) => update_error_code(&err),
-                        }
-                    } else {
-                        0xFF
-                    };
-                    self.transport.send(&Frame::UpdateResult {
-                        device: for_device,
-                        status,
-                    })?;
-                }
                 Frame::Error { code } => return Err(NetError::Protocol(code)),
                 Frame::DeviceError { device, code } => {
                     if device != id {
@@ -178,8 +156,7 @@ impl<T: Transport> DeviceClient<T> {
     /// Device-scoped `Busy` errors re-queue just that device (bounded
     /// by [`BUSY_RETRIES`] per device, with exponential backoff after
     /// any burst that shed work without delivering a verdict — the
-    /// saturation signal); gateway-pushed updates are applied and
-    /// acknowledged mid-pipeline exactly as in lockstep mode.
+    /// saturation signal).
     ///
     /// # Errors
     ///
@@ -303,16 +280,6 @@ impl<T: Transport> DeviceClient<T> {
                         to_request.push_back(index);
                     }
                     Frame::DeviceError { code, .. } => return Err(NetError::Protocol(code)),
-                    Frame::UpdateRequest { device, request } => {
-                        let status = match index_of.get(&device) {
-                            Some(&index) => match devices[index].apply_update(&request) {
-                                Ok(()) => 0,
-                                Err(err) => update_error_code(&err),
-                            },
-                            None => 0xFF,
-                        };
-                        out.push(Frame::UpdateResult { device, status });
-                    }
                     Frame::Error { code } => return Err(NetError::Protocol(code)),
                     _ => return Err(NetError::Unexpected("unexpected frame during attestation")),
                 }
@@ -329,10 +296,6 @@ impl<T: Transport> DeviceClient<T> {
                 backoff = Duration::from_micros(500);
             }
         }
-        // The final burst can queue one last reply (e.g. the
-        // UpdateResult ack for a gateway-pushed update arriving with
-        // the last verdict) — flush it before returning.
-        self.transport.send_batch(&out)?;
         verdicts.sort_by_key(|(device, _)| *device);
         Ok(verdicts)
     }
@@ -346,18 +309,6 @@ impl<T: Transport> DeviceClient<T> {
     pub fn bye(mut self) -> Result<T, NetError> {
         self.transport.send(&Frame::Bye)?;
         Ok(self.transport)
-    }
-}
-
-/// Stable wire codes for device-side update rejections.
-pub(crate) fn update_error_code(error: &eilid_casu::UpdateError) -> u8 {
-    match error {
-        eilid_casu::UpdateError::BadMac => 1,
-        eilid_casu::UpdateError::StaleNonce { .. } => 2,
-        eilid_casu::UpdateError::TargetOutsidePmem { .. } => 3,
-        eilid_casu::UpdateError::EmptyPayload => 4,
-        eilid_casu::UpdateError::RollbackVersion { .. } => 5,
-        eilid_casu::UpdateError::MalformedDelta => 6,
     }
 }
 

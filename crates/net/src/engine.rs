@@ -1,60 +1,51 @@
 //! The gateway's campaign engine: the wire-driven [`WaveExecutor`]
 //! behind the networked operator plane.
 //!
-//! The reactor thread never blocks on campaign work. Operator frames
-//! (`OpBegin`/`OpStep`/`CampaignControl`/…) and device-plane replies
-//! (`SnapshotReport`/`UpdateResult`/`ProbeResult`) are routed here over
-//! an mpsc channel; the engine runs on its own thread, drives the
-//! *shared* campaign decision logic ([`CampaignRun::step_with`] — the
-//! exact code the in-process backend runs), and implements the
-//! [`WaveExecutor`] mechanism by pushing frames to the device
-//! connections registered in the gateway's [`Registry`]:
+//! One machine, two drivers: the campaign decisions
+//! ([`CampaignRun::step_with`]) and the per-device protocol
+//! ([`Rollout`]) are the exact code the in-process backend runs. This
+//! engine is the second driver — it carries the machine's requests to
+//! the device connections registered in the gateway's [`Registry`] and
+//! feeds the replies back:
 //!
 //! ```text
-//!  operator conn ── OpStep ──▶ engine ── SnapshotRequest ─▶ device conns
-//!                                │  ◀── SnapshotReport ──────┘
-//!                                ├── UpdateRequest ─▶  … ◀── UpdateResult
-//!                                ├── ProbeRequest  ─▶  … ◀── ProbeResult
+//!  operator conn ── OpStep ──▶ engine ── SnapshotRequest ─────▶ device conns
+//!                                │  ◀── SnapshotReport ─────────┘
+//!                                ├── DeltaUpdateRequest ─▶  … ◀── UpdateResult
+//!                                ├── ProbeRequest ───────▶  … ◀── ProbeResult
 //!                                ▼
 //!                        CampaignStatus (wave boundary) ─▶ operator conn
 //! ```
 //!
-//! Campaign waves are *streamed*: instead of three fleet-wide phase
-//! barriers (every snapshot, then every update, then every probe), each
-//! device advances through its own phase chain — snapshot → delta (or
-//! full) update → attest probe → verdict — the moment its previous
-//! reply lands, with admission capped by a per-connection window
-//! ([`ENGINE_WAVE_WINDOW`], the sweep client's window-of-32 pattern).
-//! A slow or busy device therefore stalls only itself, never the wave.
-//! The cohort-reference smoke probe runs once; byte-identical siblings
-//! (attested equal to `expected_after`) inherit its verdict, so the
-//! 2M-cycle reboot + smoke simulation leaves the per-device hot path.
-//!
-//! Outbound frames ride the gateway's existing completions channel (the
-//! same coalesced-write path worker verdicts use), so the reactor
-//! flushes them with its usual discipline. A device agent that cannot
+//! The reactor thread never blocks on campaign work: operator frames
+//! and device replies reach the engine thread over an mpsc channel.
+//! The engine keeps only transport concerns: waves are *streamed* (each
+//! device advances the moment its reply lands, admission capped by a
+//! per-connection window, [`ENGINE_WAVE_WINDOW`] — the sweep client's
+//! window-of-32 pattern), bursts of replies are drained into one
+//! coalesced write, the idle deadline extends on progress, a closed
+//! connection fails its devices fast, and the phase-latency and
+//! update-byte metrics are recorded here. A device agent that cannot
 //! serve a push right now sheds it with a device-scoped
-//! [`Frame::DeviceError`] `Busy`; the engine schedules a bounded
-//! exponential-backoff retry *inside its event loop* (the thread keeps
-//! draining other devices' replies — it never sleeps through a backoff)
-//! instead of counting it as a probe failure — backpressure is a
-//! scheduling signal, not a health verdict.
+//! [`Frame::DeviceError`] `Busy`; the engine re-pushes it after a
+//! bounded exponential backoff scheduled *inside its event loop* (the
+//! thread keeps draining other devices' replies — it never sleeps
+//! through a backoff) — backpressure is a scheduling signal, not a
+//! health verdict. Rollback passes stream the same way.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use eilid_casu::agg::{evidence_leaf, missing_leaf, AggProof, EvidenceTree};
-use eilid_casu::{
-    AttestationVerifier, Challenge, DeltaUpdateRequest, UpdateAuthority, UpdateError,
-};
+use eilid_casu::{Challenge, DeviceKey};
+use eilid_fleet::rollout::{Next, BUSY_RETRIES};
 use eilid_fleet::{
     Campaign, CampaignRun, CohortInfo, DeviceId, FleetError, HealthClass, Ledger, LedgerEvent,
-    PausedCampaign, PreUpdateSnapshot, RollbackOutcome, WaveExecutor, WaveRollout, WaveSpec,
-    WorkerPool, SHARD_COUNT,
+    PausedCampaign, Reply, Request, Rollout, RolloutKeys, WaveExecutor, WorkerPool, SHARD_COUNT,
 };
 use eilid_workloads::WorkloadId;
 
@@ -71,7 +62,7 @@ use crate::wire::{
 
 /// How many times the engine re-pushes an exchange a device agent shed
 /// with a device-scoped `Busy` before giving up on that device.
-pub const ENGINE_BUSY_RETRIES: usize = 8;
+pub const ENGINE_BUSY_RETRIES: usize = BUSY_RETRIES;
 
 /// Per-connection cap on devices concurrently in flight during a
 /// streamed campaign wave. Matches the sweep client's window-of-32:
@@ -176,8 +167,6 @@ struct CampaignSlot {
 /// Which reply frame type an exchange expects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReplyKind {
-    Snapshot,
-    UpdateAck,
     Probe,
 }
 
@@ -185,106 +174,9 @@ impl ReplyKind {
     /// The device a reply of this kind names, if `frame` is one.
     fn device_of(self, frame: &Frame) -> Option<DeviceId> {
         match (self, frame) {
-            (ReplyKind::Snapshot, Frame::SnapshotReport { device, .. })
-            | (ReplyKind::UpdateAck, Frame::UpdateResult { device, .. })
-            | (ReplyKind::Probe, Frame::ProbeResult { device, .. }) => Some(*device),
+            (ReplyKind::Probe, Frame::ProbeResult { device, .. }) => Some(*device),
             _ => None,
         }
-    }
-}
-
-/// Where a device sits in the streamed wave's phase chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WavePhase {
-    /// Not yet admitted into the in-flight window.
-    Queued,
-    /// Snapshot request in flight.
-    Snapshot,
-    /// Update in flight; `delta` marks the sparse-segment attempt
-    /// (a rejection falls back to the full image under the same nonce).
-    Update { delta: bool },
-    /// Post-update attest probe ([`ProbeMode::UpdateAttest`]) in
-    /// flight.
-    Attest,
-    /// This device is the cohort reference: its real reboot + smoke
-    /// probe ([`ProbeMode::UpdateProbe`]) is in flight.
-    Reference,
-}
-
-/// Per-device progress through the streamed wave.
-#[derive(Debug)]
-struct WaveDevice {
-    phase: WavePhase,
-    /// The frame awaiting a reply, kept for `Busy` re-pushes.
-    in_flight: Option<Frame>,
-    /// `Busy` sheds of the current in-flight frame.
-    attempts: usize,
-    /// When the current in-flight frame was pushed (phase-latency
-    /// histograms).
-    pushed_at: Instant,
-    nonce: u64,
-    snapshot: Option<PreUpdateSnapshot>,
-    /// The authorized full-image request, held while the delta attempt
-    /// is in flight so a divergent device can fall back under the same
-    /// nonce (the recorded outcome is always the final attempt's).
-    fallback: Option<Frame>,
-    challenge: Option<Challenge>,
-    applied: bool,
-    /// Device-side rejection code of the *final* update attempt.
-    rejected: Option<u8>,
-    attested: bool,
-    /// The device's own probe verdict (probe-isolated devices, the
-    /// reference itself, and measurement mismatches — which never
-    /// inherit).
-    verdict: Option<bool>,
-    /// Verdict deferred to the cohort reference's smoke outcome.
-    inherit: bool,
-    done: bool,
-}
-
-impl WaveDevice {
-    fn new(now: Instant) -> Self {
-        WaveDevice {
-            phase: WavePhase::Queued,
-            in_flight: None,
-            attempts: 0,
-            pushed_at: now,
-            nonce: 0,
-            snapshot: None,
-            fallback: None,
-            challenge: None,
-            applied: false,
-            rejected: None,
-            attested: false,
-            verdict: None,
-            inherit: false,
-            done: false,
-        }
-    }
-}
-
-/// Wave-wide accounting the streamed loop threads through its
-/// handlers.
-#[derive(Debug, Default)]
-struct WaveTally {
-    /// Admitted-but-not-done devices (the window occupancy).
-    live: usize,
-    /// Devices not yet done (loop exit condition).
-    remaining: usize,
-    /// Smoke probes actually executed on a device.
-    executed: u64,
-    /// Verdicts inherited from the cohort reference.
-    memoized: u64,
-}
-
-/// Retires a device from the wave (no further frames will be pushed to
-/// it); idempotent.
-fn finish(st: &mut WaveDevice, tally: &mut WaveTally) {
-    if !st.done {
-        st.done = true;
-        st.in_flight = None;
-        tally.live -= 1;
-        tally.remaining -= 1;
     }
 }
 
@@ -400,20 +292,40 @@ impl OpsEngine {
         }
     }
 
+    /// `true` when `cohort`'s slot holds an unfinished run or a
+    /// retained pause — a finished run only keeps its report readable,
+    /// and the next begin or resume replaces it.
+    fn slot_busy(&self, cohort: WorkloadId) -> bool {
+        self.campaigns
+            .get(&cohort)
+            .is_some_and(|slot| match &slot.run {
+                Some(run) => !run.is_finished(),
+                None => slot.paused.is_some(),
+            })
+    }
+
+    /// Loads `run` into `cohort`'s slot, dropping a finished run and any
+    /// checkpoint retained for it.
+    fn load(&mut self, cohort: WorkloadId, run: CampaignRun) {
+        self.campaigns.insert(
+            cohort,
+            CampaignSlot {
+                run: Some(run),
+                paused: None,
+            },
+        );
+    }
+
     fn handle_operator(&mut self, conn: u64, frame: Frame) {
         match frame {
             Frame::OpBegin { config } => {
                 let cohort = config.cohort;
-                if self
-                    .campaigns
-                    .get(&cohort)
-                    .is_some_and(|slot| slot.run.is_some() || slot.paused.is_some())
-                {
+                if self.slot_busy(cohort) {
                     return self.send_error(conn, ErrorCode::CampaignActive);
                 }
                 match Campaign::new(config).and_then(|campaign| campaign.begin_with(&mut *self)) {
                     Ok(run) => {
-                        self.campaigns.entry(cohort).or_default().run = Some(run);
+                        self.load(cohort, run);
                         let status = self.status_frame(cohort);
                         self.send(conn, status);
                     }
@@ -451,14 +363,10 @@ impl OpsEngine {
                     return self.send_error(conn, ErrorCode::Unsupported);
                 };
                 let cohort = paused.cohort();
-                if self
-                    .campaigns
-                    .get(&cohort)
-                    .is_some_and(|slot| slot.run.is_some() || slot.paused.is_some())
-                {
+                if self.slot_busy(cohort) {
                     return self.send_error(conn, ErrorCode::CampaignActive);
                 }
-                self.campaigns.entry(cohort).or_default().run = Some(Campaign::resume(paused));
+                self.load(cohort, Campaign::resume(paused));
                 let status = self.status_frame(cohort);
                 self.send(conn, status);
             }
@@ -661,7 +569,7 @@ impl OpsEngine {
                 else {
                     return self.send_error(conn, ErrorCode::NoCampaign);
                 };
-                self.campaigns.entry(cohort).or_default().run = Some(Campaign::resume(paused));
+                self.load(cohort, Campaign::resume(paused));
                 let status = self.status_frame(cohort);
                 self.send(conn, status);
             }
@@ -1007,130 +915,200 @@ impl OpsEngine {
         replies
     }
 
-    /// Arms `frame` as `device`'s in-flight exchange and queues it on
-    /// the device's connection; a connectionless device is retired on
-    /// the spot.
-    fn stream_push(
+    fn conn_of(&self, device: DeviceId) -> Option<u64> {
+        self.registry.lock().expect("registry lock").conn_of(device)
+    }
+
+    /// Pushes a fresh request from the machine to its device's
+    /// connection; a connectionless device is retired on the spot.
+    fn push(
         &self,
-        device: DeviceId,
-        frame: Frame,
-        st: &mut WaveDevice,
-        tally: &mut WaveTally,
+        request: Request,
+        rollout: &mut Rollout<'_>,
+        pushed_at: &mut HashMap<DeviceId, Instant>,
         outbox: &mut Vec<(u64, Frame)>,
     ) {
-        let conn = self.registry.lock().expect("registry lock").conn_of(device);
-        match conn {
+        let device = request.device();
+        match self.conn_of(device) {
             Some(conn) => {
-                st.attempts = 0;
-                st.pushed_at = Instant::now();
-                st.in_flight = Some(frame.clone());
-                outbox.push((conn, frame));
+                pushed_at.insert(device, Instant::now());
+                outbox.push((conn, Frame::from(request)));
             }
-            None => finish(st, tally),
+            None => {
+                rollout.lost(device);
+            }
         }
     }
 
-    /// Authorizes `device`'s wave update off its reported nonce and
-    /// pushes it — as sparse delta segments against the cohort golden
-    /// when the campaign runs in delta mode, the full image otherwise.
-    #[allow(clippy::too_many_arguments)]
-    fn stream_update(
-        &self,
-        device: DeviceId,
-        last_nonce: u64,
-        spec: &WaveSpec<'_>,
-        delta_base: Option<&[u8]>,
-        st: &mut WaveDevice,
-        tally: &mut WaveTally,
-        outbox: &mut Vec<(u64, Frame)>,
-    ) {
-        let key = self.service.device_key(device);
-        let mut authority =
-            UpdateAuthority::with_key_resuming(&key, last_nonce + 1).with_version(spec.version);
-        let request = authority.authorize(spec.target, spec.payload);
-        st.nonce = request.nonce;
-        self.metrics
-            .update_bytes_full
-            .add(spec.payload.len() as u64);
-        // Delta encoding only pays when the segments (plus their
-        // offset+len framing) undercut the full image — a tiny patch
-        // that is all-dirty ships as a plain full-image request.
-        let delta = delta_base
-            .map(|base| DeltaUpdateRequest::from_full(&request, base))
-            .filter(|delta| delta.segments.len() * 8 + delta.delta_bytes() < request.payload.len());
-        let frame = match delta {
-            Some(delta) => {
-                let wire = delta.segments.len() * 8 + delta.delta_bytes();
-                self.metrics.update_bytes_wire.add(wire as u64);
-                st.fallback = Some(Frame::UpdateRequest { device, request });
-                st.phase = WavePhase::Update { delta: true };
-                Frame::DeltaUpdateRequest {
-                    device,
-                    request: delta,
-                }
-            }
-            None => {
-                self.metrics
-                    .update_bytes_wire
-                    .add(request.payload.len() as u64);
-                st.phase = WavePhase::Update { delta: false };
-                Frame::UpdateRequest { device, request }
-            }
-        };
-        self.stream_push(device, frame, st, tally, outbox);
+    fn flush(&self, outbox: &mut Vec<(u64, Frame)>) {
+        if !outbox.is_empty() {
+            let _ = self.out.send(std::mem::take(outbox));
+            self.waker.wake();
+        }
     }
 
-    /// Mints a cohort challenge and pushes a probe in `mode`,
-    /// transitioning the device to `phase`. A mint failure (the cohort
-    /// vanished mid-wave) reads as a lost probe.
-    #[allow(clippy::too_many_arguments)]
-    fn stream_probe(
-        &self,
-        device: DeviceId,
-        mode: ProbeMode,
-        phase: WavePhase,
-        spec: &WaveSpec<'_>,
-        st: &mut WaveDevice,
-        tally: &mut WaveTally,
-        outbox: &mut Vec<(u64, Frame)>,
-    ) {
-        let Ok(challenge) = self.service.challenge_for(spec.cohort) else {
-            return finish(st, tally);
+    /// Streams one wave (or rollback pass) over the device plane. Each
+    /// device advances the moment its reply lands; admission is capped
+    /// at [`ENGINE_WAVE_WINDOW`] per agent connection; `Busy` sheds are
+    /// re-pushed from a due-time heap without ever sleeping the thread;
+    /// the idle deadline extends on every accepted reply; devices whose
+    /// connection closes, or that refuse a push, retire as lost.
+    fn stream(&mut self, rollout: &mut Rollout<'_>) {
+        let started = Instant::now();
+        let service = Arc::clone(&self.service);
+        let metrics = Arc::clone(&self.metrics);
+        let mut keys = ServiceKeys(&service);
+        let window = {
+            let registry = self.registry.lock().expect("registry lock");
+            let mut conns: Vec<u64> = rollout
+                .devices()
+                .iter()
+                .filter_map(|&device| registry.conn_of(device))
+                .collect();
+            conns.sort_unstable();
+            conns.dedup();
+            ENGINE_WAVE_WINDOW * conns.len().max(1)
         };
-        st.challenge = Some(challenge);
-        st.phase = phase;
-        self.stream_push(
-            device,
-            Frame::ProbeRequest {
-                device,
-                mode,
-                smoke_cycles: spec.smoke_cycles,
-                challenge,
-            },
-            st,
-            tally,
-            outbox,
-        );
+        let mut pushed_at: HashMap<DeviceId, Instant> = HashMap::new();
+        let mut retry_at: BinaryHeap<Reverse<(Instant, DeviceId)>> = BinaryHeap::new();
+        let mut outbox: Vec<(u64, Frame)> = Vec::new();
+        let mut deadline = Instant::now() + self.timeout;
+
+        while !rollout.is_done() {
+            let now = Instant::now();
+            // Re-push every backoff that has come due.
+            while let Some(&Reverse((when, device))) = retry_at.peek() {
+                if when > now {
+                    break;
+                }
+                retry_at.pop();
+                let Some(request) = rollout.in_flight(device).cloned() else {
+                    continue;
+                };
+                match self.conn_of(device) {
+                    Some(conn) => {
+                        outbox.push((conn, Frame::from(request)));
+                        deadline = now + self.timeout;
+                    }
+                    None => {
+                        rollout.lost(device);
+                    }
+                }
+            }
+            // Admit queued devices into freed window slots.
+            while rollout.live() < window {
+                let Some(request) = rollout.admit() else {
+                    break;
+                };
+                self.push(request, rollout, &mut pushed_at, &mut outbox);
+            }
+            self.flush(&mut outbox);
+            let now = Instant::now();
+            if rollout.is_done() || now >= deadline {
+                break;
+            }
+            let wake_at = retry_at
+                .peek()
+                .map_or(deadline, |&Reverse((when, _))| deadline.min(when));
+            let first = match self.rx.recv_timeout(wake_at.saturating_duration_since(now)) {
+                Ok(input) => input,
+                // Possibly just a backoff coming due; the loop head
+                // re-pushes it and the deadline check decides.
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => break,
+            };
+            // Drain the burst that is already queued so one coalesced
+            // completions message carries every frame this pass
+            // produces, handled in arrival order — processing a
+            // ConnClosed ahead of a same-burst reply would misclassify
+            // an answered device.
+            let mut burst = vec![first];
+            burst.extend(std::iter::from_fn(|| self.rx.try_recv().ok()).take(1023));
+            for input in burst {
+                let frames = match input {
+                    // The engine is single-threaded by design (campaign
+                    // semantics are strictly wave-ordered): operator
+                    // commands mid-wave answer Busy immediately.
+                    EngineInput::Operator { conn, .. } => {
+                        self.send_error(conn, ErrorCode::Busy);
+                        continue;
+                    }
+                    EngineInput::ConnClosed(_) => {
+                        let registry = self.registry.lock().expect("registry lock");
+                        let gone: Vec<DeviceId> = rollout
+                            .devices()
+                            .iter()
+                            .copied()
+                            .filter(|&device| registry.conn_of(device).is_none())
+                            .collect();
+                        for device in gone {
+                            rollout.lost(device);
+                        }
+                        continue;
+                    }
+                    EngineInput::Device { frame } => vec![frame],
+                    EngineInput::Devices(frames) => frames,
+                };
+                for frame in frames {
+                    if let Frame::DeviceError { device, code } = frame {
+                        if code != ErrorCode::Busy {
+                            // Non-retryable: fail that device fast.
+                            if rollout.lost(device) {
+                                deadline = Instant::now() + self.timeout;
+                            }
+                        } else {
+                            // A busy shed is a scheduling signal, not a
+                            // health verdict: back off and keep draining
+                            // everyone else.
+                            match rollout.busy(device) {
+                                Next::Retry(attempts) => {
+                                    self.metrics.engine_busy_retries.inc();
+                                    let due = Instant::now() + busy_backoff(attempts);
+                                    retry_at.push(Reverse((due, device)));
+                                }
+                                Next::Retired => self.metrics.engine_busy_retries.inc(),
+                                _ => {}
+                            }
+                        }
+                        continue;
+                    }
+                    let Some((device, reply)) = frame.into_reply() else {
+                        continue;
+                    };
+                    let phase = match reply {
+                        Reply::Snapshot { .. } => &metrics.phase_snapshot_us,
+                        Reply::Update(_) => &metrics.phase_update_us,
+                        Reply::Probe { .. } => &metrics.phase_probe_us,
+                    };
+                    let next = rollout.reply(device, reply, &mut keys);
+                    if next == Next::Ignore {
+                        continue;
+                    }
+                    deadline = Instant::now() + self.timeout;
+                    if let Some(at) = pushed_at.get(&device) {
+                        phase.record_duration_us(at.elapsed());
+                    }
+                    if let Next::Push(request) = next {
+                        self.push(request, rollout, &mut pushed_at, &mut outbox);
+                    }
+                }
+            }
+            self.flush(&mut outbox);
+        }
+        self.note_wave(started, rollout.devices().len());
     }
 }
 
-/// Maps a device-side rejection code back to a representative
-/// [`UpdateError`] for the engine's ledger (the device-local field
-/// values do not cross the wire).
-fn update_error_from_code(code: u8) -> UpdateError {
-    match code {
-        2 => UpdateError::StaleNonce {
-            presented: 0,
-            last_accepted: 0,
-        },
-        3 => UpdateError::TargetOutsidePmem { addr: 0 },
-        4 => UpdateError::EmptyPayload,
-        5 => UpdateError::RollbackVersion {
-            presented: 0,
-            current: 0,
-        },
-        6 => UpdateError::MalformedDelta,
-        _ => UpdateError::BadMac,
+/// Device keys and challenges from the gateway's attestation service.
+struct ServiceKeys<'a>(&'a AttestationService);
+
+impl RolloutKeys for ServiceKeys<'_> {
+    fn device_key(&self, device: DeviceId) -> DeviceKey {
+        self.0.device_key(device)
+    }
+
+    fn challenge(&mut self, cohort: WorkloadId, _device: DeviceId) -> Option<Challenge> {
+        self.0.challenge_for(cohort).ok()
     }
 }
 
@@ -1156,537 +1134,15 @@ impl WaveExecutor for OpsEngine {
         })
     }
 
-    fn roll_out(
-        &mut self,
-        wave: &[DeviceId],
-        spec: &WaveSpec<'_>,
-    ) -> Result<WaveRollout, FleetError> {
-        let wave_started = Instant::now();
-        // The delta base: the cohort golden's bytes under the patch
-        // range. In-sync devices ship sparse segments; a divergent (or
-        // tampered) device's delta rejects device-side and falls back
-        // to the full image under the same nonce.
-        let delta_base: Option<Vec<u8>> = if spec.delta {
-            self.service.cohort_golden(spec.cohort).map(|(golden, _)| {
-                let start = usize::from(spec.target);
-                golden.slice(start..start + spec.payload.len()).to_vec()
-            })
-        } else {
-            None
-        };
-
-        let now = Instant::now();
-        let mut states: BTreeMap<DeviceId, WaveDevice> = wave
-            .iter()
-            .map(|&device| (device, WaveDevice::new(now)))
-            .collect();
-        let mut queue: VecDeque<DeviceId> = wave.iter().copied().collect();
-        // Admission cap: window-of-32 per distinct agent connection.
-        let window = {
-            let registry = self.registry.lock().expect("registry lock");
-            let mut conns: Vec<u64> = wave.iter().filter_map(|&d| registry.conn_of(d)).collect();
-            conns.sort_unstable();
-            conns.dedup();
-            ENGINE_WAVE_WINDOW * conns.len().max(1)
-        };
-        let mut tally = WaveTally {
-            remaining: wave.len(),
-            ..WaveTally::default()
-        };
-        let mut retry_at: BinaryHeap<Reverse<(Instant, DeviceId)>> = BinaryHeap::new();
-        // The cohort reference and its smoke verdict, once resolved.
-        let mut reference: Option<DeviceId> = None;
-        let mut reference_verdict: Option<bool> = None;
-        // The deadline extends on progress: the wave is bounded by
-        // per-device idleness, not wave size.
-        let mut deadline = Instant::now() + self.timeout;
-
-        while tally.remaining > 0 {
-            let mut outbox: Vec<(u64, Frame)> = Vec::new();
-            let now = Instant::now();
-            // Re-push every backoff that has come due; the thread never
-            // sleeps through one.
-            while let Some(&Reverse((when, device))) = retry_at.peek() {
-                if when > now {
-                    break;
-                }
-                retry_at.pop();
-                let Some(st) = states.get_mut(&device) else {
-                    continue;
-                };
-                if st.done {
-                    continue;
-                }
-                let Some(frame) = st.in_flight.clone() else {
-                    continue;
-                };
-                let conn = self.registry.lock().expect("registry lock").conn_of(device);
-                match conn {
-                    Some(conn) => {
-                        outbox.push((conn, frame));
-                        deadline = now + self.timeout;
-                    }
-                    None => finish(st, &mut tally),
-                }
-            }
-            // Admit queued devices into freed window slots.
-            while tally.live < window {
-                let Some(device) = queue.pop_front() else {
-                    break;
-                };
-                let st = states.get_mut(&device).expect("queued device state");
-                st.phase = WavePhase::Snapshot;
-                tally.live += 1;
-                self.stream_push(
-                    device,
-                    Frame::SnapshotRequest {
-                        device,
-                        start: spec.target,
-                        len: spec.payload.len() as u16,
-                    },
-                    st,
-                    &mut tally,
-                    &mut outbox,
-                );
-            }
-            if !outbox.is_empty() {
-                let _ = self.out.send(outbox);
-                self.waker.wake();
-            }
-            if tally.remaining == 0 {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let wake_at = retry_at
-                .peek()
-                .map_or(deadline, |&Reverse((when, _))| deadline.min(when));
-            let first = match self.rx.recv_timeout(wake_at.saturating_duration_since(now)) {
-                Ok(input) => input,
-                // Possibly just a backoff coming due; the loop head
-                // re-pushes it and the deadline check decides.
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            };
-            // Drain the burst that is already queued so one coalesced
-            // completions message carries every frame this pass
-            // produces. Reactor-batched `Devices` messages flatten into
-            // per-frame items in arrival order — processing a
-            // ConnClosed ahead of a same-burst reply would misclassify
-            // an answered device.
-            let mut burst: Vec<EngineInput> = Vec::new();
-            let absorb = |burst: &mut Vec<EngineInput>, input: EngineInput| match input {
-                EngineInput::Devices(frames) => {
-                    burst.extend(
-                        frames
-                            .into_iter()
-                            .map(|frame| EngineInput::Device { frame }),
-                    );
-                }
-                other => burst.push(other),
-            };
-            absorb(&mut burst, first);
-            while burst.len() < 1024 {
-                match self.rx.try_recv() {
-                    Ok(input) => absorb(&mut burst, input),
-                    Err(_) => break,
-                }
-            }
-            let mut outbox: Vec<(u64, Frame)> = Vec::new();
-            for input in burst {
-                match input {
-                    // The engine is single-threaded by design (campaign
-                    // semantics are strictly wave-ordered): operator
-                    // commands mid-wave answer Busy immediately.
-                    EngineInput::Operator { conn, .. } => {
-                        self.send_error(conn, ErrorCode::Busy);
-                    }
-                    EngineInput::ConnClosed(_) => {
-                        let registry = self.registry.lock().expect("registry lock");
-                        for (&device, st) in states.iter_mut() {
-                            if !st.done
-                                && st.phase != WavePhase::Queued
-                                && registry.conn_of(device).is_none()
-                            {
-                                finish(st, &mut tally);
-                            }
-                        }
-                    }
-                    // Batches were flattened into per-frame items when
-                    // the burst was drained above.
-                    EngineInput::Devices(_) => {}
-                    EngineInput::Device { frame } => match frame {
-                        Frame::DeviceError { device, code } => {
-                            let Some(st) = states.get_mut(&device) else {
-                                continue;
-                            };
-                            if st.done {
-                                continue;
-                            }
-                            if code != ErrorCode::Busy {
-                                // Non-retryable device-scoped error:
-                                // fail that device fast.
-                                finish(st, &mut tally);
-                                deadline = Instant::now() + self.timeout;
-                                continue;
-                            }
-                            // A busy shed is a scheduling signal: arm a
-                            // backoff retry and keep draining everyone
-                            // else.
-                            st.attempts += 1;
-                            self.metrics.engine_busy_retries.inc();
-                            if st.attempts > ENGINE_BUSY_RETRIES {
-                                finish(st, &mut tally);
-                            } else {
-                                retry_at.push(Reverse((
-                                    Instant::now() + busy_backoff(st.attempts),
-                                    device,
-                                )));
-                            }
-                        }
-                        Frame::SnapshotReport {
-                            device,
-                            last_nonce,
-                            measurement,
-                            data,
-                            ..
-                        } => {
-                            let Some(st) = states.get_mut(&device) else {
-                                continue;
-                            };
-                            if st.done || st.phase != WavePhase::Snapshot {
-                                continue;
-                            }
-                            deadline = Instant::now() + self.timeout;
-                            self.metrics
-                                .phase_snapshot_us
-                                .record_duration_us(st.pushed_at.elapsed());
-                            st.snapshot = Some(PreUpdateSnapshot {
-                                patch_range: data,
-                                measurement,
-                            });
-                            self.stream_update(
-                                device,
-                                last_nonce,
-                                spec,
-                                delta_base.as_deref(),
-                                st,
-                                &mut tally,
-                                &mut outbox,
-                            );
-                        }
-                        Frame::UpdateResult { device, status } => {
-                            let Some(st) = states.get_mut(&device) else {
-                                continue;
-                            };
-                            if st.done {
-                                continue;
-                            }
-                            let WavePhase::Update { delta } = st.phase else {
-                                continue;
-                            };
-                            deadline = Instant::now() + self.timeout;
-                            self.metrics
-                                .phase_update_us
-                                .record_duration_us(st.pushed_at.elapsed());
-                            if status == 0 {
-                                st.applied = true;
-                                self.stream_probe(
-                                    device,
-                                    ProbeMode::UpdateAttest,
-                                    WavePhase::Attest,
-                                    spec,
-                                    st,
-                                    &mut tally,
-                                    &mut outbox,
-                                );
-                            } else if delta {
-                                // The sparse attempt rejected (divergent
-                                // or tampered base): fall back to the
-                                // full image under the same nonce. Only
-                                // the final attempt is ledgered —
-                                // bit-for-bit what the in-process
-                                // executor records.
-                                let frame =
-                                    st.fallback.take().expect("delta attempt holds fallback");
-                                self.metrics
-                                    .update_bytes_wire
-                                    .add(spec.payload.len() as u64);
-                                st.phase = WavePhase::Update { delta: false };
-                                self.stream_push(device, frame, st, &mut tally, &mut outbox);
-                            } else {
-                                st.rejected = Some(status);
-                                finish(st, &mut tally);
-                            }
-                        }
-                        Frame::ProbeResult {
-                            device,
-                            healthy,
-                            report,
-                        } => {
-                            let Some(st) = states.get_mut(&device) else {
-                                continue;
-                            };
-                            if st.done {
-                                continue;
-                            }
-                            deadline = Instant::now() + self.timeout;
-                            self.metrics
-                                .phase_probe_us
-                                .record_duration_us(st.pushed_at.elapsed());
-                            match st.phase {
-                                WavePhase::Attest => {
-                                    let key = self.service.device_key(device);
-                                    let challenge =
-                                        st.challenge.as_ref().expect("attest challenge");
-                                    st.attested = AttestationVerifier::with_key(&key)
-                                        .verify(challenge, &report, Some(&spec.expected_after))
-                                        .is_ok();
-                                    if healthy == 2 {
-                                        // Attest-only reply: no verdict
-                                        // of its own; inherit-eligible
-                                        // iff its post-update
-                                        // measurement checked out.
-                                        if !st.attested {
-                                            // Measurement mismatch
-                                            // never inherits a clean
-                                            // verdict.
-                                            st.verdict = Some(false);
-                                            finish(st, &mut tally);
-                                        } else if let Some(verdict) = reference_verdict {
-                                            st.verdict = Some(verdict);
-                                            tally.memoized += 1;
-                                            finish(st, &mut tally);
-                                        } else if reference.is_none() {
-                                            // First eligible device:
-                                            // it becomes the cohort
-                                            // reference and runs the
-                                            // one real smoke probe.
-                                            reference = Some(device);
-                                            self.stream_probe(
-                                                device,
-                                                ProbeMode::UpdateProbe,
-                                                WavePhase::Reference,
-                                                spec,
-                                                st,
-                                                &mut tally,
-                                                &mut outbox,
-                                            );
-                                        } else {
-                                            // Reference still running:
-                                            // the verdict resolves at
-                                            // assembly.
-                                            st.inherit = true;
-                                            tally.memoized += 1;
-                                            finish(st, &mut tally);
-                                        }
-                                    } else {
-                                        // A probe-isolated device ran
-                                        // its own full probe; its
-                                        // verdict is its own.
-                                        st.verdict = Some(st.attested && healthy == 1);
-                                        tally.executed += 1;
-                                        finish(st, &mut tally);
-                                    }
-                                }
-                                WavePhase::Reference => {
-                                    let smoke_healthy = healthy != 0;
-                                    reference_verdict = Some(smoke_healthy);
-                                    st.verdict = Some(st.attested && smoke_healthy);
-                                    tally.executed += 1;
-                                    finish(st, &mut tally);
-                                }
-                                _ => {}
-                            }
-                        }
-                        _ => {}
-                    },
-                }
-            }
-            if !outbox.is_empty() {
-                let _ = self.out.send(outbox);
-                self.waker.wake();
-            }
-        }
-
-        // Compose per-device results in wave (id) order, mirroring the
-        // in-process rollout's event sequences exactly. Anything still
-        // in flight at deadline expiry is a lost exchange, exactly like
-        // the old barrier's absent replies.
-        let mut rollout = WaveRollout {
-            probes_executed: tally.executed as usize,
-            probes_memoized: tally.memoized as usize,
-            ..Default::default()
-        };
-        self.metrics.probes_executed.add(tally.executed);
-        self.metrics.probes_memoized.add(tally.memoized);
-        for &device in wave {
-            let st = &states[&device];
-            if let Some(status) = st.rejected {
-                rollout.events.push(LedgerEvent::UpdateRejected {
-                    device,
-                    error: update_error_from_code(status),
-                });
-                rollout.failures += 1;
-                continue;
-            }
-            if !st.applied {
-                // Transport loss before the update applied; the device
-                // keeps its old firmware and the wave counts a failure.
-                rollout.events.push(LedgerEvent::ProbeFailed { device });
-                rollout.failures += 1;
-                continue;
-            }
-            rollout.events.push(LedgerEvent::UpdateApplied {
-                device,
-                nonce: st.nonce,
-            });
-            rollout.updated.push(device);
-            let snapshot = st.snapshot.clone().expect("applied device has a snapshot");
-            rollout.snapshots.insert(device, snapshot);
-            let healthy = match st.verdict {
-                Some(verdict) => verdict,
-                // Inherit-eligible: the reference's verdict, failing
-                // closed when the reference probe was lost.
-                None if st.inherit => reference_verdict.unwrap_or(false),
-                // Probe lost in flight.
-                None => false,
-            };
-            if !healthy {
-                rollout.events.push(LedgerEvent::ProbeFailed { device });
-                rollout.probe_failed.push(device);
-                rollout.failures += 1;
-            }
-        }
-        self.note_wave(wave_started, wave.len());
-        Ok(rollout)
-    }
-
-    fn roll_back(
-        &mut self,
-        cohort: WorkloadId,
-        ids: &[DeviceId],
-        target: u16,
-        snapshots: &BTreeMap<DeviceId, PreUpdateSnapshot>,
-    ) -> Result<RollbackOutcome, FleetError> {
-        // Fresh nonce query (the devices' engines advanced when the
-        // campaign update applied).
-        let nonce_requests: Vec<(DeviceId, Frame)> = ids
-            .iter()
-            .map(|&device| {
-                (
-                    device,
-                    Frame::SnapshotRequest {
-                        device,
-                        start: 0,
-                        len: 0,
-                    },
-                )
-            })
-            .collect();
-        let nonce_replies = self.exchange(nonce_requests, ReplyKind::Snapshot);
-
-        let mut update_requests = Vec::new();
-        for &device in ids {
-            let Some(Frame::SnapshotReport {
-                last_nonce,
-                version,
-                ..
-            }) = nonce_replies.get(&device)
-            else {
-                continue;
-            };
-            let Some(snapshot) = snapshots.get(&device) else {
-                continue;
-            };
-            let key = self.service.device_key(device);
-            // Re-issue the pre-campaign bytes *at the device's current
-            // version*: the monotonic anti-rollback counter refuses
-            // anything older, so a sanctioned rollback rides the same
-            // version the campaign update advanced the device to.
-            let mut authority =
-                UpdateAuthority::with_key_resuming(&key, last_nonce + 1).with_version(*version);
-            let request = authority.authorize(target, &snapshot.patch_range);
-            update_requests.push((device, Frame::UpdateRequest { device, request }));
-        }
-        let acks = self.exchange(update_requests, ReplyKind::UpdateAck);
-
-        // Verification probes: reboot, then attest; the report's
-        // measurement must equal the pre-campaign snapshot's.
-        let mut probe_requests = Vec::new();
-        let mut probe_challenges: HashMap<DeviceId, Challenge> = HashMap::new();
-        for &device in ids {
-            if !matches!(
-                acks.get(&device),
-                Some(Frame::UpdateResult { status: 0, .. })
-            ) {
-                continue;
-            }
-            let challenge = self.service.challenge_for(cohort).map_err(|err| {
-                FleetError::InvalidCampaign(format!(
-                    "gateway cannot mint probe challenges: {err:?}"
-                ))
-            })?;
-            probe_challenges.insert(device, challenge);
-            probe_requests.push((
-                device,
-                Frame::ProbeRequest {
-                    device,
-                    mode: ProbeMode::RollbackVerify,
-                    smoke_cycles: 0,
-                    challenge,
-                },
-            ));
-        }
-        let probes = self.exchange(probe_requests, ReplyKind::Probe);
-
-        let mut outcome = RollbackOutcome::default();
-        for &device in ids {
-            let applied = matches!(
-                acks.get(&device),
-                Some(Frame::UpdateResult { status: 0, .. })
-            );
-            if !applied {
-                // Mirror the in-process path: a rejected (or lost)
-                // rollback leaves the device on campaign firmware —
-                // operator attention required.
-                if let Some(Frame::UpdateResult { status, .. }) = acks.get(&device) {
-                    outcome.events.push(LedgerEvent::UpdateRejected {
-                        device,
-                        error: update_error_from_code(*status),
-                    });
-                }
-                outcome
-                    .events
-                    .push(LedgerEvent::RollbackIncomplete { device });
-                outcome.incomplete.push(device);
-                continue;
-            }
-            let restored = match (probes.get(&device), snapshots.get(&device)) {
-                (
-                    Some(Frame::ProbeResult { report, .. }),
-                    Some(PreUpdateSnapshot { measurement, .. }),
-                ) => {
-                    let key = self.service.device_key(device);
-                    AttestationVerifier::with_key(&key)
-                        .verify(&probe_challenges[&device], report, Some(measurement))
-                        .is_ok()
-                }
-                _ => false,
-            };
-            if restored {
-                outcome.events.push(LedgerEvent::RolledBack { device });
-                outcome.rolled_back.push(device);
-            } else {
-                outcome
-                    .events
-                    .push(LedgerEvent::RollbackIncomplete { device });
-                outcome.incomplete.push(device);
-            }
-        }
-        Ok(outcome)
+    fn drive(&mut self, rollout: &mut Rollout<'_>) -> Result<(), FleetError> {
+        self.stream(rollout);
+        let (executed, memoized) = rollout.probes();
+        self.metrics.probes_executed.add(executed as u64);
+        self.metrics.probes_memoized.add(memoized as u64);
+        let (full, wire) = rollout.update_bytes();
+        self.metrics.update_bytes_full.add(full);
+        self.metrics.update_bytes_wire.add(wire);
+        Ok(())
     }
 
     fn promote(

@@ -14,7 +14,9 @@
 //!   attaches any number of [`SimDevice`]s and then serves
 //!   gateway-initiated pushes: pre-update snapshots, authenticated
 //!   updates, and attestation probes (attest-only sweeps, post-update
-//!   probe+smoke runs, post-rollback verification).
+//!   probe+smoke runs, post-rollback verification) — each answered by
+//!   [`eilid_fleet::rollout::serve`], the handler the in-process
+//!   executor calls too.
 //! * [`with_attached_fleet`] — scoped orchestration for tests, the CLI
 //!   and benches: spawn N agent threads over a fleet's devices, wait
 //!   until every attach is acknowledged, run the operator closure, then
@@ -26,21 +28,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use eilid::RunOutcome;
 use eilid_casu::agg::{fleet_root, shard_agg_key};
 use eilid_casu::{CryptoProvider, MeasurementScheme, SoftwareProvider};
+use eilid_fleet::rollout::serve;
 use eilid_fleet::{
     AggSweepSummary, CampaignConfig, CampaignPhase, CampaignReport, CampaignStatus, Fleet,
-    FleetOps, OpsError, OpsHealth, SimDevice, SweepSummary, SHARD_COUNT,
+    FleetOps, OpsError, OpsHealth, Request, SimDevice, SweepSummary, SHARD_COUNT,
 };
 use eilid_workloads::WorkloadId;
 
-use crate::client::update_error_code;
 use crate::error::NetError;
 use crate::service::health_from_wire;
 use crate::transport::{TcpTransport, Transport};
 use crate::wire::{
-    CampaignOp, ErrorCode, Frame, ProbeMode, CAMPAIGN_STATE_FINISHED, CAMPAIGN_STATE_PAUSED,
+    CampaignOp, ErrorCode, Frame, CAMPAIGN_STATE_FINISHED, CAMPAIGN_STATE_PAUSED,
     CAMPAIGN_STATE_RUNNING, PROTOCOL_VERSION,
 };
 
@@ -648,68 +649,16 @@ impl<T: Transport> DeviceAgent<T> {
             let outcome: Option<Result<(), NetError>> = loop {
                 let Some(frame) = next.take() else { break None };
                 match frame {
-                    Frame::SnapshotRequest { device, start, len } => {
-                        // The requested range is wire-controlled:
-                        // validate it against the address space before
-                        // slicing, so a hostile or version-skewed
-                        // gateway cannot panic the agent.
-                        let in_range =
-                            usize::from(start) + usize::from(len) <= eilid_msp430::ADDRESS_SPACE;
-                        let reply = match find_device(devices, device) {
-                            Some(sim) if in_range => snapshot_report(sim, self.scheme, start, len),
-                            Some(_) => Frame::DeviceError {
-                                device,
-                                code: ErrorCode::UnexpectedFrame,
-                            },
-                            None => Frame::DeviceError {
-                                device,
-                                code: ErrorCode::UnknownDevice,
-                            },
-                        };
-                        replies.push(reply);
-                    }
-                    Frame::UpdateRequest { device, request } => {
-                        let status = match find_device(devices, device) {
-                            Some(sim) => match sim.apply_update(&request) {
-                                Ok(()) => 0,
-                                Err(err) => update_error_code(&err),
-                            },
-                            None => 0xFF,
-                        };
-                        replies.push(Frame::UpdateResult { device, status });
-                    }
-                    Frame::DeltaUpdateRequest { device, request } => {
-                        let status = match find_device(devices, device) {
-                            Some(sim) => match sim.apply_delta_update(&request) {
-                                Ok(()) => 0,
-                                Err(err) => update_error_code(&err),
-                            },
-                            None => 0xFF,
-                        };
-                        replies.push(Frame::UpdateResult { device, status });
-                    }
-                    Frame::ProbeRequest {
-                        device,
-                        mode,
-                        smoke_cycles,
-                        challenge,
-                    } => {
-                        let reply = match find_device(devices, device) {
-                            Some(sim) => probe_result(sim, device, mode, smoke_cycles, challenge),
-                            None => Frame::DeviceError {
-                                device,
-                                code: ErrorCode::UnknownDevice,
-                            },
-                        };
-                        replies.push(reply);
-                    }
                     Frame::Bye => break Some(Ok(())),
                     Frame::Error { code } => break Some(Err(NetError::Protocol(code))),
-                    _ => {
-                        break Some(Err(NetError::Unexpected(
-                            "unexpected frame at device agent",
-                        )))
-                    }
+                    frame => match frame.into_request() {
+                        Some(request) => replies.push(answer(devices, self.scheme, &request)),
+                        None => {
+                            break Some(Err(NetError::Unexpected(
+                                "unexpected frame at device agent",
+                            )))
+                        }
+                    },
                 }
                 if replies.len() >= AGENT_REPLY_BURST {
                     break None;
@@ -737,96 +686,23 @@ fn find_device<D: BorrowMut<SimDevice>>(devices: &mut [D], id: u64) -> Option<&m
         .find(|device| device.id() == id)
 }
 
-/// Builds the snapshot reply: patch-range bytes, full-PMEM measurement
-/// under the fleet scheme, and the update engine's last accepted nonce
-/// and anti-rollback version — exactly the device state the in-process
-/// executor reads directly. The measurement comes from the device's
-/// live incremental measurer when it covers PMEM (re-hashing only dirty
-/// granules), not a from-scratch `measure_pmem`.
-fn snapshot_report(sim: &mut SimDevice, scheme: MeasurementScheme, start: u16, len: u16) -> Frame {
-    let device = sim.id();
-    let last_nonce = sim.engine().last_nonce();
-    let version = sim.engine().last_version();
-    let measurement = sim.measure_pmem_cached(scheme);
-    let from = usize::from(start);
-    let data = sim
-        .device()
-        .cpu()
-        .memory
-        .slice(from..from + usize::from(len))
-        .to_vec();
-    Frame::SnapshotReport {
-        device,
-        last_nonce,
-        version,
-        measurement,
-        data,
-    }
-}
-
-/// Runs one probe per the requested [`ProbeMode`] and builds the reply.
-fn probe_result(
-    sim: &mut SimDevice,
-    device: u64,
-    mode: ProbeMode,
-    smoke_cycles: u64,
-    challenge: eilid_casu::Challenge,
+/// Answers one pushed request with the shared device-side handler
+/// ([`serve`]). A request range the device cannot serve is refused
+/// with `UnexpectedFrame` rather than panicking the agent.
+fn answer<D: BorrowMut<SimDevice>>(
+    devices: &mut [D],
+    scheme: MeasurementScheme,
+    request: &Request,
 ) -> Frame {
-    match mode {
-        // Sweep probe: answer from the running image.
-        ProbeMode::AttestOnly => {
-            let report = sim.attest(challenge);
-            Frame::ProbeResult {
-                device,
-                healthy: 1,
-                report,
-            }
-        }
-        // Post-update probe: attest first (the updated image), then
-        // reboot into it and smoke-run — the in-process probe order.
-        ProbeMode::UpdateProbe => {
-            let report = sim.attest(challenge);
-            sim.reboot();
-            let outcome = sim.run_slice(smoke_cycles);
-            let healthy = matches!(
-                outcome,
-                RunOutcome::Completed { .. } | RunOutcome::Timeout { .. }
-            );
-            Frame::ProbeResult {
-                device,
-                healthy: u8::from(healthy),
-                report,
-            }
-        }
-        // Post-rollback verification: reboot into the restored image,
-        // then attest it.
-        ProbeMode::RollbackVerify => {
-            sim.reboot();
-            let report = sim.attest(challenge);
-            Frame::ProbeResult {
-                device,
-                healthy: 1,
-                report,
-            }
-        }
-        // Memoized campaign probe: attest the updated image, reboot
-        // into it, and report `healthy = 2` — "no own verdict, eligible
-        // to inherit the cohort reference's". A probe-isolated device
-        // never takes the shortcut: it runs the full update probe and
-        // answers 0/1 like any per-device smoke run.
-        ProbeMode::UpdateAttest => {
-            if sim.probe_isolated() {
-                return probe_result(sim, device, ProbeMode::UpdateProbe, smoke_cycles, challenge);
-            }
-            let report = sim.attest(challenge);
-            sim.reboot();
-            Frame::ProbeResult {
-                device,
-                healthy: 2,
-                report,
-            }
-        }
-    }
+    let device = request.device();
+    let code = match find_device(devices, device) {
+        Some(sim) => match serve(sim, scheme, request) {
+            Some(reply) => return Frame::from_reply(device, reply),
+            None => ErrorCode::UnexpectedFrame,
+        },
+        None => ErrorCode::UnknownDevice,
+    };
+    Frame::DeviceError { device, code }
 }
 
 /// Spawns `agents` device-agent threads over the fleet's devices

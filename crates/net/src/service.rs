@@ -543,13 +543,11 @@ impl Session {
             | Frame::SnapshotReport { .. }
             | Frame::ProbeResult { .. }
             | Frame::DeviceError { .. }) => SessionOutput::DeviceReply(frame),
-            // Update *requests* (full or delta) flow gateway → device;
-            // one arriving at the gateway is refused.
-            Frame::UpdateRequest { .. } | Frame::DeltaUpdateRequest { .. } => {
-                SessionOutput::Reply(vec![Frame::Error {
-                    code: ErrorCode::Unsupported,
-                }])
-            }
+            // Update requests flow gateway → device; one arriving at
+            // the gateway is refused.
+            Frame::DeltaUpdateRequest { .. } => SessionOutput::Reply(vec![Frame::Error {
+                code: ErrorCode::Unsupported,
+            }]),
             // Server-bound frames arriving at the server are a protocol
             // violation.
             Frame::HelloAck { .. }

@@ -13,7 +13,7 @@
 //! 5       1     frame type
 //! 6       4     payload length (≤ MAX_FRAME_PAYLOAD)
 //! 10      n     payload (layout per frame type; casu wire encodings
-//!               for Challenge / AttestationReport / UpdateRequest)
+//!               for Challenge / AttestationReport / DeltaUpdateRequest)
 //! ```
 //!
 //! # What this layer rejects
@@ -35,8 +35,9 @@ use std::fmt;
 use eilid_casu::agg::AggProof;
 use eilid_casu::wire as casu_wire;
 use eilid_casu::wire::{CodecError, Reader};
-use eilid_casu::{AttestationReport, Challenge, DeltaUpdateRequest, UpdateRequest};
-use eilid_fleet::{CampaignConfig, CampaignOutcome, CampaignReport, WaveReport};
+use eilid_casu::{AttestationReport, Challenge, DeltaUpdateRequest, UpdateError};
+pub use eilid_fleet::ProbeMode;
+use eilid_fleet::{CampaignConfig, CampaignOutcome, CampaignReport, Reply, Request, WaveReport};
 use eilid_workloads::WorkloadId;
 
 /// Frame magic, first on the wire.
@@ -74,18 +75,22 @@ pub const FRAME_MAGIC: [u8; 4] = *b"EILD";
 /// participant bitmap and the suspect list) instead of touching every
 /// device at the operator, so a clean sweep costs the console at most
 /// `SHARD_COUNT` MAC verifications regardless of fleet size.
+/// Version 8 retired the full-image update frame `0x07`: a full image
+/// is a one-segment [`Frame::DeltaUpdateRequest`] (`0x21`), so one
+/// update frame carries every campaign update and rollback.
 /// Each bump makes an older peer fail *at negotiation* with a typed
 /// `UnsupportedVersion` instead of mid-exchange on an unknown frame
 /// type.
-pub const PROTOCOL_VERSION: u8 = 7;
+pub const PROTOCOL_VERSION: u8 = 8;
 
 /// Size of the fixed frame header in bytes.
 pub const FRAME_HEADER_LEN: usize = 10;
 
-/// Hard ceiling on a regular frame payload. Large enough for an update
-/// request at the casu wire maximum, small enough that a forged length
-/// can never drive a large allocation.
-pub const MAX_FRAME_PAYLOAD: usize = casu_wire::MAX_UPDATE_PAYLOAD + 64;
+/// Hard ceiling on a regular frame payload. Large enough for a
+/// one-segment update at the casu wire maximum (74 bytes of framing
+/// around the payload), small enough that a forged length can never
+/// drive a large allocation.
+pub const MAX_FRAME_PAYLOAD: usize = casu_wire::MAX_UPDATE_PAYLOAD + 128;
 
 /// Hard ceiling on the payload of the operator-plane carrier frames:
 /// [`Frame::OpPaused`]/[`Frame::OpResume`] embed a serialised
@@ -365,55 +370,6 @@ impl CampaignOp {
     }
 }
 
-/// What a device-plane [`Frame::ProbeRequest`] asks the device to do
-/// around answering the embedded attestation challenge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeMode {
-    /// Answer the challenge from the running image — the gateway-driven
-    /// sweep probe.
-    AttestOnly,
-    /// Attest first, then reboot into the (just-updated) firmware and
-    /// smoke-run it for the embedded cycle budget — the post-update
-    /// campaign probe. `healthy` in the reply reports the smoke run.
-    UpdateProbe,
-    /// Reboot first, then attest — the post-rollback verification
-    /// probe.
-    RollbackVerify,
-    /// Attest, then reboot into the just-updated firmware — the
-    /// memoized campaign probe (version 6). A device eligible for
-    /// memoization answers `healthy = 2` ("no own verdict; inherit the
-    /// cohort reference's"); a device marked probe-isolated ignores the
-    /// shortcut and runs the full [`ProbeMode::UpdateProbe`] flow,
-    /// answering 0/1 like any full probe.
-    UpdateAttest,
-}
-
-impl ProbeMode {
-    fn to_u8(self) -> u8 {
-        match self {
-            ProbeMode::AttestOnly => 0,
-            ProbeMode::UpdateProbe => 1,
-            ProbeMode::RollbackVerify => 2,
-            ProbeMode::UpdateAttest => 3,
-        }
-    }
-
-    fn from_u8(value: u8) -> Result<Self, WireError> {
-        Ok(match value {
-            0 => ProbeMode::AttestOnly,
-            1 => ProbeMode::UpdateProbe,
-            2 => ProbeMode::RollbackVerify,
-            3 => ProbeMode::UpdateAttest,
-            value => {
-                return Err(WireError::BadEnum {
-                    field: "probe mode",
-                    value,
-                })
-            }
-        })
-    }
-}
-
 fn cohort_from_u8(value: u8) -> Result<WorkloadId, WireError> {
     WorkloadId::from_index(value).ok_or(WireError::BadEnum {
         field: "cohort",
@@ -644,13 +600,6 @@ pub enum Frame {
         /// Its health classification.
         class: WireHealth,
     },
-    /// Gateway/operator → device: an authenticated update.
-    UpdateRequest {
-        /// The target device.
-        device: u64,
-        /// The MACed update request.
-        request: UpdateRequest,
-    },
     /// Device → gateway: update applied (0) or the device-side
     /// rejection code.
     UpdateResult {
@@ -859,13 +808,13 @@ pub enum Frame {
         /// UTF-8 JSON snapshot bytes.
         snapshot: Vec<u8>,
     },
-    /// Gateway/operator → device (version 6): a sparse delta update —
-    /// only the granules that differ from the cohort golden, MACed over
-    /// the *assembled* post-image so it is exactly as unforgeable as
-    /// the full-image request it stands in for. A device whose base
-    /// bytes diverge from the encoder's fails the MAC; the sender then
-    /// falls back to a full [`Frame::UpdateRequest`] under the same
-    /// nonce.
+    /// Gateway → device (version 6): an authenticated update as
+    /// segments over the target range, MACed over the *assembled*
+    /// post-image. A sparse delta carries only the granules that differ
+    /// from the cohort golden; a device whose base bytes diverge from
+    /// the encoder's fails the MAC, and the sender resends the full
+    /// range as one segment under the same nonce. Since version 8 it is
+    /// the only update frame: a full image is one full-range segment.
     DeltaUpdateRequest {
         /// The target device.
         device: u64,
@@ -944,7 +893,6 @@ impl Frame {
             Frame::Challenge { .. } => 0x04,
             Frame::Report { .. } => 0x05,
             Frame::AttestResult { .. } => 0x06,
-            Frame::UpdateRequest { .. } => 0x07,
             Frame::UpdateResult { .. } => 0x08,
             Frame::CampaignControl { .. } => 0x09,
             Frame::CampaignStatus { .. } => 0x0A,
@@ -1003,10 +951,6 @@ impl Frame {
             Frame::AttestResult { device, class } => {
                 out.extend_from_slice(&device.to_le_bytes());
                 out.push(class.to_u8());
-            }
-            Frame::UpdateRequest { device, request } => {
-                out.extend_from_slice(&device.to_le_bytes());
-                casu_wire::encode_update_request(request, out);
             }
             Frame::UpdateResult { device, status } => {
                 out.extend_from_slice(&device.to_le_bytes());
@@ -1219,10 +1163,6 @@ impl Frame {
                 device: reader.u64()?,
                 class: WireHealth::from_u8(reader.u8()?)?,
             },
-            0x07 => Frame::UpdateRequest {
-                device: reader.u64()?,
-                request: casu_wire::decode_update_request(&mut reader)?,
-            },
             0x08 => Frame::UpdateResult {
                 device: reader.u64()?,
                 status: reader.u8()?,
@@ -1272,7 +1212,13 @@ impl Frame {
             }
             0x12 => Frame::ProbeRequest {
                 device: reader.u64()?,
-                mode: ProbeMode::from_u8(reader.u8()?)?,
+                mode: {
+                    let value = reader.u8()?;
+                    ProbeMode::from_u8(value).ok_or(WireError::BadEnum {
+                        field: "probe mode",
+                        value,
+                    })?
+                },
                 smoke_cycles: reader.u64()?,
                 challenge: casu_wire::decode_challenge(&mut reader)?,
             },
@@ -1469,6 +1415,152 @@ impl Frame {
                 have: bytes.len(),
             }),
         }
+    }
+}
+
+impl From<Request> for Frame {
+    fn from(request: Request) -> Self {
+        match request {
+            Request::Snapshot { device, start, len } => {
+                Frame::SnapshotRequest { device, start, len }
+            }
+            Request::Update { device, request } => Frame::DeltaUpdateRequest { device, request },
+            Request::Probe {
+                device,
+                mode,
+                smoke_cycles,
+                challenge,
+            } => Frame::ProbeRequest {
+                device,
+                mode,
+                smoke_cycles,
+                challenge,
+            },
+        }
+    }
+}
+
+impl Frame {
+    /// The device-plane request this frame pushes, if it is one.
+    pub(crate) fn into_request(self) -> Option<Request> {
+        Some(match self {
+            Frame::SnapshotRequest { device, start, len } => {
+                Request::Snapshot { device, start, len }
+            }
+            Frame::DeltaUpdateRequest { device, request } => Request::Update { device, request },
+            Frame::ProbeRequest {
+                device,
+                mode,
+                smoke_cycles,
+                challenge,
+            } => Request::Probe {
+                device,
+                mode,
+                smoke_cycles,
+                challenge,
+            },
+            _ => return None,
+        })
+    }
+
+    /// The frame answering a request on `device` with `reply`.
+    pub(crate) fn from_reply(device: u64, reply: Reply) -> Frame {
+        match reply {
+            Reply::Snapshot {
+                last_nonce,
+                version,
+                measurement,
+                data,
+            } => Frame::SnapshotReport {
+                device,
+                last_nonce,
+                version,
+                measurement,
+                data,
+            },
+            Reply::Update(result) => Frame::UpdateResult {
+                device,
+                status: result.map_or_else(|error| update_error_code(&error), |()| 0),
+            },
+            Reply::Probe { healthy, report } => Frame::ProbeResult {
+                device,
+                healthy: healthy.map_or(2, u8::from),
+                report,
+            },
+        }
+    }
+
+    /// The device and reply a device-plane reply frame carries, if it
+    /// is one. Rejection codes map back to a representative
+    /// [`UpdateError`] (device-local field values do not cross the
+    /// wire).
+    pub(crate) fn into_reply(self) -> Option<(u64, Reply)> {
+        Some(match self {
+            Frame::SnapshotReport {
+                device,
+                last_nonce,
+                version,
+                measurement,
+                data,
+            } => (
+                device,
+                Reply::Snapshot {
+                    last_nonce,
+                    version,
+                    measurement,
+                    data,
+                },
+            ),
+            Frame::UpdateResult { device, status } => (
+                device,
+                Reply::Update(match status {
+                    0 => Ok(()),
+                    code => Err(update_error_from_code(code)),
+                }),
+            ),
+            Frame::ProbeResult {
+                device,
+                healthy,
+                report,
+            } => (
+                device,
+                Reply::Probe {
+                    healthy: (healthy != 2).then_some(healthy == 1),
+                    report,
+                },
+            ),
+            _ => return None,
+        })
+    }
+}
+
+/// Stable wire codes for device-side update rejections.
+pub(crate) fn update_error_code(error: &UpdateError) -> u8 {
+    match error {
+        UpdateError::BadMac => 1,
+        UpdateError::StaleNonce { .. } => 2,
+        UpdateError::TargetOutsidePmem { .. } => 3,
+        UpdateError::EmptyPayload => 4,
+        UpdateError::RollbackVersion { .. } => 5,
+        UpdateError::MalformedDelta => 6,
+    }
+}
+
+/// A representative [`UpdateError`] for a rejection code.
+fn update_error_from_code(code: u8) -> UpdateError {
+    match code {
+        2 => UpdateError::StaleNonce {
+            presented: 0,
+            last_accepted: 0,
+        },
+        3 => UpdateError::TargetOutsidePmem { addr: 0 },
+        4 => UpdateError::EmptyPayload,
+        5 => UpdateError::RollbackVersion {
+            presented: 0,
+            current: 0,
+        },
+        6 => UpdateError::MalformedDelta,
+        _ => UpdateError::BadMac,
     }
 }
 

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use eilid_casu::{DeviceKey, UpdateError};
+use eilid_casu::{DeltaUpdateRequest, DeviceKey, UpdateError};
 use eilid_fleet::{FleetBuilder, HealthClass};
 use eilid_net::{
     serve_transport, sweep_fleet_over, sweep_fleet_tcp, AttestationService, DeviceClient,
@@ -295,7 +295,8 @@ fn forged_report_is_unverified_not_a_wire_error() {
 /// Gateway-pushed authenticated updates ride the same connection: the
 /// device applies a valid request (through its CASU engine and the
 /// monitor's update window) and rejects a forged one, acknowledging
-/// each with a typed status.
+/// each with a typed status. A full image travels as a one-segment
+/// delta — the only update frame.
 #[test]
 fn update_over_the_wire_applies_and_rejects() {
     let (mut fleet, verifier) = build_fleet(1);
@@ -318,11 +319,11 @@ fn update_over_the_wire_applies_and_rejects() {
         let mut applied = Vec::new();
         loop {
             match device_end.recv().unwrap() {
-                Frame::UpdateRequest {
+                Frame::DeltaUpdateRequest {
                     device: id,
                     request,
                 } => {
-                    let status = match device.apply_update(&request) {
+                    let status = match device.apply_delta_update(&request) {
                         Ok(()) => 0,
                         Err(UpdateError::BadMac) => 1,
                         Err(_) => 0xFE,
@@ -351,9 +352,9 @@ fn update_over_the_wire_applies_and_rejects() {
     let mut authority = eilid_casu::UpdateAuthority::with_key(&key);
     let good = authority.authorize(0xF680, &[0xAB, 0xCD]);
     operator
-        .send(&Frame::UpdateRequest {
+        .send(&Frame::DeltaUpdateRequest {
             device: 0,
-            request: good,
+            request: DeltaUpdateRequest::whole(good),
         })
         .unwrap();
     assert_eq!(
@@ -368,9 +369,9 @@ fn update_over_the_wire_applies_and_rejects() {
     let mut rogue = eilid_casu::UpdateAuthority::new(b"attacker-key-0123456789abcdef01");
     let bad = rogue.authorize(0xF682, &[0xEE]);
     operator
-        .send(&Frame::UpdateRequest {
+        .send(&Frame::DeltaUpdateRequest {
             device: 0,
-            request: bad,
+            request: DeltaUpdateRequest::whole(bad),
         })
         .unwrap();
     assert_eq!(

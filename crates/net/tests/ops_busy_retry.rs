@@ -94,7 +94,6 @@ fn scripted_busy_agent(
         // not fail the device.
         let device_of = match &frame {
             Frame::SnapshotRequest { device, .. }
-            | Frame::UpdateRequest { device, .. }
             | Frame::DeltaUpdateRequest { device, .. }
             | Frame::ProbeRequest { device, .. } => Some(*device),
             _ => None,
@@ -134,14 +133,6 @@ fn scripted_busy_agent(
                     measurement,
                     data,
                 })?;
-            }
-            Frame::UpdateRequest { device, request } => {
-                let index = find(devices, device);
-                let status = match devices[index].apply_update(&request) {
-                    Ok(()) => 0,
-                    Err(_) => 1,
-                };
-                transport.send(&Frame::UpdateResult { device, status })?;
             }
             Frame::DeltaUpdateRequest { device, request } => {
                 let index = find(devices, device);

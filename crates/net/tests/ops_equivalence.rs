@@ -116,6 +116,51 @@ fn good_campaign_over_tcp_matches_in_process() {
     assert_eq!(sweep_b.count(HealthClass::Attested), 12);
 }
 
+/// A finished campaign only keeps its report readable: the cohort's
+/// next campaign replaces it. Two back-to-back campaigns (version 2,
+/// then 3) both complete on one `LocalOps` and on one gateway, with
+/// equal reports across the backends.
+#[test]
+fn back_to_back_campaigns_complete_on_both_backends() {
+    let configs: Vec<CampaignConfig> = [2u64, 3]
+        .into_iter()
+        .map(|version| {
+            let mut payload = benign_patch();
+            payload[0] ^= version as u8;
+            let mut config =
+                CampaignConfig::new(WorkloadId::LightSensor, BENIGN_PATCH_TARGET, payload);
+            config.version = version;
+            config
+        })
+        .collect();
+
+    let (mut fleet_a, mut verifier_a) = build(8);
+    let mut local = LocalOps::new(&mut fleet_a, &mut verifier_a);
+    let local_reports: Vec<CampaignReport> = configs
+        .iter()
+        .map(|config| local.run_campaign(config).expect("local campaign succeeds"))
+        .collect();
+
+    let (mut fleet_b, mut verifier_b) = build(8);
+    let (handle, _service) = spawn_gateway(&mut verifier_b);
+    let addr = handle.addr();
+    let remote_reports = with_attached_fleet(&mut fleet_b, 2, addr, || {
+        let mut ops = RemoteOps::connect(addr).map_err(|e| OpsError::Backend(e.to_string()))?;
+        configs
+            .iter()
+            .map(|config| ops.run_campaign(config))
+            .collect::<Result<Vec<_>, OpsError>>()
+    })
+    .expect("device agents served cleanly")
+    .expect("remote campaigns succeed");
+    handle.shutdown().unwrap();
+
+    for report in &local_reports {
+        assert_eq!(report.outcome, CampaignOutcome::Completed { updated: 8 });
+    }
+    assert_eq!(remote_reports, local_reports);
+}
+
 /// The halt-and-rollback scenario: a bricking patch caught by the
 /// canary wave, campaign halted, every updated device rolled back and
 /// verified — equal across backends, and the fleet attests clean

@@ -43,23 +43,6 @@ fn arb_report() -> impl Strategy<Value = AttestationReport> {
     })
 }
 
-fn arb_update_request() -> impl Strategy<Value = UpdateRequest> {
-    (
-        any::<u16>(),
-        proptest::collection::vec(0u8..=255, 1..512),
-        any::<u64>(),
-        any::<u64>(),
-        arb_array32(),
-    )
-        .prop_map(|(target, payload, nonce, version, mac)| UpdateRequest {
-            target,
-            payload,
-            nonce,
-            version,
-            mac,
-        })
-}
-
 fn arb_delta_update_request() -> impl Strategy<Value = DeltaUpdateRequest> {
     let segment =
         (any::<u16>(), proptest::collection::vec(0u8..=255, 1..96)).prop_map(|(offset, bytes)| {
@@ -208,8 +191,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 _ => eilid_net::WireHealth::Unverified,
             },
         }),
-        (any::<u64>(), arb_update_request())
-            .prop_map(|(device, request)| Frame::UpdateRequest { device, request }),
         (any::<u64>(), any::<u8>())
             .prop_map(|(device, status)| Frame::UpdateResult { device, status }),
         (arb_cohort(), 0u8..=3).prop_map(|(cohort, op)| Frame::CampaignControl {
@@ -517,25 +498,46 @@ fn malformed_corpus_yields_clean_typed_errors() {
         Err(WireError::TrailingBytes { .. })
     ));
 
-    // An update request whose inner length field lies about its size.
-    let mut request = Frame::UpdateRequest {
+    // An update whose segment length field lies about its size.
+    let mut request = Frame::DeltaUpdateRequest {
         device: 1,
-        request: UpdateRequest {
+        request: DeltaUpdateRequest::whole(UpdateRequest {
             target: 0xE000,
             payload: vec![1, 2, 3, 4],
             nonce: 9,
             version: 0,
             mac: [0; 32],
-        },
+        }),
     }
     .encode();
-    // Inner payload length sits after header(10) + device(8) + target(2)
-    // + nonce(8) + version(8).
-    request[36..40].copy_from_slice(&(u32::MAX).to_le_bytes());
+    // The segment length sits after header(10) + device(8) + target(2)
+    // + nonce(8) + version(8) + base_len(4) + segment count(4) +
+    // offset(4).
+    request[48..52].copy_from_slice(&(u32::MAX).to_le_bytes());
     assert!(matches!(
         Frame::decode(&request),
         Err(WireError::BadPayload(_))
     ));
+}
+
+/// A full image at the casu wire maximum, sent as the one-segment delta
+/// that replaced the full-image frame, fits the regular frame ceiling
+/// and round-trips.
+#[test]
+fn wire_maximum_full_image_update_round_trips() {
+    let frame = Frame::DeltaUpdateRequest {
+        device: u64::MAX,
+        request: DeltaUpdateRequest::whole(UpdateRequest {
+            target: 0xE000,
+            payload: vec![0xA5; eilid_casu::wire::MAX_UPDATE_PAYLOAD],
+            nonce: u64::MAX,
+            version: u64::MAX,
+            mac: [7; 32],
+        }),
+    };
+    let bytes = frame.encode();
+    assert!(bytes.len() - FRAME_HEADER_LEN <= MAX_FRAME_PAYLOAD);
+    assert_eq!(Frame::decode(&bytes), Ok(frame));
 }
 
 /// Malformed operator-plane and device-plane (version 3) frames die

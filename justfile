@@ -11,6 +11,11 @@ test:
 test-workspace:
     cargo test -q --workspace
 
+# The benchmark crate's own tests (perfbench/ builds against the
+# repository's crates by path).
+perfbench-test:
+    cargo test --release --manifest-path perfbench/Cargo.toml
+
 # One fast pass over every criterion bench (stub timing, no statistics).
 bench-smoke:
     cargo bench -p eilid_bench

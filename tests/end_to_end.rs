@@ -151,6 +151,38 @@ fn device_recovers_after_a_detected_attack() {
     assert!(outcome.is_completed(), "device did not recover: {outcome}");
 }
 
+/// Reboots return the EILID runtime to its boot state: the function
+/// table and shadow stack in secure DMEM start empty on every boot, so
+/// every Table IV app repeats its boot-to-halt run exactly, however
+/// often it reboots.
+#[test]
+fn every_workload_repeats_identically_across_reboots() {
+    for id in WorkloadId::ALL {
+        let workload = id.workload();
+        let mut device = DeviceBuilder::new().build_eilid(&workload.source).unwrap();
+        let mut first = None;
+        for boot in 0..5 {
+            if boot > 0 {
+                device.reboot();
+            }
+            let RunOutcome::Completed {
+                exit_code, output, ..
+            } = device.run_for(60_000_000)
+            else {
+                panic!("{id}: boot {boot} did not complete");
+            };
+            match &first {
+                None => first = Some((exit_code, output)),
+                Some(expected) => assert_eq!(
+                    &(exit_code, output),
+                    expected,
+                    "{id}: boot {boot} differs from the first"
+                ),
+            }
+        }
+    }
+}
+
 /// Shadow-stack exhaustion is detected rather than silently corrupting
 /// secure memory: a deeply nested call chain overflows a tiny shadow stack.
 #[test]
