@@ -1,6 +1,6 @@
 # Convenience targets; `just` users get the same recipes from ./justfile.
 
-.PHONY: build test test-workspace perfbench-test bench-smoke fleet-smoke fleet-scale fleet-bench fleet-bench-smoke net-scale net-scale-10k net-campaign net-cluster net-smoke net-bench net-bench-smoke obs-smoke agg-smoke fmt clippy ci
+.PHONY: build test test-workspace perfbench-test perfbench-smoke bench-smoke fleet-smoke fleet-scale fleet-bench fleet-bench-smoke net-scale net-scale-10k net-campaign net-cluster net-smoke net-bench net-bench-smoke obs-smoke agg-smoke fmt clippy ci
 
 build:
 	cargo build --release
@@ -18,6 +18,13 @@ test-workspace:
 # catches an API change it depends on.
 perfbench-test:
 	cargo test --release --manifest-path perfbench/Cargo.toml
+
+# The benchmark's end-to-end paths, briefly: every workload untraced,
+# then one traced run (the per-layer ledger and its exact counts).
+# Each run exits non-zero when any op fails its correctness check.
+perfbench-smoke:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 2 --trace 0
+	python3 perfbench/run.py --workload all --seed 1 --seconds 3 --trace 1
 
 # One fast pass over every criterion bench (stub timing, no statistics).
 bench-smoke:

@@ -32,6 +32,12 @@
 //! thread keeps draining other devices' replies — it never sleeps
 //! through a backoff) — backpressure is a scheduling signal, not a
 //! health verdict. Rollback passes stream the same way.
+//!
+//! Sweeps (`OpSweep`, `OpAggSweep`) share one probe exchange: every
+//! probe is pushed at once, `Busy` sheds go through the same retry heap,
+//! and the idle deadline extends on progress. Each burst of replies is
+//! verified the moment it lands, so the gateway's MAC checks overlap
+//! the agents' attestation instead of following it.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -41,7 +47,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use eilid_casu::agg::{evidence_leaf, missing_leaf, AggProof, EvidenceTree};
-use eilid_casu::{Challenge, DeviceKey};
+use eilid_casu::{AttestationReport, Challenge, DeviceKey};
 use eilid_fleet::rollout::{Next, BUSY_RETRIES};
 use eilid_fleet::{
     Campaign, CampaignRun, CohortInfo, DeviceId, FleetError, HealthClass, Ledger, LedgerEvent,
@@ -164,25 +170,13 @@ struct CampaignSlot {
     paused: Option<PausedCampaign>,
 }
 
-/// Which reply frame type an exchange expects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReplyKind {
-    Probe,
-}
-
-impl ReplyKind {
-    /// The device a reply of this kind names, if `frame` is one.
-    fn device_of(self, frame: &Frame) -> Option<DeviceId> {
-        match (self, frame) {
-            (ReplyKind::Probe, Frame::ProbeResult { device, .. }) => Some(*device),
-            _ => None,
-        }
-    }
-}
-
 /// Per-device challenges minted for one sweep round, keyed by device
 /// with the cohort each challenge was drawn from.
 type SweepChallenges = BTreeMap<DeviceId, (WorkloadId, Challenge)>;
+
+/// One sweep's verdicts, filled as probe replies land: each answering
+/// device's class and the report it was drawn from.
+type SweepVerdicts = HashMap<DeviceId, (HealthClass, AttestationReport)>;
 
 /// The engine proper: one per gateway, on its own thread.
 pub(crate) struct OpsEngine {
@@ -626,67 +620,118 @@ impl OpsEngine {
         (challenges, requests)
     }
 
+    /// Probes every device `requests` names and verifies each reactor
+    /// burst of replies the moment it lands, while the agents are still
+    /// attesting the rest: one [`AttestationService::verify_batch`] per
+    /// burst, sorted by key shard so each burst takes the cohort lock
+    /// once and each shard lock once. Returns the verdict and report of
+    /// every device that answered, plus when the last reply landed. A
+    /// device absent from the verdicts lost or shed its probe.
+    fn probe_and_verify(
+        &mut self,
+        challenges: &SweepChallenges,
+        requests: Vec<(DeviceId, Frame)>,
+    ) -> (SweepVerdicts, Option<Instant>) {
+        let service = Arc::clone(&self.service);
+        let mut verdicts = SweepVerdicts::with_capacity(challenges.len());
+        let mut tasks: Vec<VerifyTask> = Vec::new();
+        let last_reply = self.exchange(requests, |burst| {
+            tasks.clear();
+            tasks.extend(burst.iter().filter_map(|&(device, report)| {
+                let &(cohort, issued) = challenges.get(&device)?;
+                Some(VerifyTask {
+                    device,
+                    cohort,
+                    issued,
+                    report,
+                })
+            }));
+            tasks.sort_by_key(|task| task.device % SHARD_COUNT as u64);
+            for (task, (class, _)) in tasks.iter().zip(service.verify_batch(&tasks)) {
+                verdicts.insert(task.device, (class, task.report));
+            }
+        });
+        (verdicts, last_reply)
+    }
+
+    /// Sends a sweep's result frame and records the sweep's engine wall
+    /// time and its verify tail (last accepted reply → result sent).
+    fn send_sweep_result(
+        &self,
+        conn: u64,
+        result: Frame,
+        started: Instant,
+        last_reply: Option<Instant>,
+    ) {
+        self.send(conn, result);
+        let micros = |elapsed: Duration| u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+        self.metrics.sweep_us.record(micros(started.elapsed()));
+        if let Some(last_reply) = last_reply {
+            self.metrics
+                .sweep_verify_tail_us
+                .record(micros(last_reply.elapsed()));
+        }
+    }
+
     /// Gateway-driven sweep: push an attest-only probe to every attached
     /// device, verify and classify exactly as the in-process verifier
     /// would (same keys, same golden histories, same classification
     /// rule).
     fn handle_sweep(&mut self, conn: u64) {
+        let started = Instant::now();
         let (challenges, requests) = self.sweep_requests();
-        let replies = self.exchange(requests, ReplyKind::Probe);
+        let (verdicts, last_reply) = self.probe_and_verify(&challenges, requests);
         let mut counts = [0u32; 4];
         let mut flagged = Vec::new();
-        for (device, (cohort, challenge)) in &challenges {
-            let class = match replies.get(device) {
-                Some(Frame::ProbeResult { report, .. }) => {
-                    self.service.verify(*device, *cohort, challenge, report).0
-                }
-                // A lost or shed probe is a failed verification, not a
-                // silent omission.
-                _ => HealthClass::Unverified,
-            };
+        for device in challenges.keys() {
+            // A lost or shed probe is a failed verification, not a
+            // silent omission.
+            let class = verdicts
+                .get(device)
+                .map_or(HealthClass::Unverified, |(class, _)| *class);
             counts[class_index(class)] += 1;
             if class != HealthClass::Attested {
                 flagged.push((*device, health_to_wire(class)));
             }
         }
-        self.send(
-            conn,
-            Frame::OpSweepResult {
-                devices: challenges.len() as u32,
-                counts,
-                flagged,
-            },
-        );
+        let result = Frame::OpSweepResult {
+            devices: challenges.len() as u32,
+            counts,
+            flagged,
+        };
+        self.send_sweep_result(conn, result, started, last_reply);
     }
 
-    /// Gateway-driven *aggregated* sweep: probe every attached device
-    /// exactly as [`handle_sweep`](Self::handle_sweep) does, but instead
-    /// of shipping a per-device verdict list, fold each shard's evidence
-    /// into an [`EvidenceTree`] and publish one MAC'd [`AggProof`] per
-    /// shard. The operator verifies at most [`SHARD_COUNT`] aggregate
-    /// MACs; only non-Attested devices (and lost probes) appear
-    /// individually, in the suspect list. Every per-device report MAC is
-    /// still verified *here*, at the gateway — aggregation compresses
-    /// the operator's work and the result frame, never the trust checks.
+    /// Gateway-driven *aggregated* sweep: probe and verify every
+    /// attached device exactly as [`handle_sweep`](Self::handle_sweep)
+    /// does, but instead of shipping a per-device verdict list, fold
+    /// each shard's evidence into an [`EvidenceTree`] and publish one
+    /// MAC'd [`AggProof`] per shard. The operator verifies at most
+    /// [`SHARD_COUNT`] aggregate MACs; only non-Attested devices (and
+    /// lost probes) appear individually, in the suspect list. Every
+    /// per-device report MAC is still verified *here*, at the gateway —
+    /// aggregation compresses the operator's work and the result frame,
+    /// never the trust checks.
     ///
     /// The sweep epoch is the service's nonce watermark taken before any
     /// challenge is minted: challenge nonces only move forward, so a
     /// replayed aggregate from an earlier sweep can never carry the
     /// current epoch.
     fn handle_agg_sweep(&mut self, conn: u64) {
+        let started = Instant::now();
         let epoch = self.service.nonce_watermark();
         let (challenges, requests) = self.sweep_requests();
-        let replies = self.exchange(requests, ReplyKind::Probe);
+        let (verdicts, last_reply) = self.probe_and_verify(&challenges, requests);
 
         // Canonical order: ascending device id within each shard. The
         // challenge map iterates ascending, so pushing in iteration
         // order keeps every shard's member list sorted.
-        let mut shards: BTreeMap<u16, Vec<(DeviceId, WorkloadId, Challenge)>> = BTreeMap::new();
-        for (device, (cohort, challenge)) in &challenges {
+        let mut shards: BTreeMap<u16, Vec<DeviceId>> = BTreeMap::new();
+        for device in challenges.keys() {
             shards
                 .entry((device % SHARD_COUNT as u64) as u16)
                 .or_default()
-                .push((*device, *cohort, *challenge));
+                .push(*device);
         }
 
         let provider = Arc::clone(self.service.provider());
@@ -696,32 +741,17 @@ impl OpsEngine {
         let mut short_circuited: u64 = 0;
         for (shard, members) in &shards {
             let suspects_before = suspects.len();
-            // One batched verification per shard: same shard → one key
-            // shard lock, and a batching provider reuses HMAC schedules.
-            let tasks: Vec<VerifyTask> = members
-                .iter()
-                .filter_map(|(device, cohort, challenge)| match replies.get(device) {
-                    Some(Frame::ProbeResult { report, .. }) => Some(VerifyTask {
-                        device: *device,
-                        cohort: *cohort,
-                        issued: *challenge,
-                        report: *report,
-                    }),
-                    _ => None,
-                })
-                .collect();
-            let mut verdicts = self.service.verify_batch(&tasks).into_iter();
             let mut leaves = Vec::with_capacity(members.len());
-            for (device, _, _) in members {
-                let class = match replies.get(device) {
-                    Some(Frame::ProbeResult { report, .. }) => {
+            for device in members {
+                let class = match verdicts.get(device) {
+                    Some((class, report)) => {
                         leaves.push(evidence_leaf(&*provider, *device, report));
-                        verdicts.next().expect("one verdict per task").0
+                        *class
                     }
                     // A lost or shed probe is a failed verification; its
                     // slot holds the domain-separated missing leaf so
                     // the tree geometry matches the participant list.
-                    _ => {
+                    None => {
                         leaves.push(missing_leaf(&*provider, *device));
                         HealthClass::Unverified
                     }
@@ -766,37 +796,42 @@ impl OpsEngine {
         self.metrics.agg_suspects.add(suspects.len() as u64);
         self.metrics.agg_short_circuited.add(short_circuited);
 
-        self.send(
-            conn,
-            Frame::OpAggSweepResult {
-                epoch,
-                devices: challenges.len() as u32,
-                counts,
-                bitmap_base,
-                bitmap,
-                proofs,
-                suspects,
-            },
-        );
+        let result = Frame::OpAggSweepResult {
+            epoch,
+            devices: challenges.len() as u32,
+            counts,
+            bitmap_base,
+            bitmap,
+            proofs,
+            suspects,
+        };
+        self.send_sweep_result(conn, result, started, last_reply);
     }
 
-    /// Pushes one request frame per device and collects the matching
-    /// replies. Device-scoped `Busy` sheds are re-pushed after a
-    /// bounded exponential backoff that is scheduled *inside* the
-    /// event loop (a due-time heap bounds `recv_timeout`), so one busy
-    /// device never blocks the thread from draining every other
-    /// device's reply. Devices whose connection is gone (or that never
-    /// answer within the idle timeout) are simply absent from the
-    /// result, which the callers turn into per-device failures.
+    /// Pushes one probe request per device and streams the replies into
+    /// `sink` as they land. Each accepted reply — a probe result for a
+    /// device still pending, so duplicates and strays are dropped —
+    /// reaches `sink` exactly once; a call carries the accepted replies
+    /// of one reactor burst, in arrival order. Device-scoped `Busy`
+    /// sheds are re-pushed after a bounded exponential backoff that is
+    /// scheduled *inside* the event loop (a due-time heap bounds
+    /// `recv_timeout`), so one busy device never blocks the thread from
+    /// draining every other device's reply. Devices whose connection is
+    /// gone, that refuse the push, or that never answer within the idle
+    /// timeout never reach `sink`; the callers turn that into per-device
+    /// failures. If the reactor is gone the exchange ends at once.
+    ///
+    /// Returns when the last accepted reply landed (`None` if none did).
     fn exchange(
         &mut self,
         requests: Vec<(DeviceId, Frame)>,
-        kind: ReplyKind,
-    ) -> HashMap<DeviceId, Frame> {
+        mut sink: impl FnMut(&[(DeviceId, AttestationReport)]),
+    ) -> Option<Instant> {
         let mut pending: HashMap<DeviceId, Frame> = HashMap::with_capacity(requests.len());
-        let mut replies: HashMap<DeviceId, Frame> = HashMap::with_capacity(requests.len());
         let mut retries: HashMap<DeviceId, usize> = HashMap::new();
         let mut retry_at: BinaryHeap<Reverse<(Instant, DeviceId)>> = BinaryHeap::new();
+        let mut accepted: Vec<(DeviceId, AttestationReport)> = Vec::new();
+        let mut last_reply = None;
 
         // Initial push, one coalesced completions message for the lot.
         let mut batch: Vec<(u64, Frame)> = Vec::with_capacity(requests.len());
@@ -804,17 +839,15 @@ impl OpsEngine {
             let registry = self.registry.lock().expect("registry lock");
             for (device, frame) in requests {
                 let Some(conn) = registry.conn_of(device) else {
-                    continue; // unreachable device: absent from replies
+                    continue; // unreachable device: never answers
                 };
                 batch.push((conn, frame.clone()));
                 pending.insert(device, frame);
             }
         }
-        if batch.is_empty() {
-            return replies;
+        if batch.is_empty() || !self.push_to_reactor(batch) {
+            return None;
         }
-        let _ = self.out.send(batch);
-        self.waker.wake();
 
         // The deadline extends on progress: a wave of 1000 devices gets
         // `timeout` of *idle* tolerance, not `timeout` total.
@@ -830,11 +863,11 @@ impl OpsEngine {
                 let Some(request) = pending.get(&device).cloned() else {
                     continue;
                 };
-                let conn = self.registry.lock().expect("registry lock").conn_of(device);
-                match conn {
+                match self.conn_of(device) {
                     Some(conn) => {
-                        let _ = self.out.send(vec![(conn, request)]);
-                        self.waker.wake();
+                        if !self.push_to_reactor(vec![(conn, request)]) {
+                            return last_reply;
+                        }
                         deadline = now + self.timeout;
                     }
                     None => {
@@ -878,41 +911,61 @@ impl OpsEngine {
             // the idle deadline for the whole wave.
             let arrived = Instant::now();
             for frame in frames {
-                // A non-retryable device-scoped error (unknown device,
-                // refused push) fails that device fast — it must not
-                // stall the wave for the idle timeout.
-                if let Frame::DeviceError { device, code } = frame {
-                    if code != ErrorCode::Busy {
-                        if pending.remove(&device).is_some() {
-                            deadline = arrived + self.timeout;
-                        }
-                        continue;
+                match frame {
+                    // Only a reply for a still-pending device counts:
+                    // duplicates and strays drop here.
+                    Frame::ProbeResult { device, report, .. }
+                        if pending.remove(&device).is_some() =>
+                    {
+                        accepted.push((device, report));
                     }
-                    // Satellite fix: a busy shed during a campaign
-                    // push is scheduled for a backoff retry, never
-                    // counted as a probe failure — and never slept
-                    // on: the loop keeps serving other devices.
-                    if pending.contains_key(&device) {
+                    // A non-retryable device-scoped error (unknown
+                    // device, refused push) fails that device fast — it
+                    // must not stall the wave for the idle timeout.
+                    Frame::DeviceError { device, code }
+                        if code != ErrorCode::Busy && pending.remove(&device).is_some() =>
+                    {
+                        deadline = arrived + self.timeout;
+                    }
+                    // A busy shed is scheduled for a backoff retry,
+                    // never counted as a failure — and never slept on:
+                    // the loop keeps serving other devices.
+                    Frame::DeviceError {
+                        device,
+                        code: ErrorCode::Busy,
+                    } if pending.contains_key(&device) => {
                         let attempts = retries.entry(device).or_insert(0);
                         *attempts += 1;
                         self.metrics.engine_busy_retries.inc();
                         if *attempts > ENGINE_BUSY_RETRIES {
                             pending.remove(&device);
-                            continue;
+                        } else {
+                            retry_at.push(Reverse((arrived + busy_backoff(*attempts), device)));
                         }
-                        retry_at.push(Reverse((arrived + busy_backoff(*attempts), device)));
                     }
-                    continue;
-                }
-                if let Some(device) = kind.device_of(&frame) {
-                    if pending.remove(&device).is_some() {
-                        replies.insert(device, frame);
-                        deadline = arrived + self.timeout;
-                    }
+                    _ => {}
                 }
             }
+            if !accepted.is_empty() {
+                deadline = arrived + self.timeout;
+                last_reply = Some(arrived);
+                sink(&accepted);
+                accepted.clear();
+            }
         }
-        replies
+        last_reply
+    }
+
+    /// Hands `batch` to the reactor and wakes it. `false` when the
+    /// reactor is gone: the frames can never be written, so the caller
+    /// stops waiting for replies (counted as a lost reactor).
+    fn push_to_reactor(&self, batch: Vec<(u64, Frame)>) -> bool {
+        if self.out.send(batch).is_err() {
+            self.metrics.engine_reactor_lost.inc();
+            return false;
+        }
+        self.waker.wake();
+        true
     }
 
     fn conn_of(&self, device: DeviceId) -> Option<u64> {
@@ -1158,5 +1211,69 @@ impl WaveExecutor for OpsEngine {
         for event in events {
             self.ledger.record(event);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::poller::{Poller, PollerChoice};
+    use eilid_fleet::FleetBuilder;
+    use std::sync::mpsc;
+
+    /// A sweep exchange whose frames cannot reach the reactor (its
+    /// channel is closed) ends at once, with no reply delivered and the
+    /// loss counted, instead of idling out the exchange timeout.
+    #[test]
+    fn exchange_fails_fast_when_the_reactor_is_gone() {
+        let (fleet, mut verifier) =
+            FleetBuilder::new(DeviceKey::new(b"fleet-root-key-0123456789abcdef").unwrap())
+                .devices(1)
+                .threads(1)
+                .build()
+                .unwrap();
+        let device = fleet.devices()[0].id();
+        let registry = Arc::new(Mutex::new(Registry::default()));
+        registry
+            .lock()
+            .unwrap()
+            .attach(device, 7, fleet.devices()[0].cohort());
+        let (out, reactor) = mpsc::channel();
+        drop(reactor);
+        let (_engine_tx, rx) = mpsc::channel();
+        let timeout = Duration::from_secs(30);
+        let mut engine = OpsEngine {
+            service: Arc::new(AttestationService::new(verifier.service_snapshot(1 << 20))),
+            registry,
+            rx,
+            out,
+            waker: Poller::new(PollerChoice::Scan).unwrap().waker(),
+            timeout,
+            campaigns: BTreeMap::new(),
+            ledger: Ledger::default(),
+            counters: Arc::new(GatewayCounters::default()),
+            pool: Arc::new(WorkerPool::new(1, SHARD_COUNT, 8)),
+            draining: Arc::new(AtomicBool::new(false)),
+            metrics: NetMetrics::new(),
+        };
+        let challenge = Challenge {
+            nonce: 1,
+            start: 0xE000,
+            end: 0xE0FF,
+        };
+        let request = Frame::ProbeRequest {
+            device,
+            mode: ProbeMode::AttestOnly,
+            smoke_cycles: 0,
+            challenge,
+        };
+
+        let started = Instant::now();
+        let mut delivered = 0;
+        let last_reply = engine.exchange(vec![(device, request)], |burst| delivered += burst.len());
+
+        assert!(started.elapsed() < timeout / 2, "{:?}", started.elapsed());
+        assert_eq!((last_reply, delivered), (None, 0));
+        assert_eq!(engine.metrics.engine_reactor_lost.get(), 1);
     }
 }

@@ -132,6 +132,17 @@ pub struct NetMetrics {
     pub phase_probe_us: Histogram,
     /// Device exchanges the campaign engine retried after a `Busy`.
     pub engine_busy_retries: Counter,
+    /// Sweep exchanges the engine abandoned because the reactor was
+    /// gone (its frame channel closed): the sweep's devices end
+    /// `Unverified` at once instead of idling out the timeout.
+    pub engine_reactor_lost: Counter,
+    /// Engine wall time per gateway-driven sweep (`OpSweep` and
+    /// `OpAggSweep`), challenge mint to result sent, in µs.
+    pub sweep_us: Histogram,
+    /// Per sweep, µs from the last accepted probe reply to the result
+    /// being sent: the verification and merge work that did not
+    /// overlap the devices' attestation.
+    pub sweep_verify_tail_us: Histogram,
     /// Campaign smoke probes actually executed on a device (the
     /// reference device plus per-device fallbacks).
     pub probes_executed: Counter,
@@ -179,6 +190,9 @@ impl NetMetrics {
             phase_update_us: registry.histogram("eilid_ops_phase_update_us"),
             phase_probe_us: registry.histogram("eilid_ops_phase_probe_us"),
             engine_busy_retries: registry.counter("eilid_ops_busy_retries_total"),
+            engine_reactor_lost: registry.counter("eilid_ops_reactor_lost_total"),
+            sweep_us: registry.histogram("eilid_ops_sweep_us"),
+            sweep_verify_tail_us: registry.histogram("eilid_ops_sweep_verify_tail_us"),
             probes_executed: registry.counter("eilid_ops_probes_executed_total"),
             probes_memoized: registry.counter("eilid_ops_probes_memoized_total"),
             update_bytes_full: registry.counter("eilid_ops_update_bytes_full_total"),

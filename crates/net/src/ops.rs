@@ -23,6 +23,7 @@
 //!   stop and join the agents.
 
 use std::borrow::{Borrow, BorrowMut};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -32,8 +33,8 @@ use eilid_casu::agg::{fleet_root, shard_agg_key};
 use eilid_casu::{CryptoProvider, MeasurementScheme, SoftwareProvider};
 use eilid_fleet::rollout::serve;
 use eilid_fleet::{
-    AggSweepSummary, CampaignConfig, CampaignPhase, CampaignReport, CampaignStatus, Fleet,
-    FleetOps, OpsError, OpsHealth, Request, SimDevice, SweepSummary, SHARD_COUNT,
+    AggSweepSummary, CampaignConfig, CampaignPhase, CampaignReport, CampaignStatus, DeviceId,
+    Fleet, FleetOps, OpsError, OpsHealth, Request, SimDevice, SweepSummary, SHARD_COUNT,
 };
 use eilid_workloads::WorkloadId;
 
@@ -542,6 +543,11 @@ impl<T: Transport> FleetOps for RemoteOps<T> {
 /// requests faster than the agent answers them.
 const AGENT_REPLY_BURST: usize = 256;
 
+/// How long a [`DeviceAgent`] waits for the gateway's handshake and
+/// attach acknowledgements, across however many receive timeouts its
+/// transport's short poll interval produces.
+const AGENT_HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
+
 /// The device-plane agent: serves gateway-initiated pushes for the
 /// devices it attached on this connection. This is what turns a fleet
 /// of [`SimDevice`]s into live campaign targets — the networked
@@ -555,21 +561,29 @@ pub struct DeviceAgent<T: Transport> {
 impl<T: Transport> DeviceAgent<T> {
     /// Negotiates the protocol over `transport`. `scheme` must be the
     /// measurement scheme the fleet was enrolled under (snapshots
-    /// report measurements computed with it).
+    /// report measurements computed with it). A transport with a short
+    /// receive timeout (what [`serve`](Self::serve) wants) is fine: the
+    /// handshake waits out its timeouts up to a fixed deadline.
     ///
     /// # Errors
     ///
     /// [`NetError::Protocol`] when the gateway refuses the version;
-    /// transport failures otherwise.
+    /// [`NetError::Timeout`] when it never answers; transport failures
+    /// otherwise.
     pub fn connect(mut transport: T, scheme: MeasurementScheme) -> Result<Self, NetError> {
         transport.send(&Frame::Hello {
             min_version: PROTOCOL_VERSION,
             max_version: PROTOCOL_VERSION,
         })?;
-        match transport.recv()? {
-            Frame::HelloAck { .. } => Ok(DeviceAgent { transport, scheme }),
-            Frame::Error { code } => Err(NetError::Protocol(code)),
-            _ => Err(NetError::Unexpected("expected HelloAck")),
+        let deadline = Instant::now() + AGENT_HANDSHAKE_DEADLINE;
+        loop {
+            match transport.recv() {
+                Ok(Frame::HelloAck { .. }) => return Ok(DeviceAgent { transport, scheme }),
+                Ok(Frame::Error { code }) => return Err(NetError::Protocol(code)),
+                Ok(_) => return Err(NetError::Unexpected("expected HelloAck")),
+                Err(NetError::Timeout) if Instant::now() < deadline => {}
+                Err(err) => return Err(err),
+            }
         }
     }
 
@@ -596,7 +610,7 @@ impl<T: Transport> DeviceAgent<T> {
             .collect();
         self.transport.send_batch(&frames)?;
         let mut acked = 0usize;
-        let deadline = Instant::now() + Duration::from_secs(10);
+        let deadline = Instant::now() + AGENT_HANDSHAKE_DEADLINE;
         while acked < devices.len() {
             match self.transport.recv() {
                 Ok(Frame::AttachAck { .. }) => acked += 1,
@@ -630,6 +644,12 @@ impl<T: Transport> DeviceAgent<T> {
         devices: &mut [D],
         stop: &AtomicBool,
     ) -> Result<(), NetError> {
+        // Built once per call: each pushed request then finds its
+        // device in O(1). On a duplicated id the first slot wins.
+        let mut slots: HashMap<DeviceId, usize> = HashMap::with_capacity(devices.len());
+        for (slot, device) in devices.iter().enumerate() {
+            slots.entry(device.borrow().id()).or_insert(slot);
+        }
         let mut replies: Vec<Frame> = Vec::new();
         loop {
             let first = match self.transport.recv() {
@@ -652,7 +672,9 @@ impl<T: Transport> DeviceAgent<T> {
                     Frame::Bye => break Some(Ok(())),
                     Frame::Error { code } => break Some(Err(NetError::Protocol(code))),
                     frame => match frame.into_request() {
-                        Some(request) => replies.push(answer(devices, self.scheme, &request)),
+                        Some(request) => {
+                            replies.push(answer(devices, &slots, self.scheme, &request))
+                        }
                         None => {
                             break Some(Err(NetError::Unexpected(
                                 "unexpected frame at device agent",
@@ -679,24 +701,20 @@ impl<T: Transport> DeviceAgent<T> {
     }
 }
 
-fn find_device<D: BorrowMut<SimDevice>>(devices: &mut [D], id: u64) -> Option<&mut SimDevice> {
-    devices
-        .iter_mut()
-        .map(BorrowMut::borrow_mut)
-        .find(|device| device.id() == id)
-}
-
 /// Answers one pushed request with the shared device-side handler
-/// ([`serve`]). A request range the device cannot serve is refused
-/// with `UnexpectedFrame` rather than panicking the agent.
+/// ([`serve`]), resolving its device through `slots` (id → index into
+/// `devices`). An id the agent does not hold is refused with
+/// `UnknownDevice`; a request range the device cannot serve with
+/// `UnexpectedFrame` rather than panicking the agent.
 fn answer<D: BorrowMut<SimDevice>>(
     devices: &mut [D],
+    slots: &HashMap<DeviceId, usize>,
     scheme: MeasurementScheme,
     request: &Request,
 ) -> Frame {
     let device = request.device();
-    let code = match find_device(devices, device) {
-        Some(sim) => match serve(sim, scheme, request) {
+    let code = match slots.get(&device) {
+        Some(&slot) => match serve(devices[slot].borrow_mut(), scheme, request) {
             Some(reply) => return Frame::from_reply(device, reply),
             None => ErrorCode::UnexpectedFrame,
         },

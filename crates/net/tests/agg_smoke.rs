@@ -94,6 +94,10 @@ fn all_clean_aggregated_sweep_over_tcp() {
         metrics.counters["eilid_ops_agg_short_circuited_total"],
         DEVICES as u64
     );
+    // The engine timed the sweep and its verify tail.
+    for name in ["eilid_ops_sweep_us", "eilid_ops_sweep_verify_tail_us"] {
+        assert_eq!(metrics.histograms[name].count, 1, "{name}");
+    }
 }
 
 /// ~1%-tampered aggregated sweep: every tampered device surfaces in

@@ -4,15 +4,22 @@
 //! counted as a probe failure. A scripted agent sheds the first few
 //! pushes; the campaign still completes with zero failures and a report
 //! identical to an in-process run on an unshedding fleet.
+//!
+//! A second scripted agent answers a gateway sweep with hostile timing
+//! (out of order, duplicated, stray, shed-then-answered, and a hang-up
+//! with devices unanswered). The gateway verifies replies as they land,
+//! so both sweep verbs must still count each device once and verify
+//! each answered report exactly once.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use eilid::RunOutcome;
-use eilid_casu::DeviceKey;
+use eilid_casu::{AttestationReport, Challenge, DeviceKey};
 use eilid_fleet::fixtures::{benign_patch, BENIGN_PATCH_TARGET};
 use eilid_fleet::{
-    CampaignConfig, CampaignOutcome, Fleet, FleetBuilder, FleetOps, LocalOps, OpsError, Verifier,
+    CampaignConfig, CampaignOutcome, Fleet, FleetBuilder, FleetOps, HealthClass, LocalOps,
+    OpsError, SweepSummary, Verifier,
 };
 use eilid_net::{
     AttestationService, ErrorCode, Frame, Gateway, GatewayConfig, NetError, ProbeMode, RemoteOps,
@@ -38,19 +45,12 @@ fn config() -> CampaignConfig {
     config
 }
 
-/// A hand-rolled device agent that sheds the first `sheds` campaign
-/// pushes with a device-scoped `Busy` before serving normally — the
-/// device-side shape of transient backpressure. When `busy_device` is
-/// set, every push at that one device is shed forever while the rest
-/// of the fleet serves immediately.
-fn scripted_busy_agent(
+/// Connects a scripted agent to the gateway, negotiates, and attaches
+/// every device in `devices`, waiting for each acknowledgement.
+fn connect_and_attach(
     addr: std::net::SocketAddr,
-    devices: &mut [eilid_fleet::SimDevice],
-    scheme: eilid_casu::MeasurementScheme,
-    mut sheds: usize,
-    busy_device: Option<u64>,
-    stop: &std::sync::atomic::AtomicBool,
-) -> Result<(), NetError> {
+    devices: &[eilid_fleet::SimDevice],
+) -> Result<TcpTransport, NetError> {
     let mut transport = TcpTransport::connect_with_timeout(addr, Duration::from_millis(100))?;
     transport.send(&Frame::Hello {
         min_version: PROTOCOL_VERSION,
@@ -74,7 +74,23 @@ fn scripted_busy_agent(
             Err(err) => return Err(err),
         }
     }
+    Ok(transport)
+}
 
+/// A hand-rolled device agent that sheds the first `sheds` campaign
+/// pushes with a device-scoped `Busy` before serving normally — the
+/// device-side shape of transient backpressure. When `busy_device` is
+/// set, every push at that one device is shed forever while the rest
+/// of the fleet serves immediately.
+fn scripted_busy_agent(
+    addr: std::net::SocketAddr,
+    devices: &mut [eilid_fleet::SimDevice],
+    scheme: eilid_casu::MeasurementScheme,
+    mut sheds: usize,
+    busy_device: Option<u64>,
+    stop: &std::sync::atomic::AtomicBool,
+) -> Result<(), NetError> {
+    let mut transport = connect_and_attach(addr, devices)?;
     let find = |devices: &mut [eilid_fleet::SimDevice], id: u64| {
         devices.iter_mut().position(|d| d.id() == id).unwrap()
     };
@@ -352,4 +368,160 @@ fn permanently_busy_device_eventually_fails_the_wave() {
             ..
         }
     ));
+}
+
+/// The hostile sweep script: which devices get which treatment.
+struct HostileScript {
+    /// Shed with `Busy` first, answered once the gateway re-pushes.
+    shed: u64,
+    /// Answered twice.
+    duplicated: u64,
+    /// Never answered: the agent hangs up with these outstanding.
+    unanswered: [u64; 2],
+    /// An id the gateway never challenged; the agent sends it a reply.
+    stray: u64,
+}
+
+fn probe_result(device: u64, report: AttestationReport) -> Frame {
+    Frame::ProbeResult {
+        device,
+        healthy: 1,
+        report,
+    }
+}
+
+/// A scripted agent that answers exactly one gateway sweep with
+/// hostile timing, over a connection `connect_and_attach` set up. It
+/// collects every probe first, then: sheds `script.shed` with `Busy`;
+/// answers the rest in descending id order, sending
+/// `script.duplicated`'s reply twice and a reply for the never
+/// challenged `script.stray`; answers the shed device when the gateway
+/// re-pushes it; and hangs up with `script.unanswered` outstanding.
+fn hostile_sweep_agent(
+    mut transport: TcpTransport,
+    devices: &mut [eilid_fleet::SimDevice],
+    script: &HostileScript,
+) -> Result<(), NetError> {
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    let next_probe = |transport: &mut TcpTransport| loop {
+        match transport.recv() {
+            Ok(Frame::ProbeRequest {
+                device, challenge, ..
+            }) => return Ok((device, challenge)),
+            Ok(other) => panic!("unexpected frame at hostile agent: {other:?}"),
+            Err(NetError::Timeout) if std::time::Instant::now() < deadline => continue,
+            Err(err) => return Err(err),
+        }
+    };
+    let mut probes = std::collections::BTreeMap::new();
+    while probes.len() < devices.len() {
+        let (device, challenge) = next_probe(&mut transport)?;
+        probes.insert(device, challenge);
+    }
+    let mut reply = |device: u64, challenge: Challenge| {
+        let sim = devices.iter_mut().find(|sim| sim.id() == device).unwrap();
+        probe_result(device, sim.attest(challenge))
+    };
+
+    transport.send(&Frame::DeviceError {
+        device: script.shed,
+        code: ErrorCode::Busy,
+    })?;
+    let mut duplicate = None;
+    for (&device, &challenge) in probes.iter().rev() {
+        if device == script.shed || script.unanswered.contains(&device) {
+            continue;
+        }
+        let frame = reply(device, challenge);
+        transport.send(&frame)?;
+        if device == script.duplicated {
+            duplicate = Some(frame);
+        }
+    }
+    let Some(Frame::ProbeResult { report, .. }) = duplicate else {
+        panic!("the duplicated device was probed and answered");
+    };
+    transport.send(&probe_result(script.duplicated, report))?;
+    transport.send(&probe_result(script.stray, report))?;
+
+    let (device, challenge) = next_probe(&mut transport)?;
+    assert_eq!(device, script.shed, "only the shed device is re-pushed");
+    transport.send(&reply(device, challenge))?;
+    // Dropping the transport hangs up with the unanswered devices
+    // still pending at the gateway.
+    Ok(())
+}
+
+/// Both sweep verbs under hostile reply timing: a duplicate counts
+/// once, a stray reply is ignored, a shed-then-answered device is
+/// `Attested`, the devices left unanswered at hang-up are
+/// `Unverified` (promptly, not at the idle timeout), and the gateway
+/// verifies each distinct answered report exactly once.
+#[test]
+fn sweeps_verify_each_reply_once_under_hostile_timing() {
+    const DEVICES: usize = 8;
+    let script = HostileScript {
+        shed: 1,
+        duplicated: 4,
+        unanswered: [3, 6],
+        stray: 1_000,
+    };
+    let (mut fleet, mut verifier) = build(DEVICES);
+    let service = Arc::new(AttestationService::new(verifier.service_snapshot(1 << 20)));
+    let handle = Gateway::bind(
+        ("127.0.0.1", 0),
+        Arc::clone(&service),
+        GatewayConfig {
+            workers: 2,
+            ops_timeout: Duration::from_secs(60),
+            ..GatewayConfig::default()
+        },
+    )
+    .unwrap()
+    .spawn();
+    let addr = handle.addr();
+    let mut ops = RemoteOps::connect(addr).unwrap();
+    ops.set_agg_root_key(ROOT);
+
+    let expected = SweepSummary {
+        devices: DEVICES,
+        counts: [DEVICES - 2, 0, 0, 2],
+        flagged: script
+            .unanswered
+            .iter()
+            .map(|&device| (device, HealthClass::Unverified))
+            .collect(),
+    };
+    let answered = (DEVICES - script.unanswered.len()) as u64;
+    for aggregated in [false, true] {
+        // The hang-up dropped every registration, so each sweep gets a
+        // fresh connection.
+        let transport = connect_and_attach(addr, fleet.devices()).unwrap();
+        let verified_before = service.stats().reports_verified();
+        let start = std::time::Instant::now();
+        let summary = std::thread::scope(|scope| {
+            let agent =
+                scope.spawn(|| hostile_sweep_agent(transport, fleet.devices_mut(), &script));
+            let summary = if aggregated {
+                ops.sweep_aggregated().map(|agg| agg.summary)
+            } else {
+                ops.sweep()
+            };
+            agent.join().expect("agent thread panicked").unwrap();
+            summary.unwrap()
+        });
+        let elapsed = start.elapsed();
+
+        assert_eq!(summary, expected, "aggregated: {aggregated}");
+        assert_eq!(
+            service.stats().reports_verified() - verified_before,
+            answered,
+            "each distinct answered report is verified exactly once (aggregated: {aggregated})"
+        );
+        assert!(
+            elapsed < Duration::from_secs(30),
+            "the hang-up, not the idle timeout, ends the sweep: {elapsed:?}"
+        );
+    }
+    handle.shutdown().unwrap();
 }

@@ -16,6 +16,12 @@ test-workspace:
 perfbench-test:
     cargo test --release --manifest-path perfbench/Cargo.toml
 
+# The benchmark's end-to-end paths, briefly: every workload untraced,
+# then one traced run. Fails when any op fails its correctness check.
+perfbench-smoke:
+    python3 perfbench/run.py --workload all --seed 1 --seconds 2 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 3 --trace 1
+
 # One fast pass over every criterion bench (stub timing, no statistics).
 bench-smoke:
     cargo bench -p eilid_bench
