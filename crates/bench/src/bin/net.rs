@@ -1,23 +1,19 @@
 //! Networked attestation throughput scenario.
 //!
-//! Measures (1) the persistent worker pool against the retained
-//! `thread::scope` baseline on in-memory sweeps, and (2) full-protocol
-//! networked sweeps over the in-memory pipe and loopback TCP, then
-//! writes `BENCH_net.json` — the recorded perf baseline later PRs
-//! regress against.
+//! Measures full-protocol networked sweeps over the in-memory pipe and
+//! loopback TCP, operator-plane campaigns, cluster fan-out and
+//! aggregated sweeps, then writes `BENCH_net.json` — the recorded perf
+//! baseline later changes regress against.
 //!
 //! ```text
-//! net [--devices N] [--threads N] [--clients N] [--window N]
-//!     [--json PATH] [--min-pool-ratio X] [--min-in-memory N]
-//!     [--min-loopback N] [--min-campaign N] [--min-cluster-ratio X]
-//!     [--min-obs-ratio X] [--min-agg-ratio X] [--quick]
+//! net [--devices N] [--clients N] [--window N] [--json PATH]
+//!     [--min-in-memory N] [--min-loopback N] [--min-campaign N]
+//!     [--min-cluster-ratio X] [--min-obs-ratio X] [--min-agg-ratio X]
+//!     [--quick]
 //! ```
 //!
 //! `--quick` runs a smaller configuration (the CI smoke mode) and does
 //! not write the baseline unless `--json` is explicit.
-//! `--min-pool-ratio X` exits non-zero when the pool falls below `X`
-//! times the scoped baseline's throughput — the regression gate for
-//! "the persistent pool is no slower than per-sweep spawning".
 //! `--min-in-memory N` / `--min-loopback N` are absolute floors in
 //! devices/s on the two transport paths — the no-regression gates for
 //! the reactor + batching work (the loopback floor of 40 000 in `make
@@ -43,8 +39,8 @@
 use std::process::ExitCode;
 
 use eilid_bench::net::{
-    compare_schedulers, measure_aggregated_sweeps, measure_campaigns, measure_cluster_sweeps,
-    measure_transport_sweeps, render_net_bench_json,
+    measure_aggregated_sweeps, measure_campaigns, measure_cluster_sweeps, measure_transport_sweeps,
+    render_net_bench_json,
 };
 
 /// Parses `--flag value`; a missing flag yields `default`, an
@@ -65,11 +61,9 @@ fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let devices = flag_value(&args, "--devices", if quick { 256 } else { 1000 })?;
-    let threads = flag_value(&args, "--threads", 4)?;
     let clients = flag_value(&args, "--clients", 8)?;
     let window = flag_value(&args, "--window", eilid_net::DEFAULT_PIPELINE_WINDOW)?;
     let rounds = if quick { 2 } else { 5 };
-    let min_pool_ratio: f64 = flag_value(&args, "--min-pool-ratio", 0.0)?;
     let min_in_memory: f64 = flag_value(&args, "--min-in-memory", 0.0)?;
     let min_loopback: f64 = flag_value(&args, "--min-loopback", 0.0)?;
     let min_campaign: f64 = flag_value(&args, "--min-campaign", 0.0)?;
@@ -88,18 +82,6 @@ fn run() -> Result<(), String> {
         ),
         None => (!quick).then(|| "BENCH_net.json".to_string()),
     };
-
-    println!("scheduler head-to-head: {devices} devices, {threads} threads, best of {rounds}");
-    let schedulers = compare_schedulers(devices, threads, rounds);
-    println!(
-        "  persistent pool   {:>9.0} devices/s",
-        schedulers.pool.devices_per_second
-    );
-    println!(
-        "  scoped baseline   {:>9.0} devices/s",
-        schedulers.scoped.devices_per_second
-    );
-    println!("  pool/scoped       {:>9.2}x", schedulers.pool_ratio());
 
     println!(
         "transport head-to-head: {devices} devices, {clients} client connections, \
@@ -163,16 +145,11 @@ fn run() -> Result<(), String> {
     }
     println!("  widest/single     {:>9.2}x", clusters.scaling_ratio());
 
-    println!("collective attestation: {devices} devices, aggregated vs per-device operator sweeps");
+    println!("collective attestation: {devices} devices, aggregated vs client-driven sweeps");
     let aggs = measure_aggregated_sweeps(devices, clients.min(8), window, rounds);
     println!(
         "  aggregated sweep  {:>9.0} devices/s  ({} aggregate roots verified, {} short-circuited)",
         aggs.aggregated.devices_per_second, aggs.roots_verified, aggs.short_circuited,
-    );
-    println!(
-        "  per-device OpSweep{:>9.0} devices/s  ({:.2}x aggregated/per-device)",
-        aggs.per_device.devices_per_second,
-        aggs.op_ratio(),
     );
     println!(
         "  client-driven     {:>9.0} devices/s  (interleaved loopback baseline; {:.2}x aggregated/client)",
@@ -181,18 +158,12 @@ fn run() -> Result<(), String> {
     );
 
     if let Some(json_path) = json_path {
-        let json = render_net_bench_json(&schedulers, &transports, &campaigns, &clusters, &aggs);
+        let json = render_net_bench_json(&transports, &campaigns, &clusters, &aggs);
         std::fs::write(&json_path, &json)
             .map_err(|e| format!("cannot write `{json_path}`: {e}"))?;
         println!("wrote {json_path}");
     }
 
-    if schedulers.pool_ratio() < min_pool_ratio {
-        return Err(format!(
-            "pool throughput regression: {:.2}x the scoped baseline is below the accepted {min_pool_ratio}x",
-            schedulers.pool_ratio()
-        ));
-    }
     if transports.in_memory.devices_per_second < min_in_memory {
         return Err(format!(
             "in-memory transport regression: {:.0} devices/s is below the accepted floor of {min_in_memory:.0}",

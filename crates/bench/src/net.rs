@@ -1,23 +1,19 @@
-//! Networked attestation throughput: persistent pool vs per-sweep
-//! thread spawning, and in-memory vs loopback-TCP transports.
+//! Networked attestation throughput: in-memory vs loopback-TCP
+//! transports, campaigns, cluster fan-out and aggregated sweeps.
 //!
-//! Three questions, three measurements:
+//! Two questions, two kinds of measurement:
 //!
-//! 1. **Did the persistent worker pool pay for itself?** The fleet
-//!    verifier used to spawn one scoped thread per shard *per sweep*;
-//!    ROADMAP flagged that spawn cost as the multi-thread scaling
-//!    ceiling once PR 2 made measurement cheap. [`compare_schedulers`]
-//!    times the pool sweep against the retained `thread::scope`
-//!    baseline on identical fleets — same shards, same trust logic,
-//!    only the scheduling differs.
-//! 2. **What does the wire cost?** [`measure_transport_sweeps`] runs a
+//! 1. **What does the wire cost?** [`measure_transport_sweeps`] runs a
 //!    full protocol sweep (negotiation, challenge, report, verdict)
 //!    over the in-memory pipe — codec + session with no sockets — and
 //!    over real loopback TCP through the gateway. The gap between the
 //!    two is the socket cost; the gap to the in-process sweep is the
-//!    protocol cost.
-//! 3. **Is it recorded?** [`render_net_bench_json`] writes
-//!    `BENCH_net.json`, the perf trajectory later PRs regress against.
+//!    protocol cost. [`measure_campaigns`], [`measure_cluster_sweeps`]
+//!    and [`measure_aggregated_sweeps`] time the operator plane the
+//!    same way.
+//! 2. **Is it recorded?** [`render_net_bench_json`] writes
+//!    `BENCH_net.json`, the perf trajectory later changes regress
+//!    against.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,9 +24,9 @@ use eilid_fleet::{
     OpsError, Verifier,
 };
 use eilid_net::{
-    serve_transport, sweep_fleet_tcp_observed, sweep_fleet_tcp_windowed, sweep_fleet_windowed,
-    with_attached_fleet, with_placed_fleet, AttestationService, ClusterOps, Gateway, GatewayConfig,
-    PipeTransport, PollerBackend, RemoteOps,
+    serve_transport, sweep_fleet, with_attached_fleet, with_placed_fleet, AttestationService,
+    ClusterOps, Gateway, GatewayConfig, Histogram, PipeTransport, PollerBackend, RemoteOps,
+    TcpTransport,
 };
 use eilid_workloads::WorkloadId;
 
@@ -59,87 +55,6 @@ fn dirty_some(fleet: &mut Fleet) {
         let memory = &mut device.device_mut().cpu_mut().memory;
         let value = memory.read_byte(0xE040);
         memory.write_byte(0xE040, value);
-    }
-}
-
-/// One scheduler measurement row.
-#[derive(Debug, Clone)]
-pub struct SchedulerRow {
-    /// Devices swept.
-    pub devices: usize,
-    /// Worker threads.
-    pub threads: usize,
-    /// Best-of-N steady-state sweep throughput, devices/s.
-    pub devices_per_second: f64,
-}
-
-/// Persistent-pool vs scoped-thread sweep throughput on identical
-/// fleets.
-#[derive(Debug, Clone)]
-pub struct SchedulerComparison {
-    /// The persistent worker pool (current implementation).
-    pub pool: SchedulerRow,
-    /// The PR 2 `thread::scope` baseline (spawn per sweep).
-    pub scoped: SchedulerRow,
-}
-
-impl SchedulerComparison {
-    /// Pool throughput relative to the scoped baseline (≥ 1.0 means the
-    /// pool is no slower).
-    pub fn pool_ratio(&self) -> f64 {
-        if self.scoped.devices_per_second <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.pool.devices_per_second / self.scoped.devices_per_second
-    }
-}
-
-/// Best-of-`rounds` steady-state sweep throughput under `sweep`.
-fn best_sweep_rate(
-    fleet: &mut Fleet,
-    verifier: &mut Verifier,
-    rounds: usize,
-    mut sweep: impl FnMut(&mut Verifier, &mut Fleet) -> eilid_fleet::FleetReport,
-) -> f64 {
-    // Warm-up: key caches + merkle roots.
-    let warmup = sweep(verifier, fleet);
-    assert_eq!(
-        warmup.count(HealthClass::Attested),
-        fleet.len(),
-        "bench fleet must attest clean"
-    );
-    let mut best = 0.0f64;
-    for _ in 0..rounds {
-        dirty_some(fleet);
-        let report = sweep(verifier, fleet);
-        assert_eq!(report.count(HealthClass::Attested), fleet.len());
-        best = best.max(report.devices_per_second());
-    }
-    best
-}
-
-/// Times pool vs scoped sweeps on identical fleets (best of `rounds`
-/// steady-state sweeps each, ~1% dirtied between sweeps).
-pub fn compare_schedulers(devices: usize, threads: usize, rounds: usize) -> SchedulerComparison {
-    let (mut fleet, mut verifier) = build(devices, threads);
-    let pool_rate = best_sweep_rate(&mut fleet, &mut verifier, rounds, |v, f| v.sweep(f));
-
-    let (mut fleet, mut verifier) = build(devices, threads);
-    let scoped_rate = best_sweep_rate(&mut fleet, &mut verifier, rounds, |v, f| {
-        v.sweep_scoped_baseline(f)
-    });
-
-    SchedulerComparison {
-        pool: SchedulerRow {
-            devices,
-            threads,
-            devices_per_second: pool_rate,
-        },
-        scoped: SchedulerRow {
-            devices,
-            threads,
-            devices_per_second: scoped_rate,
-        },
     }
 }
 
@@ -208,7 +123,7 @@ pub fn measure_transport_sweeps(
         dirty_some(&mut fleet);
         let report = {
             let service = Arc::clone(&service);
-            sweep_fleet_windowed(&mut fleet, clients, window, move || {
+            sweep_fleet(&mut fleet, clients, window, None, move || {
                 let (client_end, mut server_end) = PipeTransport::pair();
                 let service = Arc::clone(&service);
                 std::thread::spawn(move || {
@@ -245,9 +160,10 @@ pub fn measure_transport_sweeps(
     let mut observed_best = 0.0f64;
     let mut p50_latency_us = 0u64;
     let mut p99_latency_us = 0u64;
+    let connect = || TcpTransport::connect(handle.addr());
     for round in 0..=rounds {
         dirty_some(&mut fleet);
-        let report = sweep_fleet_tcp_windowed(&mut fleet, clients, window, handle.addr())
+        let report = sweep_fleet(&mut fleet, clients, window, None, connect)
             .expect("loopback sweep succeeds");
         assert_eq!(report.count(HealthClass::Attested), devices);
         if round > 0 {
@@ -255,13 +171,15 @@ pub fn measure_transport_sweeps(
         }
 
         dirty_some(&mut fleet);
-        let report = sweep_fleet_tcp_observed(&mut fleet, clients, window, handle.addr())
+        let latency = Histogram::default();
+        let report = sweep_fleet(&mut fleet, clients, window, Some(&latency), connect)
             .expect("observed loopback sweep succeeds");
         assert_eq!(report.count(HealthClass::Attested), devices);
         if round > 0 && report.devices_per_second() > observed_best {
             observed_best = report.devices_per_second();
-            p50_latency_us = report.p50_latency_us().unwrap_or(0);
-            p99_latency_us = report.p99_latency_us().unwrap_or(0);
+            let latency = latency.snapshot();
+            p50_latency_us = latency.p50();
+            p99_latency_us = latency.p99();
         }
     }
     handle.shutdown().expect("gateway shuts down");
@@ -470,8 +388,8 @@ pub fn measure_campaigns(devices: usize, agents: usize) -> CampaignComparison {
     }
 }
 
-/// Aggregated (collective-attestation) vs per-device operator sweeps
-/// through the same gateway session.
+/// Aggregated (collective-attestation) operator sweeps vs the
+/// client-driven per-device sweep through the same gateway.
 #[derive(Debug, Clone)]
 pub struct AggSweepComparison {
     /// Devices swept.
@@ -482,9 +400,6 @@ pub struct AggSweepComparison {
     /// aggregate root per shard crosses the wire, the operator verifies
     /// at most `SHARD_COUNT` MACs.
     pub aggregated: TransportRow,
-    /// Gateway-driven per-device sweep (`OpSweep`) on the same attached
-    /// session — the like-for-like operator-plane comparator.
-    pub per_device: TransportRow,
     /// Client-driven per-device loopback sweep through the *same*
     /// gateway, interleaved round by round with the operator-plane
     /// sweeps so both sample the same noise environment — the baseline
@@ -510,21 +425,12 @@ impl AggSweepComparison {
         }
         self.aggregated.devices_per_second / self.client_driven.devices_per_second
     }
-
-    /// Aggregated throughput relative to the gateway-driven per-device
-    /// sweep on the same session.
-    pub fn op_ratio(&self) -> f64 {
-        if self.per_device.devices_per_second <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.aggregated.devices_per_second / self.per_device.devices_per_second
-    }
 }
 
-/// Measures aggregated vs per-device operator sweeps over loopback TCP
-/// (best of `rounds` each, alternating so both sample the same noise;
-/// one warm-up round first whose summaries must agree before any
-/// timing is trusted).
+/// Measures aggregated operator sweeps and client-driven sweeps over
+/// loopback TCP (best of `rounds` each, alternating so both sample the
+/// same noise; one warm-up round first whose summaries must agree with
+/// the console's unverified sweep before any timing is trusted).
 ///
 /// The client-driven baseline sweeps a *second*, identically-built
 /// fleet through the same gateway with `window` exchanges pipelined per
@@ -555,50 +461,42 @@ pub fn measure_aggregated_sweeps(
     .spawn();
     let addr = handle.addr();
     let client_fleet = &mut client_fleet;
-    let (agg_best, per_best, client_best, last) =
-        with_attached_fleet(&mut fleet, agents, addr, move || {
-            let mut ops = RemoteOps::connect(addr).map_err(|e| OpsError::Backend(e.to_string()))?;
-            ops.set_agg_root_key(BENCH_ROOT);
-            // Warm-up: all three paths, verdicts must agree before
-            // timing.
-            let warm_agg = ops.sweep_aggregated()?;
-            let warm_per = ops.sweep()?;
-            assert_eq!(
-                warm_agg.summary, warm_per,
-                "aggregated and per-device sweeps must classify identically"
-            );
-            assert_eq!(warm_agg.summary.count(HealthClass::Attested), devices);
-            let warm_client = sweep_fleet_tcp_windowed(client_fleet, agents, window, addr)
+    let connect = || TcpTransport::connect(addr);
+    let (agg_best, client_best, last) = with_attached_fleet(&mut fleet, agents, addr, move || {
+        let mut ops = RemoteOps::connect(addr).map_err(|e| OpsError::Backend(e.to_string()))?;
+        ops.set_agg_root_key(BENCH_ROOT);
+        // Warm-up: every path, verdicts must agree before timing.
+        let warm_agg = ops.sweep_aggregated()?;
+        let warm_summary = ops.sweep()?;
+        assert_eq!(
+            warm_agg.summary, warm_summary,
+            "verified and unverified sweeps must classify identically"
+        );
+        assert_eq!(warm_agg.summary.count(HealthClass::Attested), devices);
+        let warm_client = sweep_fleet(client_fleet, agents, window, None, connect)
+            .map_err(|e| OpsError::Backend(e.to_string()))?;
+        assert_eq!(warm_client.count(HealthClass::Attested), devices);
+        let mut agg_best = 0.0f64;
+        let mut client_best = 0.0f64;
+        let mut last = warm_agg;
+        for _ in 0..rounds {
+            let start = Instant::now();
+            let agg = ops.sweep_aggregated()?;
+            let seconds = start.elapsed().as_secs_f64().max(1e-9);
+            assert_eq!(agg.summary.count(HealthClass::Attested), devices);
+            agg_best = agg_best.max(devices as f64 / seconds);
+            last = agg;
+
+            dirty_some(client_fleet);
+            let report = sweep_fleet(client_fleet, agents, window, None, connect)
                 .map_err(|e| OpsError::Backend(e.to_string()))?;
-            assert_eq!(warm_client.count(HealthClass::Attested), devices);
-            let mut agg_best = 0.0f64;
-            let mut per_best = 0.0f64;
-            let mut client_best = 0.0f64;
-            let mut last = warm_agg;
-            for _ in 0..rounds {
-                let start = Instant::now();
-                let agg = ops.sweep_aggregated()?;
-                let seconds = start.elapsed().as_secs_f64().max(1e-9);
-                assert_eq!(agg.summary.count(HealthClass::Attested), devices);
-                agg_best = agg_best.max(devices as f64 / seconds);
-                last = agg;
-
-                let start = Instant::now();
-                let per = ops.sweep()?;
-                let seconds = start.elapsed().as_secs_f64().max(1e-9);
-                assert_eq!(per.count(HealthClass::Attested), devices);
-                per_best = per_best.max(devices as f64 / seconds);
-
-                dirty_some(client_fleet);
-                let report = sweep_fleet_tcp_windowed(client_fleet, agents, window, addr)
-                    .map_err(|e| OpsError::Backend(e.to_string()))?;
-                assert_eq!(report.count(HealthClass::Attested), devices);
-                client_best = client_best.max(report.devices_per_second());
-            }
-            Ok::<_, OpsError>((agg_best, per_best, client_best, last))
-        })
-        .expect("device agents served cleanly")
-        .expect("aggregated sweeps succeed");
+            assert_eq!(report.count(HealthClass::Attested), devices);
+            client_best = client_best.max(report.devices_per_second());
+        }
+        Ok::<_, OpsError>((agg_best, client_best, last))
+    })
+    .expect("device agents served cleanly")
+    .expect("aggregated sweeps succeed");
     handle.shutdown().expect("gateway shuts down");
 
     AggSweepComparison {
@@ -608,11 +506,6 @@ pub fn measure_aggregated_sweeps(
             devices,
             clients: agents,
             devices_per_second: agg_best,
-        },
-        per_device: TransportRow {
-            devices,
-            clients: agents,
-            devices_per_second: per_best,
         },
         client_driven: TransportRow {
             devices,
@@ -753,18 +646,15 @@ pub fn measure_cluster_sweeps(
 /// JSON object (the offline dependency set has no serde_json) extending
 /// the repo's perf trajectory to the networked path.
 pub fn render_net_bench_json(
-    schedulers: &SchedulerComparison,
     transports: &TransportComparison,
     campaigns: &CampaignComparison,
     clusters: &ClusterComparison,
     aggs: &AggSweepComparison,
 ) -> String {
     format!(
-        "{{\n  \"bench\": \"net_sweep\",\n  \"devices\": {},\n  \"threads\": {},\n  \
+        "{{\n  \"bench\": \"net_sweep\",\n  \"devices\": {},\n  \
          \"clients\": {},\n  \"connections\": {},\n  \"pipeline_window\": {},\n  \
          \"batch_size\": {},\n  \"poller_backend\": \"{}\",\n  \
-         \"pool_devices_per_second\": {:.0},\n  \
-         \"scoped_baseline_devices_per_second\": {:.0},\n  \"pool_vs_scoped_ratio\": {:.2},\n  \
          \"in_memory_transport_devices_per_second\": {:.0},\n  \
          \"loopback_tcp_devices_per_second\": {:.0},\n  \
          \"loopback_tcp_observed_devices_per_second\": {:.0},\n  \
@@ -784,22 +674,17 @@ pub fn render_net_bench_json(
          \"cluster_scaling_ratio\": {:.2},\n  \
          \"agg_sweep_devices\": {},\n  \
          \"agg_sweep_devices_per_second\": {:.0},\n  \
-         \"agg_sweep_per_device_op_devices_per_second\": {:.0},\n  \
          \"agg_client_driven_devices_per_second\": {:.0},\n  \
          \"agg_vs_loopback_ratio\": {:.2},\n  \
          \"agg_roots_verified\": {},\n  \
          \"agg_shards\": {},\n  \
          \"agg_short_circuited\": {}\n}}\n",
-        schedulers.pool.devices,
-        schedulers.pool.threads,
+        transports.in_memory.devices,
         transports.in_memory.clients,
         transports.in_memory.clients,
         transports.pipeline_window,
         transports.batch_size,
         transports.poller_backend.name(),
-        schedulers.pool.devices_per_second,
-        schedulers.scoped.devices_per_second,
-        schedulers.pool_ratio(),
         transports.in_memory.devices_per_second,
         transports.loopback.devices_per_second,
         transports.loopback_observed.devices_per_second,
@@ -821,7 +706,6 @@ pub fn render_net_bench_json(
         clusters.scaling_ratio(),
         aggs.devices,
         aggs.aggregated.devices_per_second,
-        aggs.per_device.devices_per_second,
         aggs.client_driven.devices_per_second,
         aggs.loopback_ratio(),
         aggs.roots_verified,
@@ -833,14 +717,6 @@ pub fn render_net_bench_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scheduler_comparison_is_sane() {
-        let comparison = compare_schedulers(16, 2, 1);
-        assert!(comparison.pool.devices_per_second > 0.0);
-        assert!(comparison.scoped.devices_per_second > 0.0);
-        assert!(comparison.pool_ratio() > 0.0);
-    }
 
     #[test]
     fn transport_comparison_is_sane() {
@@ -886,14 +762,12 @@ mod tests {
         let comparison = measure_aggregated_sweeps(32, 2, 4, 1);
         assert_eq!(comparison.devices, 32);
         assert!(comparison.aggregated.devices_per_second > 0.0);
-        assert!(comparison.per_device.devices_per_second > 0.0);
         assert!(comparison.roots_verified <= eilid_fleet::SHARD_COUNT);
         assert_eq!(comparison.roots_verified, comparison.shards);
         assert_eq!(
             comparison.short_circuited, 32,
             "a clean bench fleet short-circuits every verdict"
         );
-        assert!(comparison.op_ratio() > 0.0);
         assert!(comparison.client_driven.devices_per_second > 0.0);
         assert!(comparison.loopback_ratio() > 0.0);
     }
@@ -911,18 +785,6 @@ mod tests {
 
     #[test]
     fn bench_json_is_well_formed() {
-        let schedulers = SchedulerComparison {
-            pool: SchedulerRow {
-                devices: 1000,
-                threads: 4,
-                devices_per_second: 250_000.0,
-            },
-            scoped: SchedulerRow {
-                devices: 1000,
-                threads: 4,
-                devices_per_second: 240_000.0,
-            },
-        };
         let transports = TransportComparison {
             in_memory: TransportRow {
                 devices: 1000,
@@ -988,11 +850,6 @@ mod tests {
                 clients: 8,
                 devices_per_second: 34_000.0,
             },
-            per_device: TransportRow {
-                devices: 1000,
-                clients: 8,
-                devices_per_second: 30_000.0,
-            },
             client_driven: TransportRow {
                 devices: 1000,
                 clients: 8,
@@ -1002,9 +859,8 @@ mod tests {
             roots_verified: 16,
             short_circuited: 1000,
         };
-        let json = render_net_bench_json(&schedulers, &transports, &campaigns, &clusters, &aggs);
+        let json = render_net_bench_json(&transports, &campaigns, &clusters, &aggs);
         assert!(json.contains("\"bench\": \"net_sweep\""));
-        assert!(json.contains("\"pool_vs_scoped_ratio\": 1.04"));
         assert!(json.contains("\"connections\": 8"));
         assert!(json.contains("\"batch_size\": 64"));
         assert!(json.contains("\"pipeline_window\": 32"));
@@ -1025,7 +881,6 @@ mod tests {
         assert!(json.contains("\"cluster_scaling_ratio\": 1.20"));
         assert!(json.contains("\"agg_sweep_devices\": 1000"));
         assert!(json.contains("\"agg_sweep_devices_per_second\": 34000"));
-        assert!(json.contains("\"agg_sweep_per_device_op_devices_per_second\": 30000"));
         assert!(json.contains("\"agg_client_driven_devices_per_second\": 17000"));
         // 34000 aggregated over the interleaved 17000 baseline above.
         assert!(json.contains("\"agg_vs_loopback_ratio\": 2.00"));

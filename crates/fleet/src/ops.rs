@@ -209,13 +209,9 @@ pub trait FleetOps {
     ///
     /// # Errors
     ///
-    /// [`OpsError::Backend`] when the backend cannot aggregate (the
-    /// default); transport failures otherwise.
-    fn sweep_aggregated(&mut self) -> Result<AggSweepSummary, OpsError> {
-        Err(OpsError::Backend(
-            "aggregated sweep unsupported by this backend".to_string(),
-        ))
-    }
+    /// Backend failures, including an aggregate the operator cannot
+    /// verify.
+    fn sweep_aggregated(&mut self) -> Result<AggSweepSummary, OpsError>;
 
     /// Loads and validates a campaign into the backend's campaign slot,
     /// replacing a finished one. Nothing is rolled out yet.
@@ -252,11 +248,12 @@ pub trait FleetOps {
 
     /// Resumes a campaign from [`PausedCampaign`] bytes (from
     /// [`FleetOps::campaign_pause`], possibly persisted across a
-    /// process or gateway restart).
+    /// process or gateway restart), replacing a finished one.
     ///
     /// # Errors
     ///
-    /// [`OpsError::CampaignActive`] if a campaign is already loaded;
+    /// [`OpsError::CampaignActive`] if an unfinished campaign is loaded
+    /// (or, on a gateway, a paused one is retained);
     /// [`OpsError::Fleet`] for malformed bytes.
     fn campaign_resume(&mut self, paused: &[u8]) -> Result<(), OpsError>;
 
@@ -306,6 +303,16 @@ impl<'a> LocalOps<'a> {
             run: None,
         }
     }
+
+    /// A finished run only keeps its report readable; the next begin or
+    /// resume replaces it, exactly as on the gateway. An unfinished run
+    /// is refused.
+    fn refuse_unfinished(&self) -> Result<(), OpsError> {
+        if self.run.as_ref().is_some_and(|run| !run.is_finished()) {
+            return Err(OpsError::CampaignActive);
+        }
+        Ok(())
+    }
 }
 
 impl FleetOps for LocalOps<'_> {
@@ -319,11 +326,7 @@ impl FleetOps for LocalOps<'_> {
     }
 
     fn campaign_begin(&mut self, config: &CampaignConfig) -> Result<(), OpsError> {
-        // A finished run only keeps its report readable; the next
-        // campaign replaces it.
-        if self.run.as_ref().is_some_and(|run| !run.is_finished()) {
-            return Err(OpsError::CampaignActive);
-        }
+        self.refuse_unfinished()?;
         let campaign = Campaign::new(config.clone())?;
         self.run = Some(campaign.begin(self.fleet, self.verifier)?);
         Ok(())
@@ -357,9 +360,7 @@ impl FleetOps for LocalOps<'_> {
     }
 
     fn campaign_resume(&mut self, paused: &[u8]) -> Result<(), OpsError> {
-        if self.run.is_some() {
-            return Err(OpsError::CampaignActive);
-        }
+        self.refuse_unfinished()?;
         let paused = PausedCampaign::from_bytes(paused)?;
         self.run = Some(Campaign::resume(paused));
         Ok(())

@@ -4,13 +4,12 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
-use std::thread;
 use std::time::Instant;
 
 use eilid_casu::agg::{evidence_leaf, shard_agg_key, AggProof, EvidenceTree};
 use eilid_casu::{
-    AttestError, AttestationVerifier, Challenge, CryptoProvider, DeviceKey, MeasurementScheme,
-    MemoryLayout, SoftwareProvider,
+    AttestError, AttestationReport, AttestationVerifier, Challenge, CryptoProvider, DeviceKey,
+    MeasurementScheme, MemoryLayout, SoftwareProvider,
 };
 use eilid_msp430::Memory;
 use eilid_workloads::WorkloadId;
@@ -21,12 +20,6 @@ use crate::ops::{class_index, AggSweepSummary, SweepSummary};
 use crate::pool::WorkerPool;
 use crate::report::{DeviceHealth, FleetReport, HealthClass, LedgerEvent};
 use crate::rollout::RolloutKeys;
-
-/// One shard's sweep job, ready for [`WorkerPool::scope`].
-type ShardJob<'env> = (usize, Box<dyn FnOnce() -> Vec<DeviceHealth> + Send + 'env>);
-
-/// One shard's aggregated-sweep job for [`WorkerPool::scope`].
-type AggShardJob<'env> = (usize, Box<dyn FnOnce() -> ShardAggregate + Send + 'env>);
 
 /// What one shard's aggregated-sweep job produces: the signed aggregate
 /// proof over the shard's evidence tree, plus only the *suspect*
@@ -359,35 +352,88 @@ impl Verifier {
         base
     }
 
-    /// Challenges and classifies one device against `shard`'s cached
-    /// state. The report's measurement is *never* trusted from cache on
-    /// the verifier side: only keys (immutable per device) are cached;
-    /// classification always uses the fresh report.
+    /// Challenges, verifies and classifies one device against `shard`'s
+    /// cached state, with the report MAC recomputed through `provider`
+    /// (bit-compatible backends, identical verdicts). The report's
+    /// measurement is *never* trusted from cache on the verifier side:
+    /// only keys (immutable per device) are cached; classification
+    /// always uses the fresh report, which is returned next to the
+    /// verdict.
     fn check_device(
         shard: &mut SweepShard,
+        provider: &dyn CryptoProvider,
         root: &DeviceKey,
         expected: &BTreeMap<WorkloadId, MeasurementHistory>,
         nonce_base: u64,
         device: &mut SimDevice,
-    ) -> DeviceHealth {
+    ) -> (DeviceHealth, AttestationReport) {
         let key = shard.key(root, device.id());
         let verifier = AttestationVerifier::with_key(key);
         // Offset nonces so no two devices ever share one.
         let challenge = verifier.challenge_pmem(device.device().layout(), nonce_base + device.id());
         let report = device.attest(challenge);
-        let verified = verifier.verify(&challenge, &report, None);
+        let verified = verifier.verify_with(provider, &challenge, &report, None);
         let (class, error) = match expected.get(&device.cohort()) {
             Some(history) => history.classify(verified, &report.measurement),
             // A cohort this verifier never enrolled (a foreign
             // fleet): there is nothing to verify against.
             None => (HealthClass::Unverified, None),
         };
-        DeviceHealth {
+        let health = DeviceHealth {
             device: device.id(),
             cohort: device.cohort(),
             class,
             error,
+        };
+        (health, report)
+    }
+
+    /// Partitions `targets` into their stable shards (`id % SHARD_COUNT`,
+    /// ascending id within a shard — the canonical leaf order every
+    /// aggregator agrees on) and runs `job` once per non-empty shard,
+    /// with that shard's state exclusively borrowed: inline when the pool
+    /// has one worker (no channel hops — deterministic and
+    /// profiler-friendly), otherwise as one pool job per shard (shards
+    /// route to exactly one worker, so the only shared data is
+    /// read-only). Results come back in shard order.
+    fn run_shards<'env, R, F>(
+        shards: &'env mut [SweepShard],
+        pool: &WorkerPool,
+        targets: Vec<&'env mut SimDevice>,
+        job: F,
+    ) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize, &mut SweepShard, Vec<&'env mut SimDevice>) -> R + Sync,
+    {
+        let mut shard_targets: Vec<Vec<&mut SimDevice>> =
+            (0..shards.len()).map(|_| Vec::new()).collect();
+        for device in targets {
+            let shard = (device.id() % shards.len() as u64) as usize;
+            shard_targets[shard].push(device);
         }
+        for targets in &mut shard_targets {
+            targets.sort_by_key(|device| device.id());
+        }
+        let work = shards
+            .iter_mut()
+            .zip(shard_targets)
+            .enumerate()
+            .filter(|(_, (_, targets))| !targets.is_empty());
+        if pool.workers() == 1 {
+            return work
+                .map(|(index, (shard, targets))| job(index, shard, targets))
+                .collect();
+        }
+        let job = &job;
+        let jobs: Vec<(usize, Box<dyn FnOnce() -> R + Send + '_>)> = work
+            .map(|(index, (shard, targets))| {
+                let run: Box<dyn FnOnce() -> R + Send + '_> =
+                    Box::new(move || job(index, shard, targets));
+                (index, run)
+            })
+            .collect();
+        pool.scope(jobs)
     }
 
     /// Issues one batched attestation sweep across the whole fleet.
@@ -413,70 +459,40 @@ impl Verifier {
     /// batches, not the configured count.
     pub fn sweep_devices(&mut self, fleet: &mut Fleet, ids: &[DeviceId]) -> FleetReport {
         let nonce_base = self.reserve_challenge_nonces(ids);
-        let shard_count = self.shards.len();
-        let scheme = self.scheme;
-
-        // Partition the targets into stable shards, so each device lands
-        // in the same shard (same key cache) every sweep.
-        let mut shard_targets: Vec<Vec<&mut SimDevice>> =
-            (0..shard_count).map(|_| Vec::new()).collect();
         let targets = fleet.devices_by_ids_mut(ids);
         let challenged: BTreeSet<DeviceId> = targets.iter().map(|d| d.id()).collect();
-        for device in targets {
-            let shard = (device.id() % shard_count as u64) as usize;
-            shard_targets[shard].push(device);
-        }
-        let threads = shard_targets
+        let threads = challenged
             .iter()
-            .enumerate()
-            .filter(|(_, targets)| !targets.is_empty())
-            .map(|(shard, _)| self.pool.worker_of(shard))
+            .map(|id| self.pool.worker_of((id % SHARD_COUNT as u64) as usize))
             .collect::<BTreeSet<usize>>()
             .len()
             .max(1);
 
         let start = Instant::now();
-        let root = &self.root;
-        let expected = &self.expected;
-        let mut healths: Vec<DeviceHealth> = if self.pool.workers() == 1 {
-            // Single-worker sweeps run inline: same shard state, no
-            // channel hops — deterministic and profiler-friendly.
-            self.shards
-                .iter_mut()
-                .zip(shard_targets)
-                .flat_map(|(shard, targets)| {
-                    targets
-                        .into_iter()
-                        .map(|device| Self::check_device(shard, root, expected, nonce_base, device))
-                        .collect::<Vec<DeviceHealth>>()
-                })
-                .collect()
-        } else {
-            // One pool job per non-empty shard; each job exclusively
-            // owns its shard state (shards route to exactly one worker),
-            // so the only shared data is read-only.
-            let jobs: Vec<ShardJob<'_>> = self
-                .shards
-                .iter_mut()
-                .zip(shard_targets)
-                .enumerate()
-                .filter(|(_, (_, targets))| !targets.is_empty())
-                .map(|(index, (shard, targets))| {
-                    let job: Box<dyn FnOnce() -> Vec<DeviceHealth> + Send + '_> =
-                        Box::new(move || {
-                            targets
-                                .into_iter()
-                                .map(|device| {
-                                    Self::check_device(shard, root, expected, nonce_base, device)
-                                })
-                                .collect()
-                        });
-                    (index, job)
-                })
-                .collect();
-            self.pool.scope(jobs).into_iter().flatten().collect()
-        };
+        let (root, expected) = (&self.root, &self.expected);
+        let per_shard = Self::run_shards(
+            &mut self.shards,
+            &self.pool,
+            targets,
+            |_, shard, targets| {
+                targets
+                    .into_iter()
+                    .map(|device| {
+                        Self::check_device(
+                            shard,
+                            &SoftwareProvider,
+                            root,
+                            expected,
+                            nonce_base,
+                            device,
+                        )
+                        .0
+                    })
+                    .collect::<Vec<DeviceHealth>>()
+            },
+        );
         let elapsed = start.elapsed();
+        let mut healths: Vec<DeviceHealth> = per_shard.into_iter().flatten().collect();
         // Shard partitioning interleaves ids; reports stay in id order.
         healths.sort_by_key(|h| h.device);
 
@@ -501,42 +517,8 @@ impl Verifier {
             missing,
             elapsed,
             threads,
-            scheme,
+            scheme: self.scheme,
         }
-    }
-
-    /// Challenges, verifies and classifies one device exactly as
-    /// [`Verifier::check_device`] does — same challenge-nonce rule,
-    /// same classification — additionally digesting the evidence leaf
-    /// the shard's aggregation tree is built over. Verification routes
-    /// through `provider` (bit-compatible backends, identical verdicts).
-    fn check_device_evidence(
-        shard: &mut SweepShard,
-        provider: &dyn CryptoProvider,
-        root: &DeviceKey,
-        expected: &BTreeMap<WorkloadId, MeasurementHistory>,
-        nonce_base: u64,
-        device: &mut SimDevice,
-    ) -> (DeviceHealth, [u8; 32]) {
-        let key = shard.key(root, device.id());
-        let verifier = AttestationVerifier::with_key(key);
-        let challenge = verifier.challenge_pmem(device.device().layout(), nonce_base + device.id());
-        let report = device.attest(challenge);
-        let verified = verifier.verify_with(provider, &challenge, &report, None);
-        let (class, error) = match expected.get(&device.cohort()) {
-            Some(history) => history.classify(verified, &report.measurement),
-            None => (HealthClass::Unverified, None),
-        };
-        let leaf = evidence_leaf(provider, device.id(), &report);
-        (
-            DeviceHealth {
-                device: device.id(),
-                cohort: device.cohort(),
-                class,
-                error,
-            },
-            leaf,
-        )
     }
 
     /// Runs one shard of an aggregated sweep: verify every device,
@@ -558,13 +540,13 @@ impl Verifier {
         let mut suspects = Vec::new();
         let mut leaves = Vec::with_capacity(devices);
         for device in targets {
-            let (health, leaf) =
-                Self::check_device_evidence(shard, provider, root, expected, epoch, device);
+            let (health, report) =
+                Self::check_device(shard, provider, root, expected, epoch, device);
+            leaves.push(evidence_leaf(provider, health.device, &report));
             counts[class_index(health.class)] += 1;
             if health.class != HealthClass::Attested {
                 suspects.push(health);
             }
-            leaves.push(leaf);
         }
         let tree = EvidenceTree::from_leaves(provider, &leaves);
         let key = shard_agg_key(provider, root.as_bytes(), index as u16);
@@ -611,68 +593,17 @@ impl Verifier {
         ids: &[DeviceId],
     ) -> AggSweepSummary {
         let epoch = self.reserve_challenge_nonces(ids);
-        let shard_count = self.shards.len();
-        let provider = Arc::clone(&self.provider);
-        let provider_ref: &dyn CryptoProvider = provider.as_ref();
-
-        let mut shard_targets: Vec<Vec<&mut SimDevice>> =
-            (0..shard_count).map(|_| Vec::new()).collect();
-        for device in fleet.devices_by_ids_mut(ids) {
-            let shard = (device.id() % shard_count as u64) as usize;
-            shard_targets[shard].push(device);
-        }
-        // Canonical leaf order inside a shard is ascending device id —
-        // every aggregator (local, gateway, cluster) must agree on it
-        // for roots to be comparable.
-        for targets in &mut shard_targets {
-            targets.sort_by_key(|device| device.id());
-        }
-
-        let root = &self.root;
-        let expected = &self.expected;
-        let aggregates: Vec<ShardAggregate> = if self.pool.workers() == 1 {
-            self.shards
-                .iter_mut()
-                .zip(shard_targets)
-                .enumerate()
-                .filter(|(_, (_, targets))| !targets.is_empty())
-                .map(|(index, (shard, targets))| {
-                    Self::aggregate_shard(
-                        index,
-                        shard,
-                        targets,
-                        provider_ref,
-                        root,
-                        expected,
-                        epoch,
-                    )
-                })
-                .collect()
-        } else {
-            let jobs: Vec<AggShardJob<'_>> = self
-                .shards
-                .iter_mut()
-                .zip(shard_targets)
-                .enumerate()
-                .filter(|(_, (_, targets))| !targets.is_empty())
-                .map(|(index, (shard, targets))| {
-                    let job: Box<dyn FnOnce() -> ShardAggregate + Send + '_> =
-                        Box::new(move || {
-                            Self::aggregate_shard(
-                                index,
-                                shard,
-                                targets,
-                                provider_ref,
-                                root,
-                                expected,
-                                epoch,
-                            )
-                        });
-                    (index, job)
-                })
-                .collect();
-            self.pool.scope(jobs)
-        };
+        let provider_ref: &dyn CryptoProvider = &*self.provider;
+        let (root, expected) = (&self.root, &self.expected);
+        let targets = fleet.devices_by_ids_mut(ids);
+        let aggregates = Self::run_shards(
+            &mut self.shards,
+            &self.pool,
+            targets,
+            |index, shard, targets| {
+                Self::aggregate_shard(index, shard, targets, provider_ref, root, expected, epoch)
+            },
+        );
 
         // Operator-side assembly: one MAC verification per shard
         // aggregate covers its whole clean population; per-device
@@ -723,99 +654,8 @@ impl Verifier {
             fleet_root,
         }
     }
-
-    /// The PR 2 sweep strategy — `thread::scope` with per-sweep thread
-    /// spawning — kept verbatim as the benchmark baseline the persistent
-    /// pool is measured against (`BENCH_net.json`). Identical trust
-    /// logic and shard state; only the scheduling differs.
-    #[doc(hidden)]
-    pub fn sweep_scoped_baseline(&mut self, fleet: &mut Fleet) -> FleetReport {
-        let ids: Vec<DeviceId> = fleet.devices().iter().map(|d| d.id()).collect();
-        let nonce_base = self.reserve_challenge_nonces(&ids);
-        let shard_count = self.shards.len();
-        let scheme = self.scheme;
-        let workers = self.pool.workers().max(1);
-
-        let mut shard_targets: Vec<Vec<&mut SimDevice>> =
-            (0..shard_count).map(|_| Vec::new()).collect();
-        for device in fleet.devices_by_ids_mut(&ids) {
-            let shard = (device.id() % shard_count as u64) as usize;
-            shard_targets[shard].push(device);
-        }
-
-        let start = Instant::now();
-        let root = &self.root;
-        let expected = &self.expected;
-        // Group the stable shards into one chunk per worker, exactly as
-        // the pool routes them, then spawn a scoped thread per chunk —
-        // paying the per-sweep spawn/join cost the pool eliminates.
-        let mut chunks: Vec<Vec<(&mut SweepShard, Vec<&mut SimDevice>)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (index, (shard, targets)) in self.shards.iter_mut().zip(shard_targets).enumerate() {
-            if !targets.is_empty() {
-                chunks[index % workers].push((shard, targets));
-            }
-        }
-        let mut healths: Vec<DeviceHealth> = if workers == 1 {
-            chunks
-                .pop()
-                .expect("one chunk")
-                .into_iter()
-                .flat_map(|(shard, targets)| {
-                    targets
-                        .into_iter()
-                        .map(|device| Self::check_device(shard, root, expected, nonce_base, device))
-                        .collect::<Vec<DeviceHealth>>()
-                })
-                .collect()
-        } else {
-            thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .filter(|chunk| !chunk.is_empty())
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk
-                                .into_iter()
-                                .flat_map(|(shard, targets)| {
-                                    targets
-                                        .into_iter()
-                                        .map(|device| {
-                                            Self::check_device(
-                                                shard, root, expected, nonce_base, device,
-                                            )
-                                        })
-                                        .collect::<Vec<DeviceHealth>>()
-                                })
-                                .collect::<Vec<DeviceHealth>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|handle| handle.join().expect("sweep shard thread panicked"))
-                    .collect()
-            })
-        };
-        let elapsed = start.elapsed();
-        healths.sort_by_key(|h| h.device);
-        for health in &healths {
-            if health.class != HealthClass::Attested {
-                fleet.ledger_mut().record(LedgerEvent::AttestationFlagged {
-                    device: health.device,
-                    class: health.class,
-                });
-            }
-        }
-        FleetReport {
-            devices: healths,
-            missing: Vec::new(),
-            elapsed,
-            threads: workers,
-            scheme,
-        }
-    }
 }
+
 /// In-process campaigns draw keys and probe challenges from the
 /// verifier.
 impl RolloutKeys for Verifier {

@@ -23,14 +23,14 @@
 //!   lockstep mode.
 
 use std::collections::{HashMap, VecDeque};
-use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+use eilid_fleet::ops::class_index;
 use eilid_fleet::{DeviceId, Fleet, HealthClass, SimDevice};
 
 use crate::error::NetError;
 use crate::service::health_from_wire;
-use crate::transport::{TcpTransport, Transport};
+use crate::transport::Transport;
 use crate::wire::{ErrorCode, Frame, PROTOCOL_VERSION};
 
 /// How many times an exchange shed with a `Busy` error is restarted
@@ -158,36 +158,15 @@ impl<T: Transport> DeviceClient<T> {
     /// any burst that shed work without delivering a verdict — the
     /// saturation signal).
     ///
+    /// With `latency` set, each device's exchange latency (request
+    /// issued → verdict received, in microseconds) is recorded into it;
+    /// without, the pipeline stamps nothing.
+    ///
     /// # Errors
     ///
     /// [`NetError::Protocol`] for non-retryable gateway errors (or
     /// `Busy` past the retry budget); transport errors pass through.
     pub fn attest_batch(
-        &mut self,
-        devices: &mut [SimDevice],
-        window: usize,
-    ) -> Result<Vec<(DeviceId, HealthClass)>, NetError> {
-        self.attest_batch_inner(devices, window, None)
-    }
-
-    /// [`DeviceClient::attest_batch`] with per-device exchange latency
-    /// (request issued → verdict received, in microseconds) recorded
-    /// into `latency`. The unobserved path carries no timing overhead —
-    /// observation is strictly opt-in.
-    ///
-    /// # Errors
-    ///
-    /// As [`DeviceClient::attest_batch`].
-    pub fn attest_batch_observed(
-        &mut self,
-        devices: &mut [SimDevice],
-        window: usize,
-        latency: &eilid_obs::Histogram,
-    ) -> Result<Vec<(DeviceId, HealthClass)>, NetError> {
-        self.attest_batch_inner(devices, window, Some(latency))
-    }
-
-    fn attest_batch_inner(
         &mut self,
         devices: &mut [SimDevice],
         window: usize,
@@ -325,10 +304,6 @@ pub struct NetSweepReport {
     pub elapsed: Duration,
     /// Concurrent client connections used.
     pub clients: usize,
-    /// Per-exchange latency distribution (request issued → verdict
-    /// received, µs) across every client — present only on the
-    /// `_observed` sweep variants; the bare sweeps stamp nothing.
-    pub latency: Option<eilid_obs::HistogramSnapshot>,
 }
 
 impl NetSweepReport {
@@ -345,103 +320,32 @@ impl NetSweepReport {
         }
         self.devices as f64 / secs
     }
-
-    /// Median per-exchange latency in µs (observed sweeps only).
-    pub fn p50_latency_us(&self) -> Option<u64> {
-        self.latency.as_ref().map(|hist| hist.p50())
-    }
-
-    /// 99th-percentile per-exchange latency in µs (observed sweeps
-    /// only).
-    pub fn p99_latency_us(&self) -> Option<u64> {
-        self.latency.as_ref().map(|hist| hist.p99())
-    }
-}
-
-fn class_index(class: HealthClass) -> usize {
-    match class {
-        HealthClass::Attested => 0,
-        HealthClass::Stale => 1,
-        HealthClass::Tampered => 2,
-        HealthClass::Unverified => 3,
-    }
 }
 
 /// Drives a full-fleet attestation sweep over `clients` concurrent
 /// transports (one [`DeviceClient`] each, devices partitioned evenly),
-/// using `make_transport` to open each connection and the default
-/// pipelining window ([`DEFAULT_PIPELINE_WINDOW`]).
+/// opening each connection with `connect` — over TCP, pass
+/// `|| TcpTransport::connect(addr)`. Each connection keeps up to
+/// `window` exchanges in flight ([`DEFAULT_PIPELINE_WINDOW`] is the
+/// usual choice; `1` degrades to lockstep exchanges through the same
+/// pipeline). With `latency` set, every client records each exchange's
+/// request → verdict time into it (the cells are atomic, so the clients
+/// share one histogram without locks).
 ///
 /// # Errors
 ///
 /// The first transport/protocol error aborts the sweep.
-pub fn sweep_fleet_over<T, F>(
-    fleet: &mut Fleet,
-    clients: usize,
-    make_transport: F,
-) -> Result<NetSweepReport, NetError>
-where
-    T: Transport + Send,
-    F: Fn() -> Result<T, NetError> + Sync,
-{
-    sweep_fleet_windowed(fleet, clients, DEFAULT_PIPELINE_WINDOW, make_transport)
-}
-
-/// [`sweep_fleet_over`] with an explicit pipelining window: exchanges
-/// in flight per connection. `window == 1` degrades to lockstep
-/// exchanges (through the same pipelined engine).
-///
-/// # Errors
-///
-/// The first transport/protocol error aborts the sweep.
-pub fn sweep_fleet_windowed<T, F>(
+pub fn sweep_fleet<T, F>(
     fleet: &mut Fleet,
     clients: usize,
     window: usize,
-    make_transport: F,
+    latency: Option<&eilid_obs::Histogram>,
+    connect: F,
 ) -> Result<NetSweepReport, NetError>
 where
     T: Transport + Send,
     F: Fn() -> Result<T, NetError> + Sync,
 {
-    sweep_fleet_inner(fleet, clients, window, make_transport, false)
-}
-
-/// [`sweep_fleet_windowed`] with per-exchange latency observation: the
-/// report's `latency` histogram aggregates request→verdict times across
-/// every client connection (this is what stamps p50/p99 into the
-/// transport benchmarks).
-///
-/// # Errors
-///
-/// The first transport/protocol error aborts the sweep.
-pub fn sweep_fleet_windowed_observed<T, F>(
-    fleet: &mut Fleet,
-    clients: usize,
-    window: usize,
-    make_transport: F,
-) -> Result<NetSweepReport, NetError>
-where
-    T: Transport + Send,
-    F: Fn() -> Result<T, NetError> + Sync,
-{
-    sweep_fleet_inner(fleet, clients, window, make_transport, true)
-}
-
-fn sweep_fleet_inner<T, F>(
-    fleet: &mut Fleet,
-    clients: usize,
-    window: usize,
-    make_transport: F,
-    observe: bool,
-) -> Result<NetSweepReport, NetError>
-where
-    T: Transport + Send,
-    F: Fn() -> Result<T, NetError> + Sync,
-{
-    // One histogram shared by every client thread (the cells are
-    // atomic, so concurrent recording needs no locks).
-    let latency = observe.then(eilid_obs::Histogram::default);
     let devices = fleet.devices_mut();
     let total = devices.len();
     let clients = clients.clamp(1, total.max(1));
@@ -457,11 +361,10 @@ where
             let handles: Vec<_> = devices
                 .chunks_mut(chunk)
                 .map(|batch| {
-                    let make_transport = &make_transport;
-                    let latency = latency.as_ref();
+                    let connect = &connect;
                     scope.spawn(move || {
-                        let mut client = DeviceClient::connect(make_transport()?)?;
-                        let verdicts = client.attest_batch_inner(batch, window, latency)?;
+                        let mut client = DeviceClient::connect(connect()?)?;
+                        let verdicts = client.attest_batch(batch, window, latency)?;
                         let _ = client.bye();
                         Ok(verdicts)
                     })
@@ -490,48 +393,5 @@ where
         flagged,
         elapsed: start.elapsed(),
         clients,
-        latency: latency.map(|hist| hist.snapshot()),
     })
-}
-
-/// [`sweep_fleet_over`] specialised to loopback/remote TCP.
-///
-/// # Errors
-///
-/// The first connection or protocol error aborts the sweep.
-pub fn sweep_fleet_tcp(
-    fleet: &mut Fleet,
-    clients: usize,
-    addr: SocketAddr,
-) -> Result<NetSweepReport, NetError> {
-    sweep_fleet_over(fleet, clients, || TcpTransport::connect(addr))
-}
-
-/// [`sweep_fleet_windowed`] specialised to loopback/remote TCP.
-///
-/// # Errors
-///
-/// The first connection or protocol error aborts the sweep.
-pub fn sweep_fleet_tcp_windowed(
-    fleet: &mut Fleet,
-    clients: usize,
-    window: usize,
-    addr: SocketAddr,
-) -> Result<NetSweepReport, NetError> {
-    sweep_fleet_windowed(fleet, clients, window, || TcpTransport::connect(addr))
-}
-
-/// [`sweep_fleet_windowed_observed`] specialised to loopback/remote
-/// TCP.
-///
-/// # Errors
-///
-/// The first connection or protocol error aborts the sweep.
-pub fn sweep_fleet_tcp_observed(
-    fleet: &mut Fleet,
-    clients: usize,
-    window: usize,
-    addr: SocketAddr,
-) -> Result<NetSweepReport, NetError> {
-    sweep_fleet_windowed_observed(fleet, clients, window, || TcpTransport::connect(addr))
 }

@@ -291,17 +291,7 @@ impl ClusterOps {
         ),
         OpsError,
     > {
-        let started = Instant::now();
-        let results = fan_out(&mut self.consoles, |_| true, |_, console| console.metrics());
-        self.fan_out_us.record_duration_us(started.elapsed());
-        let mut parts = Vec::with_capacity(results.len());
-        for (gateway, result) in results.into_iter().enumerate() {
-            parts.push(
-                result
-                    .expect("all selected")
-                    .map_err(|e| at_gateway(gateway, e))?,
-            );
-        }
+        let parts = self.fan_out_all(RemoteOps::metrics)?;
         let mut merged = eilid_obs::RegistrySnapshot::empty();
         for part in &parts {
             merged.merge(part);
@@ -314,6 +304,27 @@ impl ClusterOps {
     /// those come from [`ClusterOps::metrics`].
     pub fn local_metrics(&self) -> eilid_obs::RegistrySnapshot {
         self.obs.snapshot()
+    }
+
+    /// Runs `f` on every gateway's console concurrently and records
+    /// the fan-out latency. Returns the results in placement order, or
+    /// the first failure, named by gateway index.
+    fn fan_out_all<R: Send>(
+        &mut self,
+        f: impl Fn(&mut RemoteOps<TcpTransport>) -> Result<R, OpsError> + Sync,
+    ) -> Result<Vec<R>, OpsError> {
+        let started = Instant::now();
+        let results = fan_out(&mut self.consoles, |_| true, |_, console| f(console));
+        self.fan_out_us.record_duration_us(started.elapsed());
+        results
+            .into_iter()
+            .enumerate()
+            .map(|(gateway, result)| {
+                result
+                    .expect("all selected")
+                    .map_err(|e| at_gateway(gateway, e))
+            })
+            .collect()
     }
 
     /// Checkpoints one console in a single round trip: the gateway
@@ -333,36 +344,11 @@ impl ClusterOps {
 
 impl FleetOps for ClusterOps {
     fn sweep(&mut self) -> Result<SweepSummary, OpsError> {
-        let started = Instant::now();
-        let results = fan_out(&mut self.consoles, |_| true, |_, console| console.sweep());
-        self.fan_out_us.record_duration_us(started.elapsed());
-        let mut parts = Vec::with_capacity(results.len());
-        for (gateway, result) in results.into_iter().enumerate() {
-            parts.push(
-                result
-                    .expect("all selected")
-                    .map_err(|e| at_gateway(gateway, e))?,
-            );
-        }
-        Ok(merge_sweeps(&parts))
+        Ok(merge_sweeps(&self.fan_out_all(RemoteOps::sweep)?))
     }
 
     fn sweep_aggregated(&mut self) -> Result<AggSweepSummary, OpsError> {
-        let started = Instant::now();
-        let results = fan_out(
-            &mut self.consoles,
-            |_| true,
-            |_, console| console.sweep_aggregated(),
-        );
-        self.fan_out_us.record_duration_us(started.elapsed());
-        let mut parts = Vec::with_capacity(results.len());
-        for (gateway, result) in results.into_iter().enumerate() {
-            parts.push(
-                result
-                    .expect("all selected")
-                    .map_err(|e| at_gateway(gateway, e))?,
-            );
-        }
+        let parts = self.fan_out_all(RemoteOps::sweep_aggregated)?;
         // Each console verified its own gateway's aggregate MACs; the
         // cluster merge folds the per-gateway shard roots (in pinned
         // gateway order) into one fleet root — O(gateways) operator
@@ -565,18 +551,7 @@ impl FleetOps for ClusterOps {
     }
 
     fn health(&mut self) -> Result<OpsHealth, OpsError> {
-        let started = Instant::now();
-        let results = fan_out(&mut self.consoles, |_| true, |_, console| console.health());
-        self.fan_out_us.record_duration_us(started.elapsed());
-        let mut parts = Vec::with_capacity(results.len());
-        for (gateway, result) in results.into_iter().enumerate() {
-            parts.push(
-                result
-                    .expect("all selected")
-                    .map_err(|e| at_gateway(gateway, e))?,
-            );
-        }
-        Ok(merge_health(&parts))
+        Ok(merge_health(&self.fan_out_all(RemoteOps::health)?))
     }
 }
 

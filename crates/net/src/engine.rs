@@ -33,11 +33,13 @@
 //! through a backoff) — backpressure is a scheduling signal, not a
 //! health verdict. Rollback passes stream the same way.
 //!
-//! Sweeps (`OpSweep`, `OpAggSweep`) share one probe exchange: every
-//! probe is pushed at once, `Busy` sheds go through the same retry heap,
-//! and the idle deadline extends on progress. Each burst of replies is
-//! verified the moment it lands, so the gateway's MAC checks overlap
-//! the agents' attestation instead of following it.
+//! The one sweep verb, `OpAggSweep`, is one probe exchange: every probe
+//! is pushed at once, `Busy` sheds go through the same retry heap, and
+//! the idle deadline extends on progress. Each burst of replies is
+//! verified and hashed into evidence leaves the moment it lands, so the
+//! gateway's MAC checks and leaf hashes overlap the agents' attestation;
+//! only the shard trees' interior nodes and at most `SHARD_COUNT` root
+//! MACs follow the last reply.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -175,8 +177,8 @@ struct CampaignSlot {
 type SweepChallenges = BTreeMap<DeviceId, (WorkloadId, Challenge)>;
 
 /// One sweep's verdicts, filled as probe replies land: each answering
-/// device's class and the report it was drawn from.
-type SweepVerdicts = HashMap<DeviceId, (HealthClass, AttestationReport)>;
+/// device's class and the evidence leaf of the report it was drawn from.
+type SweepVerdicts = HashMap<DeviceId, (HealthClass, [u8; 32])>;
 
 /// The engine proper: one per gateway, on its own thread.
 pub(crate) struct OpsEngine {
@@ -365,7 +367,6 @@ impl OpsEngine {
                 self.send(conn, status);
             }
             Frame::CampaignControl { cohort, op } => self.handle_control(conn, cohort, op),
-            Frame::OpSweep => self.handle_sweep(conn),
             Frame::OpAggSweep => self.handle_agg_sweep(conn),
             Frame::OpHealth => {
                 let attached = self.registry.lock().expect("registry lock").len() as u32;
@@ -624,15 +625,17 @@ impl OpsEngine {
     /// burst of replies the moment it lands, while the agents are still
     /// attesting the rest: one [`AttestationService::verify_batch`] per
     /// burst, sorted by key shard so each burst takes the cohort lock
-    /// once and each shard lock once. Returns the verdict and report of
-    /// every device that answered, plus when the last reply landed. A
-    /// device absent from the verdicts lost or shed its probe.
+    /// once and each shard lock once, then each report hashed into its
+    /// [`evidence_leaf`]. Returns the verdict and leaf of every device
+    /// that answered, plus when the last reply landed. A device absent
+    /// from the verdicts lost or shed its probe.
     fn probe_and_verify(
         &mut self,
         challenges: &SweepChallenges,
         requests: Vec<(DeviceId, Frame)>,
     ) -> (SweepVerdicts, Option<Instant>) {
         let service = Arc::clone(&self.service);
+        let provider = Arc::clone(service.provider());
         let mut verdicts = SweepVerdicts::with_capacity(challenges.len());
         let mut tasks: Vec<VerifyTask> = Vec::new();
         let last_reply = self.exchange(requests, |burst| {
@@ -648,7 +651,8 @@ impl OpsEngine {
             }));
             tasks.sort_by_key(|task| task.device % SHARD_COUNT as u64);
             for (task, (class, _)) in tasks.iter().zip(service.verify_batch(&tasks)) {
-                verdicts.insert(task.device, (class, task.report));
+                let leaf = evidence_leaf(&*provider, task.device, &task.report);
+                verdicts.insert(task.device, (class, leaf));
             }
         });
         (verdicts, last_reply)
@@ -674,40 +678,12 @@ impl OpsEngine {
     }
 
     /// Gateway-driven sweep: push an attest-only probe to every attached
-    /// device, verify and classify exactly as the in-process verifier
-    /// would (same keys, same golden histories, same classification
-    /// rule).
-    fn handle_sweep(&mut self, conn: u64) {
-        let started = Instant::now();
-        let (challenges, requests) = self.sweep_requests();
-        let (verdicts, last_reply) = self.probe_and_verify(&challenges, requests);
-        let mut counts = [0u32; 4];
-        let mut flagged = Vec::new();
-        for device in challenges.keys() {
-            // A lost or shed probe is a failed verification, not a
-            // silent omission.
-            let class = verdicts
-                .get(device)
-                .map_or(HealthClass::Unverified, |(class, _)| *class);
-            counts[class_index(class)] += 1;
-            if class != HealthClass::Attested {
-                flagged.push((*device, health_to_wire(class)));
-            }
-        }
-        let result = Frame::OpSweepResult {
-            devices: challenges.len() as u32,
-            counts,
-            flagged,
-        };
-        self.send_sweep_result(conn, result, started, last_reply);
-    }
-
-    /// Gateway-driven *aggregated* sweep: probe and verify every
-    /// attached device exactly as [`handle_sweep`](Self::handle_sweep)
-    /// does, but instead of shipping a per-device verdict list, fold
-    /// each shard's evidence into an [`EvidenceTree`] and publish one
-    /// MAC'd [`AggProof`] per shard. The operator verifies at most
-    /// [`SHARD_COUNT`] aggregate MACs; only non-Attested devices (and
+    /// device and verify and classify each reply exactly as the
+    /// in-process verifier would (same keys, same golden histories, same
+    /// classification rule). Instead of shipping a per-device verdict
+    /// list, fold each shard's evidence into an [`EvidenceTree`] and
+    /// publish one MAC'd [`AggProof`] per shard. The operator verifies
+    /// at most [`SHARD_COUNT`] aggregate MACs; only non-Attested devices (and
     /// lost probes) appear individually, in the suspect list. Every
     /// per-device report MAC is still verified *here*, at the gateway —
     /// aggregation compresses the operator's work and the result frame,
@@ -744,8 +720,8 @@ impl OpsEngine {
             let mut leaves = Vec::with_capacity(members.len());
             for device in members {
                 let class = match verdicts.get(device) {
-                    Some((class, report)) => {
-                        leaves.push(evidence_leaf(&*provider, *device, report));
+                    Some((class, leaf)) => {
+                        leaves.push(*leaf);
                         *class
                     }
                     // A lost or shed probe is a failed verification; its

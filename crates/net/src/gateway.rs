@@ -55,7 +55,7 @@ use crate::poller::{
     Event, IdleBackoff, Interest, Poller, PollerBackend, PollerChoice, WaitOutcome, Waker,
 };
 use crate::service::{AttestationService, Session, SessionOutput, VerifyTask};
-use crate::wire::{ErrorCode, Frame, FrameDecoder};
+use crate::wire::{ErrorCode, Frame, FrameDecoder, WireError};
 
 /// Token the listening socket is registered under (connection ids count
 /// up from 0 and cannot collide in any realistic process lifetime).
@@ -793,14 +793,25 @@ impl Gateway {
                     }
                 }
                 Ok(None) => break,
-                Err(_wire) => {
+                Err(wire) => {
                     // Framing can't be trusted anymore; drop the peer —
                     // but replies already decoded this pass are good.
                     Self::flush_device_replies(&mut device_replies, ctx);
                     ctx.counters
                         .malformed_streams
                         .fetch_add(1, Ordering::Relaxed);
-                    conn.dead = true;
+                    if let WireError::UnknownFrameType(_) = wire {
+                        // A well-formed header naming a retired or unknown
+                        // frame type: tell the peer why before closing,
+                        // so it fails with a typed error, not a bare EOF.
+                        ctx.metrics.count_reject(ErrorCode::Unsupported);
+                        conn.queue(&Frame::Error {
+                            code: ErrorCode::Unsupported,
+                        });
+                        conn.closing = true;
+                    } else {
+                        conn.dead = true;
+                    }
                     return true;
                 }
             }

@@ -41,8 +41,7 @@
 //!   lock-free), scrapeable over the wire via [`Frame::OpMetrics`]
 //!   and mergeable across a cluster.
 //! * [`client`] — the device half ([`DeviceClient`]) plus
-//!   [`sweep_fleet_over`]/[`sweep_fleet_tcp`] (and their `_windowed`
-//!   variants): full-fleet attestation sweeps over real loopback
+//!   [`sweep_fleet`]: full-fleet attestation sweeps over real loopback
 //!   sockets or the in-memory [`PipeTransport`], with one connection
 //!   multiplexing many devices (the edge-aggregator shape) and a
 //!   configurable pipelining window per connection.
@@ -82,11 +81,10 @@ pub mod transport;
 pub mod wire;
 
 pub use client::{
-    sweep_fleet_over, sweep_fleet_tcp, sweep_fleet_tcp_observed, sweep_fleet_tcp_windowed,
-    sweep_fleet_windowed, sweep_fleet_windowed_observed, DeviceClient, NetSweepReport,
-    BUSY_RETRIES, DEFAULT_PIPELINE_WINDOW,
+    sweep_fleet, DeviceClient, NetSweepReport, BUSY_RETRIES, DEFAULT_PIPELINE_WINDOW,
 };
 pub use cluster::{with_placed_fleet, ClusterOps, GatewayLauncher, Placement, Supervisor};
+pub use eilid_obs::Histogram;
 pub use engine::ENGINE_BUSY_RETRIES;
 pub use error::NetError;
 pub use gateway::{Gateway, GatewayConfig, GatewayCounters, GatewayHandle};

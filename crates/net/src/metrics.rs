@@ -136,8 +136,8 @@ pub struct NetMetrics {
     /// gone (its frame channel closed): the sweep's devices end
     /// `Unverified` at once instead of idling out the timeout.
     pub engine_reactor_lost: Counter,
-    /// Engine wall time per gateway-driven sweep (`OpSweep` and
-    /// `OpAggSweep`), challenge mint to result sent, in µs.
+    /// Engine wall time per gateway-driven sweep (`OpAggSweep`),
+    /// challenge mint to result sent, in µs.
     pub sweep_us: Histogram,
     /// Per sweep, µs from the last accepted probe reply to the result
     /// being sent: the verification and merge work that did not
@@ -155,7 +155,8 @@ pub struct NetMetrics {
     /// Update bytes actually shipped on the wire (delta segments, or
     /// the full image when delta is disabled or falls back).
     pub update_bytes_wire: Counter,
-    /// Aggregated (`OpAggSweep`) sweeps the engine has served.
+    /// Sweeps the engine has served (`OpAggSweep`, the gateway's one
+    /// sweep verb, so this counts every gateway sweep).
     pub agg_sweeps: Counter,
     /// Shard aggregate roots the engine has signed and published.
     pub agg_roots_published: Counter,

@@ -5,7 +5,7 @@
 //!
 //! * [`RemoteOps`] — the operator console. It implements
 //!   [`eilid_fleet::FleetOps`] by translating each call into operator
-//!   frames (`OpBegin`/`OpStep`/`CampaignControl`/`OpSweep`/…) to an
+//!   frames (`OpBegin`/`OpStep`/`CampaignControl`/`OpAggSweep`/…) to an
 //!   attestation gateway, whose campaign engine executes the waves. The
 //!   trait is shared with the in-process `LocalOps`, so every scenario
 //!   (CLI, examples, benches, the equivalence suite) runs identically
@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use eilid_casu::agg::{fleet_root, shard_agg_key};
+use eilid_casu::agg::{fleet_root, shard_agg_key, AggProof};
 use eilid_casu::{CryptoProvider, MeasurementScheme, SoftwareProvider};
 use eilid_fleet::rollout::serve;
 use eilid_fleet::{
@@ -65,7 +65,8 @@ pub struct RemoteOps<T: Transport> {
     /// re-derives each shard's aggregation key from these to verify the
     /// gateway's aggregate-root MACs. Unset consoles refuse
     /// [`FleetOps::sweep_aggregated`] — an unverifiable aggregate is
-    /// worthless.
+    /// worthless — but still run [`FleetOps::sweep`], which checks the
+    /// same result's epoch and structure and reads its summary.
     agg_root: Option<Vec<u8>>,
     /// Crypto backend the console verifies aggregate proofs with.
     provider: Arc<dyn CryptoProvider>,
@@ -293,28 +294,85 @@ fn phase_from_state(state: u8, wave_cursor: u32) -> CampaignPhase {
     }
 }
 
+impl<T: Transport> RemoteOps<T> {
+    /// Runs one gateway sweep (`OpAggSweep`) and checks the result's
+    /// structure: the epoch is newer than every one accepted before,
+    /// and the participant bitmap, the proof totals and the suspect list
+    /// all agree with the claimed device count. The shard MACs are left
+    /// to [`FleetOps::sweep_aggregated`], the one caller holding the
+    /// root key. Returns the summary, the epoch and the shard proofs.
+    fn agg_sweep(&mut self) -> Result<(SweepSummary, u64, Vec<AggProof>), OpsError> {
+        let Frame::OpAggSweepResult {
+            epoch,
+            devices,
+            counts,
+            bitmap_base,
+            bitmap,
+            proofs,
+            suspects,
+        } = self.request(Frame::OpAggSweep)?
+        else {
+            return Err(unexpected("expected OpAggSweepResult"));
+        };
+        // Replay protection: epochs are challenge-nonce bases, so an
+        // honest gateway's are strictly increasing. A replayed result
+        // frame from an earlier sweep fails here even though its MACs
+        // still verify.
+        if devices > 0 {
+            if let Some(last) = self.last_agg_epoch {
+                if epoch <= last {
+                    return Err(OpsError::Backend(format!(
+                        "aggregated sweep epoch {epoch} not newer than {last} (replay?)"
+                    )));
+                }
+            }
+            self.last_agg_epoch = Some(epoch);
+        }
+
+        // Structural cross-checks: the participant bitmap and the
+        // per-shard proof counts must both add up to the claimed device
+        // total, and every suspect must be a participant — a tampered
+        // device cannot be dropped from the aggregate without tripping
+        // one of these.
+        let popcount: u64 = bitmap.iter().map(|byte| u64::from(byte.count_ones())).sum();
+        if popcount != u64::from(devices) {
+            return Err(OpsError::Backend(format!(
+                "participant bitmap covers {popcount} devices, result claims {devices}"
+            )));
+        }
+        let proof_total: u64 = proofs.iter().map(|proof| u64::from(proof.count)).sum();
+        if proof_total != u64::from(devices) {
+            return Err(OpsError::Backend(format!(
+                "shard proofs cover {proof_total} devices, result claims {devices}"
+            )));
+        }
+        let participant = |device: u64| -> bool {
+            device
+                .checked_sub(bitmap_base)
+                .and_then(|bit| bitmap.get((bit / 8) as usize).map(|byte| (byte, bit % 8)))
+                .is_some_and(|(byte, bit)| byte & (1 << bit) != 0)
+        };
+        if let Some((device, _)) = suspects.iter().find(|(device, _)| !participant(*device)) {
+            return Err(OpsError::Backend(format!(
+                "suspect device {device} is not a sweep participant"
+            )));
+        }
+
+        let summary = SweepSummary {
+            devices: devices as usize,
+            counts: counts.map(|count| count as usize),
+            flagged: suspects
+                .into_iter()
+                .map(|(device, class)| (device, health_from_wire(class)))
+                .collect(),
+        };
+        Ok((summary, epoch, proofs))
+    }
+}
+
 impl<T: Transport> FleetOps for RemoteOps<T> {
     fn sweep(&mut self) -> Result<SweepSummary, OpsError> {
-        match self.request(Frame::OpSweep)? {
-            Frame::OpSweepResult {
-                devices,
-                counts,
-                flagged,
-            } => Ok(SweepSummary {
-                devices: devices as usize,
-                counts: [
-                    counts[0] as usize,
-                    counts[1] as usize,
-                    counts[2] as usize,
-                    counts[3] as usize,
-                ],
-                flagged: flagged
-                    .into_iter()
-                    .map(|(device, class)| (device, health_from_wire(class)))
-                    .collect(),
-            }),
-            _ => Err(unexpected("expected OpSweepResult")),
-        }
+        Ok(self.agg_sweep()?.0)
     }
 
     fn sweep_aggregated(&mut self) -> Result<AggSweepSummary, OpsError> {
@@ -323,114 +381,45 @@ impl<T: Transport> FleetOps for RemoteOps<T> {
                 "aggregated sweep requires the fleet root key (set_agg_root_key)".to_string(),
             ));
         };
-        match self.request(Frame::OpAggSweep)? {
-            Frame::OpAggSweepResult {
-                epoch,
-                devices,
-                counts,
-                bitmap_base,
-                bitmap,
-                proofs,
-                suspects,
-            } => {
-                // Replay protection: epochs are challenge-nonce bases,
-                // so an honest gateway's are strictly increasing. A
-                // replayed result frame from an earlier sweep fails
-                // here even though its MACs still verify.
-                if devices > 0 {
-                    if let Some(last) = self.last_agg_epoch {
-                        if epoch <= last {
-                            return Err(OpsError::Backend(format!(
-                                "aggregated sweep epoch {epoch} not newer than {last} (replay?)"
-                            )));
-                        }
-                    }
-                    self.last_agg_epoch = Some(epoch);
-                }
+        let (summary, epoch, proofs) = self.agg_sweep()?;
 
-                // Structural cross-checks: the participant bitmap and
-                // the per-shard proof counts must both add up to the
-                // claimed device total, and every suspect must be a
-                // participant — a tampered device cannot be dropped
-                // from the aggregate without tripping one of these.
-                let popcount: u64 = bitmap.iter().map(|byte| u64::from(byte.count_ones())).sum();
-                if popcount != u64::from(devices) {
-                    return Err(OpsError::Backend(format!(
-                        "participant bitmap covers {popcount} devices, result claims {devices}"
-                    )));
-                }
-                let proof_total: u64 = proofs.iter().map(|proof| u64::from(proof.count)).sum();
-                if proof_total != u64::from(devices) {
-                    return Err(OpsError::Backend(format!(
-                        "shard proofs cover {proof_total} devices, result claims {devices}"
-                    )));
-                }
-                let participant = |device: u64| -> bool {
-                    device
-                        .checked_sub(bitmap_base)
-                        .and_then(|bit| bitmap.get((bit / 8) as usize).map(|byte| (byte, bit % 8)))
-                        .is_some_and(|(byte, bit)| byte & (1 << bit) != 0)
-                };
-                if let Some((device, _)) = suspects.iter().find(|(device, _)| !participant(*device))
-                {
-                    return Err(OpsError::Backend(format!(
-                        "suspect device {device} is not a sweep participant"
-                    )));
-                }
-
-                // The sublinear step: at most SHARD_COUNT aggregate-MAC
-                // verifications stand in for per-device verdict frames.
-                let mut roots_verified = 0usize;
-                let mut shard_roots = Vec::with_capacity(proofs.len());
-                for proof in &proofs {
-                    let key = shard_agg_key(&*self.provider, &agg_root, proof.shard);
-                    if !proof.verify(&*self.provider, &key) {
-                        return Err(OpsError::Backend(format!(
-                            "shard {} aggregate root failed verification",
-                            proof.shard
-                        )));
-                    }
-                    roots_verified += 1;
-                    shard_roots.push((proof.shard, proof.root));
-                }
-
-                // Memoized-probe rule, operator side: a shard whose
-                // aggregate arrived with zero suspects yields all its
-                // verdicts from the one verified root.
-                let short_circuited = proofs
-                    .iter()
-                    .filter(|proof| {
-                        !suspects
-                            .iter()
-                            .any(|(device, _)| (device % SHARD_COUNT as u64) as u16 == proof.shard)
-                    })
-                    .map(|proof| proof.count as usize)
-                    .sum();
-
-                Ok(AggSweepSummary {
-                    summary: SweepSummary {
-                        devices: devices as usize,
-                        counts: [
-                            counts[0] as usize,
-                            counts[1] as usize,
-                            counts[2] as usize,
-                            counts[3] as usize,
-                        ],
-                        flagged: suspects
-                            .into_iter()
-                            .map(|(device, class)| (device, health_from_wire(class)))
-                            .collect(),
-                    },
-                    epoch,
-                    shards: proofs.len(),
-                    roots_verified,
-                    short_circuited,
-                    shard_roots: shard_roots.clone(),
-                    fleet_root: fleet_root(&*self.provider, &shard_roots),
-                })
+        // The sublinear step: at most SHARD_COUNT aggregate-MAC
+        // verifications stand in for per-device verdict frames.
+        let mut shard_roots = Vec::with_capacity(proofs.len());
+        for proof in &proofs {
+            let key = shard_agg_key(&*self.provider, &agg_root, proof.shard);
+            if !proof.verify(&*self.provider, &key) {
+                return Err(OpsError::Backend(format!(
+                    "shard {} aggregate root failed verification",
+                    proof.shard
+                )));
             }
-            _ => Err(unexpected("expected OpAggSweepResult")),
+            shard_roots.push((proof.shard, proof.root));
         }
+
+        // Memoized-probe rule, operator side: a shard whose aggregate
+        // arrived with zero suspects yields all its verdicts from the
+        // one verified root.
+        let short_circuited = proofs
+            .iter()
+            .filter(|proof| {
+                !summary
+                    .flagged
+                    .iter()
+                    .any(|(device, _)| (device % SHARD_COUNT as u64) as u16 == proof.shard)
+            })
+            .map(|proof| proof.count as usize)
+            .sum();
+
+        Ok(AggSweepSummary {
+            summary,
+            epoch,
+            shards: proofs.len(),
+            roots_verified: shard_roots.len(),
+            short_circuited,
+            fleet_root: fleet_root(&*self.provider, &shard_roots),
+            shard_roots,
+        })
     }
 
     fn campaign_begin(&mut self, config: &CampaignConfig) -> Result<(), OpsError> {

@@ -531,7 +531,6 @@ impl Session {
             | Frame::OpStep { .. }
             | Frame::OpResume { .. }
             | Frame::OpCheckpoint { .. }
-            | Frame::OpSweep
             | Frame::OpAggSweep
             | Frame::OpHealth
             | Frame::OpDrain
@@ -558,7 +557,6 @@ impl Session {
             | Frame::ProbeRequest { .. }
             | Frame::OpPaused { .. }
             | Frame::OpReport { .. }
-            | Frame::OpSweepResult { .. }
             | Frame::OpAggSweepResult { .. }
             | Frame::OpHealthResult { .. }
             | Frame::OpDrained { .. }

@@ -9,7 +9,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic   = b"EILD"
-//! 4       1     version = 2
+//! 4       1     version = PROTOCOL_VERSION
 //! 5       1     frame type
 //! 6       4     payload length (≤ MAX_FRAME_PAYLOAD)
 //! 10      n     payload (layout per frame type; casu wire encodings
@@ -78,10 +78,13 @@ pub const FRAME_MAGIC: [u8; 4] = *b"EILD";
 /// Version 8 retired the full-image update frame `0x07`: a full image
 /// is a one-segment [`Frame::DeltaUpdateRequest`] (`0x21`), so one
 /// update frame carries every campaign update and rollback.
+/// Version 9 retired the per-device sweep frames `0x19`/`0x1A`: every
+/// gateway sweep is now [`Frame::OpAggSweep`], whose result carries the
+/// same counts and flagged list plus the shard proofs.
 /// Each bump makes an older peer fail *at negotiation* with a typed
 /// `UnsupportedVersion` instead of mid-exchange on an unknown frame
 /// type.
-pub const PROTOCOL_VERSION: u8 = 8;
+pub const PROTOCOL_VERSION: u8 = 9;
 
 /// Size of the fixed frame header in bytes.
 pub const FRAME_HEADER_LEN: usize = 10;
@@ -96,18 +99,17 @@ pub const MAX_FRAME_PAYLOAD: usize = casu_wire::MAX_UPDATE_PAYLOAD + 128;
 /// [`Frame::OpPaused`]/[`Frame::OpResume`] embed a serialised
 /// [`PausedCampaign`](eilid_fleet::PausedCampaign) record (the 64 KiB
 /// patched golden image plus per-device snapshots — with a wire-maximum
-/// patch, kilobytes per updated device), and
-/// [`Frame::OpReport`]/[`Frame::OpSweepResult`] carry per-device id
-/// lists that outgrow [`MAX_FRAME_PAYLOAD`] on large fleets, and
-/// [`Frame::OpDrained`] hands back *every* retained paused record at
-/// once, and [`Frame::OpMetricsResult`] carries a whole-registry JSON
-/// snapshot. The cap is still enforced from the header (which names the
-/// frame type) *before* any payload is buffered, so a forged length
-/// drives at most 4 MiB of buffering on exactly these operator-plane
-/// types ([`Frame::OpAggSweepResult`]'s suspect list and participant
-/// bitmap joined them in version 7) — and senders refuse (with a typed
-/// error) the rare record exceeding even this, instead of emitting an
-/// unframeable reply.
+/// patch, kilobytes per updated device), [`Frame::OpReport`] carries
+/// per-device id lists that outgrow [`MAX_FRAME_PAYLOAD`] on large
+/// fleets, [`Frame::OpDrained`] hands back *every* retained paused
+/// record at once, and [`Frame::OpMetricsResult`] carries a
+/// whole-registry JSON snapshot. The cap is still enforced from the
+/// header (which names the frame type) *before* any payload is
+/// buffered, so a forged length drives at most 4 MiB of buffering on
+/// exactly these operator-plane types ([`Frame::OpAggSweepResult`]'s
+/// suspect list and participant bitmap joined them in version 7) — and
+/// senders refuse (with a typed error) the rare record exceeding even
+/// this, instead of emitting an unframeable reply.
 pub const MAX_OP_PAYLOAD: usize = 4 * 1024 * 1024;
 
 /// [`Frame::CampaignStatus`] `state`: a campaign run is loaded and
@@ -127,7 +129,7 @@ pub const CAMPAIGN_STATE_IDLE: u8 = 3;
 /// bytes alone.
 fn max_payload_for(frame_type: u8) -> usize {
     match frame_type {
-        0x16 | 0x17 | 0x18 | 0x1A | 0x1E | 0x20 | 0x23 | 0x25 => MAX_OP_PAYLOAD,
+        0x16 | 0x17 | 0x18 | 0x1E | 0x20 | 0x23 | 0x25 => MAX_OP_PAYLOAD,
         _ => MAX_FRAME_PAYLOAD,
     }
 }
@@ -751,18 +753,6 @@ pub enum Frame {
         /// The report, wave for wave.
         report: CampaignReport,
     },
-    /// Operator → gateway: run a gateway-driven attestation sweep over
-    /// every attached device.
-    OpSweep,
-    /// Gateway → operator: the sweep summary.
-    OpSweepResult {
-        /// Devices attested.
-        devices: u32,
-        /// Per-class counts: `[attested, stale, tampered, unverified]`.
-        counts: [u32; 4],
-        /// Devices in a non-attested class, in id order.
-        flagged: Vec<(u64, WireHealth)>,
-    },
     /// Operator → gateway: health/ledger query.
     OpHealth,
     /// Gateway → operator: the health summary.
@@ -847,10 +837,10 @@ pub enum Frame {
         paused: Vec<u8>,
     },
     /// Operator → gateway (version 7): run a gateway-driven
-    /// *aggregated* attestation sweep over every attached device. Same
-    /// probe exchange as [`Frame::OpSweep`] on the device plane; the
-    /// result folds the evidence into one MAC'd aggregate root per
-    /// shard instead of shipping per-device verdicts.
+    /// *aggregated* attestation sweep over every attached device — the
+    /// gateway's one sweep verb since version 9. The result folds the
+    /// evidence into one MAC'd aggregate root per shard instead of
+    /// shipping per-device verdicts.
     OpAggSweep,
     /// Gateway → operator (version 7): the aggregated sweep result.
     ///
@@ -910,8 +900,6 @@ impl Frame {
             Frame::OpResume { .. } => 0x16,
             Frame::OpPaused { .. } => 0x17,
             Frame::OpReport { .. } => 0x18,
-            Frame::OpSweep => 0x19,
-            Frame::OpSweepResult { .. } => 0x1A,
             Frame::OpHealth => 0x1B,
             Frame::OpHealthResult { .. } => 0x1C,
             Frame::OpDrain => 0x1D,
@@ -1033,22 +1021,6 @@ impl Frame {
             Frame::OpReport { cohort, report } => {
                 out.push(cohort.index());
                 encode_campaign_report(report, out);
-            }
-            Frame::OpSweep => {}
-            Frame::OpSweepResult {
-                devices,
-                counts,
-                flagged,
-            } => {
-                out.extend_from_slice(&devices.to_le_bytes());
-                for count in counts {
-                    out.extend_from_slice(&count.to_le_bytes());
-                }
-                out.extend_from_slice(&(flagged.len() as u32).to_le_bytes());
-                for (device, class) in flagged {
-                    out.extend_from_slice(&device.to_le_bytes());
-                    out.push(class.to_u8());
-                }
             }
             Frame::OpHealth => {}
             Frame::OpHealthResult {
@@ -1245,25 +1217,6 @@ impl Frame {
                 let cohort = cohort_from_u8(reader.u8()?)?;
                 let report = decode_campaign_report(&mut reader)?;
                 Frame::OpReport { cohort, report }
-            }
-            0x19 => Frame::OpSweep,
-            0x1A => {
-                let devices = reader.u32()?;
-                let mut counts = [0u32; 4];
-                for count in &mut counts {
-                    *count = reader.u32()?;
-                }
-                let flagged_count =
-                    checked_list_count(reader.u32()? as usize, 9, reader.remaining())?;
-                let mut flagged = Vec::with_capacity(flagged_count);
-                for _ in 0..flagged_count {
-                    flagged.push((reader.u64()?, WireHealth::from_u8(reader.u8()?)?));
-                }
-                Frame::OpSweepResult {
-                    devices,
-                    counts,
-                    flagged,
-                }
             }
             0x1B => Frame::OpHealth,
             0x1C => Frame::OpHealthResult {

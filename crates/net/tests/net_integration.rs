@@ -9,8 +9,8 @@ use std::time::Duration;
 use eilid_casu::{DeltaUpdateRequest, DeviceKey, UpdateError};
 use eilid_fleet::{FleetBuilder, HealthClass};
 use eilid_net::{
-    serve_transport, sweep_fleet_over, sweep_fleet_tcp, AttestationService, DeviceClient,
-    ErrorCode, Frame, Gateway, GatewayConfig, NetError, PipeTransport, TcpTransport, Transport,
+    serve_transport, sweep_fleet, AttestationService, DeviceClient, ErrorCode, Frame, Gateway,
+    GatewayConfig, NetError, PipeTransport, TcpTransport, Transport, DEFAULT_PIPELINE_WINDOW,
     PROTOCOL_VERSION,
 };
 use eilid_workloads::WorkloadId;
@@ -58,7 +58,10 @@ fn in_memory_sweep_classifies_like_the_in_process_verifier() {
     let service = Arc::new(AttestationService::new(verifier.service_snapshot(1 << 20)));
     let report = {
         let service = Arc::clone(&service);
-        sweep_fleet_over(&mut fleet, 4, move || Ok(pipe_server(Arc::clone(&service)))).unwrap()
+        sweep_fleet(&mut fleet, 4, DEFAULT_PIPELINE_WINDOW, None, move || {
+            Ok(pipe_server(Arc::clone(&service)))
+        })
+        .unwrap()
     };
 
     assert_eq!(report.devices, 14);
@@ -102,7 +105,10 @@ fn loopback_tcp_sweep_through_the_gateway() {
     let handle = gateway.spawn();
     let addr = handle.addr();
 
-    let report = sweep_fleet_tcp(&mut fleet, 3, addr).unwrap();
+    let report = sweep_fleet(&mut fleet, 3, DEFAULT_PIPELINE_WINDOW, None, || {
+        TcpTransport::connect(addr)
+    })
+    .unwrap();
     assert_eq!(report.devices, 12);
     assert_eq!(report.clients, 3);
     assert_eq!(report.count(HealthClass::Attested), 11);
@@ -439,7 +445,10 @@ fn loopback_tcp_sweep_through_the_scan_fallback() {
     assert_eq!(gateway.poller_backend(), eilid_net::PollerBackend::Scan);
     let handle = gateway.spawn();
 
-    let report = sweep_fleet_tcp(&mut fleet, 3, handle.addr()).unwrap();
+    let report = sweep_fleet(&mut fleet, 3, DEFAULT_PIPELINE_WINDOW, None, || {
+        TcpTransport::connect(handle.addr())
+    })
+    .unwrap();
     assert_eq!(report.devices, 12);
     assert_eq!(report.count(HealthClass::Tampered), 1);
     assert_eq!(report.flagged, vec![(7, HealthClass::Tampered)]);
@@ -471,7 +480,10 @@ fn pipelined_sweep_amortizes_pool_dispatch() {
     .unwrap()
     .spawn();
 
-    let report = eilid_net::sweep_fleet_tcp_windowed(&mut fleet, 1, 64, handle.addr()).unwrap();
+    let report = sweep_fleet(&mut fleet, 1, 64, None, || {
+        TcpTransport::connect(handle.addr())
+    })
+    .unwrap();
     assert_eq!(report.count(HealthClass::Attested), 64);
 
     let gateway = handle.shutdown().unwrap();
@@ -576,7 +588,7 @@ fn mid_batch_malformed_frame_poisons_only_its_own_connection() {
     let devices = fleet.len();
     let mut client = DeviceClient::connect(TcpTransport::connect(addr).unwrap()).unwrap();
     let verdicts = client
-        .attest_batch(&mut fleet.devices_mut()[1..devices], 8)
+        .attest_batch(&mut fleet.devices_mut()[1..devices], 8, None)
         .unwrap();
     assert_eq!(verdicts.len(), devices - 1);
     assert!(verdicts

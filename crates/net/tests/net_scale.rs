@@ -9,8 +9,8 @@ use std::time::Instant;
 use eilid_casu::DeviceKey;
 use eilid_fleet::{FleetBuilder, HealthClass};
 use eilid_net::{
-    serve_transport, sweep_fleet_over, sweep_fleet_tcp, AttestationService, Gateway, GatewayConfig,
-    PipeTransport,
+    serve_transport, sweep_fleet, AttestationService, Gateway, GatewayConfig, PipeTransport,
+    TcpTransport, DEFAULT_PIPELINE_WINDOW,
 };
 use eilid_workloads::WorkloadId;
 
@@ -50,14 +50,20 @@ fn thousand_device_networked_sweep_over_loopback() {
     // 1. In-memory transport sweep: full codec + session, no sockets.
     let in_memory = {
         let service = Arc::clone(&service);
-        sweep_fleet_over(&mut fleet, CLIENTS, move || {
-            let (client_end, mut server_end) = PipeTransport::pair();
-            let service = Arc::clone(&service);
-            std::thread::spawn(move || {
-                let _ = serve_transport(&service, &mut server_end);
-            });
-            Ok(client_end)
-        })
+        sweep_fleet(
+            &mut fleet,
+            CLIENTS,
+            DEFAULT_PIPELINE_WINDOW,
+            None,
+            move || {
+                let (client_end, mut server_end) = PipeTransport::pair();
+                let service = Arc::clone(&service);
+                std::thread::spawn(move || {
+                    let _ = serve_transport(&service, &mut server_end);
+                });
+                Ok(client_end)
+            },
+        )
         .unwrap()
     };
     assert_eq!(in_memory.devices, DEVICES);
@@ -93,7 +99,10 @@ fn thousand_device_networked_sweep_over_loopback() {
     .unwrap()
     .spawn();
 
-    let loopback = sweep_fleet_tcp(&mut fleet, CLIENTS, handle.addr()).unwrap();
+    let loopback = sweep_fleet(&mut fleet, CLIENTS, DEFAULT_PIPELINE_WINDOW, None, || {
+        TcpTransport::connect(handle.addr())
+    })
+    .unwrap();
     assert_eq!(loopback.devices, DEVICES);
     assert_eq!(
         loopback.count(HealthClass::Attested),
@@ -147,7 +156,10 @@ fn thousand_device_networked_sweep_over_loopback() {
     )
     .unwrap()
     .spawn();
-    let fallback = sweep_fleet_tcp(&mut fleet, CLIENTS, handle.addr()).unwrap();
+    let fallback = sweep_fleet(&mut fleet, CLIENTS, DEFAULT_PIPELINE_WINDOW, None, || {
+        TcpTransport::connect(handle.addr())
+    })
+    .unwrap();
     assert_eq!(
         fallback.count(HealthClass::Attested),
         DEVICES - tampered.len()

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use eilid_casu::DeviceKey;
 use eilid_fleet::{FleetBuilder, HealthClass};
 use eilid_net::{
-    sweep_fleet_tcp_windowed, AttestationService, Frame, Gateway, GatewayConfig, PollerBackend,
+    sweep_fleet, AttestationService, Frame, Gateway, GatewayConfig, PollerBackend, TcpTransport,
     PROTOCOL_VERSION,
 };
 use eilid_workloads::WorkloadId;
@@ -218,7 +218,10 @@ fn scale_10k_connections_on_the_epoll_reactor() {
 
     // The sweep runs through 4 fresh connections while the 9 996 idle
     // sessions stay parked — with readiness, they cost nothing.
-    let report = sweep_fleet_tcp_windowed(&mut fleet, SWEEP_CLIENTS, 32, addr).unwrap();
+    let report = sweep_fleet(&mut fleet, SWEEP_CLIENTS, 32, None, || {
+        TcpTransport::connect(addr)
+    })
+    .unwrap();
     assert_eq!(report.devices, DEVICES);
     assert_eq!(
         report.count(HealthClass::Attested),

@@ -11,7 +11,7 @@ use eilid_casu::DeviceKey;
 use eilid_fleet::fixtures::{benign_patch, BENIGN_PATCH_TARGET};
 use eilid_fleet::{
     CampaignConfig, CampaignOutcome, CampaignPhase, CampaignReport, CampaignStatus, Fleet,
-    FleetBuilder, FleetOps, OpsError, Verifier,
+    FleetBuilder, FleetOps, LocalOps, OpsError, Verifier,
 };
 use eilid_net::{
     with_attached_fleet, AttestationService, Frame, Gateway, GatewayConfig, GatewayHandle,
@@ -188,4 +188,43 @@ fn retained_pause_resume_on_the_same_gateway_is_lossless() {
     handle.shutdown().unwrap();
 
     assert_eq!(report, report_reference);
+}
+
+/// A finished run only keeps its report readable: resuming paused bytes
+/// replaces it on both backends (in-process and over the gateway's
+/// `OpResume`), exactly as `campaign_begin` does.
+#[test]
+fn resume_replaces_a_finished_run_on_both_backends() {
+    let (mut fleet, mut verifier) = build(8);
+    let mut local = LocalOps::new(&mut fleet, &mut verifier);
+    local.campaign_begin(&config()).unwrap();
+    local.campaign_step().unwrap();
+    let paused = local.campaign_pause().unwrap();
+    local.campaign_resume(&paused).unwrap();
+    while local.campaign_step().unwrap() != CampaignStatus::Finished {}
+    let local_report = local.campaign_report().unwrap();
+    local.campaign_resume(&paused).unwrap();
+    let local_phase = local.campaign_status().unwrap();
+
+    let (mut fleet, mut verifier) = build(8);
+    let handle = spawn_gateway(&mut verifier);
+    let addr = handle.addr();
+    let (remote_report, remote_phase) = with_attached_fleet(&mut fleet, 2, addr, || {
+        let mut ops = RemoteOps::connect(addr).map_err(|e| OpsError::Backend(e.to_string()))?;
+        ops.campaign_begin(&config())?;
+        ops.campaign_step()?;
+        let paused = ops.campaign_pause()?;
+        ops.resume_retained()?;
+        while ops.campaign_step()? != CampaignStatus::Finished {}
+        let report = ops.campaign_report()?;
+        ops.campaign_resume(&paused)?;
+        Ok::<_, OpsError>((report, ops.campaign_status()?))
+    })
+    .unwrap()
+    .unwrap();
+    handle.shutdown().unwrap();
+
+    assert_eq!(remote_report, local_report);
+    assert_eq!(local_phase, CampaignPhase::InProgress { next_wave: 1 });
+    assert_eq!(remote_phase, local_phase);
 }

@@ -262,17 +262,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
             .prop_map(|(cohort, paused)| Frame::OpPaused { cohort, paused }),
         (arb_cohort(), arb_campaign_report())
             .prop_map(|(cohort, report)| Frame::OpReport { cohort, report }),
-        Just(Frame::OpSweep),
-        (
-            any::<u32>(),
-            (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
-            proptest::collection::vec((any::<u64>(), arb_wire_health()), 0..16),
-        )
-            .prop_map(|(devices, (a, s, t, u), flagged)| Frame::OpSweepResult {
-                devices,
-                counts: [a, s, t, u],
-                flagged,
-            }),
         Just(Frame::OpHealth),
         (
             (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
@@ -374,7 +363,6 @@ proptest! {
             Frame::OpResume { .. }
             | Frame::OpPaused { .. }
             | Frame::OpReport { .. }
-            | Frame::OpSweepResult { .. }
             | Frame::OpAggSweepResult { .. }
             | Frame::OpDrained { .. }
             | Frame::OpMetricsResult { .. }
@@ -661,21 +649,6 @@ fn malformed_operator_plane_corpus_yields_clean_typed_errors() {
             field: "campaign outcome",
             ..
         })
-    ));
-
-    // OpSweepResult: a flagged-list count the remaining bytes cannot
-    // hold is rejected before any allocation.
-    let mut sweep = Frame::OpSweepResult {
-        devices: 2,
-        counts: [2, 0, 0, 0],
-        flagged: vec![],
-    }
-    .encode();
-    let at = sweep.len() - 4; // the (empty) flagged count is last
-    sweep[at..].copy_from_slice(&(u32::MAX).to_le_bytes());
-    assert!(matches!(
-        Frame::decode(&sweep),
-        Err(WireError::BadPayload(_))
     ));
 
     // OpDrained (version 4): a record count the remaining bytes cannot

@@ -20,7 +20,8 @@
 //!   (monotonic sequence number, coarse millisecond tick, category,
 //!   code, two `u64` arguments) with overwrite-oldest semantics, an
 //!   exact [`TraceRing::dropped`] counter, and [`TraceSpan`] helpers
-//!   for timing scopes. Recording never blocks and never allocates.
+//!   for timing scopes. Recording never allocates, and waits only for
+//!   a writer a full lap behind that is still mid-store on its slot.
 //! * Renderers — Prometheus-style text exposition
 //!   ([`RegistrySnapshot::to_prometheus`]) and a compact JSON snapshot
 //!   ([`RegistrySnapshot::to_json`] / [`RegistrySnapshot::from_json`])

@@ -1,7 +1,7 @@
-//! Bounded, lock-free event trace ring with overwrite-oldest
-//! semantics.
+//! Bounded event trace ring with overwrite-oldest semantics and
+//! per-slot sequence locks.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// One structured trace event, read back from a [`TraceRing`].
@@ -24,9 +24,11 @@ pub struct TraceEvent {
 }
 
 /// One ring slot, guarded by a per-slot sequence lock: `ver` is odd
-/// while a writer is mid-store and `2 * seq + 2` once the event for
-/// global sequence `seq` is fully written. Readers retry or skip on
-/// mismatch — writers never wait.
+/// (`2 * seq + 1`) while the writer of global sequence `seq` is
+/// mid-store and `2 * seq + 2` once its event is fully written. The
+/// version only ever grows: writers claim a slot by compare-and-swap
+/// and drop their event when a newer one already owns it. Readers skip
+/// on mismatch.
 #[derive(Debug)]
 struct Slot {
     ver: AtomicU64,
@@ -48,12 +50,16 @@ impl Slot {
     }
 }
 
-/// A bounded ring buffer of [`TraceEvent`]s. Recording is wait-free
-/// for writers (one atomic fetch-add to claim a sequence number, then
-/// plain stores into the claimed slot) and never allocates; when the
-/// ring is full the oldest event is overwritten and the
+/// A bounded ring buffer of [`TraceEvent`]s. Recording takes one
+/// atomic fetch-add to claim a sequence number, one compare-and-swap to
+/// claim the slot, then plain stores, and never allocates. A writer
+/// waits only while an older writer (a lap or more behind) is still
+/// mid-store on the same slot; a writer that was itself lapped stores
+/// nothing. When
+/// the ring is full the oldest event is overwritten and the
 /// [`TraceRing::dropped`] counter — derived from the same fetch-add,
-/// hence exact under any writer concurrency — accounts for it.
+/// hence exact under any writer concurrency — accounts for it; once
+/// writers quiesce, every slot holds the newest event that maps to it.
 ///
 /// Readers ([`TraceRing::snapshot`]) validate each slot's sequence
 /// lock and skip events a concurrent writer is mid-overwrite on, so a
@@ -105,13 +111,44 @@ impl TraceRing {
     /// Records one event; returns its sequence number.
     pub fn record(&self, category: u8, code: u16, a: u64, b: u64) -> u64 {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
+        self.write(seq, category, code, a, b);
+        seq
+    }
+
+    /// Stores event `seq` into its slot, unless a newer event got there
+    /// first.
+    fn write(&self, seq: u64, category: u8, code: u16, a: u64, b: u64) {
         let slot = &self.slots[(seq & self.mask) as usize];
-        // Per-slot seqlock: odd while writing, even (encoding seq)
-        // once complete. With the capacity far above the writer count
-        // a same-slot write race requires lapping the whole ring
-        // mid-store; readers still detect the common interleavings via
-        // the version check.
-        slot.ver.store(seq * 2 + 1, Ordering::Release);
+        // Claim the slot's seqlock. A writer preempted after its
+        // fetch-add can be lapped: a version at or past ours means a
+        // newer event owns the slot, and ours (already counted as
+        // dropped) must not move the version backwards. An older odd
+        // version is a writer a lap or more behind, mid-store: wait it
+        // out.
+        let writing = seq * 2 + 1;
+        let mut current = slot.ver.load(Ordering::Acquire);
+        loop {
+            if current >= writing {
+                return;
+            }
+            if current % 2 == 1 {
+                std::thread::yield_now();
+                current = slot.ver.load(Ordering::Acquire);
+                continue;
+            }
+            match slot.ver.compare_exchange_weak(
+                current,
+                writing,
+                Ordering::Acquire,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => break,
+                Err(seen) => current = seen,
+            }
+        }
+        // Orders the odd version before the payload stores, so a reader
+        // that sees any of them also sees the slot mid-write.
+        fence(Ordering::Release);
         slot.tick.store(self.tick_ms(), Ordering::Relaxed);
         slot.catcode.store(
             (u64::from(category) << 16) | u64::from(code),
@@ -120,7 +157,6 @@ impl TraceRing {
         slot.a.store(a, Ordering::Relaxed);
         slot.b.store(b, Ordering::Relaxed);
         slot.ver.store(seq * 2 + 2, Ordering::Release);
-        seq
     }
 
     /// Opens a timing span: the returned guard records an event on
@@ -161,7 +197,10 @@ impl TraceRing {
                 a: slot.a.load(Ordering::Relaxed),
                 b: slot.b.load(Ordering::Relaxed),
             };
-            if slot.ver.load(Ordering::Acquire) == want {
+            // Pairs with the writer's fence: a payload load that saw a
+            // newer writer's store makes this re-check see its version.
+            fence(Ordering::Acquire);
+            if slot.ver.load(Ordering::Relaxed) == want {
                 events.push(event);
             }
         }
@@ -211,6 +250,22 @@ mod tests {
         assert_eq!(events.first().unwrap().seq, 12);
         assert_eq!(events.last().unwrap().seq, 19);
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+    }
+
+    #[test]
+    fn a_lapped_writer_never_rolls_its_slot_back() {
+        let ring = TraceRing::new(8);
+        // A writer claims sequence 0 and stalls before storing it...
+        let stalled = ring.head.fetch_add(1, Ordering::Relaxed);
+        // ...while the others lap it on the same slot.
+        for i in 1..=8u64 {
+            ring.record(1, 2, i, 0);
+        }
+        ring.write(stalled, 1, 2, 0, 0);
+        let events = ring.snapshot();
+        assert_eq!(events.len(), 8);
+        assert_eq!(events.first().unwrap().seq, 1);
+        assert_eq!(events.first().unwrap().a, 1);
     }
 
     #[test]

@@ -84,24 +84,23 @@ agg-smoke:
     cargo test --release -p eilid_net --test agg_smoke -- --include-ignored
     cargo test --release -p eilid_net --test agg_equivalence
 
-# Persistent-pool vs scoped-thread sweeps and in-memory vs loopback
-# transports at 1 000 devices; writes BENCH_net.json (the recorded perf
-# baseline) and gates three ways: pool ratio ≥ 0.85, in-memory ≥ 70k
+# In-memory vs loopback transports at 1 000 devices; writes
+# BENCH_net.json (the recorded perf baseline) and gates: in-memory ≥ 70k
 # devices/s, loopback TCP ≥ 40k devices/s (≥ 2x the PR 3 baseline),
 # 4-gateway cluster sweeps ≥ 0.5x the single-gateway rate, observed
 # loopback sweep ≥ 0.85x the bare one (telemetry is nearly free),
 # aggregated collective-attestation sweep ≥ 1.2x the per-device
-# client-driven loopback sweep. The pool/cluster/obs floors were
+# client-driven loopback sweep. The cluster/obs floors were
 # recalibrated when the SHA-NI path roughly doubled absolute sweep
 # throughput: fixed coordination/telemetry costs are no longer masked
 # by scalar-crypto time on a single-core box (see Makefile).
 net-bench:
-    cargo run --release -p eilid_bench --bin net -- --min-pool-ratio 0.85 --min-in-memory 70000 --min-loopback 40000 --min-cluster-ratio 0.5 --min-obs-ratio 0.85 --min-agg-ratio 1.2
+    cargo run --release -p eilid_bench --bin net -- --min-in-memory 70000 --min-loopback 40000 --min-cluster-ratio 0.5 --min-obs-ratio 0.85 --min-agg-ratio 1.2
 
-# CI-sized smoke (smaller fleet, still release mode); gates loosened
-# (pool ratio 0.85, no absolute floors) to tolerate shared-runner noise.
+# CI-sized smoke (smaller fleet, still release mode); no gates, to
+# tolerate shared-runner noise.
 net-bench-smoke:
-    cargo run --release -p eilid_bench --bin net -- --quick --json /tmp/BENCH_net.json --min-pool-ratio 0.85
+    cargo run --release -p eilid_bench --bin net -- --quick --json /tmp/BENCH_net.json
 
 fmt:
     cargo fmt --all --check

@@ -482,8 +482,10 @@ fn cmd_fleet_connect(args: &[String]) -> Result<(), String> {
         "driving {} devices against {addr} over {clients} connections (pipeline window {window})",
         fleet.len()
     );
-    let report = eilid_net::sweep_fleet_tcp_windowed(&mut fleet, clients, window, addr)
-        .map_err(|e| e.to_string())?;
+    let report = eilid_net::sweep_fleet(&mut fleet, clients, window, None, || {
+        eilid_net::TcpTransport::connect(addr)
+    })
+    .map_err(|e| e.to_string())?;
     println!(
         "networked sweep: {} devices in {:.3}s over {} connections ({:.0} devices/s)",
         report.devices,
