@@ -59,9 +59,9 @@ net-scale:
 
 # The 10 000-connection reactor scale test (Linux/epoll, release mode,
 # 60 s budget): 9 996 idle negotiated sessions held by two child
-# processes while a 1 000-device pipelined sweep runs through four more
-# connections. The PR 3 scan loop cannot serve this shape in budget —
-# every pass cost a read() per connection.
+# processes while a 1 000-device gateway sweep runs through four device
+# agents and a console. The PR 3 scan loop cannot serve this shape in
+# budget — every pass cost a read() per connection.
 net-scale-10k:
 	cargo test --release -p eilid_net --test net_scale_10k -- --include-ignored scale_10k
 
@@ -81,23 +81,25 @@ net-cluster:
 	cargo test --release -p eilid_net --test cluster_scale -- --exact supervised_cluster_campaign_survives_gateway_kill --nocapture
 
 # Two-terminal demo collapsed into one: serve a gateway in the
-# background and drive the fleet against it. Connect retries while the
-# server comes up; a failed run kills the background server instead of
-# orphaning it (which would hold the port for the next run).
+# background and sweep the fleet through it, this process hosting the
+# devices as agents. The sweep retries while the server comes up; a
+# failed run kills the background server instead of orphaning it
+# (which would hold the port for the next run).
 net-smoke: build
 	@./target/release/eilid-cli fleet serve --addr 127.0.0.1:4810 --devices 64 --threads 4 & \
 	SERVE=$$!; ok=1; \
 	for attempt in 1 2 3 4 5 6 7 8 9 10; do \
 		sleep 1; \
-		if ./target/release/eilid-cli fleet connect --addr 127.0.0.1:4810 --devices 64 --clients 4; then ok=0; break; fi; \
+		if ./target/release/eilid-cli fleet attest --gateway 127.0.0.1:4810 --devices 64 --clients 4; then ok=0; break; fi; \
 	done; \
-	if [ $$ok -eq 0 ]; then wait $$SERVE; else kill $$SERVE 2>/dev/null; echo "net-smoke: connect never succeeded"; exit 1; fi
+	if [ $$ok -eq 0 ]; then wait $$SERVE; else kill $$SERVE 2>/dev/null; echo "net-smoke: gateway sweep never succeeded"; exit 1; fi
 
 # Telemetry end-to-end smoke: serve a gateway in the background, sweep
-# 64 devices through it, scrape the live snapshot over the wire with
-# `fleet metrics` (checking the verification counter saw every
-# report), then sweep again so the server reaches --expect-reports and
-# exits cleanly.
+# its 64 devices through it with `fleet attest --gateway`, scrape the
+# live snapshot over the wire with `fleet metrics` (checking the
+# verification counter saw every report and the engine histograms saw
+# the sweep), then sweep twice more so the server reaches
+# --expect-reports and exits cleanly.
 obs-smoke: build
 	./scripts/obs_smoke.sh
 
@@ -110,31 +112,23 @@ agg-smoke:
 	cargo test --release -p eilid_net --test agg_smoke -- --include-ignored
 	cargo test --release -p eilid_net --test agg_equivalence
 
-# In-memory vs loopback transports at 1 000 devices; writes
-# BENCH_net.json (the recorded perf baseline) and gates two ways: the
-# in-memory path must hold its 70k devices/s floor, and loopback TCP
-# must hold ≥ 2x the first recorded baseline of ~19k devices/s (the
-# reactor + batching acceptance gate). The cluster gate holds fan-out sweeps
-# across four gateway processes against the single-gateway run; the
-# obs gate holds the latency-observed loopback sweep against the bare
-# one — telemetry must be (nearly) free. The two ratio floors were
-# recalibrated (cluster 0.9 → 0.5, obs 0.95 → 0.85) when the SHA-NI
-# compression path landed: it roughly doubled absolute throughput
-# everywhere (4-gateway cluster 132k → 220k+ devices/s), so the fixed
-# per-exchange costs — four reactor threads sharing one core, a
-# telemetry record per exchange — are no longer masked by scalar-crypto
-# time, and the honest ratio ranges on a single-core box widened to
-# 0.60-0.96 (cluster) and 0.86-1.07 (obs). The floors sit below those
-# ranges; the absolute throughput floors above are what catch real
-# code regressions. The
-# campaign gate (11 100 devices/s) holds the streamed wave engine +
-# memoized probes + delta updates at ≥ 20x the phase-barrier
-# baseline's recorded 556 devices/s. The agg gate (1.2) holds the
-# aggregated collective-attestation sweep at ≥ 1.2x the per-device
-# client-driven loopback sweep — folding evidence into per-shard roots
-# must beat shipping per-device verdicts.
+# Gateway sweeps, campaigns and cluster fan-out at 1 000 devices; writes
+# BENCH_net.json (the recorded perf baseline) and gates three ways. The
+# loopback gate (40 000 devices/s) holds the gateway-driven sweep —
+# probes pushed to device agents, reply bursts verified on the
+# gateway's pool — at ≥ 2x the first recorded loopback baseline of
+# ~19k devices/s. The campaign gate (11 100 devices/s) holds the
+# streamed wave engine + memoized probes + delta updates at ≥ 20x the
+# phase-barrier baseline's recorded 556 devices/s. The cluster gate
+# holds fan-out sweeps across four gateways against the single-gateway
+# run; its floor was recalibrated (0.9 → 0.5) when the SHA-NI
+# compression path landed: it roughly doubled absolute throughput, so
+# the fixed cost of four reactor threads sharing one core is no longer
+# masked by scalar-crypto time, and the honest ratio range on a
+# single-core box widened to 0.60-0.96. The absolute floors are what
+# catch real code regressions.
 net-bench:
-	cargo run --release -p eilid_bench --bin net -- --min-in-memory 70000 --min-loopback 40000 --min-campaign 11100 --min-cluster-ratio 0.5 --min-obs-ratio 0.85 --min-agg-ratio 1.2
+	cargo run --release -p eilid_bench --bin net -- --min-loopback 40000 --min-campaign 11100 --min-cluster-ratio 0.5
 
 # CI-sized smoke (smaller fleet, still release mode); no gates, to
 # tolerate shared-runner noise.

@@ -96,7 +96,7 @@ pub use ops::{
     merge_agg_sweeps, merge_health, merge_phases, merge_reports, merge_sweeps, AggSweepSummary,
     CampaignPhase, FleetOps, LocalOps, OpsError, OpsHealth, SweepSummary,
 };
-pub use pool::{PoolBusy, WorkerPool};
+pub use pool::WorkerPool;
 pub use report::{DeviceHealth, FleetReport, HealthClass, Ledger, LedgerEvent};
 pub use rollout::{
     PreUpdateSnapshot, ProbeMode, Reply, Request, RollbackOutcome, Rollout, RolloutKeys,

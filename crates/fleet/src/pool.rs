@@ -6,8 +6,9 @@
 //! shard. This pool replaces that with long-lived workers:
 //!
 //! * **Persistent threads** — workers are spawned once and reused across
-//!   sweeps (and by the `eilid_net` gateway across requests), so the
-//!   per-sweep cost is a channel send per shard batch, not a spawn.
+//!   sweeps (and by the `eilid_net` gateway's engine across reply
+//!   bursts), so the per-sweep cost is a channel send per shard batch,
+//!   not a spawn.
 //! * **Shard-affine dispatch** — work is submitted *to a shard*, and a
 //!   shard always maps to the same worker queue for a given worker
 //!   count. Jobs for one shard execute in submission order, which is
@@ -18,12 +19,12 @@
 //!   only the shard→worker routing changes. Callers key long-lived
 //!   caches (the verifier's device-key shards) by shard index, so
 //!   changing the worker count can never orphan cached state.
-//! * **Bounded queues / backpressure** — each worker owns a bounded
-//!   queue. [`WorkerPool::try_submit`] fails fast with [`PoolBusy`]
-//!   when the target queue is full (the gateway turns that into a
-//!   `Busy` protocol error), while [`WorkerPool::submit`] and the
-//!   scoped API block, which is the natural backpressure for batch
-//!   callers.
+//! * **Bounded queues** — each worker owns a bounded job queue; a
+//!   submitter blocks while its target queue is full, which is the
+//!   natural backpressure for batch callers.
+//! * **Inline single worker** — a one-worker pool runs a batch on the
+//!   caller's thread: no channel hops, deterministic and
+//!   profiler-friendly.
 //!
 //! The scoped API ([`WorkerPool::scope`]) is what lets the *persistent*
 //! threads run jobs that borrow from the caller's stack (the sweep's
@@ -38,9 +39,8 @@
 #![allow(unsafe_code)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::mpsc;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use std::{fmt, mem, thread};
@@ -48,44 +48,9 @@ use std::{fmt, mem, thread};
 /// A queued unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Error returned by [`WorkerPool::try_submit`] when the target worker's
-/// queue is full — the caller should shed load or retry later.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolBusy {
-    /// The shard whose worker queue was full.
-    pub shard: usize,
-}
-
-impl fmt::Display for PoolBusy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "worker queue for shard {} is full", self.shard)
-    }
-}
-
-impl std::error::Error for PoolBusy {}
-
 struct Worker {
     sender: SyncSender<Job>,
     handle: Option<JoinHandle<()>>,
-    /// Work currently queued or running on this worker, in *weight*
-    /// units (reports for the gateway's batched jobs, 1 for plain
-    /// jobs). This is what makes backpressure honest for batch
-    /// submitters: a batch of 64 reports consumes 64 units of the
-    /// budget, not one queue slot.
-    in_flight: Arc<AtomicUsize>,
-}
-
-/// Decrements a worker's in-flight weight when the job finishes — via
-/// `Drop`, so a panicking job releases its budget too.
-struct WeightGuard {
-    counter: Arc<AtomicUsize>,
-    weight: usize,
-}
-
-impl Drop for WeightGuard {
-    fn drop(&mut self) {
-        self.counter.fetch_sub(self.weight, Ordering::Release);
-    }
 }
 
 /// Long-lived, shard-affine worker pool. See the module docs.
@@ -113,10 +78,9 @@ fn spawn_workers(count: usize, queue_depth: usize) -> Vec<Worker> {
             let handle = thread::Builder::new()
                 .name(format!("eilid-pool-{index}"))
                 .spawn(move || {
-                    // Drain until every sender is gone. Jobs handle their
-                    // own panics (the scoped API forwards payloads to the
-                    // caller); a stray panic from a fire-and-forget job
-                    // must not take the worker down with it.
+                    // Drain until every sender is gone. Scoped jobs catch
+                    // their own panics and forward the payload to the
+                    // caller; catching here too keeps the worker alive.
                     while let Ok(job) = receiver.recv() {
                         let _ = catch_unwind(AssertUnwindSafe(job));
                     }
@@ -125,7 +89,6 @@ fn spawn_workers(count: usize, queue_depth: usize) -> Vec<Worker> {
             Worker {
                 sender,
                 handle: Some(handle),
-                in_flight: Arc::new(AtomicUsize::new(0)),
             }
         })
         .collect()
@@ -178,104 +141,6 @@ impl WorkerPool {
         }
     }
 
-    /// Queues `job` on `shard`'s worker, failing fast when the queue is
-    /// full.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PoolBusy`] when the worker's bounded queue is at
-    /// capacity — the backpressure signal for request-driven callers.
-    pub fn try_submit(
-        &self,
-        shard: usize,
-        job: impl FnOnce() + Send + 'static,
-    ) -> Result<(), PoolBusy> {
-        self.try_submit_weighted(shard, 1, job)
-    }
-
-    /// Queues a *batch* job of `weight` work units on `shard`'s worker,
-    /// failing fast when the worker's weight budget is exhausted.
-    ///
-    /// The budget is `queue_depth + 1` units per worker (the `+ 1`
-    /// models the job the worker is currently running). A single job
-    /// heavier than the whole budget is still accepted when the worker
-    /// is otherwise idle, so oversized batches degrade to serialized
-    /// execution instead of permanent starvation. The weight is
-    /// released when the job finishes — on panic too.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PoolBusy`] when admitting the job would exceed the
-    /// worker's weight budget (or, rarely, its queue-slot bound).
-    pub fn try_submit_weighted(
-        &self,
-        shard: usize,
-        weight: usize,
-        job: impl FnOnce() + Send + 'static,
-    ) -> Result<(), PoolBusy> {
-        let weight = weight.max(1);
-        let worker = &self.workers[self.worker_of(shard)];
-        let budget = self.queue_depth + 1;
-        // Reserve the weight first, so concurrent submitters cannot
-        // jointly overshoot the budget.
-        let mut current = worker.in_flight.load(Ordering::Acquire);
-        loop {
-            if current > 0 && current + weight > budget {
-                return Err(PoolBusy { shard });
-            }
-            match worker.in_flight.compare_exchange_weak(
-                current,
-                current + weight,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(now) => current = now,
-            }
-        }
-        let guard = WeightGuard {
-            counter: Arc::clone(&worker.in_flight),
-            weight,
-        };
-        let wrapped = move || {
-            let _guard = guard;
-            job();
-        };
-        worker
-            .sender
-            .try_send(Box::new(wrapped))
-            .map_err(|err| match err {
-                // The dropped job's WeightGuard released the reserved
-                // weight already.
-                TrySendError::Full(_) => PoolBusy { shard },
-                // Workers only exit when their sender is dropped, which
-                // cannot happen while `&self` is alive.
-                TrySendError::Disconnected(_) => unreachable!("pool worker exited while pool live"),
-            })
-    }
-
-    /// Work (in weight units) currently queued or running on the worker
-    /// serving `shard`.
-    pub fn shard_load(&self, shard: usize) -> usize {
-        self.workers[self.worker_of(shard)]
-            .in_flight
-            .load(Ordering::Acquire)
-    }
-
-    /// Queues `job` on `shard`'s worker, blocking while the queue is
-    /// full (backpressure for batch callers).
-    pub fn submit(&self, shard: usize, job: impl FnOnce() + Send + 'static) {
-        self.submit_boxed(shard, Box::new(job));
-    }
-
-    fn submit_boxed(&self, shard: usize, job: Job) {
-        let worker = &self.workers[self.worker_of(shard)];
-        worker
-            .sender
-            .send(job)
-            .unwrap_or_else(|_| unreachable!("pool worker exited while pool live"));
-    }
-
     /// Runs a batch of borrowing jobs on the persistent workers and
     /// returns their results in submission order, blocking until every
     /// job has finished.
@@ -283,9 +148,10 @@ impl WorkerPool {
     /// Each entry is `(shard, job)`; jobs for one shard run on one
     /// worker in submission order, so a caller that submits **at most
     /// one job per shard** may freely move `&mut` shard state into that
-    /// job. A panicking job does not poison the pool: the panic is
-    /// re-raised on the calling thread after the whole batch has
-    /// drained.
+    /// job. A one-worker pool runs the batch inline on the calling
+    /// thread, in submission order. A panicking job does not poison the
+    /// pool: the panic is re-raised on the calling thread after the
+    /// whole batch has drained.
     ///
     /// This is the persistent-pool replacement for `thread::scope`: the
     /// receive-side guard below gives the same "nothing borrowed
@@ -294,6 +160,25 @@ impl WorkerPool {
         &self,
         jobs: Vec<(usize, Box<dyn FnOnce() -> R + Send + 'env>)>,
     ) -> Vec<R> {
+        let outcomes: Vec<thread::Result<R>> = if self.workers.len() == 1 {
+            jobs.into_iter()
+                .map(|(_, job)| catch_unwind(AssertUnwindSafe(job)))
+                .collect()
+        } else {
+            self.run_on_workers(jobs)
+        };
+        outcomes
+            .into_iter()
+            .map(|outcome| outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
+    }
+
+    /// Queues every job on its shard's worker and collects the
+    /// outcomes in submission order.
+    fn run_on_workers<'env, R: Send + 'env>(
+        &self,
+        jobs: Vec<(usize, Box<dyn FnOnce() -> R + Send + 'env>)>,
+    ) -> Vec<thread::Result<R>> {
         let total = jobs.len();
         let (tx, rx) = mpsc::channel::<(usize, thread::Result<R>)>();
         // The guard's Drop blocks until `total` completions arrived —
@@ -327,24 +212,20 @@ impl WorkerPool {
                     wrapped,
                 )
             };
-            self.submit_boxed(shard, erased);
+            self.workers[self.worker_of(shard)]
+                .sender
+                .send(erased)
+                .unwrap_or_else(|_| unreachable!("pool worker exited while pool live"));
         }
         drop(tx);
 
-        let mut results: Vec<Option<R>> = (0..total).map(|_| None).collect();
-        let mut panic_payload = None;
+        let mut outcomes: Vec<Option<thread::Result<R>>> = (0..total).map(|_| None).collect();
         for _ in 0..total {
             let (index, result) = guard.recv();
-            match result {
-                Ok(value) => results[index] = Some(value),
-                Err(payload) => panic_payload = Some(payload),
-            }
+            outcomes[index] = Some(result);
         }
         debug_assert_eq!(guard.outstanding, 0);
-        if let Some(payload) = panic_payload {
-            std::panic::resume_unwind(payload);
-        }
-        results
+        outcomes
             .into_iter()
             .map(|slot| slot.expect("every completed job reported a result"))
             .collect()
@@ -400,15 +281,11 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Shared handle to a [`WorkerPool`] plus interior mutability for
-/// resizing: what long-lived services (the verifier, the gateway) hold.
-pub type SharedPool = Arc<Mutex<WorkerPool>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Barrier};
+    use std::sync::Arc;
 
     #[test]
     fn scope_runs_borrowing_jobs_and_preserves_order() {
@@ -488,35 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_reports_backpressure_when_the_queue_fills() {
-        let pool = WorkerPool::new(1, 1, 1);
-        let gate = Arc::new(Barrier::new(2));
-        // First job parks the single worker...
-        let parked = Arc::clone(&gate);
-        pool.submit(0, move || {
-            parked.wait();
-        });
-        // ...one more fits in the depth-1 queue...
-        let queued = loop {
-            match pool.try_submit(0, || {}) {
-                Ok(()) => break true,
-                Err(PoolBusy { .. }) => continue,
-            }
-        };
-        assert!(queued);
-        // ...after which the queue is full.
-        let mut saw_busy = false;
-        for _ in 0..100 {
-            if pool.try_submit(0, || {}) == Err(PoolBusy { shard: 0 }) {
-                saw_busy = true;
-                break;
-            }
-        }
-        assert!(saw_busy, "a bounded queue must eventually report Busy");
-        gate.wait();
-    }
-
-    #[test]
     fn set_workers_keeps_the_shard_count_and_keeps_working() {
         let mut pool = WorkerPool::new(1, 8, 4);
         assert_eq!(pool.shard_count(), 8);
@@ -541,84 +389,36 @@ mod tests {
     }
 
     #[test]
-    fn fire_and_forget_submit_executes() {
-        let pool = WorkerPool::new(2, 4, 8);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for shard in 0..4 {
-            let counter = Arc::clone(&counter);
-            pool.submit(shard, move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        // Dropping the pool joins the workers, draining the queues.
-        drop(pool);
-        assert_eq!(counter.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn weighted_submission_respects_the_weight_budget() {
-        // 1 worker, budget = queue_depth + 1 = 9 weight units.
+    fn one_worker_runs_the_batch_inline_and_still_drains_before_a_panic() {
         let pool = WorkerPool::new(1, 4, 8);
-        let gate = Arc::new(Barrier::new(2));
-        let parked = Arc::clone(&gate);
-        // Park the worker under a weight-4 batch.
-        pool.try_submit_weighted(0, 4, move || {
-            parked.wait();
-        })
-        .unwrap();
-        // A weight-5 batch still fits (4 + 5 = 9 ≤ 9)...
-        pool.try_submit_weighted(1, 5, || {}).unwrap();
-        assert_eq!(pool.shard_load(0), 9);
-        // ...after which even a weight-1 job is refused.
-        assert_eq!(
-            pool.try_submit_weighted(2, 1, || {}),
-            Err(PoolBusy { shard: 2 })
+        let caller = std::thread::current().id();
+        let ids = pool.scope(
+            (0..4)
+                .map(|shard| {
+                    let job: Box<dyn FnOnce() -> std::thread::ThreadId + Send> =
+                        Box::new(|| std::thread::current().id());
+                    (shard, job)
+                })
+                .collect(),
         );
-        gate.wait();
-        // Draining releases the weight and admission resumes.
-        let drained = loop {
-            match pool.try_submit_weighted(3, 8, || {}) {
-                Ok(()) => break true,
-                Err(PoolBusy { .. }) => std::thread::yield_now(),
-            }
-        };
-        assert!(drained);
-    }
+        assert!(ids.iter().all(|id| *id == caller), "one worker runs inline");
 
-    #[test]
-    fn oversized_batch_is_accepted_on_an_idle_worker() {
-        let pool = WorkerPool::new(1, 1, 2);
-        let ran = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&ran);
-        let gate = Arc::new(Barrier::new(2));
-        let parked = Arc::clone(&gate);
-        // Weight 100 dwarfs the budget of 3, but the worker is idle:
-        // refusing forever would starve the caller.
-        pool.try_submit_weighted(0, 100, move || {
-            counter.fetch_add(1, Ordering::SeqCst);
-            parked.wait();
-        })
-        .unwrap();
-        // While it is pending/running, everything else is refused.
-        assert!(pool.try_submit_weighted(0, 1, || {}).is_err());
-        gate.wait();
-        drop(pool);
-        assert_eq!(ran.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn panicking_weighted_job_releases_its_weight() {
-        let pool = WorkerPool::new(1, 1, 4);
-        pool.try_submit_weighted(0, 5, || panic!("batch job exploded"))
-            .unwrap();
-        // Once the panicked job drains, the full budget is back.
-        let readmitted = loop {
-            match pool.try_submit_weighted(0, 5, || {}) {
-                Ok(()) => break true,
-                Err(PoolBusy { .. }) => std::thread::yield_now(),
-            }
-        };
-        assert!(readmitted);
+        let completed = AtomicUsize::new(0);
+        let jobs: Vec<(usize, Box<dyn FnOnce() + Send + '_>)> = (0..4)
+            .map(|shard| {
+                let completed = &completed;
+                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    if shard == 0 {
+                        panic!("job 0 exploded");
+                    }
+                    completed.fetch_add(1, Ordering::SeqCst);
+                });
+                (shard, job)
+            })
+            .collect();
+        let result = catch_unwind(AssertUnwindSafe(|| pool.scope(jobs)));
+        assert!(result.is_err(), "the panic must reach the caller");
+        assert_eq!(completed.load(Ordering::SeqCst), 3, "later jobs still ran");
     }
 
     #[test]

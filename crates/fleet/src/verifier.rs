@@ -391,11 +391,10 @@ impl Verifier {
     /// Partitions `targets` into their stable shards (`id % SHARD_COUNT`,
     /// ascending id within a shard — the canonical leaf order every
     /// aggregator agrees on) and runs `job` once per non-empty shard,
-    /// with that shard's state exclusively borrowed: inline when the pool
-    /// has one worker (no channel hops — deterministic and
-    /// profiler-friendly), otherwise as one pool job per shard (shards
-    /// route to exactly one worker, so the only shared data is
-    /// read-only). Results come back in shard order.
+    /// with that shard's state exclusively borrowed, as one
+    /// [`WorkerPool::scope`] job per shard (shards route to exactly one
+    /// worker, so the only shared data is read-only; a one-worker pool
+    /// runs them inline). Results come back in shard order.
     fn run_shards<'env, R, F>(
         shards: &'env mut [SweepShard],
         pool: &WorkerPool,
@@ -420,11 +419,6 @@ impl Verifier {
             .zip(shard_targets)
             .enumerate()
             .filter(|(_, (_, targets))| !targets.is_empty());
-        if pool.workers() == 1 {
-            return work
-                .map(|(index, (shard, targets))| job(index, shard, targets))
-                .collect();
-        }
         let job = &job;
         let jobs: Vec<(usize, Box<dyn FnOnce() -> R + Send + '_>)> = work
             .map(|(index, (shard, targets))| {

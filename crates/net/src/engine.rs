@@ -21,11 +21,10 @@
 //! and device replies reach the engine thread over an mpsc channel.
 //! The engine keeps only transport concerns: waves are *streamed* (each
 //! device advances the moment its reply lands, admission capped by a
-//! per-connection window, [`ENGINE_WAVE_WINDOW`] — the sweep client's
-//! window-of-32 pattern), bursts of replies are drained into one
-//! coalesced write, the idle deadline extends on progress, a closed
-//! connection fails its devices fast, and the phase-latency and
-//! update-byte metrics are recorded here. A device agent that cannot
+//! per-connection window, [`ENGINE_WAVE_WINDOW`]), bursts of replies
+//! are drained into one coalesced write, the idle deadline extends on
+//! progress, a closed connection fails its devices fast, and the
+//! phase-latency and update-byte metrics are recorded here. A device agent that cannot
 //! serve a push right now sheds it with a device-scoped
 //! [`Frame::DeviceError`] `Busy`; the engine re-pushes it after a
 //! bounded exponential backoff scheduled *inside its event loop* (the
@@ -36,10 +35,11 @@
 //! The one sweep verb, `OpAggSweep`, is one probe exchange: every probe
 //! is pushed at once, `Busy` sheds go through the same retry heap, and
 //! the idle deadline extends on progress. Each burst of replies is
-//! verified and hashed into evidence leaves the moment it lands, so the
-//! gateway's MAC checks and leaf hashes overlap the agents' attestation;
-//! only the shard trees' interior nodes and at most `SHARD_COUNT` root
-//! MACs follow the last reply.
+//! verified and hashed into evidence leaves the moment it lands, one
+//! [`WorkerPool::scope`] job per non-empty key shard, so the gateway's
+//! MAC checks and leaf hashes overlap the agents' attestation and use
+//! every verification worker; only the shard trees' interior nodes and
+//! at most `SHARD_COUNT` root MACs follow the last reply.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -73,9 +73,9 @@ use crate::wire::{
 pub const ENGINE_BUSY_RETRIES: usize = BUSY_RETRIES;
 
 /// Per-connection cap on devices concurrently in flight during a
-/// streamed campaign wave. Matches the sweep client's window-of-32:
-/// enough to keep every agent's serve loop saturated, small enough
-/// that one connection's outbox never balloons.
+/// streamed campaign wave: enough to keep every agent's serve loop
+/// saturated, small enough that one connection's outbox never
+/// balloons.
 pub const ENGINE_WAVE_WINDOW: usize = 32;
 
 /// Bounded exponential backoff before re-pushing a `Busy`-shed frame
@@ -194,11 +194,11 @@ pub(crate) struct OpsEngine {
     campaigns: BTreeMap<WorkloadId, CampaignSlot>,
     ledger: Ledger,
     /// The reactor's counters, read for [`Frame::OpHealthResult`]'s
-    /// supervision fields.
+    /// supervision fields and the metrics scrape.
     counters: Arc<GatewayCounters>,
-    /// The reactor's verification pool, queried (never submitted to)
-    /// for the health report's queue depth.
-    pool: Arc<WorkerPool>,
+    /// Verification workers: each sweep reply burst runs as one scoped
+    /// job per non-empty key shard.
+    pool: WorkerPool,
     /// Set on [`Frame::OpDrain`]; the reactor's accept path reads it.
     draining: Arc<AtomicBool>,
     /// The gateway's telemetry hub: wave-phase histograms and busy
@@ -219,7 +219,7 @@ impl OpsEngine {
         waker: Waker,
         timeout: Duration,
         counters: Arc<GatewayCounters>,
-        pool: Arc<WorkerPool>,
+        pool: WorkerPool,
         draining: Arc<AtomicBool>,
         metrics: Arc<NetMetrics>,
     ) -> std::thread::JoinHandle<()> {
@@ -389,8 +389,6 @@ impl OpsEngine {
                         ledger_events: self.ledger.events().len() as u32,
                         live_sessions: self.counters.live_connections.load(Ordering::Relaxed)
                             as u32,
-                        queue_depth: self.queue_depth_max() as u32,
-                        batches_submitted: self.counters.batches_submitted.load(Ordering::Relaxed),
                     },
                 );
             }
@@ -471,10 +469,9 @@ impl OpsEngine {
                 );
             }
             Frame::OpMetrics => {
-                // Refresh the point-in-time gauges, then render the
-                // whole registry (plus the pre-registry atomics) as the
-                // compact JSON the operator plane parses back.
-                self.metrics.sample_pool(&self.pool);
+                // Render the whole registry (plus the pre-registry
+                // atomics) as the compact JSON the operator plane parses
+                // back.
                 let snapshot = self
                     .metrics
                     .snapshot(&self.counters, &self.service)
@@ -490,16 +487,6 @@ impl OpsEngine {
             // The session only routes the frames above.
             _ => self.send_error(conn, ErrorCode::UnexpectedFrame),
         }
-    }
-
-    /// The hottest single worker's queued/running weight — the
-    /// backpressure signal `OpHealthResult` reports. A shard-affine
-    /// pool stalls when its *hottest* worker saturates, so the sum
-    /// (which a balanced and a pathological fleet can share) goes to
-    /// the metrics gauges instead; see `eilid_pool_queue_depth_sum`.
-    fn queue_depth_max(&self) -> usize {
-        let (_, max) = self.metrics.sample_pool(&self.pool);
-        max as usize
     }
 
     /// Records one finished streamed wave into the trace ring. The
@@ -623,36 +610,45 @@ impl OpsEngine {
 
     /// Probes every device `requests` names and verifies each reactor
     /// burst of replies the moment it lands, while the agents are still
-    /// attesting the rest: one [`AttestationService::verify_batch`] per
-    /// burst, sorted by key shard so each burst takes the cohort lock
-    /// once and each shard lock once, then each report hashed into its
-    /// [`evidence_leaf`]. Returns the verdict and leaf of every device
-    /// that answered, plus when the last reply landed. A device absent
-    /// from the verdicts lost or shed its probe.
+    /// attesting the rest: the burst is split by key shard and each
+    /// non-empty shard runs [`verify_shard`] as one [`WorkerPool::scope`]
+    /// job. The verdict map is filled here, on the engine thread, from
+    /// the replies [`OpsEngine::exchange`] accepted — so each report is
+    /// verified exactly once. Returns the verdict and leaf of every
+    /// device that answered, plus when the last reply landed. A device
+    /// absent from the verdicts lost or shed its probe.
     fn probe_and_verify(
-        &mut self,
+        &self,
         challenges: &SweepChallenges,
         requests: Vec<(DeviceId, Frame)>,
     ) -> (SweepVerdicts, Option<Instant>) {
-        let service = Arc::clone(&self.service);
-        let provider = Arc::clone(service.provider());
+        let (service, metrics) = (&*self.service, &*self.metrics);
         let mut verdicts = SweepVerdicts::with_capacity(challenges.len());
-        let mut tasks: Vec<VerifyTask> = Vec::new();
         let last_reply = self.exchange(requests, |burst| {
-            tasks.clear();
-            tasks.extend(burst.iter().filter_map(|&(device, report)| {
-                let &(cohort, issued) = challenges.get(&device)?;
-                Some(VerifyTask {
-                    device,
-                    cohort,
-                    issued,
-                    report,
+            let mut shards: Vec<Vec<VerifyTask>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
+            for &(device, report) in burst {
+                if let Some(&(cohort, issued)) = challenges.get(&device) {
+                    shards[(device % SHARD_COUNT as u64) as usize].push(VerifyTask {
+                        device,
+                        cohort,
+                        issued,
+                        report,
+                    });
+                }
+            }
+            let submitted = Instant::now();
+            let jobs: Vec<(usize, ShardJob<'_>)> = shards
+                .into_iter()
+                .enumerate()
+                .filter(|(_, tasks)| !tasks.is_empty())
+                .map(|(shard, tasks)| {
+                    let job: ShardJob<'_> =
+                        Box::new(move || verify_shard(service, metrics, submitted, &tasks));
+                    (shard, job)
                 })
-            }));
-            tasks.sort_by_key(|task| task.device % SHARD_COUNT as u64);
-            for (task, (class, _)) in tasks.iter().zip(service.verify_batch(&tasks)) {
-                let leaf = evidence_leaf(&*provider, task.device, &task.report);
-                verdicts.insert(task.device, (class, leaf));
+                .collect();
+            for (device, class, leaf) in self.pool.scope(jobs).into_iter().flatten() {
+                verdicts.insert(device, (class, leaf));
             }
         });
         (verdicts, last_reply)
@@ -799,7 +795,7 @@ impl OpsEngine {
     ///
     /// Returns when the last accepted reply landed (`None` if none did).
     fn exchange(
-        &mut self,
+        &self,
         requests: Vec<(DeviceId, Frame)>,
         mut sink: impl FnMut(&[(DeviceId, AttestationReport)]),
     ) -> Option<Instant> {
@@ -1128,6 +1124,42 @@ impl OpsEngine {
     }
 }
 
+/// One verified probe reply: the device, its class and the evidence
+/// leaf of its report.
+type ShardVerdict = (DeviceId, HealthClass, [u8; 32]);
+
+/// One key shard's verification job on the engine's pool.
+type ShardJob<'a> = Box<dyn FnOnce() -> Vec<ShardVerdict> + Send + 'a>;
+
+/// Verifies one key shard of a reply burst (a pool job): the batch's
+/// report MACs under one shard lock, then each report's evidence leaf.
+/// Records the batch size, the MAC verification time and the job's
+/// time from submission to finish (which includes any queue wait).
+fn verify_shard(
+    service: &AttestationService,
+    metrics: &NetMetrics,
+    submitted: Instant,
+    tasks: &[VerifyTask],
+) -> Vec<ShardVerdict> {
+    metrics.verify_batch_size.record(tasks.len() as u64);
+    let started = Instant::now();
+    let classes = service.verify_batch(tasks);
+    metrics
+        .verify_batch_us
+        .record_duration_us(started.elapsed());
+    let provider = service.provider();
+    let verdicts = tasks
+        .iter()
+        .zip(classes)
+        .map(|(task, (class, _))| {
+            let leaf = evidence_leaf(&**provider, task.device, &task.report);
+            (task.device, class, leaf)
+        })
+        .collect();
+    metrics.pool_job_us.record_duration_us(submitted.elapsed());
+    verdicts
+}
+
 /// Device keys and challenges from the gateway's attestation service.
 struct ServiceKeys<'a>(&'a AttestationService);
 
@@ -1218,7 +1250,7 @@ mod tests {
         drop(reactor);
         let (_engine_tx, rx) = mpsc::channel();
         let timeout = Duration::from_secs(30);
-        let mut engine = OpsEngine {
+        let engine = OpsEngine {
             service: Arc::new(AttestationService::new(verifier.service_snapshot(1 << 20))),
             registry,
             rx,
@@ -1228,7 +1260,7 @@ mod tests {
             campaigns: BTreeMap::new(),
             ledger: Ledger::default(),
             counters: Arc::new(GatewayCounters::default()),
-            pool: Arc::new(WorkerPool::new(1, SHARD_COUNT, 8)),
+            pool: WorkerPool::new(1, SHARD_COUNT, 8),
             draining: Arc::new(AtomicBool::new(false)),
             metrics: NetMetrics::new(),
         };

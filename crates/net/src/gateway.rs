@@ -1,5 +1,5 @@
-//! The networked attestation gateway: a readiness-driven reactor
-//! feeding *batched* verification work to the persistent
+//! The networked attestation gateway: a readiness-driven reactor in
+//! front of the campaign engine, which verifies on the persistent
 //! [`WorkerPool`](eilid_fleet::WorkerPool).
 //!
 //! Architecture (std-only, no async runtime):
@@ -9,35 +9,31 @@
 //!      │ accept
 //!      ▼
 //!  reactor ── epoll readiness (or scan fallback) ── read → FrameDecoder → Session
-//!      ▲            │ cheap frames: reply into the connection outbox
-//!      │            └─ Report frames: coalesce per shard ──┐
-//!      │ Waker (eventfd / condvar)                         │ one weighted pool
-//!      └── completions (mpsc, one message per batch) ◀── job per shard batch
-//!                                                      WorkerPool · verify_batch
+//!      ▲            │ cheap frames (hello, attach): reply into the outbox
+//!      │            └─ operator commands, device replies ──▶ engine thread
+//!      │ Waker (eventfd / condvar)                              │   ▲
+//!      └── completions (probe pushes, results) ◀────────────────┘   │ verdicts
+//!                                           each reply burst ──▶ WorkerPool::scope,
+//!                                                                one job per key shard
 //! ```
 //!
-//! Two structural changes over the PR 3 poll loop close most of the
-//! TCP gap:
+//! The gateway challenges and devices answer: the engine pushes probe
+//! requests to the device agents registered on the reactor's
+//! connections and verifies each burst of replies as it lands, one
+//! [`WorkerPool::scope`](eilid_fleet::WorkerPool::scope) job per
+//! non-empty key shard.
 //!
 //! * **Readiness, not scanning.** With the epoll backend the reactor
 //!   wakes only for sockets that have bytes (or writable room) and for
-//!   worker completions (eventfd), so per-pass cost tracks *active*
+//!   engine completions (eventfd), so per-pass cost tracks *active*
 //!   connections — 10 000 idle sessions cost nothing. The portable
 //!   fallback still scans, but idles through an adaptive
 //!   [`IdleBackoff`] instead of a fixed 200 µs sleep, and a [`Waker`]
 //!   interrupts its sleep so completion latency stays bounded.
-//! * **Batched verification.** Decoded `Report` frames are coalesced
-//!   per shard and submitted as one weighted pool job per shard batch;
-//!   [`AttestationService::verify_batch`] walks the batch under a
-//!   single key-shard lock, and each batch's verdicts come back as one
-//!   channel message whose frames are encoded back-to-back into the
+//! * **Coalesced I/O.** The device replies one reactor pass decodes go
+//!   to the engine as one channel message, and the frames the engine
+//!   sends back in one message are encoded back-to-back into the
 //!   connection outboxes — one `write` syscall flushes them all.
-//!
-//! Worker budgets stay bounded (in report units, via
-//! [`WorkerPool::try_submit_weighted`]): when a shard's budget is full
-//! the gateway answers a device-scoped [`Frame::DeviceError`] `Busy`
-//! per shed report — attributable backpressure a pipelining client can
-//! retry per device.
 
 use std::collections::{BTreeSet, HashMap};
 use std::io::{self, Read, Write};
@@ -54,7 +50,7 @@ use crate::metrics::{NetMetrics, TRACE_CAT_REACTOR, TRACE_REACTOR_PASS};
 use crate::poller::{
     Event, IdleBackoff, Interest, Poller, PollerBackend, PollerChoice, WaitOutcome, Waker,
 };
-use crate::service::{AttestationService, Session, SessionOutput, VerifyTask};
+use crate::service::{AttestationService, Session, SessionOutput};
 use crate::wire::{ErrorCode, Frame, FrameDecoder, WireError};
 
 /// Token the listening socket is registered under (connection ids count
@@ -64,21 +60,18 @@ const LISTENER_TOKEN: u64 = u64::MAX - 1;
 /// Tuning knobs for a [`Gateway`].
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
-    /// Persistent verification workers (default 4).
+    /// Persistent verification workers: how many key shards of one
+    /// reply burst the engine verifies in parallel (default 4; 1
+    /// verifies inline on the engine thread).
     pub workers: usize,
-    /// Per-worker verification budget in *reports* (batches are
-    /// weighted by their size); exhausting it turns into device-scoped
-    /// `Busy` replies (default 256).
+    /// Per-worker job-queue bound of the verification pool (default
+    /// 256).
     pub queue_depth: usize,
     /// Connections beyond this are refused on accept (default 1024).
     pub max_connections: usize,
     /// Readiness backend selection (default [`PollerChoice::Auto`]:
     /// epoll on Linux, scan elsewhere).
     pub poller: PollerChoice,
-    /// Max reports coalesced into one shard batch before it is flushed
-    /// to the pool mid-pass (default 64; batches also flush at the end
-    /// of every reactor pass, so this is a ceiling, not a wait).
-    pub batch_max: usize,
     /// Hard cap on a single idle sleep of the scan fallback's adaptive
     /// backoff (default 2 ms; the epoll backend does not sleep-poll).
     pub idle_backoff_max: Duration,
@@ -97,7 +90,6 @@ impl Default for GatewayConfig {
             queue_depth: 256,
             max_connections: 1024,
             poller: PollerChoice::Auto,
-            batch_max: 64,
             idle_backoff_max: Duration::from_millis(2),
             ops_timeout: Duration::from_secs(10),
         }
@@ -114,15 +106,8 @@ pub struct GatewayCounters {
     pub refused: AtomicU64,
     /// Frames successfully decoded.
     pub frames_received: AtomicU64,
-    /// Reports bounced with a device-scoped `Busy` (pool backpressure).
-    pub busy_rejections: AtomicU64,
     /// Connections dropped for unparseable framing.
     pub malformed_streams: AtomicU64,
-    /// Shard batches submitted to the worker pool.
-    pub batches_submitted: AtomicU64,
-    /// Reports carried by those batches (`batched_reports /
-    /// batches_submitted` is the realized batching factor).
-    pub batched_reports: AtomicU64,
     /// Readiness wake-ups that delivered at least one event
     /// (epoll backend only).
     pub reactor_wakes: AtomicU64,
@@ -146,8 +131,8 @@ struct Conn {
 }
 
 /// Stop reading (and stop producing replies) for a connection whose
-/// peer is not draining its verdicts — TCP flow control then pushes the
-/// backpressure to the peer.
+/// peer is not draining what the gateway sends — TCP flow control then
+/// pushes the backpressure to the peer.
 const OUTBOX_HIGH_WATER: usize = 256 * 1024;
 
 impl Conn {
@@ -207,13 +192,8 @@ fn raw_fd<T>(_io: &T) -> i32 {
 /// the map can be iterated mutably alongside).
 struct PassCtx<'a> {
     service: &'a Arc<AttestationService>,
-    pool: &'a WorkerPool,
-    completions_tx: &'a mpsc::Sender<Vec<(u64, Frame)>>,
-    waker: &'a Waker,
     counters: &'a GatewayCounters,
     metrics: &'a Arc<NetMetrics>,
-    batches: &'a mut Vec<Vec<(u64, VerifyTask)>>,
-    batch_max: usize,
     read_buf: &'a mut [u8],
     /// Device→connection registry the campaign engine pushes through.
     registry: &'a Arc<Mutex<Registry>>,
@@ -222,122 +202,20 @@ struct PassCtx<'a> {
     engine_tx: &'a mpsc::Sender<EngineInput>,
 }
 
-impl PassCtx<'_> {
-    /// Coalesces one verification task into its shard batch, flushing
-    /// the batch when it reaches the configured ceiling.
-    fn push_task(&mut self, conn_id: u64, task: VerifyTask) {
-        let shard = (task.device % SHARD_COUNT as u64) as usize;
-        self.batches[shard].push((conn_id, task));
-        if self.batches[shard].len() >= self.batch_max {
-            self.flush_shard(shard);
-        }
-    }
-
-    /// Submits one shard's batch as a single weighted pool job; on pool
-    /// backpressure every report in the batch is bounced with a
-    /// device-scoped `Busy` (routed through the completions channel so
-    /// the frames reach connections other than the one being serviced).
-    fn flush_shard(&mut self, shard: usize) {
-        let batch = std::mem::take(&mut self.batches[shard]);
-        if batch.is_empty() {
-            return;
-        }
-        let weight = batch.len();
-        // Kept aside so the bounce path survives the closure taking
-        // ownership of the batch.
-        let ids: Vec<(u64, u64)> = batch
-            .iter()
-            .map(|(conn, task)| (*conn, task.device))
-            .collect();
-        let service = Arc::clone(self.service);
-        let tx = self.completions_tx.clone();
-        let waker = self.waker.clone();
-        let metrics = Arc::clone(self.metrics);
-        let submitted_at = Instant::now();
-        self.metrics.verify_batch_size.record(weight as u64);
-        let submitted = self.pool.try_submit_weighted(shard, weight, move || {
-            let (conns, tasks): (Vec<u64>, Vec<VerifyTask>) = batch.into_iter().unzip();
-            let verify_started = Instant::now();
-            let verdicts = service.verify_batch(&tasks);
-            metrics
-                .verify_batch_us
-                .record_duration_us(verify_started.elapsed());
-            metrics
-                .pool_job_us
-                .record_duration_us(submitted_at.elapsed());
-            let frames: Vec<(u64, Frame)> = conns
-                .into_iter()
-                .zip(tasks.iter().zip(verdicts))
-                .map(|(conn, (task, (class, _)))| {
-                    (
-                        conn,
-                        Frame::AttestResult {
-                            device: task.device,
-                            class: crate::service::health_to_wire(class),
-                        },
-                    )
-                })
-                .collect();
-            // The reactor only disappears at shutdown; dropping the
-            // verdicts is correct then.
-            let _ = tx.send(frames);
-            waker.wake();
-        });
-        match submitted {
-            Ok(()) => {
-                self.counters
-                    .batches_submitted
-                    .fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .batched_reports
-                    .fetch_add(weight as u64, Ordering::Relaxed);
-            }
-            Err(_busy) => {
-                self.counters
-                    .busy_rejections
-                    .fetch_add(weight as u64, Ordering::Relaxed);
-                let bounced: Vec<(u64, Frame)> = ids
-                    .into_iter()
-                    .map(|(conn, device)| {
-                        (
-                            conn,
-                            Frame::DeviceError {
-                                device,
-                                code: ErrorCode::Busy,
-                            },
-                        )
-                    })
-                    .collect();
-                let _ = self.completions_tx.send(bounced);
-            }
-        }
-    }
-
-    /// Flushes every non-empty shard batch (end of a reactor pass).
-    fn flush_all(&mut self) {
-        for shard in 0..self.batches.len() {
-            self.flush_shard(shard);
-        }
-    }
-}
-
 /// The networked attestation gateway. Create with [`Gateway::bind`],
 /// then either drive [`Gateway::poll`] yourself or hand the gateway to
 /// a thread with [`Gateway::spawn`].
 pub struct Gateway {
     listener: TcpListener,
     service: Arc<AttestationService>,
-    pool: Arc<WorkerPool>,
     conns: HashMap<u64, Conn>,
     next_conn: u64,
-    completions_tx: mpsc::Sender<Vec<(u64, Frame)>>,
     completions_rx: mpsc::Receiver<Vec<(u64, Frame)>>,
     config: GatewayConfig,
     counters: Arc<GatewayCounters>,
     read_buf: Vec<u8>,
     poller: Poller,
     waker: Waker,
-    batches: Vec<Vec<(u64, VerifyTask)>>,
     /// Device→connection registry shared with the campaign engine.
     registry: Arc<Mutex<Registry>>,
     /// Channel to the campaign engine thread; dropping the gateway
@@ -347,7 +225,7 @@ pub struct Gateway {
     /// connections (existing ones keep draining their outboxes).
     draining: Arc<AtomicBool>,
     /// Per-gateway telemetry hub, shared with the campaign engine and
-    /// the worker closures; scraped over the wire via
+    /// its verification jobs; scraped over the wire via
     /// [`Frame::OpMetrics`].
     metrics: Arc<NetMetrics>,
 }
@@ -357,7 +235,7 @@ impl std::fmt::Debug for Gateway {
         f.debug_struct("Gateway")
             .field("addr", &self.listener.local_addr().ok())
             .field("connections", &self.conns.len())
-            .field("workers", &self.pool.workers())
+            .field("workers", &self.config.workers)
             .field("poller", &self.poller.backend())
             .finish()
     }
@@ -381,19 +259,14 @@ impl Gateway {
         poller.register(raw_fd(&listener), LISTENER_TOKEN, Interest::READ)?;
         let waker = poller.waker();
         let (completions_tx, completions_rx) = mpsc::channel();
-        let pool = Arc::new(WorkerPool::new(
-            config.workers,
-            SHARD_COUNT,
-            config.queue_depth,
-        ));
         let counters = Arc::new(GatewayCounters::default());
         let draining = Arc::new(AtomicBool::new(false));
         // The campaign engine: its own thread, fed by the reactor over
         // `engine_tx`, replying through the completions channel. It
-        // exits when the gateway (the only sender) is dropped. It
-        // shares the reactor counters and the worker pool read-only
-        // (for `OpHealth`) and the drain flag read-write (it sets it on
-        // `OpDrain`; the reactor's accept path reads it).
+        // exits when the gateway (the only sender) is dropped. It owns
+        // the verification pool, reads the reactor counters (for
+        // `OpHealth`) and shares the drain flag read-write (it sets it
+        // on `OpDrain`; the reactor's accept path reads it).
         let registry = Arc::new(Mutex::new(Registry::default()));
         let metrics = NetMetrics::new();
         let (engine_tx, engine_rx) = mpsc::channel();
@@ -401,28 +274,25 @@ impl Gateway {
             Arc::clone(&service),
             Arc::clone(&registry),
             engine_rx,
-            completions_tx.clone(),
+            completions_tx,
             waker.clone(),
             config.ops_timeout,
             Arc::clone(&counters),
-            Arc::clone(&pool),
+            WorkerPool::new(config.workers, SHARD_COUNT, config.queue_depth),
             Arc::clone(&draining),
             Arc::clone(&metrics),
         );
         Ok(Gateway {
             listener,
             service,
-            pool,
             conns: HashMap::new(),
             next_conn: 0,
-            completions_tx,
             completions_rx,
             config,
             counters,
             read_buf: vec![0u8; 64 * 1024],
             poller,
             waker,
-            batches: (0..SHARD_COUNT).map(|_| Vec::new()).collect(),
             registry,
             engine_tx,
             draining,
@@ -457,7 +327,6 @@ impl Gateway {
     /// A scrape-time snapshot of every gateway metric — what a wire
     /// [`Frame::OpMetrics`] returns, available in-process.
     pub fn metrics_snapshot(&self) -> eilid_obs::RegistrySnapshot {
-        self.metrics.sample_pool(&self.pool);
         self.metrics.snapshot(&self.counters, &self.service)
     }
 
@@ -540,18 +409,18 @@ impl Gateway {
         Ok(progress)
     }
 
-    /// Drains the completions channel, queueing each batch's frames
+    /// Drains the completions channel, queueing each message's frames
     /// into its connections' outboxes and flushing the touched
-    /// connections — the coalesced write path: a whole batch of
-    /// verdicts for one connection goes out in one syscall. Returns
+    /// connections — the coalesced write path: a whole burst of engine
+    /// pushes for one connection goes out in one syscall. Returns
     /// `true` on progress.
     fn deliver_completions(&mut self) -> bool {
         let mut touched: BTreeSet<u64> = BTreeSet::new();
         while let Ok(batch) = self.completions_rx.try_recv() {
             for (conn_id, frame) in batch {
                 if let Some(conn) = self.conns.get_mut(&conn_id) {
-                    // Per-code reject accounting for the asynchronous
-                    // reply paths (pool bounces, engine errors).
+                    // Per-code reject accounting for the engine's
+                    // asynchronous error replies.
                     if let Frame::Error { code } | Frame::DeviceError { code, .. } = &frame {
                         self.metrics.count_reject(*code);
                     }
@@ -600,10 +469,10 @@ impl Gateway {
         }
     }
 
-    /// One full scan pass: accept, deliver worker completions, flush,
-    /// read, dispatch, flush shard batches. Returns `true` when any
-    /// progress was made. This is the whole service loop of the scan
-    /// backend — and the drain step of both backends at shutdown.
+    /// One full scan pass: accept, deliver engine completions, flush,
+    /// read, dispatch. Returns `true` when any progress was made. This
+    /// is the whole service loop of the scan backend — and the drain
+    /// step of both backends at shutdown.
     ///
     /// # Errors
     ///
@@ -616,13 +485,8 @@ impl Gateway {
         let mut dead: Vec<u64> = Vec::new();
         let mut ctx = PassCtx {
             service: &self.service,
-            pool: &self.pool,
-            completions_tx: &self.completions_tx,
-            waker: &self.waker,
             counters: &self.counters,
             metrics: &self.metrics,
-            batches: &mut self.batches,
-            batch_max: self.config.batch_max,
             read_buf: &mut self.read_buf,
             registry: &self.registry,
             engine_tx: &self.engine_tx,
@@ -634,13 +498,12 @@ impl Gateway {
                 dead.push(id);
             }
         }
-        ctx.flush_all();
         for id in dead {
             self.drop_conn(id);
             progress = true;
         }
-        // Batches may have produced synchronous bounces (pool busy);
-        // deliver them without waiting for the next pass.
+        // Engine frames that landed during the pass go out now, not
+        // after the next wake.
         progress |= self.deliver_completions();
         Ok(progress)
     }
@@ -653,13 +516,8 @@ impl Gateway {
         {
             let mut ctx = PassCtx {
                 service: &self.service,
-                pool: &self.pool,
-                completions_tx: &self.completions_tx,
-                waker: &self.waker,
                 counters: &self.counters,
                 metrics: &self.metrics,
-                batches: &mut self.batches,
-                batch_max: self.config.batch_max,
                 read_buf: &mut self.read_buf,
                 registry: &self.registry,
                 engine_tx: &self.engine_tx,
@@ -679,7 +537,6 @@ impl Gateway {
                     dead.push(event.token);
                 }
             }
-            ctx.flush_all();
             for id in dead {
                 self.drop_conn(id);
                 progress = true;
@@ -757,7 +614,6 @@ impl Gateway {
                                 conn.queue(&frame);
                             }
                         }
-                        SessionOutput::Verify(task) => ctx.push_task(conn_id, task),
                         SessionOutput::Attach { device, cohort } => {
                             ctx.registry
                                 .lock()
@@ -966,8 +822,7 @@ impl GatewayHandle {
     }
 
     /// A scrape-time snapshot of every gateway metric (in-process
-    /// equivalent of a wire [`Frame::OpMetrics`], minus the pool
-    /// gauges, which only the reactor side can sample).
+    /// equivalent of a wire [`Frame::OpMetrics`]).
     pub fn metrics_snapshot(&self) -> eilid_obs::RegistrySnapshot {
         self.metrics.snapshot(&self.counters, &self.service)
     }

@@ -20,12 +20,14 @@
 //!   portable scan fallback whose idle sleeps follow an adaptive
 //!   backoff and are cut short by a [`Waker`].
 //! * [`gateway`] — a std-only, readiness-driven TCP [`Gateway`]
-//!   reactor: it owns the sockets and the framing, coalesces decoded
-//!   reports into per-shard batches, and runs MAC verification as one
-//!   weighted job per batch on the persistent
-//!   [`eilid_fleet::WorkerPool`]; overload turns into device-scoped
-//!   [`Frame::DeviceError`] `Busy` backpressure frames, not unbounded
-//!   buffering.
+//!   reactor: it owns the sockets and the framing and hands operator
+//!   commands and device replies to the gateway's campaign engine. The
+//!   engine challenges: it pushes probes to the attached
+//!   [`DeviceAgent`]s and verifies each burst of replies as one job per
+//!   key shard on the persistent [`eilid_fleet::WorkerPool`].
+//! * [`ops`] — the operator console ([`RemoteOps`]), the device agent
+//!   ([`DeviceAgent`]) that answers the gateway's pushes, and
+//!   [`with_attached_fleet`], which hosts a fleet's devices as agents.
 //! * [`cluster`] — multi-gateway scale-out: deterministic shard →
 //!   gateway [`Placement`] (rendezvous hashing over the fixed fleet
 //!   shards), the fan-out [`ClusterOps`] operator backend that merges
@@ -40,11 +42,6 @@
 //!   events, every hot-path handle pre-resolved (recording is
 //!   lock-free), scrapeable over the wire via [`Frame::OpMetrics`]
 //!   and mergeable across a cluster.
-//! * [`client`] — the device half ([`DeviceClient`]) plus
-//!   [`sweep_fleet`]: full-fleet attestation sweeps over real loopback
-//!   sockets or the in-memory [`PipeTransport`], with one connection
-//!   multiplexing many devices (the edge-aggregator shape) and a
-//!   configurable pipelining window per connection.
 //!
 //! # Threat model at the transport boundary
 //!
@@ -54,9 +51,10 @@
 //! 1. **The codec** rejects what is not even a frame: bad magic, alien
 //!    versions, unknown types, oversized length claims (before any
 //!    allocation), truncations, trailing bytes.
-//! 2. **The session** rejects what is a frame but not a legal exchange:
-//!    frames before version negotiation, reports answering no issued
-//!    challenge, client-bound frames sent to the server.
+//! 2. **The session and the engine** reject what is a frame but not a
+//!    legal exchange: frames before version negotiation, frames only
+//!    the gateway sends arriving at the gateway, and replies to no
+//!    pending push.
 //! 3. **The MAC layer** rejects what is a legal exchange but a forgery:
 //!    wrong keys, replayed nonces, and cross-protocol grafts (an update
 //!    MAC on a report or vice versa — killed by the domain-separation
@@ -68,7 +66,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
 pub mod cluster;
 mod engine;
 pub mod error;
@@ -80,16 +77,12 @@ pub mod service;
 pub mod transport;
 pub mod wire;
 
-pub use client::{
-    sweep_fleet, DeviceClient, NetSweepReport, BUSY_RETRIES, DEFAULT_PIPELINE_WINDOW,
-};
 pub use cluster::{with_placed_fleet, ClusterOps, GatewayLauncher, Placement, Supervisor};
-pub use eilid_obs::Histogram;
 pub use engine::ENGINE_BUSY_RETRIES;
 pub use error::NetError;
 pub use gateway::{Gateway, GatewayConfig, GatewayCounters, GatewayHandle};
 pub use metrics::{
-    error_code_slug, pool_depths, NetMetrics, ERROR_CODES, TRACE_CAT_CLUSTER, TRACE_CAT_ENGINE,
+    error_code_slug, NetMetrics, ERROR_CODES, TRACE_CAT_CLUSTER, TRACE_CAT_ENGINE,
     TRACE_CAT_REACTOR, TRACE_CAT_SERVE, TRACE_CLUSTER_DRAIN, TRACE_CLUSTER_RESTART,
     TRACE_ENGINE_PHASE, TRACE_REACTOR_PASS, TRACE_RING_CAPACITY, TRACE_SERVE_IDLE,
 };
@@ -98,8 +91,8 @@ pub use poller::{
     Event, IdleBackoff, Interest, Poller, PollerBackend, PollerChoice, WaitOutcome, Waker,
 };
 pub use service::{
-    health_from_wire, health_to_wire, serve_transport, AttestationService, ChallengeError, Session,
-    SessionOutput, VerifyTask, MAX_PENDING_CHALLENGES,
+    health_from_wire, health_to_wire, AttestationService, ChallengeError, Session, SessionOutput,
+    VerifyTask,
 };
 pub use transport::{PipeTransport, TcpTransport, Transport, DEFAULT_RECV_TIMEOUT};
 pub use wire::{

@@ -1,8 +1,8 @@
 //! The gateway's telemetry hub: one [`eilid_obs::MetricsRegistry`] +
 //! [`eilid_obs::TraceRing`] per gateway, with every hot-path handle
 //! resolved once at construction — the instrumented paths (reactor
-//! passes, verify batches, campaign waves) touch only lock-free atomic
-//! cells.
+//! passes, the engine's shard verification jobs, campaign waves) touch
+//! only lock-free atomic cells.
 //!
 //! The pre-registry reactor counters ([`GatewayCounters`]) and the
 //! trust core's [`AttestationService::stats`] keep their atomics; a
@@ -12,8 +12,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use eilid_fleet::WorkerPool;
-use eilid_obs::{Counter, Gauge, Histogram, MetricsRegistry, RegistrySnapshot, TraceRing};
+use eilid_obs::{Counter, Histogram, MetricsRegistry, RegistrySnapshot, TraceRing};
 
 use crate::gateway::GatewayCounters;
 use crate::service::AttestationService;
@@ -112,18 +111,15 @@ pub struct NetMetrics {
     /// Outbox residency in bytes, sampled per serviced connection —
     /// how close peers run to the high-water mark.
     pub outbox_bytes: Histogram,
-    /// Verification batch size (reports per pool job).
+    /// Verification batch size: the reports of one key shard of one
+    /// sweep reply burst (one engine pool job).
     pub verify_batch_size: Histogram,
-    /// `AttestationService::verify_batch` latency in microseconds.
+    /// `AttestationService::verify_batch` latency per shard job, in
+    /// microseconds — the MAC verification layer.
     pub verify_batch_us: Histogram,
-    /// Worker-pool job latency (submit → completion) in microseconds.
+    /// Shard job latency from submission to finish, in microseconds:
+    /// pool queue wait plus MAC verification plus leaf hashing.
     pub pool_job_us: Histogram,
-    /// Pool-wide queued/running weight (sum over distinct workers) —
-    /// the fleet-total load number.
-    pub pool_queue_depth_sum: Gauge,
-    /// Hottest single worker's queued/running weight — the actual
-    /// backpressure signal on a shard-affine pool.
-    pub pool_queue_depth_max: Gauge,
     /// Campaign-wave snapshot-phase duration (µs).
     pub phase_snapshot_us: Histogram,
     /// Campaign-wave update-phase duration (µs).
@@ -185,8 +181,6 @@ impl NetMetrics {
             verify_batch_size: registry.histogram("eilid_verify_batch_size"),
             verify_batch_us: registry.histogram("eilid_verify_batch_us"),
             pool_job_us: registry.histogram("eilid_pool_job_us"),
-            pool_queue_depth_sum: registry.gauge("eilid_pool_queue_depth_sum"),
-            pool_queue_depth_max: registry.gauge("eilid_pool_queue_depth_max"),
             phase_snapshot_us: registry.histogram("eilid_ops_phase_snapshot_us"),
             phase_update_us: registry.histogram("eilid_ops_phase_update_us"),
             phase_probe_us: registry.histogram("eilid_ops_phase_probe_us"),
@@ -229,15 +223,6 @@ impl NetMetrics {
         self.rejects[error_code_index(code)].get()
     }
 
-    /// Refreshes the queue-depth gauges from the pool's per-worker
-    /// in-flight weights; returns `(sum, max)`.
-    pub fn sample_pool(&self, pool: &WorkerPool) -> (u64, u64) {
-        let (sum, max) = pool_depths(pool);
-        self.pool_queue_depth_sum.set(sum);
-        self.pool_queue_depth_max.set(max);
-        (sum, max)
-    }
-
     /// A scrape-time snapshot: the registry plus the pre-registry
     /// atomics (reactor counters, trust-core stats, trace-ring
     /// accounting) injected under the same naming scheme.
@@ -255,20 +240,8 @@ impl NetMetrics {
             load(&counters.frames_received),
         );
         snap.put_counter(
-            "eilid_gateway_busy_rejections_total",
-            load(&counters.busy_rejections),
-        );
-        snap.put_counter(
             "eilid_gateway_malformed_streams_total",
             load(&counters.malformed_streams),
-        );
-        snap.put_counter(
-            "eilid_gateway_batches_submitted_total",
-            load(&counters.batches_submitted),
-        );
-        snap.put_counter(
-            "eilid_gateway_batched_reports_total",
-            load(&counters.batched_reports),
         );
         snap.put_counter(
             "eilid_gateway_reactor_wakes_total",
@@ -297,71 +270,9 @@ impl NetMetrics {
     }
 }
 
-/// `(sum, max)` of queued/running weight over the pool's *distinct*
-/// workers (shards sharing a worker share one in-flight cell, so
-/// summing per shard would multi-count).
-pub fn pool_depths(pool: &WorkerPool) -> (u64, u64) {
-    let workers = pool.workers();
-    let mut seen = vec![false; workers];
-    let (mut sum, mut max) = (0u64, 0u64);
-    for shard in 0..pool.shard_count() {
-        let worker = pool.worker_of(shard);
-        if !seen[worker] {
-            seen[worker] = true;
-            let load = pool.shard_load(shard) as u64;
-            sum += load;
-            max = max.max(load);
-        }
-    }
-    (sum, max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
-
-    /// Hot-shard regression: one saturated worker must be visible as
-    /// the *max* depth — the old `OpHealth` sum conflated "one worker
-    /// drowning" with "load spread evenly", hiding exactly the
-    /// backpressure signal an operator needs. The sum lives on as the
-    /// fleet-total gauge.
-    #[test]
-    fn pool_depths_separates_hot_worker_from_fleet_total() {
-        // 2 workers over 4 shards: worker_of(shard) = shard % 2, so
-        // shards 0 and 2 share worker 0, shards 1 and 3 share worker 1.
-        let pool = WorkerPool::new(2, 4, 64);
-        let (release0_tx, release0_rx) = mpsc::channel::<()>();
-        let (release1_tx, release1_rx) = mpsc::channel::<()>();
-        // Weight is reserved at submit and released at completion, so
-        // blocked jobs pin the depths deterministically.
-        pool.try_submit_weighted(0, 5, move || {
-            let _ = release0_rx.recv();
-        })
-        .unwrap();
-        pool.try_submit_weighted(1, 2, move || {
-            let _ = release1_rx.recv();
-        })
-        .unwrap();
-        // More queued weight on the hot worker, via its other shard.
-        pool.try_submit_weighted(2, 4, || {}).unwrap();
-
-        let (sum, max) = pool_depths(&pool);
-        assert_eq!(sum, 11, "fleet total counts every distinct worker once");
-        assert_eq!(max, 9, "the hot worker's depth is the backpressure signal");
-        assert!(
-            max < sum,
-            "a sum can only hide the hot worker, never reveal it"
-        );
-
-        let metrics = NetMetrics::new();
-        assert_eq!(metrics.sample_pool(&pool), (11, 9));
-        assert_eq!(metrics.pool_queue_depth_sum.get(), 11);
-        assert_eq!(metrics.pool_queue_depth_max.get(), 9);
-
-        release0_tx.send(()).unwrap();
-        release1_tx.send(()).unwrap();
-    }
 
     /// Every [`ErrorCode`] has a distinct reject counter and slug.
     #[test]

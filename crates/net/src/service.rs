@@ -7,9 +7,10 @@
 //! challenge-nonce domain, so networked challenges can never collide
 //! with in-process sweep challenges on any device key.
 //!
-//! [`Session`] implements the per-connection state machine once; the
-//! non-blocking TCP gateway and the in-memory [`serve_transport`] server
-//! both drive it, so protocol behaviour cannot drift between the two.
+//! [`Session`] is the per-connection state machine the gateway's
+//! reactor drives: it negotiates the version and sorts each inbound
+//! frame into a reply, an attach, an operator command or a device-plane
+//! reply for the engine.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,8 +24,6 @@ use eilid_fleet::{CohortSnapshot, HealthClass, ServiceSnapshot, SHARD_COUNT};
 use eilid_msp430::Memory;
 use eilid_workloads::WorkloadId;
 
-use crate::error::NetError;
-use crate::transport::Transport;
 use crate::wire::{ErrorCode, Frame, WireHealth, PROTOCOL_VERSION};
 
 /// Maps a fleet health class to its wire form.
@@ -90,9 +89,9 @@ impl ServiceStats {
     }
 }
 
-/// The networked verifier core. Thread-safe: the poll loop issues
-/// challenges while pool workers verify reports concurrently, and the
-/// campaign engine promotes goldens (behind the cohort `RwLock`) when a
+/// The networked verifier core. Thread-safe: the engine's pool jobs
+/// verify reports concurrently, one key shard each, and the campaign
+/// engine promotes goldens (behind the cohort `RwLock`) when a
 /// gateway-resident rollout completes.
 #[derive(Debug)]
 pub struct AttestationService {
@@ -230,11 +229,9 @@ impl AttestationService {
     /// Issues a fresh challenge over `cohort`'s PMEM range.
     ///
     /// Nonce reuse would break replay protection, so exhausting the
-    /// reserved block is refused — a typed error the session turns into
-    /// a retryable `Busy` frame, never a reused nonce and never a panic
-    /// on the serving thread (a hostile client must not be able to
-    /// spam-drain the block into a gateway crash). The default span of
-    /// 2³² outlives any realistic deployment of one gateway process.
+    /// reserved block is refused — a typed error, never a reused nonce
+    /// and never a panic on the engine thread. The default span of 2³²
+    /// outlives any realistic deployment of one gateway process.
     ///
     /// # Errors
     ///
@@ -260,7 +257,9 @@ impl AttestationService {
 
     /// Verifies one report against the issued challenge and the
     /// cohort's golden history, using the shard-cached device key.
-    /// Classification semantics are identical to the fleet verifier's.
+    /// Classification semantics are identical to the fleet verifier's;
+    /// [`AttestationService::verify_batch`] is property-tested against
+    /// this.
     pub fn verify(
         &self,
         device: u64,
@@ -294,10 +293,9 @@ impl AttestationService {
     /// tampered, stale and replayed reports.
     ///
     /// The point of batching is amortization: consecutive tasks on the
-    /// same key shard reuse one lock acquisition (the gateway batches
-    /// per shard, so a whole batch typically costs a single lock),
-    /// and the per-job pool dispatch the gateway used to pay per report
-    /// is paid per batch.
+    /// same key shard reuse one lock acquisition (the engine batches
+    /// per shard, so a whole batch costs a single lock), and the pool
+    /// dispatch is paid per batch, not per report.
     pub fn verify_batch(&self, tasks: &[VerifyTask]) -> Vec<(HealthClass, Option<AttestError>)> {
         let mut verdicts = Vec::with_capacity(tasks.len());
         // One cohort read-lock acquisition for the whole batch; golden
@@ -354,8 +352,8 @@ pub enum ChallengeError {
     NoncesExhausted,
 }
 
-/// A report waiting to be verified — what the gateway hands to a pool
-/// worker.
+/// A probe reply waiting to be verified: one entry of the per-shard
+/// batch the engine hands to [`AttestationService::verify_batch`].
 #[derive(Debug)]
 pub struct VerifyTask {
     /// The reporting device.
@@ -368,32 +366,18 @@ pub struct VerifyTask {
     pub report: eilid_casu::AttestationReport,
 }
 
-impl VerifyTask {
-    /// Runs the verification and builds the reply frame.
-    pub fn run(self, service: &AttestationService) -> Frame {
-        let (class, _) = service.verify(self.device, self.cohort, &self.issued, &self.report);
-        Frame::AttestResult {
-            device: self.device,
-            class: health_to_wire(class),
-        }
-    }
-}
-
 /// What [`Session::handle`] wants done with one inbound frame.
 #[derive(Debug)]
 pub enum SessionOutput {
     /// Send these frames back, in order.
     Reply(Vec<Frame>),
-    /// Verify this report (CPU-bound — the gateway offloads it to the
-    /// worker pool; the in-memory server runs it inline).
-    Verify(VerifyTask),
     /// Send these frames, then close the connection.
     ReplyAndClose(Vec<Frame>),
     /// Close the connection without a reply.
     Close,
     /// Register this connection as the push target for `device` and
-    /// acknowledge (the gateway updates its device→connection registry;
-    /// the in-memory server has no push plane and refuses).
+    /// acknowledge (the gateway updates its device→connection
+    /// registry).
     Attach {
         /// The device this connection serves.
         device: u64,
@@ -401,28 +385,19 @@ pub enum SessionOutput {
         cohort: WorkloadId,
     },
     /// Route this operator-plane frame to the campaign engine, which
-    /// replies asynchronously on this connection. Servers without an
-    /// engine (the in-memory transport server) answer `Unsupported`.
+    /// replies asynchronously on this connection.
     Operator(Frame),
     /// Route this device-plane reply (snapshot / probe / update result,
-    /// or a device-scoped shed) to the campaign engine. Servers without
-    /// an engine drop it.
+    /// or a device-scoped shed) to the campaign engine.
     DeviceReply(Frame),
 }
 
-/// Hard cap on challenges outstanding per connection. A lockstep client
-/// keeps one; a pipelining aggregator a few dozen; an attacker spamming
-/// `AttestRequest`s with distinct device ids and never reporting would
-/// otherwise grow the pending map without bound.
-pub const MAX_PENDING_CHALLENGES: usize = 1024;
-
-/// Per-connection protocol state machine (gateway side).
+/// Per-connection protocol state machine (gateway side). A session
+/// holds no per-exchange state: challenges are minted and matched by
+/// the engine, so a peer cannot grow gateway memory through it.
 #[derive(Debug, Default)]
 pub struct Session {
     negotiated: Option<u8>,
-    /// Challenges issued on this connection, by device id, awaiting
-    /// their report. Bounded by [`MAX_PENDING_CHALLENGES`].
-    pending: HashMap<u64, (WorkloadId, Challenge)>,
 }
 
 impl Session {
@@ -463,53 +438,6 @@ impl Session {
             _ if self.negotiated.is_none() => SessionOutput::ReplyAndClose(vec![Frame::Error {
                 code: ErrorCode::NotNegotiated,
             }]),
-            Frame::AttestRequest { device, cohort } => {
-                // Re-requesting for an already-pending device replaces
-                // its challenge (doesn't grow the map); only genuinely
-                // new outstanding ids count against the cap. Errors on
-                // this path are *device-scoped* (`DeviceError`), so a
-                // pipelining client can attribute and retry exactly the
-                // affected exchange.
-                if self.pending.len() >= MAX_PENDING_CHALLENGES
-                    && !self.pending.contains_key(&device)
-                {
-                    return SessionOutput::Reply(vec![Frame::DeviceError {
-                        device,
-                        code: ErrorCode::Busy,
-                    }]);
-                }
-                match service.challenge_for(cohort) {
-                    Ok(challenge) => {
-                        self.pending.insert(device, (cohort, challenge));
-                        SessionOutput::Reply(vec![Frame::Challenge { device, challenge }])
-                    }
-                    Err(ChallengeError::UnknownCohort) => {
-                        SessionOutput::Reply(vec![Frame::DeviceError {
-                            device,
-                            code: ErrorCode::UnknownCohort,
-                        }])
-                    }
-                    // Out of nonces: shed load instead of minting a
-                    // reused nonce (or crashing the serving thread).
-                    Err(ChallengeError::NoncesExhausted) => {
-                        SessionOutput::Reply(vec![Frame::DeviceError {
-                            device,
-                            code: ErrorCode::Busy,
-                        }])
-                    }
-                }
-            }
-            Frame::Report { device, report } => match self.pending.remove(&device) {
-                Some((cohort, issued)) => SessionOutput::Verify(VerifyTask {
-                    device,
-                    cohort,
-                    issued,
-                    report,
-                }),
-                None => SessionOutput::Reply(vec![Frame::Error {
-                    code: ErrorCode::UnexpectedFrame,
-                }]),
-            },
             // Device-plane registration for gateway-initiated pushes.
             // Cohort validity is checked here so a bad attach is
             // rejected device-scoped before it reaches any registry.
@@ -547,11 +475,9 @@ impl Session {
             Frame::DeltaUpdateRequest { .. } => SessionOutput::Reply(vec![Frame::Error {
                 code: ErrorCode::Unsupported,
             }]),
-            // Server-bound frames arriving at the server are a protocol
-            // violation.
+            // Frames the gateway sends arriving at the gateway are a
+            // protocol violation.
             Frame::HelloAck { .. }
-            | Frame::Challenge { .. }
-            | Frame::AttestResult { .. }
             | Frame::AttachAck { .. }
             | Frame::SnapshotRequest { .. }
             | Frame::ProbeRequest { .. }
@@ -570,56 +496,207 @@ impl Session {
     }
 }
 
-/// Serves one connection synchronously over any [`Transport`] — the
-/// in-memory counterpart of the TCP gateway, sharing [`Session`]
-/// verbatim (verification runs inline on this thread).
-///
-/// This server has no push plane or campaign engine: operator frames
-/// and attach registrations are answered with a typed `Unsupported`
-/// (drive campaigns over the wire through the TCP [`Gateway`]
-/// (crate::Gateway)); stray device-plane replies are dropped, exactly
-/// as the gateway drops them when no campaign is in flight.
-///
-/// Returns when the peer says [`Frame::Bye`], hangs up, or breaks the
-/// protocol.
-///
-/// # Errors
-///
-/// Propagates transport failures other than an orderly close.
-pub fn serve_transport<T: Transport>(
-    service: &AttestationService,
-    transport: &mut T,
-) -> Result<(), NetError> {
-    let mut session = Session::new();
-    loop {
-        let frame = match transport.recv() {
-            Ok(frame) => frame,
-            Err(NetError::Closed) => return Ok(()),
-            Err(err) => return Err(err),
-        };
-        match session.handle(service, frame) {
-            SessionOutput::Reply(frames) => {
-                for frame in frames {
-                    transport.send(&frame)?;
-                }
-            }
-            SessionOutput::Verify(task) => {
-                let reply = task.run(service);
-                transport.send(&reply)?;
-            }
-            SessionOutput::ReplyAndClose(frames) => {
-                for frame in frames {
-                    transport.send(&frame)?;
-                }
-                return Ok(());
-            }
-            SessionOutput::Close => return Ok(()),
-            SessionOutput::Attach { .. } | SessionOutput::Operator(_) => {
-                transport.send(&Frame::Error {
-                    code: ErrorCode::Unsupported,
-                })?;
-            }
-            SessionOutput::DeviceReply(_) => {}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eilid_casu::AttestationReport;
+    use eilid_fleet::FleetBuilder;
+
+    /// A service provisioned for the LightSensor cohort only.
+    fn service() -> AttestationService {
+        let (_, mut verifier) =
+            FleetBuilder::new(DeviceKey::new(b"fleet-root-key-0123456789abcdef").unwrap())
+                .devices(2)
+                .threads(1)
+                .workloads(&[WorkloadId::LightSensor])
+                .build()
+                .unwrap();
+        AttestationService::new(verifier.service_snapshot(1 << 10))
+    }
+
+    fn hello(min_version: u8, max_version: u8) -> Frame {
+        Frame::Hello {
+            min_version,
+            max_version,
         }
+    }
+
+    fn negotiated(service: &AttestationService) -> Session {
+        let mut session = Session::new();
+        let SessionOutput::Reply(frames) =
+            session.handle(service, hello(PROTOCOL_VERSION, PROTOCOL_VERSION))
+        else {
+            panic!("negotiation must succeed");
+        };
+        assert_eq!(
+            frames,
+            [Frame::HelloAck {
+                version: PROTOCOL_VERSION
+            }]
+        );
+        session
+    }
+
+    fn replied_and_closed(output: SessionOutput) -> Vec<Frame> {
+        match output {
+            SessionOutput::ReplyAndClose(frames) => frames,
+            other => panic!("expected a reply and a close, got {other:?}"),
+        }
+    }
+
+    fn error(code: ErrorCode) -> Frame {
+        Frame::Error { code }
+    }
+
+    #[test]
+    fn version_negotiation_refuses_a_disjoint_range_and_a_second_hello() {
+        let service = service();
+        let mut session = Session::new();
+        let output = session.handle(&service, hello(PROTOCOL_VERSION + 1, PROTOCOL_VERSION + 5));
+        assert_eq!(
+            replied_and_closed(output),
+            [error(ErrorCode::UnsupportedVersion)]
+        );
+        assert!(!session.is_negotiated());
+
+        let mut session = negotiated(&service);
+        assert!(session.is_negotiated());
+        let output = session.handle(&service, hello(PROTOCOL_VERSION, PROTOCOL_VERSION));
+        assert_eq!(
+            replied_and_closed(output),
+            [error(ErrorCode::UnexpectedFrame)]
+        );
+    }
+
+    #[test]
+    fn a_frame_before_hello_is_not_negotiated() {
+        let service = service();
+        let output = Session::new().handle(
+            &service,
+            Frame::Attach {
+                device: 0,
+                cohort: WorkloadId::LightSensor,
+            },
+        );
+        assert_eq!(
+            replied_and_closed(output),
+            [error(ErrorCode::NotNegotiated)]
+        );
+    }
+
+    #[test]
+    fn attach_for_an_unprovisioned_cohort_is_a_device_scoped_error() {
+        let service = service();
+        let mut session = negotiated(&service);
+        let output = session.handle(
+            &service,
+            Frame::Attach {
+                device: 0,
+                cohort: WorkloadId::FireSensor,
+            },
+        );
+        let SessionOutput::Reply(frames) = output else {
+            panic!("a bad attach is answered, not fatal: {output:?}");
+        };
+        assert_eq!(
+            frames,
+            [Frame::DeviceError {
+                device: 0,
+                code: ErrorCode::UnknownCohort,
+            }]
+        );
+        // A provisioned cohort attaches.
+        assert!(matches!(
+            session.handle(
+                &service,
+                Frame::Attach {
+                    device: 1,
+                    cohort: WorkloadId::LightSensor,
+                }
+            ),
+            SessionOutput::Attach { device: 1, .. }
+        ));
+    }
+
+    #[test]
+    fn gateway_to_device_frames_arriving_at_the_gateway_close_the_session() {
+        let service = service();
+        let challenge = Challenge {
+            nonce: 1,
+            start: 0xE000,
+            end: 0xF7FF,
+        };
+        for frame in [
+            Frame::ProbeRequest {
+                device: 0,
+                mode: crate::wire::ProbeMode::AttestOnly,
+                smoke_cycles: 0,
+                challenge,
+            },
+            Frame::SnapshotRequest {
+                device: 0,
+                start: 0xE000,
+                len: 16,
+            },
+        ] {
+            let output = negotiated(&service).handle(&service, frame);
+            assert_eq!(
+                replied_and_closed(output),
+                [error(ErrorCode::UnexpectedFrame)]
+            );
+        }
+    }
+
+    #[test]
+    fn an_update_request_arriving_at_the_gateway_is_unsupported() {
+        let service = service();
+        let key = service.device_key(0);
+        let request = eilid_casu::UpdateAuthority::with_key(&key).authorize(0xF680, &[0xAB]);
+        let output = negotiated(&service).handle(
+            &service,
+            Frame::DeltaUpdateRequest {
+                device: 0,
+                request: eilid_casu::DeltaUpdateRequest::whole(request),
+            },
+        );
+        let SessionOutput::Reply(frames) = output else {
+            panic!("an update request is refused, not fatal: {output:?}");
+        };
+        assert_eq!(frames, [error(ErrorCode::Unsupported)]);
+    }
+
+    #[test]
+    fn device_plane_replies_route_to_the_engine() {
+        let service = service();
+        let mut session = negotiated(&service);
+        let ack = Frame::UpdateResult {
+            device: 0,
+            status: 0,
+        };
+        assert!(matches!(
+            session.handle(&service, ack.clone()),
+            SessionOutput::DeviceReply(frame) if frame == ack
+        ));
+        let probe = Frame::ProbeResult {
+            device: 1,
+            healthy: 1,
+            report: AttestationReport {
+                challenge: Challenge {
+                    nonce: 1,
+                    start: 0xE000,
+                    end: 0xF7FF,
+                },
+                measurement: [0; 32],
+                mac: [0; 32],
+            },
+        };
+        assert!(matches!(
+            session.handle(&service, probe.clone()),
+            SessionOutput::DeviceReply(frame) if frame == probe
+        ));
+        assert!(matches!(
+            session.handle(&service, Frame::OpAggSweep),
+            SessionOutput::Operator(Frame::OpAggSweep)
+        ));
     }
 }

@@ -1,8 +1,8 @@
 //! Frame transports: blocking TCP and an in-memory pipe.
 //!
 //! The [`Transport`] trait is the seam that lets every protocol driver
-//! (device clients, the pipe server, the bench harness) run unchanged
-//! over real loopback sockets *or* an in-memory byte pipe — the latter
+//! (the operator console, device agents, scripted test peers) run
+//! unchanged over real loopback sockets *or* an in-memory byte pipe — the latter
 //! still pushes every frame through the [`FrameDecoder`], so codec
 //! behaviour is identical; only the syscalls disappear.
 
@@ -57,9 +57,9 @@ pub trait Transport {
     /// after an earlier [`Transport::recv`] pulled a whole burst off
     /// the wire. `Ok(None)` means "nothing buffered; you would block".
     ///
-    /// Pipelining clients drain this after every blocking `recv` so a
-    /// burst of thirty challenges becomes one read syscall and one
-    /// coalesced reply write, not thirty of each.
+    /// Device agents drain this after every blocking `recv` so a
+    /// burst of pushed probes becomes one read syscall and one
+    /// coalesced reply write, not one of each per probe.
     ///
     /// # Errors
     ///
@@ -132,9 +132,9 @@ impl Transport for TcpTransport {
     }
 
     /// All frames encoded back-to-back into the reused buffer, one
-    /// `write` syscall for the lot — the client-side half of the
-    /// protocol's coalesced-write discipline (a pipelining client sends
-    /// a whole window of requests or reports per syscall).
+    /// `write` syscall for the lot — the peer-side half of the
+    /// protocol's coalesced-write discipline (an agent sends a whole
+    /// burst of attaches or replies per syscall).
     fn send_batch(&mut self, frames: &[Frame]) -> Result<(), NetError> {
         if frames.is_empty() {
             return Ok(());

@@ -54,8 +54,8 @@ pub const FRAME_MAGIC: [u8; 4] = *b"EILD";
 /// [`Frame::ProbeRequest`] and their replies) campaigns execute waves
 /// through. Version 4 added the supervision plane: the graceful-drain
 /// exchange ([`Frame::OpDrain`] / [`Frame::OpDrained`]) and the reactor
-/// counters ([`Frame::OpHealthResult`] grew `live_sessions`,
-/// `queue_depth` and `batches_submitted`) cluster supervisors steer by.
+/// counters ([`Frame::OpHealthResult`] grew `live_sessions`) cluster
+/// supervisors steer by.
 /// Version 5 added the telemetry scrape ([`Frame::OpMetrics`] /
 /// [`Frame::OpMetricsResult`]): the gateway hands back its full
 /// metrics registry as a compact JSON snapshot, which
@@ -81,10 +81,16 @@ pub const FRAME_MAGIC: [u8; 4] = *b"EILD";
 /// Version 9 retired the per-device sweep frames `0x19`/`0x1A`: every
 /// gateway sweep is now [`Frame::OpAggSweep`], whose result carries the
 /// same counts and flagged list plus the shard proofs.
+/// Version 10 retired the device-initiated attestation frames
+/// `0x03`–`0x06` (attest request, challenge, report, verdict): the
+/// gateway challenges, through [`Frame::ProbeRequest`], and a device
+/// only answers. [`Frame::OpHealthResult`] lost its pool queue depth
+/// and submitted-batch count, which described that path's verification
+/// batches.
 /// Each bump makes an older peer fail *at negotiation* with a typed
 /// `UnsupportedVersion` instead of mid-exchange on an unknown frame
 /// type.
-pub const PROTOCOL_VERSION: u8 = 9;
+pub const PROTOCOL_VERSION: u8 = 10;
 
 /// Size of the fixed frame header in bytes.
 pub const FRAME_HEADER_LEN: usize = 10;
@@ -558,8 +564,8 @@ fn decode_id_list(reader: &mut Reader<'_>) -> Result<Vec<u64>, WireError> {
 /// One protocol frame.
 ///
 /// `device` fields carry the fleet-wide device id, letting many devices
-/// multiplex one connection (an edge aggregator fronting a building's
-/// worth of sensors — the shape the 1000-device loopback sweep runs).
+/// multiplex one connection (a device agent fronting a building's worth
+/// of sensors — the shape the 1000-device loopback sweep runs).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Client → gateway: version negotiation offer.
@@ -573,34 +579,6 @@ pub enum Frame {
     HelloAck {
         /// The agreed version.
         version: u8,
-    },
-    /// Client → gateway: ask for an attestation challenge.
-    AttestRequest {
-        /// The device to be attested.
-        device: u64,
-        /// Its firmware cohort.
-        cohort: WorkloadId,
-    },
-    /// Gateway → client: a fresh challenge.
-    Challenge {
-        /// The device being challenged.
-        device: u64,
-        /// The challenge (nonce + range).
-        challenge: Challenge,
-    },
-    /// Client → gateway: the authenticated report.
-    Report {
-        /// The reporting device.
-        device: u64,
-        /// The report (challenge echo + measurement + MAC).
-        report: AttestationReport,
-    },
-    /// Gateway → client: the verdict.
-    AttestResult {
-        /// The verified device.
-        device: u64,
-        /// Its health classification.
-        class: WireHealth,
     },
     /// Device → gateway: update applied (0) or the device-side
     /// rejection code.
@@ -636,14 +614,13 @@ pub enum Frame {
     },
     /// Either direction: orderly goodbye.
     Bye,
-    /// Gateway → client: a device-scoped, retryable error. Unlike the
+    /// Either direction: a device-scoped error. Unlike the
     /// connection-scoped [`Frame::Error`], this carries the device id,
-    /// so a client pipelining many exchanges on one connection can
-    /// attribute a `Busy` (or `UnknownCohort`) to exactly one of them
-    /// and retry just that device. Since version 3 it is also legal
-    /// device → gateway: an agent sheds a campaign push (snapshot /
-    /// update / probe) it cannot serve right now with a device-scoped
-    /// `Busy`, and the gateway's campaign engine retries with backoff.
+    /// so a peer multiplexing many devices on one connection can
+    /// attribute it to exactly one of them. The gateway refuses an
+    /// attach for an unprovisioned cohort with `UnknownCohort`; an agent
+    /// sheds a push (snapshot / update / probe) it cannot serve right
+    /// now with `Busy`, and the gateway's engine retries with backoff.
     DeviceError {
         /// The device whose exchange failed.
         device: u64,
@@ -767,12 +744,6 @@ pub enum Frame {
         ledger_events: u32,
         /// Live reactor connections (accepted minus closed).
         live_sessions: u32,
-        /// Weight units queued or running across the verification
-        /// worker pool right now.
-        queue_depth: u32,
-        /// Verification batches submitted to the pool since bind
-        /// (cumulative).
-        batches_submitted: u64,
     },
     /// Operator/supervisor → gateway: drain for planned maintenance —
     /// stop accepting connections, pause every running campaign, and
@@ -879,10 +850,6 @@ impl Frame {
         match self {
             Frame::Hello { .. } => 0x01,
             Frame::HelloAck { .. } => 0x02,
-            Frame::AttestRequest { .. } => 0x03,
-            Frame::Challenge { .. } => 0x04,
-            Frame::Report { .. } => 0x05,
-            Frame::AttestResult { .. } => 0x06,
             Frame::UpdateResult { .. } => 0x08,
             Frame::CampaignControl { .. } => 0x09,
             Frame::CampaignStatus { .. } => 0x0A,
@@ -924,22 +891,6 @@ impl Frame {
                 out.push(*max_version);
             }
             Frame::HelloAck { version } => out.push(*version),
-            Frame::AttestRequest { device, cohort } => {
-                out.extend_from_slice(&device.to_le_bytes());
-                out.push(cohort.index());
-            }
-            Frame::Challenge { device, challenge } => {
-                out.extend_from_slice(&device.to_le_bytes());
-                casu_wire::encode_challenge(challenge, out);
-            }
-            Frame::Report { device, report } => {
-                out.extend_from_slice(&device.to_le_bytes());
-                casu_wire::encode_report(report, out);
-            }
-            Frame::AttestResult { device, class } => {
-                out.extend_from_slice(&device.to_le_bytes());
-                out.push(class.to_u8());
-            }
             Frame::UpdateResult { device, status } => {
                 out.extend_from_slice(&device.to_le_bytes());
                 out.push(*status);
@@ -1029,16 +980,12 @@ impl Frame {
                 paused_campaigns,
                 ledger_events,
                 live_sessions,
-                queue_depth,
-                batches_submitted,
             } => {
                 out.extend_from_slice(&attached.to_le_bytes());
                 out.extend_from_slice(&active_campaigns.to_le_bytes());
                 out.extend_from_slice(&paused_campaigns.to_le_bytes());
                 out.extend_from_slice(&ledger_events.to_le_bytes());
                 out.extend_from_slice(&live_sessions.to_le_bytes());
-                out.extend_from_slice(&queue_depth.to_le_bytes());
-                out.extend_from_slice(&batches_submitted.to_le_bytes());
             }
             Frame::OpDrain => {}
             Frame::OpDrained { paused } => {
@@ -1118,22 +1065,6 @@ impl Frame {
             },
             0x02 => Frame::HelloAck {
                 version: reader.u8()?,
-            },
-            0x03 => Frame::AttestRequest {
-                device: reader.u64()?,
-                cohort: cohort_from_u8(reader.u8()?)?,
-            },
-            0x04 => Frame::Challenge {
-                device: reader.u64()?,
-                challenge: casu_wire::decode_challenge(&mut reader)?,
-            },
-            0x05 => Frame::Report {
-                device: reader.u64()?,
-                report: casu_wire::decode_report(&mut reader)?,
-            },
-            0x06 => Frame::AttestResult {
-                device: reader.u64()?,
-                class: WireHealth::from_u8(reader.u8()?)?,
             },
             0x08 => Frame::UpdateResult {
                 device: reader.u64()?,
@@ -1225,8 +1156,6 @@ impl Frame {
                 paused_campaigns: reader.u32()?,
                 ledger_events: reader.u32()?,
                 live_sessions: reader.u32()?,
-                queue_depth: reader.u32()?,
-                batches_submitted: reader.u64()?,
             },
             0x1D => Frame::OpDrain,
             0x1E => {
@@ -1617,7 +1546,7 @@ mod tests {
                 min_version: PROTOCOL_VERSION,
                 max_version: PROTOCOL_VERSION,
             },
-            Frame::AttestRequest {
+            Frame::Attach {
                 device: 7,
                 cohort: WorkloadId::LightSensor,
             },

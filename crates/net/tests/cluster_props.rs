@@ -315,7 +315,7 @@ fn cluster_metrics_merge_matches_per_gateway_sums() {
     for name in [
         "eilid_gateway_frames_received_total",
         "eilid_gateway_accepted_total",
-        "eilid_gateway_batched_reports_total",
+        "eilid_ops_agg_sweeps_total",
         "eilid_service_reports_verified_total",
         "eilid_service_challenges_issued_total",
     ] {

@@ -1,7 +1,7 @@
 //! The 10 000-connection reactor scale test (Linux / epoll, release
-//! mode): the gateway holds ten thousand live negotiated sessions while
-//! a 1 000-device pipelined sweep runs through four of them — all
-//! within the 60 s budget.
+//! mode): the gateway holds 9 996 idle negotiated sessions while a
+//! 1 000-device gateway sweep runs through four device agents and an
+//! operator console — all within the 60 s budget.
 //!
 //! This is precisely the load shape the PR 3 scan loop could not serve:
 //! every pass there touched every connection (a `read` syscall per conn
@@ -25,10 +25,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use eilid_casu::DeviceKey;
-use eilid_fleet::{FleetBuilder, HealthClass};
+use eilid_fleet::{FleetBuilder, FleetOps, HealthClass};
 use eilid_net::{
-    sweep_fleet, AttestationService, Frame, Gateway, GatewayConfig, PollerBackend, TcpTransport,
-    PROTOCOL_VERSION,
+    with_attached_fleet, AttestationService, Frame, Gateway, GatewayConfig, PollerBackend,
+    RemoteOps, PROTOCOL_VERSION,
 };
 use eilid_workloads::WorkloadId;
 
@@ -36,7 +36,7 @@ const ROOT: &[u8] = b"fleet-root-key-0123456789abcdef";
 const HOLDER_ENV_ADDR: &str = "EILID_HOLDER_ADDR";
 const HOLDER_ENV_CONNS: &str = "EILID_HOLDER_CONNS";
 const IDLE_PER_CHILD: usize = 4_998;
-const SWEEP_CLIENTS: usize = 4;
+const SWEEP_AGENTS: usize = 4;
 
 /// Child-process body: opens N connections, negotiates each, then
 /// parks until the parent closes stdin. Invoked by the scale test via
@@ -201,7 +201,7 @@ fn scale_10k_connections_on_the_epoll_reactor() {
     let handle = gateway.spawn();
     let addr = handle.addr();
 
-    // 10 000 total connections: 2 × 4 998 idle holders + 4 sweep clients.
+    // 2 × 4 998 idle holders, then 4 sweep agents and one console.
     let mut holders = [
         Holder::spawn(addr, IDLE_PER_CHILD),
         Holder::spawn(addr, IDLE_PER_CHILD),
@@ -216,19 +216,22 @@ fn scale_10k_connections_on_the_epoll_reactor() {
         (connected - start).as_secs_f64()
     );
 
-    // The sweep runs through 4 fresh connections while the 9 996 idle
+    // The sweep runs through 5 fresh connections while the 9 996 idle
     // sessions stay parked — with readiness, they cost nothing.
-    let report = sweep_fleet(&mut fleet, SWEEP_CLIENTS, 32, None, || {
-        TcpTransport::connect(addr)
+    let (summary, seconds) = with_attached_fleet(&mut fleet, SWEEP_AGENTS, addr, || {
+        let mut ops = RemoteOps::connect(addr).unwrap();
+        let started = Instant::now();
+        let summary = ops.sweep().unwrap();
+        (summary, started.elapsed().as_secs_f64())
     })
     .unwrap();
-    assert_eq!(report.devices, DEVICES);
+    assert_eq!(summary.devices, DEVICES);
     assert_eq!(
-        report.count(HealthClass::Attested),
+        summary.count(HealthClass::Attested),
         DEVICES - tampered.len()
     );
     assert_eq!(
-        report
+        summary
             .flagged
             .iter()
             .map(|(id, _)| *id)
@@ -237,10 +240,8 @@ fn scale_10k_connections_on_the_epoll_reactor() {
         "exactly the tampered devices are flagged amid 10k connections"
     );
     println!(
-        "pipelined sweep amid 10k connections: {} devices in {:.3}s ({:.0} devices/s)",
-        report.devices,
-        report.elapsed.as_secs_f64(),
-        report.devices_per_second()
+        "gateway sweep amid 10k connections: {DEVICES} devices in {seconds:.3}s ({:.0} devices/s)",
+        DEVICES as f64 / seconds
     );
 
     drop(holders);
@@ -249,8 +250,8 @@ fn scale_10k_connections_on_the_epoll_reactor() {
         |counter: &std::sync::atomic::AtomicU64| counter.load(std::sync::atomic::Ordering::Relaxed);
     assert_eq!(
         load(&gateway.counters().accepted),
-        (2 * IDLE_PER_CHILD + SWEEP_CLIENTS) as u64,
-        "every one of the 10 000 connections was accepted"
+        (2 * IDLE_PER_CHILD + SWEEP_AGENTS + 1) as u64,
+        "every idle session, agent and the console was accepted"
     );
     assert_eq!(load(&gateway.counters().refused), 0);
     assert_eq!(load(&gateway.counters().malformed_streams), 0);

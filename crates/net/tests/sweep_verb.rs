@@ -1,8 +1,9 @@
 //! The gateway's one sweep verb. Protocol version 9 retired the
-//! per-device sweep frames `0x19`/`0x1A`: a gateway answers a raw
-//! `0x19` frame with a typed error instead of hanging the console, and
-//! `RemoteOps::sweep` reads the aggregated result with every structural
-//! check in force even when the console holds no root key.
+//! per-device sweep frames `0x19`/`0x1A` and version 10 the
+//! device-initiated attestation frames `0x03`–`0x06`: a gateway answers
+//! each retired frame with a typed error instead of hanging the peer,
+//! and `RemoteOps::sweep` reads the aggregated result with every
+//! structural check in force even when the console holds no root key.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -31,51 +32,62 @@ fn a_retired_sweep_frame_gets_a_typed_error_not_a_hang() {
         .unwrap()
         .spawn();
 
-    let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stream
-        .write_all(
-            &Frame::Hello {
-                min_version: PROTOCOL_VERSION,
-                max_version: PROTOCOL_VERSION,
-            }
-            .encode(),
-        )
-        .unwrap();
-    // A well-formed header naming the retired sweep type, no payload.
-    let mut retired = FRAME_MAGIC.to_vec();
-    retired.extend_from_slice(&[PROTOCOL_VERSION, 0x19, 0, 0, 0, 0]);
-    stream.write_all(&retired).unwrap();
+    for retired in [0x03, 0x04, 0x05, 0x06, 0x19] {
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+            .write_all(
+                &Frame::Hello {
+                    min_version: PROTOCOL_VERSION,
+                    max_version: PROTOCOL_VERSION,
+                }
+                .encode(),
+            )
+            .unwrap();
+        // A well-formed header naming the retired type, no payload.
+        let mut frame = FRAME_MAGIC.to_vec();
+        frame.extend_from_slice(&[PROTOCOL_VERSION, retired, 0, 0, 0, 0]);
+        stream.write_all(&frame).unwrap();
 
-    let started = Instant::now();
-    let mut decoder = FrameDecoder::new();
-    let mut frames = Vec::new();
-    let mut buf = [0u8; 256];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => decoder.extend(&buf[..n]),
-            Err(err) => panic!("gateway neither answered nor closed: {err}"),
+        let started = Instant::now();
+        let mut decoder = FrameDecoder::new();
+        let mut frames = Vec::new();
+        let mut buf = [0u8; 256];
+        loop {
+            match stream.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => decoder.extend(&buf[..n]),
+                Err(err) => {
+                    panic!("type {retired:#04x}: gateway neither answered nor closed: {err}")
+                }
+            }
+            while let Some(frame) = decoder.next_frame().unwrap() {
+                frames.push(frame);
+            }
         }
-        while let Some(frame) = decoder.next_frame().unwrap() {
-            frames.push(frame);
-        }
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "type {retired:#04x}"
+        );
+        assert!(
+            matches!(frames[0], Frame::HelloAck { .. }),
+            "type {retired:#04x}"
+        );
+        assert_eq!(
+            frames[1..],
+            [Frame::Error {
+                code: ErrorCode::Unsupported
+            }],
+            "type {retired:#04x}"
+        );
     }
-    assert!(started.elapsed() < Duration::from_secs(5));
-    assert!(matches!(frames[0], Frame::HelloAck { .. }));
-    assert_eq!(
-        frames[1..],
-        [Frame::Error {
-            code: ErrorCode::Unsupported
-        }]
-    );
 
     let gateway = handle.shutdown().unwrap();
     let load =
         |counter: &std::sync::atomic::AtomicU64| counter.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(load(&gateway.counters().malformed_streams), 1);
+    assert_eq!(load(&gateway.counters().malformed_streams), 5);
 }
 
 /// A two-device aggregated result whose shard proof covers `proof_count`

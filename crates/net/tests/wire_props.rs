@@ -177,20 +177,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
             max_version,
         }),
         any::<u8>().prop_map(|version| Frame::HelloAck { version }),
-        (any::<u64>(), arb_cohort())
-            .prop_map(|(device, cohort)| Frame::AttestRequest { device, cohort }),
-        (any::<u64>(), arb_challenge())
-            .prop_map(|(device, challenge)| Frame::Challenge { device, challenge }),
-        (any::<u64>(), arb_report()).prop_map(|(device, report)| Frame::Report { device, report }),
-        (any::<u64>(), 0u8..=3).prop_map(|(device, class)| Frame::AttestResult {
-            device,
-            class: match class {
-                0 => eilid_net::WireHealth::Attested,
-                1 => eilid_net::WireHealth::Stale,
-                2 => eilid_net::WireHealth::Tampered,
-                _ => eilid_net::WireHealth::Unverified,
-            },
-        }),
         (any::<u64>(), any::<u8>())
             .prop_map(|(device, status)| Frame::UpdateResult { device, status }),
         (arb_cohort(), 0u8..=3).prop_map(|(cohort, op)| Frame::CampaignControl {
@@ -264,22 +250,20 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
             .prop_map(|(cohort, report)| Frame::OpReport { cohort, report }),
         Just(Frame::OpHealth),
         (
-            (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
-            (any::<u32>(), any::<u32>(), any::<u64>()),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>()
         )
             .prop_map(
-                |(
-                    (attached, active_campaigns, paused_campaigns, ledger_events),
-                    (live_sessions, queue_depth, batches_submitted),
-                )| {
+                |(attached, active_campaigns, paused_campaigns, ledger_events, live_sessions)| {
                     Frame::OpHealthResult {
                         attached,
                         active_campaigns,
                         paused_campaigns,
                         ledger_events,
                         live_sessions,
-                        queue_depth,
-                        batches_submitted,
                     }
                 },
             ),
@@ -426,7 +410,7 @@ proptest! {
 
 #[test]
 fn malformed_corpus_yields_clean_typed_errors() {
-    let template = Frame::AttestRequest {
+    let template = Frame::Attach {
         device: 42,
         cohort: WorkloadId::LightSensor,
     }
@@ -974,8 +958,9 @@ fn cross_protocol_mac_is_rejected_by_the_mac_layer_not_the_codec() {
         start: 0xE000,
         end: 0xF7FF,
     };
-    let forged = Frame::Report {
+    let forged = Frame::ProbeResult {
         device: 5,
+        healthy: 1,
         report: AttestationReport {
             challenge,
             measurement: [0xAA; 32],
@@ -983,7 +968,7 @@ fn cross_protocol_mac_is_rejected_by_the_mac_layer_not_the_codec() {
         },
     };
     let decoded = Frame::decode(&forged.encode()).expect("structurally valid");
-    let Frame::Report { report, .. } = decoded else {
+    let Frame::ProbeResult { report, .. } = decoded else {
         panic!("decoded to a different frame type");
     };
     assert_eq!(

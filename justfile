@@ -70,9 +70,9 @@ net-campaign:
 net-cluster:
     cargo test --release -p eilid_net --test cluster_scale -- --exact supervised_cluster_campaign_survives_gateway_kill --nocapture
 
-# Telemetry end-to-end smoke: background gateway, one sweep, a live
-# `fleet metrics` wire scrape checked for the expected counters, then
-# a second sweep so the server exits cleanly (same shape as the
+# Telemetry end-to-end smoke: background gateway, one gateway sweep, a
+# live `fleet metrics` wire scrape checked for the expected counters,
+# then two more sweeps so the server exits cleanly (same shape as the
 # Makefile target).
 obs-smoke: build
     ./scripts/obs_smoke.sh
@@ -84,18 +84,13 @@ agg-smoke:
     cargo test --release -p eilid_net --test agg_smoke -- --include-ignored
     cargo test --release -p eilid_net --test agg_equivalence
 
-# In-memory vs loopback transports at 1 000 devices; writes
-# BENCH_net.json (the recorded perf baseline) and gates: in-memory ≥ 70k
-# devices/s, loopback TCP ≥ 40k devices/s (≥ 2x the PR 3 baseline),
-# 4-gateway cluster sweeps ≥ 0.5x the single-gateway rate, observed
-# loopback sweep ≥ 0.85x the bare one (telemetry is nearly free),
-# aggregated collective-attestation sweep ≥ 1.2x the per-device
-# client-driven loopback sweep. The cluster/obs floors were
-# recalibrated when the SHA-NI path roughly doubled absolute sweep
-# throughput: fixed coordination/telemetry costs are no longer masked
-# by scalar-crypto time on a single-core box (see Makefile).
+# Gateway sweeps, campaigns and cluster fan-out at 1 000 devices;
+# writes BENCH_net.json (the recorded perf baseline) and gates: the
+# gateway-driven loopback sweep ≥ 40k devices/s (≥ 2x the PR 3
+# baseline), campaigns over TCP ≥ 11 100 devices/s, 4-gateway cluster
+# sweeps ≥ 0.5x the single-gateway rate (see Makefile).
 net-bench:
-    cargo run --release -p eilid_bench --bin net -- --min-in-memory 70000 --min-loopback 40000 --min-cluster-ratio 0.5 --min-obs-ratio 0.85 --min-agg-ratio 1.2
+    cargo run --release -p eilid_bench --bin net -- --min-loopback 40000 --min-campaign 11100 --min-cluster-ratio 0.5
 
 # CI-sized smoke (smaller fleet, still release mode); no gates, to
 # tolerate shared-runner noise.

@@ -22,11 +22,8 @@
 //!                                          or wire-driven through one gateway's — or a
 //!                                          cluster's — operator plane
 //! eilid-cli fleet serve [--addr A] [--devices N] [--threads N] [--expect-reports N]
-//!                       [--poller epoll|scan] [--batch N]
+//!                       [--poller epoll|scan]
 //!                                          run the networked attestation gateway
-//! eilid-cli fleet connect --addr A [--devices N] [--threads N] [--clients N]
-//!                         [--pipeline N]
-//!                                          drive the fleet's devices against a gateway
 //! eilid-cli fleet metrics --gateway ADDR | --gateways A,B,.. [--watch]
 //!                                          scrape telemetry (Prometheus text) from a live
 //!                                          gateway, or merged across a cluster
@@ -36,18 +33,15 @@
 //! scheme; `--flat` selects the legacy full-range SHA-256 per challenge
 //! (the bench baseline).
 //!
-//! `serve` and `connect` demonstrate the full networked trust boundary:
-//! both sides derive the same demo fleet (same root key, so the gateway
-//! holds the right goldens), the gateway serves challenges/verdicts over
-//! TCP, and `connect` drives every device as a transport client. Run
-//! them in two terminals — or two machines.
-//!
 //! `fleet attest`/`fleet campaign` run through the unified operator
 //! plane (`eilid_fleet::ops::FleetOps`): the same scenario code drives
 //! the in-process backend by default and, with `--gateway ADDR`, a
-//! remote gateway's campaign engine over TCP (this process hosts the
-//! device agents; run `fleet serve` with the same fleet shape in the
-//! other terminal). With `--gateways A,B,..` the scenario instead fans
+//! remote gateway's campaign engine over TCP. This process then hosts
+//! the devices as agents (`--clients N` connections); run `fleet serve`
+//! with the same fleet shape in the other terminal — or on another
+//! machine. Both sides derive the same demo fleet (same root key, so
+//! the gateway holds the right goldens); the gateway challenges every
+//! device and verifies its report. With `--gateways A,B,..` the scenario instead fans
 //! out over a whole cluster: devices are placed shard-wise across the
 //! listed gateways (run one `fleet serve` per address, same fleet
 //! shape) and the per-gateway results merge back into the
@@ -92,7 +86,7 @@ fn main() -> ExitCode {
 fn print_usage() {
     println!(
         "eilid-cli — EILID (DATE 2025) reproduction\n\n\
-         USAGE:\n  eilid-cli instrument <app.s>\n  eilid-cli run <app.s> [--protect] [--max-cycles N]\n  eilid-cli disasm <app.s>\n  eilid-cli workloads\n  eilid-cli attack <workload> <attack>\n  eilid-cli fleet run [--devices N] [--threads N] [--cycles N]\n  eilid-cli fleet attest [--devices N] [--threads N] [--flat] [--sweeps N]\n                         [--aggregated] [--gateway ADDR | --gateways A,B,..]\n  eilid-cli fleet campaign [--devices N] [--threads N] [--inject-bad]\n                           [--gateway ADDR | --gateways A,B,..]\n  eilid-cli fleet serve [--addr A] [--devices N] [--threads N] [--expect-reports N]\n                        [--poller epoll|scan] [--batch N]\n  eilid-cli fleet connect --addr A [--devices N] [--threads N] [--clients N] [--pipeline N]\n  eilid-cli fleet metrics --gateway ADDR | --gateways A,B,.. [--watch]\n\n\
+         USAGE:\n  eilid-cli instrument <app.s>\n  eilid-cli run <app.s> [--protect] [--max-cycles N]\n  eilid-cli disasm <app.s>\n  eilid-cli workloads\n  eilid-cli attack <workload> <attack>\n  eilid-cli fleet run [--devices N] [--threads N] [--cycles N]\n  eilid-cli fleet attest [--devices N] [--threads N] [--flat] [--sweeps N]\n                         [--aggregated] [--gateway ADDR | --gateways A,B,..]\n  eilid-cli fleet campaign [--devices N] [--threads N] [--inject-bad]\n                           [--gateway ADDR | --gateways A,B,..]\n  eilid-cli fleet serve [--addr A] [--devices N] [--threads N] [--expect-reports N]\n                        [--poller epoll|scan]\n  eilid-cli fleet metrics --gateway ADDR | --gateways A,B,.. [--watch]\n\n\
          Attacks: return-address, isr-context, indirect-call, code-injection"
     );
 }
@@ -293,13 +287,10 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
         Some("attest") => cmd_fleet_attest(&args[1..]),
         Some("campaign") => cmd_fleet_campaign(&args[1..]),
         Some("serve") => cmd_fleet_serve(&args[1..]),
-        Some("connect") => cmd_fleet_connect(&args[1..]),
         Some("metrics") => cmd_fleet_metrics(&args[1..]),
-        _ => Err(
-            "usage: eilid-cli fleet run|attest|campaign|serve|connect|metrics \
+        _ => Err("usage: eilid-cli fleet run|attest|campaign|serve|metrics \
              [--devices N] [--threads N]"
-                .into(),
-        ),
+            .into()),
     }
 }
 
@@ -364,7 +355,6 @@ fn cmd_fleet_serve(args: &[String]) -> Result<(), String> {
     let (fleet, mut verifier) = build_fleet(args)?;
     let expect = parse_flag_value(args, "--expect-reports", fleet.len() as u64)?;
     let threads = parse_flag_value(args, "--threads", 4)? as usize;
-    let batch = parse_flag_value(args, "--batch", 64)?.max(1) as usize;
     let poller = match parse_flag_string(args, "--poller")?.as_deref() {
         None => eilid_net::PollerChoice::Auto,
         Some("epoll") => eilid_net::PollerChoice::Epoll,
@@ -383,7 +373,6 @@ fn cmd_fleet_serve(args: &[String]) -> Result<(), String> {
         eilid_net::GatewayConfig {
             workers: threads,
             poller,
-            batch_max: batch,
             ..eilid_net::GatewayConfig::default()
         },
     )
@@ -391,8 +380,8 @@ fn cmd_fleet_serve(args: &[String]) -> Result<(), String> {
     let backend = gateway.poller_backend();
     let handle = gateway.spawn();
     println!(
-        "gateway listening on {} ({} cohorts, {} verification workers, {} reactor, \
-         batch ceiling {batch}); waiting for {expect} reports",
+        "gateway listening on {} ({} cohorts, {} verification workers, {} reactor); \
+         waiting for {expect} reports",
         handle.addr(),
         fleet.cohort_ids().len(),
         threads,
@@ -408,20 +397,19 @@ fn cmd_fleet_serve(args: &[String]) -> Result<(), String> {
     // tick records an explicit heartbeat in the trace ring (scrapeable
     // via `fleet metrics`) and every ~30s one heartbeat line is
     // printed, so the log never goes fully dark.
-    let mut last_logged = (u64::MAX, u64::MAX, u64::MAX);
+    let mut last_logged = (u64::MAX, u64::MAX);
     let mut next_log = std::time::Instant::now();
     let mut idle_ticks: u64 = 0;
     while service.stats().reports_verified() < expect {
         if std::time::Instant::now() >= next_log {
             let snapshot = (
                 load(&handle.counters().live_connections),
-                load(&handle.counters().batches_submitted),
                 service.stats().reports_verified(),
             );
             if snapshot != last_logged {
                 println!(
-                    "reactor: {} live sessions, {} batches submitted, {}/{expect} reports verified",
-                    snapshot.0, snapshot.1, snapshot.2,
+                    "reactor: {} live sessions, {}/{expect} reports verified",
+                    snapshot.0, snapshot.1,
                 );
                 last_logged = snapshot;
                 idle_ticks = 0;
@@ -439,7 +427,7 @@ fn cmd_fleet_serve(args: &[String]) -> Result<(), String> {
                          (heartbeat; scrape `fleet metrics` for detail)",
                         idle_ticks * 2,
                         snapshot.0,
-                        snapshot.2,
+                        snapshot.1,
                     );
                 }
             }
@@ -450,59 +438,15 @@ fn cmd_fleet_serve(args: &[String]) -> Result<(), String> {
     let gateway = handle.shutdown().map_err(|e| e.to_string())?;
     let stats = service.stats();
     println!(
-        "served {} reports over {} connections ({} batches): \
+        "served {} reports over {} connections: \
          {} attested, {} stale, {} tampered, {} unverified",
         stats.reports_verified(),
         load(&gateway.counters().accepted),
-        load(&gateway.counters().batches_submitted),
         load(&stats.attested),
         load(&stats.stale),
         load(&stats.tampered),
         load(&stats.unverified),
     );
-    Ok(())
-}
-
-fn cmd_fleet_connect(args: &[String]) -> Result<(), String> {
-    let addr = parse_flag_string(args, "--addr")?
-        .ok_or("usage: eilid-cli fleet connect --addr HOST:PORT [--devices N] [--clients N]")?;
-    let addr: std::net::SocketAddr = addr
-        .parse()
-        .map_err(|e| format!("invalid --addr `{addr}`: {e}"))?;
-    let (mut fleet, _verifier) = build_fleet(args)?;
-    let clients = parse_flag_value(args, "--clients", 4)?.max(1) as usize;
-    let window = parse_flag_value(
-        args,
-        "--pipeline",
-        eilid_net::DEFAULT_PIPELINE_WINDOW as u64,
-    )?
-    .max(1) as usize;
-
-    println!(
-        "driving {} devices against {addr} over {clients} connections (pipeline window {window})",
-        fleet.len()
-    );
-    let report = eilid_net::sweep_fleet(&mut fleet, clients, window, None, || {
-        eilid_net::TcpTransport::connect(addr)
-    })
-    .map_err(|e| e.to_string())?;
-    println!(
-        "networked sweep: {} devices in {:.3}s over {} connections ({:.0} devices/s)",
-        report.devices,
-        report.elapsed.as_secs_f64(),
-        report.clients,
-        report.devices_per_second()
-    );
-    println!(
-        "  attested   {}\n  stale      {}\n  tampered   {}\n  unverified {}",
-        report.count(eilid_fleet::HealthClass::Attested),
-        report.count(eilid_fleet::HealthClass::Stale),
-        report.count(eilid_fleet::HealthClass::Tampered),
-        report.count(eilid_fleet::HealthClass::Unverified),
-    );
-    if !report.flagged.is_empty() {
-        println!("  flagged: {:?}", report.flagged);
-    }
     Ok(())
 }
 
