@@ -86,7 +86,7 @@ net-cluster:
 # failed run kills the background server instead of orphaning it
 # (which would hold the port for the next run).
 net-smoke: build
-	@./target/release/eilid-cli fleet serve --addr 127.0.0.1:4810 --devices 64 --threads 4 & \
+	@./target/release/eilid-cli fleet serve --addr 127.0.0.1:4810 --devices 64 & \
 	SERVE=$$!; ok=1; \
 	for attempt in 1 2 3 4 5 6 7 8 9 10; do \
 		sleep 1; \
@@ -115,8 +115,8 @@ agg-smoke:
 # Gateway sweeps, campaigns and cluster fan-out at 1 000 devices; writes
 # BENCH_net.json (the recorded perf baseline) and gates three ways. The
 # loopback gate (40 000 devices/s) holds the gateway-driven sweep —
-# probes pushed to device agents, reply bursts verified on the
-# gateway's pool — at ≥ 2x the first recorded loopback baseline of
+# probes pushed to device agents, each reply burst verified as it
+# lands — at ≥ 2x the first recorded loopback baseline of
 # ~19k devices/s. The campaign gate (11 100 devices/s) holds the
 # streamed wave engine + memoized probes + delta updates at ≥ 20x the
 # phase-barrier baseline's recorded 556 devices/s. The cluster gate

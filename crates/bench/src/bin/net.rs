@@ -12,12 +12,11 @@
 //!
 //! `--quick` runs a smaller configuration (the CI smoke mode) and does
 //! not write the baseline unless `--json` is explicit. `--clients N`
-//! sets the device-agent connections (and the gateway's verification
-//! workers) of the sweep and campaign runs.
+//! sets the device-agent connections of the sweep and campaign runs.
 //! `--min-loopback N` is the absolute floor in devices/s of the
 //! gateway-driven sweep over loopback TCP (probes pushed to device
-//! agents, each reply burst verified on the gateway's pool, aggregate
-//! roots back to the operator). `--min-campaign N` is the floor in
+//! agents, each reply burst verified as it lands, aggregate roots back
+//! to the operator). `--min-campaign N` is the floor in
 //! devices/s for the staged campaign driven over loopback TCP through
 //! the gateway's operator plane (update + probe + smoke per device —
 //! hence orders of magnitude below sweep throughput).

@@ -5,7 +5,7 @@
 //!
 //! 1. **What does the wire cost?** [`measure_aggregated_sweeps`] times
 //!    the gateway-driven sweep — probes pushed to device agents, each
-//!    reply burst verified on the gateway's pool, one MAC'd aggregate
+//!    reply burst verified as it lands, one MAC'd aggregate
 //!    root per shard back to the operator. [`measure_campaigns`] and
 //!    [`measure_cluster_sweeps`] time the rest of the operator plane the
 //!    same way.
@@ -124,17 +124,9 @@ pub fn measure_campaigns(devices: usize, agents: usize) -> CampaignComparison {
 
     let (mut fleet, mut verifier) = build();
     let service = Arc::new(AttestationService::new(verifier.service_snapshot(1 << 32)));
-    let handle = Gateway::bind(
-        ("127.0.0.1", 0),
-        service,
-        GatewayConfig {
-            workers: agents,
-            queue_depth: 512,
-            ..GatewayConfig::default()
-        },
-    )
-    .expect("gateway binds on loopback")
-    .spawn();
+    let handle = Gateway::bind(("127.0.0.1", 0), service, GatewayConfig::default())
+        .expect("gateway binds on loopback")
+        .spawn();
     let addr = handle.addr();
     let (remote_report, tcp_seconds, metrics) =
         with_attached_fleet(&mut fleet, agents, addr, || {
@@ -177,17 +169,9 @@ pub fn measure_campaigns(devices: usize, agents: usize) -> CampaignComparison {
     let mut delta_config = CampaignConfig::new(WorkloadId::LightSensor, PATCH_TARGET, image);
     delta_config.smoke_cycles = 500_000;
     let service = Arc::new(AttestationService::new(verifier.service_snapshot(1 << 32)));
-    let handle = Gateway::bind(
-        ("127.0.0.1", 0),
-        service,
-        GatewayConfig {
-            workers: agents,
-            queue_depth: 512,
-            ..GatewayConfig::default()
-        },
-    )
-    .expect("gateway binds on loopback")
-    .spawn();
+    let handle = Gateway::bind(("127.0.0.1", 0), service, GatewayConfig::default())
+        .expect("gateway binds on loopback")
+        .spawn();
     let addr = handle.addr();
     let (delta_report, delta_metrics) = with_attached_fleet(&mut fleet, agents, addr, || {
         let mut ops = RemoteOps::connect(addr).map_err(|e| OpsError::Backend(e.to_string()))?;
@@ -232,7 +216,7 @@ pub struct AggSweepMeasurement {
     /// Device-agent connections serving the probes.
     pub agents: usize,
     /// Sweep throughput, devices/s: probes pushed to the agents, each
-    /// reply burst verified on the gateway's pool, one MAC'd aggregate
+    /// reply burst verified as it lands, one MAC'd aggregate
     /// root per shard back to the operator, which verifies at most
     /// `SHARD_COUNT` MACs.
     pub devices_per_second: f64,
@@ -249,8 +233,7 @@ pub struct AggSweepMeasurement {
 
 /// Measures aggregated operator sweeps over loopback TCP (best of
 /// `rounds`, after one warm-up round whose summary must agree with the
-/// console's unverified sweep before any timing is trusted). The
-/// gateway verifies on `agents` workers.
+/// console's unverified sweep before any timing is trusted).
 pub fn measure_aggregated_sweeps(
     devices: usize,
     agents: usize,
@@ -258,16 +241,8 @@ pub fn measure_aggregated_sweeps(
 ) -> AggSweepMeasurement {
     let (mut fleet, mut verifier) = build(devices, agents.max(2));
     let service = Arc::new(AttestationService::new(verifier.service_snapshot(1 << 32)));
-    let gateway = Gateway::bind(
-        ("127.0.0.1", 0),
-        service,
-        GatewayConfig {
-            workers: agents,
-            queue_depth: 512,
-            ..GatewayConfig::default()
-        },
-    )
-    .expect("gateway binds on loopback");
+    let gateway = Gateway::bind(("127.0.0.1", 0), service, GatewayConfig::default())
+        .expect("gateway binds on loopback");
     let poller_backend = gateway.poller_backend();
     let handle = gateway.spawn();
     let addr = handle.addr();
@@ -384,16 +359,8 @@ pub fn measure_cluster_sweeps(
         for _ in 0..gateways {
             // Each snapshot call reserves the next disjoint nonce span.
             let service = Arc::new(AttestationService::new(verifier.service_snapshot(1 << 24)));
-            let gateway = Gateway::bind(
-                ("127.0.0.1", 0),
-                service,
-                GatewayConfig {
-                    workers: agents,
-                    queue_depth: 512,
-                    ..GatewayConfig::default()
-                },
-            )
-            .expect("cluster gateway binds on loopback");
+            let gateway = Gateway::bind(("127.0.0.1", 0), service, GatewayConfig::default())
+                .expect("cluster gateway binds on loopback");
             let handle = gateway.spawn();
             addrs.push(handle.addr());
             handles.push(handle);

@@ -6,8 +6,7 @@
 //! shard. This pool replaces that with long-lived workers:
 //!
 //! * **Persistent threads** — workers are spawned once and reused across
-//!   sweeps (and by the `eilid_net` gateway's engine across reply
-//!   bursts), so the per-sweep cost is a channel send per shard batch,
+//!   sweeps, so the per-sweep cost is a channel send per shard batch,
 //!   not a spawn.
 //! * **Shard-affine dispatch** — work is submitted *to a shard*, and a
 //!   shard always maps to the same worker queue for a given worker
@@ -19,9 +18,6 @@
 //!   only the shard→worker routing changes. Callers key long-lived
 //!   caches (the verifier's device-key shards) by shard index, so
 //!   changing the worker count can never orphan cached state.
-//! * **Bounded queues** — each worker owns a bounded job queue; a
-//!   submitter blocks while its target queue is full, which is the
-//!   natural backpressure for batch callers.
 //! * **Inline single worker** — a one-worker pool runs a batch on the
 //!   caller's thread: no channel hops, deterministic and
 //!   profiler-friendly.
@@ -40,7 +36,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use std::{fmt, mem, thread};
@@ -49,7 +45,7 @@ use std::{fmt, mem, thread};
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct Worker {
-    sender: SyncSender<Job>,
+    sender: Sender<Job>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -57,7 +53,6 @@ struct Worker {
 pub struct WorkerPool {
     workers: Vec<Worker>,
     shard_count: usize,
-    queue_depth: usize,
 }
 
 impl fmt::Debug for WorkerPool {
@@ -65,16 +60,16 @@ impl fmt::Debug for WorkerPool {
         f.debug_struct("WorkerPool")
             .field("workers", &self.workers.len())
             .field("shard_count", &self.shard_count)
-            .field("queue_depth", &self.queue_depth)
             .finish()
     }
 }
 
-fn spawn_workers(count: usize, queue_depth: usize) -> Vec<Worker> {
+fn spawn_workers(count: usize) -> Vec<Worker> {
     (0..count)
         .map(|index| {
-            let (sender, receiver): (SyncSender<Job>, Receiver<Job>) =
-                mpsc::sync_channel(queue_depth);
+            // Unbounded: `scope` blocks until its whole batch has run,
+            // so a queue never holds more than one batch.
+            let (sender, receiver): (Sender<Job>, Receiver<Job>) = mpsc::channel();
             let handle = thread::Builder::new()
                 .name(format!("eilid-pool-{index}"))
                 .spawn(move || {
@@ -96,15 +91,11 @@ fn spawn_workers(count: usize, queue_depth: usize) -> Vec<Worker> {
 
 impl WorkerPool {
     /// Creates a pool of `workers` persistent threads serving
-    /// `shard_count` shards, each worker with a bounded queue of
-    /// `queue_depth` jobs. All three are clamped to at least 1.
-    pub fn new(workers: usize, shard_count: usize, queue_depth: usize) -> Self {
-        let workers = workers.max(1);
-        let queue_depth = queue_depth.max(1);
+    /// `shard_count` shards. Both are clamped to at least 1.
+    pub fn new(workers: usize, shard_count: usize) -> Self {
         WorkerPool {
-            workers: spawn_workers(workers, queue_depth),
+            workers: spawn_workers(workers.max(1)),
             shard_count: shard_count.max(1),
-            queue_depth,
         }
     }
 
@@ -132,7 +123,7 @@ impl WorkerPool {
         if workers == self.workers.len() {
             return;
         }
-        let old = mem::replace(&mut self.workers, spawn_workers(workers, self.queue_depth));
+        let old = mem::replace(&mut self.workers, spawn_workers(workers));
         for mut worker in old {
             drop(worker.sender);
             if let Some(handle) = worker.handle.take() {
@@ -271,7 +262,7 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         for worker in &mut self.workers {
             // Closing the channel lets the worker drain and exit.
-            let (closed, _) = mpsc::sync_channel(1);
+            let (closed, _) = mpsc::channel();
             let sender = mem::replace(&mut worker.sender, closed);
             drop(sender);
             if let Some(handle) = worker.handle.take() {
@@ -289,7 +280,7 @@ mod tests {
 
     #[test]
     fn scope_runs_borrowing_jobs_and_preserves_order() {
-        let pool = WorkerPool::new(4, 16, 8);
+        let pool = WorkerPool::new(4, 16);
         let mut data: Vec<u64> = (0..16).collect();
         let jobs: Vec<(usize, Box<dyn FnOnce() -> u64 + Send + '_>)> = data
             .iter_mut()
@@ -309,7 +300,7 @@ mod tests {
 
     #[test]
     fn scope_reuses_the_same_threads_across_batches() {
-        let pool = WorkerPool::new(2, 4, 8);
+        let pool = WorkerPool::new(2, 4);
         let mut first: Vec<std::thread::ThreadId> = Vec::new();
         for round in 0..3 {
             let ids = pool.scope(
@@ -331,7 +322,7 @@ mod tests {
 
     #[test]
     fn panicking_job_propagates_after_the_batch_drains() {
-        let pool = WorkerPool::new(2, 4, 8);
+        let pool = WorkerPool::new(2, 4);
         let completed = Arc::new(AtomicUsize::new(0));
         let jobs: Vec<(usize, Box<dyn FnOnce() + Send>)> = (0..4)
             .map(|shard| {
@@ -366,7 +357,7 @@ mod tests {
 
     #[test]
     fn set_workers_keeps_the_shard_count_and_keeps_working() {
-        let mut pool = WorkerPool::new(1, 8, 4);
+        let mut pool = WorkerPool::new(1, 8);
         assert_eq!(pool.shard_count(), 8);
         let run = |pool: &WorkerPool| -> Vec<usize> {
             pool.scope(
@@ -390,7 +381,7 @@ mod tests {
 
     #[test]
     fn one_worker_runs_the_batch_inline_and_still_drains_before_a_panic() {
-        let pool = WorkerPool::new(1, 4, 8);
+        let pool = WorkerPool::new(1, 4);
         let caller = std::thread::current().id();
         let ids = pool.scope(
             (0..4)
@@ -423,7 +414,7 @@ mod tests {
 
     #[test]
     fn shard_routing_is_deterministic() {
-        let pool = WorkerPool::new(3, 16, 4);
+        let pool = WorkerPool::new(3, 16);
         for shard in 0..16 {
             assert_eq!(pool.worker_of(shard), shard % 3);
         }

@@ -196,7 +196,7 @@ impl Clone for Verifier {
             expected: self.expected.clone(),
             scheme: self.scheme,
             shards: self.shards.clone(),
-            pool: WorkerPool::new(self.pool.workers(), SHARD_COUNT, SHARD_COUNT),
+            pool: WorkerPool::new(self.pool.workers(), SHARD_COUNT),
             next_nonce: self.next_nonce,
             provider: Arc::clone(&self.provider),
         }
@@ -229,7 +229,7 @@ impl Verifier {
             expected,
             scheme,
             shards: vec![SweepShard::default(); SHARD_COUNT],
-            pool: WorkerPool::new(fleet.threads(), SHARD_COUNT, SHARD_COUNT),
+            pool: WorkerPool::new(fleet.threads(), SHARD_COUNT),
             next_nonce: 1,
             provider: Arc::new(SoftwareProvider),
         }

@@ -35,11 +35,10 @@
 //! The one sweep verb, `OpAggSweep`, is one probe exchange: every probe
 //! is pushed at once, `Busy` sheds go through the same retry heap, and
 //! the idle deadline extends on progress. Each burst of replies is
-//! verified and hashed into evidence leaves the moment it lands, one
-//! [`WorkerPool::scope`] job per non-empty key shard, so the gateway's
-//! MAC checks and leaf hashes overlap the agents' attestation and use
-//! every verification worker; only the shard trees' interior nodes and
-//! at most `SHARD_COUNT` root MACs follow the last reply.
+//! verified and hashed into evidence leaves on the engine thread the
+//! moment it lands, so the gateway's MAC checks and leaf hashes overlap
+//! the agents' attestation; only the shard trees' interior nodes and at
+//! most `SHARD_COUNT` root MACs follow the last reply.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -53,7 +52,7 @@ use eilid_casu::{AttestationReport, Challenge, DeviceKey};
 use eilid_fleet::rollout::{Next, BUSY_RETRIES};
 use eilid_fleet::{
     Campaign, CampaignRun, CohortInfo, DeviceId, FleetError, HealthClass, Ledger, LedgerEvent,
-    PausedCampaign, Reply, Request, Rollout, RolloutKeys, WaveExecutor, WorkerPool, SHARD_COUNT,
+    PausedCampaign, Reply, Request, Rollout, RolloutKeys, WaveExecutor, SHARD_COUNT,
 };
 use eilid_workloads::WorkloadId;
 
@@ -196,9 +195,6 @@ pub(crate) struct OpsEngine {
     /// The reactor's counters, read for [`Frame::OpHealthResult`]'s
     /// supervision fields and the metrics scrape.
     counters: Arc<GatewayCounters>,
-    /// Verification workers: each sweep reply burst runs as one scoped
-    /// job per non-empty key shard.
-    pool: WorkerPool,
     /// Set on [`Frame::OpDrain`]; the reactor's accept path reads it.
     draining: Arc<AtomicBool>,
     /// The gateway's telemetry hub: wave-phase histograms and busy
@@ -219,7 +215,6 @@ impl OpsEngine {
         waker: Waker,
         timeout: Duration,
         counters: Arc<GatewayCounters>,
-        pool: WorkerPool,
         draining: Arc<AtomicBool>,
         metrics: Arc<NetMetrics>,
     ) -> std::thread::JoinHandle<()> {
@@ -236,7 +231,6 @@ impl OpsEngine {
                     campaigns: BTreeMap::new(),
                     ledger: Ledger::default(),
                     counters,
-                    pool,
                     draining,
                     metrics,
                 }
@@ -610,45 +604,43 @@ impl OpsEngine {
 
     /// Probes every device `requests` names and verifies each reactor
     /// burst of replies the moment it lands, while the agents are still
-    /// attesting the rest: the burst is split by key shard and each
-    /// non-empty shard runs [`verify_shard`] as one [`WorkerPool::scope`]
-    /// job. The verdict map is filled here, on the engine thread, from
-    /// the replies [`OpsEngine::exchange`] accepted — so each report is
-    /// verified exactly once. Returns the verdict and leaf of every
-    /// device that answered, plus when the last reply landed. A device
-    /// absent from the verdicts lost or shed its probe.
+    /// attesting the rest: one [`AttestationService::verify_batch`] per
+    /// burst, sorted by key shard so each burst takes the cohort lock
+    /// once and each shard lock once, then each report hashed into its
+    /// [`evidence_leaf`]. Returns the verdict and leaf of every device
+    /// that answered, plus when the last reply landed. A device absent
+    /// from the verdicts lost or shed its probe.
     fn probe_and_verify(
         &self,
         challenges: &SweepChallenges,
         requests: Vec<(DeviceId, Frame)>,
     ) -> (SweepVerdicts, Option<Instant>) {
-        let (service, metrics) = (&*self.service, &*self.metrics);
+        let service = &*self.service;
+        let provider = service.provider();
+        let metrics = &*self.metrics;
         let mut verdicts = SweepVerdicts::with_capacity(challenges.len());
+        let mut tasks: Vec<VerifyTask> = Vec::new();
         let last_reply = self.exchange(requests, |burst| {
-            let mut shards: Vec<Vec<VerifyTask>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
-            for &(device, report) in burst {
-                if let Some(&(cohort, issued)) = challenges.get(&device) {
-                    shards[(device % SHARD_COUNT as u64) as usize].push(VerifyTask {
-                        device,
-                        cohort,
-                        issued,
-                        report,
-                    });
-                }
-            }
-            let submitted = Instant::now();
-            let jobs: Vec<(usize, ShardJob<'_>)> = shards
-                .into_iter()
-                .enumerate()
-                .filter(|(_, tasks)| !tasks.is_empty())
-                .map(|(shard, tasks)| {
-                    let job: ShardJob<'_> =
-                        Box::new(move || verify_shard(service, metrics, submitted, &tasks));
-                    (shard, job)
+            tasks.clear();
+            tasks.extend(burst.iter().filter_map(|&(device, report)| {
+                let &(cohort, issued) = challenges.get(&device)?;
+                Some(VerifyTask {
+                    device,
+                    cohort,
+                    issued,
+                    report,
                 })
-                .collect();
-            for (device, class, leaf) in self.pool.scope(jobs).into_iter().flatten() {
-                verdicts.insert(device, (class, leaf));
+            }));
+            tasks.sort_by_key(|task| task.device % SHARD_COUNT as u64);
+            metrics.verify_batch_size.record(tasks.len() as u64);
+            let started = Instant::now();
+            let classes = service.verify_batch(&tasks);
+            metrics
+                .verify_batch_us
+                .record_duration_us(started.elapsed());
+            for (task, (class, _)) in tasks.iter().zip(classes) {
+                let leaf = evidence_leaf(&**provider, task.device, &task.report);
+                verdicts.insert(task.device, (class, leaf));
             }
         });
         (verdicts, last_reply)
@@ -1124,42 +1116,6 @@ impl OpsEngine {
     }
 }
 
-/// One verified probe reply: the device, its class and the evidence
-/// leaf of its report.
-type ShardVerdict = (DeviceId, HealthClass, [u8; 32]);
-
-/// One key shard's verification job on the engine's pool.
-type ShardJob<'a> = Box<dyn FnOnce() -> Vec<ShardVerdict> + Send + 'a>;
-
-/// Verifies one key shard of a reply burst (a pool job): the batch's
-/// report MACs under one shard lock, then each report's evidence leaf.
-/// Records the batch size, the MAC verification time and the job's
-/// time from submission to finish (which includes any queue wait).
-fn verify_shard(
-    service: &AttestationService,
-    metrics: &NetMetrics,
-    submitted: Instant,
-    tasks: &[VerifyTask],
-) -> Vec<ShardVerdict> {
-    metrics.verify_batch_size.record(tasks.len() as u64);
-    let started = Instant::now();
-    let classes = service.verify_batch(tasks);
-    metrics
-        .verify_batch_us
-        .record_duration_us(started.elapsed());
-    let provider = service.provider();
-    let verdicts = tasks
-        .iter()
-        .zip(classes)
-        .map(|(task, (class, _))| {
-            let leaf = evidence_leaf(&**provider, task.device, &task.report);
-            (task.device, class, leaf)
-        })
-        .collect();
-    metrics.pool_job_us.record_duration_us(submitted.elapsed());
-    verdicts
-}
-
 /// Device keys and challenges from the gateway's attestation service.
 struct ServiceKeys<'a>(&'a AttestationService);
 
@@ -1260,7 +1216,6 @@ mod tests {
             campaigns: BTreeMap::new(),
             ledger: Ledger::default(),
             counters: Arc::new(GatewayCounters::default()),
-            pool: WorkerPool::new(1, SHARD_COUNT, 8),
             draining: Arc::new(AtomicBool::new(false)),
             metrics: NetMetrics::new(),
         };

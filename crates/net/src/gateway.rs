@@ -1,6 +1,5 @@
 //! The networked attestation gateway: a readiness-driven reactor in
-//! front of the campaign engine, which verifies on the persistent
-//! [`WorkerPool`](eilid_fleet::WorkerPool).
+//! front of the campaign engine.
 //!
 //! Architecture (std-only, no async runtime):
 //!
@@ -11,17 +10,14 @@
 //!  reactor ── epoll readiness (or scan fallback) ── read → FrameDecoder → Session
 //!      ▲            │ cheap frames (hello, attach): reply into the outbox
 //!      │            └─ operator commands, device replies ──▶ engine thread
-//!      │ Waker (eventfd / condvar)                              │   ▲
-//!      └── completions (probe pushes, results) ◀────────────────┘   │ verdicts
-//!                                           each reply burst ──▶ WorkerPool::scope,
-//!                                                                one job per key shard
+//!      │ Waker (eventfd / condvar)                              │ verifies each
+//!      └── completions (probe pushes, results) ◀────────────────┘ reply burst
 //! ```
 //!
 //! The gateway challenges and devices answer: the engine pushes probe
 //! requests to the device agents registered on the reactor's
-//! connections and verifies each burst of replies as it lands, one
-//! [`WorkerPool::scope`](eilid_fleet::WorkerPool::scope) job per
-//! non-empty key shard.
+//! connections and verifies each burst of replies as it lands, in one
+//! [`AttestationService::verify_batch`] sorted by key shard.
 //!
 //! * **Readiness, not scanning.** With the epoll backend the reactor
 //!   wakes only for sockets that have bytes (or writable room) and for
@@ -43,8 +39,6 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use eilid_fleet::{WorkerPool, SHARD_COUNT};
-
 use crate::engine::{EngineInput, OpsEngine, Registry};
 use crate::metrics::{NetMetrics, TRACE_CAT_REACTOR, TRACE_REACTOR_PASS};
 use crate::poller::{
@@ -60,12 +54,12 @@ const LISTENER_TOKEN: u64 = u64::MAX - 1;
 /// Tuning knobs for a [`Gateway`].
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
-    /// Persistent verification workers: how many key shards of one
-    /// reply burst the engine verifies in parallel (default 4; 1
-    /// verifies inline on the engine thread).
+    /// Has no effect: the engine verifies every reply burst on its own
+    /// thread. Kept only so existing struct literals still compile;
+    /// slated for removal.
     pub workers: usize,
-    /// Per-worker job-queue bound of the verification pool (default
-    /// 256).
+    /// Has no effect (the gateway has no job queue). Kept only so
+    /// existing struct literals still compile; slated for removal.
     pub queue_depth: usize,
     /// Connections beyond this are refused on accept (default 1024).
     pub max_connections: usize,
@@ -224,8 +218,8 @@ pub struct Gateway {
     /// Set by the engine on [`Frame::OpDrain`]: stop accepting new
     /// connections (existing ones keep draining their outboxes).
     draining: Arc<AtomicBool>,
-    /// Per-gateway telemetry hub, shared with the campaign engine and
-    /// its verification jobs; scraped over the wire via
+    /// Per-gateway telemetry hub, shared with the campaign engine;
+    /// scraped over the wire via
     /// [`Frame::OpMetrics`].
     metrics: Arc<NetMetrics>,
 }
@@ -235,7 +229,6 @@ impl std::fmt::Debug for Gateway {
         f.debug_struct("Gateway")
             .field("addr", &self.listener.local_addr().ok())
             .field("connections", &self.conns.len())
-            .field("workers", &self.config.workers)
             .field("poller", &self.poller.backend())
             .finish()
     }
@@ -263,8 +256,8 @@ impl Gateway {
         let draining = Arc::new(AtomicBool::new(false));
         // The campaign engine: its own thread, fed by the reactor over
         // `engine_tx`, replying through the completions channel. It
-        // exits when the gateway (the only sender) is dropped. It owns
-        // the verification pool, reads the reactor counters (for
+        // exits when the gateway (the only sender) is dropped. It
+        // verifies sweep replies, reads the reactor counters (for
         // `OpHealth`) and shares the drain flag read-write (it sets it
         // on `OpDrain`; the reactor's accept path reads it).
         let registry = Arc::new(Mutex::new(Registry::default()));
@@ -278,7 +271,6 @@ impl Gateway {
             waker.clone(),
             config.ops_timeout,
             Arc::clone(&counters),
-            WorkerPool::new(config.workers, SHARD_COUNT, config.queue_depth),
             Arc::clone(&draining),
             Arc::clone(&metrics),
         );

@@ -23,8 +23,7 @@
 //!   reactor: it owns the sockets and the framing and hands operator
 //!   commands and device replies to the gateway's campaign engine. The
 //!   engine challenges: it pushes probes to the attached
-//!   [`DeviceAgent`]s and verifies each burst of replies as one job per
-//!   key shard on the persistent [`eilid_fleet::WorkerPool`].
+//!   [`DeviceAgent`]s and verifies each burst of replies as it lands.
 //! * [`ops`] — the operator console ([`RemoteOps`]), the device agent
 //!   ([`DeviceAgent`]) that answers the gateway's pushes, and
 //!   [`with_attached_fleet`], which hosts a fleet's devices as agents.

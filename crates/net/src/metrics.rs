@@ -111,15 +111,11 @@ pub struct NetMetrics {
     /// Outbox residency in bytes, sampled per serviced connection —
     /// how close peers run to the high-water mark.
     pub outbox_bytes: Histogram,
-    /// Verification batch size: the reports of one key shard of one
-    /// sweep reply burst (one engine pool job).
+    /// Verification batch size: the reports of one sweep reply burst.
     pub verify_batch_size: Histogram,
-    /// `AttestationService::verify_batch` latency per shard job, in
+    /// `AttestationService::verify_batch` latency per reply burst, in
     /// microseconds — the MAC verification layer.
     pub verify_batch_us: Histogram,
-    /// Shard job latency from submission to finish, in microseconds:
-    /// pool queue wait plus MAC verification plus leaf hashing.
-    pub pool_job_us: Histogram,
     /// Campaign-wave snapshot-phase duration (µs).
     pub phase_snapshot_us: Histogram,
     /// Campaign-wave update-phase duration (µs).
@@ -180,7 +176,6 @@ impl NetMetrics {
             outbox_bytes: registry.histogram("eilid_gateway_outbox_bytes"),
             verify_batch_size: registry.histogram("eilid_verify_batch_size"),
             verify_batch_us: registry.histogram("eilid_verify_batch_us"),
-            pool_job_us: registry.histogram("eilid_pool_job_us"),
             phase_snapshot_us: registry.histogram("eilid_ops_phase_snapshot_us"),
             phase_update_us: registry.histogram("eilid_ops_phase_update_us"),
             phase_probe_us: registry.histogram("eilid_ops_phase_probe_us"),

@@ -89,10 +89,9 @@ impl ServiceStats {
     }
 }
 
-/// The networked verifier core. Thread-safe: the engine's pool jobs
-/// verify reports concurrently, one key shard each, and the campaign
-/// engine promotes goldens (behind the cohort `RwLock`) when a
-/// gateway-resident rollout completes.
+/// The networked verifier core. Thread-safe: the campaign engine
+/// verifies sweep replies through it and promotes goldens (behind the
+/// cohort `RwLock`) when a gateway-resident rollout completes.
 #[derive(Debug)]
 pub struct AttestationService {
     root: DeviceKey,
@@ -293,9 +292,9 @@ impl AttestationService {
     /// tampered, stale and replayed reports.
     ///
     /// The point of batching is amortization: consecutive tasks on the
-    /// same key shard reuse one lock acquisition (the engine batches
-    /// per shard, so a whole batch costs a single lock), and the pool
-    /// dispatch is paid per batch, not per report.
+    /// same key shard reuse one lock acquisition (the engine sorts each
+    /// reply burst by shard, so a burst costs one lock per shard), and
+    /// the cohort read lock is taken once per batch, not per report.
     pub fn verify_batch(&self, tasks: &[VerifyTask]) -> Vec<(HealthClass, Option<AttestError>)> {
         let mut verdicts = Vec::with_capacity(tasks.len());
         // One cohort read-lock acquisition for the whole batch; golden
@@ -352,8 +351,8 @@ pub enum ChallengeError {
     NoncesExhausted,
 }
 
-/// A probe reply waiting to be verified: one entry of the per-shard
-/// batch the engine hands to [`AttestationService::verify_batch`].
+/// A probe reply waiting to be verified: one entry of the reply burst
+/// the engine hands to [`AttestationService::verify_batch`].
 #[derive(Debug)]
 pub struct VerifyTask {
     /// The reporting device.

@@ -26,18 +26,12 @@ fn build(devices: usize, threads: usize) -> (Fleet, Verifier) {
         .unwrap()
 }
 
-fn spawn_gateway(
-    verifier: &mut Verifier,
-    workers: usize,
-) -> (GatewayHandle, Arc<AttestationService>) {
+fn spawn_gateway(verifier: &mut Verifier) -> (GatewayHandle, Arc<AttestationService>) {
     let service = Arc::new(AttestationService::new(verifier.service_snapshot(1 << 32)));
     let gateway = Gateway::bind(
         ("127.0.0.1", 0),
         Arc::clone(&service),
-        GatewayConfig {
-            workers,
-            ..GatewayConfig::default()
-        },
+        GatewayConfig::default(),
     )
     .unwrap();
     (gateway.spawn(), service)
@@ -58,7 +52,7 @@ fn tamper(fleet: &mut Fleet, ids: &[u64]) {
 fn all_clean_aggregated_sweep_over_tcp() {
     const DEVICES: usize = 48;
     let (mut fleet, mut verifier) = build(DEVICES, 2);
-    let (handle, _service) = spawn_gateway(&mut verifier, 2);
+    let (handle, _service) = spawn_gateway(&mut verifier);
     let addr = handle.addr();
 
     let (agg, metrics) = with_attached_fleet(&mut fleet, 3, addr, || {
@@ -109,7 +103,7 @@ fn one_percent_tampered_aggregated_sweep_over_tcp() {
     let tampered: Vec<u64> = vec![17];
     let (mut fleet, mut verifier) = build(DEVICES, 2);
     tamper(&mut fleet, &tampered);
-    let (handle, _service) = spawn_gateway(&mut verifier, 2);
+    let (handle, _service) = spawn_gateway(&mut verifier);
     let addr = handle.addr();
 
     let agg = with_attached_fleet(&mut fleet, 3, addr, || {
@@ -158,7 +152,7 @@ fn one_percent_tampered_aggregated_sweep_over_tcp() {
 fn thousand_device_aggregated_sweep_verifies_shard_count_roots() {
     const DEVICES: usize = 1_000;
     let (mut fleet, mut verifier) = build(DEVICES, 8);
-    let (handle, _service) = spawn_gateway(&mut verifier, 8);
+    let (handle, _service) = spawn_gateway(&mut verifier);
     let addr = handle.addr();
 
     let (agg, metrics) = with_attached_fleet(&mut fleet, 8, addr, || {

@@ -42,15 +42,7 @@ fn spawn_gateway_at(
     addr: (&str, u16),
 ) -> (GatewayHandle, Arc<AttestationService>) {
     let service = Arc::new(AttestationService::new(verifier.service_snapshot(1 << 20)));
-    let gateway = Gateway::bind(
-        addr,
-        Arc::clone(&service),
-        GatewayConfig {
-            workers: 2,
-            ..GatewayConfig::default()
-        },
-    )
-    .unwrap();
+    let gateway = Gateway::bind(addr, Arc::clone(&service), GatewayConfig::default()).unwrap();
     (gateway.spawn(), service)
 }
 

@@ -89,15 +89,8 @@ fn gateway_child_for_cluster_scale() {
         let _ = verifier.service_snapshot(1 << 20);
     }
     let service = Arc::new(AttestationService::new(verifier.service_snapshot(1 << 20)));
-    let gateway = Gateway::bind(
-        ("127.0.0.1", port),
-        service,
-        GatewayConfig {
-            workers: 2,
-            ..GatewayConfig::default()
-        },
-    )
-    .expect("child gateway bind");
+    let gateway = Gateway::bind(("127.0.0.1", port), service, GatewayConfig::default())
+        .expect("child gateway bind");
     let _handle = gateway.spawn();
     println!("GATEWAY READY {port}");
     std::io::stdout().flush().expect("child stdout");

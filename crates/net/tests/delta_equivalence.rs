@@ -134,7 +134,6 @@ fn remote_delta_campaign_matches_local_and_ships_sparse_bytes() {
         ("127.0.0.1", 0),
         service,
         GatewayConfig {
-            workers: 2,
             ops_timeout: Duration::from_secs(30),
             ..GatewayConfig::default()
         },
@@ -216,7 +215,6 @@ fn tampered_base_falls_back_to_full_image_identically_on_both_backends() {
         ("127.0.0.1", 0),
         service,
         GatewayConfig {
-            workers: 2,
             ops_timeout: Duration::from_secs(30),
             ..GatewayConfig::default()
         },

@@ -70,11 +70,7 @@ fn thousand_device_campaign_over_loopback_tcp() {
     let handle = Gateway::bind(
         ("127.0.0.1", 0),
         Arc::clone(&service),
-        GatewayConfig {
-            workers: 8,
-            queue_depth: 512,
-            ..GatewayConfig::default()
-        },
+        GatewayConfig::default(),
     )
     .unwrap()
     .spawn();

@@ -65,13 +65,7 @@ fn loopback_tcp_sweep_through_the_gateway() {
     tamper(&mut fleet, 5);
 
     let service = Arc::new(AttestationService::new(verifier.service_snapshot(1 << 20)));
-    let handle = spawn_gateway(
-        &service,
-        GatewayConfig {
-            workers: 2,
-            ..GatewayConfig::default()
-        },
-    );
+    let handle = spawn_gateway(&service, GatewayConfig::default());
 
     let summary = sweep_through_agents(&mut fleet, 3, handle.addr());
     assert_eq!(summary.devices, 12);
@@ -270,7 +264,6 @@ fn loopback_tcp_sweep_through_the_scan_fallback() {
         ("127.0.0.1", 0),
         Arc::clone(&service),
         GatewayConfig {
-            workers: 2,
             poller: eilid_net::PollerChoice::Scan,
             ..GatewayConfig::default()
         },
@@ -294,7 +287,9 @@ fn loopback_tcp_sweep_through_the_scan_fallback() {
 
 /// A malformed frame arriving while an agent's sweep is in flight
 /// poisons only its own connection: the sweep completes with the right
-/// verdicts and the reactor keeps serving.
+/// verdicts and the reactor keeps serving. A scripted agent holds the
+/// sweep open — it answers no probe until the hostile connection has
+/// been dropped — so the garbage lands mid-sweep by construction.
 #[test]
 fn malformed_frame_mid_sweep_poisons_only_its_own_connection() {
     use std::io::{Read, Write};
@@ -304,8 +299,7 @@ fn malformed_frame_mid_sweep_poisons_only_its_own_connection() {
     let handle = spawn_gateway(&service, GatewayConfig::default());
     let addr = handle.addr();
 
-    // A hostile peer negotiates, then, while the sweep runs, sends a
-    // valid frame followed by garbage in a single write.
+    // A hostile peer negotiates first; its garbage waits for the sweep.
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -319,24 +313,46 @@ fn malformed_frame_mid_sweep_poisons_only_its_own_connection() {
             .encode(),
         )
         .unwrap();
-    let summary = with_attached_fleet(&mut fleet, 2, addr, || {
-        std::thread::scope(|scope| {
-            let sweep = scope.spawn(|| RemoteOps::connect(addr).unwrap().sweep().unwrap());
-            let mut bytes = Frame::OpHealth.encode();
-            bytes.extend_from_slice(b"\xDE\xAD\xBE\xEFgarbage-poisons-the-framing");
-            stream.write_all(&bytes).unwrap();
-            // The gateway drops us: EOF (or reset) follows.
-            let mut sink = [0u8; 64];
-            loop {
-                match stream.read(&mut sink) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => continue,
-                }
+    let mut transport = connect_and_attach(addr, fleet.devices()).unwrap();
+    let summary = std::thread::scope(|scope| {
+        let sweep = scope.spawn(|| RemoteOps::connect(addr).unwrap().sweep().unwrap());
+        // The first probe proves the sweep is in flight; none is
+        // answered yet, so it cannot finish before the garbage lands.
+        let mut probes = vec![transport.recv().unwrap()];
+
+        // A valid frame followed by garbage in a single write.
+        let mut bytes = Frame::OpHealth.encode();
+        bytes.extend_from_slice(b"\xDE\xAD\xBE\xEFgarbage-poisons-the-framing");
+        stream.write_all(&bytes).unwrap();
+        // The gateway drops us: EOF (or reset) follows.
+        let mut sink = [0u8; 64];
+        loop {
+            match stream.read(&mut sink) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => continue,
             }
-            sweep.join().unwrap()
-        })
-    })
-    .unwrap();
+        }
+
+        // Now the agent answers every probe honestly.
+        probes.extend((1..fleet.len()).map(|_| transport.recv().unwrap()));
+        for probe in probes {
+            let Frame::ProbeRequest {
+                device, challenge, ..
+            } = probe
+            else {
+                panic!("expected a probe, got {probe:?}");
+            };
+            let report = fleet.devices_mut()[device as usize].attest(challenge);
+            transport
+                .send(&Frame::ProbeResult {
+                    device,
+                    healthy: 1,
+                    report,
+                })
+                .unwrap();
+        }
+        sweep.join().unwrap()
+    });
     assert_eq!(summary.count(HealthClass::Attested), 10);
 
     let gateway = handle.shutdown().unwrap();
@@ -344,8 +360,6 @@ fn malformed_frame_mid_sweep_poisons_only_its_own_connection() {
     assert_eq!(service.stats().reports_verified(), 10);
 }
 
-/// A peer that sends unparseable bytes is dropped and counted; honest
-/// connections are unaffected.
 #[test]
 fn malformed_tcp_stream_is_dropped_and_counted() {
     use std::io::Write;

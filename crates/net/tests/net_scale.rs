@@ -67,8 +67,6 @@ fn thousand_device_networked_sweep_over_loopback() {
             ("127.0.0.1", 0),
             Arc::clone(&service),
             GatewayConfig {
-                workers: 8,
-                queue_depth: 256,
                 poller,
                 ..GatewayConfig::default()
             },

@@ -186,8 +186,6 @@ fn scale_10k_connections_on_the_epoll_reactor() {
         ("127.0.0.1", 0),
         Arc::clone(&service),
         GatewayConfig {
-            workers: 4,
-            queue_depth: 512,
             max_connections: 12_000,
             ..GatewayConfig::default()
         },

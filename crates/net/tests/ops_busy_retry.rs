@@ -217,16 +217,9 @@ fn busy_sheds_during_campaign_pushes_are_retried_not_probe_failed() {
     let service = Arc::new(AttestationService::new(
         verifier_b.service_snapshot(1 << 20),
     ));
-    let handle = Gateway::bind(
-        ("127.0.0.1", 0),
-        service,
-        GatewayConfig {
-            workers: 2,
-            ..GatewayConfig::default()
-        },
-    )
-    .unwrap()
-    .spawn();
+    let handle = Gateway::bind(("127.0.0.1", 0), service, GatewayConfig::default())
+        .unwrap()
+        .spawn();
     let addr = handle.addr();
 
     let scheme = fleet_b.scheme();
@@ -275,7 +268,6 @@ fn permanently_busy_device_does_not_stall_the_fast_ones() {
         ("127.0.0.1", 0),
         service,
         GatewayConfig {
-            workers: 2,
             ops_timeout: Duration::from_secs(30),
             ..GatewayConfig::default()
         },
@@ -332,7 +324,6 @@ fn permanently_busy_device_eventually_fails_the_wave() {
         ("127.0.0.1", 0),
         service,
         GatewayConfig {
-            workers: 2,
             ops_timeout: Duration::from_secs(2),
             ..GatewayConfig::default()
         },
@@ -472,7 +463,6 @@ fn sweeps_verify_each_reply_once_under_hostile_timing() {
         ("127.0.0.1", 0),
         Arc::clone(&service),
         GatewayConfig {
-            workers: 2,
             ops_timeout: Duration::from_secs(60),
             ..GatewayConfig::default()
         },

@@ -38,10 +38,7 @@ fn spawn_gateway(verifier: &mut Verifier) -> (GatewayHandle, Arc<AttestationServ
     let gateway = Gateway::bind(
         ("127.0.0.1", 0),
         Arc::clone(&service),
-        GatewayConfig {
-            workers: 2,
-            ..GatewayConfig::default()
-        },
+        GatewayConfig::default(),
     )
     .unwrap();
     (gateway.spawn(), service)

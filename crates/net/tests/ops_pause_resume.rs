@@ -39,16 +39,9 @@ fn config() -> CampaignConfig {
 
 fn spawn_gateway(verifier: &mut Verifier) -> GatewayHandle {
     let service = Arc::new(AttestationService::new(verifier.service_snapshot(1 << 20)));
-    Gateway::bind(
-        ("127.0.0.1", 0),
-        service,
-        GatewayConfig {
-            workers: 2,
-            ..GatewayConfig::default()
-        },
-    )
-    .unwrap()
-    .spawn()
+    Gateway::bind(("127.0.0.1", 0), service, GatewayConfig::default())
+        .unwrap()
+        .spawn()
 }
 
 /// Reference: one uninterrupted wire-driven run.

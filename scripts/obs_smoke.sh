@@ -14,7 +14,7 @@ CLI=./target/release/eilid-cli
 ADDR=127.0.0.1:4811
 SNAPSHOT=/tmp/obs_smoke.prom
 
-"$CLI" fleet serve --addr "$ADDR" --devices 64 --threads 4 --expect-reports 192 &
+"$CLI" fleet serve --addr "$ADDR" --devices 64 --expect-reports 192 &
 SERVE=$!
 trap 'kill $SERVE 2>/dev/null' EXIT
 

@@ -21,7 +21,7 @@
 //!                                          staged OTA campaign (canary → full), in-process
 //!                                          or wire-driven through one gateway's — or a
 //!                                          cluster's — operator plane
-//! eilid-cli fleet serve [--addr A] [--devices N] [--threads N] [--expect-reports N]
+//! eilid-cli fleet serve [--addr A] [--devices N] [--expect-reports N]
 //!                       [--poller epoll|scan]
 //!                                          run the networked attestation gateway
 //! eilid-cli fleet metrics --gateway ADDR | --gateways A,B,.. [--watch]
@@ -86,7 +86,7 @@ fn main() -> ExitCode {
 fn print_usage() {
     println!(
         "eilid-cli — EILID (DATE 2025) reproduction\n\n\
-         USAGE:\n  eilid-cli instrument <app.s>\n  eilid-cli run <app.s> [--protect] [--max-cycles N]\n  eilid-cli disasm <app.s>\n  eilid-cli workloads\n  eilid-cli attack <workload> <attack>\n  eilid-cli fleet run [--devices N] [--threads N] [--cycles N]\n  eilid-cli fleet attest [--devices N] [--threads N] [--flat] [--sweeps N]\n                         [--aggregated] [--gateway ADDR | --gateways A,B,..]\n  eilid-cli fleet campaign [--devices N] [--threads N] [--inject-bad]\n                           [--gateway ADDR | --gateways A,B,..]\n  eilid-cli fleet serve [--addr A] [--devices N] [--threads N] [--expect-reports N]\n                        [--poller epoll|scan]\n  eilid-cli fleet metrics --gateway ADDR | --gateways A,B,.. [--watch]\n\n\
+         USAGE:\n  eilid-cli instrument <app.s>\n  eilid-cli run <app.s> [--protect] [--max-cycles N]\n  eilid-cli disasm <app.s>\n  eilid-cli workloads\n  eilid-cli attack <workload> <attack>\n  eilid-cli fleet run [--devices N] [--threads N] [--cycles N]\n  eilid-cli fleet attest [--devices N] [--threads N] [--flat] [--sweeps N]\n                         [--aggregated] [--gateway ADDR | --gateways A,B,..]\n  eilid-cli fleet campaign [--devices N] [--threads N] [--inject-bad]\n                           [--gateway ADDR | --gateways A,B,..]\n  eilid-cli fleet serve [--addr A] [--devices N] [--expect-reports N]\n                        [--poller epoll|scan]\n  eilid-cli fleet metrics --gateway ADDR | --gateways A,B,.. [--watch]\n\n\
          Attacks: return-address, isr-context, indirect-call, code-injection"
     );
 }
@@ -354,7 +354,6 @@ fn cmd_fleet_serve(args: &[String]) -> Result<(), String> {
     let addr = parse_flag_string(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:4810".to_string());
     let (fleet, mut verifier) = build_fleet(args)?;
     let expect = parse_flag_value(args, "--expect-reports", fleet.len() as u64)?;
-    let threads = parse_flag_value(args, "--threads", 4)? as usize;
     let poller = match parse_flag_string(args, "--poller")?.as_deref() {
         None => eilid_net::PollerChoice::Auto,
         Some("epoll") => eilid_net::PollerChoice::Epoll,
@@ -371,7 +370,6 @@ fn cmd_fleet_serve(args: &[String]) -> Result<(), String> {
         addr.as_str(),
         std::sync::Arc::clone(&service),
         eilid_net::GatewayConfig {
-            workers: threads,
             poller,
             ..eilid_net::GatewayConfig::default()
         },
@@ -380,11 +378,9 @@ fn cmd_fleet_serve(args: &[String]) -> Result<(), String> {
     let backend = gateway.poller_backend();
     let handle = gateway.spawn();
     println!(
-        "gateway listening on {} ({} cohorts, {} verification workers, {} reactor); \
-         waiting for {expect} reports",
+        "gateway listening on {} ({} cohorts, {} reactor); waiting for {expect} reports",
         handle.addr(),
         fleet.cohort_ids().len(),
-        threads,
         backend.name(),
     );
 
