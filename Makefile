@@ -1,6 +1,6 @@
 # Convenience targets; `just` users get the same recipes from ./justfile.
 
-.PHONY: build test test-workspace perfbench-test perfbench-smoke bench-smoke fleet-smoke fleet-scale fleet-bench fleet-bench-smoke net-scale net-scale-10k net-campaign net-cluster net-smoke net-bench net-bench-smoke obs-smoke agg-smoke fmt clippy ci
+.PHONY: build test test-workspace perfbench-test perfbench-smoke bench-smoke fleet-smoke fleet-scale sim-check fleet-bench fleet-bench-smoke net-scale net-scale-10k net-campaign net-cluster net-smoke net-bench net-bench-smoke obs-smoke agg-smoke fmt clippy ci
 
 build:
 	cargo build --release
@@ -40,6 +40,14 @@ fleet-smoke:
 # The 1 000-device release-mode scale test.
 fleet-scale:
 	cargo test --release -p eilid_fleet -- --include-ignored thousand
+
+# The simulator step's oracles, release mode: every step of every
+# Table IV app's EILID build (clean and under each applicable attack)
+# against pinned bus-trace digests, and the per-step bus bound (fetches,
+# reads, writes) over every first instruction word plus interrupt entry.
+sim-check:
+	cargo test --release --test golden_bus_trace
+	cargo test --release -p eilid_msp430 --test bus_bound
 
 # Flat-vs-incremental sweep throughput at 1 000 devices; writes
 # BENCH_fleet.json (the recorded perf baseline) and fails below the

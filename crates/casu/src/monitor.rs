@@ -203,7 +203,7 @@ impl CasuMonitor {
 
         // 3. W ⊕ X: instruction fetches only from executable regions.
         if self.policy.enforce_wxorx {
-            for &fetch in &trace.fetch_addresses {
+            for fetch in trace.fetch_addresses() {
                 if !self.layout.is_executable(fetch) {
                     return Some(Violation::ExecutionFromWritableMemory {
                         pc: fetch,
@@ -289,7 +289,7 @@ impl CasuMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eilid_msp430::{AccessKind, MemAccess, Width};
+    use eilid_msp430::{AccessKind, AccessLog, MemAccess, Width};
 
     fn monitor() -> CasuMonitor {
         let policy = CasuPolicy::with_secure_gates(0xF800, 0xF880..=0xF88F);
@@ -303,9 +303,8 @@ mod tests {
             event: StepEvent::Executed,
             instruction: None,
             instruction_size: 2,
-            fetch_addresses: vec![pc],
-            reads: vec![],
-            writes: vec![],
+            reads: AccessLog::new(),
+            writes: AccessLog::new(),
             cycles: 1,
             total_cycles: 1,
         }
@@ -471,9 +470,8 @@ mod tests {
             event: StepEvent::InterruptTaken { vector: 8 },
             instruction: None,
             instruction_size: 0,
-            fetch_addresses: vec![],
-            reads: vec![],
-            writes: vec![],
+            reads: AccessLog::new(),
+            writes: AccessLog::new(),
             cycles: 6,
             total_cycles: 10,
         };

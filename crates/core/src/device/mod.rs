@@ -18,7 +18,7 @@ pub use builder::DeviceBuilder;
 pub use outcome::RunOutcome;
 
 use eilid_casu::{CasuMonitor, MemoryLayout, Violation};
-use eilid_msp430::{Cpu, StepTrace};
+use eilid_msp430::{Cpu, StepError, StepTrace};
 
 use crate::config::EilidConfig;
 use crate::error::EilidError;
@@ -169,6 +169,13 @@ impl Device {
     /// instruction word (callers usually map this to
     /// [`RunOutcome::Fault`]).
     pub fn step(&mut self) -> Result<(StepTrace, Option<Violation>), EilidError> {
+        Ok(self.monitored_step()?)
+    }
+
+    /// The one step [`Device::step`] and [`Device::run_with_hook`]
+    /// share: gate the IRQ line and the write window, step the core,
+    /// let the monitor judge the trace.
+    fn monitored_step(&mut self) -> Result<(StepTrace, Option<Violation>), StepError> {
         // Hardware IRQ gating: interrupts are deferred while trusted
         // software executes in the secure ROM.
         let in_secure = self.layout.in_secure_rom(self.cpu.regs.pc());
@@ -219,7 +226,7 @@ impl Device {
             if elapsed >= max_cycles {
                 return RunOutcome::Timeout { cycles: elapsed };
             }
-            match self.step() {
+            match self.monitored_step() {
                 Ok((trace, None)) => hook(&mut self.cpu, &trace),
                 Ok((_, Some(violation))) => {
                     let cycles = self.cpu.total_cycles() - start_cycles;
@@ -228,14 +235,13 @@ impl Device {
                     self.reset();
                     return RunOutcome::Violation { violation, cycles };
                 }
-                Err(EilidError::Step(step_error)) => {
+                Err(step_error) => {
                     let cycles = self.cpu.total_cycles() - start_cycles;
                     return RunOutcome::Fault {
                         pc: step_error.address,
                         cycles,
                     };
                 }
-                Err(_) => unreachable!("Device::step only returns step errors"),
             }
         }
     }

@@ -6,15 +6,21 @@
 //! observable bus activity as a [`StepTrace`]. External monitors — the CASU
 //! hardware and the EILID extension — consume those traces to enforce their
 //! policies, exactly as the real hardware taps the core's bus signals.
+//!
+//! A step allocates nothing: the decoder reads the instruction straight
+//! from memory, the core's bus helpers log every data access into the
+//! step's inline [`AccessLog`]s, and the finished trace is a plain value
+//! copied out to the caller.
 
 use serde::{Deserialize, Serialize};
 
-use crate::bus::{AccessKind, MemAccess, StepEvent, StepTrace};
+use crate::bus::{AccessKind, AccessLog, MemAccess, StepEvent, StepTrace};
 use crate::cycles::{cycle_count, INTERRUPT_CYCLES};
-use crate::decoder::decode;
+use crate::decoder::{decode_instruction, DecodeError};
 use crate::execute::execute;
 use crate::flags::{StatusFlags, Width};
 use crate::gate::WriteGate;
+use crate::instruction::Instruction;
 use crate::memory::Memory;
 use crate::peripherals::Peripherals;
 use crate::registers::RegisterFile;
@@ -70,10 +76,12 @@ pub struct Cpu {
     write_gate: Option<WriteGate>,
     /// Bus writes vetoed by the gate since construction.
     vetoed_writes: u64,
+    /// Data reads of the step in progress.
     #[serde(skip)]
-    pending_reads: Vec<MemAccess>,
+    reads: AccessLog,
+    /// Data writes of the step in progress.
     #[serde(skip)]
-    pending_writes: Vec<MemAccess>,
+    writes: AccessLog,
 }
 
 /// Error returned by [`Cpu::step`] when the instruction stream is invalid.
@@ -110,8 +118,8 @@ impl Cpu {
             irq_inhibited: false,
             write_gate: None,
             vetoed_writes: 0,
-            pending_reads: Vec::new(),
-            pending_writes: Vec::new(),
+            reads: AccessLog::new(),
+            writes: AccessLog::new(),
         }
     }
 
@@ -211,7 +219,7 @@ impl Cpu {
                 Width::Byte => u16::from(self.memory.read_byte(addr)),
             }
         };
-        self.pending_reads.push(MemAccess {
+        self.reads.push(MemAccess {
             addr,
             value,
             width,
@@ -234,7 +242,7 @@ impl Cpu {
                 Width::Byte => self.memory.write_byte(addr, (value & 0xFF) as u8),
             }
         }
-        self.pending_writes.push(MemAccess {
+        self.writes.push(MemAccess {
             addr,
             value,
             width,
@@ -281,8 +289,8 @@ impl Cpu {
     /// monitor can treat the fault as a violation.
     pub fn step(&mut self) -> Result<StepTrace, StepError> {
         let pc = self.regs.pc();
-        self.pending_reads.clear();
-        self.pending_writes.clear();
+        self.reads = AccessLog::new();
+        self.writes = AccessLog::new();
 
         // Interrupt acceptance: GIE must be set, the IRQ line must not be
         // gated by the hardware monitor, and a peripheral must be requesting
@@ -297,37 +305,17 @@ impl Cpu {
             // CPU is off; burn one cycle waiting for an interrupt.
             self.peripherals.tick(1);
             self.total_cycles += 1;
-            return Ok(StepTrace {
-                pc,
-                next_pc: pc,
-                event: StepEvent::Idle,
-                instruction: None,
-                instruction_size: 0,
-                fetch_addresses: vec![],
-                reads: vec![],
-                writes: vec![],
-                cycles: 1,
-                total_cycles: self.total_cycles,
-            });
+            return Ok(self.trace(pc, StepEvent::Idle, None, 0, 1));
         }
 
-        let decoded = match decode(&self.memory, pc) {
-            Ok(d) => d,
-            Err(_) => {
-                let word = self.memory.read_word(pc);
-                return Err(StepError { address: pc, word });
-            }
-        };
-        let fetch_addresses: Vec<u16> = (0..decoded.size_bytes)
-            .step_by(2)
-            .map(|o| pc.wrapping_add(o))
-            .collect();
+        let (instruction, size) = decode_instruction(&self.memory, pc)
+            .map_err(|DecodeError::IllegalOpcode { word, address }| StepError { address, word })?;
 
         // Advance the PC past the instruction before executing it, so that
         // `call` pushes the correct return address and PC-relative reads see
         // the next instruction's address.
-        self.regs.set_pc(decoded.next_address());
-        execute(self, &decoded.instruction);
+        self.regs.set_pc(pc.wrapping_add(size));
+        execute(self, &instruction);
 
         // Entering low-power mode happens by setting CPUOFF in SR.
         self.state = if self.flags().cpu_off() {
@@ -336,22 +324,11 @@ impl Cpu {
             CpuState::Running
         };
 
-        let cycles = cycle_count(&decoded.instruction);
+        let cycles = cycle_count(&instruction);
         self.total_cycles += cycles;
         self.peripherals.tick(cycles);
 
-        Ok(StepTrace {
-            pc,
-            next_pc: self.regs.pc(),
-            event: StepEvent::Executed,
-            instruction: Some(decoded.instruction),
-            instruction_size: decoded.size_bytes,
-            fetch_addresses,
-            reads: std::mem::take(&mut self.pending_reads),
-            writes: std::mem::take(&mut self.pending_writes),
-            cycles,
-            total_cycles: self.total_cycles,
-        })
+        Ok(self.trace(pc, StepEvent::Executed, Some(instruction), size, cycles))
     }
 
     fn take_interrupt(&mut self, pc: u16, vector: u8) -> StepTrace {
@@ -362,7 +339,7 @@ impl Cpu {
         self.regs.set_sr(0);
         let handler = self.memory.interrupt_vector(vector);
         // Reading the vector is a visible bus access.
-        self.pending_reads.push(MemAccess {
+        self.reads.push(MemAccess {
             addr: crate::memory::IVT_BASE.wrapping_add(u16::from(vector) * 2),
             value: handler,
             width: Width::Word,
@@ -374,16 +351,34 @@ impl Cpu {
         self.total_cycles += INTERRUPT_CYCLES;
         self.peripherals.tick(INTERRUPT_CYCLES);
 
+        self.trace(
+            pc,
+            StepEvent::InterruptTaken { vector },
+            None,
+            0,
+            INTERRUPT_CYCLES,
+        )
+    }
+
+    /// The finished step's trace: the current PC as `next_pc` and the
+    /// step's logged data accesses.
+    fn trace(
+        &self,
+        pc: u16,
+        event: StepEvent,
+        instruction: Option<Instruction>,
+        instruction_size: u16,
+        cycles: u64,
+    ) -> StepTrace {
         StepTrace {
             pc,
-            next_pc: handler,
-            event: StepEvent::InterruptTaken { vector },
-            instruction: None,
-            instruction_size: 0,
-            fetch_addresses: vec![],
-            reads: std::mem::take(&mut self.pending_reads),
-            writes: std::mem::take(&mut self.pending_writes),
-            cycles: INTERRUPT_CYCLES,
+            next_pc: self.regs.pc(),
+            event,
+            instruction,
+            instruction_size,
+            reads: self.reads,
+            writes: self.writes,
+            cycles,
             total_cycles: self.total_cycles,
         }
     }
@@ -436,7 +431,10 @@ mod tests {
         assert_eq!(cpu.regs.read(Reg::R10), 0x1234);
         assert_eq!(trace.pc, 0xF000);
         assert_eq!(trace.next_pc, 0xF004);
-        assert_eq!(trace.fetch_addresses, vec![0xF000, 0xF002]);
+        assert_eq!(
+            trace.fetch_addresses().collect::<Vec<_>>(),
+            vec![0xF000, 0xF002]
+        );
         assert_eq!(trace.cycles, 2);
     }
 

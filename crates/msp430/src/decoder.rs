@@ -58,10 +58,11 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Reads the instruction stream word by word, counting what it fetched.
 struct WordFetcher<'a> {
     memory: &'a Memory,
     next: u16,
-    words: Vec<u16>,
+    fetched: u16,
 }
 
 impl<'a> WordFetcher<'a> {
@@ -69,16 +70,14 @@ impl<'a> WordFetcher<'a> {
         WordFetcher {
             memory,
             next: pc,
-            words: Vec::with_capacity(3),
+            fetched: 0,
         }
     }
 
     fn fetch(&mut self) -> u16 {
         let word = self.memory.read_word(self.next);
-        self.words.push(word);
-        let addr = self.next;
         self.next = self.next.wrapping_add(2);
-        let _ = addr;
+        self.fetched += 1;
         word
     }
 
@@ -110,6 +109,25 @@ impl<'a> WordFetcher<'a> {
 /// # Ok::<(), eilid_msp430::DecodeError>(())
 /// ```
 pub fn decode(memory: &Memory, pc: u16) -> Result<Decoded, DecodeError> {
+    let (instruction, size_bytes) = decode_instruction(memory, pc)?;
+    let words = (0..size_bytes / 2)
+        .map(|word| memory.read_word(pc.wrapping_add(2 * word)))
+        .collect();
+    Ok(Decoded {
+        instruction,
+        address: pc,
+        size_bytes,
+        words,
+    })
+}
+
+/// Decodes the instruction stored at `pc` into the instruction and its
+/// encoded size in bytes — [`decode`] without the raw words, for the
+/// core's step, which needs no allocation.
+pub(crate) fn decode_instruction(
+    memory: &Memory,
+    pc: u16,
+) -> Result<(Instruction, u16), DecodeError> {
     let mut fetcher = WordFetcher::new(memory, pc);
     let word = fetcher.fetch();
 
@@ -122,14 +140,7 @@ pub fn decode(memory: &Memory, pc: u16) -> Result<Decoded, DecodeError> {
     } else {
         return Err(DecodeError::IllegalOpcode { word, address: pc });
     };
-
-    let size_bytes = (fetcher.words.len() * 2) as u16;
-    Ok(Decoded {
-        instruction,
-        address: pc,
-        size_bytes,
-        words: fetcher.words,
-    })
+    Ok((instruction, fetcher.fetched * 2))
 }
 
 fn decode_jump(word: u16) -> Instruction {

@@ -58,7 +58,7 @@ pub mod registers;
 
 mod execute;
 
-pub use bus::{AccessKind, MemAccess, StepEvent, StepTrace};
+pub use bus::{AccessKind, AccessLog, MemAccess, StepEvent, StepTrace, MAX_ACCESSES, MAX_FETCHES};
 pub use cpu::{Cpu, CpuState, StepError, NUM_VECTORS};
 pub use cycles::{cycle_count, cycles_to_micros, INTERRUPT_CYCLES, RETI_CYCLES};
 pub use decoder::{decode, DecodeError, Decoded};

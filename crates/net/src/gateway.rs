@@ -111,6 +111,10 @@ pub struct GatewayCounters {
     /// closed) — what [`Frame::OpHealthResult`] reports as
     /// `live_sessions`.
     pub live_connections: AtomicU64,
+    /// Inputs the reactor could not hand to the campaign engine
+    /// because the engine thread is gone. Any of these stops the
+    /// reactor at the end of its pass.
+    pub engine_lost: AtomicU64,
 }
 
 struct Conn {
@@ -179,6 +183,19 @@ fn raw_fd(io: &impl std::os::fd::AsRawFd) -> i32 {
 fn raw_fd<T>(_io: &T) -> i32 {
     // The scan backend (the only one off unix) ignores descriptors.
     -1
+}
+
+/// Hands `input` to the campaign engine. The send fails only when the
+/// engine thread is gone; that is counted in
+/// [`GatewayCounters::engine_lost`], never dropped without a trace.
+fn send_to_engine(
+    engine_tx: &mpsc::Sender<EngineInput>,
+    counters: &GatewayCounters,
+    input: EngineInput,
+) {
+    if engine_tx.send(input).is_err() {
+        counters.engine_lost.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Shared context for one reactor pass — everything connection
@@ -457,7 +474,11 @@ impl Gateway {
                 .lock()
                 .expect("registry lock")
                 .drop_conn(conn_id);
-            let _ = self.engine_tx.send(EngineInput::ConnClosed(conn_id));
+            send_to_engine(
+                &self.engine_tx,
+                &self.counters,
+                EngineInput::ConnClosed(conn_id),
+            );
         }
     }
 
@@ -468,8 +489,9 @@ impl Gateway {
     ///
     /// # Errors
     ///
-    /// Returns fatal listener errors only; per-connection failures
-    /// drop that connection.
+    /// Returns fatal listener errors, and an error once the campaign
+    /// engine thread is gone; per-connection failures drop that
+    /// connection.
     pub fn poll(&mut self) -> io::Result<bool> {
         let mut progress = self.accept_new()?;
         progress |= self.deliver_completions();
@@ -497,7 +519,23 @@ impl Gateway {
         // Engine frames that landed during the pass go out now, not
         // after the next wake.
         progress |= self.deliver_completions();
+        self.engine_alive()?;
         Ok(progress)
+    }
+
+    /// Fails once any input could not reach the campaign engine: with
+    /// the engine thread gone, no operator command or device reply can
+    /// ever be answered, so the reactor stops with a logged error
+    /// instead of serving on silently.
+    fn engine_alive(&self) -> io::Result<()> {
+        let lost = self.counters.engine_lost.load(Ordering::Relaxed);
+        if lost == 0 {
+            return Ok(());
+        }
+        eprintln!(
+            "eilid-gateway: campaign engine is gone ({lost} inputs lost); stopping the reactor"
+        );
+        Err(io::Error::other("campaign engine thread is gone"))
     }
 
     /// Services exactly the connections the poller reported ready.
@@ -538,6 +576,7 @@ impl Gateway {
             progress |= self.accept_new()?;
         }
         progress |= self.deliver_completions();
+        self.engine_alive()?;
         Ok(progress)
     }
 
@@ -614,10 +653,14 @@ impl Gateway {
                             conn.queue(&Frame::AttachAck { device });
                         }
                         SessionOutput::Operator(frame) => {
-                            let _ = ctx.engine_tx.send(EngineInput::Operator {
-                                conn: conn_id,
-                                frame,
-                            });
+                            send_to_engine(
+                                ctx.engine_tx,
+                                ctx.counters,
+                                EngineInput::Operator {
+                                    conn: conn_id,
+                                    frame,
+                                },
+                            );
                         }
                         SessionOutput::DeviceReply(frame) => {
                             device_replies.push(frame);
@@ -677,18 +720,14 @@ impl Gateway {
     /// Ships this pass's accumulated device-plane replies to the engine
     /// as a single batched message, preserving arrival order.
     fn flush_device_replies(replies: &mut Vec<Frame>, ctx: &mut PassCtx<'_>) {
-        match replies.len() {
-            0 => {}
-            1 => {
-                let frame = replies.pop().expect("one buffered reply");
-                let _ = ctx.engine_tx.send(EngineInput::Device { frame });
-            }
-            _ => {
-                let _ = ctx
-                    .engine_tx
-                    .send(EngineInput::Devices(std::mem::take(replies)));
-            }
-        }
+        let input = match replies.len() {
+            0 => return,
+            1 => EngineInput::Device {
+                frame: replies.pop().expect("one buffered reply"),
+            },
+            _ => EngineInput::Devices(std::mem::take(replies)),
+        };
+        send_to_engine(ctx.engine_tx, ctx.counters, input);
     }
 
     /// Runs the reactor until `shutdown` is set. The epoll backend
@@ -697,7 +736,8 @@ impl Gateway {
     ///
     /// # Errors
     ///
-    /// Returns fatal listener/poller errors.
+    /// Returns fatal listener/poller errors, and an error once the
+    /// campaign engine thread is gone.
     pub fn run(&mut self, shutdown: &AtomicBool) -> io::Result<()> {
         let mut events: Vec<Event> = Vec::with_capacity(256);
         let mut backoff = IdleBackoff::new(self.config.idle_backoff_max);
@@ -824,7 +864,8 @@ impl GatewayHandle {
     ///
     /// # Errors
     ///
-    /// Surfaces a fatal listener error from the reactor.
+    /// Surfaces a fatal listener error from the reactor, or the lost
+    /// campaign engine that stopped it.
     ///
     /// # Panics
     ///
@@ -833,5 +874,54 @@ impl GatewayHandle {
         self.shutdown.store(true, Ordering::Relaxed);
         self.waker.wake();
         self.handle.join().expect("gateway thread panicked")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    use eilid_casu::DeviceKey;
+    use eilid_fleet::FleetBuilder;
+
+    #[test]
+    fn a_lost_engine_is_counted_and_stops_the_reactor() {
+        let (_, mut verifier) =
+            FleetBuilder::new(DeviceKey::new(b"fleet-root-key-0123456789abcdef").unwrap())
+                .devices(1)
+                .threads(1)
+                .build()
+                .unwrap();
+        let service = Arc::new(AttestationService::new(verifier.service_snapshot(1 << 10)));
+        let config = GatewayConfig {
+            poller: PollerChoice::Scan,
+            ..GatewayConfig::default()
+        };
+        let mut gateway = Gateway::bind("127.0.0.1:0", service, config).expect("bind");
+        // Swap in a sender whose receiver is already gone: every send to
+        // the engine now fails, as it would after the engine died.
+        let (engine_tx, engine_rx) = mpsc::channel();
+        drop(engine_rx);
+        gateway.engine_tx = engine_tx;
+
+        let client = TcpStream::connect(gateway.local_addr().expect("addr")).expect("connect");
+        while gateway.connections() == 0 {
+            gateway.poll().expect("accepting needs no engine");
+        }
+        // Closing the connection makes the reactor tell the engine.
+        drop(client);
+        let err = loop {
+            match gateway.poll() {
+                Ok(_) => continue,
+                Err(err) => break err,
+            }
+        };
+        assert!(err.to_string().contains("engine"), "{err}");
+        assert_eq!(gateway.counters().engine_lost.load(Ordering::Relaxed), 1);
+        let snapshot = gateway.metrics_snapshot();
+        assert_eq!(
+            snapshot.counters.get("eilid_gateway_engine_lost_total"),
+            Some(&1)
+        );
     }
 }

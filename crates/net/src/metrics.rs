@@ -246,6 +246,10 @@ impl NetMetrics {
             "eilid_gateway_scan_passes_total",
             load(&counters.scan_passes),
         );
+        snap.put_counter(
+            "eilid_gateway_engine_lost_total",
+            load(&counters.engine_lost),
+        );
         snap.put_gauge(
             "eilid_gateway_live_connections",
             load(&counters.live_connections),

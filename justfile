@@ -37,6 +37,13 @@ fleet-smoke:
 fleet-scale:
     cargo test --release -p eilid_fleet -- --include-ignored thousand
 
+# The simulator step's oracles, release mode: pinned bus-trace digests
+# of every Table IV app (clean and attacked) and the per-step bus bound
+# over every first instruction word plus interrupt entry.
+sim-check:
+    cargo test --release --test golden_bus_trace
+    cargo test --release -p eilid_msp430 --test bus_bound
+
 # Flat-vs-incremental sweep throughput at 1 000 devices; writes
 # BENCH_fleet.json (the recorded perf baseline) and fails below the
 # accepted 3x incremental speedup.
