@@ -9,8 +9,8 @@ use eilid_fleet::fixtures::{
     benign_patch, bricking_patch, BENIGN_PATCH_TARGET, BRICKING_PATCH_TARGET,
 };
 use eilid_fleet::{
-    CampaignConfig, CampaignOutcome, FleetBuilder, FleetOps, HealthClass, LedgerEvent, LocalOps,
-    OpsError,
+    CampaignConfig, CampaignOutcome, Fleet, FleetBuilder, FleetOps, HealthClass, LedgerEvent,
+    LocalOps, OpsError,
 };
 use eilid_workloads::WorkloadId;
 
@@ -64,6 +64,82 @@ fn tampered_pmem_is_flagged_by_the_sweep() {
         .events()
         .iter()
         .any(|e| matches!(e, LedgerEvent::AttestationFlagged { device: 2, .. })));
+}
+
+/// The flagged events a sweep appended to the ledger after `from`.
+fn flagged_since(fleet: &Fleet, from: usize) -> Vec<(u64, HealthClass)> {
+    fleet.ledger().events()[from..]
+        .iter()
+        .map(|event| match event {
+            LedgerEvent::AttestationFlagged { device, class } => (*device, *class),
+            other => panic!("a sweep appended a non-flag event: {other:?}"),
+        })
+        .collect()
+}
+
+/// A sweep over a fleet with k flagged devices appends exactly k
+/// `AttestationFlagged` events, in id order and with each device's
+/// class, and none for the attested devices — on every sweep entry
+/// point.
+#[test]
+fn sweep_ledger_records_exactly_the_flagged_devices() {
+    let (mut fleet, mut verifier) = FleetBuilder::new(root_key())
+        .devices(12)
+        .threads(2)
+        .workloads(&[WorkloadId::LightSensor])
+        .build()
+        .unwrap();
+    let span =
+        usize::from(BENIGN_PATCH_TARGET)..usize::from(BENIGN_PATCH_TARGET) + benign_patch().len();
+    let old_bytes = fleet.devices()[0]
+        .device()
+        .cpu()
+        .memory
+        .slice(span)
+        .to_vec();
+    let config = CampaignConfig::new(WorkloadId::LightSensor, BENIGN_PATCH_TARGET, benign_patch());
+    LocalOps::new(&mut fleet, &mut verifier)
+        .run_campaign(&config)
+        .unwrap();
+
+    // Ids chosen out of order and across shards.
+    for victim in [9u64, 2] {
+        let device = &mut fleet.devices_mut()[victim as usize];
+        let memory = &mut device.device_mut().cpu_mut().memory;
+        let original = memory.read_byte(0xE010);
+        memory.write_byte(0xE010, original ^ 0x01);
+    }
+    for stale in [11u64, 4] {
+        let key = verifier.device_key(stale);
+        let device = &mut fleet.devices_mut()[stale as usize];
+        let mut authority =
+            UpdateAuthority::with_key_resuming(&key, device.engine().last_nonce() + 1);
+        let request = authority.authorize(BENIGN_PATCH_TARGET, &old_bytes);
+        device.apply_update(&request).unwrap();
+    }
+    fleet.devices_mut()[7].corrupt_attestation_key();
+    let expected = vec![
+        (2, HealthClass::Tampered),
+        (4, HealthClass::Stale),
+        (7, HealthClass::Unverified),
+        (9, HealthClass::Tampered),
+        (11, HealthClass::Stale),
+    ];
+
+    let before = fleet.ledger().events().len();
+    let sweep = verifier.sweep(&mut fleet);
+    assert_eq!(sweep.count(HealthClass::Attested), 7);
+    assert_eq!(flagged_since(&fleet, before), expected);
+
+    let before = fleet.ledger().events().len();
+    LocalOps::new(&mut fleet, &mut verifier)
+        .sweep_aggregated()
+        .unwrap();
+    assert_eq!(flagged_since(&fleet, before), expected);
+
+    let before = fleet.ledger().events().len();
+    LocalOps::new(&mut fleet, &mut verifier).sweep().unwrap();
+    assert_eq!(flagged_since(&fleet, before), expected);
 }
 
 #[test]

@@ -187,33 +187,35 @@ fn changing_parallelism_between_sweeps_never_orphans_cached_keys() {
     }
 }
 
-/// The key cache must be populated lazily and shard-stably: sweeping a
-/// subset caches only that subset's keys, and re-sweeping reuses them
-/// (correctness witnessed by classifications staying exact).
+/// The key cache fills on the first whole-fleet sweep and is reused by
+/// every later one, whatever the worker count and whichever sweep entry
+/// point runs (correctness witnessed by classifications staying exact).
 #[test]
-fn subset_sweeps_cache_lazily_and_stay_correct() {
+fn whole_fleet_sweeps_derive_each_key_once_and_stay_correct() {
     let (mut fleet, mut verifier) = FleetBuilder::new(root_key())
         .devices(6)
         .threads(3)
         .workloads(&[WorkloadId::LightSensor])
         .build()
         .unwrap();
+    assert_eq!(verifier.cached_keys(), 0, "keys are derived lazily");
 
-    let subset = [0u64, 2, 4];
-    let report = verifier.sweep_devices(&mut fleet, &subset);
-    assert_eq!(report.devices.len(), 3);
-    assert_eq!(report.count(HealthClass::Attested), 3);
-    assert_eq!(verifier.cached_keys(), 3);
-
-    // Unknown ids are surfaced as missing, not silently dropped, and do
-    // not pollute the cache.
-    let report = verifier.sweep_devices(&mut fleet, &[1, 99]);
-    assert_eq!(report.count(HealthClass::Attested), 1);
-    assert_eq!(report.missing, vec![99]);
-    assert_eq!(verifier.cached_keys(), 4);
-
-    // Full sweep: the four cached keys are reused, two more derived.
     let report = verifier.sweep(&mut fleet);
     assert_eq!(report.count(HealthClass::Attested), 6);
     assert_eq!(verifier.cached_keys(), 6);
+    assert_eq!(verifier.key_derivations(), 6);
+
+    for workers in [1usize, 3, 2] {
+        verifier.set_parallelism(workers);
+        let report = verifier.sweep(&mut fleet);
+        assert_eq!(report.count(HealthClass::Attested), 6);
+        let aggregated = verifier.sweep_aggregated(&mut fleet);
+        assert_eq!(aggregated.summary.count(HealthClass::Attested), 6);
+        assert_eq!(verifier.cached_keys(), 6);
+        assert_eq!(
+            verifier.key_derivations(),
+            6,
+            "re-sweeping at {workers} workers must not re-derive any key"
+        );
+    }
 }
