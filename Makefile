@@ -1,6 +1,6 @@
 # Convenience targets; `just` users get the same recipes from ./justfile.
 
-.PHONY: build test test-workspace perfbench-test perfbench-smoke bench-smoke fleet-smoke fleet-scale sim-check fleet-bench fleet-bench-smoke net-scale net-scale-10k net-campaign net-cluster net-smoke net-bench net-bench-smoke obs-smoke agg-smoke fmt clippy ci
+.PHONY: build test test-workspace perfbench-test perfbench-smoke bench-smoke fleet-smoke fleet-scale sim-check soak net-scale net-scale-10k net-campaign net-cluster net-smoke net-bench net-bench-smoke obs-smoke agg-smoke fmt clippy ci
 
 build:
 	cargo build --release
@@ -49,16 +49,12 @@ sim-check:
 	cargo test --release --test golden_bus_trace
 	cargo test --release -p eilid_msp430 --test bus_bound
 
-# Flat-vs-incremental sweep throughput at 1 000 devices; writes
-# BENCH_fleet.json (the recorded perf baseline) and fails below the
-# accepted 3x incremental speedup.
-fleet-bench:
-	cargo run --release -p eilid_bench --bin fleet -- --min-speedup 3
-
-# CI-sized head-to-head only (no matrix), still release mode, gating on
-# the same 3x speedup floor.
-fleet-bench-smoke:
-	cargo run --release -p eilid_bench --bin fleet -- --quick --json /tmp/BENCH_fleet.json --min-speedup 3
+# Every property-test suite in release mode, once per seed in
+# SOAK_SEEDS (default: eight fixed seeds), stopping at the first failing
+# seed; a failing case prints the PROPTEST_SEED/PROPTEST_CASES pair that
+# replays it. `make soak SOAK_SEEDS="1 2 3"` picks the seeds.
+soak:
+	./scripts/soak.sh
 
 # The 1 000-device networked sweep over loopback TCP (release mode) —
 # epoll reactor and scan fallback both.
@@ -115,7 +111,8 @@ obs-smoke: build
 # test un-ignores): all-clean and ~1%-tampered aggregated sweeps over
 # loopback TCP, the operator verifying at most SHARD_COUNT aggregate
 # roots — counter-asserted on both sides of the wire — plus the
-# equivalence oracle pinning aggregated verdicts to per-device sweeps.
+# equivalence oracle pinning aggregated verdicts on both backends to a
+# from-scratch per-device classification.
 agg-smoke:
 	cargo test --release -p eilid_net --test agg_smoke -- --include-ignored
 	cargo test --release -p eilid_net --test agg_equivalence

@@ -1,37 +1,33 @@
 //! Criterion bench for fleet-scale batched attestation: one full sweep
-//! over fleets of increasing size, single- and multi-threaded, under
-//! both measurement schemes (flat SHA-256 vs incremental Merkle).
+//! over fleets of increasing size, single- and multi-threaded.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eilid_casu::{DeviceKey, MeasurementScheme};
-use eilid_fleet::FleetBuilder;
+use eilid_casu::DeviceKey;
+use eilid_fleet::{FleetBuilder, HealthClass};
 
 fn bench_fleet_attestation(c: &mut Criterion) {
     let root = DeviceKey::new(b"bench-fleet-root-key-0123456789").unwrap();
 
     let mut group = c.benchmark_group("fleet_attestation");
     group.sample_size(10);
-    for scheme in [MeasurementScheme::FlatSha256, MeasurementScheme::Merkle] {
-        for &devices in &[64usize, 256] {
-            for &threads in &[1usize, 4] {
-                let (mut fleet, mut verifier) = FleetBuilder::new(root.clone())
-                    .devices(devices)
-                    .threads(threads)
-                    .measurement(scheme)
-                    .build()
-                    .unwrap();
-                group.bench_with_input(
-                    BenchmarkId::new(format!("sweep/{scheme}/{threads}t"), devices),
-                    &devices,
-                    |b, &n| {
-                        b.iter(|| {
-                            let report = verifier.sweep(&mut fleet);
-                            assert_eq!(report.devices.len(), n);
-                            report.devices_per_second()
-                        })
-                    },
-                );
-            }
+    for &devices in &[64usize, 256] {
+        for &threads in &[1usize, 4] {
+            let (mut fleet, mut verifier) = FleetBuilder::new(root.clone())
+                .devices(devices)
+                .threads(threads)
+                .build()
+                .unwrap();
+            group.bench_with_input(
+                BenchmarkId::new(format!("sweep/{threads}t"), devices),
+                &devices,
+                |b, &n| {
+                    b.iter(|| {
+                        let summary = verifier.sweep(&mut fleet);
+                        assert_eq!(summary.count(HealthClass::Attested), n);
+                        summary
+                    })
+                },
+            );
         }
     }
     group.finish();

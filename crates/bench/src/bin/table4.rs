@@ -1,7 +1,8 @@
 //! Prints Table IV: EILID software overhead on the seven evaluation
 //! applications (compile time, binary size, running time).
 //!
-//! Pass `--quick` to use 3 compile iterations instead of the paper's 50.
+//! Compile times are per-side medians over 51 iterations (the paper
+//! averages 50); pass `--quick` to use 7.
 
 use eilid_bench::{measure_all, Table4Options};
 

@@ -13,7 +13,6 @@
 //! | Figure 10 (hardware overhead) | [`figures`], [`eilid_hwcost`] | `figure10` |
 //! | §VI micro-costs | [`micro`] | `micro` |
 //! | Design-choice ablations | [`ablation`] | `ablation` |
-//! | Fleet attestation throughput (beyond the paper) | [`fleet`] | `fleet` |
 //!
 //! The Criterion benches under `benches/` exercise the same code paths with
 //! statistical timing; the binaries print the tables in the paper's layout
@@ -25,7 +24,6 @@
 
 pub mod ablation;
 pub mod figures;
-pub mod fleet;
 pub mod micro;
 pub mod net;
 pub mod paper_reference;
@@ -36,10 +34,6 @@ pub use ablation::{
     AblationRow, ShadowSizingRow,
 };
 pub use figures::{render_figure10a, render_figure10b, render_instrumentation_templates};
-pub use fleet::{
-    compare_sweep_throughput, measure_attestation_throughput, measure_sweep_throughput,
-    render_bench_json, render_fleet_throughput, FleetThroughputRow, SweepComparison,
-};
 pub use micro::{measure_micro_costs, MicroCosts};
 pub use paper_reference::{paper_averages, paper_micro_costs, paper_table4, PaperTable4Row};
 pub use table4::{measure_all, measure_workload, Table4, Table4Options, Table4Row};

@@ -1,8 +1,9 @@
 //! Table IV harness: compile-time, binary-size and run-time overhead of the
 //! seven evaluation applications, original vs. EILID.
 //!
-//! Compile times are wall-clock averages over a configurable number of
-//! iterations (the paper uses 50). Run times are simulated cycles converted
+//! Compile times are per-side wall-clock medians over a configurable,
+//! odd number of iterations (the paper averages 50), so one descheduled
+//! sample cannot flip the sign of the overhead. Run times are simulated cycles converted
 //! to microseconds at the configured clock (the paper uses 100 MHz Vivado
 //! behavioural simulation), so they are fully deterministic.
 
@@ -19,7 +20,8 @@ use crate::paper_reference::{paper_table4, PaperTable4Row};
 /// Measurement knobs for the Table IV harness.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table4Options {
-    /// Number of compile iterations to average over (the paper uses 50).
+    /// Number of compile iterations to take the median of (odd, so the
+    /// median is one sample; the paper averages 50).
     pub compile_iterations: u32,
     /// Cycle budget per simulated run.
     pub max_cycles: u64,
@@ -30,7 +32,7 @@ pub struct Table4Options {
 impl Default for Table4Options {
     fn default() -> Self {
         Table4Options {
-            compile_iterations: 50,
+            compile_iterations: 51,
             max_cycles: 20_000_000,
             config: EilidConfig::default(),
         }
@@ -41,7 +43,7 @@ impl Table4Options {
     /// Fast settings for unit/integration tests (fewer compile iterations).
     pub fn quick() -> Self {
         Table4Options {
-            compile_iterations: 3,
+            compile_iterations: 7,
             ..Table4Options::default()
         }
     }
@@ -52,9 +54,9 @@ impl Table4Options {
 pub struct Table4Row {
     /// Which application.
     pub workload: WorkloadId,
-    /// Average wall-clock time of the baseline (single) build.
+    /// Median wall-clock time of the baseline (single) build.
     pub original_compile: Duration,
-    /// Average wall-clock time of the full EILID pipeline (three builds +
+    /// Median wall-clock time of the full EILID pipeline (three builds +
     /// instrumentation).
     pub eilid_compile: Duration,
     /// Application binary size without instrumentation (bytes).
@@ -175,6 +177,12 @@ fn average(values: impl Iterator<Item = f64>) -> f64 {
     collected.iter().sum::<f64>() / collected.len() as f64
 }
 
+/// The middle sample (the upper middle for an even count).
+fn median(samples: &mut [Duration]) -> Duration {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
 /// Measures one workload.
 ///
 /// # Panics
@@ -188,21 +196,21 @@ pub fn measure_workload(workload: &Workload, options: &Table4Options) -> Table4R
         .expect("runtime builds for the default configuration");
     let pipeline = InstrumentedBuild::new(options.config.clone());
 
-    // Compile-time measurement, averaged over the configured iterations.
-    let mut original_compile = Duration::ZERO;
-    let mut eilid_compile = Duration::ZERO;
+    // Compile-time measurement: the median of each side's per-iteration
+    // samples.
+    let mut original_samples = Vec::new();
+    let mut eilid_samples = Vec::new();
     let mut artifacts = None;
     for _ in 0..options.compile_iterations.max(1) {
         let run = pipeline
             .run(&workload.source, &runtime)
             .expect("workload instruments");
-        original_compile += run.metrics.original_compile_time;
-        eilid_compile += run.metrics.instrumented_compile_time;
+        original_samples.push(run.metrics.original_compile_time);
+        eilid_samples.push(run.metrics.instrumented_compile_time);
         artifacts = Some(run);
     }
-    let iterations = options.compile_iterations.max(1);
-    original_compile /= iterations;
-    eilid_compile /= iterations;
+    let original_compile = median(&mut original_samples);
+    let eilid_compile = median(&mut eilid_samples);
     let artifacts = artifacts.expect("at least one compile iteration ran");
 
     // Run-time measurement (deterministic, one run each).

@@ -21,9 +21,9 @@
 //!   the engine can never serve a stale root: there is no mutation path
 //!   that bypasses invalidation.
 //! * [`MeasurementScheme`] — the verifier/device agreement on what the
-//!   32-byte measurement in an attestation report *is*: the legacy flat
-//!   SHA-256 of the range, or the Merkle root. Both fit the existing
-//!   report format, so the wire protocol is unchanged.
+//!   32-byte measurement in an attestation report *is*: the Merkle root,
+//!   which fits the existing report format, so the wire protocol is
+//!   unchanged.
 //!
 //! The leaf hash binds the leaf index (`H("eilid-merkle-leaf" ‖ index ‖
 //! bytes)`) and interior nodes are domain-separated
@@ -37,7 +37,7 @@ use serde::{Deserialize, Serialize};
 use eilid_msp430::{memory::DIRTY_GRANULE, Memory};
 
 use crate::layout::MemoryLayout;
-use crate::sha256::{sha256, Sha256};
+use crate::sha256::Sha256;
 
 /// Bytes covered by one Merkle leaf. Equal to the memory dirty-tracking
 /// granule so one dirty bit maps to (at most two) leaves.
@@ -307,45 +307,21 @@ impl IncrementalMeasurer {
 }
 
 /// What the 32-byte measurement in an attestation report is computed
-/// over: the agreement between a fleet's devices and its verifier.
-///
-/// Both schemes produce a 32-byte digest, so [`crate::AttestationReport`]
-/// and its MAC format are identical on the wire; only the digest
-/// *algorithm* differs. A verifier enrolled under one scheme rejects
-/// (as `Tampered`) reports measured under the other.
+/// over: the agreement between a fleet's devices and its verifier. The
+/// Merkle root is the only scheme; it fits the standard report format,
+/// so the wire protocol carries no scheme field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MeasurementScheme {
-    /// Flat SHA-256 over the measured range (the original protocol).
-    FlatSha256,
     /// Root of the chunked Merkle tree over the measured range, enabling
     /// incremental re-measurement on the device.
     Merkle,
 }
 
-impl std::fmt::Display for MeasurementScheme {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MeasurementScheme::FlatSha256 => write!(f, "flat-sha256"),
-            MeasurementScheme::Merkle => write!(f, "merkle"),
-        }
-    }
-}
-
 impl MeasurementScheme {
-    /// Measures `start..=end` of `memory` from scratch under this scheme.
-    pub fn measure_range(&self, memory: &Memory, start: u16, end: u16) -> [u8; 32] {
-        match self {
-            MeasurementScheme::FlatSha256 => {
-                sha256(memory.slice(usize::from(start)..usize::from(end) + 1))
-            }
-            MeasurementScheme::Merkle => merkle_measure(memory, start, end),
-        }
-    }
-
-    /// Measures the application PMEM region of `memory` under this
-    /// scheme.
+    /// Measures the application PMEM region of `memory` from scratch
+    /// under this scheme.
     pub fn measure_pmem(&self, memory: &Memory, layout: &MemoryLayout) -> [u8; 32] {
-        self.measure_range(memory, *layout.pmem.start(), *layout.pmem.end())
+        merkle_measure_pmem(memory, layout)
     }
 }
 
@@ -496,24 +472,5 @@ mod tests {
         assert!(measurer.covers(0xE000, 0xF7FF));
         assert!(!measurer.covers(0xE000, 0xF7FE));
         assert!(!measurer.covers(0xE002, 0xF7FF));
-    }
-
-    #[test]
-    fn schemes_disagree_on_purpose() {
-        let memory = image_memory();
-        let layout = MemoryLayout::default();
-        let flat = MeasurementScheme::FlatSha256.measure_pmem(&memory, &layout);
-        let merkle = MeasurementScheme::Merkle.measure_pmem(&memory, &layout);
-        assert_ne!(
-            flat, merkle,
-            "a report measured under one scheme must not verify under the other"
-        );
-        assert_eq!(
-            flat,
-            crate::attest::measure_pmem(&memory, &layout),
-            "flat scheme is the legacy measurement"
-        );
-        assert_eq!(MeasurementScheme::Merkle.to_string(), "merkle");
-        assert_eq!(MeasurementScheme::FlatSha256.to_string(), "flat-sha256");
     }
 }

@@ -350,21 +350,6 @@ impl UpdateEngine {
     pub fn measure_pmem(&self, memory: &Memory) -> [u8; 32] {
         crate::attest::measure_pmem(memory, &self.layout)
     }
-
-    /// Measurement of the PMEM region under an explicit
-    /// [`MeasurementScheme`] — fleets running the incremental Merkle
-    /// engine confirm post-update state against the Merkle root rather
-    /// than the flat hash. Note that update *payload writes* need no
-    /// explicit engine invalidation: [`UpdateEngine::apply`] writes
-    /// through [`Memory::load`], which marks the covered dirty granules,
-    /// so the device's measurer re-hashes exactly the patched leaves.
-    pub fn measure_pmem_with(
-        &self,
-        memory: &Memory,
-        scheme: crate::merkle::MeasurementScheme,
-    ) -> [u8; 32] {
-        scheme.measure_pmem(memory, &self.layout)
-    }
 }
 
 /// Granularity of delta diffing: one segment boundary per simulated

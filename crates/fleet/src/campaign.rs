@@ -65,7 +65,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use eilid_casu::wire::{self, CodecError, Reader};
-use eilid_casu::{MeasurementScheme, MemoryLayout};
+use eilid_casu::{merkle_measure_pmem, MemoryLayout};
 use eilid_msp430::{Memory, ADDRESS_SPACE};
 use eilid_workloads::WorkloadId;
 
@@ -275,8 +275,6 @@ pub struct CohortInfo {
     pub golden: Memory,
     /// Memory layout the cohort's devices attest over.
     pub layout: MemoryLayout,
-    /// Measurement scheme snapshots and probes are computed under.
-    pub scheme: MeasurementScheme,
 }
 
 /// The mechanism half of the campaign engine: how a [`Rollout`]
@@ -288,7 +286,7 @@ pub struct CohortInfo {
 /// in-process one.
 pub trait WaveExecutor {
     /// Describes `cohort` before the campaign starts: its members (the
-    /// wave-partition input), golden image, layout and scheme.
+    /// wave-partition input), golden image and layout.
     ///
     /// # Errors
     ///
@@ -341,13 +339,11 @@ impl WaveExecutor for LocalExecutor<'_> {
             members,
             golden: state.golden.clone(),
             layout: state.layout.clone(),
-            scheme: self.fleet.scheme(),
         })
     }
 
     fn drive(&mut self, rollout: &mut Rollout<'_>) -> Result<(), FleetError> {
         let threads = self.fleet.threads();
-        let scheme = self.fleet.scheme();
         let mut requests: Vec<Request> = std::iter::from_fn(|| rollout.admit()).collect();
         // One round per step of the chain: every outstanding request is
         // served in parallel, then the replies go through the machine in
@@ -364,7 +360,7 @@ impl WaveExecutor for LocalExecutor<'_> {
                 })
                 .collect();
             let replies = parallel_map_mut(&mut work, threads, |(device, request)| {
-                (device.id(), serve(device, scheme, request))
+                (device.id(), serve(device, request))
             });
             // Requests for devices outside the fleet are lost.
             for device in pending.into_keys() {
@@ -441,15 +437,14 @@ impl Campaign {
         }
 
         // Expected post-patch measurement, computed on a golden copy
-        // under the backend's measurement scheme (devices running the
-        // incremental engine attest Merkle roots, so the probe's
-        // expected value must be one too). Golden images are measured
-        // over the layout the cohort's devices were actually built with.
+        // (devices attest Merkle roots, so the probe's expected value
+        // must be one too). Golden images are measured over the layout
+        // the cohort's devices were actually built with.
         let mut patched_golden = info.golden.clone();
         patched_golden
             .load(self.config.target, &self.config.payload)
             .map_err(|e| FleetError::InvalidCampaign(e.to_string()))?;
-        let expected_after = info.scheme.measure_pmem(&patched_golden, &info.layout);
+        let expected_after = merkle_measure_pmem(&patched_golden, &info.layout);
 
         let waves = partition_waves(&info.members, &[self.config.canary_fraction, 1.0]);
         Ok(CampaignRun {

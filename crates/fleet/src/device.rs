@@ -3,8 +3,8 @@
 
 use eilid::{Device, RunOutcome};
 use eilid_casu::{
-    merkle_measure, AttestationReport, Attestor, Challenge, DeltaUpdateRequest, DeviceKey,
-    IncrementalMeasurer, MeasurementScheme, MeasurerStats, UpdateEngine, UpdateError,
+    merkle_measure, merkle_measure_pmem, AttestationReport, Attestor, Challenge,
+    DeltaUpdateRequest, DeviceKey, IncrementalMeasurer, MeasurerStats, UpdateEngine, UpdateError,
     UpdateRequest,
 };
 use eilid_workloads::WorkloadId;
@@ -13,8 +13,8 @@ use eilid_workloads::WorkloadId;
 pub type DeviceId = u64;
 
 /// A fleet member: the simulated device and its device-side protocol
-/// state (update engine, attestor, optional incremental measurement
-/// engine), all keyed with the device-unique key.
+/// state (update engine, attestor, incremental measurement engine), all
+/// keyed with the device-unique key.
 #[derive(Debug, Clone)]
 pub struct SimDevice {
     id: DeviceId,
@@ -22,12 +22,11 @@ pub struct SimDevice {
     device: Device,
     engine: UpdateEngine,
     attestor: Attestor,
-    /// Incremental Merkle engine over the device's PMEM range; `None`
-    /// for fleets on the flat measurement scheme. Kept coherent by the
-    /// memory's dirty-granule bits, so *any* write path — authenticated
-    /// updates, in-simulation bus writes, test-injected tampering —
-    /// invalidates the covered leaves.
-    measurer: Option<IncrementalMeasurer>,
+    /// Incremental Merkle engine over the device's PMEM range. Kept
+    /// coherent by the memory's dirty-granule bits, so *any* write path
+    /// — authenticated updates, in-simulation bus writes, test-injected
+    /// tampering — invalidates the covered leaves.
+    measurer: IncrementalMeasurer,
     last_outcome: Option<RunOutcome>,
     /// When set, campaign probe memoization is disabled for this
     /// device: its post-update health verdict must come from its own
@@ -38,15 +37,15 @@ pub struct SimDevice {
 }
 
 impl SimDevice {
-    /// Assembles a fleet member from a cloned prototype device, with an
-    /// optional prototype-built incremental measurer (cloned, like the
-    /// device, so spawning thousands of devices re-hashes nothing).
+    /// Assembles a fleet member from a cloned prototype device and its
+    /// prototype-built incremental measurer (cloned, like the device, so
+    /// spawning thousands of devices re-hashes nothing).
     pub(crate) fn new(
         id: DeviceId,
         cohort: WorkloadId,
         device: Device,
         key: &DeviceKey,
-        measurer: Option<IncrementalMeasurer>,
+        measurer: IncrementalMeasurer,
     ) -> Self {
         let layout = device.layout().clone();
         SimDevice {
@@ -92,10 +91,10 @@ impl SimDevice {
         self.last_outcome.as_ref()
     }
 
-    /// Statistics of the incremental measurement engine, if the device
-    /// runs one.
+    /// Statistics of the incremental measurement engine (always
+    /// `Some`).
     pub fn measurer_stats(&self) -> Option<&MeasurerStats> {
-        self.measurer.as_ref().map(IncrementalMeasurer::stats)
+        Some(self.measurer.stats())
     }
 
     /// Whether this device is excluded from campaign probe memoization
@@ -121,46 +120,38 @@ impl SimDevice {
         self.attestor = Attestor::new(b"impostor-key-never-derived-0000!");
     }
 
-    /// The device's current full-PMEM measurement under `scheme`,
-    /// served from the live incremental measurer when it covers the
-    /// PMEM range (re-hashing only dirty granules) and measured from
-    /// scratch otherwise — the fast path campaign snapshots take
-    /// instead of a full `measure_pmem`.
-    pub fn measure_pmem_cached(&mut self, scheme: MeasurementScheme) -> [u8; 32] {
+    /// The device's current full-PMEM measurement, served from the
+    /// live incremental measurer when it covers the PMEM range
+    /// (re-hashing only dirty granules) and measured from scratch
+    /// otherwise — the fast path campaign snapshots take instead of a
+    /// full `measure_pmem`.
+    pub fn measure_pmem_cached(&mut self) -> [u8; 32] {
         let layout = self.device.layout();
-        let (pmem_start, pmem_end) = (*layout.pmem.start(), *layout.pmem.end());
-        match &mut self.measurer {
-            Some(measurer) if measurer.covers(pmem_start, pmem_end) => {
-                measurer.root(&mut self.device.cpu_mut().memory)
-            }
-            _ => {
-                let layout = self.device.layout().clone();
-                scheme.measure_pmem(&self.device.cpu().memory, &layout)
-            }
+        if self
+            .measurer
+            .covers(*layout.pmem.start(), *layout.pmem.end())
+        {
+            self.measurer.root(&mut self.device.cpu_mut().memory)
+        } else {
+            merkle_measure_pmem(&self.device.cpu().memory, layout)
         }
     }
 
     /// Answers an attestation challenge over the device's memory.
     ///
-    /// With an incremental engine, a challenge covering exactly the
-    /// engine's range is served from the maintained tree (re-hashing
-    /// only dirty leaves); other ranges are measured from scratch under
-    /// the same Merkle scheme so verifier and device always agree on
-    /// the digest algorithm. Flat-scheme devices hash the range flat.
+    /// A challenge covering exactly the incremental engine's range is
+    /// served from the maintained tree (re-hashing only dirty leaves);
+    /// other ranges are measured from scratch under the same Merkle
+    /// scheme, so verifier and device always agree on the digest.
     pub fn attest(&mut self, challenge: Challenge) -> AttestationReport {
-        match &mut self.measurer {
-            Some(measurer) if measurer.covers(challenge.start, challenge.end) => {
-                let measurement = measurer.root(&mut self.device.cpu_mut().memory);
-                self.attestor.report(challenge, measurement)
-            }
-            Some(_) => {
-                let start = challenge.start.min(challenge.end);
-                let end = challenge.start.max(challenge.end);
-                let measurement = merkle_measure(&self.device.cpu().memory, start, end);
-                self.attestor.report(challenge, measurement)
-            }
-            None => self.attestor.attest(&self.device.cpu().memory, challenge),
-        }
+        let measurement = if self.measurer.covers(challenge.start, challenge.end) {
+            self.measurer.root(&mut self.device.cpu_mut().memory)
+        } else {
+            let start = challenge.start.min(challenge.end);
+            let end = challenge.start.max(challenge.end);
+            merkle_measure(&self.device.cpu().memory, start, end)
+        };
+        self.attestor.report(challenge, measurement)
     }
 
     /// Verifies and applies an authenticated update through the CASU

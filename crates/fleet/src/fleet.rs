@@ -30,7 +30,6 @@ pub struct FleetBuilder {
     devices: usize,
     threads: usize,
     workloads: Vec<WorkloadId>,
-    scheme: MeasurementScheme,
 }
 
 impl FleetBuilder {
@@ -41,7 +40,6 @@ impl FleetBuilder {
             devices: 16,
             threads: 4,
             workloads: WorkloadId::ALL.to_vec(),
-            scheme: MeasurementScheme::Merkle,
         }
     }
 
@@ -62,16 +60,6 @@ impl FleetBuilder {
     /// default: all seven paper workloads).
     pub fn workloads(mut self, workloads: &[WorkloadId]) -> Self {
         self.workloads = workloads.to_vec();
-        self
-    }
-
-    /// Sets the measurement scheme devices and verifier agree on
-    /// (default: [`MeasurementScheme::Merkle`], the incremental engine;
-    /// [`MeasurementScheme::FlatSha256`] re-hashes the full PMEM range
-    /// per challenge and exists for protocol compatibility and as the
-    /// bench baseline).
-    pub fn measurement(mut self, scheme: MeasurementScheme) -> Self {
-        self.scheme = scheme;
         self
     }
 
@@ -104,16 +92,8 @@ impl FleetBuilder {
             // every cloned device starts from the same (clean) memory, so
             // the measurer clones along with it instead of re-hashing
             // 6 KiB per device.
-            let measurer = match self.scheme {
-                MeasurementScheme::Merkle => {
-                    let layout = prototype.layout().clone();
-                    Some(IncrementalMeasurer::for_pmem(
-                        &mut prototype.cpu_mut().memory,
-                        &layout,
-                    ))
-                }
-                MeasurementScheme::FlatSha256 => None,
-            };
+            let layout = prototype.layout().clone();
+            let measurer = IncrementalMeasurer::for_pmem(&mut prototype.cpu_mut().memory, &layout);
             cohorts.insert(
                 id,
                 Cohort {
@@ -149,7 +129,6 @@ impl FleetBuilder {
             // The executor runs inline below one thread; clamp so reports
             // never claim "0 threads".
             threads: self.threads.max(1),
-            scheme: self.scheme,
             ledger,
         };
         let verifier = crate::Verifier::enroll(self.root, &fleet);
@@ -176,7 +155,6 @@ pub struct Fleet {
     devices: Vec<SimDevice>,
     cohorts: BTreeMap<WorkloadId, Cohort>,
     threads: usize,
-    scheme: MeasurementScheme,
     ledger: Ledger,
 }
 
@@ -196,9 +174,10 @@ impl Fleet {
         self.threads
     }
 
-    /// The measurement scheme this fleet's devices and verifier agree on.
+    /// The measurement scheme this fleet's devices and verifier agree
+    /// on — always [`MeasurementScheme::Merkle`].
     pub fn scheme(&self) -> MeasurementScheme {
-        self.scheme
+        MeasurementScheme::Merkle
     }
 
     /// The devices, in id order.
@@ -282,15 +261,5 @@ impl Fleet {
             }
         }
         report
-    }
-
-    /// Mutable references to the devices named by `ids`, in id order.
-    /// Unknown ids are skipped (callers that care compare lengths).
-    pub(crate) fn devices_by_ids_mut(&mut self, ids: &[DeviceId]) -> Vec<&mut SimDevice> {
-        let wanted: std::collections::BTreeSet<DeviceId> = ids.iter().copied().collect();
-        self.devices
-            .iter_mut()
-            .filter(|d| wanted.contains(&d.id()))
-            .collect()
     }
 }

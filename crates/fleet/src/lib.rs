@@ -11,20 +11,20 @@
 //!   construction instruments each distinct firmware once and clones the
 //!   prototype, so spinning up thousands of devices stays cheap.
 //! * [`Verifier`] — issues batched attestation challenges across the
-//!   fleet, verifies the reports on a multi-threaded scheduler
-//!   (`std::thread::scope` + per-worker shards, no async runtime) and
-//!   aggregates per-device health into a [`FleetReport`]. Sweep state is
-//!   sharded by `device_id % threads`, and each shard caches the device
-//!   keys it has derived, so key derivation happens once per device ever
-//!   rather than once per sweep.
-//! * incremental measurement — by default
-//!   ([`eilid_casu::MeasurementScheme::Merkle`]) devices answer
-//!   challenges from an [`eilid_casu::IncrementalMeasurer`]: a chunked
-//!   Merkle tree over PMEM kept coherent by the simulated bus's
-//!   dirty-granule tracking, so a sweep over a clean fleet re-hashes
-//!   nothing and a patched device re-hashes only the patched leaves.
-//!   [`FleetBuilder::measurement`] selects the flat SHA-256 scheme for
-//!   comparison benches and legacy compatibility.
+//!   fleet and verifies the reports on the persistent [`WorkerPool`]
+//!   (no async runtime). Devices map to [`SHARD_COUNT`] stable shards by
+//!   `device_id % SHARD_COUNT`; each shard job verifies its devices,
+//!   folds their evidence into a signed aggregate root, and reports only
+//!   its suspects, so a sweep yields one [`SweepSummary`]. Each shard
+//!   caches the device keys it has derived, so key derivation happens
+//!   once per device ever rather than once per sweep, whatever the
+//!   worker count.
+//! * incremental measurement — devices answer challenges from an
+//!   [`eilid_casu::IncrementalMeasurer`]: a chunked Merkle tree over
+//!   PMEM ([`eilid_casu::MeasurementScheme::Merkle`]) kept coherent by
+//!   the simulated bus's dirty-granule tracking, so a sweep over a clean
+//!   fleet re-hashes nothing and a patched device re-hashes only the
+//!   patched leaves.
 //! * [`Campaign`] — drives staged OTA rollouts (canary wave → full wave)
 //!   through the authenticated-update protocol
 //!   ([`eilid_casu::UpdateAuthority`] / [`eilid_casu::UpdateEngine`]),
@@ -97,7 +97,7 @@ pub use ops::{
     CampaignPhase, FleetOps, LocalOps, OpsError, OpsHealth, SweepSummary,
 };
 pub use pool::WorkerPool;
-pub use report::{DeviceHealth, FleetReport, HealthClass, Ledger, LedgerEvent};
+pub use report::{HealthClass, Ledger, LedgerEvent};
 pub use rollout::{
     PreUpdateSnapshot, ProbeMode, Reply, Request, RollbackOutcome, Rollout, RolloutKeys,
     WaveRollout,

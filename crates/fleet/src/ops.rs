@@ -27,7 +27,7 @@ use crate::campaign::{
 use crate::device::DeviceId;
 use crate::error::FleetError;
 use crate::fleet::Fleet;
-use crate::report::{FleetReport, HealthClass};
+use crate::report::HealthClass;
 use crate::verifier::Verifier;
 
 /// Why an operator-plane call failed.
@@ -113,16 +113,26 @@ impl SweepSummary {
     pub fn count(&self, class: HealthClass) -> usize {
         self.counts[class_index(class)]
     }
+
+    /// The flagged devices in `class`, in id order (always empty for
+    /// [`HealthClass::Attested`], which is never flagged).
+    pub fn flagged_as(&self, class: HealthClass) -> Vec<DeviceId> {
+        self.flagged
+            .iter()
+            .filter(|(_, flagged)| *flagged == class)
+            .map(|(device, _)| *device)
+            .collect()
+    }
 }
 
 /// Backend-independent summary of one *aggregated* attestation sweep:
-/// the same per-class verdicts a per-device sweep yields (the
+/// the same per-class verdicts a per-device classification yields (the
 /// equivalence the proptest oracle pins), plus the aggregate evidence —
 /// shard roots, their count, and how much operator-side work the
 /// aggregation saved.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AggSweepSummary {
-    /// Per-class verdicts, bit-equal to a per-device sweep's.
+    /// Per-class verdicts, bit-equal to a per-device classification's.
     pub summary: SweepSummary,
     /// The sweep epoch bound into every aggregate root MAC (the sweep's
     /// reserved challenge-nonce base, strictly increasing).
@@ -150,25 +160,6 @@ pub fn class_index(class: HealthClass) -> usize {
         HealthClass::Stale => 1,
         HealthClass::Tampered => 2,
         HealthClass::Unverified => 3,
-    }
-}
-
-impl From<&FleetReport> for SweepSummary {
-    fn from(report: &FleetReport) -> Self {
-        let mut counts = [0usize; 4];
-        let mut flagged = Vec::new();
-        for health in &report.devices {
-            counts[class_index(health.class)] += 1;
-            if health.class != HealthClass::Attested {
-                flagged.push((health.device, health.class));
-            }
-        }
-        flagged.sort_by_key(|(id, _)| *id);
-        SweepSummary {
-            devices: report.devices.len(),
-            counts,
-            flagged,
-        }
     }
 }
 
@@ -317,8 +308,7 @@ impl<'a> LocalOps<'a> {
 
 impl FleetOps for LocalOps<'_> {
     fn sweep(&mut self) -> Result<SweepSummary, OpsError> {
-        let report = self.verifier.sweep(self.fleet);
-        Ok(SweepSummary::from(&report))
+        Ok(self.verifier.sweep(self.fleet))
     }
 
     fn sweep_aggregated(&mut self) -> Result<AggSweepSummary, OpsError> {

@@ -1,10 +1,8 @@
 //! Fleet health aggregation and the event ledger.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::time::Duration;
 
-use eilid_casu::{AttestError, MeasurementScheme, UpdateError, Violation};
+use eilid_casu::{UpdateError, Violation};
 use eilid_workloads::WorkloadId;
 
 use crate::device::DeviceId;
@@ -35,107 +33,6 @@ impl fmt::Display for HealthClass {
             HealthClass::Unverified => "unverified",
         };
         write!(f, "{name}")
-    }
-}
-
-/// Per-device result of one attestation sweep.
-#[derive(Debug, Clone)]
-pub struct DeviceHealth {
-    /// The attested device.
-    pub device: DeviceId,
-    /// The device's firmware cohort.
-    pub cohort: WorkloadId,
-    /// Health classification.
-    pub class: HealthClass,
-    /// The verification error, for unverified reports.
-    pub error: Option<AttestError>,
-}
-
-/// Aggregated result of one batched attestation sweep.
-#[derive(Debug, Clone)]
-pub struct FleetReport {
-    /// Per-device health, in device order.
-    pub devices: Vec<DeviceHealth>,
-    /// Requested device ids that matched no fleet device — these were
-    /// never challenged, so "no bad entries" must not be read as
-    /// "healthy" for them.
-    pub missing: Vec<DeviceId>,
-    /// Wall-clock time for the sweep (challenge, report, verify).
-    pub elapsed: Duration,
-    /// Worker threads that actually processed devices (≤ the fleet's
-    /// configured thread count; subset sweeps may use fewer shards).
-    pub threads: usize,
-    /// Measurement scheme the sweep's reports were verified under.
-    pub scheme: MeasurementScheme,
-}
-
-impl FleetReport {
-    /// Number of devices in `class`.
-    pub fn count(&self, class: HealthClass) -> usize {
-        self.devices.iter().filter(|d| d.class == class).count()
-    }
-
-    /// Devices (ids) in `class`.
-    pub fn devices_in(&self, class: HealthClass) -> Vec<DeviceId> {
-        self.devices
-            .iter()
-            .filter(|d| d.class == class)
-            .map(|d| d.device)
-            .collect()
-    }
-
-    /// Attestation throughput in devices verified per second.
-    pub fn devices_per_second(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.devices.len() as f64 / secs
-    }
-
-    /// Per-cohort counts of each health class.
-    pub fn by_cohort(&self) -> BTreeMap<WorkloadId, BTreeMap<HealthClass, usize>> {
-        let mut out: BTreeMap<WorkloadId, BTreeMap<HealthClass, usize>> = BTreeMap::new();
-        for device in &self.devices {
-            *out.entry(device.cohort)
-                .or_default()
-                .entry(device.class)
-                .or_default() += 1;
-        }
-        out
-    }
-}
-
-impl fmt::Display for FleetReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "fleet attestation sweep [{}]: {} devices in {:.3}s on {} thread(s) ({:.0} devices/s)",
-            self.scheme,
-            self.devices.len(),
-            self.elapsed.as_secs_f64(),
-            self.threads,
-            self.devices_per_second(),
-        )?;
-        for class in [
-            HealthClass::Attested,
-            HealthClass::Stale,
-            HealthClass::Tampered,
-            HealthClass::Unverified,
-        ] {
-            let count = self.count(class);
-            if count > 0 {
-                writeln!(f, "  {class:<10} {count}")?;
-            }
-        }
-        if !self.missing.is_empty() {
-            writeln!(
-                f,
-                "  missing    {} (unknown ids, never challenged)",
-                self.missing.len()
-            )?;
-        }
-        Ok(())
     }
 }
 

@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use eilid::RunOutcome;
 use eilid_casu::{
     AttestationReport, AttestationVerifier, Challenge, DeltaUpdateRequest, DeviceKey,
-    MeasurementScheme, UpdateAuthority, UpdateError,
+    UpdateAuthority, UpdateError,
 };
 use eilid_msp430::ADDRESS_SPACE;
 use eilid_workloads::WorkloadId;
@@ -803,11 +803,7 @@ impl<'a> Rollout<'a> {
 /// Snapshot measurements come from the device's live incremental
 /// measurer when it covers PMEM (re-hashing only dirty granules).
 /// Returns `None` for a snapshot range past the address space.
-pub fn serve(
-    device: &mut SimDevice,
-    scheme: MeasurementScheme,
-    request: &Request,
-) -> Option<Reply> {
+pub fn serve(device: &mut SimDevice, request: &Request) -> Option<Reply> {
     Some(match *request {
         Request::Snapshot { start, len, .. } => {
             // The range may come off the wire: a hostile or
@@ -820,7 +816,7 @@ pub fn serve(
             Reply::Snapshot {
                 last_nonce: device.engine().last_nonce(),
                 version: device.engine().last_version(),
-                measurement: device.measure_pmem_cached(scheme),
+                measurement: device.measure_pmem_cached(),
                 data: device.device().cpu().memory.slice(from..to).to_vec(),
             }
         }

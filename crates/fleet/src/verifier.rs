@@ -2,14 +2,13 @@
 //! worker pool, sharded sweep state with cached device keys, and
 //! measurement bookkeeping.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use std::time::Instant;
 
 use eilid_casu::agg::{evidence_leaf, shard_agg_key, AggProof, EvidenceTree};
 use eilid_casu::{
-    AttestError, AttestationReport, AttestationVerifier, Challenge, CryptoProvider, DeviceKey,
-    MeasurementScheme, MemoryLayout, SoftwareProvider,
+    merkle_measure_pmem, AttestError, AttestationReport, AttestationVerifier, Challenge,
+    CryptoProvider, DeviceKey, MemoryLayout, SoftwareProvider,
 };
 use eilid_msp430::Memory;
 use eilid_workloads::WorkloadId;
@@ -18,19 +17,19 @@ use crate::device::{DeviceId, SimDevice};
 use crate::fleet::Fleet;
 use crate::ops::{class_index, AggSweepSummary, SweepSummary};
 use crate::pool::WorkerPool;
-use crate::report::{DeviceHealth, FleetReport, HealthClass, LedgerEvent};
+use crate::report::{HealthClass, LedgerEvent};
 use crate::rollout::RolloutKeys;
 
-/// What one shard's aggregated-sweep job produces: the signed aggregate
-/// proof over the shard's evidence tree, plus only the *suspect*
-/// verdicts — clean devices are represented solely by the aggregate.
+/// What one shard's sweep job produces: the signed aggregate proof over
+/// the shard's evidence tree, plus only the *suspect* verdicts — clean
+/// devices are represented solely by the aggregate.
 #[derive(Debug, Clone)]
 struct ShardAggregate {
     shard: u16,
     devices: usize,
     counts: [usize; 4],
     proof: AggProof,
-    suspects: Vec<DeviceHealth>,
+    suspects: Vec<(DeviceId, HealthClass)>,
 }
 
 /// Number of sweep shards — the unit device-key caches are keyed by.
@@ -79,18 +78,6 @@ fn classify_measurement(
     }
 }
 
-impl MeasurementHistory {
-    /// Classifies one verified-or-not report measurement against this
-    /// history.
-    pub(crate) fn classify(
-        &self,
-        verified: Result<(), AttestError>,
-        measurement: &[u8; 32],
-    ) -> (HealthClass, Option<AttestError>) {
-        classify_measurement(&self.current, &self.previous, verified, measurement)
-    }
-}
-
 /// Per-shard sweep state. Devices are assigned to shards by
 /// `id % SHARD_COUNT`, which is stable across sweeps *and* across
 /// parallelism changes, so a shard's key cache keeps hitting for the
@@ -127,8 +114,6 @@ impl SweepShard {
 pub struct ServiceSnapshot {
     /// The fleet root key (device keys are derived from it).
     pub root: DeviceKey,
-    /// The measurement scheme reports are verified under.
-    pub scheme: MeasurementScheme,
     /// Per-cohort golden state.
     pub cohorts: BTreeMap<WorkloadId, CohortSnapshot>,
     /// First nonce of the block reserved for this snapshot.
@@ -170,19 +155,18 @@ impl CohortSnapshot {
 ///
 /// Holds the fleet root key (from which every device key is derived,
 /// then cached in stable shards), the per-cohort golden measurements,
-/// the measurement scheme the fleet was enrolled under, the challenge
-/// nonce state, and the persistent [`WorkerPool`] sweeps run on.
+/// the challenge nonce state, and the persistent [`WorkerPool`] sweeps
+/// run on.
 #[derive(Debug)]
 pub struct Verifier {
     root: DeviceKey,
     expected: BTreeMap<WorkloadId, MeasurementHistory>,
-    scheme: MeasurementScheme,
     shards: Vec<SweepShard>,
     pool: WorkerPool,
     next_nonce: u64,
-    /// Backend for verifier-side bulk crypto (aggregated sweeps route
-    /// MAC recomputation and tree hashing through it; the per-device
-    /// sweep keeps the scalar path). All backends are bit-compatible.
+    /// Backend for verifier-side bulk crypto: sweeps route MAC
+    /// recomputation and evidence-tree hashing through it. All backends
+    /// are bit-compatible.
     provider: Arc<dyn CryptoProvider>,
 }
 
@@ -194,7 +178,6 @@ impl Clone for Verifier {
         Verifier {
             root: self.root.clone(),
             expected: self.expected.clone(),
-            scheme: self.scheme,
             shards: self.shards.clone(),
             pool: WorkerPool::new(self.pool.workers(), SHARD_COUNT),
             next_nonce: self.next_nonce,
@@ -204,20 +187,18 @@ impl Clone for Verifier {
 }
 
 impl Verifier {
-    /// Enrolls a fleet: records each cohort's golden measurement (under
-    /// the fleet's measurement scheme, over the layout the cohort's
-    /// devices were actually built with), sizes the stable shard set,
-    /// and spins up the persistent worker pool with one worker per
-    /// fleet thread.
+    /// Enrolls a fleet: records each cohort's golden measurement (over
+    /// the layout the cohort's devices were actually built with), sizes
+    /// the stable shard set, and spins up the persistent worker pool
+    /// with one worker per fleet thread.
     pub(crate) fn enroll(root: DeviceKey, fleet: &Fleet) -> Self {
-        let scheme = fleet.scheme();
         let mut expected = BTreeMap::new();
         for cohort in fleet.cohort_ids() {
             let state = fleet.cohort(cohort).expect("cohort exists");
             expected.insert(
                 cohort,
                 MeasurementHistory {
-                    current: scheme.measure_pmem(&state.golden, &state.layout),
+                    current: merkle_measure_pmem(&state.golden, &state.layout),
                     previous: Vec::new(),
                     layout: state.layout.clone(),
                     golden: state.golden.clone(),
@@ -227,7 +208,6 @@ impl Verifier {
         Verifier {
             root,
             expected,
-            scheme,
             shards: vec![SweepShard::default(); SHARD_COUNT],
             pool: WorkerPool::new(fleet.threads(), SHARD_COUNT),
             next_nonce: 1,
@@ -235,14 +215,14 @@ impl Verifier {
         }
     }
 
-    /// Routes verifier-side bulk crypto (aggregated sweeps) through
-    /// `provider`. Backends are bit-compatible, so this changes cost,
-    /// never verdicts.
+    /// Routes verifier-side bulk crypto (sweeps) through `provider`.
+    /// Backends are bit-compatible, so this changes cost, never
+    /// verdicts.
     pub fn set_provider(&mut self, provider: Arc<dyn CryptoProvider>) {
         self.provider = provider;
     }
 
-    /// The crypto backend aggregated sweeps run on.
+    /// The crypto backend sweeps run on.
     pub fn provider(&self) -> &Arc<dyn CryptoProvider> {
         &self.provider
     }
@@ -250,11 +230,6 @@ impl Verifier {
     /// Re-derives the key of `device` from the fleet root.
     pub fn device_key(&self, device: DeviceId) -> DeviceKey {
         self.root.derive(device)
-    }
-
-    /// The measurement scheme this verifier checks reports against.
-    pub fn scheme(&self) -> MeasurementScheme {
-        self.scheme
     }
 
     /// Number of device keys currently cached across all sweep shards.
@@ -316,7 +291,6 @@ impl Verifier {
         self.next_nonce += nonce_span;
         ServiceSnapshot {
             root: self.root.clone(),
-            scheme: self.scheme,
             cohorts: self
                 .expected
                 .iter()
@@ -337,16 +311,13 @@ impl Verifier {
         }
     }
 
-    /// Reserves challenge nonces for the devices in `ids` and returns a
-    /// base such that `base + id` is a never-before-issued nonce for
-    /// every listed id. All attestation challenges for the fleet —
-    /// sweeps and campaign post-update probes alike — MUST allocate
-    /// through this one strictly increasing domain, so no two challenges
-    /// to the same device key can ever share a nonce.
-    pub(crate) fn reserve_challenge_nonces(&mut self, ids: &[DeviceId]) -> u64 {
-        // Span to the max id so `base + id` is unique even for a sparse
-        // subset of high device ids.
-        let span = ids.iter().copied().max().unwrap_or(0) + 1;
+    /// Reserves `span` challenge nonces and returns their base, so
+    /// `base + id` is a never-before-issued nonce for every id below
+    /// `span`. All attestation challenges for the fleet — sweeps and
+    /// campaign post-update probes alike — MUST allocate through this
+    /// one strictly increasing domain, so no two challenges to the same
+    /// device key can ever share a nonce.
+    fn reserve_challenge_nonces(&mut self, span: u64) -> u64 {
         let base = self.next_nonce;
         self.next_nonce += span;
         base
@@ -366,26 +337,28 @@ impl Verifier {
         expected: &BTreeMap<WorkloadId, MeasurementHistory>,
         nonce_base: u64,
         device: &mut SimDevice,
-    ) -> (DeviceHealth, AttestationReport) {
+    ) -> (HealthClass, AttestationReport) {
         let key = shard.key(root, device.id());
         let verifier = AttestationVerifier::with_key(key);
         // Offset nonces so no two devices ever share one.
         let challenge = verifier.challenge_pmem(device.device().layout(), nonce_base + device.id());
         let report = device.attest(challenge);
         let verified = verifier.verify_with(provider, &challenge, &report, None);
-        let (class, error) = match expected.get(&device.cohort()) {
-            Some(history) => history.classify(verified, &report.measurement),
+        let class = match expected.get(&device.cohort()) {
+            Some(history) => {
+                classify_measurement(
+                    &history.current,
+                    &history.previous,
+                    verified,
+                    &report.measurement,
+                )
+                .0
+            }
             // A cohort this verifier never enrolled (a foreign
             // fleet): there is nothing to verify against.
-            None => (HealthClass::Unverified, None),
+            None => HealthClass::Unverified,
         };
-        let health = DeviceHealth {
-            device: device.id(),
-            cohort: device.cohort(),
-            class,
-            error,
-        };
-        (health, report)
+        (class, report)
     }
 
     /// Partitions `targets` into their stable shards (`id % SHARD_COUNT`,
@@ -430,92 +403,7 @@ impl Verifier {
         pool.scope(jobs)
     }
 
-    /// Issues one batched attestation sweep across the whole fleet.
-    ///
-    /// Every device gets a fresh challenge over its full application PMEM
-    /// range. Devices are partitioned into stable shards by
-    /// `id % SHARD_COUNT`; the persistent pool runs one job per
-    /// non-empty shard, each exclusively owning its shard's key cache,
-    /// so keys are derived once per device *ever*, not once per sweep —
-    /// and no threads are spawned per sweep. Flagged devices are
-    /// recorded in the fleet ledger.
-    pub fn sweep(&mut self, fleet: &mut Fleet) -> FleetReport {
-        let ids: Vec<DeviceId> = fleet.devices().iter().map(|d| d.id()).collect();
-        self.sweep_devices(fleet, &ids)
-    }
-
-    /// Issues a batched attestation sweep over a subset of devices.
-    ///
-    /// Shard assignment is `id % SHARD_COUNT` — stable across sweeps
-    /// (and parallelism changes) so key caches keep hitting, and evenly
-    /// balanced for dense id sets (the whole-fleet sweep). The report's
-    /// `threads` field records the workers that actually ran shard
-    /// batches, not the configured count.
-    pub fn sweep_devices(&mut self, fleet: &mut Fleet, ids: &[DeviceId]) -> FleetReport {
-        let nonce_base = self.reserve_challenge_nonces(ids);
-        let targets = fleet.devices_by_ids_mut(ids);
-        let challenged: BTreeSet<DeviceId> = targets.iter().map(|d| d.id()).collect();
-        let threads = challenged
-            .iter()
-            .map(|id| self.pool.worker_of((id % SHARD_COUNT as u64) as usize))
-            .collect::<BTreeSet<usize>>()
-            .len()
-            .max(1);
-
-        let start = Instant::now();
-        let (root, expected) = (&self.root, &self.expected);
-        let per_shard = Self::run_shards(
-            &mut self.shards,
-            &self.pool,
-            targets,
-            |_, shard, targets| {
-                targets
-                    .into_iter()
-                    .map(|device| {
-                        Self::check_device(
-                            shard,
-                            &SoftwareProvider,
-                            root,
-                            expected,
-                            nonce_base,
-                            device,
-                        )
-                        .0
-                    })
-                    .collect::<Vec<DeviceHealth>>()
-            },
-        );
-        let elapsed = start.elapsed();
-        let mut healths: Vec<DeviceHealth> = per_shard.into_iter().flatten().collect();
-        // Shard partitioning interleaves ids; reports stay in id order.
-        healths.sort_by_key(|h| h.device);
-
-        // Ids that matched no device were never challenged; surface them
-        // rather than letting the report silently shrink.
-        let missing: Vec<DeviceId> = ids
-            .iter()
-            .copied()
-            .filter(|id| !challenged.contains(id))
-            .collect();
-
-        for health in &healths {
-            if health.class != HealthClass::Attested {
-                fleet.ledger_mut().record(LedgerEvent::AttestationFlagged {
-                    device: health.device,
-                    class: health.class,
-                });
-            }
-        }
-        FleetReport {
-            devices: healths,
-            missing,
-            elapsed,
-            threads,
-            scheme: self.scheme,
-        }
-    }
-
-    /// Runs one shard of an aggregated sweep: verify every device,
+    /// Runs one shard of a sweep: verify every device,
     /// build the evidence tree (leaves in ascending device-id order),
     /// and sign the root with the shard's aggregation key. Only the
     /// suspect (non-attested) verdicts are materialised — the clean
@@ -534,12 +422,12 @@ impl Verifier {
         let mut suspects = Vec::new();
         let mut leaves = Vec::with_capacity(devices);
         for device in targets {
-            let (health, report) =
+            let (class, report) =
                 Self::check_device(shard, provider, root, expected, epoch, device);
-            leaves.push(evidence_leaf(provider, health.device, &report));
-            counts[class_index(health.class)] += 1;
-            if health.class != HealthClass::Attested {
-                suspects.push(health);
+            leaves.push(evidence_leaf(provider, device.id(), &report));
+            counts[class_index(class)] += 1;
+            if class != HealthClass::Attested {
+                suspects.push((device.id(), class));
             }
         }
         let tree = EvidenceTree::from_leaves(provider, &leaves);
@@ -561,35 +449,39 @@ impl Verifier {
         }
     }
 
-    /// Issues one *aggregated* attestation sweep across the whole
-    /// fleet.
-    ///
-    /// Trust semantics are identical to [`Verifier::sweep`] — every
-    /// device is challenged with a fresh nonce and every report MAC is
-    /// checked — but the evidence is folded into one signed aggregate
-    /// root per shard, and an all-clean shard short-circuits per-device
-    /// verdict assembly: the operator-side check verifies at most
-    /// [`SHARD_COUNT`] aggregate root MACs, descending to per-device
-    /// verdicts only for the suspects each shard reports.
-    pub fn sweep_aggregated(&mut self, fleet: &mut Fleet) -> AggSweepSummary {
-        let ids: Vec<DeviceId> = fleet.devices().iter().map(|d| d.id()).collect();
-        self.sweep_devices_aggregated(fleet, &ids)
+    /// Issues one attestation sweep across the whole fleet and returns
+    /// its per-class verdicts (the `summary` of
+    /// [`Verifier::sweep_aggregated`]).
+    pub fn sweep(&mut self, fleet: &mut Fleet) -> SweepSummary {
+        self.sweep_aggregated(fleet).summary
     }
 
-    /// Aggregated sweep over a subset of devices (see
-    /// [`Verifier::sweep_aggregated`]). The sweep's reserved
+    /// Issues one attestation sweep across the whole fleet, folding the
+    /// evidence into one signed aggregate root per shard.
+    ///
+    /// Every device is challenged with a fresh nonce and every report
+    /// MAC is checked. Devices are partitioned into stable shards by
+    /// `id % SHARD_COUNT`; the persistent pool runs one job per
+    /// non-empty shard, each exclusively owning its shard's key cache,
+    /// so keys are derived once per device *ever*, not once per sweep.
+    /// An all-clean shard short-circuits per-device verdict assembly:
+    /// the operator-side check verifies at most [`SHARD_COUNT`]
+    /// aggregate root MACs, descending to per-device verdicts only for
+    /// the suspects each shard reports. The sweep's reserved
     /// challenge-nonce base doubles as the aggregation **epoch** —
     /// strictly increasing, so no aggregate proof can be replayed into
-    /// a later sweep.
-    pub fn sweep_devices_aggregated(
-        &mut self,
-        fleet: &mut Fleet,
-        ids: &[DeviceId],
-    ) -> AggSweepSummary {
-        let epoch = self.reserve_challenge_nonces(ids);
+    /// a later sweep. Flagged devices are recorded in the fleet ledger.
+    pub fn sweep_aggregated(&mut self, fleet: &mut Fleet) -> AggSweepSummary {
+        let span = fleet
+            .devices()
+            .iter()
+            .map(|d| d.id() + 1)
+            .max()
+            .unwrap_or(1);
+        let epoch = self.reserve_challenge_nonces(span);
         let provider_ref: &dyn CryptoProvider = &*self.provider;
         let (root, expected) = (&self.root, &self.expected);
-        let targets = fleet.devices_by_ids_mut(ids);
+        let targets = fleet.devices_mut().iter_mut().collect();
         let aggregates = Self::run_shards(
             &mut self.shards,
             &self.pool,
@@ -625,9 +517,7 @@ impl Verifier {
             if aggregate.suspects.is_empty() {
                 short_circuited += aggregate.devices;
             }
-            for suspect in &aggregate.suspects {
-                summary.flagged.push((suspect.device, suspect.class));
-            }
+            summary.flagged.extend_from_slice(&aggregate.suspects);
             shard_roots.push((aggregate.shard, aggregate.proof.root));
         }
         summary.flagged.sort_by_key(|(id, _)| *id);
@@ -662,7 +552,7 @@ impl RolloutKeys for Verifier {
         let (start, end) = (*pmem.start(), *pmem.end());
         // One nonce from the domain sweeps draw from too, so no
         // challenge to a device key ever repeats.
-        let nonce = self.reserve_challenge_nonces(&[0]);
+        let nonce = self.reserve_challenge_nonces(1);
         Some(Challenge { nonce, start, end })
     }
 }

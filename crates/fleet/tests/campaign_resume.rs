@@ -200,6 +200,6 @@ fn mid_pause_physical_tamper_is_reported_rollback_incomplete() {
     // The next sweep flags exactly the physically tampered devices
     // (canary + the three pre-tampered ones); the rest attest clean.
     let sweep = verifier.sweep(&mut fleet);
-    assert_eq!(sweep.devices_in(HealthClass::Tampered), vec![0, 3, 5, 7]);
+    assert_eq!(sweep.flagged_as(HealthClass::Tampered), vec![0, 3, 5, 7]);
     assert_eq!(sweep.count(HealthClass::Attested), 6);
 }

@@ -105,7 +105,6 @@ enum Message {
 fn drive(
     machine: &mut Rollout<'_>,
     devices: &mut BTreeMap<DeviceId, SimDevice>,
-    scheme: eilid_casu::MeasurementScheme,
     keys: &mut Verifier,
     network: &Network,
 ) {
@@ -147,7 +146,7 @@ fn drive(
                     continue;
                 }
                 let sim = devices.get_mut(&device).expect("a wave device");
-                let reply = serve(sim, scheme, &request).expect("a servable request");
+                let reply = serve(sim, &request).expect("a servable request");
                 if network.duplicate {
                     transit.push(Message::Answer(device, reply.clone()));
                 }
@@ -197,18 +196,11 @@ fn wave(
         plan.expected_after,
         Some(plan.delta_base.clone()),
     );
-    drive(
-        &mut machine,
-        &mut devices,
-        fleet.scheme(),
-        verifier,
-        network,
-    );
+    drive(&mut machine, &mut devices, verifier, network);
     (machine.into_wave(), devices)
 }
 
 fn rollback(
-    fleet: &Fleet,
     verifier: &mut Verifier,
     mut devices: BTreeMap<DeviceId, SimDevice>,
     plan: &Plan,
@@ -218,13 +210,7 @@ fn rollback(
     let ids: Vec<DeviceId> = snapshots.keys().copied().collect();
     let config = &plan.config;
     let mut machine = Rollout::rollback(config.cohort, &ids, config.target, snapshots);
-    drive(
-        &mut machine,
-        &mut devices,
-        fleet.scheme(),
-        verifier,
-        network,
-    );
+    drive(&mut machine, &mut devices, verifier, network);
     machine.into_rollback()
 }
 
@@ -297,7 +283,7 @@ proptest! {
         prop_assert_eq!(reference.probes_executed, 2);
         prop_assert_eq!(reference.probes_memoized, DEVICES - 2);
         let rolled = rollback(
-            &fleet, &mut verifier, after, &plan, &reference.snapshots, &Network::default(),
+            &mut verifier, after, &plan, &reference.snapshots, &Network::default(),
         );
         prop_assert_eq!(rolled.rolled_back.len(), DEVICES);
 
@@ -305,7 +291,7 @@ proptest! {
             let (outcome, after) = wave(&fleet, &mut verifier, &plan, &network);
             prop_assert_eq!(&outcome, &reference, "wave under {:?}", network);
             let outcome = rollback(
-                &fleet, &mut verifier, after, &plan, &outcome.snapshots, &network,
+                &mut verifier, after, &plan, &outcome.snapshots, &network,
             );
             prop_assert_eq!(&outcome, &rolled, "rollback under {:?}", network);
         }
@@ -332,7 +318,6 @@ fn update_bytes_count_sparse_segments_and_full_resends() {
     drive(
         &mut machine,
         &mut devices,
-        fleet.scheme(),
         &mut verifier,
         &Network::default(),
     );

@@ -57,7 +57,7 @@ fn stale_cache_attack_is_flagged_on_the_next_sweep() {
 
     let report = verifier.sweep(&mut fleet);
     assert_eq!(report.count(HealthClass::Attested), 7);
-    assert_eq!(report.devices_in(HealthClass::Tampered), vec![3]);
+    assert_eq!(report.flagged_as(HealthClass::Tampered), vec![3]);
     // Detection cost: exactly the one dirtied leaf was re-hashed.
     let stats = *fleet.devices()[3].measurer_stats().unwrap();
     assert_eq!(stats.leaves_rehashed, 1);
@@ -65,7 +65,7 @@ fn stale_cache_attack_is_flagged_on_the_next_sweep() {
     // The flag is sticky across further sweeps (the engine keeps
     // reporting the tampered content, never a cached pre-tamper root).
     let again = verifier.sweep(&mut fleet);
-    assert_eq!(again.devices_in(HealthClass::Tampered), vec![3]);
+    assert_eq!(again.flagged_as(HealthClass::Tampered), vec![3]);
 
     // Authenticated repair through the update path clears it.
     {
@@ -173,7 +173,7 @@ fn changing_parallelism_between_sweeps_never_orphans_cached_keys() {
         assert_eq!(verifier.parallelism(), workers);
         let report = verifier.sweep(&mut fleet);
         assert_eq!(report.count(HealthClass::Attested), DEVICES - 1);
-        assert_eq!(report.devices_in(HealthClass::Tampered), vec![7]);
+        assert_eq!(report.flagged_as(HealthClass::Tampered), vec![7]);
         assert_eq!(
             verifier.cached_keys(),
             DEVICES,

@@ -1147,7 +1147,6 @@ impl WaveExecutor for OpsEngine {
             members,
             golden,
             layout,
-            scheme: self.service.scheme(),
         })
     }
 

@@ -544,13 +544,12 @@ const AGENT_HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
 #[derive(Debug)]
 pub struct DeviceAgent<T: Transport> {
     transport: T,
-    scheme: MeasurementScheme,
 }
 
 impl<T: Transport> DeviceAgent<T> {
-    /// Negotiates the protocol over `transport`. `scheme` must be the
-    /// measurement scheme the fleet was enrolled under (snapshots
-    /// report measurements computed with it). A transport with a short
+    /// Negotiates the protocol over `transport`. `_scheme` is the
+    /// fleet's measurement scheme, which is always
+    /// [`MeasurementScheme::Merkle`]. A transport with a short
     /// receive timeout (what [`serve`](Self::serve) wants) is fine: the
     /// handshake waits out its timeouts up to a fixed deadline.
     ///
@@ -559,7 +558,7 @@ impl<T: Transport> DeviceAgent<T> {
     /// [`NetError::Protocol`] when the gateway refuses the version;
     /// [`NetError::Timeout`] when it never answers; transport failures
     /// otherwise.
-    pub fn connect(mut transport: T, scheme: MeasurementScheme) -> Result<Self, NetError> {
+    pub fn connect(mut transport: T, _scheme: MeasurementScheme) -> Result<Self, NetError> {
         transport.send(&Frame::Hello {
             min_version: PROTOCOL_VERSION,
             max_version: PROTOCOL_VERSION,
@@ -567,7 +566,7 @@ impl<T: Transport> DeviceAgent<T> {
         let deadline = Instant::now() + AGENT_HANDSHAKE_DEADLINE;
         loop {
             match transport.recv() {
-                Ok(Frame::HelloAck { .. }) => return Ok(DeviceAgent { transport, scheme }),
+                Ok(Frame::HelloAck { .. }) => return Ok(DeviceAgent { transport }),
                 Ok(Frame::Error { code }) => return Err(NetError::Protocol(code)),
                 Ok(_) => return Err(NetError::Unexpected("expected HelloAck")),
                 Err(NetError::Timeout) if Instant::now() < deadline => {}
@@ -661,9 +660,7 @@ impl<T: Transport> DeviceAgent<T> {
                     Frame::Bye => break Some(Ok(())),
                     Frame::Error { code } => break Some(Err(NetError::Protocol(code))),
                     frame => match frame.into_request() {
-                        Some(request) => {
-                            replies.push(answer(devices, &slots, self.scheme, &request))
-                        }
+                        Some(request) => replies.push(answer(devices, &slots, &request)),
                         None => {
                             break Some(Err(NetError::Unexpected(
                                 "unexpected frame at device agent",
@@ -698,12 +695,11 @@ impl<T: Transport> DeviceAgent<T> {
 fn answer<D: BorrowMut<SimDevice>>(
     devices: &mut [D],
     slots: &HashMap<DeviceId, usize>,
-    scheme: MeasurementScheme,
     request: &Request,
 ) -> Frame {
     let device = request.device();
     let code = match slots.get(&device) {
-        Some(&slot) => match serve(devices[slot].borrow_mut(), scheme, request) {
+        Some(&slot) => match serve(devices[slot].borrow_mut(), request) {
             Some(reply) => return Frame::from_reply(device, reply),
             None => ErrorCode::UnexpectedFrame,
         },

@@ -17,8 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use eilid_casu::{
-    AttestError, AttestationVerifier, Challenge, CryptoProvider, DeviceKey, MeasurementScheme,
-    SoftwareProvider,
+    AttestError, AttestationVerifier, Challenge, CryptoProvider, DeviceKey, SoftwareProvider,
 };
 use eilid_fleet::{CohortSnapshot, HealthClass, ServiceSnapshot, SHARD_COUNT};
 use eilid_msp430::Memory;
@@ -98,9 +97,6 @@ pub struct AttestationService {
     /// Per-cohort golden state. Read on every challenge/verify; written
     /// only when a gateway-resident campaign promotes a new golden.
     cohorts: RwLock<std::collections::BTreeMap<WorkloadId, CohortSnapshot>>,
-    /// The measurement scheme the fleet was enrolled under (campaigns
-    /// measure patched goldens with it).
-    scheme: MeasurementScheme,
     next_nonce: AtomicU64,
     nonce_end: u64,
     shards: Vec<Mutex<KeyShard>>,
@@ -123,7 +119,6 @@ impl AttestationService {
         AttestationService {
             root: snapshot.root,
             cohorts: RwLock::new(snapshot.cohorts),
-            scheme: snapshot.scheme,
             next_nonce: AtomicU64::new(snapshot.nonce_base),
             nonce_end: snapshot.nonce_base.saturating_add(snapshot.nonce_span),
             shards: (0..SHARD_COUNT).map(|_| Mutex::default()).collect(),
@@ -155,11 +150,6 @@ impl AttestationService {
     /// Verification totals so far.
     pub fn stats(&self) -> &ServiceStats {
         &self.stats
-    }
-
-    /// The measurement scheme reports are verified under.
-    pub fn scheme(&self) -> MeasurementScheme {
-        self.scheme
     }
 
     /// `true` when the service holds goldens for `cohort`.

@@ -240,7 +240,7 @@ fn a_duplicated_id_is_answered_by_its_first_slot() {
 fn connect_waits_out_short_receive_timeouts() {
     let (mut gateway, agent_end) = PipeTransport::pair_with_timeout(Duration::from_millis(2));
     std::thread::scope(|scope| {
-        let agent = scope.spawn(|| DeviceAgent::connect(agent_end, MeasurementScheme::FlatSha256));
+        let agent = scope.spawn(|| DeviceAgent::connect(agent_end, MeasurementScheme::Merkle));
         let hello = loop {
             match gateway.recv() {
                 Err(eilid_net::NetError::Timeout) => continue,

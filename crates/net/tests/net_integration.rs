@@ -81,7 +81,7 @@ fn loopback_tcp_sweep_through_the_gateway() {
 
     // And a follow-up in-process sweep agrees (disjoint nonce domains).
     let sweep = verifier.sweep(&mut fleet);
-    assert_eq!(sweep.devices_in(HealthClass::Tampered), vec![5]);
+    assert_eq!(sweep.flagged_as(HealthClass::Tampered), vec![5]);
 }
 
 /// Connects a scripted agent, negotiates, and attaches every device in

@@ -116,7 +116,7 @@ fn thousand_device_networked_sweep_over_loopback() {
     // collided with the gateway's reserved block.
     let sweep = verifier.sweep(&mut fleet);
     assert_eq!(sweep.count(HealthClass::Attested), DEVICES - tampered.len());
-    assert_eq!(sweep.devices_in(HealthClass::Tampered), tampered);
+    assert_eq!(sweep.flagged_as(HealthClass::Tampered), tampered);
 
     let elapsed = start.elapsed();
     println!("networked scale test wall time: {elapsed:?}");

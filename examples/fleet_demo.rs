@@ -31,7 +31,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Batched attestation sweep: all healthy.
     let sweep = verifier.sweep(&mut fleet);
-    println!("baseline {sweep}");
+    println!(
+        "baseline sweep: {} of {} devices attested\n",
+        sweep.count(HealthClass::Attested),
+        sweep.devices
+    );
 
     // 3. A physical attacker flips a byte of one device's firmware; the
     //    next sweep flags exactly that device.
@@ -44,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sweep = verifier.sweep(&mut fleet);
     println!(
         "after tampering with device 13: tampered = {:?}\n",
-        sweep.devices_in(HealthClass::Tampered)
+        sweep.flagged_as(HealthClass::Tampered)
     );
 
     // 4. A bad OTA campaign, driven through the unified operator plane
@@ -85,7 +89,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 6. Final sweep: the updated cohort attests against the *new* golden
     //    measurement; the tampered device is still flagged.
     let sweep = verifier.sweep(&mut fleet);
-    print!("final {sweep}");
+    println!(
+        "final sweep: {} of {} devices attested, flagged {:?}",
+        sweep.count(HealthClass::Attested),
+        sweep.devices,
+        sweep.flagged
+    );
     println!(
         "ledger recorded {} events, {} violation resets",
         fleet.ledger().events().len(),

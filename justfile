@@ -44,16 +44,11 @@ sim-check:
     cargo test --release --test golden_bus_trace
     cargo test --release -p eilid_msp430 --test bus_bound
 
-# Flat-vs-incremental sweep throughput at 1 000 devices; writes
-# BENCH_fleet.json (the recorded perf baseline) and fails below the
-# accepted 3x incremental speedup.
-fleet-bench:
-    cargo run --release -p eilid_bench --bin fleet -- --min-speedup 3
-
-# CI-sized head-to-head only (no matrix), still release mode, gating on
-# the same 3x speedup floor.
-fleet-bench-smoke:
-    cargo run --release -p eilid_bench --bin fleet -- --quick --json /tmp/BENCH_fleet.json --min-speedup 3
+# Every property-test suite in release mode, once per seed in
+# SOAK_SEEDS (default: eight fixed seeds), stopping at the first failing
+# seed (`SOAK_SEEDS="1 2 3" just soak` picks the seeds).
+soak:
+    ./scripts/soak.sh
 
 # The 1 000-device networked sweep over loopback TCP (release mode) —
 # epoll reactor and scan fallback both.
@@ -86,7 +81,7 @@ obs-smoke: build
 
 # Collective-attestation smoke (release mode, so the 1 000-device scale
 # test un-ignores): aggregated sweeps over loopback TCP plus the
-# aggregated-vs-per-device equivalence oracle.
+# equivalence oracle against a from-scratch per-device classification.
 agg-smoke:
     cargo test --release -p eilid_net --test agg_smoke -- --include-ignored
     cargo test --release -p eilid_net --test agg_equivalence

@@ -9,7 +9,7 @@
 //! eilid-cli attack <workload> <attack>     inject a threat-model attack on a protected device
 //! eilid-cli fleet run [--devices N] [--threads N] [--cycles N]
 //!                                          simulate a fleet slice and print health counts
-//! eilid-cli fleet attest [--devices N] [--threads N] [--flat] [--sweeps N]
+//! eilid-cli fleet attest [--devices N] [--threads N] [--sweeps N]
 //!                        [--aggregated] [--gateway ADDR | --gateways A,B,..]
 //!                                          attestation sweep + throughput (in-process,
 //!                                          gateway-driven over TCP, or fanned out over a
@@ -29,9 +29,8 @@
 //!                                          gateway, or merged across a cluster
 //! ```
 //!
-//! Fleet subcommands default to the incremental Merkle measurement
-//! scheme; `--flat` selects the legacy full-range SHA-256 per challenge
-//! (the bench baseline).
+//! Fleet devices answer challenges from the incremental Merkle
+//! measurement engine.
 //!
 //! `fleet attest`/`fleet campaign` run through the unified operator
 //! plane (`eilid_fleet::ops::FleetOps`): the same scenario code drives
@@ -51,7 +50,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use eilid::{DeviceBuilder, EilidConfig, InstrumentedBuild, Runtime};
-use eilid_casu::{CasuPolicy, DeviceKey, MeasurementScheme, MemoryLayout};
+use eilid_casu::{CasuPolicy, DeviceKey, MemoryLayout};
 use eilid_fleet::{
     CampaignConfig, CampaignOutcome, CampaignReport, Fleet, FleetBuilder, FleetOps, LocalOps,
     SweepSummary, Verifier,
@@ -86,7 +85,7 @@ fn main() -> ExitCode {
 fn print_usage() {
     println!(
         "eilid-cli — EILID (DATE 2025) reproduction\n\n\
-         USAGE:\n  eilid-cli instrument <app.s>\n  eilid-cli run <app.s> [--protect] [--max-cycles N]\n  eilid-cli disasm <app.s>\n  eilid-cli workloads\n  eilid-cli attack <workload> <attack>\n  eilid-cli fleet run [--devices N] [--threads N] [--cycles N]\n  eilid-cli fleet attest [--devices N] [--threads N] [--flat] [--sweeps N]\n                         [--aggregated] [--gateway ADDR | --gateways A,B,..]\n  eilid-cli fleet campaign [--devices N] [--threads N] [--inject-bad]\n                           [--gateway ADDR | --gateways A,B,..]\n  eilid-cli fleet serve [--addr A] [--devices N] [--expect-reports N]\n                        [--poller epoll|scan]\n  eilid-cli fleet metrics --gateway ADDR | --gateways A,B,.. [--watch]\n\n\
+         USAGE:\n  eilid-cli instrument <app.s>\n  eilid-cli run <app.s> [--protect] [--max-cycles N]\n  eilid-cli disasm <app.s>\n  eilid-cli workloads\n  eilid-cli attack <workload> <attack>\n  eilid-cli fleet run [--devices N] [--threads N] [--cycles N]\n  eilid-cli fleet attest [--devices N] [--threads N] [--sweeps N]\n                         [--aggregated] [--gateway ADDR | --gateways A,B,..]\n  eilid-cli fleet campaign [--devices N] [--threads N] [--inject-bad]\n                           [--gateway ADDR | --gateways A,B,..]\n  eilid-cli fleet serve [--addr A] [--devices N] [--expect-reports N]\n                        [--poller epoll|scan]\n  eilid-cli fleet metrics --gateway ADDR | --gateways A,B,.. [--watch]\n\n\
          Attacks: return-address, isr-context, indirect-call, code-injection"
     );
 }
@@ -267,16 +266,10 @@ fn parse_flag_value(args: &[String], flag: &str, default: u64) -> Result<u64, St
 fn build_fleet(args: &[String]) -> Result<(Fleet, Verifier), String> {
     let devices = parse_flag_value(args, "--devices", 64)? as usize;
     let threads = parse_flag_value(args, "--threads", 4)? as usize;
-    let scheme = if args.iter().any(|a| a == "--flat") {
-        MeasurementScheme::FlatSha256
-    } else {
-        MeasurementScheme::Merkle
-    };
     let root = DeviceKey::new(FLEET_DEMO_ROOT).map_err(|e| e.to_string())?;
     FleetBuilder::new(root)
         .devices(devices)
         .threads(threads)
-        .measurement(scheme)
         .build()
         .map_err(|e| e.to_string())
 }
@@ -574,8 +567,7 @@ fn cmd_fleet_attest(args: &[String]) -> Result<(), String> {
     let aggregated = args.iter().any(|a| a == "--aggregated");
     with_fleet_ops(args, |ops| {
         // With `--sweeps N` the later sweeps show the steady-state cost:
-        // warm verifier key caches and (on the merkle scheme)
-        // cache-served device roots.
+        // warm verifier key caches and cache-served device roots.
         if aggregated {
             let mut last = None;
             for _ in 0..sweeps {
