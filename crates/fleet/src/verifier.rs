@@ -361,46 +361,40 @@ impl Verifier {
         (class, report)
     }
 
-    /// Partitions `targets` into their stable shards (`id % SHARD_COUNT`,
+    /// Partitions the fleet into its stable shards (`id % SHARD_COUNT`,
     /// ascending id within a shard — the canonical leaf order every
-    /// aggregator agrees on) and runs `job` once per non-empty shard,
-    /// with that shard's state exclusively borrowed, as one
-    /// [`WorkerPool::scope`] job per shard (shards route to exactly one
-    /// worker, so the only shared data is read-only; a one-worker pool
-    /// runs them inline). Results come back in shard order.
-    fn run_shards<'env, R, F>(
-        shards: &'env mut [SweepShard],
-        pool: &WorkerPool,
-        targets: Vec<&'env mut SimDevice>,
-        job: F,
-    ) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut SweepShard, Vec<&'env mut SimDevice>) -> R + Sync,
-    {
+    /// aggregator agrees on) and runs [`Verifier::aggregate_shard`] once
+    /// per non-empty shard, with that shard's state exclusively
+    /// borrowed, as one [`WorkerPool::scope`] job per shard (shards
+    /// route to exactly one worker, so the only shared data is
+    /// read-only; a one-worker pool runs them inline). Results come back
+    /// in shard order.
+    fn aggregate_shards(&mut self, fleet: &mut Fleet, epoch: u64) -> Vec<ShardAggregate> {
+        let shard_count = self.shards.len();
         let mut shard_targets: Vec<Vec<&mut SimDevice>> =
-            (0..shards.len()).map(|_| Vec::new()).collect();
-        for device in targets {
-            let shard = (device.id() % shards.len() as u64) as usize;
-            shard_targets[shard].push(device);
+            (0..shard_count).map(|_| Vec::new()).collect();
+        for device in fleet.devices_mut() {
+            shard_targets[(device.id() % shard_count as u64) as usize].push(device);
         }
         for targets in &mut shard_targets {
             targets.sort_by_key(|device| device.id());
         }
-        let work = shards
+        let provider: &dyn CryptoProvider = &*self.provider;
+        let (root, expected) = (&self.root, &self.expected);
+        let jobs: Vec<(usize, Box<dyn FnOnce() -> ShardAggregate + Send + '_>)> = self
+            .shards
             .iter_mut()
             .zip(shard_targets)
             .enumerate()
-            .filter(|(_, (_, targets))| !targets.is_empty());
-        let job = &job;
-        let jobs: Vec<(usize, Box<dyn FnOnce() -> R + Send + '_>)> = work
+            .filter(|(_, (_, targets))| !targets.is_empty())
             .map(|(index, (shard, targets))| {
-                let run: Box<dyn FnOnce() -> R + Send + '_> =
-                    Box::new(move || job(index, shard, targets));
+                let run: Box<dyn FnOnce() -> ShardAggregate + Send + '_> = Box::new(move || {
+                    Self::aggregate_shard(index, shard, targets, provider, root, expected, epoch)
+                });
                 (index, run)
             })
             .collect();
-        pool.scope(jobs)
+        self.pool.scope(jobs)
     }
 
     /// Runs one shard of a sweep: verify every device,
@@ -479,17 +473,8 @@ impl Verifier {
             .max()
             .unwrap_or(1);
         let epoch = self.reserve_challenge_nonces(span);
-        let provider_ref: &dyn CryptoProvider = &*self.provider;
-        let (root, expected) = (&self.root, &self.expected);
-        let targets = fleet.devices_mut().iter_mut().collect();
-        let aggregates = Self::run_shards(
-            &mut self.shards,
-            &self.pool,
-            targets,
-            |index, shard, targets| {
-                Self::aggregate_shard(index, shard, targets, provider_ref, root, expected, epoch)
-            },
-        );
+        let aggregates = self.aggregate_shards(fleet, epoch);
+        let provider: &dyn CryptoProvider = &*self.provider;
 
         // Operator-side assembly: one MAC verification per shard
         // aggregate covers its whole clean population; per-device
@@ -503,9 +488,9 @@ impl Verifier {
         let mut roots_verified = 0usize;
         let mut short_circuited = 0usize;
         for aggregate in &aggregates {
-            let key = shard_agg_key(provider_ref, self.root.as_bytes(), aggregate.shard);
+            let key = shard_agg_key(provider, self.root.as_bytes(), aggregate.shard);
             assert!(
-                aggregate.proof.verify(provider_ref, &key),
+                aggregate.proof.verify(provider, &key),
                 "shard {} aggregate root failed verification",
                 aggregate.shard
             );
@@ -527,7 +512,7 @@ impl Verifier {
                 class: *class,
             });
         }
-        let fleet_root = eilid_casu::agg::fleet_root(provider_ref, &shard_roots);
+        let fleet_root = eilid_casu::agg::fleet_root(provider, &shard_roots);
         AggSweepSummary {
             summary,
             epoch,
