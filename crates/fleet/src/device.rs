@@ -3,9 +3,8 @@
 
 use eilid::{Device, RunOutcome};
 use eilid_casu::{
-    merkle_measure, merkle_measure_pmem, AttestationReport, Attestor, Challenge,
-    DeltaUpdateRequest, DeviceKey, IncrementalMeasurer, MeasurerStats, UpdateEngine, UpdateError,
-    UpdateRequest,
+    merkle_measure, AttestationReport, Attestor, Challenge, DeltaUpdateRequest, DeviceKey,
+    IncrementalMeasurer, MeasurerStats, UpdateEngine, UpdateError, UpdateRequest,
 };
 use eilid_workloads::WorkloadId;
 
@@ -120,21 +119,13 @@ impl SimDevice {
         self.attestor = Attestor::new(b"impostor-key-never-derived-0000!");
     }
 
-    /// The device's current full-PMEM measurement, served from the
-    /// live incremental measurer when it covers the PMEM range
-    /// (re-hashing only dirty granules) and measured from scratch
-    /// otherwise — the fast path campaign snapshots take instead of a
-    /// full `measure_pmem`.
+    /// The device's current full-PMEM measurement, served from the live
+    /// incremental measurer (re-hashing only dirty granules) — the fast
+    /// path campaign snapshots take instead of a full `measure_pmem`.
+    /// The measurer was built over this device's PMEM range, and a
+    /// device's layout never changes, so it always covers the range.
     pub fn measure_pmem_cached(&mut self) -> [u8; 32] {
-        let layout = self.device.layout();
-        if self
-            .measurer
-            .covers(*layout.pmem.start(), *layout.pmem.end())
-        {
-            self.measurer.root(&mut self.device.cpu_mut().memory)
-        } else {
-            merkle_measure_pmem(&self.device.cpu().memory, layout)
-        }
+        self.measurer.root(&mut self.device.cpu_mut().memory)
     }
 
     /// Answers an attestation challenge over the device's memory.

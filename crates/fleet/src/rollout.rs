@@ -801,7 +801,7 @@ impl<'a> Rollout<'a> {
 
 /// The device half of the protocol: answers `request` on `device`.
 /// Snapshot measurements come from the device's live incremental
-/// measurer when it covers PMEM (re-hashing only dirty granules).
+/// measurer (re-hashing only dirty granules).
 /// Returns `None` for a snapshot range past the address space.
 pub fn serve(device: &mut SimDevice, request: &Request) -> Option<Reply> {
     Some(match *request {
