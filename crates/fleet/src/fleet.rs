@@ -126,8 +126,8 @@ impl FleetBuilder {
         let fleet = Fleet {
             devices,
             cohorts,
-            // The executor runs inline below one thread; clamp so reports
-            // never claim "0 threads".
+            // The executor runs inline below one thread; clamp so
+            // `Fleet::threads` never reads 0.
             threads: self.threads.max(1),
             ledger,
         };

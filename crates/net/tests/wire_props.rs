@@ -53,7 +53,9 @@ fn arb_delta_update_request() -> impl Strategy<Value = DeltaUpdateRequest> {
         });
     (
         any::<u16>(),
-        0u32..=eilid_casu::wire::MAX_UPDATE_PAYLOAD as u32,
+        // A zero base length is not a representable delta: the codec
+        // rejects it (`zero_length_delta_base_is_rejected`).
+        1u32..=eilid_casu::wire::MAX_UPDATE_PAYLOAD as u32,
         proptest::collection::vec(segment, 0..6),
         any::<u64>(),
         any::<u64>(),
