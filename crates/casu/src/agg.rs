@@ -456,6 +456,55 @@ mod tests {
         assert_ne!(fleet_root(&provider, &[a]), fleet_root(&provider, &[a, a]));
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn aggregation_bytes_are_pinned() {
+        // Every digest and MAC the aggregated sweep puts on the wire,
+        // on fixed inputs. Padding paths: n = 0 and 3 pad, 1 and 4 do
+        // not, 17 pads to 32.
+        let provider = SoftwareProvider;
+        assert_eq!(
+            hex(&evidence_leaf(&provider, 7, &report_for(7, false))),
+            "8a92ce2db98bbd29fc86efe6552c69a144734e14fc48fc7f5cec59152d34a3d3"
+        );
+        assert_eq!(
+            hex(&missing_leaf(&provider, 7)),
+            "63bb5ce5dce5333a077a4c0a1cb35fbac952efa8f8679ac69b7ef3d19cf373fb"
+        );
+        let roots: Vec<String> = [0u64, 1, 3, 4, 17]
+            .iter()
+            .map(|&n| hex(&EvidenceTree::from_leaves(&provider, &leaves(&provider, n, &[])).root()))
+            .collect();
+        assert_eq!(
+            roots,
+            [
+                "65485b96eec6b51cd77a02a027fb6300efa631146ef1337599fb34c87121deef",
+                "ebc7957c591f9a20831b68c70c59299be43a3217cdc027959cad883d66624fe7",
+                "a7860a5cc8655cb2d702a392645360445bfc629e6452185b586369fb34467790",
+                "77d93ba92f8a2c57399f9e5f0010bea49cfc8d1c4ea34aa750df11948f3f2530",
+                "85869be2e3ef6699e89c6a4a77b0757672ed14209e773ee2d4262aa5e3e8187e",
+            ]
+        );
+        let key = shard_agg_key(&provider, b"fleet-root-key-0123", 4);
+        assert_eq!(
+            hex(&key),
+            "95bbdb95623fd53acb6b4281512f23e60645ef13c372c027e29ab7f3b26c1361"
+        );
+        let root = EvidenceTree::from_leaves(&provider, &leaves(&provider, 17, &[])).root();
+        let proof = AggProof::sign(&provider, &key, 4, 7_000, 17, root);
+        assert_eq!(
+            hex(&proof.mac),
+            "2018feb41c145252da2c896e1016758c350fc07b5bc3d790b52aebd036958062"
+        );
+        assert_eq!(
+            hex(&fleet_root(&provider, &[(0, [1u8; 32]), (4, root)])),
+            "b43f43d217265c36639ca306c3fa2a8c191e866b04dbe43961b029f532affda7"
+        );
+    }
+
     #[test]
     fn empty_and_single_leaf_trees_are_well_formed() {
         let provider = SoftwareProvider;
