@@ -29,8 +29,8 @@
 //! leaf/node hashing.
 
 use crate::attest::AttestationReport;
-use crate::hmac::{verify_tag, TAG_SIZE};
-use crate::provider::CryptoProvider;
+use crate::hmac::{hmac_sha256, verify_tag, TAG_SIZE};
+use crate::sha256::sha256;
 
 /// Domain tag for evidence leaves.
 pub const AGG_LEAF_TAG: &[u8] = b"eilid-agg-leaf-v1";
@@ -51,11 +51,7 @@ pub const AGG_FLEET_TAG: &[u8] = b"eilid-agg-fleet-v1";
 /// the reported measurement *and* the report MAC — so flipping any bit
 /// of what the device actually sent changes the leaf, and therefore the
 /// root (pinned by the adversarial tests).
-pub fn evidence_leaf(
-    provider: &dyn CryptoProvider,
-    device: u64,
-    report: &AttestationReport,
-) -> [u8; 32] {
+pub fn evidence_leaf(device: u64, report: &AttestationReport) -> [u8; 32] {
     let mut msg = Vec::with_capacity(AGG_LEAF_TAG.len() + 8 + 12 + 32 + TAG_SIZE);
     msg.extend_from_slice(AGG_LEAF_TAG);
     msg.extend_from_slice(&device.to_le_bytes());
@@ -64,7 +60,7 @@ pub fn evidence_leaf(
     msg.extend_from_slice(&report.challenge.end.to_le_bytes());
     msg.extend_from_slice(&report.measurement);
     msg.extend_from_slice(&report.mac);
-    provider.sha256(&msg)
+    sha256(&msg)
 }
 
 /// Leaf for a device that answered no probe at all (connection gone or
@@ -73,29 +69,29 @@ pub fn evidence_leaf(
 /// indices a descent yields — stay aligned with the participant list.
 /// Domain-separated from evidence leaves (84 bytes after the tag) and
 /// padding leaves (4 bytes) by carrying exactly 8.
-pub fn missing_leaf(provider: &dyn CryptoProvider, device: u64) -> [u8; 32] {
+pub fn missing_leaf(device: u64) -> [u8; 32] {
     let mut msg = Vec::with_capacity(AGG_LEAF_TAG.len() + 8);
     msg.extend_from_slice(AGG_LEAF_TAG);
     msg.extend_from_slice(&device.to_le_bytes());
-    provider.sha256(&msg)
+    sha256(&msg)
 }
 
 /// Padding leaf for index `index` (real leaves carry 84 bytes after the
 /// tag, padding leaves 4 — the lengths keep the domains disjoint).
-fn padding_leaf(provider: &dyn CryptoProvider, index: u32) -> [u8; 32] {
+fn padding_leaf(index: u32) -> [u8; 32] {
     let mut msg = Vec::with_capacity(AGG_LEAF_TAG.len() + 4);
     msg.extend_from_slice(AGG_LEAF_TAG);
     msg.extend_from_slice(&index.to_le_bytes());
-    provider.sha256(&msg)
+    sha256(&msg)
 }
 
 /// Hash of an interior node over its two children.
-fn node_hash(provider: &dyn CryptoProvider, left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
+fn node_hash(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
     let mut msg = Vec::with_capacity(AGG_NODE_TAG.len() + 64);
     msg.extend_from_slice(AGG_NODE_TAG);
     msg.extend_from_slice(left);
     msg.extend_from_slice(right);
-    provider.sha256(&msg)
+    sha256(&msg)
 }
 
 /// An aggregation tree over per-device evidence leaves.
@@ -113,7 +109,7 @@ pub struct EvidenceTree {
 impl EvidenceTree {
     /// Builds the tree over `leaves` (already-digested evidence, in the
     /// shard's canonical device-id order).
-    pub fn from_leaves(provider: &dyn CryptoProvider, leaves: &[[u8; 32]]) -> Self {
+    pub fn from_leaves(leaves: &[[u8; 32]]) -> Self {
         let count = leaves.len().max(1);
         let padded = count.next_power_of_two();
         let mut nodes = vec![[0u8; 32]; 2 * padded];
@@ -121,10 +117,10 @@ impl EvidenceTree {
             nodes[padded + index] = *leaf;
         }
         for index in leaves.len()..padded {
-            nodes[padded + index] = padding_leaf(provider, index as u32);
+            nodes[padded + index] = padding_leaf(index as u32);
         }
         for index in (1..padded).rev() {
-            nodes[index] = node_hash(provider, &nodes[2 * index], &nodes[2 * index + 1]);
+            nodes[index] = node_hash(&nodes[2 * index], &nodes[2 * index + 1]);
         }
         EvidenceTree {
             leaves: leaves.len(),
@@ -204,11 +200,11 @@ pub struct DescentReport {
 /// Shard-scoped so a proof forged for one shard can never verify as
 /// another's, and domain-tagged so the derivation can never collide
 /// with device-key derivation (`"eilid-device-key"`).
-pub fn shard_agg_key(provider: &dyn CryptoProvider, root_key: &[u8], shard: u16) -> [u8; 32] {
+pub fn shard_agg_key(root_key: &[u8], shard: u16) -> [u8; 32] {
     let mut msg = Vec::with_capacity(AGG_SHARD_KEY_TAG.len() + 2);
     msg.extend_from_slice(AGG_SHARD_KEY_TAG);
     msg.extend_from_slice(&shard.to_le_bytes());
-    provider.hmac(root_key, &msg)
+    hmac_sha256(root_key, &msg)
 }
 
 /// One shard's aggregate proof: the MAC'd root of its evidence tree.
@@ -243,15 +239,8 @@ fn root_message(shard: u16, epoch: u64, count: u32, root: &[u8; 32]) -> Vec<u8> 
 
 impl AggProof {
     /// MACs `root` with the shard's aggregation key.
-    pub fn sign(
-        provider: &dyn CryptoProvider,
-        shard_key: &[u8; 32],
-        shard: u16,
-        epoch: u64,
-        count: u32,
-        root: [u8; 32],
-    ) -> Self {
-        let mac = provider.hmac(shard_key, &root_message(shard, epoch, count, &root));
+    pub fn sign(shard_key: &[u8; 32], shard: u16, epoch: u64, count: u32, root: [u8; 32]) -> Self {
+        let mac = hmac_sha256(shard_key, &root_message(shard, epoch, count, &root));
         AggProof {
             shard,
             epoch,
@@ -264,8 +253,8 @@ impl AggProof {
     /// Constant-time verification of the proof under the shard's
     /// aggregation key — the one cryptographic check a clean shard
     /// costs the operator.
-    pub fn verify(&self, provider: &dyn CryptoProvider, shard_key: &[u8; 32]) -> bool {
-        let expected = provider.hmac(
+    pub fn verify(&self, shard_key: &[u8; 32]) -> bool {
+        let expected = hmac_sha256(
             shard_key,
             &root_message(self.shard, self.epoch, self.count, &self.root),
         );
@@ -277,7 +266,7 @@ impl AggProof {
 /// ascending shard within a gateway, gateways in placement order — into
 /// one fleet-root digest. The pair count is bound so a truncated
 /// sequence can never collide with a full one.
-pub fn fleet_root(provider: &dyn CryptoProvider, roots: &[(u16, [u8; 32])]) -> [u8; 32] {
+pub fn fleet_root(roots: &[(u16, [u8; 32])]) -> [u8; 32] {
     let mut msg = Vec::with_capacity(AGG_FLEET_TAG.len() + 4 + roots.len() * 34);
     msg.extend_from_slice(AGG_FLEET_TAG);
     msg.extend_from_slice(&(roots.len() as u32).to_le_bytes());
@@ -285,14 +274,13 @@ pub fn fleet_root(provider: &dyn CryptoProvider, roots: &[(u16, [u8; 32])]) -> [
         msg.extend_from_slice(&shard.to_le_bytes());
         msg.extend_from_slice(root);
     }
-    provider.sha256(&msg)
+    sha256(&msg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attest::{Attestor, Challenge};
-    use crate::provider::{BatchedProvider, SimHwProvider, SoftwareProvider};
 
     fn report_for(device: u64, tamper: bool) -> AttestationReport {
         let attestor = Attestor::new(b"device-key-material!");
@@ -308,28 +296,10 @@ mod tests {
         attestor.report(challenge, measurement)
     }
 
-    fn leaves(provider: &dyn CryptoProvider, n: u64, tampered: &[u64]) -> Vec<[u8; 32]> {
+    fn leaves(n: u64, tampered: &[u64]) -> Vec<[u8; 32]> {
         (0..n)
-            .map(|device| {
-                evidence_leaf(
-                    provider,
-                    device,
-                    &report_for(device, tampered.contains(&device)),
-                )
-            })
+            .map(|device| evidence_leaf(device, &report_for(device, tampered.contains(&device))))
             .collect()
-    }
-
-    #[test]
-    fn roots_agree_across_providers() {
-        let software = SoftwareProvider;
-        let batched = BatchedProvider::new();
-        let sim = SimHwProvider::new();
-        let a = EvidenceTree::from_leaves(&software, &leaves(&software, 13, &[]));
-        let b = EvidenceTree::from_leaves(&batched, &leaves(&batched, 13, &[]));
-        let c = EvidenceTree::from_leaves(&sim, &leaves(&sim, 13, &[]));
-        assert_eq!(a.root(), b.root());
-        assert_eq!(a.root(), c.root());
     }
 
     #[test]
@@ -337,11 +307,10 @@ mod tests {
         // The adversarial core: a tampered device can never hide inside
         // a clean aggregate, because any change to any report bit — a
         // single measurement bit here — changes its leaf and the root.
-        let provider = SoftwareProvider;
         for n in [1u64, 2, 3, 7, 8, 33] {
-            let clean = EvidenceTree::from_leaves(&provider, &leaves(&provider, n, &[]));
+            let clean = EvidenceTree::from_leaves(&leaves(n, &[]));
             for victim in 0..n {
-                let dirty = EvidenceTree::from_leaves(&provider, &leaves(&provider, n, &[victim]));
+                let dirty = EvidenceTree::from_leaves(&leaves(n, &[victim]));
                 assert_ne!(
                     clean.root(),
                     dirty.root(),
@@ -353,23 +322,18 @@ mod tests {
 
     #[test]
     fn mac_flip_also_changes_the_leaf() {
-        let provider = SoftwareProvider;
         let honest = report_for(3, false);
         let mut forged = honest;
         forged.mac[0] ^= 0x80;
-        assert_ne!(
-            evidence_leaf(&provider, 3, &honest),
-            evidence_leaf(&provider, 3, &forged)
-        );
+        assert_ne!(evidence_leaf(3, &honest), evidence_leaf(3, &forged));
     }
 
     #[test]
     fn descent_isolates_exactly_the_tampered_set() {
-        let provider = SoftwareProvider;
         let n = 64u64;
         let tampered = [5u64, 6, 41];
-        let clean = EvidenceTree::from_leaves(&provider, &leaves(&provider, n, &[]));
-        let dirty = EvidenceTree::from_leaves(&provider, &leaves(&provider, n, &tampered));
+        let clean = EvidenceTree::from_leaves(&leaves(n, &[]));
+        let dirty = EvidenceTree::from_leaves(&leaves(n, &tampered));
         let report = clean.diff(&dirty);
         assert_eq!(report.suspects, vec![5, 6, 41]);
         // Sublinear: 3 localized discrepancies in a 64-leaf tree must
@@ -383,9 +347,8 @@ mod tests {
 
     #[test]
     fn clean_subtrees_are_never_descended() {
-        let provider = SoftwareProvider;
-        let clean = EvidenceTree::from_leaves(&provider, &leaves(&provider, 128, &[]));
-        let dirty = EvidenceTree::from_leaves(&provider, &leaves(&provider, 128, &[127]));
+        let clean = EvidenceTree::from_leaves(&leaves(128, &[]));
+        let dirty = EvidenceTree::from_leaves(&leaves(128, &[127]));
         let report = clean.diff(&dirty);
         assert_eq!(report.suspects, vec![127]);
         // One bad leaf in 128: the path root→leaf is 8 nodes; with both
@@ -398,14 +361,13 @@ mod tests {
 
     #[test]
     fn proof_binds_shard_epoch_count_and_root() {
-        let provider = SoftwareProvider;
-        let key = shard_agg_key(&provider, b"fleet-root-key-0123", 4);
-        let tree = EvidenceTree::from_leaves(&provider, &leaves(&provider, 10, &[]));
-        let proof = AggProof::sign(&provider, &key, 4, 7_000, 10, tree.root());
-        assert!(proof.verify(&provider, &key));
+        let key = shard_agg_key(b"fleet-root-key-0123", 4);
+        let tree = EvidenceTree::from_leaves(&leaves(10, &[]));
+        let proof = AggProof::sign(&key, 4, 7_000, 10, tree.root());
+        assert!(proof.verify(&key));
 
-        let wrong_key = shard_agg_key(&provider, b"fleet-root-key-0123", 5);
-        assert!(!proof.verify(&provider, &wrong_key));
+        let wrong_key = shard_agg_key(b"fleet-root-key-0123", 5);
+        assert!(!proof.verify(&wrong_key));
 
         for mutate in [
             AggProof { shard: 5, ..proof },
@@ -423,10 +385,7 @@ mod tests {
                 ..proof
             },
         ] {
-            assert!(
-                !mutate.verify(&provider, &key),
-                "mutation accepted: {mutate:?}"
-            );
+            assert!(!mutate.verify(&key), "mutation accepted: {mutate:?}");
         }
     }
 
@@ -435,25 +394,20 @@ mod tests {
         // A 3-leaf tree and a 4-leaf tree whose 4th leaf equals the
         // padding digest would share a root only if a real leaf could
         // collide with a padding leaf — their preimage lengths differ.
-        let provider = SoftwareProvider;
-        let three = leaves(&provider, 3, &[]);
-        let tree3 = EvidenceTree::from_leaves(&provider, &three);
+        let three = leaves(3, &[]);
+        let tree3 = EvidenceTree::from_leaves(&three);
         let mut four = three.clone();
-        four.push(evidence_leaf(&provider, 3, &report_for(3, false)));
-        let tree4 = EvidenceTree::from_leaves(&provider, &four);
+        four.push(evidence_leaf(3, &report_for(3, false)));
+        let tree4 = EvidenceTree::from_leaves(&four);
         assert_ne!(tree3.root(), tree4.root());
     }
 
     #[test]
     fn fleet_root_is_order_and_count_sensitive() {
-        let provider = SoftwareProvider;
         let a = (0u16, [1u8; 32]);
         let b = (1u16, [2u8; 32]);
-        assert_ne!(
-            fleet_root(&provider, &[a, b]),
-            fleet_root(&provider, &[b, a])
-        );
-        assert_ne!(fleet_root(&provider, &[a]), fleet_root(&provider, &[a, a]));
+        assert_ne!(fleet_root(&[a, b]), fleet_root(&[b, a]));
+        assert_ne!(fleet_root(&[a]), fleet_root(&[a, a]));
     }
 
     fn hex(bytes: &[u8]) -> String {
@@ -465,18 +419,17 @@ mod tests {
         // Every digest and MAC the aggregated sweep puts on the wire,
         // on fixed inputs. Padding paths: n = 0 and 3 pad, 1 and 4 do
         // not, 17 pads to 32.
-        let provider = SoftwareProvider;
         assert_eq!(
-            hex(&evidence_leaf(&provider, 7, &report_for(7, false))),
+            hex(&evidence_leaf(7, &report_for(7, false))),
             "8a92ce2db98bbd29fc86efe6552c69a144734e14fc48fc7f5cec59152d34a3d3"
         );
         assert_eq!(
-            hex(&missing_leaf(&provider, 7)),
+            hex(&missing_leaf(7)),
             "63bb5ce5dce5333a077a4c0a1cb35fbac952efa8f8679ac69b7ef3d19cf373fb"
         );
         let roots: Vec<String> = [0u64, 1, 3, 4, 17]
             .iter()
-            .map(|&n| hex(&EvidenceTree::from_leaves(&provider, &leaves(&provider, n, &[])).root()))
+            .map(|&n| hex(&EvidenceTree::from_leaves(&leaves(n, &[])).root()))
             .collect();
         assert_eq!(
             roots,
@@ -488,30 +441,29 @@ mod tests {
                 "85869be2e3ef6699e89c6a4a77b0757672ed14209e773ee2d4262aa5e3e8187e",
             ]
         );
-        let key = shard_agg_key(&provider, b"fleet-root-key-0123", 4);
+        let key = shard_agg_key(b"fleet-root-key-0123", 4);
         assert_eq!(
             hex(&key),
             "95bbdb95623fd53acb6b4281512f23e60645ef13c372c027e29ab7f3b26c1361"
         );
-        let root = EvidenceTree::from_leaves(&provider, &leaves(&provider, 17, &[])).root();
-        let proof = AggProof::sign(&provider, &key, 4, 7_000, 17, root);
+        let root = EvidenceTree::from_leaves(&leaves(17, &[])).root();
+        let proof = AggProof::sign(&key, 4, 7_000, 17, root);
         assert_eq!(
             hex(&proof.mac),
             "2018feb41c145252da2c896e1016758c350fc07b5bc3d790b52aebd036958062"
         );
         assert_eq!(
-            hex(&fleet_root(&provider, &[(0, [1u8; 32]), (4, root)])),
+            hex(&fleet_root(&[(0, [1u8; 32]), (4, root)])),
             "b43f43d217265c36639ca306c3fa2a8c191e866b04dbe43961b029f532affda7"
         );
     }
 
     #[test]
     fn empty_and_single_leaf_trees_are_well_formed() {
-        let provider = SoftwareProvider;
-        let empty = EvidenceTree::from_leaves(&provider, &[]);
+        let empty = EvidenceTree::from_leaves(&[]);
         assert_eq!(empty.leaf_count(), 0);
-        let one = leaves(&provider, 1, &[]);
-        let single = EvidenceTree::from_leaves(&provider, &one);
+        let one = leaves(1, &[]);
+        let single = EvidenceTree::from_leaves(&one);
         assert_eq!(single.leaf_count(), 1);
         assert_ne!(empty.root(), single.root());
         assert_eq!(single.leaf(0), Some(one[0]));

@@ -173,34 +173,10 @@ impl AttestationVerifier {
         report: &AttestationReport,
         expected_measurement: Option<&[u8; 32]>,
     ) -> Result<(), AttestError> {
-        self.verify_with(
-            &crate::provider::SoftwareProvider,
-            issued,
-            report,
-            expected_measurement,
-        )
-    }
-
-    /// [`AttestationVerifier::verify`], with the MAC recomputation
-    /// routed through `provider` — the hook aggregated sweeps use to
-    /// run bulk verification on a batched or offloaded backend. All
-    /// providers are bit-compatible, so the verdict cannot depend on
-    /// the backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`AttestError`] describing the first check that failed.
-    pub fn verify_with(
-        &self,
-        provider: &dyn crate::provider::CryptoProvider,
-        issued: &Challenge,
-        report: &AttestationReport,
-        expected_measurement: Option<&[u8; 32]>,
-    ) -> Result<(), AttestError> {
         if report.challenge != *issued {
             return Err(AttestError::ChallengeMismatch);
         }
-        let expected_mac = provider.hmac(
+        let expected_mac = hmac_sha256(
             &self.key,
             &report_message(&report.challenge, &report.measurement),
         );

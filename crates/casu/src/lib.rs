@@ -17,7 +17,10 @@
 //! per-step [`StepTrace`](eilid_msp430::StepTrace)s of the
 //! [`eilid_msp430`] simulator, plus the authenticated-update protocol
 //! ([`UpdateAuthority`] / [`UpdateEngine`]) with a self-contained
-//! HMAC-SHA-256 implementation.
+//! HMAC-SHA-256 implementation. Device and verifier share that one
+//! crypto path: [`hmac_sha256`] and [`sha256`] (SHA-NI when the CPU has
+//! it) back attestation reports, update MACs and the aggregation trees
+//! of [`agg`] alike.
 //!
 //! The EILID core crate (`eilid`) composes this monitor with its
 //! instrumenter and trusted software to obtain run-time CFI on top of
@@ -58,7 +61,6 @@ pub mod layout;
 pub mod merkle;
 pub mod monitor;
 pub mod policy;
-pub mod provider;
 pub mod sha256;
 pub mod update;
 pub mod violation;
@@ -80,9 +82,6 @@ pub use merkle::{
 };
 pub use monitor::CasuMonitor;
 pub use policy::{CasuPolicy, VIOLATION_STROBE_ADDR};
-pub use provider::{
-    BatchedProvider, CryptoProvider, ProviderStats, SimHwParams, SimHwProvider, SoftwareProvider,
-};
 pub use sha256::{sha256, Sha256, DIGEST_SIZE};
 pub use update::{
     DeltaSegment, DeltaUpdateRequest, UpdateAuthority, UpdateEngine, UpdateError, UpdateRequest,

@@ -407,19 +407,16 @@ pub fn merge_sweeps(parts: &[SweepSummary]) -> SweepSummary {
 /// concatenate in the caller's gateway placement order (shards overlap
 /// across gateways — each gateway aggregates its own partition of every
 /// shard); root-verification and short-circuit counters add; the merged
-/// fleet root re-folds the concatenated shard roots through `provider`.
+/// fleet root re-folds the concatenated shard roots.
 /// The merged epoch is the newest partition's (each gateway draws from
 /// its own reserved nonce block).
-pub fn merge_agg_sweeps(
-    provider: &dyn eilid_casu::CryptoProvider,
-    parts: &[AggSweepSummary],
-) -> AggSweepSummary {
+pub fn merge_agg_sweeps(parts: &[AggSweepSummary]) -> AggSweepSummary {
     let summaries: Vec<SweepSummary> = parts.iter().map(|part| part.summary.clone()).collect();
     let shard_roots: Vec<(u16, [u8; 32])> = parts
         .iter()
         .flat_map(|part| part.shard_roots.iter().copied())
         .collect();
-    let fleet_root = eilid_casu::agg::fleet_root(provider, &shard_roots);
+    let fleet_root = eilid_casu::agg::fleet_root(&shard_roots);
     AggSweepSummary {
         summary: merge_sweeps(&summaries),
         epoch: parts.iter().map(|part| part.epoch).max().unwrap_or(0),

@@ -3,12 +3,11 @@
 //! measurement bookkeeping.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 use eilid_casu::agg::{evidence_leaf, shard_agg_key, AggProof, EvidenceTree};
 use eilid_casu::{
-    merkle_measure_pmem, AttestError, AttestationReport, AttestationVerifier, Challenge,
-    CryptoProvider, DeviceKey, MemoryLayout, SoftwareProvider,
+    merkle_measure_pmem, AttestError, AttestationReport, AttestationVerifier, Challenge, DeviceKey,
+    MemoryLayout,
 };
 use eilid_msp430::Memory;
 use eilid_workloads::WorkloadId;
@@ -164,10 +163,6 @@ pub struct Verifier {
     shards: Vec<SweepShard>,
     pool: WorkerPool,
     next_nonce: u64,
-    /// Backend for verifier-side bulk crypto: sweeps route MAC
-    /// recomputation and evidence-tree hashing through it. All backends
-    /// are bit-compatible.
-    provider: Arc<dyn CryptoProvider>,
 }
 
 impl Clone for Verifier {
@@ -181,7 +176,6 @@ impl Clone for Verifier {
             shards: self.shards.clone(),
             pool: WorkerPool::new(self.pool.workers(), SHARD_COUNT),
             next_nonce: self.next_nonce,
-            provider: Arc::clone(&self.provider),
         }
     }
 }
@@ -211,20 +205,7 @@ impl Verifier {
             shards: vec![SweepShard::default(); SHARD_COUNT],
             pool: WorkerPool::new(fleet.threads(), SHARD_COUNT),
             next_nonce: 1,
-            provider: Arc::new(SoftwareProvider),
         }
-    }
-
-    /// Routes verifier-side bulk crypto (sweeps) through `provider`.
-    /// Backends are bit-compatible, so this changes cost, never
-    /// verdicts.
-    pub fn set_provider(&mut self, provider: Arc<dyn CryptoProvider>) {
-        self.provider = provider;
-    }
-
-    /// The crypto backend sweeps run on.
-    pub fn provider(&self) -> &Arc<dyn CryptoProvider> {
-        &self.provider
     }
 
     /// Re-derives the key of `device` from the fleet root.
@@ -324,15 +305,13 @@ impl Verifier {
     }
 
     /// Challenges, verifies and classifies one device against `shard`'s
-    /// cached state, with the report MAC recomputed through `provider`
-    /// (bit-compatible backends, identical verdicts). The report's
+    /// cached state. The report's
     /// measurement is *never* trusted from cache on the verifier side:
     /// only keys (immutable per device) are cached; classification
     /// always uses the fresh report, which is returned next to the
     /// verdict.
     fn check_device(
         shard: &mut SweepShard,
-        provider: &dyn CryptoProvider,
         root: &DeviceKey,
         expected: &BTreeMap<WorkloadId, MeasurementHistory>,
         nonce_base: u64,
@@ -343,7 +322,7 @@ impl Verifier {
         // Offset nonces so no two devices ever share one.
         let challenge = verifier.challenge_pmem(device.device().layout(), nonce_base + device.id());
         let report = device.attest(challenge);
-        let verified = verifier.verify_with(provider, &challenge, &report, None);
+        let verified = verifier.verify(&challenge, &report, None);
         let class = match expected.get(&device.cohort()) {
             Some(history) => {
                 classify_measurement(
@@ -379,7 +358,6 @@ impl Verifier {
         for targets in &mut shard_targets {
             targets.sort_by_key(|device| device.id());
         }
-        let provider: &dyn CryptoProvider = &*self.provider;
         let (root, expected) = (&self.root, &self.expected);
         let jobs: Vec<(usize, Box<dyn FnOnce() -> ShardAggregate + Send + '_>)> = self
             .shards
@@ -389,7 +367,7 @@ impl Verifier {
             .filter(|(_, (_, targets))| !targets.is_empty())
             .map(|(index, (shard, targets))| {
                 let run: Box<dyn FnOnce() -> ShardAggregate + Send + '_> = Box::new(move || {
-                    Self::aggregate_shard(index, shard, targets, provider, root, expected, epoch)
+                    Self::aggregate_shard(index, shard, targets, root, expected, epoch)
                 });
                 (index, run)
             })
@@ -406,7 +384,6 @@ impl Verifier {
         index: usize,
         shard: &mut SweepShard,
         targets: Vec<&mut SimDevice>,
-        provider: &dyn CryptoProvider,
         root: &DeviceKey,
         expected: &BTreeMap<WorkloadId, MeasurementHistory>,
         epoch: u64,
@@ -416,24 +393,16 @@ impl Verifier {
         let mut suspects = Vec::new();
         let mut leaves = Vec::with_capacity(devices);
         for device in targets {
-            let (class, report) =
-                Self::check_device(shard, provider, root, expected, epoch, device);
-            leaves.push(evidence_leaf(provider, device.id(), &report));
+            let (class, report) = Self::check_device(shard, root, expected, epoch, device);
+            leaves.push(evidence_leaf(device.id(), &report));
             counts[class_index(class)] += 1;
             if class != HealthClass::Attested {
                 suspects.push((device.id(), class));
             }
         }
-        let tree = EvidenceTree::from_leaves(provider, &leaves);
-        let key = shard_agg_key(provider, root.as_bytes(), index as u16);
-        let proof = AggProof::sign(
-            provider,
-            &key,
-            index as u16,
-            epoch,
-            devices as u32,
-            tree.root(),
-        );
+        let tree = EvidenceTree::from_leaves(&leaves);
+        let key = shard_agg_key(root.as_bytes(), index as u16);
+        let proof = AggProof::sign(&key, index as u16, epoch, devices as u32, tree.root());
         ShardAggregate {
             shard: index as u16,
             devices,
@@ -474,7 +443,6 @@ impl Verifier {
             .unwrap_or(1);
         let epoch = self.reserve_challenge_nonces(span);
         let aggregates = self.aggregate_shards(fleet, epoch);
-        let provider: &dyn CryptoProvider = &*self.provider;
 
         // Operator-side assembly: one MAC verification per shard
         // aggregate covers its whole clean population; per-device
@@ -488,9 +456,9 @@ impl Verifier {
         let mut roots_verified = 0usize;
         let mut short_circuited = 0usize;
         for aggregate in &aggregates {
-            let key = shard_agg_key(provider, self.root.as_bytes(), aggregate.shard);
+            let key = shard_agg_key(self.root.as_bytes(), aggregate.shard);
             assert!(
-                aggregate.proof.verify(provider, &key),
+                aggregate.proof.verify(&key),
                 "shard {} aggregate root failed verification",
                 aggregate.shard
             );
@@ -512,7 +480,7 @@ impl Verifier {
                 class: *class,
             });
         }
-        let fleet_root = eilid_casu::agg::fleet_root(provider, &shard_roots);
+        let fleet_root = eilid_casu::agg::fleet_root(&shard_roots);
         AggSweepSummary {
             summary,
             epoch,

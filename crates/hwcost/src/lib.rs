@@ -10,10 +10,9 @@
 //! * [`prior_work`] — the published costs of HAFIX, HCFI, Tiny-CFA, ACFA,
 //!   LO-FAT and LiteHAX used in Figure 10;
 //! * [`table1`] — the qualitative CFI/CFA comparison of Table I;
-//! * [`crypto`] — the verifier-side cost of the pluggable
-//!   `CryptoProvider` backends (software, batched, simulated
-//!   ECC608-style offload) per sweep, and the operator-verification
-//!   saving the collective-attestation aggregation trees buy.
+//! * [`crypto`] — the verifier-side SHA-256 compression cost of a
+//!   sweep, and the operator-verification saving the
+//!   collective-attestation aggregation trees buy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,10 +22,7 @@ pub mod model;
 pub mod prior_work;
 pub mod table1;
 
-pub use crypto::{
-    price_batched, price_providers, price_sim_hw, price_software, render_provider_matrix,
-    CryptoWorkload, ProviderPrice,
-};
+pub use crypto::{render_crypto_matrix, CryptoWorkload};
 pub use model::{eilid_monitor_cost, openmsp430_baseline, HwCost, MonitorStructure};
 pub use prior_work::{figure10, Method, TechniqueCost, MSP430_ADDRESS_SPACE_BYTES};
 pub use table1::{render_table1, table1, Table1Row};

@@ -33,7 +33,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use eilid_casu::SoftwareProvider;
 use eilid_fleet::{
     merge_agg_sweeps, merge_health, merge_phases, merge_reports, merge_sweeps, AggSweepSummary,
     CampaignConfig, CampaignPhase, CampaignReport, CampaignStatus, Fleet, FleetOps, OpsError,
@@ -353,7 +352,7 @@ impl FleetOps for ClusterOps {
         // cluster merge folds the per-gateway shard roots (in pinned
         // gateway order) into one fleet root — O(gateways) operator
         // verifications total, summed in `roots_verified`.
-        Ok(merge_agg_sweeps(&SoftwareProvider, &parts))
+        Ok(merge_agg_sweeps(&parts))
     }
 
     fn campaign_begin(&mut self, config: &CampaignConfig) -> Result<(), OpsError> {

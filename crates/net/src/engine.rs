@@ -616,7 +616,6 @@ impl OpsEngine {
         requests: Vec<(DeviceId, Frame)>,
     ) -> (SweepVerdicts, Option<Instant>) {
         let service = &*self.service;
-        let provider = service.provider();
         let metrics = &*self.metrics;
         let mut verdicts = SweepVerdicts::with_capacity(challenges.len());
         let mut tasks: Vec<VerifyTask> = Vec::new();
@@ -639,7 +638,7 @@ impl OpsEngine {
                 .verify_batch_us
                 .record_duration_us(started.elapsed());
             for (task, (class, _)) in tasks.iter().zip(classes) {
-                let leaf = evidence_leaf(&**provider, task.device, &task.report);
+                let leaf = evidence_leaf(task.device, &task.report);
                 verdicts.insert(task.device, (class, leaf));
             }
         });
@@ -698,7 +697,6 @@ impl OpsEngine {
                 .push(*device);
         }
 
-        let provider = Arc::clone(self.service.provider());
         let mut counts = [0u32; 4];
         let mut suspects: Vec<(u64, WireHealth)> = Vec::new();
         let mut proofs = Vec::with_capacity(shards.len());
@@ -716,7 +714,7 @@ impl OpsEngine {
                     // slot holds the domain-separated missing leaf so
                     // the tree geometry matches the participant list.
                     None => {
-                        leaves.push(missing_leaf(&*provider, *device));
+                        leaves.push(missing_leaf(*device));
                         HealthClass::Unverified
                     }
                 };
@@ -725,10 +723,9 @@ impl OpsEngine {
                     suspects.push((*device, health_to_wire(class)));
                 }
             }
-            let tree = EvidenceTree::from_leaves(&*provider, &leaves);
+            let tree = EvidenceTree::from_leaves(&leaves);
             let key = self.service.agg_shard_key(*shard);
             proofs.push(AggProof::sign(
-                &*provider,
                 &key,
                 *shard,
                 epoch,

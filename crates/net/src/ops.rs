@@ -26,11 +26,11 @@ use std::borrow::{Borrow, BorrowMut};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use eilid_casu::agg::{fleet_root, shard_agg_key, AggProof};
-use eilid_casu::{CryptoProvider, MeasurementScheme, SoftwareProvider};
+use eilid_casu::MeasurementScheme;
 use eilid_fleet::rollout::serve;
 use eilid_fleet::{
     AggSweepSummary, CampaignConfig, CampaignPhase, CampaignReport, CampaignStatus, DeviceId,
@@ -68,8 +68,6 @@ pub struct RemoteOps<T: Transport> {
     /// worthless — but still run [`FleetOps::sweep`], which checks the
     /// same result's epoch and structure and reads its summary.
     agg_root: Option<Vec<u8>>,
-    /// Crypto backend the console verifies aggregate proofs with.
-    provider: Arc<dyn CryptoProvider>,
     /// Highest aggregated-sweep epoch accepted so far; replayed or
     /// stale aggregates (epoch not strictly increasing) are rejected.
     last_agg_epoch: Option<u64>,
@@ -108,7 +106,6 @@ impl<T: Transport> RemoteOps<T> {
                 cohort: None,
                 op_timeout: DEFAULT_OP_TIMEOUT,
                 agg_root: None,
-                provider: Arc::new(SoftwareProvider),
                 last_agg_epoch: None,
             }),
             Frame::Error { code } => Err(NetError::Protocol(code)),
@@ -129,12 +126,6 @@ impl<T: Transport> RemoteOps<T> {
     /// [`FleetOps::sweep_aggregated`] is refused.
     pub fn set_agg_root_key(&mut self, key: &[u8]) {
         self.agg_root = Some(key.to_vec());
-    }
-
-    /// Overrides the crypto backend aggregate proofs are verified with
-    /// (default [`SoftwareProvider`]).
-    pub fn set_provider(&mut self, provider: Arc<dyn CryptoProvider>) {
-        self.provider = provider;
     }
 
     /// Sends an orderly goodbye and returns the transport.
@@ -387,8 +378,8 @@ impl<T: Transport> FleetOps for RemoteOps<T> {
         // verifications stand in for per-device verdict frames.
         let mut shard_roots = Vec::with_capacity(proofs.len());
         for proof in &proofs {
-            let key = shard_agg_key(&*self.provider, &agg_root, proof.shard);
-            if !proof.verify(&*self.provider, &key) {
+            let key = shard_agg_key(&agg_root, proof.shard);
+            if !proof.verify(&key) {
                 return Err(OpsError::Backend(format!(
                     "shard {} aggregate root failed verification",
                     proof.shard
@@ -417,7 +408,7 @@ impl<T: Transport> FleetOps for RemoteOps<T> {
             shards: proofs.len(),
             roots_verified: shard_roots.len(),
             short_circuited,
-            fleet_root: fleet_root(&*self.provider, &shard_roots),
+            fleet_root: fleet_root(&shard_roots),
             shard_roots,
         })
     }

@@ -14,11 +14,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Mutex, RwLock};
 
-use eilid_casu::{
-    AttestError, AttestationVerifier, Challenge, CryptoProvider, DeviceKey, SoftwareProvider,
-};
+use eilid_casu::{AttestError, AttestationVerifier, Challenge, DeviceKey};
 use eilid_fleet::{CohortSnapshot, HealthClass, ServiceSnapshot, SHARD_COUNT};
 use eilid_msp430::Memory;
 use eilid_workloads::WorkloadId;
@@ -101,21 +99,11 @@ pub struct AttestationService {
     nonce_end: u64,
     shards: Vec<Mutex<KeyShard>>,
     stats: ServiceStats,
-    /// Crypto backend every HMAC/SHA in this service routes through —
-    /// [`SoftwareProvider`] by default, a [`eilid_casu::BatchedProvider`]
-    /// when the gateway wants amortized key schedules across a sweep.
-    provider: Arc<dyn CryptoProvider>,
 }
 
 impl AttestationService {
-    /// Builds the service from a verifier's exported snapshot, on the
-    /// default software crypto backend.
+    /// Builds the service from a verifier's exported snapshot.
     pub fn new(snapshot: ServiceSnapshot) -> Self {
-        Self::with_provider(snapshot, Arc::new(SoftwareProvider))
-    }
-
-    /// Builds the service on an explicit [`CryptoProvider`] backend.
-    pub fn with_provider(snapshot: ServiceSnapshot, provider: Arc<dyn CryptoProvider>) -> Self {
         AttestationService {
             root: snapshot.root,
             cohorts: RwLock::new(snapshot.cohorts),
@@ -123,20 +111,14 @@ impl AttestationService {
             nonce_end: snapshot.nonce_base.saturating_add(snapshot.nonce_span),
             shards: (0..SHARD_COUNT).map(|_| Mutex::default()).collect(),
             stats: ServiceStats::default(),
-            provider,
         }
-    }
-
-    /// The crypto backend this service verifies with.
-    pub fn provider(&self) -> &Arc<dyn CryptoProvider> {
-        &self.provider
     }
 
     /// The aggregation key for `shard`, derived from the fleet root key
     /// under the shard-key domain tag — what the gateway signs aggregate
     /// roots with and the operator re-derives to check them.
     pub fn agg_shard_key(&self, shard: u16) -> [u8; 32] {
-        eilid_casu::shard_agg_key(&*self.provider, self.root.as_bytes(), shard)
+        eilid_casu::shard_agg_key(self.root.as_bytes(), shard)
     }
 
     /// The next unissued challenge nonce. An aggregated sweep snapshots
@@ -269,7 +251,7 @@ impl AttestationService {
                 .keys
                 .entry(device)
                 .or_insert_with(|| root.derive(device));
-            AttestationVerifier::with_key(key).verify_with(&*self.provider, issued, report, None)
+            AttestationVerifier::with_key(key).verify(issued, report, None)
         };
         let (class, error) = snapshot.classify(verified, &report.measurement);
         self.stats.record(class);
@@ -316,12 +298,8 @@ impl AttestationService {
                 .keys
                 .entry(task.device)
                 .or_insert_with(|| root.derive(task.device));
-            let verified = AttestationVerifier::with_key(key).verify_with(
-                &*self.provider,
-                &task.issued,
-                &task.report,
-                None,
-            );
+            let verified =
+                AttestationVerifier::with_key(key).verify(&task.issued, &task.report, None);
             let (class, error) = snapshot.classify(verified, &task.report.measurement);
             self.stats.record(class);
             verdicts.push((class, error));

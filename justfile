@@ -72,6 +72,22 @@ net-campaign:
 net-cluster:
     cargo test --release -p eilid_net --test cluster_scale -- --exact supervised_cluster_campaign_survives_gateway_kill --nocapture
 
+# Networked attestation smoke: serve a 64-device gateway in the
+# background and sweep the fleet through it, this process hosting the
+# devices as agents. The sweep retries while the server comes up; a
+# failed run kills the background server instead of orphaning it
+# (which would hold the port for the next run). Same shape as the
+# Makefile target.
+net-smoke: build
+    #!/bin/sh
+    ./target/release/eilid-cli fleet serve --addr 127.0.0.1:4810 --devices 64 &
+    SERVE=$!; ok=1
+    for attempt in 1 2 3 4 5 6 7 8 9 10; do
+        sleep 1
+        if ./target/release/eilid-cli fleet attest --gateway 127.0.0.1:4810 --devices 64 --clients 4; then ok=0; break; fi
+    done
+    if [ $ok -eq 0 ]; then wait $SERVE; else kill $SERVE 2>/dev/null; echo "net-smoke: gateway sweep never succeeded"; exit 1; fi
+
 # Telemetry end-to-end smoke: background gateway, one gateway sweep, a
 # live `fleet metrics` wire scrape checked for the expected counters,
 # then two more sweeps so the server exits cleanly (same shape as the
