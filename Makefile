@@ -49,10 +49,11 @@ sim-check:
 	cargo test --release --test golden_bus_trace
 	cargo test --release -p eilid_msp430 --test bus_bound
 
-# Every property-test suite in release mode, once per seed in
-# SOAK_SEEDS (default: eight fixed seeds), stopping at the first failing
-# seed; a failing case prints the PROPTEST_SEED/PROPTEST_CASES pair that
-# replays it. `make soak SOAK_SEEDS="1 2 3"` picks the seeds.
+# Every property-test suite and parser fuzz loop in release mode, once
+# per seed in SOAK_SEEDS (default: eight fixed seeds), stopping at the
+# first failing seed; a failing case prints the
+# PROPTEST_SEED/PROPTEST_CASES pair that replays it.
+# `make soak SOAK_SEEDS="1 2 3"` picks the seeds.
 soak:
 	./scripts/soak.sh
 

@@ -18,7 +18,7 @@
 //! [`eilid_msp430`] simulator, plus the authenticated-update protocol
 //! ([`UpdateAuthority`] / [`UpdateEngine`]) with a self-contained
 //! HMAC-SHA-256 implementation. Device and verifier share that one
-//! crypto path: [`hmac_sha256`] and [`sha256`] (SHA-NI when the CPU has
+//! crypto path: [`hmac_sha256`] and [`sha256()`] (SHA-NI when the CPU has
 //! it) back attestation reports, update MACs and the aggregation trees
 //! of [`agg`] alike.
 //!

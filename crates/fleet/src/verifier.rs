@@ -305,11 +305,10 @@ impl Verifier {
     }
 
     /// Challenges, verifies and classifies one device against `shard`'s
-    /// cached state. The report's
-    /// measurement is *never* trusted from cache on the verifier side:
-    /// only keys (immutable per device) are cached; classification
-    /// always uses the fresh report, which is returned next to the
-    /// verdict.
+    /// cached state. The report's measurement is *never* trusted from
+    /// cache on the verifier side: only keys (immutable per device) are
+    /// cached; classification always uses the fresh report, which is
+    /// returned next to the verdict.
     fn check_device(
         shard: &mut SweepShard,
         root: &DeviceKey,

@@ -555,6 +555,7 @@ impl FleetOps for ClusterOps {
 }
 
 /// One gateway's slot in the cluster pause blob.
+#[derive(Debug, PartialEq)]
 enum PauseRecord {
     /// Not a participant of the paused campaign.
     None,
@@ -737,8 +738,69 @@ where
 }
 
 #[cfg(test)]
+#[path = "../../tests/support/mutate.rs"]
+mod mutate;
+
+#[cfg(test)]
 mod tests {
+    use super::mutate::{assert_round_trip, fuzz};
     use super::*;
+
+    /// Re-encodes decoded records: a finished or paused slot is a
+    /// participant, an empty one is not.
+    fn reencode(records: &[PauseRecord]) -> Vec<u8> {
+        let paused: Vec<Option<Vec<u8>>> = records
+            .iter()
+            .map(|record| match record {
+                PauseRecord::Paused(bytes) => Some(bytes.clone()),
+                _ => None,
+            })
+            .collect();
+        let participating: Vec<bool> = records
+            .iter()
+            .map(|record| *record != PauseRecord::None)
+            .collect();
+        let finished: Vec<bool> = records
+            .iter()
+            .map(|record| *record == PauseRecord::Finished)
+            .collect();
+        encode_cluster_pause(&paused, &participating, &finished)
+    }
+
+    /// Mutation-fuzz loop over the ECL1 decoder (see
+    /// `tests/support/mutate.rs`): it never panics, and whatever it
+    /// accepts re-encodes to a blob that decodes to the same records.
+    #[test]
+    fn cluster_pause_decoder_survives_mutated_blobs() {
+        let corpus = vec![
+            encode_cluster_pause(
+                &[Some(vec![1, 2, 3]), None, None],
+                &[true, false, true],
+                &[false, false, true],
+            ),
+            encode_cluster_pause(
+                &[
+                    Some(b"EPC2".to_vec()),
+                    Some(Vec::new()),
+                    Some(vec![0xFF; 40]),
+                ],
+                &[true, true, true],
+                &[false, false, false],
+            ),
+            encode_cluster_pause(
+                &[None, None, None],
+                &[true, true, false],
+                &[true, true, false],
+            ),
+        ];
+        fuzz("cluster_pause", &corpus, 20_000, |input| {
+            if let Ok(records) = decode_cluster_pause(input, 3) {
+                let again = decode_cluster_pause(&reencode(&records), 3)
+                    .expect("re-encoded pause blob decodes");
+                assert_round_trip(records.as_slice(), again.as_slice(), reencode);
+            }
+        });
+    }
 
     #[test]
     fn cluster_pause_blob_round_trips() {

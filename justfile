@@ -44,9 +44,9 @@ sim-check:
     cargo test --release --test golden_bus_trace
     cargo test --release -p eilid_msp430 --test bus_bound
 
-# Every property-test suite in release mode, once per seed in
-# SOAK_SEEDS (default: eight fixed seeds), stopping at the first failing
-# seed (`SOAK_SEEDS="1 2 3" just soak` picks the seeds).
+# Every property-test suite and parser fuzz loop in release mode, once
+# per seed in SOAK_SEEDS (default: eight fixed seeds), stopping at the
+# first failing seed (`SOAK_SEEDS="1 2 3" just soak` picks the seeds).
 soak:
     ./scripts/soak.sh
 
