@@ -17,8 +17,13 @@
 //!   folds their evidence into a signed aggregate root, and reports only
 //!   its suspects, so a sweep yields one [`SweepSummary`]. Each shard
 //!   caches the device keys it has derived, so key derivation happens
-//!   once per device ever rather than once per sweep, whatever the
-//!   worker count.
+//!   once per device ever rather than once per sweep.
+//! * the verifier core — one implementation per verifier job, shared by
+//!   [`Verifier`] and the `eilid_net` gateway: [`CohortSnapshot`] (the
+//!   golden history, its classification rule and its promotion),
+//!   [`KeyShard`] (the device-key cache lookup), [`fold_shard`] (a
+//!   shard's verdicts into its summary and signed aggregate proof) and
+//!   [`AggSweepSummary::verified`] (the operator-side proof check).
 //! * incremental measurement — devices answer challenges from an
 //!   [`eilid_casu::IncrementalMeasurer`]: a chunked Merkle tree over
 //!   PMEM ([`eilid_casu::MeasurementScheme::Merkle`]) kept coherent by
@@ -102,4 +107,6 @@ pub use rollout::{
     PreUpdateSnapshot, ProbeMode, Reply, Request, RollbackOutcome, Rollout, RolloutKeys,
     WaveRollout,
 };
-pub use verifier::{CohortSnapshot, ServiceSnapshot, Verifier, SHARD_COUNT};
+pub use verifier::{
+    fold_shard, shard_of, CohortSnapshot, KeyShard, ServiceSnapshot, Verifier, SHARD_COUNT,
+};

@@ -20,6 +20,8 @@
 
 use std::fmt;
 
+use eilid_casu::agg::{fleet_root, shard_agg_key, AggProof};
+
 use crate::campaign::{
     Campaign, CampaignConfig, CampaignOutcome, CampaignReport, CampaignRun, CampaignStatus,
     PausedCampaign, WaveReport,
@@ -28,7 +30,7 @@ use crate::device::DeviceId;
 use crate::error::FleetError;
 use crate::fleet::Fleet;
 use crate::report::HealthClass;
-use crate::verifier::Verifier;
+use crate::verifier::{shard_of, Verifier, SHARD_COUNT};
 
 /// Why an operator-plane call failed.
 #[derive(Debug)]
@@ -151,6 +153,52 @@ pub struct AggSweepSummary {
     pub shard_roots: Vec<(u16, [u8; 32])>,
     /// Digest folding all shard roots — one fleet-wide aggregate.
     pub fleet_root: [u8; 32],
+}
+
+impl AggSweepSummary {
+    /// The operator-side proof check both sweeps share: verifies every
+    /// shard proof under its aggregation key, derived from the fleet
+    /// `root_key`, and wraps `summary` with the verified shard roots and
+    /// their fleet root. A shard none of whose devices is flagged counts
+    /// as short-circuited: its verdicts all come from its one root.
+    ///
+    /// # Errors
+    ///
+    /// The shard of the first proof that fails verification.
+    pub fn verified(
+        summary: SweepSummary,
+        epoch: u64,
+        proofs: &[AggProof],
+        root_key: &[u8],
+    ) -> Result<Self, u16> {
+        let mut suspect_shards = [false; SHARD_COUNT];
+        for (device, _) in &summary.flagged {
+            suspect_shards[shard_of(*device)] = true;
+        }
+        let mut shard_roots = Vec::with_capacity(proofs.len());
+        let mut short_circuited = 0;
+        for proof in proofs {
+            if !proof.verify(&shard_agg_key(root_key, proof.shard)) {
+                return Err(proof.shard);
+            }
+            shard_roots.push((proof.shard, proof.root));
+            if !suspect_shards
+                .get(usize::from(proof.shard))
+                .is_some_and(|suspect| *suspect)
+            {
+                short_circuited += proof.count as usize;
+            }
+        }
+        Ok(AggSweepSummary {
+            summary,
+            epoch,
+            shards: proofs.len(),
+            roots_verified: proofs.len(),
+            short_circuited,
+            fleet_root: fleet_root(&shard_roots),
+            shard_roots,
+        })
+    }
 }
 
 /// Maps a health class to its [`SweepSummary::counts`] slot.
@@ -416,7 +464,7 @@ pub fn merge_agg_sweeps(parts: &[AggSweepSummary]) -> AggSweepSummary {
         .iter()
         .flat_map(|part| part.shard_roots.iter().copied())
         .collect();
-    let fleet_root = eilid_casu::agg::fleet_root(&shard_roots);
+    let fleet_root = fleet_root(&shard_roots);
     AggSweepSummary {
         summary: merge_sweeps(&summaries),
         epoch: parts.iter().map(|part| part.epoch).max().unwrap_or(0),

@@ -13,11 +13,6 @@
 //!   count. Jobs for one shard execute in submission order, which is
 //!   what lets callers hand exclusive `&mut` shard state to one job at
 //!   a time without locks.
-//! * **Stable shard count, resizable workers** — the shard count is
-//!   fixed at construction and survives [`WorkerPool::set_workers`];
-//!   only the shard→worker routing changes. Callers key long-lived
-//!   caches (the verifier's device-key shards) by shard index, so
-//!   changing the worker count can never orphan cached state.
 //! * **Inline single worker** — a one-worker pool runs a batch on the
 //!   caller's thread: no channel hops, deterministic and
 //!   profiler-friendly.
@@ -104,7 +99,7 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// The fixed shard count (stable across [`WorkerPool::set_workers`]).
+    /// The fixed shard count.
     pub fn shard_count(&self) -> usize {
         self.shard_count
     }
@@ -112,24 +107,6 @@ impl WorkerPool {
     /// The worker index serving `shard` under the current worker count.
     pub fn worker_of(&self, shard: usize) -> usize {
         shard % self.workers.len()
-    }
-
-    /// Replaces the worker threads with `workers` fresh ones. Queued
-    /// jobs on the old workers are drained before they exit; the shard
-    /// count — and therefore any shard-keyed caller state — is
-    /// untouched, only the shard→worker routing changes.
-    pub fn set_workers(&mut self, workers: usize) {
-        let workers = workers.max(1);
-        if workers == self.workers.len() {
-            return;
-        }
-        let old = mem::replace(&mut self.workers, spawn_workers(workers));
-        for mut worker in old {
-            drop(worker.sender);
-            if let Some(handle) = worker.handle.take() {
-                handle.join().expect("pool worker panicked");
-            }
-        }
     }
 
     /// Runs a batch of borrowing jobs on the persistent workers and
@@ -353,30 +330,6 @@ mod tests {
             .into_iter()
             .sum();
         assert_eq!(sum, 6);
-    }
-
-    #[test]
-    fn set_workers_keeps_the_shard_count_and_keeps_working() {
-        let mut pool = WorkerPool::new(1, 8);
-        assert_eq!(pool.shard_count(), 8);
-        let run = |pool: &WorkerPool| -> Vec<usize> {
-            pool.scope(
-                (0..8)
-                    .map(|shard| {
-                        let job: Box<dyn FnOnce() -> usize + Send> = Box::new(move || shard * 10);
-                        (shard, job)
-                    })
-                    .collect(),
-            )
-        };
-        let expected: Vec<usize> = (0..8).map(|s| s * 10).collect();
-        assert_eq!(run(&pool), expected);
-        pool.set_workers(4);
-        assert_eq!(pool.workers(), 4);
-        assert_eq!(pool.shard_count(), 8, "shards are stable across resizes");
-        assert_eq!(run(&pool), expected);
-        pool.set_workers(2);
-        assert_eq!(run(&pool), expected);
     }
 
     #[test]

@@ -1,6 +1,21 @@
-//! The fleet verifier: batched attestation sweeps on the persistent
-//! worker pool, sharded sweep state with cached device keys, and
-//! measurement bookkeeping.
+//! The verifier core both sweeps share, and the in-process verifier
+//! built on it.
+//!
+//! The in-process [`Verifier`] and the `eilid_net` gateway (its
+//! attestation service and engine) run one verifier core:
+//!
+//! * [`CohortSnapshot`] — one cohort's golden history, with the one
+//!   classification rule ([`CohortSnapshot::classify`]) and the one
+//!   golden promotion ([`CohortSnapshot::promote`]);
+//! * [`KeyShard`] — one stable shard of the device-key cache, with the
+//!   one lookup ([`KeyShard::key`]);
+//! * [`fold_shard`] — the one fold of a shard's verdicts into its
+//!   [`SweepSummary`] and signed [`AggProof`];
+//! * [`AggSweepSummary::verified`] — the one operator-side proof check.
+//!
+//! The verifier runs its sweeps on the persistent worker pool, giving
+//! each shard job exclusive use of its key shard; the gateway keeps one
+//! lock per shard.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -14,77 +29,28 @@ use eilid_workloads::WorkloadId;
 
 use crate::device::{DeviceId, SimDevice};
 use crate::fleet::Fleet;
-use crate::ops::{class_index, AggSweepSummary, SweepSummary};
+use crate::ops::{class_index, merge_sweeps, AggSweepSummary, SweepSummary};
 use crate::pool::WorkerPool;
 use crate::report::{HealthClass, LedgerEvent};
 use crate::rollout::RolloutKeys;
-
-/// What one shard's sweep job produces: the signed aggregate proof over
-/// the shard's evidence tree, plus only the *suspect* verdicts — clean
-/// devices are represented solely by the aggregate.
-#[derive(Debug, Clone)]
-struct ShardAggregate {
-    shard: u16,
-    devices: usize,
-    counts: [usize; 4],
-    proof: AggProof,
-    suspects: Vec<(DeviceId, HealthClass)>,
-}
 
 /// Number of sweep shards — the unit device-key caches are keyed by.
 ///
 /// Deliberately **independent of the worker-thread count** and fixed for
 /// the verifier's lifetime: devices map to shards by `id % SHARD_COUNT`
-/// forever, so changing the sweep parallelism between sweeps (see
-/// [`Verifier::set_parallelism`]) re-routes shards to workers but can
-/// never orphan a cached key. (The PR 2 design keyed shards by
-/// `id % threads`, which silently abandoned every cache when the caller
-/// asked for a different thread count.)
+/// forever, so a cached key is never orphaned.
 pub const SHARD_COUNT: usize = 16;
 
-/// Known-good measurements of one firmware cohort: the current version
-/// plus every previous version still considered "stale but authentic",
-/// the memory layout the cohort's devices attest over, and the golden
-/// memory image itself (campaigns patch a copy of it to derive the
-/// expected post-update measurement — the networked gateway gets its
-/// copy through [`ServiceSnapshot`]).
-#[derive(Debug, Clone)]
-pub(crate) struct MeasurementHistory {
-    pub(crate) current: [u8; 32],
-    pub(crate) previous: Vec<[u8; 32]>,
-    pub(crate) layout: MemoryLayout,
-    pub(crate) golden: Memory,
+/// The stable shard of `device`: `device % SHARD_COUNT`.
+pub fn shard_of(device: DeviceId) -> usize {
+    (device % SHARD_COUNT as u64) as usize
 }
 
-/// Classifies one verified-or-not report measurement against a golden
-/// history — the single classification rule the in-process verifier and
-/// the networked gateway both apply. Allocation-free: it sits on the
-/// per-report verification hot path of both.
-fn classify_measurement(
-    current: &[u8; 32],
-    previous: &[[u8; 32]],
-    verified: Result<(), AttestError>,
-    measurement: &[u8; 32],
-) -> (HealthClass, Option<AttestError>) {
-    match verified {
-        Err(error) => (HealthClass::Unverified, Some(error)),
-        Ok(()) if measurement == current => (HealthClass::Attested, None),
-        Ok(()) if previous.contains(measurement) => (HealthClass::Stale, None),
-        Ok(()) => (
-            HealthClass::Tampered,
-            Some(AttestError::UnexpectedMeasurement),
-        ),
-    }
-}
-
-/// Per-shard sweep state. Devices are assigned to shards by
-/// `id % SHARD_COUNT`, which is stable across sweeps *and* across
-/// parallelism changes, so a shard's key cache keeps hitting for the
-/// same devices forever. During a sweep each pool worker owns the shards
-/// routed to it exclusively, so no cross-thread synchronisation is ever
-/// needed.
+/// One stable shard of the verifier-side device-key cache. Devices are
+/// assigned to shards by [`shard_of`], which never changes, so a
+/// shard's cache keeps hitting for the same devices forever.
 #[derive(Debug, Clone, Default)]
-struct SweepShard {
+pub struct KeyShard {
     /// Device keys derived once from the fleet root, then reused.
     keys: HashMap<DeviceId, DeviceKey>,
     /// How many derivations this shard ever performed (each device key
@@ -93,15 +59,59 @@ struct SweepShard {
     derivations: u64,
 }
 
-impl SweepShard {
+impl KeyShard {
     /// The cached (or newly derived and cached) key of `device`.
-    fn key(&mut self, root: &DeviceKey, device: DeviceId) -> &DeviceKey {
+    pub fn key(&mut self, root: &DeviceKey, device: DeviceId) -> &DeviceKey {
         let derivations = &mut self.derivations;
         self.keys.entry(device).or_insert_with(|| {
             *derivations += 1;
             root.derive(device)
         })
     }
+
+    /// Number of keys cached in this shard.
+    pub fn cached(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Key derivations this shard ever performed.
+    pub fn derivations(&self) -> u64 {
+        self.derivations
+    }
+}
+
+/// Folds one shard's verdicts — `(device, class, evidence leaf)` in
+/// ascending device id, the canonical leaf order every aggregator
+/// agrees on — into the shard's [`SweepSummary`] and its [`AggProof`]:
+/// the evidence-tree root signed under the shard's aggregation key
+/// (derived from the fleet `root`) for `epoch`. Only suspect
+/// (non-attested) verdicts are kept; the clean majority is represented
+/// solely by the proof.
+pub fn fold_shard(
+    root: &DeviceKey,
+    shard: u16,
+    epoch: u64,
+    verdicts: impl IntoIterator<Item = (DeviceId, HealthClass, [u8; 32])>,
+) -> (SweepSummary, AggProof) {
+    let verdicts = verdicts.into_iter();
+    let mut leaves = Vec::with_capacity(verdicts.size_hint().0);
+    let mut summary = SweepSummary {
+        devices: 0,
+        counts: [0; 4],
+        flagged: Vec::new(),
+    };
+    for (device, class, leaf) in verdicts {
+        leaves.push(leaf);
+        summary.counts[class_index(class)] += 1;
+        if class != HealthClass::Attested {
+            summary.flagged.push((device, class));
+        }
+    }
+    summary.devices = leaves.len();
+    let key = shard_agg_key(root.as_bytes(), shard);
+    let tree_root = EvidenceTree::from_leaves(&leaves).root();
+    let proof = AggProof::sign(&key, shard, epoch, leaves.len() as u32, tree_root);
+    (summary, proof)
 }
 
 /// Exportable, self-contained snapshot of the verifier's trust state —
@@ -122,7 +132,8 @@ pub struct ServiceSnapshot {
     pub nonce_span: u64,
 }
 
-/// One cohort's golden state inside a [`ServiceSnapshot`].
+/// One cohort's golden history: what the [`Verifier`] keeps per cohort
+/// and a [`ServiceSnapshot`] hands to a gateway.
 #[derive(Debug, Clone)]
 pub struct CohortSnapshot {
     /// Layout the cohort's devices attest over.
@@ -138,29 +149,48 @@ pub struct CohortSnapshot {
 }
 
 impl CohortSnapshot {
-    /// Classifies a verified-or-not measurement exactly as the fleet
-    /// verifier would (same rule, no allocation — this runs once per
-    /// networked report).
+    /// Classifies a verified-or-not report measurement against this
+    /// golden history — the one rule both sweeps apply. Allocation-free:
+    /// it runs once per report on both verification hot paths.
     pub fn classify(
         &self,
         verified: Result<(), AttestError>,
         measurement: &[u8; 32],
     ) -> (HealthClass, Option<AttestError>) {
-        classify_measurement(&self.current, &self.previous, verified, measurement)
+        match verified {
+            Err(error) => (HealthClass::Unverified, Some(error)),
+            Ok(()) if *measurement == self.current => (HealthClass::Attested, None),
+            Ok(()) if self.previous.contains(measurement) => (HealthClass::Stale, None),
+            Ok(()) => (
+                HealthClass::Tampered,
+                Some(AttestError::UnexpectedMeasurement),
+            ),
+        }
+    }
+
+    /// Promotes `measurement` (taken over `golden`) to the current
+    /// golden state, demoting the old measurement to "stale but
+    /// authentic". Promoting the current measurement again is a no-op.
+    pub fn promote(&mut self, golden: &Memory, measurement: [u8; 32]) {
+        if self.current != measurement {
+            self.previous.push(self.current);
+            self.current = measurement;
+            self.golden = golden.clone();
+        }
     }
 }
 
 /// The trusted fleet verifier.
 ///
 /// Holds the fleet root key (from which every device key is derived,
-/// then cached in stable shards), the per-cohort golden measurements,
-/// the challenge nonce state, and the persistent [`WorkerPool`] sweeps
-/// run on.
+/// then cached in stable shards), the per-cohort golden state, the
+/// challenge nonce state, and the persistent [`WorkerPool`] sweeps run
+/// on.
 #[derive(Debug)]
 pub struct Verifier {
     root: DeviceKey,
-    expected: BTreeMap<WorkloadId, MeasurementHistory>,
-    shards: Vec<SweepShard>,
+    expected: BTreeMap<WorkloadId, CohortSnapshot>,
+    shards: Vec<KeyShard>,
     pool: WorkerPool,
     next_nonce: u64,
 }
@@ -191,10 +221,10 @@ impl Verifier {
             let state = fleet.cohort(cohort).expect("cohort exists");
             expected.insert(
                 cohort,
-                MeasurementHistory {
+                CohortSnapshot {
+                    layout: state.layout.clone(),
                     current: merkle_measure_pmem(&state.golden, &state.layout),
                     previous: Vec::new(),
-                    layout: state.layout.clone(),
                     golden: state.golden.clone(),
                 },
             );
@@ -202,7 +232,7 @@ impl Verifier {
         Verifier {
             root,
             expected,
-            shards: vec![SweepShard::default(); SHARD_COUNT],
+            shards: vec![KeyShard::default(); SHARD_COUNT],
             pool: WorkerPool::new(fleet.threads(), SHARD_COUNT),
             next_nonce: 1,
         }
@@ -215,37 +245,23 @@ impl Verifier {
 
     /// Number of device keys currently cached across all sweep shards.
     pub fn cached_keys(&self) -> usize {
-        self.shards.iter().map(|s| s.keys.len()).sum()
+        self.shards.iter().map(KeyShard::cached).sum()
     }
 
     /// Total key derivations ever performed. With stable shards this
-    /// equals [`Verifier::cached_keys`] no matter how often the
-    /// parallelism changes — each device key is derived exactly once.
+    /// equals [`Verifier::cached_keys`] however many sweeps ran — each
+    /// device key is derived exactly once.
     pub fn key_derivations(&self) -> u64 {
-        self.shards.iter().map(|s| s.derivations).sum()
-    }
-
-    /// Number of persistent sweep workers.
-    pub fn parallelism(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// Changes the number of persistent sweep workers. The stable shard
-    /// set (and every cached key in it) is untouched: only the
-    /// shard→worker routing changes, so resizing between sweeps never
-    /// costs a re-derivation.
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.pool.set_workers(workers);
+        self.shards.iter().map(KeyShard::derivations).sum()
     }
 
     /// The current golden measurement for `cohort`.
     pub fn expected_measurement(&self, cohort: WorkloadId) -> Option<[u8; 32]> {
-        self.expected.get(&cohort).map(|h| h.current)
+        self.expected.get(&cohort).map(|history| history.current)
     }
 
     /// Promotes `measurement` (taken over `golden`) to the current
-    /// golden state for `cohort`, demoting the old measurement to
-    /// "stale but authentic".
+    /// golden state for `cohort` through [`CohortSnapshot::promote`].
     pub(crate) fn promote_measurement(
         &mut self,
         cohort: WorkloadId,
@@ -253,12 +269,7 @@ impl Verifier {
         golden: &Memory,
     ) {
         if let Some(history) = self.expected.get_mut(&cohort) {
-            if history.current != measurement {
-                let old = history.current;
-                history.previous.push(old);
-                history.current = measurement;
-                history.golden = golden.clone();
-            }
+            history.promote(golden, measurement);
         }
     }
 
@@ -268,25 +279,10 @@ impl Verifier {
     /// gateway challenges and in-process sweep challenges can never
     /// collide on a device key.
     pub fn service_snapshot(&mut self, nonce_span: u64) -> ServiceSnapshot {
-        let nonce_base = self.next_nonce;
-        self.next_nonce += nonce_span;
+        let nonce_base = self.reserve_challenge_nonces(nonce_span);
         ServiceSnapshot {
             root: self.root.clone(),
-            cohorts: self
-                .expected
-                .iter()
-                .map(|(cohort, history)| {
-                    (
-                        *cohort,
-                        CohortSnapshot {
-                            layout: history.layout.clone(),
-                            current: history.current,
-                            previous: history.previous.clone(),
-                            golden: history.golden.clone(),
-                        },
-                    )
-                })
-                .collect(),
+            cohorts: self.expected.clone(),
             nonce_base,
             nonce_span,
         }
@@ -305,33 +301,24 @@ impl Verifier {
     }
 
     /// Challenges, verifies and classifies one device against `shard`'s
-    /// cached state. The report's measurement is *never* trusted from
+    /// cached key. The report's measurement is *never* trusted from
     /// cache on the verifier side: only keys (immutable per device) are
     /// cached; classification always uses the fresh report, which is
     /// returned next to the verdict.
     fn check_device(
-        shard: &mut SweepShard,
+        shard: &mut KeyShard,
         root: &DeviceKey,
-        expected: &BTreeMap<WorkloadId, MeasurementHistory>,
+        expected: &BTreeMap<WorkloadId, CohortSnapshot>,
         nonce_base: u64,
         device: &mut SimDevice,
     ) -> (HealthClass, AttestationReport) {
-        let key = shard.key(root, device.id());
-        let verifier = AttestationVerifier::with_key(key);
+        let verifier = AttestationVerifier::with_key(shard.key(root, device.id()));
         // Offset nonces so no two devices ever share one.
         let challenge = verifier.challenge_pmem(device.device().layout(), nonce_base + device.id());
         let report = device.attest(challenge);
         let verified = verifier.verify(&challenge, &report, None);
         let class = match expected.get(&device.cohort()) {
-            Some(history) => {
-                classify_measurement(
-                    &history.current,
-                    &history.previous,
-                    verified,
-                    &report.measurement,
-                )
-                .0
-            }
+            Some(history) => history.classify(verified, &report.measurement).0,
             // A cohort this verifier never enrolled (a foreign
             // fleet): there is nothing to verify against.
             None => HealthClass::Unverified,
@@ -339,34 +326,33 @@ impl Verifier {
         (class, report)
     }
 
-    /// Partitions the fleet into its stable shards (`id % SHARD_COUNT`,
-    /// ascending id within a shard — the canonical leaf order every
-    /// aggregator agrees on) and runs [`Verifier::aggregate_shard`] once
-    /// per non-empty shard, with that shard's state exclusively
+    /// Partitions the fleet into its stable shards ([`shard_of`],
+    /// ascending id within a shard) and runs [`Verifier::aggregate_shard`]
+    /// once per non-empty shard, with that shard's key cache exclusively
     /// borrowed, as one [`WorkerPool::scope`] job per shard (shards
     /// route to exactly one worker, so the only shared data is
     /// read-only; a one-worker pool runs them inline). Results come back
     /// in shard order.
-    fn aggregate_shards(&mut self, fleet: &mut Fleet, epoch: u64) -> Vec<ShardAggregate> {
-        let shard_count = self.shards.len();
+    fn aggregate_shards(&mut self, fleet: &mut Fleet, epoch: u64) -> Vec<(SweepSummary, AggProof)> {
         let mut shard_targets: Vec<Vec<&mut SimDevice>> =
-            (0..shard_count).map(|_| Vec::new()).collect();
+            (0..SHARD_COUNT).map(|_| Vec::new()).collect();
         for device in fleet.devices_mut() {
-            shard_targets[(device.id() % shard_count as u64) as usize].push(device);
+            shard_targets[shard_of(device.id())].push(device);
         }
         for targets in &mut shard_targets {
             targets.sort_by_key(|device| device.id());
         }
+        type Job<'a> = Box<dyn FnOnce() -> (SweepSummary, AggProof) + Send + 'a>;
         let (root, expected) = (&self.root, &self.expected);
-        let jobs: Vec<(usize, Box<dyn FnOnce() -> ShardAggregate + Send + '_>)> = self
+        let jobs: Vec<(usize, Job<'_>)> = self
             .shards
             .iter_mut()
             .zip(shard_targets)
             .enumerate()
             .filter(|(_, (_, targets))| !targets.is_empty())
             .map(|(index, (shard, targets))| {
-                let run: Box<dyn FnOnce() -> ShardAggregate + Send + '_> = Box::new(move || {
-                    Self::aggregate_shard(index, shard, targets, root, expected, epoch)
+                let run: Job<'_> = Box::new(move || {
+                    Self::aggregate_shard(index as u16, shard, targets, root, expected, epoch)
                 });
                 (index, run)
             })
@@ -374,41 +360,21 @@ impl Verifier {
         self.pool.scope(jobs)
     }
 
-    /// Runs one shard of a sweep: verify every device,
-    /// build the evidence tree (leaves in ascending device-id order),
-    /// and sign the root with the shard's aggregation key. Only the
-    /// suspect (non-attested) verdicts are materialised — the clean
-    /// majority is represented solely by the aggregate.
+    /// Runs one shard of a sweep: verifies every device and folds the
+    /// verdicts through [`fold_shard`].
     fn aggregate_shard(
-        index: usize,
-        shard: &mut SweepShard,
+        index: u16,
+        shard: &mut KeyShard,
         targets: Vec<&mut SimDevice>,
         root: &DeviceKey,
-        expected: &BTreeMap<WorkloadId, MeasurementHistory>,
+        expected: &BTreeMap<WorkloadId, CohortSnapshot>,
         epoch: u64,
-    ) -> ShardAggregate {
-        let devices = targets.len();
-        let mut counts = [0usize; 4];
-        let mut suspects = Vec::new();
-        let mut leaves = Vec::with_capacity(devices);
-        for device in targets {
+    ) -> (SweepSummary, AggProof) {
+        let verdicts = targets.into_iter().map(|device| {
             let (class, report) = Self::check_device(shard, root, expected, epoch, device);
-            leaves.push(evidence_leaf(device.id(), &report));
-            counts[class_index(class)] += 1;
-            if class != HealthClass::Attested {
-                suspects.push((device.id(), class));
-            }
-        }
-        let tree = EvidenceTree::from_leaves(&leaves);
-        let key = shard_agg_key(root.as_bytes(), index as u16);
-        let proof = AggProof::sign(&key, index as u16, epoch, devices as u32, tree.root());
-        ShardAggregate {
-            shard: index as u16,
-            devices,
-            counts,
-            proof,
-            suspects,
-        }
+            (device.id(), class, evidence_leaf(device.id(), &report))
+        });
+        fold_shard(root, index, epoch, verdicts)
     }
 
     /// Issues one attestation sweep across the whole fleet and returns
@@ -423,16 +389,21 @@ impl Verifier {
     ///
     /// Every device is challenged with a fresh nonce and every report
     /// MAC is checked. Devices are partitioned into stable shards by
-    /// `id % SHARD_COUNT`; the persistent pool runs one job per
-    /// non-empty shard, each exclusively owning its shard's key cache,
-    /// so keys are derived once per device *ever*, not once per sweep.
-    /// An all-clean shard short-circuits per-device verdict assembly:
-    /// the operator-side check verifies at most [`SHARD_COUNT`]
-    /// aggregate root MACs, descending to per-device verdicts only for
-    /// the suspects each shard reports. The sweep's reserved
-    /// challenge-nonce base doubles as the aggregation **epoch** —
-    /// strictly increasing, so no aggregate proof can be replayed into
-    /// a later sweep. Flagged devices are recorded in the fleet ledger.
+    /// [`shard_of`]; the persistent pool runs one job per non-empty
+    /// shard, each exclusively owning its shard's key cache, so keys are
+    /// derived once per device *ever*, not once per sweep. The
+    /// operator-side check ([`AggSweepSummary::verified`]) verifies at
+    /// most [`SHARD_COUNT`] aggregate root MACs and takes per-device
+    /// verdicts only for the suspects each shard reports. The sweep's
+    /// reserved challenge-nonce base doubles as the aggregation
+    /// **epoch** — strictly increasing, so no aggregate proof can be
+    /// replayed into a later sweep. Flagged devices are recorded in the
+    /// fleet ledger.
+    ///
+    /// # Panics
+    ///
+    /// If a shard proof fails verification, which only a verifier bug
+    /// can cause: both sides of the check run in this process.
     pub fn sweep_aggregated(&mut self, fleet: &mut Fleet) -> AggSweepSummary {
         let span = fleet
             .devices()
@@ -441,54 +412,22 @@ impl Verifier {
             .max()
             .unwrap_or(1);
         let epoch = self.reserve_challenge_nonces(span);
-        let aggregates = self.aggregate_shards(fleet, epoch);
-
-        // Operator-side assembly: one MAC verification per shard
-        // aggregate covers its whole clean population; per-device
-        // verdicts are assembled only from the reported suspects.
-        let mut summary = SweepSummary {
-            devices: 0,
-            counts: [0; 4],
-            flagged: Vec::new(),
-        };
-        let mut shard_roots = Vec::with_capacity(aggregates.len());
-        let mut roots_verified = 0usize;
-        let mut short_circuited = 0usize;
-        for aggregate in &aggregates {
-            let key = shard_agg_key(self.root.as_bytes(), aggregate.shard);
-            assert!(
-                aggregate.proof.verify(&key),
-                "shard {} aggregate root failed verification",
-                aggregate.shard
-            );
-            roots_verified += 1;
-            summary.devices += aggregate.devices;
-            for (slot, count) in summary.counts.iter_mut().zip(aggregate.counts) {
-                *slot += count;
-            }
-            if aggregate.suspects.is_empty() {
-                short_circuited += aggregate.devices;
-            }
-            summary.flagged.extend_from_slice(&aggregate.suspects);
-            shard_roots.push((aggregate.shard, aggregate.proof.root));
-        }
-        summary.flagged.sort_by_key(|(id, _)| *id);
-        for (device, class) in &summary.flagged {
+        let (summaries, proofs): (Vec<SweepSummary>, Vec<AggProof>) =
+            self.aggregate_shards(fleet, epoch).into_iter().unzip();
+        let agg = AggSweepSummary::verified(
+            merge_sweeps(&summaries),
+            epoch,
+            &proofs,
+            self.root.as_bytes(),
+        )
+        .unwrap_or_else(|shard| panic!("shard {shard} aggregate root failed verification"));
+        for (device, class) in &agg.summary.flagged {
             fleet.ledger_mut().record(LedgerEvent::AttestationFlagged {
                 device: *device,
                 class: *class,
             });
         }
-        let fleet_root = eilid_casu::agg::fleet_root(&shard_roots);
-        AggSweepSummary {
-            summary,
-            epoch,
-            shards: aggregates.len(),
-            roots_verified,
-            short_circuited,
-            shard_roots,
-            fleet_root,
-        }
+        agg
     }
 }
 

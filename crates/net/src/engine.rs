@@ -47,16 +47,15 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use eilid_casu::agg::{evidence_leaf, missing_leaf, AggProof, EvidenceTree};
+use eilid_casu::agg::{evidence_leaf, missing_leaf, AggProof};
 use eilid_casu::{AttestationReport, Challenge, DeviceKey};
 use eilid_fleet::rollout::{Next, BUSY_RETRIES};
 use eilid_fleet::{
-    Campaign, CampaignRun, CohortInfo, DeviceId, FleetError, HealthClass, Ledger, LedgerEvent,
-    PausedCampaign, Reply, Request, Rollout, RolloutKeys, WaveExecutor, SHARD_COUNT,
+    fold_shard, merge_sweeps, shard_of, Campaign, CampaignRun, CohortInfo, DeviceId, FleetError,
+    HealthClass, Ledger, LedgerEvent, PausedCampaign, Reply, Request, Rollout, RolloutKeys,
+    SweepSummary, WaveExecutor,
 };
 use eilid_workloads::WorkloadId;
-
-use eilid_fleet::ops::class_index;
 
 use crate::gateway::GatewayCounters;
 use crate::metrics::{NetMetrics, TRACE_CAT_ENGINE, TRACE_ENGINE_WAVE};
@@ -255,8 +254,7 @@ impl OpsEngine {
 
     /// Queues one frame to `conn` through the reactor.
     fn send(&self, conn: u64, frame: Frame) {
-        let _ = self.out.send(vec![(conn, frame)]);
-        self.waker.wake();
+        self.push_to_reactor(vec![(conn, frame)]);
     }
 
     fn send_error(&self, conn: u64, code: ErrorCode) {
@@ -630,7 +628,7 @@ impl OpsEngine {
                     report,
                 })
             }));
-            tasks.sort_by_key(|task| task.device % SHARD_COUNT as u64);
+            tasks.sort_by_key(|task| shard_of(task.device));
             metrics.verify_batch_size.record(tasks.len() as u64);
             let started = Instant::now();
             let classes = service.verify_batch(&tasks);
@@ -668,10 +666,11 @@ impl OpsEngine {
     /// device and verify and classify each reply exactly as the
     /// in-process verifier would (same keys, same golden histories, same
     /// classification rule). Instead of shipping a per-device verdict
-    /// list, fold each shard's evidence into an [`EvidenceTree`] and
-    /// publish one MAC'd [`AggProof`] per shard. The operator verifies
-    /// at most [`SHARD_COUNT`] aggregate MACs; only non-Attested devices (and
-    /// lost probes) appear individually, in the suspect list. Every
+    /// list, fold each shard's evidence through the verifier's own
+    /// [`fold_shard`] and publish one MAC'd [`AggProof`] per shard. The
+    /// operator verifies at most `SHARD_COUNT` aggregate MACs; only
+    /// non-Attested devices (and lost probes) appear individually, in
+    /// the suspect list. Every
     /// per-device report MAC is still verified *here*, at the gateway —
     /// aggregation compresses the operator's work and the result frame,
     /// never the trust checks.
@@ -692,51 +691,36 @@ impl OpsEngine {
         let mut shards: BTreeMap<u16, Vec<DeviceId>> = BTreeMap::new();
         for device in challenges.keys() {
             shards
-                .entry((device % SHARD_COUNT as u64) as u16)
+                .entry(shard_of(*device) as u16)
                 .or_default()
                 .push(*device);
         }
-
-        let mut counts = [0u32; 4];
-        let mut suspects: Vec<(u64, WireHealth)> = Vec::new();
-        let mut proofs = Vec::with_capacity(shards.len());
-        let mut short_circuited: u64 = 0;
-        for (shard, members) in &shards {
-            let suspects_before = suspects.len();
-            let mut leaves = Vec::with_capacity(members.len());
-            for device in members {
-                let class = match verdicts.get(device) {
-                    Some((class, leaf)) => {
-                        leaves.push(*leaf);
-                        *class
-                    }
-                    // A lost or shed probe is a failed verification; its
-                    // slot holds the domain-separated missing leaf so
-                    // the tree geometry matches the participant list.
-                    None => {
-                        leaves.push(missing_leaf(*device));
-                        HealthClass::Unverified
-                    }
-                };
-                counts[class_index(class)] += 1;
-                if class != HealthClass::Attested {
-                    suspects.push((*device, health_to_wire(class)));
-                }
-            }
-            let tree = EvidenceTree::from_leaves(&leaves);
-            let key = self.service.agg_shard_key(*shard);
-            proofs.push(AggProof::sign(
-                &key,
-                *shard,
-                epoch,
-                members.len() as u32,
-                tree.root(),
-            ));
-            if suspects.len() == suspects_before {
-                short_circuited += members.len() as u64;
-            }
-        }
-        suspects.sort_by_key(|(device, _)| *device);
+        let (parts, proofs): (Vec<SweepSummary>, Vec<AggProof>) = shards
+            .into_iter()
+            .map(|(shard, members)| {
+                let verdicts = members
+                    .into_iter()
+                    .map(|device| match verdicts.get(&device) {
+                        Some(&(class, leaf)) => (device, class, leaf),
+                        // A lost or shed probe is a failed verification; its
+                        // slot holds the domain-separated missing leaf so
+                        // the tree geometry matches the participant list.
+                        None => (device, HealthClass::Unverified, missing_leaf(device)),
+                    });
+                fold_shard(self.service.root(), shard, epoch, verdicts)
+            })
+            .unzip();
+        let short_circuited: usize = parts
+            .iter()
+            .filter(|part| part.flagged.is_empty())
+            .map(|part| part.devices)
+            .sum();
+        let summary = merge_sweeps(&parts);
+        let suspects: Vec<(u64, WireHealth)> = summary
+            .flagged
+            .iter()
+            .map(|&(device, class)| (device, health_to_wire(class)))
+            .collect();
 
         // Participant bitmap: bit (id - base) set for every device the
         // sweep actually challenged, so the operator can tell "absent
@@ -755,12 +739,12 @@ impl OpsEngine {
         self.metrics.agg_sweeps.inc();
         self.metrics.agg_roots_published.add(proofs.len() as u64);
         self.metrics.agg_suspects.add(suspects.len() as u64);
-        self.metrics.agg_short_circuited.add(short_circuited);
+        self.metrics.agg_short_circuited.add(short_circuited as u64);
 
         let result = Frame::OpAggSweepResult {
             epoch,
             devices: challenges.len() as u32,
-            counts,
+            counts: summary.counts.map(|count| count as u32),
             bitmap_base,
             bitmap,
             proofs,
@@ -954,11 +938,10 @@ impl OpsEngine {
         }
     }
 
-    fn flush(&self, outbox: &mut Vec<(u64, Frame)>) {
-        if !outbox.is_empty() {
-            let _ = self.out.send(std::mem::take(outbox));
-            self.waker.wake();
-        }
+    /// Hands the outbox to the reactor; `false` when the reactor is
+    /// gone (see [`OpsEngine::push_to_reactor`]).
+    fn flush(&self, outbox: &mut Vec<(u64, Frame)>) -> bool {
+        outbox.is_empty() || self.push_to_reactor(std::mem::take(outbox))
     }
 
     /// Streams one wave (or rollback pass) over the device plane. Each
@@ -966,7 +949,9 @@ impl OpsEngine {
     /// at [`ENGINE_WAVE_WINDOW`] per agent connection; `Busy` sheds are
     /// re-pushed from a due-time heap without ever sleeping the thread;
     /// the idle deadline extends on every accepted reply; devices whose
-    /// connection closes, or that refuse a push, retire as lost.
+    /// connection closes, or that refuse a push, retire as lost. If the
+    /// reactor is gone the stream ends at once, leaving the devices
+    /// still live to fail.
     fn stream(&mut self, rollout: &mut Rollout<'_>) {
         let started = Instant::now();
         let service = Arc::clone(&self.service);
@@ -1016,7 +1001,9 @@ impl OpsEngine {
                 };
                 self.push(request, rollout, &mut pushed_at, &mut outbox);
             }
-            self.flush(&mut outbox);
+            if !self.flush(&mut outbox) {
+                break;
+            }
             let now = Instant::now();
             if rollout.is_done() || now >= deadline {
                 break;
@@ -1107,7 +1094,9 @@ impl OpsEngine {
                     }
                 }
             }
-            self.flush(&mut outbox);
+            if !self.flush(&mut outbox) {
+                break;
+            }
         }
         self.note_wave(started, rollout.devices().len());
     }
@@ -1178,30 +1167,28 @@ impl WaveExecutor for OpsEngine {
 mod tests {
     use super::*;
     use crate::poller::{Poller, PollerChoice};
-    use eilid_fleet::FleetBuilder;
+    use eilid_fleet::fixtures::{benign_patch, BENIGN_PATCH_TARGET};
+    use eilid_fleet::{CampaignConfig, FleetBuilder};
     use std::sync::mpsc;
 
-    /// A sweep exchange whose frames cannot reach the reactor (its
-    /// channel is closed) ends at once, with no reply delivered and the
-    /// loss counted, instead of idling out the exchange timeout.
-    #[test]
-    fn exchange_fails_fast_when_the_reactor_is_gone() {
+    /// An engine over a one-device fleet whose reactor channel is
+    /// already closed, with the engine's own input channel kept open so
+    /// only the reactor loss can end an exchange early.
+    fn engine_without_reactor(
+        timeout: Duration,
+    ) -> (OpsEngine, DeviceId, WorkloadId, Sender<EngineInput>) {
         let (fleet, mut verifier) =
             FleetBuilder::new(DeviceKey::new(b"fleet-root-key-0123456789abcdef").unwrap())
                 .devices(1)
                 .threads(1)
                 .build()
                 .unwrap();
-        let device = fleet.devices()[0].id();
+        let (device, cohort) = (fleet.devices()[0].id(), fleet.devices()[0].cohort());
         let registry = Arc::new(Mutex::new(Registry::default()));
-        registry
-            .lock()
-            .unwrap()
-            .attach(device, 7, fleet.devices()[0].cohort());
+        registry.lock().unwrap().attach(device, 7, cohort);
         let (out, reactor) = mpsc::channel();
         drop(reactor);
-        let (_engine_tx, rx) = mpsc::channel();
-        let timeout = Duration::from_secs(30);
+        let (engine_tx, rx) = mpsc::channel();
         let engine = OpsEngine {
             service: Arc::new(AttestationService::new(verifier.service_snapshot(1 << 20))),
             registry,
@@ -1215,6 +1202,16 @@ mod tests {
             draining: Arc::new(AtomicBool::new(false)),
             metrics: NetMetrics::new(),
         };
+        (engine, device, cohort, engine_tx)
+    }
+
+    /// A sweep exchange whose frames cannot reach the reactor (its
+    /// channel is closed) ends at once, with no reply delivered and the
+    /// loss counted, instead of idling out the exchange timeout.
+    #[test]
+    fn exchange_fails_fast_when_the_reactor_is_gone() {
+        let timeout = Duration::from_secs(30);
+        let (engine, device, _, _engine_tx) = engine_without_reactor(timeout);
         let challenge = Challenge {
             nonce: 1,
             start: 0xE000,
@@ -1233,6 +1230,24 @@ mod tests {
 
         assert!(started.elapsed() < timeout / 2, "{:?}", started.elapsed());
         assert_eq!((last_reply, delivered), (None, 0));
+        assert_eq!(engine.metrics.engine_reactor_lost.get(), 1);
+    }
+
+    /// A campaign wave whose pushes cannot reach the reactor ends at
+    /// once: the device still live fails, and the loss is counted once.
+    #[test]
+    fn stream_fails_fast_when_the_reactor_is_gone() {
+        let timeout = Duration::from_secs(30);
+        let (mut engine, device, cohort, _engine_tx) = engine_without_reactor(timeout);
+        let config = CampaignConfig::new(cohort, BENIGN_PATCH_TARGET, benign_patch());
+        let mut rollout = Rollout::wave(&[device], &config, [0; 32], None);
+
+        let started = Instant::now();
+        engine.stream(&mut rollout);
+
+        assert!(started.elapsed() < timeout / 2, "{:?}", started.elapsed());
+        let wave = rollout.into_wave();
+        assert_eq!((wave.failures, wave.updated.len()), (1, 0));
         assert_eq!(engine.metrics.engine_reactor_lost.get(), 1);
     }
 }

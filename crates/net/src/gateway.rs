@@ -40,7 +40,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::engine::{EngineInput, OpsEngine, Registry};
-use crate::metrics::{NetMetrics, TRACE_CAT_REACTOR, TRACE_REACTOR_PASS};
+use crate::metrics::NetMetrics;
 use crate::poller::{
     Event, IdleBackoff, Interest, Poller, PollerBackend, PollerChoice, WaitOutcome, Waker,
 };
@@ -759,8 +759,9 @@ impl Gateway {
             };
             if progress {
                 // Only productive passes are sampled: idle scan passes
-                // would otherwise drown the histograms (and the trace
-                // ring) in near-zero noise.
+                // would otherwise drown the histograms in near-zero
+                // noise. Passes stay out of the trace ring, which keeps
+                // the rare wave, supervisor and serve events.
                 let elapsed = pass_started.elapsed();
                 let frames = self
                     .counters
@@ -769,12 +770,6 @@ impl Gateway {
                     .saturating_sub(frames_before);
                 self.metrics.pass_us.record_duration_us(elapsed);
                 self.metrics.frames_per_wake.record(frames);
-                self.metrics.trace().record(
-                    TRACE_CAT_REACTOR,
-                    TRACE_REACTOR_PASS,
-                    u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-                    frames,
-                );
                 backoff.reset();
             } else {
                 backoff.note_idle();

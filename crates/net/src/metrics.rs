@@ -18,8 +18,6 @@ use crate::gateway::GatewayCounters;
 use crate::service::AttestationService;
 use crate::wire::ErrorCode;
 
-/// Trace-event category: reactor-level events.
-pub const TRACE_CAT_REACTOR: u8 = 1;
 /// Trace-event category: campaign-engine events.
 pub const TRACE_CAT_ENGINE: u8 = 2;
 /// Trace-event category: cluster control-plane events (supervisor
@@ -28,12 +26,6 @@ pub const TRACE_CAT_CLUSTER: u8 = 3;
 /// Trace-event category: `fleet serve` operator-console events.
 pub const TRACE_CAT_SERVE: u8 = 4;
 
-/// Reactor trace code: one reactor pass (span; `a` = elapsed µs, `b` =
-/// frames handled).
-pub const TRACE_REACTOR_PASS: u16 = 1;
-/// Engine trace code: one campaign wave phase finished (`a` = elapsed
-/// µs, `b` = phase index: 0 snapshot, 1 update, 2 probe).
-pub const TRACE_ENGINE_PHASE: u16 = 1;
 /// Engine trace code: one streamed campaign wave finished (`a` =
 /// elapsed µs, `b` = devices in the wave).
 pub const TRACE_ENGINE_WAVE: u16 = 2;

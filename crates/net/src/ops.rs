@@ -29,12 +29,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use eilid_casu::agg::{fleet_root, shard_agg_key, AggProof};
+use eilid_casu::agg::AggProof;
 use eilid_casu::MeasurementScheme;
 use eilid_fleet::rollout::serve;
 use eilid_fleet::{
     AggSweepSummary, CampaignConfig, CampaignPhase, CampaignReport, CampaignStatus, DeviceId,
-    Fleet, FleetOps, OpsError, OpsHealth, Request, SimDevice, SweepSummary, SHARD_COUNT,
+    Fleet, FleetOps, OpsError, OpsHealth, Request, SimDevice, SweepSummary,
 };
 use eilid_workloads::WorkloadId;
 
@@ -121,7 +121,7 @@ impl<T: Transport> RemoteOps<T> {
 
     /// Provisions the fleet root key aggregated sweeps verify against.
     /// The console derives each shard's aggregation key from it
-    /// ([`shard_agg_key`]) and checks every [`eilid_casu::AggProof`] the
+    /// ([`eilid_casu::shard_agg_key`]) and checks every [`AggProof`] the
     /// gateway publishes; without the key,
     /// [`FleetOps::sweep_aggregated`] is refused.
     pub fn set_agg_root_key(&mut self, key: &[u8]) {
@@ -373,43 +373,10 @@ impl<T: Transport> FleetOps for RemoteOps<T> {
             ));
         };
         let (summary, epoch, proofs) = self.agg_sweep()?;
-
         // The sublinear step: at most SHARD_COUNT aggregate-MAC
         // verifications stand in for per-device verdict frames.
-        let mut shard_roots = Vec::with_capacity(proofs.len());
-        for proof in &proofs {
-            let key = shard_agg_key(&agg_root, proof.shard);
-            if !proof.verify(&key) {
-                return Err(OpsError::Backend(format!(
-                    "shard {} aggregate root failed verification",
-                    proof.shard
-                )));
-            }
-            shard_roots.push((proof.shard, proof.root));
-        }
-
-        // Memoized-probe rule, operator side: a shard whose aggregate
-        // arrived with zero suspects yields all its verdicts from the
-        // one verified root.
-        let short_circuited = proofs
-            .iter()
-            .filter(|proof| {
-                !summary
-                    .flagged
-                    .iter()
-                    .any(|(device, _)| (device % SHARD_COUNT as u64) as u16 == proof.shard)
-            })
-            .map(|proof| proof.count as usize)
-            .sum();
-
-        Ok(AggSweepSummary {
-            summary,
-            epoch,
-            shards: proofs.len(),
-            roots_verified: shard_roots.len(),
-            short_circuited,
-            fleet_root: fleet_root(&shard_roots),
-            shard_roots,
+        AggSweepSummary::verified(summary, epoch, &proofs, &agg_root).map_err(|shard| {
+            OpsError::Backend(format!("shard {shard} aggregate root failed verification"))
         })
     }
 

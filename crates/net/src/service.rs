@@ -1,23 +1,28 @@
-//! The gateway's trust core: per-cohort golden state, nonce allocation,
-//! sharded key caches, and the per-connection protocol state machine.
+//! The gateway's trust state, and the per-connection protocol state
+//! machine.
 //!
 //! [`AttestationService`] is provisioned from a fleet verifier's
-//! [`ServiceSnapshot`](eilid_fleet::ServiceSnapshot) — same root key,
-//! same golden measurements, and a reserved block of the verifier's
-//! challenge-nonce domain, so networked challenges can never collide
-//! with in-process sweep challenges on any device key.
+//! [`ServiceSnapshot`] — same root key, same golden measurements, and
+//! a reserved block of the verifier's challenge-nonce domain, so
+//! networked challenges can never collide with in-process sweep
+//! challenges on any device key. It runs the verifier core
+//! `eilid_fleet` shares with the in-process verifier: goldens are
+//! [`CohortSnapshot`]s (one classification, one promotion), and the
+//! key cache is one lock per [`KeyShard`], looked up through the same
+//! [`KeyShard::key`]. The engine folds each sweep shard through
+//! [`eilid_fleet::fold_shard`], and the operator checks the proofs with
+//! [`eilid_fleet::AggSweepSummary::verified`].
 //!
 //! [`Session`] is the per-connection state machine the gateway's
 //! reactor drives: it negotiates the version and sorts each inbound
 //! frame into a reply, an attach, an operator command or a device-plane
 //! reply for the engine.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, MutexGuard, RwLock};
 
 use eilid_casu::{AttestError, AttestationVerifier, Challenge, DeviceKey};
-use eilid_fleet::{CohortSnapshot, HealthClass, ServiceSnapshot, SHARD_COUNT};
+use eilid_fleet::{shard_of, CohortSnapshot, HealthClass, KeyShard, ServiceSnapshot, SHARD_COUNT};
 use eilid_msp430::Memory;
 use eilid_workloads::WorkloadId;
 
@@ -41,14 +46,6 @@ pub fn health_from_wire(class: WireHealth) -> HealthClass {
         WireHealth::Tampered => HealthClass::Tampered,
         WireHealth::Unverified => HealthClass::Unverified,
     }
-}
-
-/// Per-shard verifier-side cache: device keys derived once, ever —
-/// the same stable-shard discipline as the fleet verifier, keyed by
-/// `device % SHARD_COUNT` so worker-count changes never orphan keys.
-#[derive(Debug, Default)]
-struct KeyShard {
-    keys: HashMap<u64, DeviceKey>,
 }
 
 /// Running verification totals, updated atomically by worker threads.
@@ -114,11 +111,10 @@ impl AttestationService {
         }
     }
 
-    /// The aggregation key for `shard`, derived from the fleet root key
-    /// under the shard-key domain tag — what the gateway signs aggregate
-    /// roots with and the operator re-derives to check them.
-    pub fn agg_shard_key(&self, shard: u16) -> [u8; 32] {
-        eilid_casu::shard_agg_key(self.root.as_bytes(), shard)
+    /// The fleet root key: device keys and shard aggregation keys are
+    /// derived from it.
+    pub(crate) fn root(&self) -> &DeviceKey {
+        &self.root
     }
 
     /// The next unissued challenge nonce. An aggregated sweep snapshots
@@ -156,8 +152,8 @@ impl AttestationService {
 
     /// Promotes `measurement`/`golden` to the cohort's current golden
     /// state, demoting the previous measurement to "stale but
-    /// authentic" — the gateway-side mirror of the fleet verifier's
-    /// promotion on campaign completion.
+    /// authentic", through the same [`CohortSnapshot::promote`] the
+    /// fleet verifier runs on campaign completion.
     pub(crate) fn promote_cohort(
         &self,
         cohort: WorkloadId,
@@ -166,12 +162,7 @@ impl AttestationService {
     ) {
         let mut cohorts = self.cohorts.write().expect("cohort lock");
         if let Some(snapshot) = cohorts.get_mut(&cohort) {
-            if snapshot.current != measurement {
-                let old = snapshot.current;
-                snapshot.previous.push(old);
-                snapshot.current = measurement;
-                snapshot.golden = golden.clone();
-            }
+            snapshot.promote(golden, measurement);
         }
     }
 
@@ -179,21 +170,20 @@ impl AttestationService {
     /// fleet root — the campaign engine MACs update requests and
     /// verifies probe reports with it.
     pub(crate) fn device_key(&self, device: u64) -> DeviceKey {
-        let shard = &self.shards[(device % SHARD_COUNT as u64) as usize];
-        let mut shard = shard.lock().expect("key shard lock");
-        let root = &self.root;
-        shard
-            .keys
-            .entry(device)
-            .or_insert_with(|| root.derive(device))
+        self.key_shard(shard_of(device))
+            .key(&self.root, device)
             .clone()
+    }
+
+    /// Locks key shard `index`.
+    fn key_shard(&self, index: usize) -> MutexGuard<'_, KeyShard> {
+        self.shards[index].lock().expect("key shard lock")
     }
 
     /// Device keys currently cached across all shards.
     pub fn cached_keys(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.lock().expect("key shard lock").keys.len())
+        (0..SHARD_COUNT)
+            .map(|index| self.key_shard(index).cached())
             .sum()
     }
 
@@ -243,15 +233,10 @@ impl AttestationService {
             self.stats.record(HealthClass::Unverified);
             return (HealthClass::Unverified, None);
         };
-        let shard = &self.shards[(device % SHARD_COUNT as u64) as usize];
         let verified = {
-            let mut shard = shard.lock().expect("key shard lock");
-            let root = &self.root;
-            let key = shard
-                .keys
-                .entry(device)
-                .or_insert_with(|| root.derive(device));
-            AttestationVerifier::with_key(key).verify(issued, report, None)
+            let mut shard = self.key_shard(shard_of(device));
+            AttestationVerifier::with_key(shard.key(&self.root, device))
+                .verify(issued, report, None)
         };
         let (class, error) = snapshot.classify(verified, &report.measurement);
         self.stats.record(class);
@@ -272,14 +257,14 @@ impl AttestationService {
         // One cohort read-lock acquisition for the whole batch; golden
         // promotion (a rare write) waits for batch boundaries.
         let cohorts = self.cohorts.read().expect("cohort lock");
-        let mut held: Option<(usize, std::sync::MutexGuard<'_, KeyShard>)> = None;
+        let mut held: Option<(usize, MutexGuard<'_, KeyShard>)> = None;
         for task in tasks {
             let Some(snapshot) = cohorts.get(&task.cohort) else {
                 self.stats.record(HealthClass::Unverified);
                 verdicts.push((HealthClass::Unverified, None));
                 continue;
             };
-            let shard_index = (task.device % SHARD_COUNT as u64) as usize;
+            let shard_index = shard_of(task.device);
             // Re-lock only when the shard changes; same-shard runs — the
             // common case by construction — hold one guard throughout.
             // The old guard MUST drop before the new lock is taken:
@@ -287,19 +272,11 @@ impl AttestationService {
             // cross-shard batches deadlock ABBA-style.
             if held.as_ref().map(|(index, _)| *index) != Some(shard_index) {
                 drop(held.take());
-                held = Some((
-                    shard_index,
-                    self.shards[shard_index].lock().expect("key shard lock"),
-                ));
+                held = Some((shard_index, self.key_shard(shard_index)));
             }
             let (_, shard) = held.as_mut().expect("shard guard held");
-            let root = &self.root;
-            let key = shard
-                .keys
-                .entry(task.device)
-                .or_insert_with(|| root.derive(task.device));
-            let verified =
-                AttestationVerifier::with_key(key).verify(&task.issued, &task.report, None);
+            let verified = AttestationVerifier::with_key(shard.key(&self.root, task.device))
+                .verify(&task.issued, &task.report, None);
             let (class, error) = snapshot.classify(verified, &task.report.measurement);
             self.stats.record(class);
             verdicts.push((class, error));

@@ -8,10 +8,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use eilid_casu::{DeltaUpdateRequest, DeviceKey, UpdateError};
-use eilid_fleet::{Fleet, FleetBuilder, FleetOps, HealthClass, SweepSummary};
+use eilid_fleet::fixtures::{benign_patch, BENIGN_PATCH_TARGET};
+use eilid_fleet::{CampaignConfig, Fleet, FleetBuilder, FleetOps, HealthClass, SweepSummary};
 use eilid_net::{
     with_attached_fleet, AttestationService, Frame, Gateway, GatewayConfig, GatewayHandle,
     NetError, PipeTransport, RemoteOps, TcpTransport, Transport, PROTOCOL_VERSION,
+    TRACE_CAT_ENGINE, TRACE_ENGINE_WAVE,
 };
 use eilid_workloads::WorkloadId;
 
@@ -388,4 +390,32 @@ fn malformed_tcp_stream_is_dropped_and_counted() {
 
     let gateway = handle.shutdown().unwrap();
     assert_eq!(load(&gateway.counters().malformed_streams), 1);
+}
+
+/// The trace ring keeps the rare events: after one campaign wave and
+/// one sweep it holds exactly the wave's event, with no per-pass
+/// reactor spans crowding it out.
+#[test]
+fn the_trace_ring_holds_the_wave_event_and_no_reactor_passes() {
+    let (mut fleet, mut verifier) = build_fleet(8);
+    let service = Arc::new(AttestationService::new(verifier.service_snapshot(1 << 32)));
+    let handle = spawn_gateway(&service, GatewayConfig::default());
+    let addr = handle.addr();
+    let config = CampaignConfig::new(WorkloadId::LightSensor, BENIGN_PATCH_TARGET, benign_patch());
+    let summary = with_attached_fleet(&mut fleet, 2, addr, || {
+        let mut ops = RemoteOps::connect(addr).unwrap();
+        ops.campaign_begin(&config).unwrap();
+        ops.campaign_step().unwrap();
+        ops.sweep().unwrap()
+    })
+    .unwrap();
+    let events = handle.metrics().trace().snapshot();
+    handle.shutdown().unwrap();
+
+    assert_eq!(summary.devices, 8);
+    let kinds: Vec<(u8, u16)> = events
+        .iter()
+        .map(|event| (event.category, event.code))
+        .collect();
+    assert_eq!(kinds, [(TRACE_CAT_ENGINE, TRACE_ENGINE_WAVE)]);
 }
