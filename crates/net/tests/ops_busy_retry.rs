@@ -6,10 +6,11 @@
 //! identical to an in-process run on an unshedding fleet.
 //!
 //! A second scripted agent answers a gateway sweep with hostile timing
-//! (out of order, duplicated, stray, shed-then-answered, and a hang-up
-//! with devices unanswered). The gateway verifies replies as they land,
-//! so both sweep verbs must still count each device once and verify
-//! each answered report exactly once.
+//! (out of order, duplicated, stray, shed-then-answered, a report for a
+//! challenge never issued, and a hang-up with devices unanswered). The
+//! gateway verifies replies as they land, so both sweep verbs must
+//! still count each device once and verify each answered report exactly
+//! once.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -371,6 +372,8 @@ struct HostileScript {
     unanswered: [u64; 2],
     /// An id the gateway never challenged; the agent sends it a reply.
     stray: u64,
+    /// Answered with a report for a challenge it was never issued.
+    replayed: u64,
 }
 
 fn probe_result(device: u64, report: AttestationReport) -> Frame {
@@ -385,7 +388,8 @@ fn probe_result(device: u64, report: AttestationReport) -> Frame {
 /// hostile timing, over a connection `connect_and_attach` set up. It
 /// collects every probe first, then: sheds `script.shed` with `Busy`;
 /// answers the rest in descending id order, sending
-/// `script.duplicated`'s reply twice and a reply for the never
+/// `script.duplicated`'s reply twice, `script.replayed`'s attesting a
+/// challenge whose nonce was never issued, and a reply for the never
 /// challenged `script.stray`; answers the shed device when the gateway
 /// re-pushes it; and hangs up with `script.unanswered` outstanding.
 fn hostile_sweep_agent(
@@ -423,7 +427,15 @@ fn hostile_sweep_agent(
         if device == script.shed || script.unanswered.contains(&device) {
             continue;
         }
-        let frame = reply(device, challenge);
+        let frame = if device == script.replayed {
+            let forged = Challenge {
+                nonce: challenge.nonce ^ 0x5A5A,
+                ..challenge
+            };
+            reply(device, forged)
+        } else {
+            reply(device, challenge)
+        };
         transport.send(&frame)?;
         if device == script.duplicated {
             duplicate = Some(frame);
@@ -445,7 +457,8 @@ fn hostile_sweep_agent(
 
 /// Both sweep verbs under hostile reply timing: a duplicate counts
 /// once, a stray reply is ignored, a shed-then-answered device is
-/// `Attested`, the devices left unanswered at hang-up are
+/// `Attested`, a report for a challenge never issued is verified once
+/// and `Unverified`, the devices left unanswered at hang-up are
 /// `Unverified` (promptly, not at the idle timeout), and the gateway
 /// verifies each distinct answered report exactly once.
 #[test]
@@ -456,6 +469,7 @@ fn sweeps_verify_each_reply_once_under_hostile_timing() {
         duplicated: 4,
         unanswered: [3, 6],
         stray: 1_000,
+        replayed: 5,
     };
     let (mut fleet, mut verifier) = build(DEVICES);
     let service = Arc::new(AttestationService::new(verifier.service_snapshot(1 << 20)));
@@ -473,14 +487,17 @@ fn sweeps_verify_each_reply_once_under_hostile_timing() {
     let mut ops = RemoteOps::connect(addr).unwrap();
     ops.set_agg_root_key(ROOT);
 
+    let mut flagged: Vec<(u64, HealthClass)> = script
+        .unanswered
+        .iter()
+        .chain([&script.replayed])
+        .map(|&device| (device, HealthClass::Unverified))
+        .collect();
+    flagged.sort_unstable();
     let expected = SweepSummary {
         devices: DEVICES,
-        counts: [DEVICES - 2, 0, 0, 2],
-        flagged: script
-            .unanswered
-            .iter()
-            .map(|&device| (device, HealthClass::Unverified))
-            .collect(),
+        counts: [DEVICES - 3, 0, 0, 3],
+        flagged,
     };
     let answered = (DEVICES - script.unanswered.len()) as u64;
     for aggregated in [false, true] {
