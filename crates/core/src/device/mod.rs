@@ -99,13 +99,6 @@ impl Device {
         self.monitor.as_ref()
     }
 
-    /// Mutable access to the attached hardware monitor — used by the
-    /// update engine, which must open an authorised update session on the
-    /// monitor before writing program memory.
-    pub fn monitor_mut(&mut self) -> Option<&mut CasuMonitor> {
-        self.monitor.as_mut()
-    }
-
     /// Simultaneous mutable access to the core and the monitor, for
     /// callers (like [`eilid_casu::UpdateEngine::apply`]) that write
     /// memory under an open update session.

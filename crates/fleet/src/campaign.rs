@@ -10,9 +10,9 @@
 //! the previous firmware, when the wave's failure rate exceeds the
 //! configured threshold.
 //!
-//! # One machine, two drivers
+//! # One driver, two shells
 //!
-//! The campaign engine has three layers:
+//! The campaign engine has four layers:
 //!
 //! * **Campaign decisions** — wave cursor, failure threshold, quarantine,
 //!   rollback ordering, golden promotion — live in [`CampaignRun`]:
@@ -22,15 +22,18 @@
 //!   attest probe, memoized smoke verdict, rollback — is one sans-IO
 //!   state machine, [`Rollout`]. Each wave and each rollback pass
 //!   builds one and hands it to the executor.
-//! * **Transport** — how the machine's requests reach devices — sits
-//!   behind [`WaveExecutor::drive`]. The in-process [`LocalExecutor`]
-//!   serves each round of requests on the fleet's worker threads;
-//!   `eilid_net`'s gateway streams them as frames to device agents,
-//!   which answer with the same [`serve`] handler.
+//! * **Scheduling** — admission window, busy-retry backoff, idle
+//!   deadline — is one sans-IO [`Driver`] over an injected clock.
+//! * **Transport** — how the driver's requests reach devices — is a
+//!   shell behind [`WaveExecutor::drive`]. The in-process
+//!   [`LocalExecutor`] serves each round of requests on the fleet's
+//!   worker threads; `eilid_net`'s gateway engine streams them as frames
+//!   to device agents, which answer with the same [`serve`] handler.
 //!
-//! Both backends share the decisions and the protocol, so a wire-driven
-//! campaign's [`CampaignReport`] matches the in-process one wave for
-//! wave — a property the `eilid_net` equivalence suite pins.
+//! Both backends share the decisions, the protocol and the scheduler,
+//! so a wire-driven campaign's [`CampaignReport`] matches the
+//! in-process one wave for wave — a property the `eilid_net` golden
+//! campaign and equivalence suites pin.
 //!
 //! # Resumable campaigns
 //!
@@ -63,6 +66,7 @@
 //! `RolledBack`.
 
 use std::collections::{BTreeMap, HashMap};
+use std::time::{Duration, Instant};
 
 use eilid_casu::wire::{self, CodecError, Reader};
 use eilid_casu::{merkle_measure_pmem, MemoryLayout};
@@ -70,11 +74,12 @@ use eilid_msp430::{Memory, ADDRESS_SPACE};
 use eilid_workloads::WorkloadId;
 
 use crate::device::{DeviceId, SimDevice};
+use crate::driver::Driver;
 use crate::error::FleetError;
 use crate::exec::parallel_map_mut;
 use crate::fleet::Fleet;
 use crate::report::LedgerEvent;
-use crate::rollout::{serve, Next, PreUpdateSnapshot, Request, RollbackOutcome, Rollout};
+use crate::rollout::{serve, PreUpdateSnapshot, Request, RollbackOutcome, Rollout};
 use crate::verifier::Verifier;
 
 /// Configuration of one staged OTA campaign.
@@ -278,12 +283,13 @@ pub struct CohortInfo {
 }
 
 /// The mechanism half of the campaign engine: how a [`Rollout`]
-/// machine's requests reach devices. [`LocalExecutor`] answers them
+/// machine's requests reach devices. Both implementations are shells
+/// over one [`Driver`]: [`LocalExecutor`] answers its requests
 /// in-process; `eilid_net`'s gateway pushes them as frames to connected
-/// device agents. The per-device protocol ([`Rollout`]) and the campaign
-/// decisions ([`CampaignRun::step_with`]) are the same above both, which
-/// is what makes a wire-driven campaign report wave-for-wave equal to an
-/// in-process one.
+/// device agents. The campaign decisions ([`CampaignRun::step_with`]),
+/// the per-device protocol ([`Rollout`]) and the scheduler are the same
+/// under both, which is what makes a wire-driven campaign report
+/// wave-for-wave equal to an in-process one.
 pub trait WaveExecutor {
     /// Describes `cohort` before the campaign starts: its members (the
     /// wave-partition input), golden image and layout.
@@ -311,10 +317,11 @@ pub trait WaveExecutor {
     fn record(&mut self, events: Vec<LedgerEvent>);
 }
 
-/// The in-process [`WaveExecutor`]: each round of outstanding requests
-/// is served on the fleet's worker threads, probe-challenge nonces come
-/// from the verifier's single strictly-increasing nonce domain, and
-/// events land in the fleet ledger.
+/// The in-process [`WaveExecutor`]: a shell over the [`Driver`] that
+/// serves each round of its requests on the fleet's worker threads.
+/// Probe-challenge nonces come from the verifier's single
+/// strictly-increasing nonce domain, and events land in the fleet
+/// ledger.
 #[derive(Debug)]
 pub struct LocalExecutor<'a> {
     fleet: &'a mut Fleet,
@@ -344,14 +351,23 @@ impl WaveExecutor for LocalExecutor<'_> {
 
     fn drive(&mut self, rollout: &mut Rollout<'_>) -> Result<(), FleetError> {
         let threads = self.fleet.threads();
-        let mut requests: Vec<Request> = std::iter::from_fn(|| rollout.admit()).collect();
+        // Rounds never wait, so the driver is never ticked and its idle
+        // deadline never applies; the window is unbounded.
+        let now = Instant::now();
+        let mut driver = Driver::new(rollout, usize::MAX, Duration::ZERO, now);
+        let mut pending: HashMap<DeviceId, Request> = HashMap::new();
         // One round per step of the chain: every outstanding request is
-        // served in parallel, then the replies go through the machine in
+        // served in parallel, then the replies go through the driver in
         // device order, which makes the first eligible device in wave
         // order the cohort reference.
-        while !requests.is_empty() {
-            let mut pending: HashMap<DeviceId, Request> =
-                requests.drain(..).map(|r| (r.device(), r)).collect();
+        loop {
+            driver.poll(now, |request| {
+                pending.insert(request.device(), request);
+                true
+            });
+            if pending.is_empty() {
+                return Ok(());
+            }
             let devices = self.fleet.devices_mut().iter_mut();
             let mut work: Vec<(&mut SimDevice, Request)> = devices
                 .filter_map(|device| {
@@ -363,20 +379,17 @@ impl WaveExecutor for LocalExecutor<'_> {
                 (device.id(), serve(device, request))
             });
             // Requests for devices outside the fleet are lost.
-            for device in pending.into_keys() {
-                rollout.lost(device);
+            for (device, _) in pending.drain() {
+                driver.lost(now, device);
             }
             for (device, reply) in replies {
                 let Some(reply) = reply else {
-                    rollout.lost(device);
+                    driver.lost(now, device);
                     continue;
                 };
-                if let Next::Push(request) = rollout.reply(device, reply, self.verifier) {
-                    requests.push(request);
-                }
+                driver.reply(now, device, reply, self.verifier);
             }
         }
-        Ok(())
     }
 
     fn promote(&mut self, cohort: WorkloadId, golden: &Memory, measurement: [u8; 32]) {
@@ -481,24 +494,12 @@ impl Campaign {
     /// devices the campaign was started on (or restored equivalents):
     /// per-device nonces and snapshots refer to their state.
     pub fn resume(paused: PausedCampaign) -> CampaignRun {
-        CampaignRun {
-            config: paused.config,
-            waves: paused.waves,
-            cursor: paused.cursor,
-            wave_reports: paused.wave_reports,
-            updated_so_far: paused.updated_so_far,
-            quarantined: paused.quarantined,
-            rollback_incomplete: paused.rollback_incomplete,
-            snapshots: paused.snapshots,
-            patched_golden: paused.patched_golden,
-            expected_after: paused.expected_after,
-            outcome: paused.outcome,
-        }
+        paused.0
     }
 }
 
 /// In-flight state of a staged rollout, stepped one wave at a time.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignRun {
     config: CampaignConfig,
     /// Device ids per wave, fixed at [`Campaign::begin_with`].
@@ -546,19 +547,7 @@ impl CampaignRun {
     /// Pauses the campaign between waves into a self-contained,
     /// serialisable record.
     pub fn pause(self) -> PausedCampaign {
-        PausedCampaign {
-            config: self.config,
-            waves: self.waves,
-            cursor: self.cursor,
-            wave_reports: self.wave_reports,
-            updated_so_far: self.updated_so_far,
-            quarantined: self.quarantined,
-            rollback_incomplete: self.rollback_incomplete,
-            snapshots: self.snapshots,
-            patched_golden: self.patched_golden,
-            expected_after: self.expected_after,
-            outcome: self.outcome,
-        }
+        PausedCampaign(self)
     }
 
     /// Rolls out the next wave (skipping empty ones) through any
@@ -715,19 +704,7 @@ impl CampaignRun {
 /// gateway) can persist the wave cursor — and everything else a resume
 /// needs — across process restarts.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PausedCampaign {
-    config: CampaignConfig,
-    waves: Vec<Vec<DeviceId>>,
-    cursor: usize,
-    wave_reports: Vec<WaveReport>,
-    updated_so_far: Vec<DeviceId>,
-    quarantined: Vec<DeviceId>,
-    rollback_incomplete: Vec<DeviceId>,
-    snapshots: BTreeMap<DeviceId, PreUpdateSnapshot>,
-    patched_golden: Memory,
-    expected_after: [u8; 32],
-    outcome: Option<CampaignOutcome>,
-}
+pub struct PausedCampaign(CampaignRun);
 
 /// Magic + version prefix of the paused-campaign byte format. `EPC2`
 /// extended `EPC1` with the campaign's anti-rollback version counter
@@ -737,57 +714,57 @@ const PAUSE_MAGIC: &[u8; 4] = b"EPC2";
 impl PausedCampaign {
     /// Index of the next wave a resumed run will roll out.
     pub fn wave_cursor(&self) -> usize {
-        self.cursor
+        self.0.cursor
     }
 
     /// The cohort the paused campaign updates.
     pub fn cohort(&self) -> WorkloadId {
-        self.config.cohort
+        self.0.config.cohort
     }
 
     /// Serialises the paused state to a self-describing byte record
-    /// (little-endian, `EPC1`-tagged).
+    /// (little-endian, `EPC2`-tagged).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(ADDRESS_SPACE + 1024);
         out.extend_from_slice(PAUSE_MAGIC);
-        out.push(self.config.cohort.index());
-        out.extend_from_slice(&self.config.target.to_le_bytes());
-        write_bytes(&mut out, &self.config.payload);
-        out.extend_from_slice(&self.config.canary_fraction.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.config.failure_threshold.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.config.smoke_cycles.to_le_bytes());
-        out.extend_from_slice(&self.config.version.to_le_bytes());
-        out.push(u8::from(self.config.delta));
+        out.push(self.0.config.cohort.index());
+        out.extend_from_slice(&self.0.config.target.to_le_bytes());
+        write_bytes(&mut out, &self.0.config.payload);
+        out.extend_from_slice(&self.0.config.canary_fraction.to_bits().to_le_bytes());
+        out.extend_from_slice(&self.0.config.failure_threshold.to_bits().to_le_bytes());
+        out.extend_from_slice(&self.0.config.smoke_cycles.to_le_bytes());
+        out.extend_from_slice(&self.0.config.version.to_le_bytes());
+        out.push(u8::from(self.0.config.delta));
 
-        out.extend_from_slice(&(self.waves.len() as u32).to_le_bytes());
-        for wave in &self.waves {
+        out.extend_from_slice(&(self.0.waves.len() as u32).to_le_bytes());
+        for wave in &self.0.waves {
             write_ids(&mut out, wave);
         }
-        out.extend_from_slice(&(self.cursor as u32).to_le_bytes());
+        out.extend_from_slice(&(self.0.cursor as u32).to_le_bytes());
 
-        out.extend_from_slice(&(self.wave_reports.len() as u32).to_le_bytes());
-        for report in &self.wave_reports {
+        out.extend_from_slice(&(self.0.wave_reports.len() as u32).to_le_bytes());
+        for report in &self.0.wave_reports {
             out.extend_from_slice(&(report.wave as u32).to_le_bytes());
             out.extend_from_slice(&(report.size as u32).to_le_bytes());
             out.extend_from_slice(&(report.updated as u32).to_le_bytes());
             out.extend_from_slice(&(report.failures as u32).to_le_bytes());
         }
 
-        write_ids(&mut out, &self.updated_so_far);
-        write_ids(&mut out, &self.quarantined);
-        write_ids(&mut out, &self.rollback_incomplete);
+        write_ids(&mut out, &self.0.updated_so_far);
+        write_ids(&mut out, &self.0.quarantined);
+        write_ids(&mut out, &self.0.rollback_incomplete);
 
-        out.extend_from_slice(&(self.snapshots.len() as u32).to_le_bytes());
-        for (id, snapshot) in &self.snapshots {
+        out.extend_from_slice(&(self.0.snapshots.len() as u32).to_le_bytes());
+        for (id, snapshot) in &self.0.snapshots {
             out.extend_from_slice(&id.to_le_bytes());
             write_bytes(&mut out, &snapshot.patch_range);
             out.extend_from_slice(&snapshot.measurement);
         }
 
-        out.extend_from_slice(self.patched_golden.slice(0..ADDRESS_SPACE));
-        out.extend_from_slice(&self.expected_after);
+        out.extend_from_slice(self.0.patched_golden.slice(0..ADDRESS_SPACE));
+        out.extend_from_slice(&self.0.expected_after);
 
-        match &self.outcome {
+        match &self.0.outcome {
             None => out.push(0),
             Some(CampaignOutcome::Completed { updated }) => {
                 out.push(1);
@@ -953,7 +930,7 @@ impl PausedCampaign {
             )));
         }
 
-        Ok(PausedCampaign {
+        Ok(PausedCampaign(CampaignRun {
             config,
             waves,
             cursor,
@@ -965,7 +942,7 @@ impl PausedCampaign {
             patched_golden,
             expected_after,
             outcome,
-        })
+        }))
     }
 }
 

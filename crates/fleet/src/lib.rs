@@ -36,8 +36,9 @@
 //!   with automatic halt-and-rollback when a wave's post-update health
 //!   check fails beyond a configured threshold, and per-device rollback
 //!   of the stray probe failures in waves that pass it. The per-device
-//!   protocol under every wave is one sans-IO state machine,
-//!   [`Rollout`], shared by the in-process and networked drivers.
+//!   protocol under every wave, rollback and gateway sweep is one
+//!   sans-IO state machine, [`Rollout`], scheduled by one sans-IO
+//!   [`Driver`] that the in-process and networked backends wrap.
 //! * violation telemetry — devices that trip the
 //!   [`eilid_casu::CasuMonitor`] report their
 //!   [`eilid_casu::Violation`] upstream; the fleet [`Ledger`] records the
@@ -79,6 +80,7 @@
 
 pub mod campaign;
 pub mod device;
+pub mod driver;
 pub mod error;
 pub mod exec;
 pub mod fixtures;
@@ -94,6 +96,7 @@ pub use campaign::{
     CampaignStatus, CohortInfo, LocalExecutor, PausedCampaign, WaveExecutor, WaveReport,
 };
 pub use device::{DeviceId, SimDevice};
+pub use driver::{busy_backoff, Driver};
 pub use eilid_casu::MeasurementScheme;
 pub use error::FleetError;
 pub use fleet::{Fleet, FleetBuilder, SliceReport};
@@ -105,7 +108,7 @@ pub use pool::WorkerPool;
 pub use report::{HealthClass, Ledger, LedgerEvent};
 pub use rollout::{
     PreUpdateSnapshot, ProbeMode, Reply, Request, RollbackOutcome, Rollout, RolloutKeys,
-    WaveRollout,
+    SweepChallenges, WaveRollout,
 };
 pub use verifier::{
     fold_shard, shard_of, CohortSnapshot, KeyShard, ServiceSnapshot, Verifier, SHARD_COUNT,

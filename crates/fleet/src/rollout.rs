@@ -4,6 +4,7 @@
 //!  wave:      snapshot ─▶ update ─▶ attest probe ─▶ verdict
 //!                           └─ sparse delta rejected: full range, same nonce
 //!  rollback:  snapshot ─▶ full-range restore ─▶ verify probe
+//!  sweep:     attest probe (the shell verifies the report)
 //! ```
 //!
 //! [`Rollout`] makes every decision along those chains — authorizing
@@ -11,14 +12,16 @@
 //! delta only when it undercuts the full range, the same-nonce resend,
 //! choosing the cohort reference whose smoke verdict byte-identical
 //! siblings inherit, and what counts as an executed or memoized probe —
-//! and performs no I/O: a driver feeds it device [`Reply`]s and the
+//! and performs no I/O and no scheduling: the one
+//! [`Driver`](crate::driver::Driver) feeds it device [`Reply`]s and the
 //! transport signals "busy" and "lost", and pushes the [`Request`]s it
-//! hands back. The in-process
-//! [`LocalExecutor`](crate::campaign::LocalExecutor) and the gateway
-//! engine in `eilid_net` are its two drivers. [`serve`] is the device
-//! half, shared by the local driver and the network device agent.
+//! hands back, under its window, retry heap and deadline. The
+//! in-process [`LocalExecutor`](crate::campaign::LocalExecutor) and the
+//! gateway engine in `eilid_net` are the driver's two shells. [`serve`]
+//! is the device half, shared by the local shell and the network device
+//! agent.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 use eilid::RunOutcome;
 use eilid_casu::{
@@ -163,9 +166,9 @@ pub trait RolloutKeys {
     fn challenge(&mut self, cohort: WorkloadId, device: DeviceId) -> Option<Challenge>;
 }
 
-/// What a driver does after feeding the machine an input.
+/// What the driver does after feeding the machine an input.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Next {
+pub(crate) enum Next {
     /// Nothing: the input was stale, a duplicate, or for a device that
     /// already retired.
     Ignore,
@@ -225,6 +228,10 @@ pub struct RollbackOutcome {
     pub incomplete: Vec<DeviceId>,
 }
 
+/// Per-device challenges minted for one sweep, with the cohort each was
+/// drawn from.
+pub type SweepChallenges = BTreeMap<DeviceId, (WorkloadId, Challenge)>;
+
 /// What the machine is driving.
 #[derive(Debug)]
 enum Plan<'a> {
@@ -235,11 +242,16 @@ enum Plan<'a> {
         expected_after: [u8; 32],
         delta_base: Option<Vec<u8>>,
     },
-    /// A rollback of updated devices to their pre-update bytes.
+    /// A rollback of `cohort`'s updated devices to their pre-update
+    /// bytes.
     Rollback {
+        cohort: WorkloadId,
         target: u16,
         snapshots: &'a BTreeMap<DeviceId, PreUpdateSnapshot>,
     },
+    /// One attest-only probe per device, under the challenge its slot
+    /// was built with.
+    Sweep,
 }
 
 /// Where a device sits in its chain.
@@ -260,6 +272,8 @@ enum Phase {
     Reference,
     /// Post-rollback [`ProbeMode::RollbackVerify`].
     Verify,
+    /// A sweep's [`ProbeMode::AttestOnly`].
+    Sweep,
     /// Retired: no further requests.
     Done,
 }
@@ -304,7 +318,8 @@ impl Slot {
     }
 }
 
-/// One wave rollout or one rollback pass, driven device by device.
+/// One wave rollout, one rollback pass or one sweep, driven device by
+/// device.
 ///
 /// Replies may arrive in any order and any number of times: a reply
 /// that does not answer the device's in-flight request is ignored, so
@@ -312,11 +327,15 @@ impl Slot {
 /// devices in the order the machine was built with.
 #[derive(Debug)]
 pub struct Rollout<'a> {
-    cohort: WorkloadId,
     plan: Plan<'a>,
+    /// The devices, first occurrence kept, in the order given;
+    /// `slots[i]` is `order[i]`'s progress.
     order: Vec<DeviceId>,
-    slots: HashMap<DeviceId, Slot>,
-    queue: VecDeque<DeviceId>,
+    slots: Vec<Slot>,
+    /// Each device's slot.
+    index: HashMap<DeviceId, usize>,
+    /// Devices admitted so far: `order[..admitted]`.
+    admitted: usize,
     /// Admitted devices not yet retired.
     live: usize,
     /// Devices not yet retired.
@@ -343,7 +362,7 @@ impl<'a> Rollout<'a> {
             expected_after,
             delta_base,
         };
-        Rollout::new(config.cohort, plan, wave)
+        Rollout::new(plan, wave)
     }
 
     /// A rollback of `ids` to their own pre-update bytes at `target`,
@@ -354,23 +373,44 @@ impl<'a> Rollout<'a> {
         target: u16,
         snapshots: &'a BTreeMap<DeviceId, PreUpdateSnapshot>,
     ) -> Self {
-        Rollout::new(cohort, Plan::Rollback { target, snapshots }, ids)
+        let plan = Plan::Rollback {
+            cohort,
+            target,
+            snapshots,
+        };
+        Rollout::new(plan, ids)
     }
 
-    fn new(cohort: WorkloadId, plan: Plan<'a>, ids: &[DeviceId]) -> Self {
-        let mut slots = HashMap::with_capacity(ids.len());
+    /// A sweep: one attest-only probe per device under its challenge.
+    /// Any probe reply is accepted once, whatever challenge it answers —
+    /// the shell verifies the report against the issued challenge, so a
+    /// replayed report classifies `Unverified` instead of stalling.
+    pub fn sweep(challenges: &SweepChallenges) -> Self {
+        let ids: Vec<DeviceId> = challenges.keys().copied().collect();
+        let mut rollout = Rollout::new(Plan::Sweep, &ids);
+        for (slot, &(_, challenge)) in rollout.slots.iter_mut().zip(challenges.values()) {
+            slot.challenge = Some(challenge);
+        }
+        rollout
+    }
+
+    fn new(plan: Plan<'a>, ids: &[DeviceId]) -> Self {
+        let mut index = HashMap::with_capacity(ids.len());
         let order: Vec<DeviceId> = ids
             .iter()
             .copied()
-            .filter(|&id| slots.insert(id, Slot::default()).is_none())
+            .filter(|&id| {
+                let next = index.len();
+                *index.entry(id).or_insert(next) == next
+            })
             .collect();
         Rollout {
-            cohort,
             plan,
-            queue: order.iter().copied().collect(),
+            slots: order.iter().map(|_| Slot::default()).collect(),
             remaining: order.len(),
             order,
-            slots,
+            index,
+            admitted: 0,
             live: 0,
             reference: None,
             reference_verdict: None,
@@ -379,18 +419,13 @@ impl<'a> Rollout<'a> {
         }
     }
 
-    /// The cohort the devices belong to.
-    pub fn cohort(&self) -> WorkloadId {
-        self.cohort
-    }
-
     /// The devices, in the order the outcome lists them.
     pub fn devices(&self) -> &[DeviceId] {
         &self.order
     }
 
-    /// Admitted devices not yet retired (a driver's window occupancy).
-    pub fn live(&self) -> usize {
+    /// Admitted devices not yet retired (the driver's window occupancy).
+    pub(crate) fn live(&self) -> usize {
         self.live
     }
 
@@ -413,36 +448,60 @@ impl<'a> Rollout<'a> {
         self.bytes
     }
 
-    /// Starts the next queued device: its snapshot request, or `None`
-    /// when every device was admitted.
-    pub fn admit(&mut self) -> Option<Request> {
-        let device = self.queue.pop_front()?;
+    /// The slot of `device` (its index in [`Rollout::devices`]), if the
+    /// machine drives it.
+    pub(crate) fn slot(&self, device: DeviceId) -> Option<usize> {
+        self.index.get(&device).copied()
+    }
+
+    /// Starts the next queued device: its slot and its snapshot request
+    /// (its probe, in a sweep), or `None` when every device was
+    /// admitted.
+    pub(crate) fn admit(&mut self) -> Option<(usize, Request)> {
+        let i = self.admitted;
+        let device = *self.order.get(i)?;
+        self.admitted += 1;
         self.live += 1;
         let (start, len) = match &self.plan {
             Plan::Wave { config, .. } => (config.target, config.payload.len() as u16),
             Plan::Rollback { .. } => (0, 0),
+            Plan::Sweep => {
+                let request = Request::Probe {
+                    device,
+                    mode: ProbeMode::AttestOnly,
+                    smoke_cycles: 0,
+                    challenge: self.slots[i]
+                        .challenge
+                        .expect("a sweep slot holds its challenge"),
+                };
+                return Some((i, self.arm(i, Phase::Sweep, request)));
+            }
         };
-        Some(self.arm(Phase::Snapshot, Request::Snapshot { device, start, len }))
+        let request = Request::Snapshot { device, start, len };
+        Some((i, self.arm(i, Phase::Snapshot, request)))
+    }
+
+    /// The slot of `device` while it has a request in flight.
+    fn live_slot(&self, device: DeviceId) -> Option<usize> {
+        self.slot(device)
+            .filter(|&i| self.slots[i].in_flight.is_some())
     }
 
     /// The request `device` is waiting on, if it is still live.
-    pub fn in_flight(&self, device: DeviceId) -> Option<&Request> {
-        self.slots.get(&device)?.in_flight.as_ref()
+    pub(crate) fn in_flight(&self, device: DeviceId) -> Option<&Request> {
+        self.slots[self.slot(device)?].in_flight.as_ref()
     }
 
     /// The device's request was shed with "busy": retry it, or retire
     /// the device past [`BUSY_RETRIES`] sheds.
-    pub fn busy(&mut self, device: DeviceId) -> Next {
-        let Some(slot) = self
-            .slots
-            .get_mut(&device)
-            .filter(|s| s.in_flight.is_some())
-        else {
+    pub(crate) fn busy(&mut self, device: DeviceId) -> Next {
+        let Some(i) = self.live_slot(device) else {
             return Next::Ignore;
         };
+        let slot = &mut self.slots[i];
         slot.attempts += 1;
         if slot.attempts > BUSY_RETRIES {
-            return self.retire(device);
+            return self.retire(i);
         }
         Next::Retry(slot.attempts)
     }
@@ -450,21 +509,20 @@ impl<'a> Rollout<'a> {
     /// The device is unreachable (connection gone, refused request,
     /// deadline): retire it with whatever it achieved so far. Returns
     /// `true` when this retired a live device.
-    pub fn lost(&mut self, device: DeviceId) -> bool {
-        let live = self.in_flight(device).is_some();
-        if live {
-            self.retire(device);
+    pub(crate) fn lost(&mut self, device: DeviceId) -> bool {
+        let live = self.live_slot(device);
+        if let Some(i) = live {
+            self.retire(i);
         }
-        live
+        live.is_some()
     }
 
-    /// Feeds one device reply through the machine. A reply that cannot
-    /// answer the device's in-flight request — another kind, or a probe
-    /// report for another challenge — is ignored.
-    pub fn reply(&mut self, device: DeviceId, reply: Reply, keys: &mut dyn RolloutKeys) -> Next {
-        let Some(slot) = self.slots.get_mut(&device) else {
-            return Next::Ignore;
-        };
+    /// Feeds one reply for the device in slot `i` through the machine. A
+    /// reply that cannot answer the device's in-flight request — another
+    /// kind, or (outside a sweep) a probe report for another challenge —
+    /// is ignored.
+    pub(crate) fn reply(&mut self, i: usize, reply: Reply, keys: &mut dyn RolloutKeys) -> Next {
+        let slot = &mut self.slots[i];
         match (slot.phase, reply) {
             (
                 Phase::Snapshot,
@@ -479,14 +537,14 @@ impl<'a> Rollout<'a> {
                     patch_range: data,
                     measurement,
                 };
-                self.on_snapshot(device, last_nonce, version, snapshot, keys)
+                self.on_snapshot(i, last_nonce, version, snapshot, keys)
             }
             (Phase::Update { delta }, Reply::Update(result)) => {
-                self.on_update(device, delta, result, keys)
+                self.on_update(i, delta, result, keys)
             }
             // Whichever settles the resend first: its own success, or the
             // (empty-range) nonce query showing its nonce consumed.
-            (Phase::Confirm, Reply::Update(Ok(()))) => self.on_applied(device, keys),
+            (Phase::Confirm, Reply::Update(Ok(()))) => self.on_applied(i, keys),
             (
                 Phase::Confirm,
                 Reply::Snapshot {
@@ -494,31 +552,33 @@ impl<'a> Rollout<'a> {
                 },
             ) if data.is_empty() => {
                 if last_nonce >= slot.nonce {
-                    return self.on_applied(device, keys);
+                    return self.on_applied(i, keys);
                 }
                 slot.rejected = slot.sparse_error;
-                self.retire(device)
+                self.retire(i)
             }
             (
                 phase @ (Phase::Attest | Phase::Reference | Phase::Verify),
                 Reply::Probe { healthy, report },
             ) if slot.challenge == Some(report.challenge) => {
-                self.on_probe(device, phase, healthy, &report, keys)
+                self.on_probe(i, phase, healthy, &report, keys)
             }
+            (Phase::Sweep, Reply::Probe { .. }) => self.retire(i),
             _ => Next::Ignore,
         }
     }
 
     fn on_snapshot(
         &mut self,
-        device: DeviceId,
+        i: usize,
         last_nonce: u64,
         version: u64,
         snapshot: PreUpdateSnapshot,
         keys: &mut dyn RolloutKeys,
     ) -> Next {
+        let device = self.order[i];
         let key = keys.device_key(device);
-        let slot = self.slots.get_mut(&device).expect("replying device");
+        let slot = &mut self.slots[i];
         let (request, delta) = match &self.plan {
             Plan::Wave {
                 config, delta_base, ..
@@ -550,9 +610,11 @@ impl<'a> Rollout<'a> {
                     }
                 }
             }
-            Plan::Rollback { target, snapshots } => {
+            Plan::Rollback {
+                target, snapshots, ..
+            } => {
                 let Some(snapshot) = snapshots.get(&device) else {
-                    return self.retire(device);
+                    return self.retire(i);
                 };
                 // The pre-campaign bytes go back *at the device's
                 // current version*: the anti-rollback counter accepts
@@ -563,21 +625,24 @@ impl<'a> Rollout<'a> {
                     .authorize(*target, &snapshot.patch_range);
                 (DeltaUpdateRequest::whole(full), false)
             }
+            Plan::Sweep => return self.retire(i),
         };
         slot.key = Some(key);
-        Next::Push(self.arm(Phase::Update { delta }, Request::Update { device, request }))
+        let request = Request::Update { device, request };
+        Next::Push(self.arm(i, Phase::Update { delta }, request))
     }
 
     fn on_update(
         &mut self,
-        device: DeviceId,
+        i: usize,
         delta: bool,
         result: Result<(), UpdateError>,
         keys: &mut dyn RolloutKeys,
     ) -> Next {
-        let slot = self.slots.get_mut(&device).expect("replying device");
+        let device = self.order[i];
+        let slot = &mut self.slots[i];
         match result {
-            Ok(()) => self.on_applied(device, keys),
+            Ok(()) => self.on_applied(i, keys),
             // The sparse attempt was rejected (a divergent or tampered
             // base): resend the full range under the same nonce. A
             // rejected request never advances the device's nonce, and
@@ -589,10 +654,8 @@ impl<'a> Rollout<'a> {
                     .take()
                     .expect("a sparse attempt holds its fallback");
                 self.bytes.1 += u64::from(request.base_len);
-                Next::Push(self.arm(
-                    Phase::Update { delta: false },
-                    Request::Update { device, request },
-                ))
+                let request = Request::Update { device, request };
+                Next::Push(self.arm(i, Phase::Update { delta: false }, request))
             }
             // The resend failed exactly as the sparse attempt did — or
             // this is a repeat of the sparse rejection, which an update
@@ -604,33 +667,34 @@ impl<'a> Rollout<'a> {
                     start: 0,
                     len: 0,
                 };
-                Next::Push(self.arm(Phase::Confirm, request))
+                Next::Push(self.arm(i, Phase::Confirm, request))
             }
             Err(error) => {
                 slot.rejected = Some(error);
-                self.retire(device)
+                self.retire(i)
             }
         }
     }
 
-    fn on_applied(&mut self, device: DeviceId, keys: &mut dyn RolloutKeys) -> Next {
-        self.slots.get_mut(&device).expect("applied device").applied = true;
+    fn on_applied(&mut self, i: usize, keys: &mut dyn RolloutKeys) -> Next {
+        self.slots[i].applied = true;
         let mode = match self.plan {
             Plan::Wave { .. } => ProbeMode::UpdateAttest,
-            Plan::Rollback { .. } => ProbeMode::RollbackVerify,
+            _ => ProbeMode::RollbackVerify,
         };
-        self.probe(device, mode, keys)
+        self.probe(i, mode, keys)
     }
 
     fn on_probe(
         &mut self,
-        device: DeviceId,
+        i: usize,
         phase: Phase,
         healthy: Option<bool>,
         report: &AttestationReport,
         keys: &mut dyn RolloutKeys,
     ) -> Next {
-        let slot = self.slots.get_mut(&device).expect("replying device");
+        let device = self.order[i];
+        let slot = &mut self.slots[i];
         match (&self.plan, phase) {
             (Plan::Wave { expected_after, .. }, Phase::Attest) => {
                 slot.attested = slot.verifies(report, expected_after);
@@ -651,7 +715,7 @@ impl<'a> Rollout<'a> {
                     // reference and runs the one real smoke probe.
                     (None, None) if self.reference.is_none() => {
                         self.reference = Some(device);
-                        return self.probe(device, ProbeMode::UpdateProbe, keys);
+                        return self.probe(i, ProbeMode::UpdateProbe, keys);
                     }
                     // The reference is still running: the verdict
                     // resolves when the outcome is composed.
@@ -673,48 +737,48 @@ impl<'a> Rollout<'a> {
                     .is_some_and(|snapshot| slot.verifies(report, &snapshot.measurement));
                 slot.verdict = Some(restored);
             }
+            (Plan::Sweep, _) => {}
         }
-        self.retire(device)
+        self.retire(i)
     }
 
     /// Mints a challenge and arms a probe; a mint failure reads as a
     /// lost probe.
-    fn probe(&mut self, device: DeviceId, mode: ProbeMode, keys: &mut dyn RolloutKeys) -> Next {
-        let Some(challenge) = keys.challenge(self.cohort, device) else {
-            return self.retire(device);
+    fn probe(&mut self, i: usize, mode: ProbeMode, keys: &mut dyn RolloutKeys) -> Next {
+        let device = self.order[i];
+        let (cohort, smoke_cycles) = match &self.plan {
+            Plan::Wave { config, .. } => (config.cohort, config.smoke_cycles),
+            Plan::Rollback { cohort, .. } => (*cohort, 0),
+            Plan::Sweep => return self.retire(i),
+        };
+        let Some(challenge) = keys.challenge(cohort, device) else {
+            return self.retire(i);
         };
         let phase = match mode {
             ProbeMode::UpdateAttest => Phase::Attest,
             ProbeMode::UpdateProbe => Phase::Reference,
             _ => Phase::Verify,
         };
-        let smoke_cycles = match &self.plan {
-            Plan::Wave { config, .. } => config.smoke_cycles,
-            Plan::Rollback { .. } => 0,
-        };
-        self.slots
-            .get_mut(&device)
-            .expect("probed device")
-            .challenge = Some(challenge);
+        self.slots[i].challenge = Some(challenge);
         let request = Request::Probe {
             device,
             mode,
             smoke_cycles,
             challenge,
         };
-        Next::Push(self.arm(phase, request))
+        Next::Push(self.arm(i, phase, request))
     }
 
-    fn arm(&mut self, phase: Phase, request: Request) -> Request {
-        let slot = self.slots.get_mut(&request.device()).expect("armed device");
+    fn arm(&mut self, i: usize, phase: Phase, request: Request) -> Request {
+        let slot = &mut self.slots[i];
         slot.phase = phase;
         slot.attempts = 0;
         slot.in_flight = Some(request.clone());
         request
     }
 
-    fn retire(&mut self, device: DeviceId) -> Next {
-        let slot = self.slots.get_mut(&device).expect("retired device");
+    fn retire(&mut self, i: usize) -> Next {
+        let slot = &mut self.slots[i];
         if slot.phase != Phase::Done {
             slot.phase = Phase::Done;
             slot.in_flight = None;
@@ -728,15 +792,14 @@ impl<'a> Rollout<'a> {
     /// [`Rollout::wave`]). Devices still live count as lost: before
     /// their update applied they fail with `ProbeFailed`, after it with
     /// a failed probe.
-    pub fn into_wave(mut self) -> WaveRollout {
+    pub fn into_wave(self) -> WaveRollout {
         let (probes_executed, probes_memoized) = self.probes;
         let mut rollout = WaveRollout {
             probes_executed,
             probes_memoized,
             ..WaveRollout::default()
         };
-        for device in self.order {
-            let slot = self.slots.remove(&device).expect("every device has a slot");
+        for (device, slot) in self.order.into_iter().zip(self.slots) {
             if let Some(error) = slot.rejected {
                 rollout
                     .events
@@ -776,10 +839,9 @@ impl<'a> Rollout<'a> {
     /// Composes a rollback's outcome (for a machine built with
     /// [`Rollout::rollback`]). A rejected or lost restore leaves the
     /// device on campaign firmware: `RollbackIncomplete`.
-    pub fn into_rollback(mut self) -> RollbackOutcome {
+    pub fn into_rollback(self) -> RollbackOutcome {
         let mut outcome = RollbackOutcome::default();
-        for device in self.order {
-            let slot = self.slots.remove(&device).expect("every device has a slot");
+        for (device, slot) in self.order.into_iter().zip(self.slots) {
             if let Some(error) = slot.rejected {
                 outcome
                     .events

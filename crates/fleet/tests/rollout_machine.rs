@@ -1,17 +1,22 @@
-//! The rollout state machine on its own: no sockets, no threads, no
-//! executor. A scripted network answers each request with the shared
-//! device handler (`rollout::serve`) and delivers the replies in order,
-//! permuted, duplicated, late (after their device retired) and after a
-//! busy shed; the composed outcome must not depend on any of it.
+//! The rollout state machine and its driver on their own: no sockets,
+//! no threads, no executor, and a fake clock. A scripted network
+//! answers each request the driver hands out with the shared device
+//! handler (`rollout::serve`) and delivers the replies in order,
+//! permuted, duplicated, late (after their device retired), after a
+//! busy shed and through a narrow admission window; the composed
+//! outcome must not depend on any of it. Two cases pin the driver's
+//! timing exactly: the idle deadline and the busy backoff.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::{Duration, Instant};
 
 use eilid_casu::{DeviceKey, DELTA_GRANULE};
 use eilid_fleet::fixtures::{benign_patch, bricking_patch, BRICKING_PATCH_TARGET};
-use eilid_fleet::rollout::{serve, Next};
+use eilid_fleet::rollout::{serve, BUSY_RETRIES};
 use eilid_fleet::{
-    CampaignConfig, CohortSnapshot, DeviceId, Fleet, FleetBuilder, LedgerEvent, PreUpdateSnapshot,
-    Reply, Request, RollbackOutcome, Rollout, SimDevice, Verifier, WaveRollout,
+    busy_backoff, CampaignConfig, CohortSnapshot, DeviceId, Driver, Fleet, FleetBuilder,
+    LedgerEvent, PreUpdateSnapshot, Reply, Request, RollbackOutcome, Rollout, SimDevice, Verifier,
+    WaveRollout,
 };
 use eilid_workloads::WorkloadId;
 use proptest::prelude::*;
@@ -24,6 +29,10 @@ const DEVICES: usize = 6;
 /// devices get a sparse delta.
 const IMAGE_TARGET: u16 = 0xF600;
 const IMAGE_LEN: usize = 4 * DELTA_GRANULE;
+/// The driver's idle ceiling.
+const IDLE: Duration = Duration::from_secs(5);
+/// How long the scripted network takes to deliver one message.
+const HOP: Duration = Duration::from_micros(100);
 
 fn build() -> (Fleet, Verifier) {
     FleetBuilder::new(DeviceKey::new(ROOT).unwrap())
@@ -94,6 +103,8 @@ struct Network {
     busy: BTreeSet<DeviceId>,
     /// Devices whose connection drops before their first request.
     lost: BTreeSet<DeviceId>,
+    /// The driver's admission window (unbounded when `None`).
+    window: Option<usize>,
 }
 
 enum Message {
@@ -101,7 +112,9 @@ enum Message {
     Answer(DeviceId, Reply),
 }
 
-/// Runs `machine` to completion against `devices` over `network`.
+/// Runs `machine` to completion against `devices` over `network`, one
+/// message per [`HOP`] of the fake clock; when nothing is in transit
+/// the clock jumps to the driver's next wake time.
 fn drive(
     machine: &mut Rollout<'_>,
     devices: &mut BTreeMap<DeviceId, SimDevice>,
@@ -109,12 +122,27 @@ fn drive(
     network: &Network,
 ) {
     let mut state = network.seed;
-    let mut transit: Vec<Message> = std::iter::from_fn(|| machine.admit())
-        .map(Message::Push)
-        .collect();
+    let mut now = Instant::now();
+    let window = network.window.unwrap_or(usize::MAX);
+    let mut driver = Driver::new(machine, window, IDLE, now);
+    let mut transit: Vec<Message> = Vec::new();
     let mut shed = BTreeSet::new();
     let mut delivered = Vec::new();
-    while !transit.is_empty() {
+    loop {
+        driver.poll(now, |request| {
+            transit.push(Message::Push(request));
+            true
+        });
+        if transit.is_empty() {
+            match driver.tick(now) {
+                Some(wake_at) => {
+                    now = wake_at;
+                    continue;
+                }
+                None => break,
+            }
+        }
+        now += HOP;
         let index = if network.seed == 0 {
             0
         } else {
@@ -136,13 +164,11 @@ fn drive(
             Message::Push(request) => {
                 let device = request.device();
                 if network.lost.contains(&device) {
-                    assert!(machine.lost(device));
+                    assert!(driver.lost(now, device));
                     continue;
                 }
                 if network.busy.contains(&device) && shed.insert(device) {
-                    assert_eq!(machine.busy(device), Next::Retry(1));
-                    let again = machine.in_flight(device).expect("still in flight").clone();
-                    transit.push(Message::Push(again));
+                    assert!(driver.busy(now, device));
                     continue;
                 }
                 let sim = devices.get_mut(&device).expect("a wave device");
@@ -156,17 +182,15 @@ fn drive(
                 if network.late {
                     delivered.push((device, reply.clone()));
                 }
-                if let Next::Push(request) = machine.reply(device, reply, keys) {
-                    transit.push(Message::Push(request));
-                }
+                driver.reply(now, device, reply, keys);
             }
         }
     }
-    assert!(machine.is_done(), "every device retires");
+    assert!(driver.rollout().is_done(), "every device retires");
     for (device, reply) in delivered {
         assert_eq!(
-            machine.reply(device, reply, keys),
-            Next::Ignore,
+            driver.reply(now, device, reply, keys),
+            None,
             "a late reply from retired device {device} must be ignored"
         );
     }
@@ -252,6 +276,12 @@ fn networks(seed: u64, busy: u64, device: DeviceId) -> Vec<Network> {
             duplicate: true,
             late: true,
             busy: [device].into(),
+            ..Network::default()
+        },
+        Network {
+            seed: (seed >> 2) | 1,
+            busy,
+            window: Some(2),
             ..Network::default()
         },
     ]
@@ -415,4 +445,106 @@ fn a_failed_reference_fails_every_sibling_in_any_order() {
         let (outcome, _) = wave(&fleet, &mut verifier, &plan, &network);
         assert_eq!(outcome, reference);
     }
+}
+
+/// The idle deadline extends on every accepted reply and expires a
+/// silent device at exactly the last progress plus the idle ceiling:
+/// not a nanosecond before. The expired device counts as lost.
+#[test]
+fn a_silent_device_expires_at_exactly_the_idle_deadline() {
+    let (fleet, mut verifier) = build();
+    let plan = sparse_plan(&fleet, &mut verifier);
+    let mut devices = devices_of(&fleet);
+    let (answering, silent) = (0, 1);
+    let mut machine = Rollout::wave(
+        &[answering, silent],
+        &plan.config,
+        plan.expected_after,
+        Some(plan.delta_base.clone()),
+    );
+    let start = Instant::now();
+    let mut driver = Driver::new(&mut machine, usize::MAX, IDLE, start);
+    // The answering device replies one hop after each push; the silent
+    // one never does.
+    let mut now = start;
+    let mut requests = Vec::new();
+    loop {
+        driver.poll(now, |request| {
+            requests.push(request);
+            true
+        });
+        let Some(request) = requests.drain(..).find(|r| r.device() == answering) else {
+            break;
+        };
+        now += HOP;
+        let reply = serve(devices.get_mut(&answering).unwrap(), &request).unwrap();
+        assert!(driver.reply(now, answering, reply, &mut verifier).is_some());
+    }
+    let deadline = now + IDLE;
+    assert_eq!(
+        driver.tick(start + IDLE),
+        Some(deadline),
+        "progress extends"
+    );
+    assert_eq!(
+        driver.tick(deadline - Duration::from_nanos(1)),
+        Some(deadline)
+    );
+    assert!(!driver.is_done());
+    assert_eq!(driver.tick(deadline), None);
+    assert!(driver.is_done());
+
+    let outcome = machine.into_wave();
+    assert_eq!(outcome.updated, vec![answering]);
+    assert_eq!(outcome.failures, 1);
+    assert!(outcome
+        .events
+        .contains(&LedgerEvent::ProbeFailed { device: silent }));
+}
+
+/// A shed request is re-pushed exactly `busy_backoff(n)` after its
+/// n-th shed — not before — and the device retires after
+/// `BUSY_RETRIES` sheds.
+#[test]
+fn a_shed_device_is_re_pushed_after_exactly_its_backoff() {
+    let (fleet, mut verifier) = build();
+    let plan = sparse_plan(&fleet, &mut verifier);
+    let device = 3;
+    let mut machine = Rollout::wave(
+        &[device],
+        &plan.config,
+        plan.expected_after,
+        Some(plan.delta_base.clone()),
+    );
+    let mut now = Instant::now();
+    let mut driver = Driver::new(&mut machine, usize::MAX, IDLE, now);
+    let mut pushed = Vec::new();
+    driver.poll(now, |request| {
+        pushed.push(request);
+        true
+    });
+    let first = pushed.pop().expect("the snapshot request");
+    assert!(pushed.is_empty());
+    for attempt in 1..=BUSY_RETRIES {
+        now += HOP;
+        assert!(driver.busy(now, device));
+        let due = now + busy_backoff(attempt);
+        assert_eq!(driver.tick(now), Some(due));
+        driver.poll(due - Duration::from_nanos(1), |request| {
+            panic!("re-pushed early: {request:?}")
+        });
+        driver.poll(due, |request| {
+            pushed.push(request);
+            true
+        });
+        assert_eq!(pushed, vec![first.clone()], "shed {attempt}");
+        pushed.clear();
+        now = due;
+    }
+    assert!(
+        driver.busy(now, device),
+        "past the budget the device retires"
+    );
+    assert_eq!(driver.tick(now), None);
+    assert_eq!(machine.into_wave().failures, 1);
 }

@@ -9,20 +9,15 @@
 //!   to policy ablations);
 //! * [`prior_work`] — the published costs of HAFIX, HCFI, Tiny-CFA, ACFA,
 //!   LO-FAT and LiteHAX used in Figure 10;
-//! * [`table1`] — the qualitative CFI/CFA comparison of Table I;
-//! * [`crypto`] — the verifier-side SHA-256 compression cost of a
-//!   sweep, and the operator-verification saving the
-//!   collective-attestation aggregation trees buy.
+//! * [`table1`] — the qualitative CFI/CFA comparison of Table I.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crypto;
 pub mod model;
 pub mod prior_work;
 pub mod table1;
 
-pub use crypto::{render_crypto_matrix, CryptoWorkload};
 pub use model::{eilid_monitor_cost, openmsp430_baseline, HwCost, MonitorStructure};
 pub use prior_work::{figure10, Method, TechniqueCost, MSP430_ADDRESS_SPACE_BYTES};
 pub use table1::{render_table1, table1, Table1Row};

@@ -42,11 +42,6 @@ pub struct MemAccess {
 }
 
 impl MemAccess {
-    /// `true` if the access is a write.
-    pub fn is_write(&self) -> bool {
-        self.kind == AccessKind::Write
-    }
-
     /// Inclusive range of byte addresses touched by this access.
     pub fn byte_range(&self) -> (u16, u16) {
         match self.width {

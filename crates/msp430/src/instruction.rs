@@ -400,11 +400,6 @@ impl Instruction {
         }
     }
 
-    /// Size of the encoded instruction in 16-bit words.
-    pub fn size_words(&self) -> u16 {
-        self.size_bytes() / 2
-    }
-
     /// `true` if this instruction is `call` (direct or indirect).
     pub fn is_call(&self) -> bool {
         matches!(

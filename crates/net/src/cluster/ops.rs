@@ -31,7 +31,7 @@
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use eilid_fleet::{
     merge_agg_sweeps, merge_health, merge_phases, merge_reports, merge_sweeps, AggSweepSummary,
@@ -95,10 +95,6 @@ pub struct ClusterOps {
     /// reconnected) so aggregated sweeps verify gateway aggregate
     /// proofs cluster-wide.
     agg_root: Option<Vec<u8>>,
-    /// Operator-side telemetry: fan-out latency across the cluster's
-    /// consoles, one sample per fanned-out verb.
-    obs: eilid_obs::MetricsRegistry,
-    fan_out_us: eilid_obs::Histogram,
 }
 
 /// Concurrent fan-out over the selected consoles: spawns one scoped
@@ -162,8 +158,6 @@ impl ClusterOps {
             .map(|&addr| RemoteOps::connect(addr))
             .collect::<Result<Vec<_>, _>>()?;
         let n = addrs.len();
-        let obs = eilid_obs::MetricsRegistry::new();
-        let fan_out_us = obs.histogram("eilid_cluster_fan_out_us");
         Ok(ClusterOps {
             addrs: addrs.to_vec(),
             consoles,
@@ -174,8 +168,6 @@ impl ClusterOps {
             cohort: None,
             op_timeout: DEFAULT_OP_TIMEOUT,
             agg_root: None,
-            obs,
-            fan_out_us,
         })
     }
 
@@ -298,23 +290,14 @@ impl ClusterOps {
         Ok((merged, parts))
     }
 
-    /// The operator-side telemetry this cluster console records
-    /// locally (fan-out latency) — *not* the gateways' registries;
-    /// those come from [`ClusterOps::metrics`].
-    pub fn local_metrics(&self) -> eilid_obs::RegistrySnapshot {
-        self.obs.snapshot()
-    }
-
-    /// Runs `f` on every gateway's console concurrently and records
-    /// the fan-out latency. Returns the results in placement order, or
-    /// the first failure, named by gateway index.
+    /// Runs `f` on every gateway's console concurrently. Returns the
+    /// results in placement order, or the first failure, named by
+    /// gateway index.
     fn fan_out_all<R: Send>(
         &mut self,
         f: impl Fn(&mut RemoteOps<TcpTransport>) -> Result<R, OpsError> + Sync,
     ) -> Result<Vec<R>, OpsError> {
-        let started = Instant::now();
         let results = fan_out(&mut self.consoles, |_| true, |_, console| f(console));
-        self.fan_out_us.record_duration_us(started.elapsed());
         results
             .into_iter()
             .enumerate()
@@ -398,7 +381,6 @@ impl FleetOps for ClusterOps {
         let participating = self.participating.clone();
         let finished = self.finished.clone();
         let durable = self.durable_checkpoints;
-        let started = Instant::now();
         let results = fan_out(
             &mut self.consoles,
             |gateway| participating[gateway] && !finished[gateway],
@@ -413,7 +395,6 @@ impl FleetOps for ClusterOps {
                 Ok((status, checkpoint))
             },
         );
-        self.fan_out_us.record_duration_us(started.elapsed());
         let mut next_wave: Option<usize> = None;
         for (gateway, result) in results.into_iter().enumerate() {
             let Some(result) = result else { continue };

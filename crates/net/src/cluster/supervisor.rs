@@ -110,11 +110,6 @@ impl Supervisor {
         self.slots[gateway].restarts
     }
 
-    /// Overrides the health-probe reply deadline.
-    pub fn set_probe_timeout(&mut self, timeout: Duration) {
-        self.probe_timeout = timeout;
-    }
-
     /// Launches `gateway`'s process (counting a restart if the slot ran
     /// before) and waits until it accepts operator connections.
     ///

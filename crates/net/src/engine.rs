@@ -1,12 +1,12 @@
 //! The gateway's campaign engine: the wire-driven [`WaveExecutor`]
 //! behind the networked operator plane.
 //!
-//! One machine, two drivers: the campaign decisions
-//! ([`CampaignRun::step_with`]) and the per-device protocol
-//! ([`Rollout`]) are the exact code the in-process backend runs. This
-//! engine is the second driver — it carries the machine's requests to
-//! the device connections registered in the gateway's [`Registry`] and
-//! feeds the replies back:
+//! One driver, two shells: the campaign decisions
+//! ([`CampaignRun::step_with`]), the per-device protocol ([`Rollout`])
+//! and its scheduler ([`Driver`]) are the exact code the in-process
+//! backend runs. This engine is the second shell — it carries the
+//! driver's requests to the device connections registered in the
+//! gateway's [`Registry`] and feeds the replies back:
 //!
 //! ```text
 //!  operator conn ── OpStep ──▶ engine ── SnapshotRequest ─────▶ device conns
@@ -19,41 +19,39 @@
 //!
 //! The reactor thread never blocks on campaign work: operator frames
 //! and device replies reach the engine thread over an mpsc channel.
-//! The engine keeps only transport concerns: waves are *streamed* (each
-//! device advances the moment its reply lands, admission capped by a
-//! per-connection window, [`ENGINE_WAVE_WINDOW`]), bursts of replies
-//! are drained into one coalesced write, the idle deadline extends on
-//! progress, a closed connection fails its devices fast, and the
-//! phase-latency and update-byte metrics are recorded here. A device agent that cannot
-//! serve a push right now sheds it with a device-scoped
-//! [`Frame::DeviceError`] `Busy`; the engine re-pushes it after a
-//! bounded exponential backoff scheduled *inside its event loop* (the
-//! thread keeps draining other devices' replies — it never sleeps
-//! through a backoff) — backpressure is a scheduling signal, not a
-//! health verdict. Rollback passes stream the same way.
+//! The driver does all the scheduling: waves are *streamed* (each device
+//! advances the moment its reply lands, admission capped by a
+//! per-connection window, [`ENGINE_WAVE_WINDOW`]), a device agent's
+//! device-scoped [`Frame::DeviceError`] `Busy` is re-pushed after a
+//! bounded exponential backoff (backpressure is a scheduling signal, not
+//! a health verdict), and the idle deadline extends on progress. The
+//! engine keeps only the shell: one receive loop ([`OpsEngine::exchange`])
+//! that drains bursts of replies, decodes them, routes pushes through
+//! the registry, reads the clock, waits on its channel until the
+//! driver's next wake time (it never sleeps through a backoff), fails a
+//! closed connection's devices fast, and records the phase-latency and
+//! update-byte metrics. Rollback passes stream the same way.
 //!
-//! The one sweep verb, `OpAggSweep`, is one probe exchange: every probe
-//! is pushed at once, `Busy` sheds go through the same retry heap, and
-//! the idle deadline extends on progress. Each burst of replies is
-//! verified and hashed into evidence leaves on the engine thread the
-//! moment it lands, so the gateway's MAC checks and leaf hashes overlap
-//! the agents' attestation; only the shard trees' interior nodes and at
-//! most `SHARD_COUNT` root MACs follow the last reply.
+//! The one sweep verb, `OpAggSweep`, runs the same loop over a
+//! probe-only [`Rollout::sweep`] with an unbounded window. Each burst
+//! of replies is verified and hashed into evidence leaves on the engine
+//! thread the moment it lands, so the gateway's MAC checks and leaf
+//! hashes overlap the agents' attestation; only the shard trees'
+//! interior nodes and at most `SHARD_COUNT` root MACs follow the last
+//! reply.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use eilid_casu::agg::{evidence_leaf, missing_leaf, AggProof};
 use eilid_casu::{AttestationReport, Challenge, DeviceKey};
-use eilid_fleet::rollout::{Next, BUSY_RETRIES};
 use eilid_fleet::{
-    fold_shard, merge_sweeps, shard_of, Campaign, CampaignRun, CohortInfo, DeviceId, FleetError,
-    HealthClass, Ledger, LedgerEvent, PausedCampaign, Reply, Request, Rollout, RolloutKeys,
-    SweepSummary, WaveExecutor,
+    fold_shard, merge_sweeps, shard_of, Campaign, CampaignRun, CohortInfo, DeviceId, Driver,
+    FleetError, HealthClass, Ledger, LedgerEvent, PausedCampaign, Reply, Rollout, RolloutKeys,
+    SweepChallenges, SweepSummary, WaveExecutor,
 };
 use eilid_workloads::WorkloadId;
 
@@ -62,27 +60,15 @@ use crate::metrics::{NetMetrics, TRACE_CAT_ENGINE, TRACE_ENGINE_WAVE};
 use crate::poller::Waker;
 use crate::service::{health_to_wire, AttestationService, VerifyTask};
 use crate::wire::{
-    CampaignOp, ErrorCode, Frame, ProbeMode, WireHealth, CAMPAIGN_STATE_FINISHED,
-    CAMPAIGN_STATE_IDLE, CAMPAIGN_STATE_PAUSED, CAMPAIGN_STATE_RUNNING,
+    CampaignOp, ErrorCode, Frame, WireHealth, CAMPAIGN_STATE_FINISHED, CAMPAIGN_STATE_IDLE,
+    CAMPAIGN_STATE_PAUSED, CAMPAIGN_STATE_RUNNING,
 };
-
-/// How many times the engine re-pushes an exchange a device agent shed
-/// with a device-scoped `Busy` before giving up on that device.
-pub const ENGINE_BUSY_RETRIES: usize = BUSY_RETRIES;
 
 /// Per-connection cap on devices concurrently in flight during a
 /// streamed campaign wave: enough to keep every agent's serve loop
 /// saturated, small enough that one connection's outbox never
 /// balloons.
 pub const ENGINE_WAVE_WINDOW: usize = 32;
-
-/// Bounded exponential backoff before re-pushing a `Busy`-shed frame
-/// (`attempts` counts from 1).
-fn busy_backoff(attempts: usize) -> Duration {
-    Duration::from_micros(500)
-        .saturating_mul(1 << (attempts - 1).min(8) as u32)
-        .min(Duration::from_millis(50))
-}
 
 /// The gateway's device→connection registry: which connection serves
 /// which attached device, and under which cohort. Written by the
@@ -138,6 +124,13 @@ impl Registry {
     }
 }
 
+/// Locks the registry, recovering it from a panic on another thread:
+/// [`Registry`] is a plain map that holds no invariant spanning steps,
+/// so a poisoned lock must not take the gateway down with it.
+pub(crate) fn lock_registry(registry: &Mutex<Registry>) -> MutexGuard<'_, Registry> {
+    registry.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// What the reactor routes to the engine.
 #[derive(Debug)]
 pub(crate) enum EngineInput {
@@ -170,9 +163,8 @@ struct CampaignSlot {
     paused: Option<PausedCampaign>,
 }
 
-/// Per-device challenges minted for one sweep round, keyed by device
-/// with the cohort each challenge was drawn from.
-type SweepChallenges = BTreeMap<DeviceId, (WorkloadId, Challenge)>;
+/// Where a sweep's exchange hands each burst of accepted probe reports.
+type VerifySink<'s> = &'s mut dyn FnMut(&[(DeviceId, AttestationReport)]);
 
 /// One sweep's verdicts, filled as probe replies land: each answering
 /// device's class and the evidence leaf of the report it was drawn from.
@@ -361,7 +353,7 @@ impl OpsEngine {
             Frame::CampaignControl { cohort, op } => self.handle_control(conn, cohort, op),
             Frame::OpAggSweep => self.handle_agg_sweep(conn),
             Frame::OpHealth => {
-                let attached = self.registry.lock().expect("registry lock").len() as u32;
+                let attached = lock_registry(&self.registry).len() as u32;
                 let active = self
                     .campaigns
                     .values()
@@ -481,19 +473,6 @@ impl OpsEngine {
         }
     }
 
-    /// Records one finished streamed wave into the trace ring. The
-    /// per-phase latency histograms are fed per *device* (push →
-    /// reply) by the wave loop; this is the wave-level span.
-    fn note_wave(&self, started: Instant, devices: usize) {
-        let elapsed = started.elapsed();
-        self.metrics.trace().record(
-            TRACE_CAT_ENGINE,
-            TRACE_ENGINE_WAVE,
-            u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-            devices as u64,
-        );
-    }
-
     fn handle_control(&mut self, conn: u64, cohort: WorkloadId, op: CampaignOp) {
         match op {
             CampaignOp::Pause => {
@@ -565,68 +544,54 @@ impl OpsEngine {
         }
     }
 
-    /// Mints the probe requests for one sweep round: every device in a
+    /// Mints the challenges for one sweep round: every device in a
     /// cohort is challenged with the same round nonce (SEDA-style).
     /// Per-device MAC keys already rule out cross-device replay, the
-    /// exchange's pending map drops duplicate replies, and nonces still
-    /// only move forward across rounds — so a 1000-device sweep consumes
-    /// one nonce per cohort instead of one per device. A cohort whose
-    /// mint fails (unprovisioned, nonces exhausted) is skipped once, not
+    /// sweep machine accepts one reply per device, and nonces still only
+    /// move forward across rounds — so a 1000-device sweep consumes one
+    /// nonce per cohort instead of one per device. A cohort whose mint
+    /// fails (unprovisioned, nonces exhausted) is skipped once, not
     /// retried per device.
-    fn sweep_requests(&self) -> (SweepChallenges, Vec<(DeviceId, Frame)>) {
-        let targets = self.registry.lock().expect("registry lock").all();
+    fn sweep_challenges(&self) -> SweepChallenges {
+        let targets = lock_registry(&self.registry).all();
         let mut round: BTreeMap<WorkloadId, Option<Challenge>> = BTreeMap::new();
-        let mut challenges: BTreeMap<DeviceId, (WorkloadId, Challenge)> = BTreeMap::new();
-        let mut requests = Vec::with_capacity(targets.len());
+        let mut challenges = SweepChallenges::new();
         for (device, cohort) in targets {
-            let challenge = match round
+            let minted = round
                 .entry(cohort)
-                .or_insert_with(|| self.service.challenge_for(cohort).ok())
-            {
-                Some(challenge) => *challenge,
-                None => continue,
-            };
-            challenges.insert(device, (cohort, challenge));
-            requests.push((
-                device,
-                Frame::ProbeRequest {
-                    device,
-                    mode: ProbeMode::AttestOnly,
-                    smoke_cycles: 0,
-                    challenge,
-                },
-            ));
+                .or_insert_with(|| self.service.challenge_for(cohort).ok());
+            if let Some(challenge) = *minted {
+                challenges.insert(device, (cohort, challenge));
+            }
         }
-        (challenges, requests)
+        challenges
     }
 
-    /// Probes every device `requests` names and verifies each reactor
+    /// Probes every device `challenges` names and verifies each reactor
     /// burst of replies the moment it lands, while the agents are still
     /// attesting the rest: one [`AttestationService::verify_batch`] per
     /// burst, sorted by key shard so each burst takes the cohort lock
     /// once and each shard lock once, then each report hashed into its
-    /// [`evidence_leaf`]. Returns the verdict and leaf of every device
-    /// that answered, plus when the last reply landed. A device absent
-    /// from the verdicts lost or shed its probe.
-    fn probe_and_verify(
-        &self,
-        challenges: &SweepChallenges,
-        requests: Vec<(DeviceId, Frame)>,
-    ) -> (SweepVerdicts, Option<Instant>) {
+    /// [`evidence_leaf`]. Every probe reply is verified against the
+    /// challenge issued, so a report for any other challenge lands
+    /// `Unverified` with its own leaf. Returns the verdict and leaf of
+    /// every device that answered, plus when the last reply landed. A
+    /// device absent from the verdicts lost or shed its probe.
+    fn probe_and_verify(&self, challenges: &SweepChallenges) -> (SweepVerdicts, Option<Instant>) {
         let service = &*self.service;
         let metrics = &*self.metrics;
         let mut verdicts = SweepVerdicts::with_capacity(challenges.len());
         let mut tasks: Vec<VerifyTask> = Vec::new();
-        let last_reply = self.exchange(requests, |burst| {
+        let mut verify = |burst: &[(DeviceId, AttestationReport)]| {
             tasks.clear();
-            tasks.extend(burst.iter().filter_map(|&(device, report)| {
-                let &(cohort, issued) = challenges.get(&device)?;
-                Some(VerifyTask {
+            tasks.extend(burst.iter().map(|&(device, report)| {
+                let (cohort, issued) = challenges[&device];
+                VerifyTask {
                     device,
                     cohort,
                     issued,
                     report,
-                })
+                }
             }));
             tasks.sort_by_key(|task| shard_of(task.device));
             metrics.verify_batch_size.record(tasks.len() as u64);
@@ -639,7 +604,10 @@ impl OpsEngine {
                 let leaf = evidence_leaf(task.device, &task.report);
                 verdicts.insert(task.device, (class, leaf));
             }
-        });
+        };
+        let mut rollout = Rollout::sweep(challenges);
+        let mut driver = Driver::new(&mut rollout, usize::MAX, self.timeout, Instant::now());
+        let last_reply = self.exchange(&mut driver, Some(&mut verify));
         (verdicts, last_reply)
     }
 
@@ -682,8 +650,8 @@ impl OpsEngine {
     fn handle_agg_sweep(&mut self, conn: u64) {
         let started = Instant::now();
         let epoch = self.service.nonce_watermark();
-        let (challenges, requests) = self.sweep_requests();
-        let (verdicts, last_reply) = self.probe_and_verify(&challenges, requests);
+        let challenges = self.sweep_challenges();
+        let (verdicts, last_reply) = self.probe_and_verify(&challenges);
 
         // Canonical order: ascending device id within each shard. The
         // challenge map iterates ascending, so pushing in iteration
@@ -753,148 +721,113 @@ impl OpsEngine {
         self.send_sweep_result(conn, result, started, last_reply);
     }
 
-    /// Pushes one probe request per device and streams the replies into
-    /// `sink` as they land. Each accepted reply — a probe result for a
-    /// device still pending, so duplicates and strays are dropped —
-    /// reaches `sink` exactly once; a call carries the accepted replies
-    /// of one reactor burst, in arrival order. Device-scoped `Busy`
-    /// sheds are re-pushed after a bounded exponential backoff that is
-    /// scheduled *inside* the event loop (a due-time heap bounds
-    /// `recv_timeout`), so one busy device never blocks the thread from
-    /// draining every other device's reply. Devices whose connection is
-    /// gone, that refuse the push, or that never answer within the idle
-    /// timeout never reach `sink`; the callers turn that into per-device
-    /// failures. If the reactor is gone the exchange ends at once.
+    /// The engine's one receive loop: drives `driver` over the device
+    /// plane until every device retired, the idle deadline expired the
+    /// rest, or the reactor is gone. Each pass pushes what the driver
+    /// hands out (a device with no connection retires at once), waits
+    /// on the channel until the driver's next wake time, then feeds it
+    /// the whole queued burst in arrival order: replies, `Busy` sheds
+    /// (counted as retries), refusals and closed connections (lost).
+    /// Operator commands arriving mid-exchange answer `Busy` at once —
+    /// the engine is single-threaded by design, as campaign semantics
+    /// are strictly wave-ordered.
     ///
-    /// Returns when the last accepted reply landed (`None` if none did).
+    /// With a `verify` sink (a sweep), each burst's accepted probe
+    /// reports reach it once, in arrival order; without one (a wave or
+    /// rollback pass), each accepted reply's push-to-reply time feeds
+    /// its phase histogram. Returns when the last reply `verify` saw
+    /// landed.
     fn exchange(
         &self,
-        requests: Vec<(DeviceId, Frame)>,
-        mut sink: impl FnMut(&[(DeviceId, AttestationReport)]),
+        driver: &mut Driver<'_, '_>,
+        mut verify: Option<VerifySink<'_>>,
     ) -> Option<Instant> {
-        let mut pending: HashMap<DeviceId, Frame> = HashMap::with_capacity(requests.len());
-        let mut retries: HashMap<DeviceId, usize> = HashMap::new();
-        let mut retry_at: BinaryHeap<Reverse<(Instant, DeviceId)>> = BinaryHeap::new();
+        let mut keys = ServiceKeys(&self.service);
+        let mut outbox: Vec<(u64, Frame)> = Vec::new();
         let mut accepted: Vec<(DeviceId, AttestationReport)> = Vec::new();
         let mut last_reply = None;
-
-        // Initial push, one coalesced completions message for the lot.
-        let mut batch: Vec<(u64, Frame)> = Vec::with_capacity(requests.len());
-        {
-            let registry = self.registry.lock().expect("registry lock");
-            for (device, frame) in requests {
-                let Some(conn) = registry.conn_of(device) else {
-                    continue; // unreachable device: never answers
-                };
-                batch.push((conn, frame.clone()));
-                pending.insert(device, frame);
-            }
-        }
-        if batch.is_empty() || !self.push_to_reactor(batch) {
-            return None;
-        }
-
-        // The deadline extends on progress: a wave of 1000 devices gets
-        // `timeout` of *idle* tolerance, not `timeout` total.
-        let mut deadline = Instant::now() + self.timeout;
-        while !pending.is_empty() {
-            // Re-push every backoff that has come due.
+        loop {
             let now = Instant::now();
-            while let Some(&Reverse((when, device))) = retry_at.peek() {
-                if when > now {
-                    break;
-                }
-                retry_at.pop();
-                let Some(request) = pending.get(&device).cloned() else {
-                    continue;
-                };
-                match self.conn_of(device) {
+            {
+                let registry = lock_registry(&self.registry);
+                driver.poll(now, |request| match registry.conn_of(request.device()) {
                     Some(conn) => {
-                        if !self.push_to_reactor(vec![(conn, request)]) {
-                            return last_reply;
-                        }
-                        deadline = now + self.timeout;
+                        outbox.push((conn, Frame::from(request)));
+                        true
                     }
-                    None => {
-                        pending.remove(&device);
-                    }
-                }
+                    None => false,
+                });
             }
-            if pending.is_empty() || now >= deadline {
+            if !outbox.is_empty() && !self.push_to_reactor(std::mem::take(&mut outbox)) {
                 break;
             }
-            let wake_at = retry_at
-                .peek()
-                .map_or(deadline, |&Reverse((when, _))| deadline.min(when));
-            let frames = match self.rx.recv_timeout(wake_at.saturating_duration_since(now)) {
-                Ok(EngineInput::Device { frame }) => vec![frame],
-                // A reactor pass delivers a whole burst of replies as
-                // one message; process them in arrival order.
-                Ok(EngineInput::Devices(frames)) => frames,
-                // An operator command arriving mid-wave: the engine is
-                // single-threaded by design (campaign semantics are
-                // strictly wave-ordered), so answer Busy immediately
-                // instead of queueing it behind the wave.
-                Ok(EngineInput::Operator { conn, .. }) => {
-                    self.send_error(conn, ErrorCode::Busy);
-                    continue;
-                }
-                Ok(EngineInput::ConnClosed(_)) => {
-                    // Fail-fast every pending device that lost its
-                    // connection (the reactor already cleaned the
-                    // registry).
-                    let registry = self.registry.lock().expect("registry lock");
-                    pending.retain(|device, _| registry.conn_of(*device).is_some());
-                    continue;
-                }
-                // A timeout here may just be a backoff coming due; the
-                // loop head re-pushes it and the deadline check decides.
+            let Some(wake_at) = driver.tick(now) else {
+                break;
+            };
+            let first = match self.rx.recv_timeout(wake_at.saturating_duration_since(now)) {
+                Ok(input) => input,
+                // A backoff coming due or the deadline: the next pass
+                // re-pushes or expires.
                 Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => break,
             };
-            // One clock read per burst: progress anywhere in it extends
-            // the idle deadline for the whole wave.
-            let arrived = Instant::now();
-            for frame in frames {
-                match frame {
-                    // Only a reply for a still-pending device counts:
-                    // duplicates and strays drop here.
-                    Frame::ProbeResult { device, report, .. }
-                        if pending.remove(&device).is_some() =>
-                    {
-                        accepted.push((device, report));
+            // Drain the burst already queued, handled in arrival order —
+            // processing a ConnClosed ahead of a same-burst reply would
+            // misclassify an answered device. One clock read per burst.
+            let mut burst = vec![first];
+            burst.extend(std::iter::from_fn(|| self.rx.try_recv().ok()).take(1023));
+            let now = Instant::now();
+            for input in burst {
+                let frames = match input {
+                    EngineInput::Operator { conn, .. } => {
+                        self.send_error(conn, ErrorCode::Busy);
+                        continue;
                     }
-                    // A non-retryable device-scoped error (unknown
-                    // device, refused push) fails that device fast — it
-                    // must not stall the wave for the idle timeout.
-                    Frame::DeviceError { device, code }
-                        if code != ErrorCode::Busy && pending.remove(&device).is_some() =>
-                    {
-                        deadline = arrived + self.timeout;
-                    }
-                    // A busy shed is scheduled for a backoff retry,
-                    // never counted as a failure — and never slept on:
-                    // the loop keeps serving other devices.
-                    Frame::DeviceError {
-                        device,
-                        code: ErrorCode::Busy,
-                    } if pending.contains_key(&device) => {
-                        let attempts = retries.entry(device).or_insert(0);
-                        *attempts += 1;
-                        self.metrics.engine_busy_retries.inc();
-                        if *attempts > ENGINE_BUSY_RETRIES {
-                            pending.remove(&device);
-                        } else {
-                            retry_at.push(Reverse((arrived + busy_backoff(*attempts), device)));
+                    EngineInput::ConnClosed(_) => {
+                        let registry = lock_registry(&self.registry);
+                        let devices = driver.rollout().devices().to_vec();
+                        for device in devices {
+                            if registry.conn_of(device).is_none() {
+                                driver.lost(now, device);
+                            }
                         }
+                        continue;
                     }
-                    _ => {}
+                    EngineInput::Device { frame } => vec![frame],
+                    EngineInput::Devices(frames) => frames,
+                };
+                for frame in frames {
+                    if let Frame::DeviceError { device, code } = frame {
+                        if code != ErrorCode::Busy {
+                            driver.lost(now, device);
+                        } else if driver.busy(now, device) {
+                            self.metrics.engine_busy_retries.inc();
+                        }
+                        continue;
+                    }
+                    let Some((device, reply)) = frame.into_reply() else {
+                        continue;
+                    };
+                    let (phase, report) = match &reply {
+                        Reply::Snapshot { .. } => (&self.metrics.phase_snapshot_us, None),
+                        Reply::Update(_) => (&self.metrics.phase_update_us, None),
+                        Reply::Probe { report, .. } => {
+                            (&self.metrics.phase_probe_us, Some(*report))
+                        }
+                    };
+                    let Some(in_flight) = driver.reply(now, device, reply, &mut keys) else {
+                        continue;
+                    };
+                    match (&verify, report) {
+                        (None, _) => phase.record_duration_us(in_flight),
+                        (Some(_), Some(report)) => accepted.push((device, report)),
+                        (Some(_), None) => {}
+                    }
                 }
             }
-            if !accepted.is_empty() {
-                deadline = arrived + self.timeout;
-                last_reply = Some(arrived);
-                sink(&accepted);
+            if let Some(verify) = verify.as_mut().filter(|_| !accepted.is_empty()) {
+                last_reply = Some(now);
+                verify(&accepted);
                 accepted.clear();
             }
         }
@@ -911,194 +844,6 @@ impl OpsEngine {
         }
         self.waker.wake();
         true
-    }
-
-    fn conn_of(&self, device: DeviceId) -> Option<u64> {
-        self.registry.lock().expect("registry lock").conn_of(device)
-    }
-
-    /// Pushes a fresh request from the machine to its device's
-    /// connection; a connectionless device is retired on the spot.
-    fn push(
-        &self,
-        request: Request,
-        rollout: &mut Rollout<'_>,
-        pushed_at: &mut HashMap<DeviceId, Instant>,
-        outbox: &mut Vec<(u64, Frame)>,
-    ) {
-        let device = request.device();
-        match self.conn_of(device) {
-            Some(conn) => {
-                pushed_at.insert(device, Instant::now());
-                outbox.push((conn, Frame::from(request)));
-            }
-            None => {
-                rollout.lost(device);
-            }
-        }
-    }
-
-    /// Hands the outbox to the reactor; `false` when the reactor is
-    /// gone (see [`OpsEngine::push_to_reactor`]).
-    fn flush(&self, outbox: &mut Vec<(u64, Frame)>) -> bool {
-        outbox.is_empty() || self.push_to_reactor(std::mem::take(outbox))
-    }
-
-    /// Streams one wave (or rollback pass) over the device plane. Each
-    /// device advances the moment its reply lands; admission is capped
-    /// at [`ENGINE_WAVE_WINDOW`] per agent connection; `Busy` sheds are
-    /// re-pushed from a due-time heap without ever sleeping the thread;
-    /// the idle deadline extends on every accepted reply; devices whose
-    /// connection closes, or that refuse a push, retire as lost. If the
-    /// reactor is gone the stream ends at once, leaving the devices
-    /// still live to fail.
-    fn stream(&mut self, rollout: &mut Rollout<'_>) {
-        let started = Instant::now();
-        let service = Arc::clone(&self.service);
-        let metrics = Arc::clone(&self.metrics);
-        let mut keys = ServiceKeys(&service);
-        let window = {
-            let registry = self.registry.lock().expect("registry lock");
-            let mut conns: Vec<u64> = rollout
-                .devices()
-                .iter()
-                .filter_map(|&device| registry.conn_of(device))
-                .collect();
-            conns.sort_unstable();
-            conns.dedup();
-            ENGINE_WAVE_WINDOW * conns.len().max(1)
-        };
-        let mut pushed_at: HashMap<DeviceId, Instant> = HashMap::new();
-        let mut retry_at: BinaryHeap<Reverse<(Instant, DeviceId)>> = BinaryHeap::new();
-        let mut outbox: Vec<(u64, Frame)> = Vec::new();
-        let mut deadline = Instant::now() + self.timeout;
-
-        while !rollout.is_done() {
-            let now = Instant::now();
-            // Re-push every backoff that has come due.
-            while let Some(&Reverse((when, device))) = retry_at.peek() {
-                if when > now {
-                    break;
-                }
-                retry_at.pop();
-                let Some(request) = rollout.in_flight(device).cloned() else {
-                    continue;
-                };
-                match self.conn_of(device) {
-                    Some(conn) => {
-                        outbox.push((conn, Frame::from(request)));
-                        deadline = now + self.timeout;
-                    }
-                    None => {
-                        rollout.lost(device);
-                    }
-                }
-            }
-            // Admit queued devices into freed window slots.
-            while rollout.live() < window {
-                let Some(request) = rollout.admit() else {
-                    break;
-                };
-                self.push(request, rollout, &mut pushed_at, &mut outbox);
-            }
-            if !self.flush(&mut outbox) {
-                break;
-            }
-            let now = Instant::now();
-            if rollout.is_done() || now >= deadline {
-                break;
-            }
-            let wake_at = retry_at
-                .peek()
-                .map_or(deadline, |&Reverse((when, _))| deadline.min(when));
-            let first = match self.rx.recv_timeout(wake_at.saturating_duration_since(now)) {
-                Ok(input) => input,
-                // Possibly just a backoff coming due; the loop head
-                // re-pushes it and the deadline check decides.
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            };
-            // Drain the burst that is already queued so one coalesced
-            // completions message carries every frame this pass
-            // produces, handled in arrival order — processing a
-            // ConnClosed ahead of a same-burst reply would misclassify
-            // an answered device.
-            let mut burst = vec![first];
-            burst.extend(std::iter::from_fn(|| self.rx.try_recv().ok()).take(1023));
-            for input in burst {
-                let frames = match input {
-                    // The engine is single-threaded by design (campaign
-                    // semantics are strictly wave-ordered): operator
-                    // commands mid-wave answer Busy immediately.
-                    EngineInput::Operator { conn, .. } => {
-                        self.send_error(conn, ErrorCode::Busy);
-                        continue;
-                    }
-                    EngineInput::ConnClosed(_) => {
-                        let registry = self.registry.lock().expect("registry lock");
-                        let gone: Vec<DeviceId> = rollout
-                            .devices()
-                            .iter()
-                            .copied()
-                            .filter(|&device| registry.conn_of(device).is_none())
-                            .collect();
-                        for device in gone {
-                            rollout.lost(device);
-                        }
-                        continue;
-                    }
-                    EngineInput::Device { frame } => vec![frame],
-                    EngineInput::Devices(frames) => frames,
-                };
-                for frame in frames {
-                    if let Frame::DeviceError { device, code } = frame {
-                        if code != ErrorCode::Busy {
-                            // Non-retryable: fail that device fast.
-                            if rollout.lost(device) {
-                                deadline = Instant::now() + self.timeout;
-                            }
-                        } else {
-                            // A busy shed is a scheduling signal, not a
-                            // health verdict: back off and keep draining
-                            // everyone else.
-                            match rollout.busy(device) {
-                                Next::Retry(attempts) => {
-                                    self.metrics.engine_busy_retries.inc();
-                                    let due = Instant::now() + busy_backoff(attempts);
-                                    retry_at.push(Reverse((due, device)));
-                                }
-                                Next::Retired => self.metrics.engine_busy_retries.inc(),
-                                _ => {}
-                            }
-                        }
-                        continue;
-                    }
-                    let Some((device, reply)) = frame.into_reply() else {
-                        continue;
-                    };
-                    let phase = match reply {
-                        Reply::Snapshot { .. } => &metrics.phase_snapshot_us,
-                        Reply::Update(_) => &metrics.phase_update_us,
-                        Reply::Probe { .. } => &metrics.phase_probe_us,
-                    };
-                    let next = rollout.reply(device, reply, &mut keys);
-                    if next == Next::Ignore {
-                        continue;
-                    }
-                    deadline = Instant::now() + self.timeout;
-                    if let Some(at) = pushed_at.get(&device) {
-                        phase.record_duration_us(at.elapsed());
-                    }
-                    if let Next::Push(request) = next {
-                        self.push(request, rollout, &mut pushed_at, &mut outbox);
-                    }
-                }
-            }
-            if !self.flush(&mut outbox) {
-                break;
-            }
-        }
-        self.note_wave(started, rollout.devices().len());
     }
 }
 
@@ -1117,11 +862,7 @@ impl RolloutKeys for ServiceKeys<'_> {
 
 impl WaveExecutor for OpsEngine {
     fn cohort_info(&mut self, cohort: WorkloadId) -> Result<CohortInfo, FleetError> {
-        let members = self
-            .registry
-            .lock()
-            .expect("registry lock")
-            .members_of(cohort);
+        let members = lock_registry(&self.registry).members_of(cohort);
         if members.is_empty() {
             return Err(FleetError::UnknownCohort(cohort));
         }
@@ -1136,8 +877,32 @@ impl WaveExecutor for OpsEngine {
         })
     }
 
+    /// Streams one wave (or rollback pass) over the device plane, with
+    /// admission capped at [`ENGINE_WAVE_WINDOW`] per agent connection.
+    /// If the reactor is gone the stream ends at once, leaving the
+    /// devices still live to fail.
     fn drive(&mut self, rollout: &mut Rollout<'_>) -> Result<(), FleetError> {
-        self.stream(rollout);
+        let started = Instant::now();
+        let window = {
+            let registry = lock_registry(&self.registry);
+            let conns: BTreeSet<u64> = rollout
+                .devices()
+                .iter()
+                .filter_map(|&device| registry.conn_of(device))
+                .collect();
+            ENGINE_WAVE_WINDOW * conns.len().max(1)
+        };
+        self.exchange(
+            &mut Driver::new(rollout, window, self.timeout, started),
+            None,
+        );
+        // The wave-level span in the trace ring; the phase histograms
+        // were fed per device.
+        let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let devices = rollout.devices().len() as u64;
+        self.metrics
+            .trace()
+            .record(TRACE_CAT_ENGINE, TRACE_ENGINE_WAVE, micros, devices);
         let (executed, memoized) = rollout.probes();
         self.metrics.probes_executed.add(executed as u64);
         self.metrics.probes_memoized.add(memoized as u64);
@@ -1171,12 +936,19 @@ mod tests {
     use eilid_fleet::{CampaignConfig, FleetBuilder};
     use std::sync::mpsc;
 
-    /// An engine over a one-device fleet whose reactor channel is
-    /// already closed, with the engine's own input channel kept open so
-    /// only the reactor loss can end an exchange early.
-    fn engine_without_reactor(
+    /// An engine over a one-device fleet attached on connection 7,
+    /// with its reactor channel's receiving end and its own input
+    /// channel's sending end.
+    #[allow(clippy::type_complexity)]
+    fn engine(
         timeout: Duration,
-    ) -> (OpsEngine, DeviceId, WorkloadId, Sender<EngineInput>) {
+    ) -> (
+        OpsEngine,
+        DeviceId,
+        WorkloadId,
+        Sender<EngineInput>,
+        Receiver<Vec<(u64, Frame)>>,
+    ) {
         let (fleet, mut verifier) =
             FleetBuilder::new(DeviceKey::new(b"fleet-root-key-0123456789abcdef").unwrap())
                 .devices(1)
@@ -1187,7 +959,6 @@ mod tests {
         let registry = Arc::new(Mutex::new(Registry::default()));
         registry.lock().unwrap().attach(device, 7, cohort);
         let (out, reactor) = mpsc::channel();
-        drop(reactor);
         let (engine_tx, rx) = mpsc::channel();
         let engine = OpsEngine {
             service: Arc::new(AttestationService::new(verifier.service_snapshot(1 << 20))),
@@ -1202,34 +973,37 @@ mod tests {
             draining: Arc::new(AtomicBool::new(false)),
             metrics: NetMetrics::new(),
         };
-        (engine, device, cohort, engine_tx)
+        (engine, device, cohort, engine_tx, reactor)
     }
 
     /// A sweep exchange whose frames cannot reach the reactor (its
     /// channel is closed) ends at once, with no reply delivered and the
-    /// loss counted, instead of idling out the exchange timeout.
+    /// loss counted, instead of idling out the exchange timeout. The
+    /// engine's own input channel stays open, so only the reactor loss
+    /// can end it early.
     #[test]
     fn exchange_fails_fast_when_the_reactor_is_gone() {
         let timeout = Duration::from_secs(30);
-        let (engine, device, _, _engine_tx) = engine_without_reactor(timeout);
+        let (engine, device, cohort, _engine_tx, reactor) = engine(timeout);
+        drop(reactor);
         let challenge = Challenge {
             nonce: 1,
             start: 0xE000,
             end: 0xE0FF,
         };
-        let request = Frame::ProbeRequest {
-            device,
-            mode: ProbeMode::AttestOnly,
-            smoke_cycles: 0,
-            challenge,
-        };
+        let challenges = SweepChallenges::from([(device, (cohort, challenge))]);
+        let mut rollout = Rollout::sweep(&challenges);
 
         let started = Instant::now();
         let mut delivered = 0;
-        let last_reply = engine.exchange(vec![(device, request)], |burst| delivered += burst.len());
+        let last_reply = engine.exchange(
+            &mut Driver::new(&mut rollout, usize::MAX, timeout, started),
+            Some(&mut |burst: &[(DeviceId, AttestationReport)]| delivered += burst.len()),
+        );
 
         assert!(started.elapsed() < timeout / 2, "{:?}", started.elapsed());
         assert_eq!((last_reply, delivered), (None, 0));
+        assert!(!rollout.is_done(), "the device never answered");
         assert_eq!(engine.metrics.engine_reactor_lost.get(), 1);
     }
 
@@ -1238,16 +1012,52 @@ mod tests {
     #[test]
     fn stream_fails_fast_when_the_reactor_is_gone() {
         let timeout = Duration::from_secs(30);
-        let (mut engine, device, cohort, _engine_tx) = engine_without_reactor(timeout);
+        let (mut engine, device, cohort, _engine_tx, reactor) = engine(timeout);
+        drop(reactor);
         let config = CampaignConfig::new(cohort, BENIGN_PATCH_TARGET, benign_patch());
         let mut rollout = Rollout::wave(&[device], &config, [0; 32], None);
 
         let started = Instant::now();
-        engine.stream(&mut rollout);
+        engine.drive(&mut rollout).unwrap();
 
         assert!(started.elapsed() < timeout / 2, "{:?}", started.elapsed());
         let wave = rollout.into_wave();
         assert_eq!((wave.failures, wave.updated.len()), (1, 0));
         assert_eq!(engine.metrics.engine_reactor_lost.get(), 1);
+    }
+
+    /// A thread that panics while holding the registry lock poisons it;
+    /// the engine recovers the map and still answers `cohort_info` and a
+    /// sweep (whose silent device ends `Unverified` at the deadline).
+    #[test]
+    fn a_poisoned_registry_lock_does_not_stop_the_engine() {
+        let (mut engine, device, cohort, _engine_tx, reactor) = engine(Duration::from_millis(50));
+        let registry = Arc::clone(&engine.registry);
+        let poisoner = std::thread::spawn(move || {
+            let _guard = registry.lock().unwrap();
+            panic!("poisoning the registry lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(engine.registry.is_poisoned());
+
+        assert_eq!(engine.cohort_info(cohort).unwrap().members, vec![device]);
+        engine.handle_operator(3, Frame::OpAggSweep);
+        let pushed = reactor.recv().unwrap();
+        assert!(matches!(
+            pushed.as_slice(),
+            [(7, Frame::ProbeRequest { device: probed, .. })] if *probed == device
+        ));
+        let answered = reactor.recv().unwrap();
+        let [(
+            3,
+            Frame::OpAggSweepResult {
+                devices, suspects, ..
+            },
+        )] = answered.as_slice()
+        else {
+            panic!("expected the sweep result, got {answered:?}");
+        };
+        assert_eq!(*devices, 1);
+        assert_eq!(suspects, &[(device, WireHealth::Unverified)]);
     }
 }

@@ -39,7 +39,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::engine::{EngineInput, OpsEngine, Registry};
+use crate::engine::{lock_registry, EngineInput, OpsEngine, Registry};
 use crate::metrics::NetMetrics;
 use crate::poller::{
     Event, IdleBackoff, Interest, Poller, PollerBackend, PollerChoice, WaitOutcome, Waker,
@@ -344,13 +344,6 @@ impl Gateway {
         self.conns.len()
     }
 
-    /// `true` once an operator's [`Frame::OpDrain`] put the gateway in
-    /// drain mode (new connections refused, existing ones still
-    /// served).
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Relaxed)
-    }
-
     /// Which readiness backend the reactor ended up with.
     pub fn poller_backend(&self) -> PollerBackend {
         self.poller.backend()
@@ -470,10 +463,7 @@ impl Gateway {
             self.counters
                 .live_connections
                 .fetch_sub(1, Ordering::Relaxed);
-            self.registry
-                .lock()
-                .expect("registry lock")
-                .drop_conn(conn_id);
+            lock_registry(&self.registry).drop_conn(conn_id);
             send_to_engine(
                 &self.engine_tx,
                 &self.counters,
@@ -646,10 +636,7 @@ impl Gateway {
                             }
                         }
                         SessionOutput::Attach { device, cohort } => {
-                            ctx.registry
-                                .lock()
-                                .expect("registry lock")
-                                .attach(device, conn_id, cohort);
+                            lock_registry(ctx.registry).attach(device, conn_id, cohort);
                             conn.queue(&Frame::AttachAck { device });
                         }
                         SessionOutput::Operator(frame) => {

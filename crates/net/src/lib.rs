@@ -77,7 +77,6 @@ pub mod transport;
 pub mod wire;
 
 pub use cluster::{with_placed_fleet, ClusterOps, GatewayLauncher, Placement, Supervisor};
-pub use engine::ENGINE_BUSY_RETRIES;
 pub use error::NetError;
 pub use gateway::{Gateway, GatewayConfig, GatewayCounters, GatewayHandle};
 pub use metrics::{

@@ -219,13 +219,6 @@ pub struct TraceSpan<'a> {
     started: Instant,
 }
 
-impl TraceSpan<'_> {
-    /// Overrides the second event argument before the span closes.
-    pub fn set_b(&mut self, b: u64) {
-        self.b = b;
-    }
-}
-
 impl Drop for TraceSpan<'_> {
     fn drop(&mut self) {
         let elapsed = u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX);

@@ -9,6 +9,7 @@
 //! completes with corrupted control flow that EILID claims to prevent.
 
 use eilid::{DeviceBuilder, RunOutcome};
+use eilid_casu::{merkle_measure_pmem, AttestError, AttestationVerifier, Attestor};
 use eilid_workloads::WorkloadId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,54 +97,46 @@ fn random_return_address_corruption_never_silently_diverts_execution() {
     assert!(detections > 0, "no corruption was ever detected");
 }
 
-/// Random single-bit flips in the instrumented image's PMEM must never pass
-/// the CASU monitor silently *if the flipped instruction executes and
-/// changes observable behaviour*: the device either still computes the
-/// correct result, stops with a violation/fault, or times out — it must not
-/// report success with a wrong answer while claiming integrity.
+/// Random single-bit flips in the instrumented image's PMEM are CASU's
+/// job, not CFI's: whatever the flipped device then computes, its PMEM
+/// measurement differs from the clean EILID build's, so attesting it
+/// against the clean measurement fails with `UnexpectedMeasurement`.
 #[test]
 fn random_code_bit_flips_do_not_produce_silently_wrong_results() {
+    const KEY: &[u8] = b"bit-flip-attestation-key-0123456";
     let workload = WorkloadId::LightSensor.workload();
-    let reference = {
-        let mut device = DeviceBuilder::new()
-            .build_baseline(&workload.source)
-            .unwrap();
-        match device.run_for(5_000_000) {
-            RunOutcome::Completed { output, .. } => output,
-            other => panic!("reference failed: {other}"),
-        }
-    };
+    let clean = DeviceBuilder::new().build_eilid(&workload.source).unwrap();
+    let layout = clean.layout().clone();
+    let expected = merkle_measure_pmem(&clean.cpu().memory, &layout);
+    let verifier = AttestationVerifier::new(KEY);
 
     let mut rng = StdRng::seed_from_u64(0xE11D);
-    for _ in 0..10 {
-        let mut device = DeviceBuilder::new().build_eilid(&workload.source).unwrap();
-        // Flip one random bit inside the loaded application segment. This
-        // models PMEM corruption that static integrity (measurement /
-        // immutability) is responsible for, not CFI; the assertion is only
-        // about silent wrong answers.
+    for nonce in 0..10 {
+        let mut device = clean.clone();
+        // Flip one random bit inside the loaded application segment.
         let artifacts = device.artifacts().unwrap();
         let segment = artifacts.instrumented_image.segments[0].clone();
         let byte_offset = rng.gen_range(0..segment.bytes.len()) as u16;
         let bit = rng.gen_range(0..8);
         let addr = segment.base + byte_offset;
+        assert!(layout.pmem.contains(&addr), "{addr:#06x} lies in PMEM");
         let original = device.cpu().memory.read_byte(addr);
         device
             .cpu_mut()
             .memory
             .write_byte(addr, original ^ (1 << bit));
 
-        match device.run_for(60_000_000) {
-            RunOutcome::Completed { output, .. } => {
-                // Either the flip was in never-executed code/an immaterial
-                // bit, in which case the answer matches, or the corrupted
-                // arithmetic changed the output — which static attestation
-                // (not CFI) would catch. Both are acceptable here; what we
-                // assert is that the run terminates in a classified state.
-                let _ = output == reference;
-            }
-            RunOutcome::Violation { .. }
-            | RunOutcome::Fault { .. }
-            | RunOutcome::Timeout { .. } => {}
-        }
+        let measurement = merkle_measure_pmem(&device.cpu().memory, &layout);
+        assert_ne!(measurement, expected, "flip at {addr:#06x} bit {bit}");
+        let challenge = verifier.challenge_pmem(&layout, nonce);
+        let report = Attestor::new(KEY).report(challenge, measurement);
+        assert_eq!(
+            verifier.verify(&challenge, &report, Some(&expected)),
+            Err(AttestError::UnexpectedMeasurement),
+            "flip at {addr:#06x} bit {bit}"
+        );
+
+        // Whatever the flip does, the run ends in a classified outcome.
+        device.run_for(60_000_000);
     }
 }
