@@ -259,6 +259,27 @@ double:
     }
 
     #[test]
+    fn clones_share_the_build_and_restore_their_own_secure_dmem() {
+        let device = DeviceBuilder::new().build_eilid(APP).unwrap();
+        let mut clone = device.clone();
+        assert!(std::ptr::eq(
+            device.artifacts().unwrap(),
+            clone.artifacts().unwrap()
+        ));
+
+        // Scribble over the clone's secure DMEM: a reset must restore it
+        // from the shared boot image and leave the original untouched.
+        let secure = crate::device::secure_dmem(device.layout());
+        let built = device.cpu().memory.slice(secure.clone()).to_vec();
+        assert!(built.iter().any(|&byte| byte != 0xA5));
+        clone.cpu_mut().memory.fill(secure.clone(), 0xA5);
+        clone.reset();
+        assert_eq!(clone.cpu().memory.slice(secure.clone()), &built[..]);
+        assert_eq!(device.cpu().memory.slice(secure), &built[..]);
+        assert_eq!((device.resets(), clone.resets()), (0, 1));
+    }
+
+    #[test]
     fn return_address_attack_is_detected_and_resets() {
         // The adversary overwrites the saved return address on the main
         // stack while `double` executes, redirecting the return into `hang`.

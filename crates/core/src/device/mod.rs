@@ -17,6 +17,8 @@ pub mod outcome;
 pub use builder::DeviceBuilder;
 pub use outcome::RunOutcome;
 
+use std::sync::Arc;
+
 use eilid_casu::{CasuMonitor, MemoryLayout, Violation};
 use eilid_msp430::{Cpu, StepError, StepTrace};
 
@@ -25,19 +27,24 @@ use crate::error::EilidError;
 use crate::instrument::BuildArtifacts;
 
 /// A simulated device, optionally protected by the EILID hardware monitor.
+///
+/// Cloning copies the per-device state (core, memory, monitor) and shares
+/// what the firmware build fixed: the build artifacts and the secure-DMEM
+/// boot image are read-only after the build, so every clone of one
+/// prototype points at the same copy.
 #[derive(Debug, Clone)]
 pub struct Device {
     cpu: Cpu,
     monitor: Option<CasuMonitor>,
     layout: MemoryLayout,
     config: EilidConfig,
-    artifacts: Option<BuildArtifacts>,
+    artifacts: Option<Arc<BuildArtifacts>>,
     resets: u64,
     /// Secure DMEM as built, on monitored (EILID) devices. The trusted
     /// runtime keeps its function-table count and shadow-stack index
     /// there; every reset restores them so each boot starts from an
     /// empty table and stack.
-    secure_boot: Option<Box<[u8]>>,
+    secure_boot: Option<Arc<[u8]>>,
 }
 
 impl Device {
@@ -61,7 +68,7 @@ impl Device {
             monitor,
             layout,
             config,
-            artifacts,
+            artifacts: artifacts.map(Arc::new),
             resets: 0,
             secure_boot,
         }
@@ -91,7 +98,7 @@ impl Device {
     /// Build artifacts (instrumented image, report, metrics) for
     /// EILID-protected devices; `None` for baseline devices.
     pub fn artifacts(&self) -> Option<&BuildArtifacts> {
-        self.artifacts.as_ref()
+        self.artifacts.as_deref()
     }
 
     /// The attached hardware monitor, if any.

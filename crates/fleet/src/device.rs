@@ -26,7 +26,6 @@ pub struct SimDevice {
     /// — authenticated updates, in-simulation bus writes, test-injected
     /// tampering — invalidates the covered leaves.
     measurer: IncrementalMeasurer,
-    last_outcome: Option<RunOutcome>,
     /// When set, campaign probe memoization is disabled for this
     /// device: its post-update health verdict must come from its own
     /// smoke run, never inherited from a cohort reference device.
@@ -36,9 +35,11 @@ pub struct SimDevice {
 }
 
 impl SimDevice {
-    /// Assembles a fleet member from a cloned prototype device and its
-    /// prototype-built incremental measurer (cloned, like the device, so
-    /// spawning thousands of devices re-hashes nothing).
+    /// Assembles a fleet member from a clone of its cohort's prototype
+    /// device and the prototype-built incremental measurer (cloned, like
+    /// the device, so spawning thousands of devices re-hashes nothing).
+    /// The clone copies the device state — memory, registers, monitor —
+    /// and shares the cohort's build artifacts with the prototype.
     pub(crate) fn new(
         id: DeviceId,
         cohort: WorkloadId,
@@ -54,7 +55,6 @@ impl SimDevice {
             engine: UpdateEngine::with_key(key, layout),
             attestor: Attestor::with_key(key),
             measurer,
-            last_outcome: None,
             probe_isolated: false,
         }
     }
@@ -83,11 +83,6 @@ impl SimDevice {
     /// Device-side update state (applied count, last nonce).
     pub fn engine(&self) -> &UpdateEngine {
         &self.engine
-    }
-
-    /// Outcome of the most recent run slice, if any.
-    pub fn last_outcome(&self) -> Option<&RunOutcome> {
-        self.last_outcome.as_ref()
     }
 
     /// Statistics of the incremental measurement engine (always
@@ -175,15 +170,11 @@ impl SimDevice {
     /// Reboots into the current firmware image (post-OTA restart).
     pub fn reboot(&mut self) {
         self.device.reboot();
-        self.last_outcome = None;
     }
 
-    /// Runs the device for (up to) `cycles` clock cycles and records the
-    /// outcome. A device that already completed reports completion
-    /// without consuming cycles.
+    /// Runs the device for (up to) `cycles` clock cycles. A device that
+    /// already completed reports completion without consuming cycles.
     pub fn run_slice(&mut self, cycles: u64) -> RunOutcome {
-        let outcome = self.device.run_for(cycles);
-        self.last_outcome = Some(outcome.clone());
-        outcome
+        self.device.run_for(cycles)
     }
 }

@@ -68,7 +68,9 @@ impl FleetBuilder {
     /// Each distinct firmware is instrumented once
     /// ([`DeviceBuilder::build_eilid`]) and the resulting prototype is
     /// cloned per device, so construction cost is O(workloads) + O(devices)
-    /// clones rather than O(devices) instrumentation runs.
+    /// clones rather than O(devices) instrumentation runs. A clone copies
+    /// the device state (memory, registers, monitor, Merkle tree); the
+    /// build artifacts are shared by every device of a cohort.
     ///
     /// # Errors
     ///

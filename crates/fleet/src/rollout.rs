@@ -286,6 +286,15 @@ struct Slot {
     in_flight: Option<Request>,
     /// Busy sheds of the in-flight request.
     attempts: usize,
+    challenge: Option<Challenge>,
+    /// The update chain's state, allocated on first use. Only wave and
+    /// rollback slots get one: a sweep slot never leaves its one probe.
+    chain: Option<Box<Chain>>,
+}
+
+/// What a wave or rollback slot tracks around its update.
+#[derive(Debug, Default)]
+struct Chain {
     key: Option<DeviceKey>,
     /// Nonce of the authorized update.
     nonce: u64,
@@ -293,7 +302,6 @@ struct Slot {
     /// The full-range update, held while the sparse attempt is in
     /// flight.
     fallback: Option<DeltaUpdateRequest>,
-    challenge: Option<Challenge>,
     applied: bool,
     /// Rejection of the sparse attempt.
     sparse_error: Option<UpdateError>,
@@ -308,8 +316,17 @@ struct Slot {
 }
 
 impl Slot {
+    fn chain(&mut self) -> &mut Chain {
+        self.chain.get_or_insert_with(Box::default)
+    }
+
+    fn into_chain(self) -> Chain {
+        self.chain.map_or_else(Chain::default, |chain| *chain)
+    }
+
     fn verifies(&self, report: &AttestationReport, expected: &[u8; 32]) -> bool {
-        match (&self.key, &self.challenge) {
+        let key = self.chain.as_ref().and_then(|chain| chain.key.as_ref());
+        match (key, &self.challenge) {
             (Some(key), Some(challenge)) => AttestationVerifier::with_key(key)
                 .verify(challenge, report, Some(expected))
                 .is_ok(),
@@ -551,10 +568,11 @@ impl<'a> Rollout<'a> {
                     last_nonce, data, ..
                 },
             ) if data.is_empty() => {
-                if last_nonce >= slot.nonce {
+                let chain = slot.chain();
+                if last_nonce >= chain.nonce {
                     return self.on_applied(i, keys);
                 }
-                slot.rejected = slot.sparse_error;
+                chain.rejected = chain.sparse_error;
                 self.retire(i)
             }
             (
@@ -578,7 +596,7 @@ impl<'a> Rollout<'a> {
     ) -> Next {
         let device = self.order[i];
         let key = keys.device_key(device);
-        let slot = &mut self.slots[i];
+        let chain = self.slots[i].chain();
         let (request, delta) = match &self.plan {
             Plan::Wave {
                 config, delta_base, ..
@@ -595,13 +613,13 @@ impl<'a> Rollout<'a> {
                     .map(|delta| (delta.segments.len() * 8 + delta.delta_bytes(), delta))
                     .filter(|(wire, _)| *wire < len);
                 let whole = DeltaUpdateRequest::whole(full);
-                slot.nonce = whole.nonce;
-                slot.snapshot = Some(snapshot);
+                chain.nonce = whole.nonce;
+                chain.snapshot = Some(snapshot);
                 self.bytes.0 += len as u64;
                 match sparse {
                     Some((wire, delta)) => {
                         self.bytes.1 += wire as u64;
-                        slot.fallback = Some(whole);
+                        chain.fallback = Some(whole);
                         (delta, true)
                     }
                     None => {
@@ -627,7 +645,7 @@ impl<'a> Rollout<'a> {
             }
             Plan::Sweep => return self.retire(i),
         };
-        slot.key = Some(key);
+        chain.key = Some(key);
         let request = Request::Update { device, request };
         Next::Push(self.arm(i, Phase::Update { delta }, request))
     }
@@ -640,7 +658,7 @@ impl<'a> Rollout<'a> {
         keys: &mut dyn RolloutKeys,
     ) -> Next {
         let device = self.order[i];
-        let slot = &mut self.slots[i];
+        let chain = self.slots[i].chain();
         match result {
             Ok(()) => self.on_applied(i, keys),
             // The sparse attempt was rejected (a divergent or tampered
@@ -648,8 +666,8 @@ impl<'a> Rollout<'a> {
             // rejected request never advances the device's nonce, and
             // only the final attempt's outcome is recorded.
             Err(error) if delta => {
-                slot.sparse_error = Some(error);
-                let request = slot
+                chain.sparse_error = Some(error);
+                let request = chain
                     .fallback
                     .take()
                     .expect("a sparse attempt holds its fallback");
@@ -661,7 +679,7 @@ impl<'a> Rollout<'a> {
             // this is a repeat of the sparse rejection, which an update
             // reply cannot be told apart from. A nonce query settles
             // whether the resend applied.
-            Err(error) if slot.sparse_error == Some(error) => {
+            Err(error) if chain.sparse_error == Some(error) => {
                 let request = Request::Snapshot {
                     device,
                     start: 0,
@@ -670,14 +688,14 @@ impl<'a> Rollout<'a> {
                 Next::Push(self.arm(i, Phase::Confirm, request))
             }
             Err(error) => {
-                slot.rejected = Some(error);
+                chain.rejected = Some(error);
                 self.retire(i)
             }
         }
     }
 
     fn on_applied(&mut self, i: usize, keys: &mut dyn RolloutKeys) -> Next {
-        self.slots[i].applied = true;
+        self.slots[i].chain().applied = true;
         let mode = match self.plan {
             Plan::Wave { .. } => ProbeMode::UpdateAttest,
             _ => ProbeMode::RollbackVerify,
@@ -697,18 +715,20 @@ impl<'a> Rollout<'a> {
         let slot = &mut self.slots[i];
         match (&self.plan, phase) {
             (Plan::Wave { expected_after, .. }, Phase::Attest) => {
-                slot.attested = slot.verifies(report, expected_after);
+                let attested = slot.verifies(report, expected_after);
+                let chain = slot.chain();
+                chain.attested = attested;
                 match (healthy, self.reference_verdict) {
                     // A probe-isolated device ran its own smoke probe.
                     (Some(healthy), _) => {
-                        slot.verdict = Some(slot.attested && healthy);
+                        chain.verdict = Some(attested && healthy);
                         self.probes.0 += 1;
                     }
                     // A measurement mismatch never inherits a clean
                     // verdict, and runs no smoke probe either.
-                    (None, _) if !slot.attested => slot.verdict = Some(false),
+                    (None, _) if !attested => chain.verdict = Some(false),
                     (None, Some(verdict)) => {
-                        slot.verdict = Some(verdict);
+                        chain.verdict = Some(verdict);
                         self.probes.1 += 1;
                     }
                     // The first eligible device becomes the cohort
@@ -720,7 +740,7 @@ impl<'a> Rollout<'a> {
                     // The reference is still running: the verdict
                     // resolves when the outcome is composed.
                     (None, None) => {
-                        slot.inherit = true;
+                        chain.inherit = true;
                         self.probes.1 += 1;
                     }
                 }
@@ -728,14 +748,15 @@ impl<'a> Rollout<'a> {
             (Plan::Wave { .. }, _) => {
                 let healthy = healthy != Some(false);
                 self.reference_verdict = Some(healthy);
-                slot.verdict = Some(slot.attested && healthy);
+                let chain = slot.chain();
+                chain.verdict = Some(chain.attested && healthy);
                 self.probes.0 += 1;
             }
             (Plan::Rollback { snapshots, .. }, _) => {
                 let restored = snapshots
                     .get(&device)
                     .is_some_and(|snapshot| slot.verifies(report, &snapshot.measurement));
-                slot.verdict = Some(restored);
+                slot.chain().verdict = Some(restored);
             }
             (Plan::Sweep, _) => {}
         }
@@ -800,14 +821,15 @@ impl<'a> Rollout<'a> {
             ..WaveRollout::default()
         };
         for (device, slot) in self.order.into_iter().zip(self.slots) {
-            if let Some(error) = slot.rejected {
+            let chain = slot.into_chain();
+            if let Some(error) = chain.rejected {
                 rollout
                     .events
                     .push(LedgerEvent::UpdateRejected { device, error });
                 rollout.failures += 1;
                 continue;
             }
-            if !slot.applied {
+            if !chain.applied {
                 // Lost before the update applied: the device keeps its
                 // old firmware and the wave counts a failure.
                 rollout.events.push(LedgerEvent::ProbeFailed { device });
@@ -816,16 +838,16 @@ impl<'a> Rollout<'a> {
             }
             rollout.events.push(LedgerEvent::UpdateApplied {
                 device,
-                nonce: slot.nonce,
+                nonce: chain.nonce,
             });
             rollout.updated.push(device);
-            let snapshot = slot.snapshot.expect("an applied device was snapshotted");
+            let snapshot = chain.snapshot.expect("an applied device was snapshotted");
             rollout.snapshots.insert(device, snapshot);
             // An inherited verdict fails closed when the reference
             // probe was lost; a probe lost in flight fails.
-            let healthy = slot
+            let healthy = chain
                 .verdict
-                .or(self.reference_verdict.filter(|_| slot.inherit))
+                .or(self.reference_verdict.filter(|_| chain.inherit))
                 .unwrap_or(false);
             if !healthy {
                 rollout.events.push(LedgerEvent::ProbeFailed { device });
@@ -842,12 +864,13 @@ impl<'a> Rollout<'a> {
     pub fn into_rollback(self) -> RollbackOutcome {
         let mut outcome = RollbackOutcome::default();
         for (device, slot) in self.order.into_iter().zip(self.slots) {
-            if let Some(error) = slot.rejected {
+            let chain = slot.into_chain();
+            if let Some(error) = chain.rejected {
                 outcome
                     .events
                     .push(LedgerEvent::UpdateRejected { device, error });
             }
-            if slot.verdict == Some(true) {
+            if chain.verdict == Some(true) {
                 outcome.events.push(LedgerEvent::RolledBack { device });
                 outcome.rolled_back.push(device);
             } else {

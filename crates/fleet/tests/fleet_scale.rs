@@ -10,7 +10,7 @@ use eilid_fleet::fixtures::{
 };
 use eilid_fleet::{
     CampaignConfig, CampaignOutcome, Fleet, FleetBuilder, FleetOps, HealthClass, LedgerEvent,
-    LocalOps, OpsError,
+    LocalOps, OpsError, SimDevice,
 };
 use eilid_workloads::WorkloadId;
 
@@ -18,6 +18,55 @@ const ROOT: &[u8] = b"fleet-root-key-0123456789abcdef";
 
 fn root_key() -> DeviceKey {
     DeviceKey::new(ROOT).unwrap()
+}
+
+/// The build artifacts of a cohort exist once, shared by its devices;
+/// each device still owns its memory.
+#[test]
+fn devices_of_one_cohort_share_one_build() {
+    let (mut fleet, _) = FleetBuilder::new(root_key())
+        .devices(14)
+        .threads(1)
+        .build()
+        .unwrap();
+    fn artifacts(device: &SimDevice) -> &eilid::BuildArtifacts {
+        device
+            .device()
+            .artifacts()
+            .expect("fleet devices are protected")
+    }
+    // Round-robin over seven cohorts: 0 and 7 are siblings, 1 is not.
+    let (tampered, sibling, other) = (0, 7, 1);
+    let devices = fleet.devices();
+    assert_eq!(devices[tampered].cohort(), devices[sibling].cohort());
+    assert_ne!(devices[tampered].cohort(), devices[other].cohort());
+    assert!(std::ptr::eq(
+        artifacts(&devices[tampered]),
+        artifacts(&devices[sibling])
+    ));
+    assert!(!std::ptr::eq(
+        artifacts(&devices[tampered]),
+        artifacts(&devices[other])
+    ));
+    let image = artifacts(&devices[tampered])
+        .instrumented_image
+        .segments
+        .clone();
+
+    let clean = fleet.devices_mut()[sibling].measure_pmem_cached();
+    let memory = &mut fleet.devices_mut()[tampered].device_mut().cpu_mut().memory;
+    let original = memory.read_byte(0xE010);
+    memory.write_byte(0xE010, original ^ 0x01);
+
+    assert_ne!(fleet.devices_mut()[tampered].measure_pmem_cached(), clean);
+    assert_eq!(fleet.devices_mut()[sibling].measure_pmem_cached(), clean);
+    for id in [tampered, sibling] {
+        assert_eq!(
+            artifacts(&fleet.devices()[id]).instrumented_image.segments,
+            image,
+            "device {id}'s build artifacts changed"
+        );
+    }
 }
 
 #[test]
