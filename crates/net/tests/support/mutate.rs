@@ -9,17 +9,8 @@
 //! bit-for-bit from the pair it prints.
 
 use std::fmt::Debug;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-fn env_u64(name: &str) -> Option<u64> {
-    let raw = std::env::var(name).ok()?;
-    let text = raw.trim();
-    let parsed = match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => text.parse(),
-    };
-    Some(parsed.unwrap_or_else(|_| panic!("{name}={raw:?} is not a number")))
-}
+use proptest::test_runner::{for_each_case, mix_seed, run_seed};
 
 /// SplitMix64: small, fast and good enough to pick mutations.
 struct Rng(u64);
@@ -86,29 +77,32 @@ fn mutate(rng: &mut Rng, corpus: &[Vec<u8>]) -> Vec<u8> {
 
 /// Runs `check` over `default_cases` mutated inputs (or
 /// `PROPTEST_CASES`). A panic — from the parser or from a failed
-/// round-trip assertion — is reported with the replay pair and the
-/// input, then re-raised.
-pub fn fuzz(name: &str, corpus: &[Vec<u8>], default_cases: u64, mut check: impl FnMut(&[u8])) {
+/// round-trip assertion — is reported with the input and the replay
+/// pair, then re-raised.
+pub fn fuzz(name: &str, corpus: &[Vec<u8>], default_cases: u32, mut check: impl FnMut(&[u8])) {
     assert!(!corpus.is_empty(), "{name}: empty corpus");
-    let run_seed = env_u64("PROPTEST_SEED").unwrap_or(0);
-    let cases = env_u64("PROPTEST_CASES").unwrap_or(default_cases);
     // FNV-1a over the loop name, then the run seed mixed in the same
     // way the vendored proptest mixes it.
     let name_seed = name.bytes().fold(0xCBF2_9CE4_8422_2325u64, |hash, byte| {
         (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
     });
-    let mut rng = Rng(name_seed ^ run_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    for case in 0..cases {
+    let mut rng = Rng(mix_seed(name_seed, run_seed()));
+    for_each_case(name, default_cases, |_| {
         let input = mutate(&mut rng, corpus);
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| check(&input))) {
+        let _shown = ShowOnPanic(&input);
+        check(&input);
+    });
+}
+
+/// Prints the input of a case that panics while it is alive.
+struct ShowOnPanic<'a>(&'a [u8]);
+
+impl Drop for ShowOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let input = self.0;
             let shown: String = input.iter().take(256).map(|b| format!("{b:02x}")).collect();
-            eprintln!(
-                "parser fuzz: case {case}/{cases} of {name} failed; replay with \
-                 PROPTEST_SEED={run_seed:#x} PROPTEST_CASES={}\ninput ({} bytes, first 256 shown): {shown}",
-                case + 1,
-                input.len(),
-            );
-            resume_unwind(payload);
+            eprintln!("input ({} bytes, first 256 shown): {shown}", input.len());
         }
     }
 }

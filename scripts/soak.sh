@@ -1,10 +1,9 @@
 #!/bin/sh
-# Property-test soak: runs every property-test suite, parser fuzz loop
-# and randomized failure-injection test in release mode once per seed
-# in SOAK_SEEDS (space-separated; default: eight fixed seeds) and stops
-# at the first failing seed. The vendored proptest, the fuzz loops and
-# the failure-injection tests mix PROPTEST_SEED into each test's own
-# seed, so every seed reaches new inputs, and a failing
+# Property-test soak: runs every property-test suite and parser fuzz
+# loop in release mode once per seed in SOAK_SEEDS (space-separated;
+# default: eight fixed seeds) and stops at the first failing seed. The
+# vendored proptest and the fuzz loops mix PROPTEST_SEED into each
+# property's own seed, so every seed reaches new inputs, and a failing
 # case prints the `PROPTEST_SEED=.. PROPTEST_CASES=..` pair that
 # replays it.
 set -u
@@ -20,8 +19,7 @@ for seed in $SOAK_SEEDS; do
 		--test agg_equivalence --test batch_equivalence \
 		--test cluster_props --test delta_equivalence \
 		--test ops_equivalence --test wire_props \
-		--test toolchain_properties --test parser_fuzz \
-		--test failure_injection ||
+		--test toolchain_properties --test parser_fuzz ||
 		! PROPTEST_SEED=$seed cargo test -q --release -p eilid_net --lib \
 		cluster_pause_decoder_survives_mutated_blobs; then
 		echo "soak: seed $seed failed"

@@ -13,35 +13,12 @@
 //! and their case count from `PROPTEST_CASES`; a failing case prints the
 //! pair that replays it.
 
-use std::collections::HashSet;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-
 use eilid::{DeviceBuilder, RunOutcome};
 use eilid_casu::{merkle_measure_pmem, AttestError, AttestationVerifier, Attestor};
 use eilid_workloads::WorkloadId;
-use proptest::test_runner::{cases, mix_seed, run_seed};
+use proptest::test_runner::{for_each_case, mix_seed, run_seed};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Runs `check` on each case index of `default_cases` (or
-/// `PROPTEST_CASES`) and returns the case count. A failing case is
-/// reported with the `PROPTEST_SEED`/`PROPTEST_CASES` pair that replays
-/// it, then re-raised.
-fn for_each_case(name: &str, default_cases: u32, mut check: impl FnMut(u32)) -> u32 {
-    let cases = cases(default_cases);
-    for case in 0..cases {
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| check(case))) {
-            eprintln!(
-                "{name}: case {case}/{cases} failed; replay with \
-                 PROPTEST_SEED={:#x} PROPTEST_CASES={}",
-                run_seed(),
-                case + 1,
-            );
-            resume_unwind(payload);
-        }
-    }
-    cases
-}
 
 /// Runs the light-sensor workload with one randomly placed return-address
 /// corruption and classifies the outcome.
@@ -64,29 +41,18 @@ fn run_with_random_ra_corruption(seed: u64) -> (RunOutcome, Vec<u16>) {
 
     // Corrupt the word at the top of the stack at one random point during
     // the run (modelling a transient memory-corruption bug firing once).
-    // The bug is application code, so it can only fire right after an
-    // instruction the application's author wrote: CASU atomicity keeps
-    // trusted-software sections uninterruptible, and the instructions
-    // EILID inserts (listed as synthetic, line 0) are not the bug either.
-    // Inside an inserted sequence — between a `call`'s push and the
-    // dispatch's shadow-stack store, or between `mov @sp, r6` and the
-    // `ret` it checks — only EILID-emitted instructions run, so a
-    // transient application bug cannot land in those windows.
-    let app_authored: HashSet<u16> = device
-        .artifacts()
-        .expect("EILID devices carry artifacts")
-        .instrumented_image
-        .listing
-        .entries
-        .iter()
-        .filter(|entry| entry.line != 0)
-        .filter_map(|entry| entry.address)
-        .collect();
+    // The bug is application code, so it can only fire while application
+    // instructions execute (pc below the EILID trampolines): CASU
+    // atomicity keeps trusted-software sections uninterruptible, and
+    // between a `call`'s push and the dispatch's shadow-stack store only
+    // EILID-emitted instructions run, so a transient application bug
+    // cannot land in that window.
+    let app_code_end = eilid::sw::DEFAULT_TRAMPOLINE_ORG;
     let trigger_cycle: u64 = rng.gen_range(5_000..40_000);
     let rogue_value: u16 = rng.gen_range(0xE000..0xF700) & !1;
     let mut fired = false;
     let outcome = device.run_with_hook(60_000_000, |cpu, trace| {
-        if !fired && trace.total_cycles >= trigger_cycle && app_authored.contains(&trace.pc) {
+        if !fired && trace.total_cycles >= trigger_cycle && trace.pc < app_code_end {
             fired = true;
             let sp = cpu.regs.sp();
             cpu.memory.write_word(sp, rogue_value);
