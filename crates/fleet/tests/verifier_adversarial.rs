@@ -9,11 +9,22 @@
 //!   verifier must never echo a previous sweep's verdict);
 //! * cross-device replay — present device A's honestly produced report
 //!   as device B's answer and assert the cached-key verifier rejects it
-//!   (per-device keys, challenge binding).
+//!   (per-device keys, challenge binding);
+//! * thread-count independence — the same seeded fleet, tampered and
+//!   downgraded alike, sweeps to equal verdicts and evidence whether one
+//!   thread or several run the shard jobs.
 
-use eilid_casu::{AttestError, AttestationVerifier, Attestor, DeviceKey, MeasurementScheme};
-use eilid_fleet::{FleetBuilder, HealthClass};
+use std::collections::BTreeSet;
+
+use eilid_casu::{
+    AttestError, AttestationVerifier, Attestor, DeviceKey, MeasurementScheme, UpdateAuthority,
+};
+use eilid_fleet::fixtures::{benign_patch, BENIGN_PATCH_TARGET};
+use eilid_fleet::{
+    AggSweepSummary, CampaignConfig, Fleet, FleetBuilder, FleetOps, HealthClass, LocalOps, Verifier,
+};
 use eilid_workloads::WorkloadId;
+use proptest::test_runner::{for_each_case, mix_seed, run_seed};
 
 const ROOT: &[u8] = b"fleet-root-key-0123456789abcdef";
 
@@ -164,4 +175,167 @@ fn whole_fleet_sweeps_derive_each_key_once_and_stay_correct() {
             "re-sweep {round} must not re-derive any key"
         );
     }
+}
+
+/// SplitMix64: the seeded draws of the thread-count case.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, bound: u64) -> u64 {
+        self.next() % bound
+    }
+
+    /// `count` distinct ids below `devices`, none in `taken`.
+    fn pick(&mut self, count: usize, devices: u64, taken: &BTreeSet<u64>) -> BTreeSet<u64> {
+        let mut picked = BTreeSet::new();
+        while picked.len() < count {
+            let id = self.below(devices);
+            if !taken.contains(&id) {
+                picked.insert(id);
+            }
+        }
+        picked
+    }
+}
+
+/// One seeded fleet: `devices` across all seven cohorts, the
+/// `(device, PMEM address)` firmware flips, and the devices downgraded
+/// to their cohort's previous golden image.
+struct Scenario {
+    devices: usize,
+    tampered: Vec<(u64, u16)>,
+    stale: BTreeSet<u64>,
+}
+
+impl Scenario {
+    fn draw(rng: &mut SplitMix) -> Self {
+        let devices = 21 + rng.below(43);
+        let (tampered, stale) = (1 + rng.below(4) as usize, 1 + rng.below(3) as usize);
+        let tampered_ids = rng.pick(tampered, devices, &BTreeSet::new());
+        let stale = rng.pick(stale, devices, &tampered_ids);
+        let tampered = tampered_ids
+            .into_iter()
+            .map(|id| (id, 0xE000 + rng.below(0x40) as u16))
+            .collect();
+        Scenario {
+            devices: devices as usize,
+            tampered,
+            stale,
+        }
+    }
+
+    /// The verdicts every build must reach, in id order.
+    fn flagged(&self) -> Vec<(u64, HealthClass)> {
+        let tampered = self
+            .tampered
+            .iter()
+            .map(|&(id, _)| (id, HealthClass::Tampered));
+        let stale = self.stale.iter().map(|&id| (id, HealthClass::Stale));
+        let mut flagged: Vec<_> = tampered.chain(stale).collect();
+        flagged.sort_unstable();
+        flagged
+    }
+
+    /// Builds the fleet at `threads`, completes a benign campaign on
+    /// every cohort holding a stale device, rolls those devices back to
+    /// the pre-campaign bytes, and flips one firmware byte per tampered
+    /// device.
+    fn build(&self, threads: usize) -> (Fleet, Verifier) {
+        let (mut fleet, mut verifier) = FleetBuilder::new(root_key())
+            .devices(self.devices)
+            .threads(threads)
+            .build()
+            .unwrap();
+        let span = usize::from(BENIGN_PATCH_TARGET)
+            ..usize::from(BENIGN_PATCH_TARGET) + benign_patch().len();
+        let stale: Vec<(u64, Vec<u8>)> = self
+            .stale
+            .iter()
+            .map(|&id| {
+                let memory = &fleet.devices()[id as usize].device().cpu().memory;
+                (id, memory.slice(span.clone()).to_vec())
+            })
+            .collect();
+        let cohorts: BTreeSet<WorkloadId> = self
+            .stale
+            .iter()
+            .map(|&id| fleet.devices()[id as usize].cohort())
+            .collect();
+        for cohort in cohorts {
+            let config = CampaignConfig::new(cohort, BENIGN_PATCH_TARGET, benign_patch());
+            LocalOps::new(&mut fleet, &mut verifier)
+                .run_campaign(&config)
+                .expect("benign campaign completes");
+        }
+        for (id, old_bytes) in stale {
+            let key = verifier.device_key(id);
+            let device = &mut fleet.devices_mut()[id as usize];
+            let mut authority =
+                UpdateAuthority::with_key_resuming(&key, device.engine().last_nonce() + 1);
+            device
+                .apply_update(&authority.authorize(BENIGN_PATCH_TARGET, &old_bytes))
+                .unwrap();
+            device.reboot();
+        }
+        for &(id, address) in &self.tampered {
+            let memory = &mut fleet.devices_mut()[id as usize]
+                .device_mut()
+                .cpu_mut()
+                .memory;
+            let original = memory.read_byte(address);
+            memory.write_byte(address, original ^ 0x01);
+        }
+        (fleet, verifier)
+    }
+}
+
+/// However many threads run the shard jobs, a sweep reaches the same
+/// verdicts and the same evidence: one seeded 7-cohort fleet with
+/// tampered and stale devices, built at 1, 2, 3 and 8 threads, yields
+/// equal aggregated sweeps (epoch, counts, flagged list, shard roots,
+/// fleet root) three sweeps running, and derives each key once.
+#[test]
+fn sweeps_do_not_depend_on_the_thread_count() {
+    const THREADS: [usize; 4] = [1, 2, 3, 8];
+    for_each_case("sweep thread-count independence", 3, |case| {
+        let mut rng = SplitMix(mix_seed(0x5EED_0000 + u64::from(case), run_seed()));
+        let scenario = Scenario::draw(&mut rng);
+        let mut builds: Vec<(Fleet, Verifier)> = THREADS
+            .iter()
+            .map(|&threads| scenario.build(threads))
+            .collect();
+        for round in 0..3 {
+            let sweeps: Vec<AggSweepSummary> = builds
+                .iter_mut()
+                .map(|(fleet, verifier)| verifier.sweep_aggregated(fleet))
+                .collect();
+            assert_eq!(sweeps[0].summary.devices, scenario.devices);
+            assert_eq!(
+                sweeps[0].summary.flagged,
+                scenario.flagged(),
+                "round {round}"
+            );
+            for (threads, sweep) in THREADS.iter().zip(&sweeps).skip(1) {
+                assert_eq!(
+                    sweep, &sweeps[0],
+                    "round {round}: threads({threads}) differs from threads(1)"
+                );
+            }
+        }
+        for (threads, (_, verifier)) in THREADS.iter().zip(&builds) {
+            assert_eq!(
+                verifier.key_derivations(),
+                scenario.devices as u64,
+                "threads({threads})"
+            );
+        }
+    });
 }

@@ -19,7 +19,8 @@ for seed in $SOAK_SEEDS; do
 		--test agg_equivalence --test batch_equivalence \
 		--test cluster_props --test delta_equivalence \
 		--test ops_equivalence --test wire_props \
-		--test toolchain_properties --test parser_fuzz ||
+		--test toolchain_properties --test parser_fuzz \
+		--test verifier_adversarial ||
 		! PROPTEST_SEED=$seed cargo test -q --release -p eilid_net --lib \
 		cluster_pause_decoder_survives_mutated_blobs; then
 		echo "soak: seed $seed failed"
