@@ -5,14 +5,15 @@
 //! chunked map is all the scheduler we need — no async runtime, no work
 //! stealing. Results come back in input order.
 
-use std::thread;
+use std::{panic, thread};
 
 /// Maps `f` over `items` on up to `threads` worker threads, preserving
 /// input order in the result.
 ///
-/// With `threads <= 1` (or a single item) the map runs inline, which
-/// keeps single-core environments and tests deterministic and
-/// profiler-friendly.
+/// With `threads <= 1` (or a single item) the map runs inline on the
+/// caller's thread, which keeps single-core environments and tests
+/// deterministic and profiler-friendly. A panicking item's payload is
+/// re-raised on the caller's thread once every worker has finished.
 pub fn parallel_map_mut<I, T, F>(items: &mut [I], threads: usize, f: F) -> Vec<T>
 where
     I: Send,
@@ -34,7 +35,11 @@ where
             .collect();
         handles
             .into_iter()
-            .flat_map(|handle| handle.join().expect("fleet worker thread panicked"))
+            .flat_map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| panic::resume_unwind(payload))
+            })
             .collect()
     })
 }
@@ -60,6 +65,26 @@ mod tests {
         assert!(parallel_map_mut(&mut empty, 4, |x| *x).is_empty());
         let mut one = vec![5u8];
         assert_eq!(parallel_map_mut(&mut one, 0, |x| *x + 1), vec![6]);
+    }
+
+    #[test]
+    fn one_thread_runs_inline_and_a_worker_panic_keeps_its_message() {
+        let caller = thread::current().id();
+        let mut items = vec![1u8, 2, 3];
+        let on_caller = parallel_map_mut(&mut items, 1, |_| thread::current().id() == caller);
+        assert_eq!(on_caller, [true; 3]);
+
+        let payload = panic::catch_unwind(panic::AssertUnwindSafe(|| {
+            parallel_map_mut(&mut items, 2, |x| {
+                assert_ne!(thread::current().id(), caller);
+                if *x == 3 {
+                    panic!("item three failed");
+                }
+                *x
+            })
+        }))
+        .unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"item three failed"));
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! concurrently.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
+use std::thread;
 
 use eilid::{DeviceBuilder, RunOutcome};
 use eilid_casu::{DeviceKey, IncrementalMeasurer, MeasurementScheme, MemoryLayout};
@@ -50,7 +52,10 @@ impl FleetBuilder {
     }
 
     /// Sets the worker-thread count for fleet-wide operations
-    /// (default 4).
+    /// (default 4). [`FleetBuilder::build`] caps it at the machine's
+    /// available parallelism: sweeps, slices and campaign rounds spawn
+    /// their scoped threads per call, and threads beyond the core count
+    /// only add spawns.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -125,12 +130,13 @@ impl FleetBuilder {
             });
         }
 
+        // The executor runs inline below one thread, and threads past
+        // the core count only add spawns.
+        let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
         let fleet = Fleet {
             devices,
             cohorts,
-            // The executor runs inline below one thread; clamp so
-            // `Fleet::threads` never reads 0.
-            threads: self.threads.max(1),
+            threads: self.threads.clamp(1, cores),
             ledger,
         };
         let verifier = crate::Verifier::enroll(self.root, &fleet);
@@ -171,7 +177,8 @@ impl Fleet {
         self.devices.is_empty()
     }
 
-    /// Worker-thread count used for fleet-wide operations.
+    /// Worker-thread count used for fleet-wide operations: the
+    /// builder's count, capped at the available parallelism.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -232,8 +239,9 @@ impl Fleet {
         &mut self.ledger
     }
 
-    /// Runs every device for (up to) `cycles` clock cycles on the worker
-    /// pool, recording violation resets and recoveries in the ledger.
+    /// Runs every device for (up to) `cycles` clock cycles on the
+    /// fleet's threads, recording violation resets and recoveries in
+    /// the ledger.
     pub fn run_slice(&mut self, cycles: u64) -> SliceReport {
         // One ledger pass up front: devices whose last violation reset
         // has not yet been followed by a completed run.

@@ -11,9 +11,10 @@
 //!   construction instruments each distinct firmware once and clones the
 //!   prototype, so spinning up thousands of devices stays cheap.
 //! * [`Verifier`] — issues batched attestation challenges across the
-//!   fleet and verifies the reports on the persistent [`WorkerPool`]
-//!   (no async runtime). Devices map to [`SHARD_COUNT`] stable shards by
-//!   `device_id % SHARD_COUNT`; each shard job verifies its devices,
+//!   fleet and verifies the reports on scoped threads, at most one per
+//!   core ([`exec::parallel_map_mut`], no async runtime). Devices map
+//!   to [`SHARD_COUNT`] stable shards by `device_id % SHARD_COUNT`;
+//!   each shard job verifies its devices,
 //!   folds their evidence into a signed aggregate root, and reports only
 //!   its suspects, so a sweep yields one [`SweepSummary`]. Each shard
 //!   caches the device keys it has derived, so key derivation happens
@@ -72,10 +73,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-// Unsafe code is denied crate-wide; the single, documented exception is
-// the lifetime-erasure in `pool::WorkerPool::scope`, which re-creates
-// `std::thread::scope`'s join guarantee on persistent worker threads.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;
@@ -86,7 +84,6 @@ pub mod exec;
 pub mod fixtures;
 pub mod fleet;
 pub mod ops;
-pub mod pool;
 pub mod report;
 pub mod rollout;
 pub mod verifier;
@@ -104,7 +101,6 @@ pub use ops::{
     merge_agg_sweeps, merge_health, merge_phases, merge_reports, merge_sweeps, AggSweepSummary,
     CampaignPhase, FleetOps, LocalOps, OpsError, OpsHealth, SweepSummary,
 };
-pub use pool::WorkerPool;
 pub use report::{HealthClass, Ledger, LedgerEvent};
 pub use rollout::{
     PreUpdateSnapshot, ProbeMode, Reply, Request, RollbackOutcome, Rollout, RolloutKeys,

@@ -5,8 +5,8 @@
 //! EILID's deployment story is a *remote* verifier that both attests and
 //! heals a fleet. This module defines the operator-facing API once:
 //!
-//! * [`LocalOps`] — the in-process backend. Sweeps run on the
-//!   [`Verifier`]'s persistent worker pool; campaigns drive the
+//! * [`LocalOps`] — the in-process backend. Sweeps run one job per
+//!   shard on the fleet's threads; campaigns drive the
 //!   [`CampaignRun`] engine through the in-process
 //!   [`LocalExecutor`](crate::campaign::LocalExecutor).
 //! * `eilid_net::RemoteOps` — the wire backend. The same trait methods

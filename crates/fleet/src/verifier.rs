@@ -13,9 +13,9 @@
 //!   [`SweepSummary`] and signed [`AggProof`];
 //! * [`AggSweepSummary::verified`] — the one operator-side proof check.
 //!
-//! The verifier runs its sweeps on the persistent worker pool, giving
-//! each shard job exclusive use of its key shard; the gateway keeps one
-//! lock per shard.
+//! The verifier runs one job per shard on the fleet's threads
+//! ([`parallel_map_mut`]), giving each job exclusive use of its key
+//! shard; the gateway keeps one lock per shard.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -28,9 +28,9 @@ use eilid_msp430::Memory;
 use eilid_workloads::WorkloadId;
 
 use crate::device::{DeviceId, SimDevice};
+use crate::exec::parallel_map_mut;
 use crate::fleet::Fleet;
 use crate::ops::{class_index, merge_sweeps, AggSweepSummary, SweepSummary};
-use crate::pool::WorkerPool;
 use crate::report::{HealthClass, LedgerEvent};
 use crate::rollout::RolloutKeys;
 
@@ -75,7 +75,7 @@ impl KeyShard {
     }
 
     /// Key derivations this shard ever performed.
-    pub fn derivations(&self) -> u64 {
+    fn derivations(&self) -> u64 {
         self.derivations
     }
 }
@@ -183,38 +183,20 @@ impl CohortSnapshot {
 /// The trusted fleet verifier.
 ///
 /// Holds the fleet root key (from which every device key is derived,
-/// then cached in stable shards), the per-cohort golden state, the
-/// challenge nonce state, and the persistent [`WorkerPool`] sweeps run
-/// on.
-#[derive(Debug)]
+/// then cached in stable shards), the per-cohort golden state and the
+/// challenge nonce state.
+#[derive(Debug, Clone)]
 pub struct Verifier {
     root: DeviceKey,
     expected: BTreeMap<WorkloadId, CohortSnapshot>,
     shards: Vec<KeyShard>,
-    pool: WorkerPool,
     next_nonce: u64,
-}
-
-impl Clone for Verifier {
-    /// Cloning duplicates the trust state (keys, goldens, caches) and
-    /// spins up a *fresh* worker pool with the same parallelism —
-    /// worker threads are not shareable state.
-    fn clone(&self) -> Self {
-        Verifier {
-            root: self.root.clone(),
-            expected: self.expected.clone(),
-            shards: self.shards.clone(),
-            pool: WorkerPool::new(self.pool.workers(), SHARD_COUNT),
-            next_nonce: self.next_nonce,
-        }
-    }
 }
 
 impl Verifier {
     /// Enrolls a fleet: records each cohort's golden measurement (over
-    /// the layout the cohort's devices were actually built with), sizes
-    /// the stable shard set, and spins up the persistent worker pool
-    /// with one worker per fleet thread.
+    /// the layout the cohort's devices were actually built with) and
+    /// sizes the stable shard set.
     pub(crate) fn enroll(root: DeviceKey, fleet: &Fleet) -> Self {
         let mut expected = BTreeMap::new();
         for cohort in fleet.cohort_ids() {
@@ -233,7 +215,6 @@ impl Verifier {
             root,
             expected,
             shards: vec![KeyShard::default(); SHARD_COUNT],
-            pool: WorkerPool::new(fleet.threads(), SHARD_COUNT),
             next_nonce: 1,
         }
     }
@@ -327,54 +308,38 @@ impl Verifier {
     }
 
     /// Partitions the fleet into its stable shards ([`shard_of`],
-    /// ascending id within a shard) and runs [`Verifier::aggregate_shard`]
-    /// once per non-empty shard, with that shard's key cache exclusively
-    /// borrowed, as one [`WorkerPool::scope`] job per shard (shards
-    /// route to exactly one worker, so the only shared data is
-    /// read-only; a one-worker pool runs them inline). Results come back
-    /// in shard order.
+    /// ascending id within a shard) and runs one job per non-empty
+    /// shard through [`parallel_map_mut`] on the fleet's threads: each
+    /// job exclusively borrows its shard's key cache, verifies the
+    /// shard's devices and folds the verdicts through [`fold_shard`].
+    /// The only shared data is read-only; results come back in shard
+    /// order.
     fn aggregate_shards(&mut self, fleet: &mut Fleet, epoch: u64) -> Vec<(SweepSummary, AggProof)> {
+        let threads = fleet.threads();
         let mut shard_targets: Vec<Vec<&mut SimDevice>> =
             (0..SHARD_COUNT).map(|_| Vec::new()).collect();
         for device in fleet.devices_mut() {
             shard_targets[shard_of(device.id())].push(device);
         }
-        for targets in &mut shard_targets {
-            targets.sort_by_key(|device| device.id());
-        }
-        type Job<'a> = Box<dyn FnOnce() -> (SweepSummary, AggProof) + Send + 'a>;
-        let (root, expected) = (&self.root, &self.expected);
-        let jobs: Vec<(usize, Job<'_>)> = self
+        let mut jobs: Vec<(usize, &mut KeyShard, Vec<&mut SimDevice>)> = self
             .shards
             .iter_mut()
             .zip(shard_targets)
             .enumerate()
             .filter(|(_, (_, targets))| !targets.is_empty())
-            .map(|(index, (shard, targets))| {
-                let run: Job<'_> = Box::new(move || {
-                    Self::aggregate_shard(index as u16, shard, targets, root, expected, epoch)
-                });
-                (index, run)
+            .map(|(index, (shard, mut targets))| {
+                targets.sort_by_key(|device| device.id());
+                (index, shard, targets)
             })
             .collect();
-        self.pool.scope(jobs)
-    }
-
-    /// Runs one shard of a sweep: verifies every device and folds the
-    /// verdicts through [`fold_shard`].
-    fn aggregate_shard(
-        index: u16,
-        shard: &mut KeyShard,
-        targets: Vec<&mut SimDevice>,
-        root: &DeviceKey,
-        expected: &BTreeMap<WorkloadId, CohortSnapshot>,
-        epoch: u64,
-    ) -> (SweepSummary, AggProof) {
-        let verdicts = targets.into_iter().map(|device| {
-            let (class, report) = Self::check_device(shard, root, expected, epoch, device);
-            (device.id(), class, evidence_leaf(device.id(), &report))
-        });
-        fold_shard(root, index, epoch, verdicts)
+        let (root, expected) = (&self.root, &self.expected);
+        parallel_map_mut(&mut jobs, threads, |(index, shard, targets)| {
+            let verdicts = targets.iter_mut().map(|device| {
+                let (class, report) = Self::check_device(shard, root, expected, epoch, device);
+                (device.id(), class, evidence_leaf(device.id(), &report))
+            });
+            fold_shard(root, *index as u16, epoch, verdicts)
+        })
     }
 
     /// Issues one attestation sweep across the whole fleet and returns
@@ -389,7 +354,7 @@ impl Verifier {
     ///
     /// Every device is challenged with a fresh nonce and every report
     /// MAC is checked. Devices are partitioned into stable shards by
-    /// [`shard_of`]; the persistent pool runs one job per non-empty
+    /// [`shard_of`]; the fleet's threads run one job per non-empty
     /// shard, each exclusively owning its shard's key cache, so keys are
     /// derived once per device *ever*, not once per sweep. The
     /// operator-side check ([`AggSweepSummary::verified`]) verifies at

@@ -11,19 +11,18 @@
 //! [`merge_health`]) so the caller sees exactly the shape a
 //! single-gateway deployment produces.
 //!
-//! **Failover.** After every wave (and right after begin), each
-//! console checkpoints its gateway's campaign with the one-round-trip
-//! `OpCheckpoint` verb: the gateway snapshots the *running* run into
-//! its retained slot without pausing it, and — unless the console asks
-//! for durable checkpoints — no [`PausedCampaign`] bytes cross the
-//! wire at all; they are fetched only on actual failover. When a
-//! gateway goes away mid-campaign, [`ClusterOps::reconnect`] repairs
-//! state in layers: a connection blip finds the run still loaded
-//! (nothing to do); a restarted process that kept its retained record
-//! resumes in place; a fresh process is re-seeded from the
-//! console-held bytes (durable mode — see
-//! [`ClusterOps::set_durable_checkpoints`]). Stepping then continues
-//! from the wave boundary — a resume, not a redo. Wave replay is
+//! **Failover.** In durable mode
+//! ([`ClusterOps::set_durable_checkpoints`]), after every wave (and
+//! right after begin) each console checkpoints its gateway's campaign
+//! with the one-round-trip `OpCheckpoint` verb: the gateway serialises
+//! the *running* run without pausing it, and the [`PausedCampaign`]
+//! bytes ride back to be kept console-side. Otherwise no checkpoint is
+//! taken. When a gateway goes away mid-campaign,
+//! [`ClusterOps::reconnect`] repairs state in layers: a connection blip
+//! finds the run still loaded (nothing to do); a gateway holding a
+//! paused or drained record resumes it in place; a fresh process is
+//! re-seeded from the console-held bytes (durable mode). Stepping then
+//! continues from the wave boundary — a resume, not a redo. Wave replay is
 //! idempotent: update nonces resume from the device-reported last
 //! nonce, so devices that already applied the wave's patch simply
 //! accept it again.
@@ -81,13 +80,12 @@ pub struct ClusterOps {
     finished: Vec<bool>,
     /// Latest per-gateway wave-boundary checkpoint: the
     /// [`PausedCampaign`] bytes replayed into a restarted gateway by
-    /// [`ClusterOps::reconnect`]. Populated only in durable mode; the
-    /// default keeps the record gateway-retained and off the wire.
+    /// [`ClusterOps::reconnect`]. Populated only in durable mode.
     checkpoints: Vec<Option<Vec<u8>>>,
-    /// When true, every wave-boundary checkpoint also fetches the
-    /// serialised record so a gateway *process* death is recoverable;
-    /// the default trusts the gateway-retained slot (connection blips,
-    /// drains) and skips the byte shuttle.
+    /// When true, every wave boundary fetches the serialised record so
+    /// a gateway *process* death is recoverable; the default takes no
+    /// checkpoints (a connection blip keeps the run loaded, and a drain
+    /// hands its records back).
     durable_checkpoints: bool,
     cohort: Option<WorkloadId>,
     op_timeout: Duration,
@@ -217,8 +215,8 @@ impl ClusterOps {
     /// and repairs campaign state in layers, cheapest first: a gateway
     /// that never lost its run (connection blip) answers the in-place
     /// resume with [`OpsError::CampaignActive`] and keeps stepping; a
-    /// restarted-but-retaining gateway resumes from its own retained
-    /// checkpoint; only a fresh process with nothing retained is
+    /// gateway still holding a paused or drained record resumes it in
+    /// place; only a fresh process with nothing retained is
     /// re-seeded from the console-held bytes (populated in durable
     /// mode) via [`FleetOps::campaign_resume`].
     ///
@@ -309,17 +307,19 @@ impl ClusterOps {
             .collect()
     }
 
-    /// Checkpoints one console in a single round trip: the gateway
-    /// snapshots its *running* campaign into the retained slot without
-    /// pausing it. In durable mode the serialised record rides back in
-    /// the ack and is kept console-side; otherwise no `EPC2` bytes
-    /// cross the wire at all — they are fetched only on actual
-    /// failover.
+    /// Checkpoints one console in durable mode, in a single round trip:
+    /// the gateway serialises its *running* campaign without pausing it
+    /// and the record rides back in the ack, to be kept console-side.
+    /// Outside durable mode there is nothing to keep, so nothing is
+    /// sent.
     fn checkpoint_console(
         console: &mut RemoteOps<TcpTransport>,
         durable: bool,
     ) -> Result<Option<Vec<u8>>, OpsError> {
-        let (_state, bytes) = console.campaign_checkpoint(durable)?;
+        if !durable {
+            return Ok(None);
+        }
+        let (_state, bytes) = console.campaign_checkpoint(true)?;
         Ok((!bytes.is_empty()).then_some(bytes))
     }
 }

@@ -156,7 +156,7 @@ impl Supervisor {
     /// # Errors
     ///
     /// [`io::ErrorKind::TimedOut`] when the deadline passes first.
-    pub fn wait_ready(&self, gateway: usize, timeout: Duration) -> io::Result<()> {
+    fn wait_ready(&self, gateway: usize, timeout: Duration) -> io::Result<()> {
         let deadline = Instant::now() + timeout;
         loop {
             match RemoteOps::connect(self.addrs[gateway]) {

@@ -152,7 +152,7 @@ pub(crate) enum EngineInput {
     Devices(Vec<Frame>),
     /// A connection disappeared (its registrations are already gone
     /// from the registry); pending exchanges on it should fail fast.
-    ConnClosed(#[allow(dead_code)] u64),
+    ConnClosed,
 }
 
 /// One cohort's campaign slot: at most one loaded run, plus the
@@ -237,9 +237,7 @@ impl OpsEngine {
                 // Device replies outside an exchange (a late probe
                 // result after a timeout, an unsolicited ack) carry no
                 // pending state; drop them.
-                EngineInput::Device { .. }
-                | EngineInput::Devices(_)
-                | EngineInput::ConnClosed(_) => {}
+                EngineInput::Device { .. } | EngineInput::Devices(_) | EngineInput::ConnClosed => {}
             }
         }
     }
@@ -410,37 +408,29 @@ impl OpsEngine {
                 self.send(conn, Frame::OpDrained { paused: records });
             }
             Frame::OpCheckpoint { cohort, fetch } => {
-                let Some(slot) = self.campaigns.get_mut(&cohort) else {
+                let Some(slot) = self.campaigns.get(&cohort) else {
                     return self.send_error(conn, ErrorCode::NoCampaign);
                 };
-                let (state, record) = match slot.run.take() {
-                    Some(run) => {
-                        if run.is_finished() {
-                            slot.run = Some(run);
-                            return self.send_error(conn, ErrorCode::NoCampaign);
-                        }
-                        // Checkpoint without stopping: snapshot the run
-                        // through its pause format and resume the same
-                        // bytes in place — the campaign keeps stepping
-                        // while the gateway retains the record for a
-                        // failover resume.
-                        let paused = run.pause();
-                        let bytes = paused.to_bytes();
-                        let resumed = PausedCampaign::from_bytes(&bytes)
-                            .expect("checkpoint record round-trips");
-                        slot.run = Some(Campaign::resume(resumed));
-                        slot.paused = Some(paused);
-                        (CAMPAIGN_STATE_RUNNING, bytes)
+                let fetch = fetch != 0;
+                let (state, paused) = match (&slot.run, &slot.paused) {
+                    (Some(run), _) if run.is_finished() => {
+                        return self.send_error(conn, ErrorCode::NoCampaign);
                     }
-                    None => match slot.paused.as_ref() {
-                        Some(paused) => (CAMPAIGN_STATE_PAUSED, paused.to_bytes()),
-                        None => return self.send_error(conn, ErrorCode::NoCampaign),
-                    },
+                    // Checkpoint without stopping: the record the run
+                    // would pause into, while the run keeps stepping.
+                    (Some(run), _) => (
+                        CAMPAIGN_STATE_RUNNING,
+                        fetch.then(|| run.clone().pause().to_bytes()),
+                    ),
+                    (None, Some(paused)) => {
+                        (CAMPAIGN_STATE_PAUSED, fetch.then(|| paused.to_bytes()))
+                    }
+                    (None, None) => return self.send_error(conn, ErrorCode::NoCampaign),
                 };
-                let paused = if fetch != 0 { record } else { Vec::new() };
+                let paused = paused.unwrap_or_default();
                 if paused.len() > crate::wire::MAX_OP_PAYLOAD {
-                    // Retained fine, but unframeable on the wire — same
-                    // discipline as the oversized-Pause path.
+                    // Unframeable on the wire — same discipline as the
+                    // oversized-Pause path.
                     return self.send_error(conn, ErrorCode::Unsupported);
                 }
                 self.send(
@@ -783,7 +773,7 @@ impl OpsEngine {
                         self.send_error(conn, ErrorCode::Busy);
                         continue;
                     }
-                    EngineInput::ConnClosed(_) => {
+                    EngineInput::ConnClosed => {
                         let registry = lock_registry(&self.registry);
                         let devices = driver.rollout().devices().to_vec();
                         for device in devices {

@@ -464,11 +464,7 @@ impl Gateway {
                 .live_connections
                 .fetch_sub(1, Ordering::Relaxed);
             lock_registry(&self.registry).drop_conn(conn_id);
-            send_to_engine(
-                &self.engine_tx,
-                &self.counters,
-                EngineInput::ConnClosed(conn_id),
-            );
+            send_to_engine(&self.engine_tx, &self.counters, EngineInput::ConnClosed);
         }
     }
 

@@ -60,8 +60,7 @@
 //!    tags introduced with the fleet subsystem).
 
 // Unsafe code is denied crate-wide; the single exception is the
-// documented epoll/eventfd syscall module (`poller::sys`), mirroring
-// the lifetime-erasure exception in `eilid_fleet::pool`.
+// documented epoll/eventfd syscall module (`poller::sys`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

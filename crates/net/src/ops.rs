@@ -169,12 +169,11 @@ impl<T: Transport> RemoteOps<T> {
         }
     }
 
-    /// Checkpoints the active campaign into the gateway's retained
-    /// slot *without pausing it* — one round trip, and (with
-    /// `fetch = false`) no `EPC2` byte shuttle at all. Returns the
-    /// campaign state at checkpoint time plus the serialised record
-    /// when `fetch` is true (consoles that must survive gateway
-    /// *process* death re-seed a replacement from those bytes via
+    /// Checkpoints the active campaign *without pausing it* — one
+    /// round trip; the gateway retains nothing. Returns the campaign
+    /// state at checkpoint time plus, when `fetch` is true, the
+    /// serialised record (consoles that must survive gateway *process*
+    /// death re-seed a replacement from those bytes via
     /// [`eilid_fleet::ops::FleetOps::campaign_resume`]).
     ///
     /// # Errors

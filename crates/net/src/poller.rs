@@ -10,8 +10,8 @@
 //!   so a pass touches only live connections no matter how many idle
 //!   ones exist. Implemented over raw `extern "C"` bindings to the libc
 //!   symbols std already links (`epoll_create1`/`epoll_ctl`/
-//!   `epoll_wait`/`eventfd`) — the crate's one documented-unsafe module,
-//!   mirroring the lifetime-erasure exception in `eilid_fleet::pool`.
+//!   `epoll_wait`/`eventfd`) — the crate's one documented-unsafe
+//!   module.
 //! * **scan** (portable fallback): the caller still scans every
 //!   connection, but the fixed idle sleep is replaced by
 //!   [`IdleBackoff`] — spin, then short sleeps, then longer sleeps with

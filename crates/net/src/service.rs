@@ -131,7 +131,7 @@ impl AttestationService {
     }
 
     /// `true` when the service holds goldens for `cohort`.
-    pub fn has_cohort(&self, cohort: WorkloadId) -> bool {
+    fn has_cohort(&self, cohort: WorkloadId) -> bool {
         self.cohorts
             .read()
             .expect("cohort lock")

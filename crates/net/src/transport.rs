@@ -106,7 +106,7 @@ impl TcpTransport {
     /// # Errors
     ///
     /// Propagates socket-option failures as [`NetError::Io`].
-    pub fn from_stream(stream: TcpStream, timeout: Duration) -> Result<Self, NetError> {
+    fn from_stream(stream: TcpStream, timeout: Duration) -> Result<Self, NetError> {
         // The protocol is request/response with small frames; Nagle
         // only adds latency here.
         stream.set_nodelay(true).map_err(NetError::Io)?;

@@ -66,9 +66,7 @@ pub const FRAME_MAGIC: [u8; 4] = *b"EILD";
 /// anti-rollback version counter carried by update requests and echoed
 /// in [`Frame::SnapshotReport`], the memoized campaign probe
 /// ([`ProbeMode::UpdateAttest`]) and the one-round-trip checkpoint verb
-/// ([`Frame::OpCheckpoint`] / [`Frame::OpCheckpointAck`]) that retains
-/// a running campaign's pause record gateway-side without shuttling it
-/// to the console.
+/// ([`Frame::OpCheckpoint`] / [`Frame::OpCheckpointAck`]).
 /// Version 7 is collective attestation: the aggregated sweep exchange
 /// ([`Frame::OpAggSweep`] / [`Frame::OpAggSweepResult`]) carries one
 /// MAC'd aggregate evidence root per gateway shard (plus the
@@ -783,20 +781,20 @@ pub enum Frame {
         request: DeltaUpdateRequest,
     },
     /// Operator → gateway (version 6): checkpoint the cohort's
-    /// *running* campaign into the gateway's retained slot — one round
-    /// trip, no pause, the run keeps stepping. With `fetch = 0` the ack
-    /// is a tiny acknowledgement (the console stops shuttling
-    /// `EPC2` bytes it never reads on the happy path); with `fetch = 1`
-    /// the ack also carries the serialised record, for consoles that
-    /// must survive gateway *process* death.
+    /// campaign — one round trip, no pause, a running campaign keeps
+    /// stepping and the gateway retains nothing. With `fetch = 1` the
+    /// ack carries the serialised record (what the campaign would pause
+    /// into), for consoles that must survive gateway *process* death;
+    /// with `fetch = 0` it carries only the campaign state.
     OpCheckpoint {
         /// The campaign's cohort.
         cohort: WorkloadId,
-        /// 1 to return the serialised record in the ack, 0 for an
-        /// ack-only retention checkpoint.
+        /// 1 to return the serialised record in the ack, 0 for the
+        /// state alone.
         fetch: u8,
     },
-    /// Gateway → operator (version 6): the checkpoint is retained.
+    /// Gateway → operator (version 6): the campaign's state, plus its
+    /// record when fetched.
     OpCheckpointAck {
         /// The campaign's cohort.
         cohort: WorkloadId,

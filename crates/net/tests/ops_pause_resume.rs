@@ -4,6 +4,7 @@
 //! gateway keeps the run alive for a recovery console) and a full
 //! gateway restart bridged by the persisted `PausedCampaign` bytes.
 
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -11,11 +12,11 @@ use eilid_casu::DeviceKey;
 use eilid_fleet::fixtures::{benign_patch, BENIGN_PATCH_TARGET};
 use eilid_fleet::{
     CampaignConfig, CampaignOutcome, CampaignPhase, CampaignReport, CampaignStatus, Fleet,
-    FleetBuilder, FleetOps, LocalOps, OpsError, Verifier,
+    FleetBuilder, FleetOps, LocalOps, OpsError, PausedCampaign, Verifier,
 };
 use eilid_net::{
     with_attached_fleet, AttestationService, Frame, Gateway, GatewayConfig, GatewayHandle,
-    RemoteOps, TcpTransport, Transport, PROTOCOL_VERSION,
+    RemoteOps, TcpTransport, Transport, CAMPAIGN_STATE_RUNNING, PROTOCOL_VERSION,
 };
 use eilid_workloads::WorkloadId;
 
@@ -220,4 +221,60 @@ fn resume_replaces_a_finished_run_on_both_backends() {
     assert_eq!(remote_report, local_report);
     assert_eq!(local_phase, CampaignPhase::InProgress { next_wave: 1 });
     assert_eq!(remote_phase, local_phase);
+}
+
+/// `(active_campaigns, paused_campaigns)` from a raw `OpHealth`.
+fn raw_campaign_counts(addr: SocketAddr) -> (u32, u32) {
+    let mut console = TcpTransport::connect(addr).unwrap();
+    console
+        .send(&Frame::Hello {
+            min_version: PROTOCOL_VERSION,
+            max_version: PROTOCOL_VERSION,
+        })
+        .unwrap();
+    assert!(matches!(console.recv().unwrap(), Frame::HelloAck { .. }));
+    console.send(&Frame::OpHealth).unwrap();
+    match console.recv().unwrap() {
+        Frame::OpHealthResult {
+            active_campaigns,
+            paused_campaigns,
+            ..
+        } => (active_campaigns, paused_campaigns),
+        other => panic!("expected OpHealthResult, got {other:?}"),
+    }
+}
+
+/// Checkpointing a running campaign hands its record back (when asked)
+/// and leaves the gateway's slot as it was: the campaign counts as
+/// active, never as paused, after the checkpoint and after it finishes.
+#[test]
+fn checkpointing_a_running_campaign_retains_no_paused_record() {
+    let (mut fleet, mut verifier) = build(8);
+    let handle = spawn_gateway(&mut verifier);
+    let addr = handle.addr();
+    let (after_checkpoint, after_finish, record) = with_attached_fleet(&mut fleet, 2, addr, || {
+        let mut ops = RemoteOps::connect(addr).map_err(|e| OpsError::Backend(e.to_string()))?;
+        ops.campaign_begin(&config())?;
+        let (state, empty) = ops.campaign_checkpoint(false)?;
+        assert_eq!(state, CAMPAIGN_STATE_RUNNING);
+        assert!(empty.is_empty(), "an unfetched checkpoint carries no bytes");
+        let after_checkpoint = raw_campaign_counts(addr);
+        ops.campaign_step()?;
+        let (state, record) = ops.campaign_checkpoint(true)?;
+        assert_eq!(state, CAMPAIGN_STATE_RUNNING);
+        while ops.campaign_step()? != CampaignStatus::Finished {}
+        Ok::<_, OpsError>((after_checkpoint, raw_campaign_counts(addr), record))
+    })
+    .unwrap()
+    .unwrap();
+    handle.shutdown().unwrap();
+
+    assert_eq!(
+        after_checkpoint,
+        (1, 0),
+        "(active, paused) after a checkpoint"
+    );
+    assert_eq!(after_finish, (1, 0), "(active, paused) after the finish");
+    let paused = PausedCampaign::from_bytes(&record).expect("the fetched record decodes");
+    assert_eq!(paused.wave_cursor(), 1);
 }
