@@ -38,8 +38,7 @@ pub enum OpsError {
     /// The underlying fleet/campaign machinery rejected the operation.
     Fleet(FleetError),
     /// A campaign operation was issued with no campaign in the required
-    /// state (step/pause/report with nothing running, resume with
-    /// nothing paused).
+    /// state (step/pause/report with nothing running).
     NoCampaign,
     /// A campaign begin/resume collided with one already running.
     CampaignActive,
@@ -78,19 +77,14 @@ impl From<FleetError> for OpsError {
 /// [`FleetOps::campaign_status`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CampaignPhase {
-    /// No campaign is loaded.
+    /// No campaign is loaded — also right after
+    /// [`FleetOps::campaign_pause`], which hands the campaign to the
+    /// caller as bytes and keeps nothing, on every backend.
     Idle,
     /// A campaign is running; the next [`FleetOps::campaign_step`] rolls
     /// out `next_wave`.
     InProgress {
         /// Index of the next wave to roll out.
-        next_wave: usize,
-    },
-    /// A campaign is paused *inside the backend* (the networked gateway
-    /// retains paused campaigns; [`LocalOps`] hands the paused bytes to
-    /// the caller instead and reports `Idle`).
-    Paused {
-        /// The persisted wave cursor.
         next_wave: usize,
     },
     /// The campaign finished; [`FleetOps::campaign_report`] is
@@ -229,8 +223,8 @@ pub struct OpsHealth {
 ///
 /// The campaign methods drive a single campaign slot through its
 /// lifecycle: `begin → step* → report`, with `pause`/`resume` between
-/// waves serialising through the same [`PausedCampaign`] byte record
-/// both backends persist.
+/// waves passing the same [`PausedCampaign`] byte record through the
+/// caller on every backend.
 pub trait FleetOps {
     /// Runs one full attestation sweep and summarises per-class health.
     ///
@@ -257,8 +251,7 @@ pub trait FleetOps {
     ///
     /// # Errors
     ///
-    /// [`OpsError::CampaignActive`] if an unfinished campaign is loaded
-    /// (or, on a gateway, a paused one is retained);
+    /// [`OpsError::CampaignActive`] if an unfinished campaign is loaded;
     /// [`OpsError::Fleet`] for invalid configs or unknown cohorts.
     fn campaign_begin(&mut self, config: &CampaignConfig) -> Result<(), OpsError>;
 
@@ -278,7 +271,9 @@ pub trait FleetOps {
     fn campaign_status(&mut self) -> Result<CampaignPhase, OpsError>;
 
     /// Pauses the loaded campaign between waves into the serialised
-    /// [`PausedCampaign`] byte record — the caller owns persistence.
+    /// [`PausedCampaign`] byte record and unloads it: the caller owns
+    /// the record, and the backend reads [`CampaignPhase::Idle`] until
+    /// a begin or resume.
     ///
     /// # Errors
     ///
@@ -291,8 +286,7 @@ pub trait FleetOps {
     ///
     /// # Errors
     ///
-    /// [`OpsError::CampaignActive`] if an unfinished campaign is loaded
-    /// (or, on a gateway, a paused one is retained);
+    /// [`OpsError::CampaignActive`] if an unfinished campaign is loaded;
     /// [`OpsError::Fleet`] for malformed bytes.
     fn campaign_resume(&mut self, paused: &[u8]) -> Result<(), OpsError>;
 
@@ -571,41 +565,20 @@ pub fn merge_reports(parts: &[CampaignReport]) -> Option<CampaignReport> {
 /// Folds per-gateway campaign phases into the cluster's phase: the
 /// least-advanced gateway wins, so a cluster driver keeps stepping
 /// until *every* partition finished. `InProgress` (at the minimum next
-/// wave) dominates `Paused`, which dominates `Finished`; a cluster is
-/// `Idle` only when every gateway is.
+/// wave) dominates `Finished`; a cluster is `Idle` only when every
+/// gateway is.
 pub fn merge_phases(parts: &[CampaignPhase]) -> CampaignPhase {
-    let min_wave = |running: bool| {
-        parts
-            .iter()
-            .filter_map(|phase| match phase {
-                CampaignPhase::InProgress { next_wave } if running => Some(*next_wave),
-                CampaignPhase::Paused { next_wave } if !running => Some(*next_wave),
-                _ => None,
-            })
-            .min()
-            .unwrap_or(0)
-    };
-    if parts
+    let next_wave = parts
         .iter()
-        .any(|phase| matches!(phase, CampaignPhase::InProgress { .. }))
-    {
-        CampaignPhase::InProgress {
-            next_wave: min_wave(true),
-        }
-    } else if parts
-        .iter()
-        .any(|phase| matches!(phase, CampaignPhase::Paused { .. }))
-    {
-        CampaignPhase::Paused {
-            next_wave: min_wave(false),
-        }
-    } else if parts
-        .iter()
-        .any(|phase| matches!(phase, CampaignPhase::Finished))
-    {
-        CampaignPhase::Finished
-    } else {
-        CampaignPhase::Idle
+        .filter_map(|phase| match phase {
+            CampaignPhase::InProgress { next_wave } => Some(*next_wave),
+            _ => None,
+        })
+        .min();
+    match next_wave {
+        Some(next_wave) => CampaignPhase::InProgress { next_wave },
+        None if parts.contains(&CampaignPhase::Finished) => CampaignPhase::Finished,
+        None => CampaignPhase::Idle,
     }
 }
 

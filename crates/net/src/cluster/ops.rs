@@ -18,14 +18,19 @@
 //! the *running* run without pausing it, and the [`PausedCampaign`]
 //! bytes ride back to be kept console-side. Otherwise no checkpoint is
 //! taken. When a gateway goes away mid-campaign,
-//! [`ClusterOps::reconnect`] repairs state in layers: a connection blip
-//! finds the run still loaded (nothing to do); a gateway holding a
-//! paused or drained record resumes it in place; a fresh process is
-//! re-seeded from the console-held bytes (durable mode). Stepping then
-//! continues from the wave boundary — a resume, not a redo. Wave replay is
-//! idempotent: update nonces resume from the device-reported last
-//! nonce, so devices that already applied the wave's patch simply
-//! accept it again.
+//! [`ClusterOps::reconnect`] asks the gateway for its campaign: one
+//! that still has its run loaded (a connection blip) keeps stepping,
+//! and one that reports `Idle` (a fresh process) is re-seeded from the
+//! console-held bytes. Stepping then continues from the wave boundary —
+//! a resume, not a redo. Wave replay is idempotent: update nonces
+//! resume from the device-reported last nonce, so devices that already
+//! applied the wave's patch simply accept it again.
+//!
+//! **Pause** hands every gateway's record to the caller in one blob and
+//! drops the console-held checkpoints, exactly as a single backend
+//! keeps nothing: the cluster then reads `Idle`, and a reconnect
+//! re-seeds nothing, until [`FleetOps::campaign_resume`] takes the blob
+//! back.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -211,18 +216,18 @@ impl ClusterOps {
         }
     }
 
-    /// Re-establishes the console to `gateway` after a crash/restart
-    /// and repairs campaign state in layers, cheapest first: a gateway
-    /// that never lost its run (connection blip) answers the in-place
-    /// resume with [`OpsError::CampaignActive`] and keeps stepping; a
-    /// gateway still holding a paused or drained record resumes it in
-    /// place; only a fresh process with nothing retained is
-    /// re-seeded from the console-held bytes (populated in durable
-    /// mode) via [`FleetOps::campaign_resume`].
+    /// Re-establishes the console to `gateway` after a crash/restart.
+    /// A gateway that still has the campaign's run loaded (a connection
+    /// blip) keeps stepping it; one that reports
+    /// [`CampaignPhase::Idle`] (a fresh process) is re-seeded from the
+    /// console-held checkpoint (taken in durable mode) via
+    /// [`FleetOps::campaign_resume`]. A paused cluster holds no
+    /// checkpoint, so it stays paused.
     ///
     /// # Errors
     ///
-    /// Connection failures and resume refusals as [`OpsError`].
+    /// Connection failures, status queries and resume refusals as
+    /// [`OpsError`].
     pub fn reconnect(&mut self, gateway: usize) -> Result<(), OpsError> {
         let mut console = RemoteOps::connect(self.addrs[gateway])
             .map_err(|err| OpsError::Backend(format!("gateway {gateway}: {err}")))?;
@@ -232,32 +237,20 @@ impl ClusterOps {
         }
         if let Some(cohort) = self.cohort {
             console.adopt(cohort);
-        }
-        if self.participating[gateway] && !self.finished[gateway] {
-            match console.resume_retained() {
-                // In-place resume from the gateway-retained record, or
-                // the run was never lost at all.
-                Ok(()) | Err(OpsError::CampaignActive) => {}
-                // A fresh process retains nothing: replay the
-                // console-held durable checkpoint, when there is one.
-                Err(OpsError::NoCampaign) => {
-                    if let Some(bytes) = self.checkpoints[gateway].clone() {
-                        match console.campaign_resume(&bytes) {
-                            Ok(()) | Err(OpsError::CampaignActive) => {}
-                            Err(err) => return Err(at_gateway(gateway, err)),
-                        }
-                    }
+            if let Some(bytes) = &self.checkpoints[gateway] {
+                let at = |err| at_gateway(gateway, err);
+                if console.campaign_status().map_err(at)? == CampaignPhase::Idle {
+                    console.campaign_resume(bytes).map_err(at)?;
                 }
-                Err(err) => return Err(at_gateway(gateway, err)),
             }
         }
         self.consoles[gateway] = console;
         Ok(())
     }
 
-    /// The latest wave-boundary checkpoint retained for `gateway`
-    /// (`None` for non-participants, gateways that finished, or before
-    /// the first checkpoint lands).
+    /// The latest wave-boundary checkpoint held for `gateway` (`None`
+    /// for non-participants, gateways that finished, before the first
+    /// checkpoint lands, and after a pause).
     pub fn checkpoint(&self, gateway: usize) -> Option<&[u8]> {
         self.checkpoints[gateway].as_deref()
     }
@@ -319,8 +312,7 @@ impl ClusterOps {
         if !durable {
             return Ok(None);
         }
-        let (_state, bytes) = console.campaign_checkpoint(true)?;
-        Ok((!bytes.is_empty()).then_some(bytes))
+        Ok(Some(console.campaign_checkpoint()?))
     }
 }
 
@@ -436,23 +428,45 @@ impl FleetOps for ClusterOps {
     }
 
     fn campaign_pause(&mut self) -> Result<Vec<u8>, OpsError> {
-        if self.cohort.is_none() {
-            return Err(OpsError::NoCampaign);
-        }
         let participating = self.participating.clone();
         let finished = self.finished.clone();
-        let results = fan_out(
-            &mut self.consoles,
-            |gateway| participating[gateway] && !finished[gateway],
-            |_, console| console.campaign_pause(),
-        );
+        let running = |gateway: usize| participating[gateway] && !finished[gateway];
+        if self.cohort.is_none() || !(0..self.addrs.len()).any(running) {
+            // Nothing loaded, or every partition finished: nothing left
+            // to pause, as on a single backend.
+            return Err(OpsError::NoCampaign);
+        }
+        let results = fan_out(&mut self.consoles, running, |_, console| {
+            console.campaign_pause()
+        });
         let mut records: Vec<Option<Vec<u8>>> = Vec::with_capacity(results.len());
+        let mut failure = None;
         for (gateway, result) in results.into_iter().enumerate() {
             match result {
-                Some(result) => records.push(Some(result.map_err(|e| at_gateway(gateway, e))?)),
+                Some(Ok(bytes)) => records.push(Some(bytes)),
+                Some(Err(err)) => {
+                    failure.get_or_insert(at_gateway(gateway, err));
+                    records.push(None);
+                }
                 None => records.push(None),
             }
         }
+        if let Some(err) = failure {
+            // The gateways that did pause hold nothing now: hand each
+            // its record back, so a failed pause loses no partition.
+            let _ = fan_out(
+                &mut self.consoles,
+                |gateway| records[gateway].is_some(),
+                |gateway, console| {
+                    console.campaign_resume(records[gateway].as_deref().expect("selected"))
+                },
+            );
+            return Err(err);
+        }
+        // The caller owns the campaign now: no checkpoint may re-seed a
+        // gateway on reconnect, and the cluster reads `Idle`.
+        self.checkpoints.fill(None);
+        self.cohort = None;
         Ok(encode_cluster_pause(
             &records,
             &self.participating,
@@ -531,7 +545,13 @@ impl FleetOps for ClusterOps {
     }
 
     fn health(&mut self) -> Result<OpsHealth, OpsError> {
-        Ok(merge_health(&self.fan_out_all(RemoteOps::health)?))
+        let parts = self.fan_out_all(RemoteOps::health)?;
+        // The phase is the cluster's own: after a pause its gateways
+        // read `Idle` or `Finished`, but the campaign is the caller's.
+        Ok(OpsHealth {
+            campaign: self.campaign_status()?,
+            ..merge_health(&parts)
+        })
     }
 }
 

@@ -75,7 +75,8 @@ impl Placement {
     /// The shards each gateway owns: `result[g]` lists gateway `g`'s
     /// shards in order. Every shard appears exactly once across the
     /// cluster.
-    pub fn shards_by_gateway(&self) -> Vec<Vec<usize>> {
+    #[cfg(test)]
+    fn shards_by_gateway(&self) -> Vec<Vec<usize>> {
         let mut owned = vec![Vec::new(); self.gateways];
         for shard in 0..SHARD_COUNT {
             owned[self.gateway_of_shard(shard)].push(shard);

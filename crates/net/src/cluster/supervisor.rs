@@ -14,7 +14,7 @@
 //!
 //! Restart-on-same-address is the contract the rest of the cluster
 //! leans on: placed device agents reconnect to the address they were
-//! given, and [`super::ClusterOps::reconnect`] replays its retained
+//! given, and [`super::ClusterOps::reconnect`] replays its console-held
 //! wave checkpoint into the fresh process — so a mid-campaign crash
 //! costs one replayed wave, never a redo.
 

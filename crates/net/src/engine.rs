@@ -61,7 +61,7 @@ use crate::poller::Waker;
 use crate::service::{health_to_wire, AttestationService, VerifyTask};
 use crate::wire::{
     CampaignOp, ErrorCode, Frame, WireHealth, CAMPAIGN_STATE_FINISHED, CAMPAIGN_STATE_IDLE,
-    CAMPAIGN_STATE_PAUSED, CAMPAIGN_STATE_RUNNING,
+    CAMPAIGN_STATE_RUNNING, MAX_OP_PAYLOAD,
 };
 
 /// Per-connection cap on devices concurrently in flight during a
@@ -155,12 +155,15 @@ pub(crate) enum EngineInput {
     ConnClosed,
 }
 
-/// One cohort's campaign slot: at most one loaded run, plus the
-/// gateway-retained paused record for in-place resume.
-#[derive(Debug, Default)]
-struct CampaignSlot {
-    run: Option<CampaignRun>,
-    paused: Option<PausedCampaign>,
+/// Bytes an operator-plane carrier frame spends around one `EPC2`
+/// record: its cohort byte and its length prefix.
+const RECORD_FRAMING: usize = 5;
+
+/// The `EPC2` record `run` would pause into, when it fits in `budget`
+/// bytes: a record past it cannot cross the wire.
+fn record_within(run: &CampaignRun, budget: usize) -> Option<Vec<u8>> {
+    let bytes = run.clone().pause().to_bytes();
+    (bytes.len() <= budget).then_some(bytes)
 }
 
 /// Where a sweep's exchange hands each burst of accepted probe reports.
@@ -181,7 +184,10 @@ pub(crate) struct OpsEngine {
     /// received reply, so big waves are bounded by per-device progress,
     /// not wave size.
     timeout: Duration,
-    campaigns: BTreeMap<WorkloadId, CampaignSlot>,
+    /// At most one loaded run per cohort. A finished run stays only to
+    /// keep its report readable; a paused one is handed to the operator
+    /// and unloaded.
+    campaigns: BTreeMap<WorkloadId, CampaignRun>,
     ledger: Ledger,
     /// The reactor's counters, read for [`Frame::OpHealthResult`]'s
     /// supervision fields and the metrics scrape.
@@ -253,14 +259,8 @@ impl OpsEngine {
 
     fn status_frame(&self, cohort: WorkloadId) -> Frame {
         let (state, wave_cursor) = match self.campaigns.get(&cohort) {
-            Some(slot) => match (&slot.run, &slot.paused) {
-                (Some(run), _) if run.is_finished() => {
-                    (CAMPAIGN_STATE_FINISHED, run.wave_cursor() as u32)
-                }
-                (Some(run), _) => (CAMPAIGN_STATE_RUNNING, run.wave_cursor() as u32),
-                (None, Some(paused)) => (CAMPAIGN_STATE_PAUSED, paused.wave_cursor() as u32),
-                (None, None) => (CAMPAIGN_STATE_IDLE, 0),
-            },
+            Some(run) if run.is_finished() => (CAMPAIGN_STATE_FINISHED, run.wave_cursor() as u32),
+            Some(run) => (CAMPAIGN_STATE_RUNNING, run.wave_cursor() as u32),
             None => (CAMPAIGN_STATE_IDLE, 0),
         };
         Frame::CampaignStatus {
@@ -270,40 +270,25 @@ impl OpsEngine {
         }
     }
 
-    /// `true` when `cohort`'s slot holds an unfinished run or a
-    /// retained pause — a finished run only keeps its report readable,
-    /// and the next begin or resume replaces it.
-    fn slot_busy(&self, cohort: WorkloadId) -> bool {
+    /// `true` when `cohort` has an unfinished run loaded — a finished
+    /// run only keeps its report readable, and the next begin or resume
+    /// replaces it, exactly as in `LocalOps`.
+    fn running(&self, cohort: WorkloadId) -> bool {
         self.campaigns
             .get(&cohort)
-            .is_some_and(|slot| match &slot.run {
-                Some(run) => !run.is_finished(),
-                None => slot.paused.is_some(),
-            })
-    }
-
-    /// Loads `run` into `cohort`'s slot, dropping a finished run and any
-    /// checkpoint retained for it.
-    fn load(&mut self, cohort: WorkloadId, run: CampaignRun) {
-        self.campaigns.insert(
-            cohort,
-            CampaignSlot {
-                run: Some(run),
-                paused: None,
-            },
-        );
+            .is_some_and(|run| !run.is_finished())
     }
 
     fn handle_operator(&mut self, conn: u64, frame: Frame) {
         match frame {
             Frame::OpBegin { config } => {
                 let cohort = config.cohort;
-                if self.slot_busy(cohort) {
+                if self.running(cohort) {
                     return self.send_error(conn, ErrorCode::CampaignActive);
                 }
                 match Campaign::new(config).and_then(|campaign| campaign.begin_with(&mut *self)) {
                     Ok(run) => {
-                        self.load(cohort, run);
+                        self.campaigns.insert(cohort, run);
                         let status = self.status_frame(cohort);
                         self.send(conn, status);
                     }
@@ -314,15 +299,11 @@ impl OpsEngine {
                 }
             }
             Frame::OpStep { cohort } => {
-                let Some(mut run) = self
-                    .campaigns
-                    .get_mut(&cohort)
-                    .and_then(|slot| slot.run.take())
-                else {
+                let Some(mut run) = self.campaigns.remove(&cohort) else {
                     return self.send_error(conn, ErrorCode::NoCampaign);
                 };
                 let result = run.step_with(&mut *self);
-                self.campaigns.entry(cohort).or_default().run = Some(run);
+                self.campaigns.insert(cohort, run);
                 match result {
                     Ok(_) => {
                         // The wave boundary: emit CampaignStatus to the
@@ -341,10 +322,10 @@ impl OpsEngine {
                     return self.send_error(conn, ErrorCode::Unsupported);
                 };
                 let cohort = paused.cohort();
-                if self.slot_busy(cohort) {
+                if self.running(cohort) {
                     return self.send_error(conn, ErrorCode::CampaignActive);
                 }
-                self.load(cohort, Campaign::resume(paused));
+                self.campaigns.insert(cohort, Campaign::resume(paused));
                 let status = self.status_frame(cohort);
                 self.send(conn, status);
             }
@@ -352,22 +333,11 @@ impl OpsEngine {
             Frame::OpAggSweep => self.handle_agg_sweep(conn),
             Frame::OpHealth => {
                 let attached = lock_registry(&self.registry).len() as u32;
-                let active = self
-                    .campaigns
-                    .values()
-                    .filter(|slot| slot.run.is_some())
-                    .count() as u32;
-                let paused = self
-                    .campaigns
-                    .values()
-                    .filter(|slot| slot.paused.is_some())
-                    .count() as u32;
                 self.send(
                     conn,
                     Frame::OpHealthResult {
                         attached,
-                        active_campaigns: active,
-                        paused_campaigns: paused,
+                        active_campaigns: self.campaigns.len() as u32,
                         ledger_events: self.ledger.events().len() as u32,
                         live_sessions: self.counters.live_connections.load(Ordering::Relaxed)
                             as u32,
@@ -376,71 +346,44 @@ impl OpsEngine {
             }
             Frame::OpDrain => {
                 // Planned maintenance: refuse new peers from here on,
-                // pause every running campaign between waves, and hand
-                // all retained records back so a supervisor can re-seed
-                // a replacement gateway via `OpResume`.
+                // pause every running campaign between waves and hand
+                // the records back, so a supervisor can re-seed a
+                // replacement gateway via `OpResume`. Records past the
+                // frame ceiling stay loaded, exactly like an oversized
+                // pause, rather than producing an unframeable reply.
                 self.draining.store(true, Ordering::Relaxed);
                 self.waker.wake();
                 let mut records: Vec<(WorkloadId, Vec<u8>)> = Vec::new();
-                for (&cohort, slot) in self.campaigns.iter_mut() {
-                    if let Some(run) = slot.run.take() {
-                        if run.is_finished() {
-                            // Nothing left to move; the report stays
-                            // queryable until shutdown.
-                            slot.run = Some(run);
-                            continue;
-                        }
-                        slot.paused = Some(run.pause());
+                // The record count's 4 bytes, then each framed record.
+                let mut used = 4usize;
+                self.campaigns.retain(|&cohort, run| {
+                    // A finished run has nothing left to move; its
+                    // report stays queryable until shutdown.
+                    if run.is_finished() {
+                        return true;
                     }
-                    if let Some(paused) = slot.paused.as_ref() {
-                        records.push((cohort, paused.to_bytes()));
-                    }
-                }
-                // The frame ceiling bounds what can cross the wire;
-                // records past it stay gateway-retained (exactly like
-                // the oversized-Pause path) rather than producing an
-                // unframeable reply.
-                let mut total = 0usize;
-                records.retain(|(_, bytes)| {
-                    total += 5 + bytes.len();
-                    total <= crate::wire::MAX_OP_PAYLOAD - 4
+                    let budget = MAX_OP_PAYLOAD.saturating_sub(used + RECORD_FRAMING);
+                    let Some(bytes) = record_within(run, budget) else {
+                        return true;
+                    };
+                    used += RECORD_FRAMING + bytes.len();
+                    records.push((cohort, bytes));
+                    false
                 });
                 self.send(conn, Frame::OpDrained { paused: records });
             }
-            Frame::OpCheckpoint { cohort, fetch } => {
-                let Some(slot) = self.campaigns.get(&cohort) else {
+            Frame::OpCheckpoint { cohort } => {
+                // Checkpoint without stopping: the record the run would
+                // pause into, while the run keeps stepping.
+                let Some(run) = self.campaigns.get(&cohort).filter(|run| !run.is_finished()) else {
                     return self.send_error(conn, ErrorCode::NoCampaign);
                 };
-                let fetch = fetch != 0;
-                let (state, paused) = match (&slot.run, &slot.paused) {
-                    (Some(run), _) if run.is_finished() => {
-                        return self.send_error(conn, ErrorCode::NoCampaign);
-                    }
-                    // Checkpoint without stopping: the record the run
-                    // would pause into, while the run keeps stepping.
-                    (Some(run), _) => (
-                        CAMPAIGN_STATE_RUNNING,
-                        fetch.then(|| run.clone().pause().to_bytes()),
-                    ),
-                    (None, Some(paused)) => {
-                        (CAMPAIGN_STATE_PAUSED, fetch.then(|| paused.to_bytes()))
-                    }
-                    (None, None) => return self.send_error(conn, ErrorCode::NoCampaign),
-                };
-                let paused = paused.unwrap_or_default();
-                if paused.len() > crate::wire::MAX_OP_PAYLOAD {
-                    // Unframeable on the wire — same discipline as the
-                    // oversized-Pause path.
-                    return self.send_error(conn, ErrorCode::Unsupported);
+                match record_within(run, MAX_OP_PAYLOAD - RECORD_FRAMING) {
+                    Some(paused) => self.send(conn, Frame::OpCheckpointAck { cohort, paused }),
+                    // Unframeable on the wire — same discipline as an
+                    // oversized pause.
+                    None => self.send_error(conn, ErrorCode::Unsupported),
                 }
-                self.send(
-                    conn,
-                    Frame::OpCheckpointAck {
-                        cohort,
-                        state,
-                        paused,
-                    },
-                );
             }
             Frame::OpMetrics => {
                 // Render the whole registry (plus the pre-registry
@@ -451,7 +394,7 @@ impl OpsEngine {
                     .snapshot(&self.counters, &self.service)
                     .to_json()
                     .into_bytes();
-                if snapshot.len() > crate::wire::MAX_OP_PAYLOAD {
+                if snapshot.len() > MAX_OP_PAYLOAD {
                     // Unframeable reply (would need ~50k distinct
                     // metric names); refuse rather than truncate.
                     return self.send_error(conn, ErrorCode::Unsupported);
@@ -466,66 +409,31 @@ impl OpsEngine {
     fn handle_control(&mut self, conn: u64, cohort: WorkloadId, op: CampaignOp) {
         match op {
             CampaignOp::Pause => {
-                let Some(run) = self
-                    .campaigns
-                    .get_mut(&cohort)
-                    .and_then(|slot| slot.run.take())
-                else {
+                // Nothing loaded, or a finished run with nothing left to
+                // pause.
+                let Some(run) = self.campaigns.get(&cohort).filter(|run| !run.is_finished()) else {
                     return self.send_error(conn, ErrorCode::NoCampaign);
                 };
-                if run.is_finished() {
-                    // A finished run has nothing left to pause.
-                    self.campaigns.entry(cohort).or_default().run = Some(run);
-                    return self.send_error(conn, ErrorCode::NoCampaign);
+                match record_within(run, MAX_OP_PAYLOAD - RECORD_FRAMING) {
+                    // The operator owns the record now; the slot is
+                    // empty, as after `LocalOps::campaign_pause`.
+                    Some(paused) => {
+                        self.campaigns.remove(&cohort);
+                        self.send(conn, Frame::OpPaused { cohort, paused });
+                    }
+                    // A record past the operator-plane frame ceiling
+                    // cannot cross the wire: the run stays loaded and
+                    // the operator gets a typed error instead of an
+                    // unframeable reply.
+                    None => self.send_error(conn, ErrorCode::Unsupported),
                 }
-                let paused = run.pause();
-                let bytes = paused.to_bytes();
-                self.campaigns.entry(cohort).or_default().paused = Some(paused);
-                // A record past the operator-plane frame ceiling cannot
-                // cross the wire; the gateway still retains it (the
-                // in-place Resume path keeps working) and tells the
-                // operator with a typed error instead of emitting an
-                // unframeable reply.
-                if bytes.len() > crate::wire::MAX_OP_PAYLOAD {
-                    return self.send_error(conn, ErrorCode::Unsupported);
-                }
-                self.send(
-                    conn,
-                    Frame::OpPaused {
-                        cohort,
-                        paused: bytes,
-                    },
-                );
-            }
-            CampaignOp::Resume => {
-                if self
-                    .campaigns
-                    .get(&cohort)
-                    .is_some_and(|slot| slot.run.is_some())
-                {
-                    return self.send_error(conn, ErrorCode::CampaignActive);
-                }
-                let Some(paused) = self
-                    .campaigns
-                    .get_mut(&cohort)
-                    .and_then(|slot| slot.paused.take())
-                else {
-                    return self.send_error(conn, ErrorCode::NoCampaign);
-                };
-                self.load(cohort, Campaign::resume(paused));
-                let status = self.status_frame(cohort);
-                self.send(conn, status);
             }
             CampaignOp::Status => {
                 let status = self.status_frame(cohort);
                 self.send(conn, status);
             }
             CampaignOp::Report => {
-                let report = self
-                    .campaigns
-                    .get(&cohort)
-                    .and_then(|slot| slot.run.as_ref())
-                    .and_then(CampaignRun::report);
+                let report = self.campaigns.get(&cohort).and_then(CampaignRun::report);
                 match report {
                     Some(report) => self.send(conn, Frame::OpReport { cohort, report }),
                     None => self.send_error(conn, ErrorCode::NoCampaign),

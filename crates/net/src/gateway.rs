@@ -51,6 +51,10 @@ use crate::wire::{ErrorCode, Frame, FrameDecoder, WireError};
 /// up from 0 and cannot collide in any realistic process lifetime).
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
+/// Hard cap on a single idle sleep of the scan fallback's adaptive
+/// backoff (the epoll backend does not sleep-poll).
+const IDLE_BACKOFF_MAX: Duration = Duration::from_millis(2);
+
 /// Tuning knobs for a [`Gateway`].
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
@@ -66,9 +70,6 @@ pub struct GatewayConfig {
     /// Readiness backend selection (default [`PollerChoice::Auto`]:
     /// epoll on Linux, scan elsewhere).
     pub poller: PollerChoice,
-    /// Hard cap on a single idle sleep of the scan fallback's adaptive
-    /// backoff (default 2 ms; the epoll backend does not sleep-poll).
-    pub idle_backoff_max: Duration,
     /// Idle ceiling per campaign-engine device exchange: how long the
     /// operator plane waits for a snapshot/update/probe reply with no
     /// progress before counting the device unreachable (default 10 s;
@@ -84,7 +85,6 @@ impl Default for GatewayConfig {
             queue_depth: 256,
             max_connections: 1024,
             poller: PollerChoice::Auto,
-            idle_backoff_max: Duration::from_millis(2),
             ops_timeout: Duration::from_secs(10),
         }
     }
@@ -723,7 +723,7 @@ impl Gateway {
     /// campaign engine thread is gone.
     pub fn run(&mut self, shutdown: &AtomicBool) -> io::Result<()> {
         let mut events: Vec<Event> = Vec::with_capacity(256);
-        let mut backoff = IdleBackoff::new(self.config.idle_backoff_max);
+        let mut backoff = IdleBackoff::new(IDLE_BACKOFF_MAX);
         while !shutdown.load(Ordering::Relaxed) {
             let outcome = self.poller.wait(&mut events, &backoff)?;
             let pass_started = Instant::now();

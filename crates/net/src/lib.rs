@@ -33,7 +33,7 @@
 //!   per-gateway results into single-gateway shapes, and the
 //!   [`Supervisor`] control plane that launches, health-checks,
 //!   drains and restarts gateway processes — mid-campaign failover
-//!   resumes from retained paused-campaign bytes rather than redoing
+//!   resumes from console-held paused-campaign bytes rather than redoing
 //!   work.
 //! * [`metrics`] — the per-gateway telemetry hub ([`NetMetrics`]):
 //!   an [`eilid_obs::MetricsRegistry`] of latency histograms and
@@ -94,6 +94,6 @@ pub use service::{
 pub use transport::{PipeTransport, TcpTransport, Transport, DEFAULT_RECV_TIMEOUT};
 pub use wire::{
     CampaignOp, ErrorCode, Frame, FrameDecoder, ProbeMode, WireError, WireHealth,
-    CAMPAIGN_STATE_FINISHED, CAMPAIGN_STATE_IDLE, CAMPAIGN_STATE_PAUSED, CAMPAIGN_STATE_RUNNING,
-    FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_PAYLOAD, MAX_OP_PAYLOAD, PROTOCOL_VERSION,
+    CAMPAIGN_STATE_FINISHED, CAMPAIGN_STATE_IDLE, CAMPAIGN_STATE_RUNNING, FRAME_HEADER_LEN,
+    FRAME_MAGIC, MAX_FRAME_PAYLOAD, MAX_OP_PAYLOAD, PROTOCOL_VERSION,
 };

@@ -43,8 +43,8 @@ pub const TRACE_SERVE_IDLE: u16 = 1;
 /// Default trace-ring capacity (events retained).
 pub const TRACE_RING_CAPACITY: usize = 1024;
 
-/// Every [`ErrorCode`], index-aligned with
-/// [`NetMetrics::reject_counter`].
+/// Every [`ErrorCode`], index-aligned with the per-code reject
+/// counters [`NetMetrics::count_reject`] bumps.
 pub const ERROR_CODES: [ErrorCode; 9] = [
     ErrorCode::UnsupportedVersion,
     ErrorCode::Busy,
@@ -206,7 +206,8 @@ impl NetMetrics {
     }
 
     /// Value of the reject counter for `code`.
-    pub fn reject_counter(&self, code: ErrorCode) -> u64 {
+    #[cfg(test)]
+    fn reject_counter(&self, code: ErrorCode) -> u64 {
         self.rejects[error_code_index(code)].get()
     }
 

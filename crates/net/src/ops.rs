@@ -42,8 +42,8 @@ use crate::error::NetError;
 use crate::service::health_from_wire;
 use crate::transport::{TcpTransport, Transport};
 use crate::wire::{
-    CampaignOp, ErrorCode, Frame, CAMPAIGN_STATE_FINISHED, CAMPAIGN_STATE_PAUSED,
-    CAMPAIGN_STATE_RUNNING, PROTOCOL_VERSION,
+    CampaignOp, ErrorCode, Frame, CAMPAIGN_STATE_FINISHED, CAMPAIGN_STATE_RUNNING, MAX_OP_PAYLOAD,
+    PROTOCOL_VERSION,
 };
 
 /// The wire [`FleetOps`] backend: an operator console connected to an
@@ -148,32 +148,10 @@ impl<T: Transport> RemoteOps<T> {
         self.cohort = Some(cohort);
     }
 
-    /// Resumes the gateway-*retained* paused campaign for the adopted
-    /// cohort ([`CampaignOp::Resume`]) — no bytes cross the wire; the
-    /// bytes-based [`FleetOps::campaign_resume`] is the gateway-restart
-    /// recovery path instead.
-    ///
-    /// # Errors
-    ///
-    /// [`OpsError::NoCampaign`] when the gateway retains nothing for
-    /// the cohort; [`OpsError::CampaignActive`] when a run is already
-    /// loaded.
-    pub fn resume_retained(&mut self) -> Result<(), OpsError> {
-        let cohort = self.active_cohort()?;
-        match self.request(Frame::CampaignControl {
-            cohort,
-            op: CampaignOp::Resume,
-        })? {
-            Frame::CampaignStatus { .. } => Ok(()),
-            _ => Err(unexpected("expected CampaignStatus")),
-        }
-    }
-
     /// Checkpoints the active campaign *without pausing it* — one
-    /// round trip; the gateway retains nothing. Returns the campaign
-    /// state at checkpoint time plus, when `fetch` is true, the
-    /// serialised record (consoles that must survive gateway *process*
-    /// death re-seed a replacement from those bytes via
+    /// round trip: the run keeps stepping and the serialised record it
+    /// would pause into rides back (consoles that must survive gateway
+    /// *process* death re-seed a replacement from those bytes via
     /// [`eilid_fleet::ops::FleetOps::campaign_resume`]).
     ///
     /// # Errors
@@ -181,22 +159,19 @@ impl<T: Transport> RemoteOps<T> {
     /// [`OpsError::NoCampaign`] when nothing is loaded (or the run
     /// already finished); transport failures and gateway refusals as
     /// [`OpsError`].
-    pub fn campaign_checkpoint(&mut self, fetch: bool) -> Result<(u8, Vec<u8>), OpsError> {
+    pub fn campaign_checkpoint(&mut self) -> Result<Vec<u8>, OpsError> {
         let cohort = self.active_cohort()?;
-        match self.request(Frame::OpCheckpoint {
-            cohort,
-            fetch: u8::from(fetch),
-        })? {
-            Frame::OpCheckpointAck { state, paused, .. } => Ok((state, paused)),
+        match self.request(Frame::OpCheckpoint { cohort })? {
+            Frame::OpCheckpointAck { paused, .. } => Ok(paused),
             _ => Err(unexpected("expected OpCheckpointAck")),
         }
     }
 
     /// Asks the gateway to drain for planned maintenance: stop
     /// accepting connections, pause every live campaign, and hand the
-    /// paused records back (those too large for one frame stay
-    /// gateway-retained, resumable via [`RemoteOps::resume_retained`]
-    /// after restart). The supervising control plane calls this before
+    /// paused records back. A run whose record would not fit in the
+    /// reply frame stays loaded on the gateway, and goes when its
+    /// process does. The supervising control plane calls this before
     /// taking a gateway down so no campaign progress is lost.
     ///
     /// # Errors
@@ -274,9 +249,6 @@ fn unexpected(what: &str) -> OpsError {
 fn phase_from_state(state: u8, wave_cursor: u32) -> CampaignPhase {
     match state {
         CAMPAIGN_STATE_RUNNING => CampaignPhase::InProgress {
-            next_wave: wave_cursor as usize,
-        },
-        CAMPAIGN_STATE_PAUSED => CampaignPhase::Paused {
             next_wave: wave_cursor as usize,
         },
         CAMPAIGN_STATE_FINISHED => CampaignPhase::Finished,
@@ -402,7 +374,7 @@ impl<T: Transport> FleetOps for RemoteOps<T> {
                 CampaignPhase::InProgress { next_wave } => {
                     Ok(CampaignStatus::InProgress { next_wave })
                 }
-                _ => Err(unexpected(
+                CampaignPhase::Idle => Err(unexpected(
                     "campaign neither running nor finished after step",
                 )),
             },
@@ -437,11 +409,11 @@ impl<T: Transport> FleetOps for RemoteOps<T> {
     }
 
     fn campaign_resume(&mut self, paused: &[u8]) -> Result<(), OpsError> {
-        if paused.len() > crate::wire::MAX_OP_PAYLOAD {
+        if paused.len() > MAX_OP_PAYLOAD {
             return Err(OpsError::Backend(format!(
                 "paused-campaign record of {} bytes exceeds the operator-plane frame ceiling {}",
                 paused.len(),
-                crate::wire::MAX_OP_PAYLOAD
+                MAX_OP_PAYLOAD
             )));
         }
         match self.request(Frame::OpResume {

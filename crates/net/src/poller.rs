@@ -105,8 +105,8 @@ impl Interest {
 /// Adaptive idle backoff for the scan backend: spin first (a busy
 /// gateway usually has more work within microseconds), then short
 /// sleeps, then doubling sleeps up to a hard cap — so an idle gateway
-/// costs almost no CPU while wakeup latency stays bounded by
-/// [`IdleBackoff::max_sleep`] even without a waker (and by the condvar
+/// costs almost no CPU while wakeup latency stays bounded by the cap
+/// given to [`IdleBackoff::new`] even without a waker (and by the condvar
 /// wake itself when there is one).
 #[derive(Debug, Clone)]
 pub struct IdleBackoff {
@@ -140,8 +140,8 @@ impl IdleBackoff {
 
     /// The delay the *next* idle pass will wait: `None` while still in
     /// the spin stage, then `SHORT_SLEEP` doubling up to the cap. This
-    /// is the backoff's bounded-latency witness: it never exceeds
-    /// [`IdleBackoff::max_sleep`].
+    /// is the backoff's bounded-latency witness: it never exceeds the
+    /// cap.
     pub fn current_delay(&self) -> Option<Duration> {
         if self.consecutive_idle < SPIN_PASSES {
             return None;
@@ -151,13 +151,9 @@ impl IdleBackoff {
         Some(sleep.min(self.max_sleep))
     }
 
-    /// The hard cap on any single idle sleep.
-    pub fn max_sleep(&self) -> Duration {
-        self.max_sleep
-    }
-
     /// Consecutive idle passes since the last reset.
-    pub fn consecutive_idle(&self) -> u32 {
+    #[cfg(test)]
+    fn consecutive_idle(&self) -> u32 {
         self.consecutive_idle
     }
 }

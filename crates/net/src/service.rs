@@ -351,7 +351,8 @@ impl Session {
     }
 
     /// `true` once version negotiation succeeded.
-    pub fn is_negotiated(&self) -> bool {
+    #[cfg(test)]
+    fn is_negotiated(&self) -> bool {
         self.negotiated.is_some()
     }
 

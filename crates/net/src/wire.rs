@@ -85,10 +85,18 @@ pub const FRAME_MAGIC: [u8; 4] = *b"EILD";
 /// only answers. [`Frame::OpHealthResult`] lost its pool queue depth
 /// and submitted-batch count, which described that path's verification
 /// batches.
+/// Version 11 made pause mean one thing on every backend: the gateway
+/// answers a pause with [`Frame::OpPaused`] and unloads the run,
+/// keeping no copy. The retained-record resume (`CampaignControl` op
+/// byte 1), the paused campaign state (`CampaignStatus` state byte 1)
+/// and [`Frame::OpHealthResult`]'s paused-campaign count are gone;
+/// [`Frame::OpCheckpoint`] lost its fetch byte and
+/// [`Frame::OpCheckpointAck`] its state byte, since the ack always
+/// carries the record of a running campaign.
 /// Each bump makes an older peer fail *at negotiation* with a typed
 /// `UnsupportedVersion` instead of mid-exchange on an unknown frame
 /// type.
-pub const PROTOCOL_VERSION: u8 = 10;
+pub const PROTOCOL_VERSION: u8 = 11;
 
 /// Size of the fixed frame header in bytes.
 pub const FRAME_HEADER_LEN: usize = 10;
@@ -105,7 +113,7 @@ pub const MAX_FRAME_PAYLOAD: usize = casu_wire::MAX_UPDATE_PAYLOAD + 128;
 /// patched golden image plus per-device snapshots — with a wire-maximum
 /// patch, kilobytes per updated device), [`Frame::OpReport`] carries
 /// per-device id lists that outgrow [`MAX_FRAME_PAYLOAD`] on large
-/// fleets, [`Frame::OpDrained`] hands back *every* retained paused
+/// fleets, [`Frame::OpDrained`] hands back *every* running campaign's
 /// record at once, and [`Frame::OpMetricsResult`] carries a
 /// whole-registry JSON snapshot. The cap is still enforced from the
 /// header (which names the frame type) *before* any payload is
@@ -119,9 +127,6 @@ pub const MAX_OP_PAYLOAD: usize = 4 * 1024 * 1024;
 /// [`Frame::CampaignStatus`] `state`: a campaign run is loaded and
 /// stepping.
 pub const CAMPAIGN_STATE_RUNNING: u8 = 0;
-/// [`Frame::CampaignStatus`] `state`: a paused record is retained
-/// gateway-side.
-pub const CAMPAIGN_STATE_PAUSED: u8 = 1;
 /// [`Frame::CampaignStatus`] `state`: the run finished; the report is
 /// available via [`CampaignOp::Report`].
 pub const CAMPAIGN_STATE_FINISHED: u8 = 2;
@@ -339,11 +344,9 @@ impl WireHealth {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CampaignOp {
     /// Pause the named cohort's campaign between waves; the gateway
-    /// answers with [`Frame::OpPaused`] carrying the serialised record.
+    /// answers with [`Frame::OpPaused`] carrying the serialised record
+    /// and unloads the run (resuming is [`Frame::OpResume`]).
     Pause,
-    /// Resume the gateway-retained paused campaign (resume *from bytes*
-    /// after a gateway restart is [`Frame::OpResume`]).
-    Resume,
     /// Query the campaign's state and wave cursor.
     Status,
     /// Fetch the finished campaign's [`Frame::OpReport`].
@@ -354,7 +357,6 @@ impl CampaignOp {
     fn to_u8(self) -> u8 {
         match self {
             CampaignOp::Pause => 0,
-            CampaignOp::Resume => 1,
             CampaignOp::Status => 2,
             CampaignOp::Report => 3,
         }
@@ -363,7 +365,6 @@ impl CampaignOp {
     fn from_u8(value: u8) -> Result<Self, WireError> {
         Ok(match value {
             0 => CampaignOp::Pause,
-            1 => CampaignOp::Resume,
             2 => CampaignOp::Status,
             3 => CampaignOp::Report,
             value => {
@@ -599,8 +600,8 @@ pub enum Frame {
     CampaignStatus {
         /// Target cohort.
         cohort: WorkloadId,
-        /// [`CAMPAIGN_STATE_RUNNING`] / [`CAMPAIGN_STATE_PAUSED`] /
-        /// [`CAMPAIGN_STATE_FINISHED`] / [`CAMPAIGN_STATE_IDLE`].
+        /// [`CAMPAIGN_STATE_RUNNING`] / [`CAMPAIGN_STATE_FINISHED`] /
+        /// [`CAMPAIGN_STATE_IDLE`].
         state: u8,
         /// Persisted wave cursor.
         wave_cursor: u32,
@@ -706,15 +707,16 @@ pub enum Frame {
         cohort: WorkloadId,
     },
     /// Operator → gateway: restore a campaign from serialised
-    /// [`PausedCampaign`](eilid_fleet::PausedCampaign) bytes — the
-    /// gateway-restart recovery path.
+    /// [`PausedCampaign`](eilid_fleet::PausedCampaign) bytes — the one
+    /// resume path, on the same gateway or a replacement. Refused with
+    /// `CampaignActive` only while an unfinished run is loaded.
     OpResume {
         /// The `EPC2` paused-campaign record.
         paused: Vec<u8>,
     },
     /// Gateway → operator: the paused campaign, serialised for the
-    /// operator to persist (the gateway also retains it for an
-    /// in-process [`CampaignOp::Resume`]).
+    /// operator to persist. The gateway has unloaded the run and keeps
+    /// no copy.
     OpPaused {
         /// The paused campaign's cohort.
         cohort: WorkloadId,
@@ -736,8 +738,6 @@ pub enum Frame {
         attached: u32,
         /// Campaign slots with a run loaded (stepping or finished).
         active_campaigns: u32,
-        /// Campaign slots holding a gateway-retained paused record.
-        paused_campaigns: u32,
         /// Events in the gateway's campaign ledger.
         ledger_events: u32,
         /// Live reactor connections (accepted minus closed).
@@ -745,14 +745,15 @@ pub enum Frame {
     },
     /// Operator/supervisor → gateway: drain for planned maintenance —
     /// stop accepting connections, pause every running campaign, and
-    /// hand the retained records back.
+    /// hand the records back.
     OpDrain,
-    /// Gateway → operator: the drain is in effect; every paused
-    /// campaign record the gateway retains, so the supervisor can
-    /// re-seed a replacement gateway via [`Frame::OpResume`].
+    /// Gateway → operator: the drain is in effect; the record of every
+    /// campaign it paused, so the supervisor can re-seed a replacement
+    /// gateway via [`Frame::OpResume`]. A run whose record would not
+    /// fit in the frame stays loaded instead.
     OpDrained {
         /// `(cohort, EPC2 paused-campaign record)` pairs, one per
-        /// campaign slot holding state at drain time.
+        /// campaign running at drain time.
         paused: Vec<(WorkloadId, Vec<u8>)>,
     },
     /// Operator → gateway (version 5): scrape the gateway's telemetry
@@ -781,28 +782,19 @@ pub enum Frame {
         request: DeltaUpdateRequest,
     },
     /// Operator → gateway (version 6): checkpoint the cohort's
-    /// campaign — one round trip, no pause, a running campaign keeps
-    /// stepping and the gateway retains nothing. With `fetch = 1` the
-    /// ack carries the serialised record (what the campaign would pause
-    /// into), for consoles that must survive gateway *process* death;
-    /// with `fetch = 0` it carries only the campaign state.
+    /// running campaign — one round trip, no pause: the run keeps
+    /// stepping and the ack carries the serialised record it would
+    /// pause into, for consoles that must survive gateway *process*
+    /// death.
     OpCheckpoint {
         /// The campaign's cohort.
         cohort: WorkloadId,
-        /// 1 to return the serialised record in the ack, 0 for the
-        /// state alone.
-        fetch: u8,
     },
-    /// Gateway → operator (version 6): the campaign's state, plus its
-    /// record when fetched.
+    /// Gateway → operator (version 6): the running campaign's record.
     OpCheckpointAck {
         /// The campaign's cohort.
         cohort: WorkloadId,
-        /// Campaign state at checkpoint time ([`CAMPAIGN_STATE_RUNNING`]
-        /// / [`CAMPAIGN_STATE_PAUSED`]).
-        state: u8,
-        /// The serialised `EPC2` record when `fetch` was 1; empty
-        /// otherwise.
+        /// The serialised `EPC2` record.
         paused: Vec<u8>,
     },
     /// Operator → gateway (version 7): run a gateway-driven
@@ -975,13 +967,11 @@ impl Frame {
             Frame::OpHealthResult {
                 attached,
                 active_campaigns,
-                paused_campaigns,
                 ledger_events,
                 live_sessions,
             } => {
                 out.extend_from_slice(&attached.to_le_bytes());
                 out.extend_from_slice(&active_campaigns.to_le_bytes());
-                out.extend_from_slice(&paused_campaigns.to_le_bytes());
                 out.extend_from_slice(&ledger_events.to_le_bytes());
                 out.extend_from_slice(&live_sessions.to_le_bytes());
             }
@@ -1003,17 +993,9 @@ impl Frame {
                 out.extend_from_slice(&device.to_le_bytes());
                 casu_wire::encode_delta_update_request(request, out);
             }
-            Frame::OpCheckpoint { cohort, fetch } => {
+            Frame::OpCheckpoint { cohort } => out.push(cohort.index()),
+            Frame::OpCheckpointAck { cohort, paused } => {
                 out.push(cohort.index());
-                out.push(*fetch);
-            }
-            Frame::OpCheckpointAck {
-                cohort,
-                state,
-                paused,
-            } => {
-                out.push(cohort.index());
-                out.push(*state);
                 out.extend_from_slice(&(paused.len() as u32).to_le_bytes());
                 out.extend_from_slice(paused);
             }
@@ -1151,7 +1133,6 @@ impl Frame {
             0x1C => Frame::OpHealthResult {
                 attached: reader.u32()?,
                 active_campaigns: reader.u32()?,
-                paused_campaigns: reader.u32()?,
                 ledger_events: reader.u32()?,
                 live_sessions: reader.u32()?,
             },
@@ -1177,17 +1158,11 @@ impl Frame {
             },
             0x22 => Frame::OpCheckpoint {
                 cohort: cohort_from_u8(reader.u8()?)?,
-                fetch: reader.u8()?,
             },
             0x23 => {
                 let cohort = cohort_from_u8(reader.u8()?)?;
-                let state = reader.u8()?;
                 let paused = read_bounded_bytes(&mut reader, MAX_OP_PAYLOAD)?;
-                Frame::OpCheckpointAck {
-                    cohort,
-                    state,
-                    paused,
-                }
+                Frame::OpCheckpointAck { cohort, paused }
             }
             0x24 => Frame::OpAggSweep,
             0x25 => {
@@ -1589,6 +1564,23 @@ mod tests {
         let mut bytes = Frame::Bye.encode();
         bytes[0] = b'X';
         assert!(matches!(Frame::decode(&bytes), Err(WireError::BadMagic(_))));
+    }
+
+    #[test]
+    fn the_retired_resume_op_byte_is_rejected() {
+        let mut bytes = Frame::CampaignControl {
+            cohort: WorkloadId::LightSensor,
+            op: CampaignOp::Status,
+        }
+        .encode();
+        bytes[FRAME_HEADER_LEN + 1] = 1;
+        assert_eq!(
+            Frame::decode(&bytes),
+            Err(WireError::BadEnum {
+                field: "campaign op",
+                value: 1,
+            })
+        );
     }
 
     #[test]

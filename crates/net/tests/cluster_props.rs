@@ -12,8 +12,8 @@ use eilid_casu::DeviceKey;
 use eilid_fleet::fixtures::{benign_patch, BENIGN_PATCH_TARGET};
 use eilid_fleet::ops::class_index;
 use eilid_fleet::{
-    merge_sweeps, CampaignConfig, CampaignOutcome, CampaignStatus, Fleet, FleetBuilder, FleetOps,
-    HealthClass, LocalOps, OpsError, SweepSummary, Verifier, SHARD_COUNT,
+    merge_sweeps, CampaignConfig, CampaignOutcome, CampaignPhase, CampaignStatus, Fleet,
+    FleetBuilder, FleetOps, HealthClass, LocalOps, OpsError, SweepSummary, Verifier, SHARD_COUNT,
 };
 use eilid_net::cluster::{with_placed_fleet, ClusterOps, Placement};
 use eilid_net::{AttestationService, Gateway, GatewayConfig, GatewayHandle, RemoteOps};
@@ -412,6 +412,92 @@ fn campaign_resumes_through_gateway_restart() {
         report_b, report_a,
         "a campaign resumed through a gateway restart must report like an uninterrupted run"
     );
+}
+
+/// A paused cluster stays paused through a reconnect: the pause hands
+/// every gateway's record to the caller and drops the durable
+/// checkpoints, so `reconnect(0)` re-seeds nothing and every gateway
+/// reads `Idle`; the blob then resumes on the same cluster and the
+/// report equals the uninterrupted union run's.
+#[test]
+fn paused_cluster_stays_paused_through_a_reconnect() {
+    let devices = 2 * SHARD_COUNT;
+    let config = exact_cut_config();
+
+    let (mut fleet_a, mut verifier_a) = build(devices);
+    let report_a = LocalOps::new(&mut fleet_a, &mut verifier_a)
+        .run_campaign(&config)
+        .expect("local campaign");
+
+    let (mut fleet_b, mut verifier_b) = build(devices);
+    let (handles, addrs) = spawn_cluster(&mut verifier_b, 2);
+    let (phases, report_b) = with_placed_fleet(&mut fleet_b, &addrs, 2, || {
+        let mut ops = ClusterOps::connect(&addrs).map_err(|e| OpsError::Backend(e.to_string()))?;
+        // Durable mode, so there is a checkpoint a reconnect could
+        // wrongly replay.
+        ops.set_durable_checkpoints(true);
+        ops.campaign_begin(&config)?;
+        ops.campaign_step()?;
+        let blob = ops.campaign_pause()?;
+        ops.reconnect(0)?;
+        let mut phases = vec![ops.campaign_status()?];
+        for &addr in &addrs {
+            let mut console =
+                RemoteOps::connect(addr).map_err(|e| OpsError::Backend(e.to_string()))?;
+            console.adopt(config.cohort);
+            phases.push(console.campaign_status()?);
+        }
+        ops.campaign_resume(&blob)?;
+        while ops.campaign_step()? != CampaignStatus::Finished {}
+        Ok::<_, OpsError>((phases, ops.campaign_report()?))
+    })
+    .expect("placed agents served cleanly")
+    .expect("paused cluster campaign resumes");
+    for handle in handles {
+        handle.shutdown().unwrap();
+    }
+
+    assert_eq!(
+        phases,
+        vec![CampaignPhase::Idle; 3],
+        "the cluster, then each gateway, after pause and reconnect"
+    );
+    assert_eq!(report_b, report_a);
+}
+
+/// A cluster pause that fails on one gateway hands the others their
+/// records back: with gateway 1 gone, the pause errors and gateway 0
+/// still has its run loaded at the same wave.
+#[test]
+fn a_failed_cluster_pause_leaves_the_paused_gateways_loaded() {
+    let devices = 2 * SHARD_COUNT;
+    let config = exact_cut_config();
+
+    let (mut fleet, mut verifier) = build(devices);
+    let (handles, addrs) = spawn_cluster(&mut verifier, 2);
+    let mut handles: Vec<Option<GatewayHandle>> = handles.into_iter().map(Some).collect();
+    let (pause, phase) = with_placed_fleet(&mut fleet, &addrs, 2, || {
+        let mut ops = ClusterOps::connect(&addrs).map_err(|e| OpsError::Backend(e.to_string()))?;
+        ops.campaign_begin(&config)?;
+        ops.campaign_step()?;
+        handles[1].take().unwrap().shutdown().unwrap();
+        let pause = ops.campaign_pause().map(|_| ());
+        let mut console =
+            RemoteOps::connect(addrs[0]).map_err(|e| OpsError::Backend(e.to_string()))?;
+        console.adopt(config.cohort);
+        Ok::<_, OpsError>((pause, console.campaign_status()?))
+    })
+    .expect("placed agents served cleanly")
+    .expect("gateway 0 answers");
+    for handle in handles.into_iter().flatten() {
+        handle.shutdown().unwrap();
+    }
+
+    assert!(
+        matches!(&pause, Err(OpsError::Backend(msg)) if msg.starts_with("gateway 1")),
+        "the pause names the failed gateway: {pause:?}"
+    );
+    assert_eq!(phase, CampaignPhase::InProgress { next_wave: 1 });
 }
 
 /// Drain for planned maintenance: the gateway pauses its campaign and

@@ -4,7 +4,8 @@
 //! same results — most importantly, a wire-driven campaign's
 //! `CampaignReport` equal wave-for-wave to the in-process one, on good
 //! campaigns, halted-and-rolled-back campaigns, and arbitrary
-//! proptest-generated staging parameters and tamper patterns.
+//! proptest-generated staging parameters and tamper patterns — plus one
+//! campaign lifecycle, pause and resume included, on all three backends.
 
 use std::sync::Arc;
 
@@ -13,9 +14,10 @@ use eilid_fleet::fixtures::{
     benign_patch, bricking_patch, BENIGN_PATCH_TARGET, BRICKING_PATCH_TARGET,
 };
 use eilid_fleet::{
-    CampaignConfig, CampaignOutcome, CampaignReport, Fleet, FleetBuilder, FleetOps, HealthClass,
-    LocalOps, OpsError, SweepSummary, Verifier,
+    CampaignConfig, CampaignOutcome, CampaignPhase, CampaignReport, CampaignStatus, Fleet,
+    FleetBuilder, FleetOps, HealthClass, LocalOps, OpsError, SweepSummary, Verifier, SHARD_COUNT,
 };
+use eilid_net::cluster::{with_placed_fleet, ClusterOps};
 use eilid_net::{
     with_attached_fleet, AttestationService, Gateway, GatewayConfig, GatewayHandle, RemoteOps,
 };
@@ -261,5 +263,95 @@ proptest! {
 
         prop_assert_eq!(report_b, report_a);
         prop_assert_eq!(sweep_b, sweep_a);
+    }
+}
+
+/// One campaign lifecycle on any backend: begin, step `k` waves, pause,
+/// check that the backend then reads `Idle` (the caller holds the
+/// campaign), resume from the returned bytes on the same backend and
+/// run to the finish. Failures come back as errors rather than panics,
+/// so the device agents serving the backend still stop.
+fn pause_and_resume(
+    ops: &mut dyn FleetOps,
+    config: &CampaignConfig,
+    k: usize,
+) -> Result<CampaignReport, OpsError> {
+    ops.campaign_begin(config)?;
+    for _ in 0..k {
+        ops.campaign_step()?;
+    }
+    let paused = ops.campaign_pause()?;
+    let phase = ops.campaign_status()?;
+    if phase != CampaignPhase::Idle {
+        return Err(OpsError::Backend(format!(
+            "{phase:?} after a pause, expected Idle"
+        )));
+    }
+    ops.campaign_resume(&paused)?;
+    while ops.campaign_step()? != CampaignStatus::Finished {}
+    ops.campaign_report()
+}
+
+proptest! {
+    // Three backends over TCP per case: keep the case count modest.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The lifecycle pin: pausing after a seeded number of waves and
+    /// resuming from the bytes on the same backend reports exactly like
+    /// an uninterrupted in-process run, on `LocalOps`, on `RemoteOps`
+    /// and on a 2-gateway `ClusterOps`. Four devices per shard make the
+    /// canary cut exact on every placement partition, so the cluster's
+    /// merged report equals the union run's.
+    #[test]
+    fn pause_and_resume_on_the_same_backend_matches_an_uninterrupted_run(
+        k in 0usize..=1,              // waves stepped before the pause
+        canary in 1u32..=3,           // canary_fraction = canary / 4
+    ) {
+        let devices = 4 * SHARD_COUNT;
+        let mut config =
+            CampaignConfig::new(WorkloadId::LightSensor, BENIGN_PATCH_TARGET, benign_patch());
+        config.canary_fraction = f64::from(canary) / 4.0;
+        config.smoke_cycles = 100_000;
+
+        let (mut fleet, mut verifier) = build(devices);
+        let reference = LocalOps::new(&mut fleet, &mut verifier)
+            .run_campaign(&config)
+            .expect("uninterrupted local campaign");
+        prop_assert_eq!(
+            &reference.outcome,
+            &CampaignOutcome::Completed { updated: devices }
+        );
+
+        let (mut fleet, mut verifier) = build(devices);
+        let local = pause_and_resume(&mut LocalOps::new(&mut fleet, &mut verifier), &config, k);
+
+        let (mut fleet, mut verifier) = build(devices);
+        let (handle, _service) = spawn_gateway(&mut verifier);
+        let addr = handle.addr();
+        let remote = with_attached_fleet(&mut fleet, 2, addr, || {
+            let mut ops =
+                RemoteOps::connect(addr).map_err(|e| OpsError::Backend(e.to_string()))?;
+            pause_and_resume(&mut ops, &config, k)
+        })
+        .expect("device agents served cleanly");
+        handle.shutdown().unwrap();
+
+        let (mut fleet, mut verifier) = build(devices);
+        let gateways: Vec<GatewayHandle> =
+            (0..2).map(|_| spawn_gateway(&mut verifier).0).collect();
+        let addrs: Vec<_> = gateways.iter().map(GatewayHandle::addr).collect();
+        let cluster = with_placed_fleet(&mut fleet, &addrs, 2, || {
+            let mut ops =
+                ClusterOps::connect(&addrs).map_err(|e| OpsError::Backend(e.to_string()))?;
+            pause_and_resume(&mut ops, &config, k)
+        })
+        .expect("placed agents served cleanly");
+        for handle in gateways {
+            handle.shutdown().unwrap();
+        }
+
+        prop_assert_eq!(local.expect("LocalOps lifecycle"), reference.clone());
+        prop_assert_eq!(remote.expect("RemoteOps lifecycle"), reference.clone());
+        prop_assert_eq!(cluster.expect("ClusterOps lifecycle"), reference);
     }
 }

@@ -16,7 +16,7 @@ use eilid_fleet::{
 };
 use eilid_net::{
     with_attached_fleet, AttestationService, Frame, Gateway, GatewayConfig, GatewayHandle,
-    RemoteOps, TcpTransport, Transport, CAMPAIGN_STATE_RUNNING, PROTOCOL_VERSION,
+    RemoteOps, TcpTransport, Transport, PROTOCOL_VERSION,
 };
 use eilid_workloads::WorkloadId;
 
@@ -153,34 +153,34 @@ fn operator_crash_pause_and_gateway_restart_resume_is_lossless() {
     );
 }
 
-/// Pausing before any wave and resuming on the same gateway (the
-/// retained-slot `CampaignOp::Resume` path, no bytes crossing the
-/// operator) is also lossless.
+/// Pausing before any wave unloads the run (the gateway reads `Idle`),
+/// and the returned bytes resume on the same gateway losslessly.
 #[test]
-fn retained_pause_resume_on_the_same_gateway_is_lossless() {
+fn pause_then_resume_from_bytes_on_the_same_gateway_is_lossless() {
     let report_reference = uninterrupted_reference(8);
 
     let (mut fleet, mut verifier) = build(8);
     let handle = spawn_gateway(&mut verifier);
     let addr = handle.addr();
-    let report = with_attached_fleet(&mut fleet, 2, addr, || {
+    let (record_len, phase, report) = with_attached_fleet(&mut fleet, 2, addr, || {
         let mut ops = RemoteOps::connect(addr).map_err(|e| OpsError::Backend(e.to_string()))?;
         ops.campaign_begin(&config())?;
         let paused = ops.campaign_pause()?;
-        assert!(
-            paused.len() > eilid_net::MAX_FRAME_PAYLOAD,
-            "the paused record (64 KiB golden + snapshots) exercises the \
-             operator-plane frame ceiling"
-        );
-        // Resume the gateway-retained slot (no bytes needed).
-        ops.resume_retained()?;
+        let phase = ops.campaign_status()?;
+        ops.campaign_resume(&paused)?;
         while ops.campaign_step()? != CampaignStatus::Finished {}
-        ops.campaign_report()
+        Ok::<_, OpsError>((paused.len(), phase, ops.campaign_report()?))
     })
     .unwrap()
     .unwrap();
     handle.shutdown().unwrap();
 
+    assert!(
+        record_len > eilid_net::MAX_FRAME_PAYLOAD,
+        "the paused record (64 KiB golden + snapshots) exercises the \
+         operator-plane frame ceiling"
+    );
+    assert_eq!(phase, CampaignPhase::Idle, "a paused gateway keeps nothing");
     assert_eq!(report, report_reference);
 }
 
@@ -208,7 +208,7 @@ fn resume_replaces_a_finished_run_on_both_backends() {
         ops.campaign_begin(&config())?;
         ops.campaign_step()?;
         let paused = ops.campaign_pause()?;
-        ops.resume_retained()?;
+        ops.campaign_resume(&paused)?;
         while ops.campaign_step()? != CampaignStatus::Finished {}
         let report = ops.campaign_report()?;
         ops.campaign_resume(&paused)?;
@@ -223,8 +223,8 @@ fn resume_replaces_a_finished_run_on_both_backends() {
     assert_eq!(remote_phase, local_phase);
 }
 
-/// `(active_campaigns, paused_campaigns)` from a raw `OpHealth`.
-fn raw_campaign_counts(addr: SocketAddr) -> (u32, u32) {
+/// `active_campaigns` from a raw `OpHealth`.
+fn raw_active_campaigns(addr: SocketAddr) -> u32 {
     let mut console = TcpTransport::connect(addr).unwrap();
     console
         .send(&Frame::Hello {
@@ -236,45 +236,42 @@ fn raw_campaign_counts(addr: SocketAddr) -> (u32, u32) {
     console.send(&Frame::OpHealth).unwrap();
     match console.recv().unwrap() {
         Frame::OpHealthResult {
-            active_campaigns,
-            paused_campaigns,
-            ..
-        } => (active_campaigns, paused_campaigns),
+            active_campaigns, ..
+        } => active_campaigns,
         other => panic!("expected OpHealthResult, got {other:?}"),
     }
 }
 
-/// Checkpointing a running campaign hands its record back (when asked)
-/// and leaves the gateway's slot as it was: the campaign counts as
-/// active, never as paused, after the checkpoint and after it finishes.
+/// Checkpointing a running campaign hands its record back and leaves
+/// the run loaded and stepping: one active campaign after the
+/// checkpoint and after the finish.
 #[test]
-fn checkpointing_a_running_campaign_retains_no_paused_record() {
+fn checkpointing_a_running_campaign_leaves_it_running() {
     let (mut fleet, mut verifier) = build(8);
     let handle = spawn_gateway(&mut verifier);
     let addr = handle.addr();
-    let (after_checkpoint, after_finish, record) = with_attached_fleet(&mut fleet, 2, addr, || {
-        let mut ops = RemoteOps::connect(addr).map_err(|e| OpsError::Backend(e.to_string()))?;
-        ops.campaign_begin(&config())?;
-        let (state, empty) = ops.campaign_checkpoint(false)?;
-        assert_eq!(state, CAMPAIGN_STATE_RUNNING);
-        assert!(empty.is_empty(), "an unfetched checkpoint carries no bytes");
-        let after_checkpoint = raw_campaign_counts(addr);
-        ops.campaign_step()?;
-        let (state, record) = ops.campaign_checkpoint(true)?;
-        assert_eq!(state, CAMPAIGN_STATE_RUNNING);
-        while ops.campaign_step()? != CampaignStatus::Finished {}
-        Ok::<_, OpsError>((after_checkpoint, raw_campaign_counts(addr), record))
-    })
-    .unwrap()
-    .unwrap();
+    let (after_checkpoint, phase, after_finish, first, second) =
+        with_attached_fleet(&mut fleet, 2, addr, || {
+            let mut ops = RemoteOps::connect(addr).map_err(|e| OpsError::Backend(e.to_string()))?;
+            ops.campaign_begin(&config())?;
+            let first = ops.campaign_checkpoint()?;
+            let after_checkpoint = raw_active_campaigns(addr);
+            let phase = ops.campaign_status()?;
+            ops.campaign_step()?;
+            let second = ops.campaign_checkpoint()?;
+            while ops.campaign_step()? != CampaignStatus::Finished {}
+            let after_finish = raw_active_campaigns(addr);
+            Ok::<_, OpsError>((after_checkpoint, phase, after_finish, first, second))
+        })
+        .unwrap()
+        .unwrap();
     handle.shutdown().unwrap();
 
-    assert_eq!(
-        after_checkpoint,
-        (1, 0),
-        "(active, paused) after a checkpoint"
-    );
-    assert_eq!(after_finish, (1, 0), "(active, paused) after the finish");
-    let paused = PausedCampaign::from_bytes(&record).expect("the fetched record decodes");
-    assert_eq!(paused.wave_cursor(), 1);
+    assert_eq!(after_checkpoint, 1, "active campaigns after a checkpoint");
+    assert_eq!(phase, CampaignPhase::InProgress { next_wave: 0 });
+    assert_eq!(after_finish, 1, "active campaigns after the finish");
+    for (record, cursor) in [(first, 0), (second, 1)] {
+        let paused = PausedCampaign::from_bytes(&record).expect("the checkpoint record decodes");
+        assert_eq!(paused.wave_cursor(), cursor);
+    }
 }

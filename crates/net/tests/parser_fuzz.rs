@@ -137,7 +137,6 @@ fn frames() -> Vec<Frame> {
         Frame::OpHealthResult {
             attached: 64,
             active_campaigns: 1,
-            paused_campaigns: 0,
             ledger_events: 12,
             live_sessions: 5,
         },
@@ -174,11 +173,9 @@ fn frames() -> Vec<Frame> {
         },
         Frame::OpCheckpoint {
             cohort: WorkloadId::LightSensor,
-            fetch: 1,
         },
         Frame::OpCheckpointAck {
             cohort: WorkloadId::LightSensor,
-            state: 2,
             paused: vec![4; 12],
         },
         Frame::OpAggSweep,
@@ -212,7 +209,7 @@ fn frame_decoder_survives_mutated_streams() {
     });
 }
 
-fn paused_campaigns() -> Vec<PausedCampaign> {
+fn paused_records() -> Vec<PausedCampaign> {
     let (mut fleet, mut verifier) =
         FleetBuilder::new(DeviceKey::new(b"fleet-root-key-0123").unwrap())
             .devices(4)
@@ -235,7 +232,7 @@ fn paused_campaigns() -> Vec<PausedCampaign> {
 
 #[test]
 fn paused_campaign_parser_survives_mutated_records() {
-    let corpus: Vec<Vec<u8>> = paused_campaigns()
+    let corpus: Vec<Vec<u8>> = paused_records()
         .iter()
         .map(PausedCampaign::to_bytes)
         .collect();

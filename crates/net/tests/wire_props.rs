@@ -181,12 +181,11 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
         any::<u8>().prop_map(|version| Frame::HelloAck { version }),
         (any::<u64>(), any::<u8>())
             .prop_map(|(device, status)| Frame::UpdateResult { device, status }),
-        (arb_cohort(), 0u8..=3).prop_map(|(cohort, op)| Frame::CampaignControl {
+        (arb_cohort(), 0u8..=2).prop_map(|(cohort, op)| Frame::CampaignControl {
             cohort,
             op: match op {
                 0 => eilid_net::CampaignOp::Pause,
-                1 => eilid_net::CampaignOp::Resume,
-                2 => eilid_net::CampaignOp::Status,
+                1 => eilid_net::CampaignOp::Status,
                 _ => eilid_net::CampaignOp::Report,
             },
         }),
@@ -251,24 +250,16 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
         (arb_cohort(), arb_campaign_report())
             .prop_map(|(cohort, report)| Frame::OpReport { cohort, report }),
         Just(Frame::OpHealth),
-        (
-            any::<u32>(),
-            any::<u32>(),
-            any::<u32>(),
-            any::<u32>(),
-            any::<u32>()
-        )
-            .prop_map(
-                |(attached, active_campaigns, paused_campaigns, ledger_events, live_sessions)| {
-                    Frame::OpHealthResult {
-                        attached,
-                        active_campaigns,
-                        paused_campaigns,
-                        ledger_events,
-                        live_sessions,
-                    }
-                },
-            ),
+        (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()).prop_map(
+            |(attached, active_campaigns, ledger_events, live_sessions)| {
+                Frame::OpHealthResult {
+                    attached,
+                    active_campaigns,
+                    ledger_events,
+                    live_sessions,
+                }
+            }
+        ),
         Just(Frame::OpDrain),
         proptest::collection::vec(
             (arb_cohort(), proptest::collection::vec(0u8..=255, 0..256)),
@@ -279,20 +270,12 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
         Just(Frame::OpMetrics),
         proptest::collection::vec(0u8..=255, 0..512)
             .prop_map(|snapshot| Frame::OpMetricsResult { snapshot }),
-        // --- version 6: delta updates + retention checkpoints ---
+        // --- version 6: delta updates + checkpoints ---
         (any::<u64>(), arb_delta_update_request())
             .prop_map(|(device, request)| Frame::DeltaUpdateRequest { device, request }),
-        (arb_cohort(), 0u8..=1).prop_map(|(cohort, fetch)| Frame::OpCheckpoint { cohort, fetch }),
-        (
-            arb_cohort(),
-            any::<u8>(),
-            proptest::collection::vec(0u8..=255, 0..512),
-        )
-            .prop_map(|(cohort, state, paused)| Frame::OpCheckpointAck {
-                cohort,
-                state,
-                paused,
-            }),
+        arb_cohort().prop_map(|cohort| Frame::OpCheckpoint { cohort }),
+        (arb_cohort(), proptest::collection::vec(0u8..=255, 0..512))
+            .prop_map(|(cohort, paused)| Frame::OpCheckpointAck { cohort, paused }),
         // --- version 7: collective attestation ---
         Just(Frame::OpAggSweep),
         (
@@ -784,7 +767,6 @@ fn malformed_v6_corpus_yields_clean_typed_errors() {
     // OpCheckpoint: unknown cohort discriminant dies typed.
     let mut checkpoint = Frame::OpCheckpoint {
         cohort: WorkloadId::LightSensor,
-        fetch: 1,
     }
     .encode();
     checkpoint[FRAME_HEADER_LEN] = 0xEE;
@@ -801,12 +783,11 @@ fn malformed_v6_corpus_yields_clean_typed_errors() {
     // rejected before buffering.
     let ack = Frame::OpCheckpointAck {
         cohort: WorkloadId::LightSensor,
-        state: eilid_net::CAMPAIGN_STATE_RUNNING,
         paused: vec![0; 8],
     }
     .encode();
     let mut lying = ack.clone();
-    lying[FRAME_HEADER_LEN + 2..FRAME_HEADER_LEN + 6].copy_from_slice(&(u32::MAX).to_le_bytes());
+    lying[FRAME_HEADER_LEN + 1..FRAME_HEADER_LEN + 5].copy_from_slice(&(u32::MAX).to_le_bytes());
     assert!(matches!(
         Frame::decode(&lying),
         Err(WireError::BadPayload(_)) | Err(WireError::Truncated { .. })
@@ -826,12 +807,10 @@ fn malformed_v6_corpus_yields_clean_typed_errors() {
         template.clone(),
         Frame::OpCheckpoint {
             cohort: WorkloadId::LightSensor,
-            fetch: 0,
         }
         .encode(),
         Frame::OpCheckpointAck {
             cohort: WorkloadId::LightSensor,
-            state: 0,
             paused: vec![],
         }
         .encode(),
