@@ -30,7 +30,10 @@
 //! drops the console-held checkpoints, exactly as a single backend
 //! keeps nothing: the cluster then reads `Idle`, and a reconnect
 //! re-seeds nothing, until [`FleetOps::campaign_resume`] takes the blob
-//! back.
+//! back. A pause that fails on one gateway hands the others their
+//! records back and keeps each as that gateway's checkpoint, so a
+//! failed hand-back is re-seeded by a reconnect. The failed gateway's
+//! own record is only as safe as its last durable checkpoint.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -453,7 +456,15 @@ impl FleetOps for ClusterOps {
         }
         if let Some(err) = failure {
             // The gateways that did pause hold nothing now: hand each
-            // its record back, so a failed pause loses no partition.
+            // its record back, and keep it as that gateway's checkpoint,
+            // so one whose hand-back fails is re-seeded by `reconnect`.
+            // A record whose `OpPaused` reply never arrived is not here:
+            // only an earlier durable checkpoint can stand in for it.
+            for (gateway, record) in records.iter().enumerate() {
+                if record.is_some() {
+                    self.checkpoints[gateway].clone_from(record);
+                }
+            }
             let _ = fan_out(
                 &mut self.consoles,
                 |gateway| records[gateway].is_some(),
@@ -545,12 +556,17 @@ impl FleetOps for ClusterOps {
     }
 
     fn health(&mut self) -> Result<OpsHealth, OpsError> {
-        let parts = self.fan_out_all(RemoteOps::health)?;
-        // The phase is the cluster's own: after a pause its gateways
-        // read `Idle` or `Finished`, but the campaign is the caller's.
+        let merged = merge_health(&self.fan_out_all(RemoteOps::health)?);
+        // After a pause the gateways of finished partitions still read
+        // `Finished`, but the campaign is the caller's: the cluster
+        // reads `Idle`. Otherwise non-participants read `Idle`, which
+        // the merge ignores, so the merged phase is the cluster's own.
         Ok(OpsHealth {
-            campaign: self.campaign_status()?,
-            ..merge_health(&parts)
+            campaign: match self.cohort {
+                Some(_) => merged.campaign,
+                None => CampaignPhase::Idle,
+            },
+            ..merged
         })
     }
 }

@@ -159,11 +159,17 @@ pub(crate) enum EngineInput {
 /// record: its cohort byte and its length prefix.
 const RECORD_FRAMING: usize = 5;
 
-/// The `EPC2` record `run` would pause into, when it fits in `budget`
-/// bytes: a record past it cannot cross the wire.
-fn record_within(run: &CampaignRun, budget: usize) -> Option<Vec<u8>> {
-    let bytes = run.clone().pause().to_bytes();
-    (bytes.len() <= budget).then_some(bytes)
+/// Pauses `run` into its `EPC2` record when that fits in `budget`
+/// bytes. A record past it cannot cross the wire, so the run comes
+/// back, to stay loaded.
+fn pause_within(run: CampaignRun, budget: usize) -> Result<Vec<u8>, Box<CampaignRun>> {
+    let paused = run.pause();
+    let bytes = paused.to_bytes();
+    if bytes.len() <= budget {
+        Ok(bytes)
+    } else {
+        Err(Box::new(Campaign::resume(paused)))
+    }
 }
 
 /// Where a sweep's exchange hands each burst of accepted probe reports.
@@ -356,20 +362,24 @@ impl OpsEngine {
                 let mut records: Vec<(WorkloadId, Vec<u8>)> = Vec::new();
                 // The record count's 4 bytes, then each framed record.
                 let mut used = 4usize;
-                self.campaigns.retain(|&cohort, run| {
+                for (cohort, run) in std::mem::take(&mut self.campaigns) {
                     // A finished run has nothing left to move; its
                     // report stays queryable until shutdown.
                     if run.is_finished() {
-                        return true;
+                        self.campaigns.insert(cohort, run);
+                        continue;
                     }
                     let budget = MAX_OP_PAYLOAD.saturating_sub(used + RECORD_FRAMING);
-                    let Some(bytes) = record_within(run, budget) else {
-                        return true;
-                    };
-                    used += RECORD_FRAMING + bytes.len();
-                    records.push((cohort, bytes));
-                    false
-                });
+                    match pause_within(run, budget) {
+                        Ok(bytes) => {
+                            used += RECORD_FRAMING + bytes.len();
+                            records.push((cohort, bytes));
+                        }
+                        Err(run) => {
+                            self.campaigns.insert(cohort, *run);
+                        }
+                    }
+                }
                 self.send(conn, Frame::OpDrained { paused: records });
             }
             Frame::OpCheckpoint { cohort } => {
@@ -378,11 +388,11 @@ impl OpsEngine {
                 let Some(run) = self.campaigns.get(&cohort).filter(|run| !run.is_finished()) else {
                     return self.send_error(conn, ErrorCode::NoCampaign);
                 };
-                match record_within(run, MAX_OP_PAYLOAD - RECORD_FRAMING) {
-                    Some(paused) => self.send(conn, Frame::OpCheckpointAck { cohort, paused }),
+                match pause_within(run.clone(), MAX_OP_PAYLOAD - RECORD_FRAMING) {
+                    Ok(paused) => self.send(conn, Frame::OpCheckpointAck { cohort, paused }),
                     // Unframeable on the wire — same discipline as an
                     // oversized pause.
-                    None => self.send_error(conn, ErrorCode::Unsupported),
+                    Err(_) => self.send_error(conn, ErrorCode::Unsupported),
                 }
             }
             Frame::OpMetrics => {
@@ -411,21 +421,25 @@ impl OpsEngine {
             CampaignOp::Pause => {
                 // Nothing loaded, or a finished run with nothing left to
                 // pause.
-                let Some(run) = self.campaigns.get(&cohort).filter(|run| !run.is_finished()) else {
+                let Some(run) = self.campaigns.remove(&cohort) else {
                     return self.send_error(conn, ErrorCode::NoCampaign);
                 };
-                match record_within(run, MAX_OP_PAYLOAD - RECORD_FRAMING) {
+                if run.is_finished() {
+                    self.campaigns.insert(cohort, run);
+                    return self.send_error(conn, ErrorCode::NoCampaign);
+                }
+                match pause_within(run, MAX_OP_PAYLOAD - RECORD_FRAMING) {
                     // The operator owns the record now; the slot is
                     // empty, as after `LocalOps::campaign_pause`.
-                    Some(paused) => {
-                        self.campaigns.remove(&cohort);
-                        self.send(conn, Frame::OpPaused { cohort, paused });
-                    }
+                    Ok(paused) => self.send(conn, Frame::OpPaused { cohort, paused }),
                     // A record past the operator-plane frame ceiling
                     // cannot cross the wire: the run stays loaded and
                     // the operator gets a typed error instead of an
                     // unframeable reply.
-                    None => self.send_error(conn, ErrorCode::Unsupported),
+                    Err(run) => {
+                        self.campaigns.insert(cohort, *run);
+                        self.send_error(conn, ErrorCode::Unsupported);
+                    }
                 }
             }
             CampaignOp::Status => {
@@ -922,6 +936,23 @@ mod tests {
         let wave = rollout.into_wave();
         assert_eq!((wave.failures, wave.updated.len()), (1, 0));
         assert_eq!(engine.metrics.engine_reactor_lost.get(), 1);
+    }
+
+    /// A record past its budget hands the run back whole, to stay
+    /// loaded; one that fits is the record `LocalOps` would pause into.
+    #[test]
+    fn a_record_past_its_budget_leaves_the_run_whole() {
+        let (mut engine, _, cohort, _engine_tx, _reactor) = engine(Duration::from_millis(50));
+        let config = CampaignConfig::new(cohort, BENIGN_PATCH_TARGET, benign_patch());
+        let run = Campaign::new(config)
+            .unwrap()
+            .begin_with(&mut engine)
+            .unwrap();
+        let record = run.clone().pause().to_bytes();
+
+        let refused = pause_within(run.clone(), record.len() - 1).unwrap_err();
+        assert_eq!(*refused, run);
+        assert_eq!(pause_within(run, record.len()).unwrap(), record);
     }
 
     /// A thread that panics while holding the registry lock poisons it;

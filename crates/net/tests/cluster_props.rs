@@ -4,8 +4,10 @@
 //! in-process) run over the union fleet, including through a
 //! mid-campaign gateway restart and a drain/hand-back cycle.
 
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use eilid_casu::DeviceKey;
@@ -16,7 +18,10 @@ use eilid_fleet::{
     FleetBuilder, FleetOps, HealthClass, LocalOps, OpsError, SweepSummary, Verifier, SHARD_COUNT,
 };
 use eilid_net::cluster::{with_placed_fleet, ClusterOps, Placement};
-use eilid_net::{AttestationService, Gateway, GatewayConfig, GatewayHandle, RemoteOps};
+use eilid_net::{
+    AttestationService, ErrorCode, Frame, FrameDecoder, Gateway, GatewayConfig, GatewayHandle,
+    RemoteOps, CAMPAIGN_STATE_IDLE, CAMPAIGN_STATE_RUNNING, PROTOCOL_VERSION,
+};
 use eilid_obs::RegistrySnapshot;
 use eilid_workloads::WorkloadId;
 use proptest::prelude::*;
@@ -498,6 +503,96 @@ fn a_failed_cluster_pause_leaves_the_paused_gateways_loaded() {
         "the pause names the failed gateway: {pause:?}"
     );
     assert_eq!(phase, CampaignPhase::InProgress { next_wave: 1 });
+}
+
+/// A scripted gateway, for faults a live one cannot be made to show on
+/// cue: it serves one console connection per script, in order, answers
+/// the handshake, then answers each request with the script's next
+/// frame, or hangs up at `None`. The thread returns every request.
+fn scripted_gateway(scripts: Vec<Vec<Option<Frame>>>) -> (SocketAddr, JoinHandle<Vec<Frame>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || {
+        let mut requests = Vec::new();
+        for script in scripts {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut decoder = FrameDecoder::new();
+            let mut recv = |stream: &mut TcpStream| loop {
+                if let Some(frame) = decoder.next_frame().unwrap() {
+                    break frame;
+                }
+                let mut buf = [0u8; 4096];
+                let n = stream.read(&mut buf).unwrap();
+                assert!(n > 0, "the console hung up");
+                decoder.extend(&buf[..n]);
+            };
+            assert!(matches!(recv(&mut stream), Frame::Hello { .. }));
+            let hello_ack = Frame::HelloAck {
+                version: PROTOCOL_VERSION,
+            };
+            stream.write_all(&hello_ack.encode()).unwrap();
+            for reply in script {
+                requests.push(recv(&mut stream));
+                let Some(reply) = reply else { break };
+                stream.write_all(&reply.encode()).unwrap();
+            }
+        }
+        requests
+    });
+    (addr, handle)
+}
+
+/// A cluster pause that fails on gateway 1 hands gateway 0 its record
+/// back. When that hand-back fails too (gateway 0 hangs up), the record
+/// stays console-held as gateway 0's checkpoint, and `reconnect(0)`
+/// re-seeds the fresh gateway with exactly the paused bytes.
+#[test]
+fn a_failed_hand_back_keeps_the_record_for_reconnect() {
+    let config = exact_cut_config();
+    let cohort = config.cohort;
+    // The scripted gateways do not parse records: any bytes stand in.
+    let record = b"gateway 0's record at its pause".to_vec();
+    let status = |state| {
+        Some(Frame::CampaignStatus {
+            cohort,
+            state,
+            wave_cursor: 0,
+        })
+    };
+    let (addr0, gateway0) = scripted_gateway(vec![
+        vec![
+            status(CAMPAIGN_STATE_RUNNING),
+            Some(Frame::OpPaused {
+                cohort,
+                paused: record.clone(),
+            }),
+            None,
+        ],
+        vec![status(CAMPAIGN_STATE_IDLE), status(CAMPAIGN_STATE_RUNNING)],
+    ]);
+    let (addr1, gateway1) = scripted_gateway(vec![vec![
+        status(CAMPAIGN_STATE_RUNNING),
+        Some(Frame::Error {
+            code: ErrorCode::Unsupported,
+        }),
+    ]]);
+
+    let mut ops = ClusterOps::connect(&[addr0, addr1]).unwrap();
+    ops.campaign_begin(&config).unwrap();
+    let pause = ops.campaign_pause();
+    assert!(
+        matches!(&pause, Err(OpsError::Backend(msg)) if msg.starts_with("gateway 1")),
+        "the pause names the failed gateway: {pause:?}"
+    );
+    assert_eq!(ops.checkpoint(0), Some(record.as_slice()));
+    ops.reconnect(0).unwrap();
+
+    let requests = gateway0.join().unwrap();
+    assert_eq!(requests.last(), Some(&Frame::OpResume { paused: record }));
+    gateway1.join().unwrap();
 }
 
 /// Drain for planned maintenance: the gateway pauses its campaign and
