@@ -550,6 +550,69 @@ impl CampaignRun {
         PausedCampaign(self)
     }
 
+    /// The `EPC2` record this run would pause into
+    /// ([`PausedCampaign::to_bytes`]), taken without stopping or
+    /// copying the run.
+    pub fn checkpoint(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(ADDRESS_SPACE + 1024);
+        out.extend_from_slice(PAUSE_MAGIC);
+        out.push(self.config.cohort.index());
+        out.extend_from_slice(&self.config.target.to_le_bytes());
+        write_bytes(&mut out, &self.config.payload);
+        out.extend_from_slice(&self.config.canary_fraction.to_bits().to_le_bytes());
+        out.extend_from_slice(&self.config.failure_threshold.to_bits().to_le_bytes());
+        out.extend_from_slice(&self.config.smoke_cycles.to_le_bytes());
+        out.extend_from_slice(&self.config.version.to_le_bytes());
+        out.push(u8::from(self.config.delta));
+
+        out.extend_from_slice(&(self.waves.len() as u32).to_le_bytes());
+        for wave in &self.waves {
+            write_ids(&mut out, wave);
+        }
+        out.extend_from_slice(&(self.cursor as u32).to_le_bytes());
+
+        out.extend_from_slice(&(self.wave_reports.len() as u32).to_le_bytes());
+        for report in &self.wave_reports {
+            out.extend_from_slice(&(report.wave as u32).to_le_bytes());
+            out.extend_from_slice(&(report.size as u32).to_le_bytes());
+            out.extend_from_slice(&(report.updated as u32).to_le_bytes());
+            out.extend_from_slice(&(report.failures as u32).to_le_bytes());
+        }
+
+        write_ids(&mut out, &self.updated_so_far);
+        write_ids(&mut out, &self.quarantined);
+        write_ids(&mut out, &self.rollback_incomplete);
+
+        out.extend_from_slice(&(self.snapshots.len() as u32).to_le_bytes());
+        for (id, snapshot) in &self.snapshots {
+            out.extend_from_slice(&id.to_le_bytes());
+            write_bytes(&mut out, &snapshot.patch_range);
+            out.extend_from_slice(&snapshot.measurement);
+        }
+
+        out.extend_from_slice(self.patched_golden.slice(0..ADDRESS_SPACE));
+        out.extend_from_slice(&self.expected_after);
+
+        match &self.outcome {
+            None => out.push(0),
+            Some(CampaignOutcome::Completed { updated }) => {
+                out.push(1);
+                out.extend_from_slice(&(*updated as u32).to_le_bytes());
+            }
+            Some(CampaignOutcome::HaltedAndRolledBack {
+                wave,
+                failure_rate,
+                rolled_back,
+            }) => {
+                out.push(2);
+                out.extend_from_slice(&(*wave as u32).to_le_bytes());
+                out.extend_from_slice(&failure_rate.to_bits().to_le_bytes());
+                out.extend_from_slice(&(*rolled_back as u32).to_le_bytes());
+            }
+        }
+        out
+    }
+
     /// Rolls out the next wave (skipping empty ones) through any
     /// [`WaveExecutor`]. When the last wave passes, finalises the
     /// campaign: promotes the patched golden if any device retained it.
@@ -725,63 +788,7 @@ impl PausedCampaign {
     /// Serialises the paused state to a self-describing byte record
     /// (little-endian, `EPC2`-tagged).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ADDRESS_SPACE + 1024);
-        out.extend_from_slice(PAUSE_MAGIC);
-        out.push(self.0.config.cohort.index());
-        out.extend_from_slice(&self.0.config.target.to_le_bytes());
-        write_bytes(&mut out, &self.0.config.payload);
-        out.extend_from_slice(&self.0.config.canary_fraction.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.0.config.failure_threshold.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.0.config.smoke_cycles.to_le_bytes());
-        out.extend_from_slice(&self.0.config.version.to_le_bytes());
-        out.push(u8::from(self.0.config.delta));
-
-        out.extend_from_slice(&(self.0.waves.len() as u32).to_le_bytes());
-        for wave in &self.0.waves {
-            write_ids(&mut out, wave);
-        }
-        out.extend_from_slice(&(self.0.cursor as u32).to_le_bytes());
-
-        out.extend_from_slice(&(self.0.wave_reports.len() as u32).to_le_bytes());
-        for report in &self.0.wave_reports {
-            out.extend_from_slice(&(report.wave as u32).to_le_bytes());
-            out.extend_from_slice(&(report.size as u32).to_le_bytes());
-            out.extend_from_slice(&(report.updated as u32).to_le_bytes());
-            out.extend_from_slice(&(report.failures as u32).to_le_bytes());
-        }
-
-        write_ids(&mut out, &self.0.updated_so_far);
-        write_ids(&mut out, &self.0.quarantined);
-        write_ids(&mut out, &self.0.rollback_incomplete);
-
-        out.extend_from_slice(&(self.0.snapshots.len() as u32).to_le_bytes());
-        for (id, snapshot) in &self.0.snapshots {
-            out.extend_from_slice(&id.to_le_bytes());
-            write_bytes(&mut out, &snapshot.patch_range);
-            out.extend_from_slice(&snapshot.measurement);
-        }
-
-        out.extend_from_slice(self.0.patched_golden.slice(0..ADDRESS_SPACE));
-        out.extend_from_slice(&self.0.expected_after);
-
-        match &self.0.outcome {
-            None => out.push(0),
-            Some(CampaignOutcome::Completed { updated }) => {
-                out.push(1);
-                out.extend_from_slice(&(*updated as u32).to_le_bytes());
-            }
-            Some(CampaignOutcome::HaltedAndRolledBack {
-                wave,
-                failure_rate,
-                rolled_back,
-            }) => {
-                out.push(2);
-                out.extend_from_slice(&(*wave as u32).to_le_bytes());
-                out.extend_from_slice(&failure_rate.to_bits().to_le_bytes());
-                out.extend_from_slice(&(*rolled_back as u32).to_le_bytes());
-            }
-        }
-        out
+        self.0.checkpoint()
     }
 
     /// Deserialises a paused campaign written by

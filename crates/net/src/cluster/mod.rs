@@ -14,9 +14,8 @@
 //!   operator verb fans out across one [`crate::RemoteOps`] console
 //!   per gateway and the partial results merge back into the
 //!   single-gateway shapes (`SweepSummary`, `CampaignReport`, …).
-//!   In durable mode campaigns checkpoint at every wave boundary, so a
-//!   gateway crash resumes from console-held
-//!   [`eilid_fleet::PausedCampaign`] bytes.
+//!   Campaigns checkpoint at every wave boundary, so a gateway crash
+//!   resumes from console-held [`eilid_fleet::PausedCampaign`] bytes.
 //! * [`Supervisor`] — the control plane over gateway *processes*:
 //!   launch, health-check (`OpHealth` + reactor counters), restart on
 //!   crash, drain (`OpDrain`) for planned maintenance.

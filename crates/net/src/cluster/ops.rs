@@ -11,20 +11,21 @@
 //! [`merge_health`]) so the caller sees exactly the shape a
 //! single-gateway deployment produces.
 //!
-//! **Failover.** In durable mode
-//! ([`ClusterOps::set_durable_checkpoints`]), after every wave (and
-//! right after begin) each console checkpoints its gateway's campaign
-//! with the one-round-trip `OpCheckpoint` verb: the gateway serialises
-//! the *running* run without pausing it, and the [`PausedCampaign`]
-//! bytes ride back to be kept console-side. Otherwise no checkpoint is
-//! taken. When a gateway goes away mid-campaign,
-//! [`ClusterOps::reconnect`] asks the gateway for its campaign: one
-//! that still has its run loaded (a connection blip) keeps stepping,
-//! and one that reports `Idle` (a fresh process) is re-seeded from the
-//! console-held bytes. Stepping then continues from the wave boundary —
-//! a resume, not a redo. Wave replay is idempotent: update nonces
-//! resume from the device-reported last nonce, so devices that already
-//! applied the wave's patch simply accept it again.
+//! **Failover.** Right after begin, and after every wave that leaves
+//! the campaign in progress, each console checkpoints its gateway's
+//! campaign with the one-round-trip `OpCheckpoint` verb: the gateway
+//! serialises the *running* run without pausing it, and the
+//! [`PausedCampaign`] bytes ride back to be kept console-side. A
+//! gateway refuses a checkpoint whose record would not fit its reply
+//! frame (`Unsupported`, as it refuses such a pause); that gateway then
+//! holds no checkpoint and the wave still counts. When a gateway goes
+//! away mid-campaign, [`ClusterOps::reconnect`] asks the gateway for
+//! its campaign: one that still has its run loaded (a connection blip)
+//! keeps stepping, and one that reports `Idle` (a fresh process) is
+//! re-seeded from the console-held bytes. Stepping then continues from
+//! the wave boundary — a resume, not a redo. Wave replay is idempotent:
+//! update nonces resume from the device-reported last nonce, so devices
+//! that already applied the wave's patch simply accept it again.
 //!
 //! **Pause** hands every gateway's record to the caller in one blob and
 //! drops the console-held checkpoints, exactly as a single backend
@@ -32,8 +33,9 @@
 //! re-seeds nothing, until [`FleetOps::campaign_resume`] takes the blob
 //! back. A pause that fails on one gateway hands the others their
 //! records back and keeps each as that gateway's checkpoint, so a
-//! failed hand-back is re-seeded by a reconnect. The failed gateway's
-//! own record is only as safe as its last durable checkpoint.
+//! failed hand-back is re-seeded by a reconnect. The failed gateway
+//! keeps its checkpoint from the last wave boundary, so a reconnect
+//! re-seeds it there if its process died.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,7 +51,7 @@ use eilid_workloads::WorkloadId;
 
 use super::placement::Placement;
 use crate::error::NetError;
-use crate::ops::{DeviceAgent, RemoteOps, DEFAULT_OP_TIMEOUT};
+use crate::ops::{DeviceAgent, RemoteOps, StopOnDrop};
 use crate::transport::TcpTransport;
 
 /// How long a placed agent waits between reconnect attempts while its
@@ -88,15 +90,9 @@ pub struct ClusterOps {
     finished: Vec<bool>,
     /// Latest per-gateway wave-boundary checkpoint: the
     /// [`PausedCampaign`] bytes replayed into a restarted gateway by
-    /// [`ClusterOps::reconnect`]. Populated only in durable mode.
+    /// [`ClusterOps::reconnect`].
     checkpoints: Vec<Option<Vec<u8>>>,
-    /// When true, every wave boundary fetches the serialised record so
-    /// a gateway *process* death is recoverable; the default takes no
-    /// checkpoints (a connection blip keeps the run loaded, and a drain
-    /// hands its records back).
-    durable_checkpoints: bool,
     cohort: Option<WorkloadId>,
-    op_timeout: Duration,
     /// Fleet root key bytes forwarded to every console (current and
     /// reconnected) so aggregated sweeps verify gateway aggregate
     /// proofs cluster-wide.
@@ -149,6 +145,20 @@ fn is_unknown_cohort(err: &OpsError) -> bool {
     matches!(err, OpsError::Backend(msg) if msg.contains("unknown cohort"))
 }
 
+/// Checkpoints one console's running campaign in a single round trip:
+/// the gateway serialises the run without pausing it and the record
+/// rides back in the ack. A gateway refuses a record past its reply
+/// frame with `Unsupported` (matched on the pinned protocol string of
+/// `ErrorCode::Unsupported`), as it would refuse a pause of that run:
+/// that gateway then holds no checkpoint, and the verb still succeeds.
+fn checkpoint_console(console: &mut RemoteOps<TcpTransport>) -> Result<Option<Vec<u8>>, OpsError> {
+    match console.campaign_checkpoint() {
+        Ok(record) => Ok(Some(record)),
+        Err(OpsError::Backend(msg)) if msg.contains("unsupported operation") => Ok(None),
+        Err(err) => Err(err),
+    }
+}
+
 impl ClusterOps {
     /// Connects one operator console per gateway address. The address
     /// order defines gateway indices for placement, checkpoints and
@@ -170,9 +180,7 @@ impl ClusterOps {
             participating: vec![false; n],
             finished: vec![false; n],
             checkpoints: vec![None; n],
-            durable_checkpoints: false,
             cohort: None,
-            op_timeout: DEFAULT_OP_TIMEOUT,
             agg_root: None,
         })
     }
@@ -189,26 +197,6 @@ impl ClusterOps {
         Placement::new(self.addrs.len())
     }
 
-    /// Opts wave-boundary checkpoints into durable mode: the
-    /// serialised record rides back in every checkpoint ack and is
-    /// kept console-side, so [`ClusterOps::reconnect`] can re-seed a
-    /// gateway whose *process* died (SIGKILL, OOM) — not just one
-    /// whose connection dropped. Costs one record payload per gateway
-    /// per wave; leave off when a supervisor only restarts gateways
-    /// that drain cleanly.
-    pub fn set_durable_checkpoints(&mut self, durable: bool) {
-        self.durable_checkpoints = durable;
-    }
-
-    /// Overrides the per-command reply deadline on every console
-    /// (current and future reconnections).
-    pub fn set_op_timeout(&mut self, timeout: Duration) {
-        self.op_timeout = timeout;
-        for console in &mut self.consoles {
-            console.set_op_timeout(timeout);
-        }
-    }
-
     /// Provisions the fleet root key on every console (current and
     /// future reconnections) so aggregated sweeps can verify each
     /// gateway's aggregate-root MACs.
@@ -223,7 +211,7 @@ impl ClusterOps {
     /// A gateway that still has the campaign's run loaded (a connection
     /// blip) keeps stepping it; one that reports
     /// [`CampaignPhase::Idle`] (a fresh process) is re-seeded from the
-    /// console-held checkpoint (taken in durable mode) via
+    /// console-held checkpoint of the last wave boundary via
     /// [`FleetOps::campaign_resume`]. A paused cluster holds no
     /// checkpoint, so it stays paused.
     ///
@@ -234,7 +222,6 @@ impl ClusterOps {
     pub fn reconnect(&mut self, gateway: usize) -> Result<(), OpsError> {
         let mut console = RemoteOps::connect(self.addrs[gateway])
             .map_err(|err| OpsError::Backend(format!("gateway {gateway}: {err}")))?;
-        console.set_op_timeout(self.op_timeout);
         if let Some(key) = &self.agg_root {
             console.set_agg_root_key(key);
         }
@@ -251,9 +238,11 @@ impl ClusterOps {
         Ok(())
     }
 
-    /// The latest wave-boundary checkpoint held for `gateway` (`None`
-    /// for non-participants, gateways that finished, before the first
-    /// checkpoint lands, and after a pause).
+    /// The latest wave-boundary checkpoint held for `gateway`: taken
+    /// right after begin and after every wave that left the gateway's
+    /// run in progress. `None` for non-participants, gateways that
+    /// finished, a gateway whose record is past its reply frame, and
+    /// after a pause.
     pub fn checkpoint(&self, gateway: usize) -> Option<&[u8]> {
         self.checkpoints[gateway].as_deref()
     }
@@ -302,21 +291,6 @@ impl ClusterOps {
             })
             .collect()
     }
-
-    /// Checkpoints one console in durable mode, in a single round trip:
-    /// the gateway serialises its *running* campaign without pausing it
-    /// and the record rides back in the ack, to be kept console-side.
-    /// Outside durable mode there is nothing to keep, so nothing is
-    /// sent.
-    fn checkpoint_console(
-        console: &mut RemoteOps<TcpTransport>,
-        durable: bool,
-    ) -> Result<Option<Vec<u8>>, OpsError> {
-        if !durable {
-            return Ok(None);
-        }
-        Ok(Some(console.campaign_checkpoint()?))
-    }
 }
 
 impl FleetOps for ClusterOps {
@@ -334,7 +308,6 @@ impl FleetOps for ClusterOps {
     }
 
     fn campaign_begin(&mut self, config: &CampaignConfig) -> Result<(), OpsError> {
-        let durable = self.durable_checkpoints;
         let results = fan_out(
             &mut self.consoles,
             |_| true,
@@ -342,7 +315,7 @@ impl FleetOps for ClusterOps {
                 console.campaign_begin(config)?;
                 // Checkpoint immediately: a gateway crash during the very
                 // first wave must also be resumable, not restartable-only.
-                Self::checkpoint_console(console, durable)
+                checkpoint_console(console)
             },
         );
         let mut first_refusal = None;
@@ -375,16 +348,13 @@ impl FleetOps for ClusterOps {
         }
         let participating = self.participating.clone();
         let finished = self.finished.clone();
-        let durable = self.durable_checkpoints;
         let results = fan_out(
             &mut self.consoles,
             |gateway| participating[gateway] && !finished[gateway],
             |_, console| {
                 let status = console.campaign_step()?;
                 let checkpoint = match status {
-                    CampaignStatus::InProgress { .. } => {
-                        Self::checkpoint_console(console, durable)?
-                    }
+                    CampaignStatus::InProgress { .. } => checkpoint_console(console)?,
                     CampaignStatus::Finished => None,
                 };
                 Ok((status, checkpoint))
@@ -459,7 +429,8 @@ impl FleetOps for ClusterOps {
             // its record back, and keep it as that gateway's checkpoint,
             // so one whose hand-back fails is re-seeded by `reconnect`.
             // A record whose `OpPaused` reply never arrived is not here:
-            // only an earlier durable checkpoint can stand in for it.
+            // that gateway's checkpoint from the last wave boundary
+            // stands in for it.
             for (gateway, record) in records.iter().enumerate() {
                 if record.is_some() {
                     self.checkpoints[gateway].clone_from(record);
@@ -656,7 +627,8 @@ fn decode_cluster_pause(blob: &[u8], gateways: usize) -> Result<Vec<PauseRecord>
 /// **reconnect loop**: when its gateway crashes or drains, the agent
 /// retries connect + attach until the gateway returns (or `f`
 /// finishes) — this is what lets a supervisor restart a gateway
-/// mid-campaign and have its devices re-attach unattended.
+/// mid-campaign and have its devices re-attach unattended. A panic in
+/// `f` stops the agents too, and reaches the caller.
 ///
 /// Unlike the single-gateway harness, agent-side transport errors are
 /// absorbed by the reconnect loop rather than surfaced: during
@@ -745,8 +717,10 @@ where
             }
         }
 
-        let output = f();
-        stop.store(true, Ordering::Relaxed);
+        let output = {
+            let _stop = StopOnDrop(&stop);
+            f()
+        };
         for handle in handles {
             handle.join().expect("placed agent thread panicked");
         }

@@ -21,14 +21,11 @@
 use std::io;
 use std::net::SocketAddr;
 use std::process::Child;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use eilid_fleet::{FleetOps, OpsError, OpsHealth};
-use eilid_obs::TraceRing;
 use eilid_workloads::WorkloadId;
 
-use crate::metrics::{TRACE_CAT_CLUSTER, TRACE_CLUSTER_DRAIN, TRACE_CLUSTER_RESTART};
 use crate::ops::RemoteOps;
 
 /// Builds a gateway process for a gateway index. The child must bind
@@ -54,10 +51,6 @@ pub struct Supervisor {
     /// shorter than an operator's campaign-step deadline: a health
     /// probe that takes seconds *is* the failure signal.
     probe_timeout: Duration,
-    /// Optional event sink: restart and drain events recorded here
-    /// (category [`TRACE_CAT_CLUSTER`]) when attached via
-    /// [`Supervisor::set_trace`].
-    trace: Option<Arc<TraceRing>>,
 }
 
 impl std::fmt::Debug for Supervisor {
@@ -88,14 +81,7 @@ impl Supervisor {
             launcher,
             slots,
             probe_timeout: Duration::from_secs(5),
-            trace: None,
         }
-    }
-
-    /// Attaches an event trace ring: every restart and drain from here
-    /// on is recorded under [`TRACE_CAT_CLUSTER`].
-    pub fn set_trace(&mut self, trace: Arc<TraceRing>) {
-        self.trace = Some(trace);
     }
 
     /// The fixed gateway addresses, index-aligned with
@@ -205,15 +191,6 @@ impl Supervisor {
         slot.child = Some(child);
         slot.launched = true;
         slot.restarts += 1;
-        let restarts = slot.restarts as u64;
-        if let Some(trace) = &self.trace {
-            trace.record(
-                TRACE_CAT_CLUSTER,
-                TRACE_CLUSTER_RESTART,
-                gateway as u64,
-                restarts,
-            );
-        }
         self.wait_ready(gateway, ready_timeout)
     }
 
@@ -256,14 +233,6 @@ impl Supervisor {
         console.set_op_timeout(self.probe_timeout.max(Duration::from_secs(30)));
         let paused = console.drain()?;
         let _ = console.bye();
-        if let Some(trace) = &self.trace {
-            trace.record(
-                TRACE_CAT_CLUSTER,
-                TRACE_CLUSTER_DRAIN,
-                gateway as u64,
-                paused.len() as u64,
-            );
-        }
         Ok(paused)
     }
 

@@ -43,7 +43,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use eilid_casu::agg::{evidence_leaf, missing_leaf, AggProof};
@@ -55,6 +55,7 @@ use eilid_fleet::{
 };
 use eilid_workloads::WorkloadId;
 
+use crate::error::unpoisoned;
 use crate::gateway::GatewayCounters;
 use crate::metrics::{NetMetrics, TRACE_CAT_ENGINE, TRACE_ENGINE_WAVE};
 use crate::poller::Waker;
@@ -122,13 +123,6 @@ impl Registry {
         all.sort_unstable_by_key(|(device, _)| *device);
         all
     }
-}
-
-/// Locks the registry, recovering it from a panic on another thread:
-/// [`Registry`] is a plain map that holds no invariant spanning steps,
-/// so a poisoned lock must not take the gateway down with it.
-pub(crate) fn lock_registry(registry: &Mutex<Registry>) -> MutexGuard<'_, Registry> {
-    registry.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// What the reactor routes to the engine.
@@ -338,7 +332,7 @@ impl OpsEngine {
             Frame::CampaignControl { cohort, op } => self.handle_control(conn, cohort, op),
             Frame::OpAggSweep => self.handle_agg_sweep(conn),
             Frame::OpHealth => {
-                let attached = lock_registry(&self.registry).len() as u32;
+                let attached = unpoisoned(self.registry.lock()).len() as u32;
                 self.send(
                     conn,
                     Frame::OpHealthResult {
@@ -388,11 +382,13 @@ impl OpsEngine {
                 let Some(run) = self.campaigns.get(&cohort).filter(|run| !run.is_finished()) else {
                     return self.send_error(conn, ErrorCode::NoCampaign);
                 };
-                match pause_within(run.clone(), MAX_OP_PAYLOAD - RECORD_FRAMING) {
-                    Ok(paused) => self.send(conn, Frame::OpCheckpointAck { cohort, paused }),
+                let paused = run.checkpoint();
+                if paused.len() <= MAX_OP_PAYLOAD - RECORD_FRAMING {
+                    self.send(conn, Frame::OpCheckpointAck { cohort, paused });
+                } else {
                     // Unframeable on the wire — same discipline as an
                     // oversized pause.
-                    Err(_) => self.send_error(conn, ErrorCode::Unsupported),
+                    self.send_error(conn, ErrorCode::Unsupported);
                 }
             }
             Frame::OpMetrics => {
@@ -465,7 +461,7 @@ impl OpsEngine {
     /// fails (unprovisioned, nonces exhausted) is skipped once, not
     /// retried per device.
     fn sweep_challenges(&self) -> SweepChallenges {
-        let targets = lock_registry(&self.registry).all();
+        let targets = unpoisoned(self.registry.lock()).all();
         let mut round: BTreeMap<WorkloadId, Option<Challenge>> = BTreeMap::new();
         let mut challenges = SweepChallenges::new();
         for (device, cohort) in targets {
@@ -661,7 +657,7 @@ impl OpsEngine {
         loop {
             let now = Instant::now();
             {
-                let registry = lock_registry(&self.registry);
+                let registry = unpoisoned(self.registry.lock());
                 driver.poll(now, |request| match registry.conn_of(request.device()) {
                     Some(conn) => {
                         outbox.push((conn, Frame::from(request)));
@@ -696,7 +692,7 @@ impl OpsEngine {
                         continue;
                     }
                     EngineInput::ConnClosed => {
-                        let registry = lock_registry(&self.registry);
+                        let registry = unpoisoned(self.registry.lock());
                         let devices = driver.rollout().devices().to_vec();
                         for device in devices {
                             if registry.conn_of(device).is_none() {
@@ -774,7 +770,7 @@ impl RolloutKeys for ServiceKeys<'_> {
 
 impl WaveExecutor for OpsEngine {
     fn cohort_info(&mut self, cohort: WorkloadId) -> Result<CohortInfo, FleetError> {
-        let members = lock_registry(&self.registry).members_of(cohort);
+        let members = unpoisoned(self.registry.lock()).members_of(cohort);
         if members.is_empty() {
             return Err(FleetError::UnknownCohort(cohort));
         }
@@ -796,7 +792,7 @@ impl WaveExecutor for OpsEngine {
     fn drive(&mut self, rollout: &mut Rollout<'_>) -> Result<(), FleetError> {
         let started = Instant::now();
         let window = {
-            let registry = lock_registry(&self.registry);
+            let registry = unpoisoned(self.registry.lock());
             let conns: BTreeSet<u64> = rollout
                 .devices()
                 .iter()

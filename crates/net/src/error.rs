@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::io;
+use std::sync::{LockResult, PoisonError};
 
 use crate::wire::{ErrorCode, WireError};
 
@@ -64,4 +65,14 @@ impl From<io::Error> for NetError {
             _ => NetError::Io(err),
         }
     }
+}
+
+/// The guard of a lock, whether or not another thread panicked while
+/// holding it. Every lock in this crate guards state a panic cannot
+/// leave half-written: the device registry and the key shards cache
+/// entries that are inserted whole, a cohort's golden state is
+/// replaced in one promotion, and the scan waker holds one flag. So a
+/// poisoned lock must not turn every later caller into a panic too.
+pub(crate) fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }

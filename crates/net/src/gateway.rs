@@ -39,7 +39,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::engine::{lock_registry, EngineInput, OpsEngine, Registry};
+use crate::engine::{EngineInput, OpsEngine, Registry};
+use crate::error::unpoisoned;
 use crate::metrics::NetMetrics;
 use crate::poller::{
     Event, IdleBackoff, Interest, Poller, PollerBackend, PollerChoice, WaitOutcome, Waker,
@@ -463,7 +464,7 @@ impl Gateway {
             self.counters
                 .live_connections
                 .fetch_sub(1, Ordering::Relaxed);
-            lock_registry(&self.registry).drop_conn(conn_id);
+            unpoisoned(self.registry.lock()).drop_conn(conn_id);
             send_to_engine(&self.engine_tx, &self.counters, EngineInput::ConnClosed);
         }
     }
@@ -632,7 +633,7 @@ impl Gateway {
                             }
                         }
                         SessionOutput::Attach { device, cohort } => {
-                            lock_registry(ctx.registry).attach(device, conn_id, cohort);
+                            unpoisoned(ctx.registry.lock()).attach(device, conn_id, cohort);
                             conn.queue(&Frame::AttachAck { device });
                         }
                         SessionOutput::Operator(frame) => {

@@ -79,9 +79,8 @@ pub use cluster::{with_placed_fleet, ClusterOps, GatewayLauncher, Placement, Sup
 pub use error::NetError;
 pub use gateway::{Gateway, GatewayConfig, GatewayCounters, GatewayHandle};
 pub use metrics::{
-    error_code_slug, NetMetrics, ERROR_CODES, TRACE_CAT_CLUSTER, TRACE_CAT_ENGINE, TRACE_CAT_SERVE,
-    TRACE_CLUSTER_DRAIN, TRACE_CLUSTER_RESTART, TRACE_ENGINE_WAVE, TRACE_RING_CAPACITY,
-    TRACE_SERVE_IDLE,
+    error_code_slug, NetMetrics, ERROR_CODES, TRACE_CAT_ENGINE, TRACE_CAT_SERVE, TRACE_ENGINE_WAVE,
+    TRACE_RING_CAPACITY, TRACE_SERVE_IDLE,
 };
 pub use ops::{with_attached_fleet, DeviceAgent, RemoteOps};
 pub use poller::{

@@ -20,21 +20,12 @@ use crate::wire::ErrorCode;
 
 /// Trace-event category: campaign-engine events.
 pub const TRACE_CAT_ENGINE: u8 = 2;
-/// Trace-event category: cluster control-plane events (supervisor
-/// restarts/drains, fan-out).
-pub const TRACE_CAT_CLUSTER: u8 = 3;
 /// Trace-event category: `fleet serve` operator-console events.
 pub const TRACE_CAT_SERVE: u8 = 4;
 
 /// Engine trace code: one streamed campaign wave finished (`a` =
 /// elapsed µs, `b` = devices in the wave).
 pub const TRACE_ENGINE_WAVE: u16 = 2;
-/// Cluster trace code: a gateway process was restarted (`a` = gateway
-/// index, `b` = total restarts for that slot).
-pub const TRACE_CLUSTER_RESTART: u16 = 1;
-/// Cluster trace code: a gateway was drained (`a` = gateway index,
-/// `b` = paused-campaign records handed back).
-pub const TRACE_CLUSTER_DRAIN: u16 = 2;
 /// Serve trace code: explicit idle heartbeat — emitted when a log tick
 /// sees no counter movement, so a wedged reactor still produces
 /// evidence (`a` = heartbeat ordinal, `b` = live connections).

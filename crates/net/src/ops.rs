@@ -637,10 +637,22 @@ fn answer<D: BorrowMut<SimDevice>>(
     Frame::DeviceError { device, code }
 }
 
+/// Raises the agents' stop flag when dropped, so an operator closure
+/// that panics still stops the agent threads and the panic reaches the
+/// caller instead of leaving the scope waiting on them forever.
+pub(crate) struct StopOnDrop<'a>(pub(crate) &'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 /// Spawns `agents` device-agent threads over the fleet's devices
 /// (partitioned evenly), waits until every attach is acknowledged, runs
 /// the operator closure `f` (typically driving a [`RemoteOps`] against
-/// the same gateway), then stops and joins the agents.
+/// the same gateway), then stops and joins the agents. A panic in `f`
+/// stops the agents too, and reaches the caller.
 ///
 /// # Errors
 ///
@@ -694,8 +706,10 @@ where
             }
         }
 
-        let output = f();
-        stop.store(true, Ordering::Relaxed);
+        let output = {
+            let _stop = StopOnDrop(&stop);
+            f()
+        };
 
         let mut agent_error: Option<NetError> = None;
         for handle in handles {

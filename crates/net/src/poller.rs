@@ -30,6 +30,8 @@ use std::io;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use crate::error::unpoisoned;
+
 /// Which readiness backend a [`Poller`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PollerBackend {
@@ -195,7 +197,7 @@ struct ScanSignal {
 
 impl ScanSignal {
     fn raise(&self) {
-        let mut woken = self.woken.lock().expect("scan waker lock");
+        let mut woken = unpoisoned(self.woken.lock());
         *woken = true;
         self.condvar.notify_one();
     }
@@ -203,12 +205,9 @@ impl ScanSignal {
     /// Sleeps up to `delay` unless a wake is (or becomes) pending;
     /// consumes the pending wake either way.
     fn wait(&self, delay: Duration) {
-        let mut woken = self.woken.lock().expect("scan waker lock");
+        let mut woken = unpoisoned(self.woken.lock());
         if !*woken {
-            let (guard, _) = self
-                .condvar
-                .wait_timeout(woken, delay)
-                .expect("scan waker lock");
+            let (guard, _) = unpoisoned(self.condvar.wait_timeout(woken, delay));
             woken = guard;
         }
         *woken = false;
@@ -217,7 +216,7 @@ impl ScanSignal {
     /// Consumes a pending wake without sleeping, reporting whether one
     /// was pending.
     fn take(&self) -> bool {
-        let mut woken = self.woken.lock().expect("scan waker lock");
+        let mut woken = unpoisoned(self.woken.lock());
         std::mem::replace(&mut *woken, false)
     }
 }

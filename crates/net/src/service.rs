@@ -26,6 +26,7 @@ use eilid_fleet::{shard_of, CohortSnapshot, HealthClass, KeyShard, ServiceSnapsh
 use eilid_msp430::Memory;
 use eilid_workloads::WorkloadId;
 
+use crate::error::unpoisoned;
 use crate::wire::{ErrorCode, Frame, WireHealth, PROTOCOL_VERSION};
 
 /// Maps a fleet health class to its wire form.
@@ -132,10 +133,7 @@ impl AttestationService {
 
     /// `true` when the service holds goldens for `cohort`.
     fn has_cohort(&self, cohort: WorkloadId) -> bool {
-        self.cohorts
-            .read()
-            .expect("cohort lock")
-            .contains_key(&cohort)
+        unpoisoned(self.cohorts.read()).contains_key(&cohort)
     }
 
     /// The cohort's current golden image and layout (what a
@@ -144,7 +142,7 @@ impl AttestationService {
         &self,
         cohort: WorkloadId,
     ) -> Option<(Memory, eilid_casu::MemoryLayout)> {
-        let cohorts = self.cohorts.read().expect("cohort lock");
+        let cohorts = unpoisoned(self.cohorts.read());
         cohorts
             .get(&cohort)
             .map(|snapshot| (snapshot.golden.clone(), snapshot.layout.clone()))
@@ -160,7 +158,7 @@ impl AttestationService {
         golden: &Memory,
         measurement: [u8; 32],
     ) {
-        let mut cohorts = self.cohorts.write().expect("cohort lock");
+        let mut cohorts = unpoisoned(self.cohorts.write());
         if let Some(snapshot) = cohorts.get_mut(&cohort) {
             snapshot.promote(golden, measurement);
         }
@@ -177,7 +175,7 @@ impl AttestationService {
 
     /// Locks key shard `index`.
     fn key_shard(&self, index: usize) -> MutexGuard<'_, KeyShard> {
-        self.shards[index].lock().expect("key shard lock")
+        unpoisoned(self.shards[index].lock())
     }
 
     /// Device keys currently cached across all shards.
@@ -200,7 +198,7 @@ impl AttestationService {
     /// not provisioned for; [`ChallengeError::NoncesExhausted`] once the
     /// reserved block runs dry.
     pub fn challenge_for(&self, cohort: WorkloadId) -> Result<Challenge, ChallengeError> {
-        let cohorts = self.cohorts.read().expect("cohort lock");
+        let cohorts = unpoisoned(self.cohorts.read());
         let snapshot = cohorts.get(&cohort).ok_or(ChallengeError::UnknownCohort)?;
         // fetch_add past the end is harmless: the overshot value is
         // never issued, and the counter cannot wrap a u64 in practice.
@@ -228,7 +226,7 @@ impl AttestationService {
         issued: &Challenge,
         report: &eilid_casu::AttestationReport,
     ) -> (HealthClass, Option<AttestError>) {
-        let cohorts = self.cohorts.read().expect("cohort lock");
+        let cohorts = unpoisoned(self.cohorts.read());
         let Some(snapshot) = cohorts.get(&cohort) else {
             self.stats.record(HealthClass::Unverified);
             return (HealthClass::Unverified, None);
@@ -256,7 +254,7 @@ impl AttestationService {
         let mut verdicts = Vec::with_capacity(tasks.len());
         // One cohort read-lock acquisition for the whole batch; golden
         // promotion (a rare write) waits for batch boundaries.
-        let cohorts = self.cohorts.read().expect("cohort lock");
+        let cohorts = unpoisoned(self.cohorts.read());
         let mut held: Option<(usize, MutexGuard<'_, KeyShard>)> = None;
         for task in tasks {
             let Some(snapshot) = cohorts.get(&task.cohort) else {

@@ -6,7 +6,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -356,7 +356,7 @@ fn cluster_metrics_merge_matches_per_gateway_sums() {
 /// Mid-campaign failover: one of two gateways is torn down after the
 /// canary wave and relaunched fresh on the same address. The agents
 /// re-attach on their own, `ClusterOps::reconnect` replays the
-/// retained wave checkpoint into the new process, and the campaign
+/// console-held wave checkpoint into the new process, and the campaign
 /// *resumes* — the final report equals the uninterrupted union run's.
 #[test]
 fn campaign_resumes_through_gateway_restart() {
@@ -374,9 +374,8 @@ fn campaign_resumes_through_gateway_restart() {
     let report_b = with_placed_fleet(&mut fleet_b, &addrs, 2, || {
         let mut ops = ClusterOps::connect(&addrs).map_err(|e| OpsError::Backend(e.to_string()))?;
         // The restarted gateway is a *fresh process image*: its
-        // retained checkpoint dies with it, so the console must hold
-        // the bytes itself to replay them into the replacement.
-        ops.set_durable_checkpoints(true);
+        // campaign dies with it, so the console holds the bytes itself
+        // to replay them into the replacement.
         ops.campaign_begin(&config)?;
         let status = ops.campaign_step()?;
         assert!(
@@ -420,7 +419,7 @@ fn campaign_resumes_through_gateway_restart() {
 }
 
 /// A paused cluster stays paused through a reconnect: the pause hands
-/// every gateway's record to the caller and drops the durable
+/// every gateway's record to the caller and drops the wave
 /// checkpoints, so `reconnect(0)` re-seeds nothing and every gateway
 /// reads `Idle`; the blob then resumes on the same cluster and the
 /// report equals the uninterrupted union run's.
@@ -438,9 +437,8 @@ fn paused_cluster_stays_paused_through_a_reconnect() {
     let (handles, addrs) = spawn_cluster(&mut verifier_b, 2);
     let (phases, report_b) = with_placed_fleet(&mut fleet_b, &addrs, 2, || {
         let mut ops = ClusterOps::connect(&addrs).map_err(|e| OpsError::Backend(e.to_string()))?;
-        // Durable mode, so there is a checkpoint a reconnect could
-        // wrongly replay.
-        ops.set_durable_checkpoints(true);
+        // Every wave leaves a checkpoint a reconnect could wrongly
+        // replay.
         ops.campaign_begin(&config)?;
         ops.campaign_step()?;
         let blob = ops.campaign_pause()?;
@@ -565,6 +563,10 @@ fn a_failed_hand_back_keeps_the_record_for_reconnect() {
     let (addr0, gateway0) = scripted_gateway(vec![
         vec![
             status(CAMPAIGN_STATE_RUNNING),
+            Some(Frame::OpCheckpointAck {
+                cohort,
+                paused: b"gateway 0's record at begin".to_vec(),
+            }),
             Some(Frame::OpPaused {
                 cohort,
                 paused: record.clone(),
@@ -575,6 +577,10 @@ fn a_failed_hand_back_keeps_the_record_for_reconnect() {
     ]);
     let (addr1, gateway1) = scripted_gateway(vec![vec![
         status(CAMPAIGN_STATE_RUNNING),
+        Some(Frame::OpCheckpointAck {
+            cohort,
+            paused: b"gateway 1's record at begin".to_vec(),
+        }),
         Some(Frame::Error {
             code: ErrorCode::Unsupported,
         }),
@@ -593,6 +599,113 @@ fn a_failed_hand_back_keeps_the_record_for_reconnect() {
     let requests = gateway0.join().unwrap();
     assert_eq!(requests.last(), Some(&Frame::OpResume { paused: record }));
     gateway1.join().unwrap();
+}
+
+/// The scripted replies of one gateway through begin and one step:
+/// the begin's status, its checkpoint's ack, the step's status, then
+/// `checkpoint` as the answer to the step's checkpoint.
+fn begin_then_step(cohort: WorkloadId, checkpoint: Option<Frame>) -> Vec<Option<Frame>> {
+    let status = |wave_cursor| {
+        Some(Frame::CampaignStatus {
+            cohort,
+            state: CAMPAIGN_STATE_RUNNING,
+            wave_cursor,
+        })
+    };
+    let ack = Frame::OpCheckpointAck {
+        cohort,
+        paused: b"record at begin".to_vec(),
+    };
+    vec![status(0), Some(ack), status(1), checkpoint]
+}
+
+/// A gateway that refuses a checkpoint with `Unsupported` (its record
+/// is past the reply frame, as a pause of that run would be) holds no
+/// checkpoint, and the step still succeeds; the other gateway keeps
+/// its record of the same wave.
+#[test]
+fn an_unsupported_checkpoint_clears_the_record_and_the_step_succeeds() {
+    let cohort = exact_cut_config().cohort;
+    let record = b"gateway 1's record after wave 0".to_vec();
+    let (addr0, gateway0) = scripted_gateway(vec![begin_then_step(
+        cohort,
+        Some(Frame::Error {
+            code: ErrorCode::Unsupported,
+        }),
+    )]);
+    let (addr1, gateway1) = scripted_gateway(vec![begin_then_step(
+        cohort,
+        Some(Frame::OpCheckpointAck {
+            cohort,
+            paused: record.clone(),
+        }),
+    )]);
+
+    let mut ops = ClusterOps::connect(&[addr0, addr1]).unwrap();
+    ops.campaign_begin(&exact_cut_config()).unwrap();
+    assert_eq!(ops.checkpoint(0), Some(b"record at begin".as_slice()));
+    assert_eq!(
+        ops.campaign_step().unwrap(),
+        CampaignStatus::InProgress { next_wave: 1 }
+    );
+    assert_eq!(ops.checkpoint(0), None);
+    assert_eq!(ops.checkpoint(1), Some(record.as_slice()));
+
+    let requests = gateway0.join().unwrap();
+    assert_eq!(requests.last(), Some(&Frame::OpCheckpoint { cohort }));
+    gateway1.join().unwrap();
+}
+
+/// Any other checkpoint failure fails the step and names the gateway:
+/// here gateway 1 hangs up on the checkpoint after its step.
+#[test]
+fn a_checkpoint_hang_up_fails_the_step_and_names_the_gateway() {
+    let cohort = exact_cut_config().cohort;
+    let ack = Frame::OpCheckpointAck {
+        cohort,
+        paused: b"gateway 0's record after wave 0".to_vec(),
+    };
+    let (addr0, gateway0) = scripted_gateway(vec![begin_then_step(cohort, Some(ack))]);
+    let (addr1, gateway1) = scripted_gateway(vec![begin_then_step(cohort, None)]);
+
+    let mut ops = ClusterOps::connect(&[addr0, addr1]).unwrap();
+    ops.campaign_begin(&exact_cut_config()).unwrap();
+    let step = ops.campaign_step();
+    assert!(
+        matches!(&step, Err(OpsError::Backend(msg)) if msg.starts_with("gateway 1")),
+        "the step names the failed gateway: {step:?}"
+    );
+
+    gateway0.join().unwrap();
+    let requests = gateway1.join().unwrap();
+    assert_eq!(requests.last(), Some(&Frame::OpCheckpoint { cohort }));
+}
+
+/// A closure that panics inside the placed-agent harness stops the
+/// agents and hands the panic to the caller, instead of leaving the
+/// scope waiting on agents that serve forever.
+#[test]
+fn a_panicking_closure_in_the_placed_harness_fails_within_a_deadline() {
+    let (tx, rx) = mpsc::channel();
+    let thread = std::thread::spawn(move || {
+        let (mut fleet, mut verifier) = build(SHARD_COUNT);
+        let (handles, addrs) = spawn_cluster(&mut verifier, 2);
+        let harness = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_placed_fleet(&mut fleet, &addrs, 2, || {
+                panic!("an operator assertion fails inside the harness")
+            })
+        }));
+        for handle in handles {
+            handle.shutdown().unwrap();
+        }
+        let _ = tx.send(harness.is_err());
+    });
+    assert_eq!(
+        rx.recv_timeout(Duration::from_secs(60)),
+        Ok(true),
+        "the closure's panic must reach the caller within the deadline"
+    );
+    thread.join().unwrap();
 }
 
 /// Drain for planned maintenance: the gateway pauses its campaign and

@@ -2,7 +2,7 @@
 //! swept and a staged campaign completed across four gateway
 //! *processes*, with one gateway killed (SIGKILL) mid-campaign,
 //! restarted by the [`Supervisor`], and the campaign *resumed* from
-//! the operator's retained wave checkpoint — the final
+//! the operator's console-held wave checkpoint — the final
 //! `CampaignReport` must equal an uninterrupted in-process run over
 //! the union fleet.
 //!
@@ -172,10 +172,9 @@ fn supervised_cluster_campaign_survives_gateway_kill() {
     let supervisor = &mut supervisor;
     let (sweep_pre, report_b, sweep_b) = with_placed_fleet(&mut fleet_b, &addrs, 2, || {
         let mut ops = ClusterOps::connect(&addrs).map_err(|e| OpsError::Backend(e.to_string()))?;
-        // SIGKILL wipes the victim's whole process, including its
-        // retained gateway-side checkpoint — the console must hold the
-        // serialised bytes itself to re-seed the fresh process.
-        ops.set_durable_checkpoints(true);
+        // SIGKILL wipes the victim's whole process, campaign included:
+        // the console holds each wave's serialised record itself to
+        // re-seed the fresh process.
 
         // Full-fleet sweep across all four processes first.
         let sweep_pre = ops.sweep()?;

@@ -4,7 +4,7 @@
 //! rules are unit-tested on `Session::handle` itself.
 
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use eilid_casu::{DeltaUpdateRequest, DeviceKey, UpdateError};
@@ -418,4 +418,31 @@ fn the_trace_ring_holds_the_wave_event_and_no_reactor_passes() {
         .map(|event| (event.category, event.code))
         .collect();
     assert_eq!(kinds, [(TRACE_CAT_ENGINE, TRACE_ENGINE_WAVE)]);
+}
+
+/// A closure that panics inside the agent harness stops the agents and
+/// hands the panic to the caller, instead of leaving the scope waiting
+/// on agents that serve forever.
+#[test]
+fn a_panicking_closure_in_the_agent_harness_fails_within_a_deadline() {
+    let (tx, rx) = mpsc::channel();
+    let thread = std::thread::spawn(move || {
+        let (mut fleet, mut verifier) = build_fleet(2);
+        let service = Arc::new(AttestationService::new(verifier.service_snapshot(1 << 32)));
+        let handle = spawn_gateway(&service, GatewayConfig::default());
+        let addr = handle.addr();
+        let harness = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_attached_fleet(&mut fleet, 2, addr, || {
+                panic!("an operator assertion fails inside the harness")
+            })
+        }));
+        handle.shutdown().unwrap();
+        let _ = tx.send(harness.is_err());
+    });
+    assert_eq!(
+        rx.recv_timeout(Duration::from_secs(60)),
+        Ok(true),
+        "the closure's panic must reach the caller within the deadline"
+    );
+    thread.join().unwrap();
 }

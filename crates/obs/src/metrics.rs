@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Number of histogram buckets: bucket `0` for the value `0`, then one
@@ -281,21 +281,29 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// The registry's maps, whether or not another thread panicked
+    /// while holding the lock: they hold only whole entries (a name
+    /// and a handle to its atomic cell), so a poisoned lock must not
+    /// turn every later registration and scrape into a panic too.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The counter named `name`, creating it at zero on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         inner.counters.entry(name.to_string()).or_default().clone()
     }
 
     /// The gauge named `name`, creating it at zero on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         inner.gauges.entry(name.to_string()).or_default().clone()
     }
 
     /// The histogram named `name`, creating it empty on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         inner
             .histograms
             .entry(name.to_string())
@@ -305,7 +313,7 @@ impl MetricsRegistry {
 
     /// A point-in-time copy of every registered metric.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
+        let inner = self.lock();
         RegistrySnapshot {
             counters: inner
                 .counters
@@ -451,5 +459,23 @@ mod tests {
         let mut merged = RegistrySnapshot::empty();
         merged.merge(&snap);
         assert_eq!(merged, snap);
+    }
+
+    #[test]
+    fn a_poisoned_registry_still_counts_and_snapshots() {
+        let registry = MetricsRegistry::new();
+        registry.counter("c").add(1);
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = registry.inner.lock().unwrap();
+                    panic!("a metrics user panics under the registry lock");
+                })
+                .join()
+                .is_err()
+        });
+        assert!(panicked && registry.inner.is_poisoned());
+        registry.counter("c").add(2);
+        assert_eq!(registry.snapshot().counters.get("c"), Some(&3));
     }
 }
