@@ -18,14 +18,18 @@
 //! [`PausedCampaign`] bytes ride back to be kept console-side. A
 //! gateway refuses a checkpoint whose record would not fit its reply
 //! frame (`Unsupported`, as it refuses such a pause); that gateway then
-//! holds no checkpoint and the wave still counts. When a gateway goes
+//! holds no checkpoint and the wave still counts. Any other checkpoint
+//! failure fails the verb, named by gateway, once every gateway's begin
+//! or step is recorded, so the campaign stays live. When a gateway goes
 //! away mid-campaign, [`ClusterOps::reconnect`] asks the gateway for
 //! its campaign: one that still has its run loaded (a connection blip)
 //! keeps stepping, and one that reports `Idle` (a fresh process) is
 //! re-seeded from the console-held bytes. Stepping then continues from
 //! the wave boundary — a resume, not a redo. Wave replay is idempotent:
 //! update nonces resume from the device-reported last nonce, so devices
-//! that already applied the wave's patch simply accept it again.
+//! that already applied the wave's patch simply accept it again. Only a
+//! caller that calls `reconnect` fails over; [`FleetOps::run_campaign`]
+//! stops at the first failed verb.
 //!
 //! **Pause** hands every gateway's record to the caller in one blob and
 //! drops the console-held checkpoints, exactly as a single backend
@@ -240,9 +244,10 @@ impl ClusterOps {
 
     /// The latest wave-boundary checkpoint held for `gateway`: taken
     /// right after begin and after every wave that left the gateway's
-    /// run in progress. `None` for non-participants, gateways that
-    /// finished, a gateway whose record is past its reply frame, and
-    /// after a pause.
+    /// run in progress (a failed one keeps the previous record). `None`
+    /// for non-participants, gateways that finished, a gateway whose
+    /// record is past its reply frame or whose begin checkpoint failed,
+    /// and after a pause.
     pub fn checkpoint(&self, gateway: usize) -> Option<&[u8]> {
         self.checkpoints[gateway].as_deref()
     }
@@ -315,16 +320,20 @@ impl FleetOps for ClusterOps {
                 console.campaign_begin(config)?;
                 // Checkpoint immediately: a gateway crash during the very
                 // first wave must also be resumable, not restartable-only.
-                checkpoint_console(console)
+                Ok(checkpoint_console(console))
             },
         );
         let mut first_refusal = None;
+        let mut checkpoint_failure = None;
         for (gateway, result) in results.into_iter().enumerate() {
             match result.expect("all selected") {
                 Ok(checkpoint) => {
                     self.participating[gateway] = true;
                     self.finished[gateway] = false;
-                    self.checkpoints[gateway] = checkpoint;
+                    self.checkpoints[gateway] = checkpoint.unwrap_or_else(|err| {
+                        checkpoint_failure.get_or_insert(at_gateway(gateway, err));
+                        None
+                    });
                 }
                 Err(err) if is_unknown_cohort(&err) => {
                     self.participating[gateway] = false;
@@ -338,8 +347,11 @@ impl FleetOps for ClusterOps {
         if !self.participating.iter().any(|&p| p) {
             return Err(first_refusal.unwrap_or(OpsError::NoCampaign));
         }
+        // Every participant loaded its run, so the campaign is live even
+        // when a checkpoint failed: the caller can still step, pause or
+        // reconnect the gateway the error names.
         self.cohort = Some(config.cohort);
-        Ok(())
+        checkpoint_failure.map_or(Ok(()), Err)
     }
 
     fn campaign_step(&mut self) -> Result<CampaignStatus, OpsError> {
@@ -354,26 +366,45 @@ impl FleetOps for ClusterOps {
             |_, console| {
                 let status = console.campaign_step()?;
                 let checkpoint = match status {
-                    CampaignStatus::InProgress { .. } => checkpoint_console(console)?,
-                    CampaignStatus::Finished => None,
+                    CampaignStatus::InProgress { .. } => checkpoint_console(console),
+                    CampaignStatus::Finished => Ok(None),
                 };
                 Ok((status, checkpoint))
             },
         );
+        // Record every gateway that stepped before reporting a failure,
+        // so the next verb sees where each partition is.
+        let mut failure = None;
         let mut next_wave: Option<usize> = None;
         for (gateway, result) in results.into_iter().enumerate() {
-            let Some(result) = result else { continue };
-            let (status, checkpoint) = result.map_err(|e| at_gateway(gateway, e))?;
+            let (status, checkpoint) = match result {
+                None => continue,
+                Some(Ok(stepped)) => stepped,
+                Some(Err(err)) => {
+                    failure.get_or_insert(at_gateway(gateway, err));
+                    continue;
+                }
+            };
             match status {
                 CampaignStatus::Finished => {
                     self.finished[gateway] = true;
                     self.checkpoints[gateway] = None;
                 }
                 CampaignStatus::InProgress { next_wave: wave } => {
-                    self.checkpoints[gateway] = checkpoint;
+                    // A failed checkpoint leaves the previous boundary's
+                    // record: a re-seed from it replays one more wave.
+                    match checkpoint {
+                        Ok(record) => self.checkpoints[gateway] = record,
+                        Err(err) => {
+                            failure.get_or_insert(at_gateway(gateway, err));
+                        }
+                    }
                     next_wave = Some(next_wave.map_or(wave, |w| w.min(wave)));
                 }
             }
+        }
+        if let Some(err) = failure {
+            return Err(err);
         }
         match next_wave {
             Some(wave) => Ok(CampaignStatus::InProgress { next_wave: wave }),

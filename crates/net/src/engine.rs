@@ -153,17 +153,12 @@ pub(crate) enum EngineInput {
 /// record: its cohort byte and its length prefix.
 const RECORD_FRAMING: usize = 5;
 
-/// Pauses `run` into its `EPC2` record when that fits in `budget`
-/// bytes. A record past it cannot cross the wire, so the run comes
-/// back, to stay loaded.
-fn pause_within(run: CampaignRun, budget: usize) -> Result<Vec<u8>, Box<CampaignRun>> {
-    let paused = run.pause();
-    let bytes = paused.to_bytes();
-    if bytes.len() <= budget {
-        Ok(bytes)
-    } else {
-        Err(Box::new(Campaign::resume(paused)))
-    }
+/// The `EPC2` record `run` would pause into, when it fits in `budget`
+/// bytes. A record past it cannot cross the wire, so the run stays
+/// loaded.
+fn record_within(run: &CampaignRun, budget: usize) -> Option<Vec<u8>> {
+    let record = run.checkpoint();
+    (record.len() <= budget).then_some(record)
 }
 
 /// Where a sweep's exchange hands each burst of accepted probe reports.
@@ -356,23 +351,17 @@ impl OpsEngine {
                 let mut records: Vec<(WorkloadId, Vec<u8>)> = Vec::new();
                 // The record count's 4 bytes, then each framed record.
                 let mut used = 4usize;
-                for (cohort, run) in std::mem::take(&mut self.campaigns) {
-                    // A finished run has nothing left to move; its
-                    // report stays queryable until shutdown.
-                    if run.is_finished() {
-                        self.campaigns.insert(cohort, run);
-                        continue;
-                    }
+                // A finished run has nothing left to move; its report
+                // stays queryable until shutdown.
+                for (&cohort, run) in self.campaigns.iter().filter(|(_, run)| !run.is_finished()) {
                     let budget = MAX_OP_PAYLOAD.saturating_sub(used + RECORD_FRAMING);
-                    match pause_within(run, budget) {
-                        Ok(bytes) => {
-                            used += RECORD_FRAMING + bytes.len();
-                            records.push((cohort, bytes));
-                        }
-                        Err(run) => {
-                            self.campaigns.insert(cohort, *run);
-                        }
+                    if let Some(bytes) = record_within(run, budget) {
+                        used += RECORD_FRAMING + bytes.len();
+                        records.push((cohort, bytes));
                     }
+                }
+                for (cohort, _) in &records {
+                    self.campaigns.remove(cohort);
                 }
                 self.send(conn, Frame::OpDrained { paused: records });
             }
@@ -382,13 +371,11 @@ impl OpsEngine {
                 let Some(run) = self.campaigns.get(&cohort).filter(|run| !run.is_finished()) else {
                     return self.send_error(conn, ErrorCode::NoCampaign);
                 };
-                let paused = run.checkpoint();
-                if paused.len() <= MAX_OP_PAYLOAD - RECORD_FRAMING {
-                    self.send(conn, Frame::OpCheckpointAck { cohort, paused });
-                } else {
+                match record_within(run, MAX_OP_PAYLOAD - RECORD_FRAMING) {
+                    Some(paused) => self.send(conn, Frame::OpCheckpointAck { cohort, paused }),
                     // Unframeable on the wire — same discipline as an
                     // oversized pause.
-                    self.send_error(conn, ErrorCode::Unsupported);
+                    None => self.send_error(conn, ErrorCode::Unsupported),
                 }
             }
             Frame::OpMetrics => {
@@ -417,25 +404,21 @@ impl OpsEngine {
             CampaignOp::Pause => {
                 // Nothing loaded, or a finished run with nothing left to
                 // pause.
-                let Some(run) = self.campaigns.remove(&cohort) else {
+                let Some(run) = self.campaigns.get(&cohort).filter(|run| !run.is_finished()) else {
                     return self.send_error(conn, ErrorCode::NoCampaign);
                 };
-                if run.is_finished() {
-                    self.campaigns.insert(cohort, run);
-                    return self.send_error(conn, ErrorCode::NoCampaign);
-                }
-                match pause_within(run, MAX_OP_PAYLOAD - RECORD_FRAMING) {
+                match record_within(run, MAX_OP_PAYLOAD - RECORD_FRAMING) {
                     // The operator owns the record now; the slot is
                     // empty, as after `LocalOps::campaign_pause`.
-                    Ok(paused) => self.send(conn, Frame::OpPaused { cohort, paused }),
+                    Some(paused) => {
+                        self.campaigns.remove(&cohort);
+                        self.send(conn, Frame::OpPaused { cohort, paused });
+                    }
                     // A record past the operator-plane frame ceiling
                     // cannot cross the wire: the run stays loaded and
                     // the operator gets a typed error instead of an
                     // unframeable reply.
-                    Err(run) => {
-                        self.campaigns.insert(cohort, *run);
-                        self.send_error(conn, ErrorCode::Unsupported);
-                    }
+                    None => self.send_error(conn, ErrorCode::Unsupported),
                 }
             }
             CampaignOp::Status => {
@@ -934,10 +917,10 @@ mod tests {
         assert_eq!(engine.metrics.engine_reactor_lost.get(), 1);
     }
 
-    /// A record past its budget hands the run back whole, to stay
-    /// loaded; one that fits is the record `LocalOps` would pause into.
+    /// A record past its budget is refused; one that fits is the record
+    /// `LocalOps` would pause into.
     #[test]
-    fn a_record_past_its_budget_leaves_the_run_whole() {
+    fn a_record_past_its_budget_is_refused() {
         let (mut engine, _, cohort, _engine_tx, _reactor) = engine(Duration::from_millis(50));
         let config = CampaignConfig::new(cohort, BENIGN_PATCH_TARGET, benign_patch());
         let run = Campaign::new(config)
@@ -946,9 +929,8 @@ mod tests {
             .unwrap();
         let record = run.clone().pause().to_bytes();
 
-        let refused = pause_within(run.clone(), record.len() - 1).unwrap_err();
-        assert_eq!(*refused, run);
-        assert_eq!(pause_within(run, record.len()).unwrap(), record);
+        assert_eq!(record_within(&run, record.len() - 1), None);
+        assert_eq!(record_within(&run, record.len()), Some(record));
     }
 
     /// A thread that panics while holding the registry lock poisons it;

@@ -657,28 +657,84 @@ fn an_unsupported_checkpoint_clears_the_record_and_the_step_succeeds() {
 }
 
 /// Any other checkpoint failure fails the step and names the gateway:
-/// here gateway 1 hangs up on the checkpoint after its step.
+/// here gateway 0 hangs up on the checkpoint after its step. Gateway 1,
+/// which stepped and checkpointed, still has its record kept.
 #[test]
 fn a_checkpoint_hang_up_fails_the_step_and_names_the_gateway() {
     let cohort = exact_cut_config().cohort;
+    let record = b"gateway 1's record after wave 0".to_vec();
     let ack = Frame::OpCheckpointAck {
         cohort,
-        paused: b"gateway 0's record after wave 0".to_vec(),
+        paused: record.clone(),
     };
-    let (addr0, gateway0) = scripted_gateway(vec![begin_then_step(cohort, Some(ack))]);
-    let (addr1, gateway1) = scripted_gateway(vec![begin_then_step(cohort, None)]);
+    let (addr0, gateway0) = scripted_gateway(vec![begin_then_step(cohort, None)]);
+    let (addr1, gateway1) = scripted_gateway(vec![begin_then_step(cohort, Some(ack))]);
 
     let mut ops = ClusterOps::connect(&[addr0, addr1]).unwrap();
     ops.campaign_begin(&exact_cut_config()).unwrap();
     let step = ops.campaign_step();
     assert!(
-        matches!(&step, Err(OpsError::Backend(msg)) if msg.starts_with("gateway 1")),
+        matches!(&step, Err(OpsError::Backend(msg)) if msg.starts_with("gateway 0")),
         "the step names the failed gateway: {step:?}"
     );
+    assert_eq!(ops.checkpoint(1), Some(record.as_slice()));
+
+    let requests = gateway0.join().unwrap();
+    assert_eq!(requests.last(), Some(&Frame::OpCheckpoint { cohort }));
+    gateway1.join().unwrap();
+}
+
+/// A gateway that hangs up on the checkpoint right after its begin
+/// fails the begin, named, but every gateway loaded its run, so the
+/// campaign stays live: after a reconnect, status and pause reach both
+/// gateways instead of reading `Idle` and `NoCampaign`.
+#[test]
+fn a_begin_checkpoint_hang_up_leaves_the_campaign_live() {
+    let config = exact_cut_config();
+    let cohort = config.cohort;
+    let running = Some(Frame::CampaignStatus {
+        cohort,
+        state: CAMPAIGN_STATE_RUNNING,
+        wave_cursor: 0,
+    });
+    let paused = |record: &[u8]| {
+        Some(Frame::OpPaused {
+            cohort,
+            paused: record.to_vec(),
+        })
+    };
+    let (addr0, gateway0) = scripted_gateway(vec![vec![
+        running.clone(),
+        Some(Frame::OpCheckpointAck {
+            cohort,
+            paused: b"gateway 0's record at begin".to_vec(),
+        }),
+        running.clone(),
+        paused(b"gateway 0's record"),
+    ]]);
+    let (addr1, gateway1) = scripted_gateway(vec![
+        vec![running.clone(), None],
+        vec![running, paused(b"gateway 1's record")],
+    ]);
+
+    let mut ops = ClusterOps::connect(&[addr0, addr1]).unwrap();
+    let begin = ops.campaign_begin(&config);
+    assert!(
+        matches!(&begin, Err(OpsError::Backend(msg)) if msg.starts_with("gateway 1")),
+        "the begin names the failed gateway: {begin:?}"
+    );
+    assert_eq!(ops.checkpoint(1), None);
+    ops.reconnect(1).unwrap();
+    assert_eq!(
+        ops.campaign_status().unwrap(),
+        CampaignPhase::InProgress { next_wave: 0 }
+    );
+    ops.campaign_pause().unwrap();
+    assert_eq!(ops.campaign_status().unwrap(), CampaignPhase::Idle);
 
     gateway0.join().unwrap();
     let requests = gateway1.join().unwrap();
-    assert_eq!(requests.last(), Some(&Frame::OpCheckpoint { cohort }));
+    assert_eq!(requests.len(), 4, "begin, checkpoint, status, pause");
 }
 
 /// A closure that panics inside the placed-agent harness stops the
