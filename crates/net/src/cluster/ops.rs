@@ -837,6 +837,28 @@ mod tests {
         assert!(matches!(&decoded[3], PauseRecord::Paused(b) if b.is_empty()));
     }
 
+    /// The ECL1 layout, pinned in hex: magic, gateway count, then per
+    /// gateway a flag (1 paused with a length-prefixed record, 2
+    /// finished, 0 not participating).
+    #[test]
+    fn cluster_pause_blob_bytes_are_pinned() {
+        let blob = encode_cluster_pause(
+            &[Some(vec![0xE5, 0x01]), None, None, Some(Vec::new())],
+            &[true, true, false, true],
+            &[false, true, false, false],
+        );
+        let hex: String = blob.iter().map(|byte| format!("{byte:02x}")).collect();
+        assert_eq!(
+            hex,
+            "45434c3104000000\
+             0102000000e501\
+             02\
+             00\
+             0100000000"
+        );
+        assert_eq!(decode_cluster_pause(&blob, 4).unwrap().len(), 4);
+    }
+
     #[test]
     fn cluster_pause_blob_rejects_malformed() {
         assert!(decode_cluster_pause(b"nope", 1).is_err());
