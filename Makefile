@@ -1,6 +1,6 @@
 # Convenience targets; `just` users get the same recipes from ./justfile.
 
-.PHONY: build test test-workspace perfbench-test perfbench-smoke bench-smoke fleet-smoke fleet-scale sim-check soak net-scale net-scale-10k net-campaign net-cluster net-smoke net-bench net-bench-smoke obs-smoke agg-smoke fmt clippy ci
+.PHONY: build test test-workspace perfbench-test perfbench-smoke bench-smoke fleet-smoke fleet-scale sim-check soak net-scale net-scale-10k net-campaign net-cluster net-smoke net-bench net-bench-smoke obs-smoke agg-smoke fmt clippy doc ci
 
 build:
 	cargo build --release
@@ -147,6 +147,15 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc of the workspace's own crates with every warning an error, so
+# a doc link to a deleted item fails the build. The vendor/ stand-ins
+# stay out: their docs are not this project's.
+DOC_CRATES = -p eilid-repro -p eilid -p eilid_asm -p eilid_bench -p eilid_casu \
+	-p eilid_fleet -p eilid_hwcost -p eilid_msp430 -p eilid_net -p eilid_obs \
+	-p eilid_workloads
+doc:
+	RUSTDOCFLAGS="-D warnings" cargo doc --no-deps $(DOC_CRATES)
+
 # Local CI. perfbench-test builds the benchmark crate against the
 # workspace, so removing a public item it uses fails here too.
-ci: fmt clippy test test-workspace perfbench-test
+ci: fmt clippy doc test test-workspace perfbench-test

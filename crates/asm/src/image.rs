@@ -3,7 +3,7 @@
 //! An [`Image`] is the output of the assembler: byte segments at absolute
 //! addresses, the symbol table, the listing, the program entry point and the
 //! interrupt-vector assignments. It plays the role of the `.elf` produced by
-//! the paper's GCC toolchain, while the [`Listing`](crate::Listing) plays the
+//! the paper's GCC toolchain, while the [`Listing`] plays the
 //! role of the `.lst` file consumed by `EILIDinst`.
 
 use std::collections::BTreeMap;

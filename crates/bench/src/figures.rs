@@ -6,7 +6,7 @@ use eilid_hwcost::{figure10, TechniqueCost};
 /// Renders one of the Figure 10 bar charts as ASCII art.
 ///
 /// `select` extracts the plotted quantity (LUTs for 10a, registers for 10b).
-pub fn render_bar_chart(
+fn render_bar_chart(
     title: &str,
     bars: &[TechniqueCost],
     select: impl Fn(&TechniqueCost) -> u32,

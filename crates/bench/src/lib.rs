@@ -5,7 +5,7 @@
 //!
 //! | Paper artifact | Module | Binary |
 //! |---|---|---|
-//! | Table I (CFI/CFA comparison) | [`eilid_hwcost::table1`] | `table1` |
+//! | Table I (CFI/CFA comparison) | [`eilid_hwcost::table1`](mod@eilid_hwcost::table1) | `table1` |
 //! | Table II (platform instruction sets) | [`eilid::instrument::platform`] | `table2` |
 //! | Table III (reserved registers) | [`eilid::sw::dispatch`] | `table3` |
 //! | Table IV (software overhead) | [`table4`] | `table4` |

@@ -117,19 +117,12 @@ pub struct Table4 {
 }
 
 impl Table4 {
-    /// Average compile-time overhead across all workloads.
-    pub fn average_compile_overhead(&self) -> f64 {
-        average(self.rows.iter().map(Table4Row::compile_overhead))
-    }
-
-    /// Average binary-size overhead across all workloads.
-    pub fn average_size_overhead(&self) -> f64 {
-        average(self.rows.iter().map(Table4Row::size_overhead))
-    }
-
-    /// Average run-time overhead across all workloads.
-    pub fn average_runtime_overhead(&self) -> f64 {
-        average(self.rows.iter().map(Table4Row::runtime_overhead))
+    /// The mean of `overhead` across all workloads (0 with no rows).
+    fn average(&self, overhead: fn(&Table4Row) -> f64) -> f64 {
+        if self.rows.is_empty() {
+            return 0.0;
+        }
+        self.rows.iter().map(overhead).sum::<f64>() / self.rows.len() as f64
     }
 
     /// Renders the table in the paper's layout, with the paper's reference
@@ -161,20 +154,12 @@ impl Table4 {
         }
         out.push_str(&format!(
             "Average overhead: compile {:.2}%  size {:.2}%  runtime {:.2}%  (paper: 34.30% / 10.78% / 7.35%)\n",
-            self.average_compile_overhead() * 100.0,
-            self.average_size_overhead() * 100.0,
-            self.average_runtime_overhead() * 100.0,
+            self.average(Table4Row::compile_overhead) * 100.0,
+            self.average(Table4Row::size_overhead) * 100.0,
+            self.average(Table4Row::runtime_overhead) * 100.0,
         ));
         out
     }
-}
-
-fn average(values: impl Iterator<Item = f64>) -> f64 {
-    let collected: Vec<f64> = values.collect();
-    if collected.is_empty() {
-        return 0.0;
-    }
-    collected.iter().sum::<f64>() / collected.len() as f64
 }
 
 /// The middle sample (the upper middle for an even count).

@@ -65,6 +65,13 @@ pub enum CodecError {
         /// The offending length.
         len: usize,
     },
+    /// An enum-coded byte holds an unknown discriminant.
+    BadEnum {
+        /// Which field.
+        field: &'static str,
+        /// The offending value.
+        value: u8,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -80,6 +87,9 @@ impl fmt::Display for CodecError {
                 write!(f, "oversized field: claims {claimed} bytes, limit is {max}")
             }
             CodecError::BadLength { len } => write!(f, "invalid length field: {len}"),
+            CodecError::BadEnum { field, value } => {
+                write!(f, "invalid value {value} for field `{field}`")
+            }
         }
     }
 }
@@ -177,6 +187,68 @@ impl<'a> Reader<'a> {
         out.copy_from_slice(self.take(N)?);
         Ok(out)
     }
+
+    /// Takes a `u32` list count, checked against what the remaining
+    /// bytes can hold at `min_item_bytes` per item — a hard typed error
+    /// before the caller allocates, never a clamp.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] without a count;
+    /// [`CodecError::Oversized`] when the items cannot fit.
+    pub fn count(&mut self, min_item_bytes: usize) -> Result<usize, CodecError> {
+        let count = self.u32()? as usize;
+        if count.saturating_mul(min_item_bytes) > self.remaining() {
+            return Err(CodecError::Oversized {
+                claimed: count,
+                max: self.remaining() / min_item_bytes.max(1),
+            });
+        }
+        Ok(count)
+    }
+
+    /// Takes a `u32`-length-prefixed byte field (written by
+    /// [`put_bytes`]), its length checked against `max` before the
+    /// bytes are read.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Oversized`] past `max`; [`CodecError::Truncated`]
+    /// when the input ends first.
+    pub fn bytes(&mut self, max: usize) -> Result<&'a [u8], CodecError> {
+        let len = self.u32()? as usize;
+        if len > max {
+            return Err(CodecError::Oversized { claimed: len, max });
+        }
+        self.take(len)
+    }
+
+    /// Takes a `u32`-counted list of little-endian `u64`s (written by
+    /// [`put_u64s`]).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Reader::count`] and [`Reader::u64`].
+    pub fn u64s(&mut self) -> Result<Vec<u64>, CodecError> {
+        let count = self.count(8)?;
+        (0..count).map(|_| self.u64()).collect()
+    }
+}
+
+/// Appends `bytes` with a `u32` length prefix (read by
+/// [`Reader::bytes`]).
+pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(bytes);
+}
+
+/// Appends `values` as a `u32` count and little-endian `u64`s (read by
+/// [`Reader::u64s`]).
+pub fn put_u64s(out: &mut Vec<u8>, values: &[u64]) {
+    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+    for value in values {
+        out.extend_from_slice(&value.to_le_bytes());
+    }
 }
 
 /// Appends a [`Challenge`] in wire layout.
@@ -240,8 +312,7 @@ pub fn encode_delta_update_request(request: &DeltaUpdateRequest, out: &mut Vec<u
     out.extend_from_slice(&(request.segments.len() as u32).to_le_bytes());
     for segment in &request.segments {
         out.extend_from_slice(&segment.offset.to_le_bytes());
-        out.extend_from_slice(&(segment.bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&segment.bytes);
+        put_bytes(out, &segment.bytes);
     }
     out.extend_from_slice(&request.mac);
 }
@@ -274,25 +345,12 @@ pub fn decode_delta_update_request(
     if base_len == 0 {
         return Err(CodecError::BadLength { len: 0 });
     }
-    let seg_count = reader.u32()? as usize;
     // Each segment costs at least offset(4) + len(4) bytes.
-    if seg_count.saturating_mul(8) > reader.remaining() {
-        return Err(CodecError::Oversized {
-            claimed: seg_count,
-            max: reader.remaining() / 8,
-        });
-    }
+    let seg_count = reader.count(8)?;
     let mut segments = Vec::with_capacity(seg_count);
     for _ in 0..seg_count {
         let offset = reader.u32()?;
-        let len = reader.u32()? as usize;
-        if len > MAX_UPDATE_PAYLOAD {
-            return Err(CodecError::Oversized {
-                claimed: len,
-                max: MAX_UPDATE_PAYLOAD,
-            });
-        }
-        let bytes = reader.take(len)?.to_vec();
+        let bytes = reader.bytes(MAX_UPDATE_PAYLOAD)?.to_vec();
         segments.push(DeltaSegment { offset, bytes });
     }
     let mac = reader.array()?;

@@ -1,7 +1,7 @@
 //! `EILIDinst` — the compile-time instrumenter.
 //!
 //! The instrumenter analyses the application assembly ([`analysis`]),
-//! rewrites it with the paper's instrumentation templates ([`rewrite`]),
+//! rewrites it with the paper's instrumentation templates ([`rewrite`](mod@rewrite)),
 //! and drives the iterated-build pipeline of Figure 2 ([`pipeline`]). The
 //! [`platform`] module records the per-platform control-flow mnemonics of
 //! Table II, and [`report`] collects statistics and the compile-time

@@ -13,7 +13,7 @@
 //!   the leave section is the only way back to non-secure code
 //!   (Figure 9(a)).
 //!
-//! A failed check writes a [`CfiFault`](eilid_casu::CfiFault) code to the
+//! A failed check writes a [`CfiFault`] code to the
 //! CASU violation strobe, which the hardware monitor turns into a device
 //! reset.
 

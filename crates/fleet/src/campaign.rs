@@ -151,8 +151,90 @@ impl CampaignConfig {
                 self.failure_threshold
             )));
         }
+        // Snapshots, the golden copy and rollbacks all slice the patch
+        // range, and `Memory::slice` panics past the address space.
+        if usize::from(self.target) + self.payload.len() > ADDRESS_SPACE {
+            return Err(FleetError::InvalidCampaign(format!(
+                "patch of {} bytes at {:#06x} runs past the 64 KiB address space",
+                self.payload.len(),
+                self.target
+            )));
+        }
         Ok(())
     }
+
+    /// Appends the config in its one byte layout, the
+    /// `OpBegin` payload and the config section of a paused-campaign
+    /// record: `cohort:u8 ‖ target:u16 ‖ canary:f64bits ‖
+    /// threshold:f64bits ‖ smoke:u64 ‖ version:u64 ‖ delta:u8 ‖
+    /// payload_len:u32 ‖ payload`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        debug_assert!(self.payload.len() <= wire::MAX_UPDATE_PAYLOAD);
+        out.push(self.cohort.index());
+        out.extend_from_slice(&self.target.to_le_bytes());
+        out.extend_from_slice(&self.canary_fraction.to_bits().to_le_bytes());
+        out.extend_from_slice(&self.failure_threshold.to_bits().to_le_bytes());
+        out.extend_from_slice(&self.smoke_cycles.to_le_bytes());
+        out.extend_from_slice(&self.version.to_le_bytes());
+        out.push(u8::from(self.delta));
+        wire::put_bytes(out, &self.payload);
+    }
+
+    /// Structural decode of [`CampaignConfig::encode`]'s layout: the
+    /// payload is bounded like an update's and may not be empty. The
+    /// semantic rules (staging ranges, the address space) are
+    /// [`Campaign::new`]'s and [`PausedCampaign::from_bytes`]'s.
+    ///
+    /// # Errors
+    ///
+    /// A [`CodecError`] on truncation, an unknown cohort or delta flag,
+    /// or an empty or oversized payload.
+    pub fn decode(reader: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let cohort = decode_cohort(reader)?;
+        let target = reader.u16()?;
+        let canary_fraction = f64::from_bits(reader.u64()?);
+        let failure_threshold = f64::from_bits(reader.u64()?);
+        let smoke_cycles = reader.u64()?;
+        let version = reader.u64()?;
+        let delta = match reader.u8()? {
+            0 => false,
+            1 => true,
+            value => {
+                return Err(CodecError::BadEnum {
+                    field: "campaign delta flag",
+                    value,
+                })
+            }
+        };
+        let payload = reader.bytes(wire::MAX_UPDATE_PAYLOAD)?;
+        if payload.is_empty() {
+            return Err(CodecError::BadLength { len: 0 });
+        }
+        Ok(CampaignConfig {
+            cohort,
+            target,
+            payload: payload.to_vec(),
+            canary_fraction,
+            failure_threshold,
+            smoke_cycles,
+            version,
+            delta,
+        })
+    }
+}
+
+/// Decodes a cohort index byte.
+///
+/// # Errors
+///
+/// [`CodecError::BadEnum`] (field `"cohort"`) for an index naming no
+/// workload; [`CodecError::Truncated`] on empty input.
+pub fn decode_cohort(reader: &mut Reader<'_>) -> Result<WorkloadId, CodecError> {
+    let value = reader.u8()?;
+    WorkloadId::from_index(value).ok_or(CodecError::BadEnum {
+        field: "cohort",
+        value,
+    })
 }
 
 /// Outcome of one wave.
@@ -229,6 +311,102 @@ impl CampaignReport {
     pub fn is_completed(&self) -> bool {
         matches!(self.outcome, CampaignOutcome::Completed { .. })
     }
+
+    /// Appends the report in its one byte layout, the `OpReport`
+    /// payload after the cohort: the outcome (tag 1 `updated:u32`, or
+    /// tag 2 `wave:u32 ‖ failure_rate:f64bits ‖ rolled_back:u32`), the
+    /// per-wave stats (`count:u32`, then `wave ‖ size ‖ updated ‖
+    /// failures`, each `u32`), then the quarantined and
+    /// rollback-incomplete id lists (`count:u32 ‖ id:u64*`).
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        put_outcome(out, Some(&self.outcome));
+        put_wave_reports(out, &self.waves);
+        wire::put_u64s(out, &self.quarantined);
+        wire::put_u64s(out, &self.rollback_incomplete);
+    }
+
+    /// Decodes [`CampaignReport::encode`]'s layout.
+    ///
+    /// # Errors
+    ///
+    /// A [`CodecError`] on truncation, an unknown outcome tag, or a
+    /// list count the remaining bytes cannot hold.
+    pub fn decode(reader: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(CampaignReport {
+            outcome: decode_outcome(reader)?.ok_or(CodecError::BadEnum {
+                field: "campaign outcome",
+                value: 0,
+            })?,
+            waves: decode_wave_reports(reader)?,
+            quarantined: reader.u64s()?,
+            rollback_incomplete: reader.u64s()?,
+        })
+    }
+}
+
+/// Appends an optional outcome: tag 0 for none, else the outcome's tag
+/// and fields.
+fn put_outcome(out: &mut Vec<u8>, outcome: Option<&CampaignOutcome>) {
+    match outcome {
+        None => out.push(0),
+        Some(CampaignOutcome::Completed { updated }) => {
+            out.push(1);
+            out.extend_from_slice(&(*updated as u32).to_le_bytes());
+        }
+        Some(CampaignOutcome::HaltedAndRolledBack {
+            wave,
+            failure_rate,
+            rolled_back,
+        }) => {
+            out.push(2);
+            out.extend_from_slice(&(*wave as u32).to_le_bytes());
+            out.extend_from_slice(&failure_rate.to_bits().to_le_bytes());
+            out.extend_from_slice(&(*rolled_back as u32).to_le_bytes());
+        }
+    }
+}
+
+fn decode_outcome(reader: &mut Reader<'_>) -> Result<Option<CampaignOutcome>, CodecError> {
+    Ok(match reader.u8()? {
+        0 => None,
+        1 => Some(CampaignOutcome::Completed {
+            updated: reader.u32()? as usize,
+        }),
+        2 => Some(CampaignOutcome::HaltedAndRolledBack {
+            wave: reader.u32()? as usize,
+            failure_rate: f64::from_bits(reader.u64()?),
+            rolled_back: reader.u32()? as usize,
+        }),
+        value => {
+            return Err(CodecError::BadEnum {
+                field: "campaign outcome",
+                value,
+            })
+        }
+    })
+}
+
+fn put_wave_reports(out: &mut Vec<u8>, waves: &[WaveReport]) {
+    out.extend_from_slice(&(waves.len() as u32).to_le_bytes());
+    for wave in waves {
+        for field in [wave.wave, wave.size, wave.updated, wave.failures] {
+            out.extend_from_slice(&(field as u32).to_le_bytes());
+        }
+    }
+}
+
+fn decode_wave_reports(reader: &mut Reader<'_>) -> Result<Vec<WaveReport>, CodecError> {
+    let count = reader.count(16)?;
+    (0..count)
+        .map(|_| {
+            Ok(WaveReport {
+                wave: reader.u32()? as usize,
+                size: reader.u32()? as usize,
+                updated: reader.u32()? as usize,
+                failures: reader.u32()? as usize,
+            })
+        })
+        .collect()
 }
 
 /// What one [`CampaignRun::step`] call did.
@@ -417,7 +595,8 @@ impl Campaign {
     /// # Errors
     ///
     /// Returns [`FleetError::InvalidCampaign`] for out-of-range staging
-    /// parameters or an empty payload.
+    /// parameters, an empty or oversized payload, or a patch that runs
+    /// past the 64 KiB address space.
     pub fn new(config: CampaignConfig) -> Result<Self, FleetError> {
         config.validate()?;
         Ok(Campaign { config })
@@ -430,24 +609,10 @@ impl Campaign {
     /// # Errors
     ///
     /// Returns [`FleetError::UnknownCohort`] if the executor reaches no
-    /// device of the configured cohort, or
-    /// [`FleetError::InvalidCampaign`] for a patch that does not fit the
-    /// address space.
+    /// device of the configured cohort.
     pub fn begin_with(&self, exec: &mut dyn WaveExecutor) -> Result<CampaignRun, FleetError> {
         let cohort = self.config.cohort;
         let info = exec.cohort_info(cohort)?;
-
-        // Range-check before any memory slicing (pre-update snapshots
-        // slice the patch range too): Memory::slice panics past the
-        // 64 KiB address space.
-        let end = usize::from(self.config.target) + self.config.payload.len();
-        if end > ADDRESS_SPACE {
-            return Err(FleetError::InvalidCampaign(format!(
-                "patch of {} bytes at {:#06x} runs past the 64 KiB address space",
-                self.config.payload.len(),
-                self.config.target
-            )));
-        }
 
         // Expected post-patch measurement, computed on a golden copy
         // (devices attest Merkle roots, so the probe's expected value
@@ -550,67 +715,81 @@ impl CampaignRun {
         PausedCampaign(self)
     }
 
-    /// The `EPC2` record this run would pause into
+    /// The `EPC3` record this run would pause into
     /// ([`PausedCampaign::to_bytes`]), taken without stopping or
     /// copying the run.
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(ADDRESS_SPACE + 1024);
         out.extend_from_slice(PAUSE_MAGIC);
-        out.push(self.config.cohort.index());
-        out.extend_from_slice(&self.config.target.to_le_bytes());
-        write_bytes(&mut out, &self.config.payload);
-        out.extend_from_slice(&self.config.canary_fraction.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.config.failure_threshold.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.config.smoke_cycles.to_le_bytes());
-        out.extend_from_slice(&self.config.version.to_le_bytes());
-        out.push(u8::from(self.config.delta));
-
+        self.config.encode(&mut out);
         out.extend_from_slice(&(self.waves.len() as u32).to_le_bytes());
         for wave in &self.waves {
-            write_ids(&mut out, wave);
+            wire::put_u64s(&mut out, wave);
         }
         out.extend_from_slice(&(self.cursor as u32).to_le_bytes());
-
-        out.extend_from_slice(&(self.wave_reports.len() as u32).to_le_bytes());
-        for report in &self.wave_reports {
-            out.extend_from_slice(&(report.wave as u32).to_le_bytes());
-            out.extend_from_slice(&(report.size as u32).to_le_bytes());
-            out.extend_from_slice(&(report.updated as u32).to_le_bytes());
-            out.extend_from_slice(&(report.failures as u32).to_le_bytes());
-        }
-
-        write_ids(&mut out, &self.updated_so_far);
-        write_ids(&mut out, &self.quarantined);
-        write_ids(&mut out, &self.rollback_incomplete);
-
+        put_wave_reports(&mut out, &self.wave_reports);
+        wire::put_u64s(&mut out, &self.updated_so_far);
+        wire::put_u64s(&mut out, &self.quarantined);
+        wire::put_u64s(&mut out, &self.rollback_incomplete);
         out.extend_from_slice(&(self.snapshots.len() as u32).to_le_bytes());
         for (id, snapshot) in &self.snapshots {
             out.extend_from_slice(&id.to_le_bytes());
-            write_bytes(&mut out, &snapshot.patch_range);
+            wire::put_bytes(&mut out, &snapshot.patch_range);
             out.extend_from_slice(&snapshot.measurement);
         }
-
         out.extend_from_slice(self.patched_golden.slice(0..ADDRESS_SPACE));
         out.extend_from_slice(&self.expected_after);
-
-        match &self.outcome {
-            None => out.push(0),
-            Some(CampaignOutcome::Completed { updated }) => {
-                out.push(1);
-                out.extend_from_slice(&(*updated as u32).to_le_bytes());
-            }
-            Some(CampaignOutcome::HaltedAndRolledBack {
-                wave,
-                failure_rate,
-                rolled_back,
-            }) => {
-                out.push(2);
-                out.extend_from_slice(&(*wave as u32).to_le_bytes());
-                out.extend_from_slice(&failure_rate.to_bits().to_le_bytes());
-                out.extend_from_slice(&(*rolled_back as u32).to_le_bytes());
-            }
-        }
+        put_outcome(&mut out, self.outcome.as_ref());
         out
+    }
+
+    /// Decodes the body of a [`CampaignRun::checkpoint`] record (after
+    /// the magic). Structural only: [`PausedCampaign::from_bytes`]
+    /// judges the result.
+    fn decode(reader: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let config = CampaignConfig::decode(reader)?;
+        // Each wave costs at least its id count.
+        let wave_count = reader.count(4)?;
+        let waves = (0..wave_count)
+            .map(|_| reader.u64s())
+            .collect::<Result<Vec<_>, _>>()?;
+        let cursor = reader.u32()? as usize;
+        let wave_reports = decode_wave_reports(reader)?;
+        let updated_so_far = reader.u64s()?;
+        let quarantined = reader.u64s()?;
+        let rollback_incomplete = reader.u64s()?;
+        // Each snapshot costs at least id(8) + length(4) + measurement(32).
+        let snapshot_count = reader.count(8 + 4 + 32)?;
+        let mut snapshots = BTreeMap::new();
+        for _ in 0..snapshot_count {
+            let id = reader.u64()?;
+            let patch_range = reader.bytes(wire::MAX_UPDATE_PAYLOAD)?.to_vec();
+            let measurement = reader.array()?;
+            snapshots.insert(
+                id,
+                PreUpdateSnapshot {
+                    patch_range,
+                    measurement,
+                },
+            );
+        }
+        let mut patched_golden = Memory::new();
+        patched_golden
+            .load(0, reader.take(ADDRESS_SPACE)?)
+            .expect("a full 64 KiB image always fits");
+        Ok(CampaignRun {
+            config,
+            waves,
+            cursor,
+            wave_reports,
+            updated_so_far,
+            quarantined,
+            rollback_incomplete,
+            snapshots,
+            patched_golden,
+            expected_after: reader.array()?,
+            outcome: decode_outcome(reader)?,
+        })
     }
 
     /// Rolls out the next wave (skipping empty ones) through any
@@ -766,13 +945,27 @@ impl CampaignRun {
 /// [`PausedCampaign::to_bytes`] so an operator (or the networked
 /// gateway) can persist the wave cursor — and everything else a resume
 /// needs — across process restarts.
+///
+/// The `EPC3` record, all integers little-endian:
+///
+/// ```text
+/// magic "EPC3" ‖ config (= the OpBegin payload, CampaignConfig::encode)
+/// ‖ wave_count:u32 ‖ (id_count:u32 ‖ id:u64*)* ‖ cursor:u32
+/// ‖ wave reports (as in OpReport) ‖ updated, quarantined and
+/// rollback-incomplete id lists ‖ snapshot_count:u32
+/// ‖ (id:u64 ‖ len:u32 ‖ patch-range bytes ‖ measurement:[u8;32])*
+/// ‖ patched golden image (64 KiB) ‖ expected measurement:[u8;32]
+/// ‖ outcome (tag 0 = running, else as in OpReport)
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PausedCampaign(CampaignRun);
 
 /// Magic + version prefix of the paused-campaign byte format. `EPC2`
 /// extended `EPC1` with the campaign's anti-rollback version counter
-/// and delta-shipping flag.
-const PAUSE_MAGIC: &[u8; 4] = b"EPC2";
+/// and delta-shipping flag; `EPC3` writes the config, wave reports and
+/// outcome in their wire layouts, so its config section is an `OpBegin`
+/// payload. Older records are refused as a bad magic.
+const PAUSE_MAGIC: &[u8; 4] = b"EPC3";
 
 impl PausedCampaign {
     /// Index of the next wave a resumed run will roll out.
@@ -785,209 +978,45 @@ impl PausedCampaign {
         self.0.config.cohort
     }
 
-    /// Serialises the paused state to a self-describing byte record
-    /// (little-endian, `EPC2`-tagged).
+    /// Serialises the paused state to its `EPC3` record.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.0.checkpoint()
     }
 
     /// Deserialises a paused campaign written by
-    /// [`PausedCampaign::to_bytes`].
+    /// [`PausedCampaign::to_bytes`], then applies the config's
+    /// semantic rules ([`Campaign::new`]'s) and checks the wave cursor.
     ///
     /// # Errors
     ///
     /// Returns [`FleetError::InvalidCampaign`] on any structural defect
-    /// (bad magic, truncation, out-of-range fields) — never panics.
+    /// (bad magic, truncation, oversized counts, trailing bytes), on a
+    /// config [`Campaign::new`] would refuse, or on a cursor past the
+    /// recorded waves — never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FleetError> {
-        let invalid = |err: CodecError| FleetError::InvalidCampaign(err.to_string());
-        let mut reader = Reader::new(bytes);
-        let magic: [u8; 4] = reader.array().map_err(invalid)?;
-        if &magic != PAUSE_MAGIC {
+        let Some(body) = bytes.strip_prefix(PAUSE_MAGIC) else {
+            let magic = &bytes[..bytes.len().min(PAUSE_MAGIC.len())];
             return Err(FleetError::InvalidCampaign(format!(
                 "bad paused-campaign magic {magic:02x?}"
             )));
-        }
-        let cohort = cohort_from_u8(reader.u8().map_err(invalid)?)?;
-        let target = reader.u16().map_err(invalid)?;
-        let payload = read_bytes(&mut reader).map_err(invalid)?;
-        let canary_fraction = f64::from_bits(reader.u64().map_err(invalid)?);
-        let failure_threshold = f64::from_bits(reader.u64().map_err(invalid)?);
-        let smoke_cycles = reader.u64().map_err(invalid)?;
-        let version = reader.u64().map_err(invalid)?;
-        let delta = match reader.u8().map_err(invalid)? {
-            0 => false,
-            1 => true,
-            tag => {
-                return Err(FleetError::InvalidCampaign(format!(
-                    "unknown delta flag {tag}"
-                )))
-            }
         };
-        let config = CampaignConfig {
-            cohort,
-            target,
-            payload,
-            canary_fraction,
-            failure_threshold,
-            smoke_cycles,
-            version,
-            delta,
-        };
-        config.validate()?;
-
-        // Count fields are validated against what the input could
-        // possibly hold — a corrupt count is a hard typed error, never
-        // a silent clamp (which would misparse everything after it)
-        // and never an unbounded allocation.
-        let checked_count = |count: u32, min_item_bytes: usize, remaining: usize, what: &str| {
-            let count = count as usize;
-            if count.saturating_mul(min_item_bytes) > remaining {
-                return Err(FleetError::InvalidCampaign(format!(
-                    "{what} count {count} exceeds what {remaining} remaining bytes can hold"
-                )));
-            }
-            Ok(count)
-        };
-
-        let wave_count = checked_count(
-            reader.u32().map_err(invalid)?,
-            4,
-            reader.remaining(),
-            "wave",
-        )?;
-        let mut waves = Vec::with_capacity(wave_count);
-        for _ in 0..wave_count {
-            waves.push(read_ids(&mut reader).map_err(invalid)?);
-        }
-        let cursor = reader.u32().map_err(invalid)? as usize;
-        if cursor > waves.len() {
-            return Err(FleetError::InvalidCampaign(format!(
-                "wave cursor {cursor} is outside the {} recorded waves",
-                waves.len()
-            )));
-        }
-
-        let report_count = checked_count(
-            reader.u32().map_err(invalid)?,
-            16,
-            reader.remaining(),
-            "wave report",
-        )?;
-        let mut wave_reports = Vec::with_capacity(report_count);
-        for _ in 0..report_count {
-            wave_reports.push(WaveReport {
-                wave: reader.u32().map_err(invalid)? as usize,
-                size: reader.u32().map_err(invalid)? as usize,
-                updated: reader.u32().map_err(invalid)? as usize,
-                failures: reader.u32().map_err(invalid)? as usize,
-            });
-        }
-
-        let updated_so_far = read_ids(&mut reader).map_err(invalid)?;
-        let quarantined = read_ids(&mut reader).map_err(invalid)?;
-        let rollback_incomplete = read_ids(&mut reader).map_err(invalid)?;
-
-        let snapshot_count = checked_count(
-            reader.u32().map_err(invalid)?,
-            8 + 4 + 32,
-            reader.remaining(),
-            "snapshot",
-        )?;
-        let mut snapshots = BTreeMap::new();
-        for _ in 0..snapshot_count {
-            let id = reader.u64().map_err(invalid)?;
-            let patch_range = read_bytes(&mut reader).map_err(invalid)?;
-            let measurement: [u8; 32] = reader.array().map_err(invalid)?;
-            snapshots.insert(
-                id,
-                PreUpdateSnapshot {
-                    patch_range,
-                    measurement,
-                },
-            );
-        }
-
-        let golden_bytes = reader.take(ADDRESS_SPACE).map_err(invalid)?;
-        let mut patched_golden = Memory::new();
-        patched_golden
-            .load(0, golden_bytes)
-            .expect("a full 64 KiB image always fits");
-        let expected_after: [u8; 32] = reader.array().map_err(invalid)?;
-
-        let outcome = match reader.u8().map_err(invalid)? {
-            0 => None,
-            1 => Some(CampaignOutcome::Completed {
-                updated: reader.u32().map_err(invalid)? as usize,
-            }),
-            2 => Some(CampaignOutcome::HaltedAndRolledBack {
-                wave: reader.u32().map_err(invalid)? as usize,
-                failure_rate: f64::from_bits(reader.u64().map_err(invalid)?),
-                rolled_back: reader.u32().map_err(invalid)? as usize,
-            }),
-            tag => {
-                return Err(FleetError::InvalidCampaign(format!(
-                    "unknown outcome tag {tag}"
-                )))
-            }
-        };
+        let mut reader = Reader::new(body);
+        let run = CampaignRun::decode(&mut reader)
+            .map_err(|err| FleetError::InvalidCampaign(err.to_string()))?;
         if !reader.is_empty() {
             return Err(FleetError::InvalidCampaign(format!(
                 "{} trailing bytes after paused campaign",
                 reader.remaining()
             )));
         }
-
-        Ok(PausedCampaign(CampaignRun {
-            config,
-            waves,
-            cursor,
-            wave_reports,
-            updated_so_far,
-            quarantined,
-            rollback_incomplete,
-            snapshots,
-            patched_golden,
-            expected_after,
-            outcome,
-        }))
+        run.config.validate()?;
+        if run.cursor > run.waves.len() {
+            return Err(FleetError::InvalidCampaign(format!(
+                "wave cursor {} is outside the {} recorded waves",
+                run.cursor,
+                run.waves.len()
+            )));
+        }
+        Ok(PausedCampaign(run))
     }
-}
-
-fn cohort_from_u8(raw: u8) -> Result<WorkloadId, FleetError> {
-    WorkloadId::from_index(raw)
-        .ok_or_else(|| FleetError::InvalidCampaign(format!("unknown cohort index {raw}")))
-}
-
-fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
-fn read_bytes(reader: &mut Reader<'_>) -> Result<Vec<u8>, CodecError> {
-    let len = reader.u32()? as usize;
-    Ok(reader.take(len)?.to_vec())
-}
-
-fn write_ids(out: &mut Vec<u8>, ids: &[DeviceId]) {
-    out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-    for id in ids {
-        out.extend_from_slice(&id.to_le_bytes());
-    }
-}
-
-fn read_ids(reader: &mut Reader<'_>) -> Result<Vec<DeviceId>, CodecError> {
-    let len = reader.u32()? as usize;
-    // A count the remaining bytes cannot hold is rejected before any
-    // allocation (8 bytes per id).
-    if len.saturating_mul(8) > reader.remaining() {
-        return Err(CodecError::Oversized {
-            claimed: len,
-            max: reader.remaining() / 8,
-        });
-    }
-    let mut ids = Vec::with_capacity(len);
-    for _ in 0..len {
-        ids.push(reader.u64()?);
-    }
-    Ok(ids)
 }

@@ -203,3 +203,40 @@ fn mid_pause_physical_tamper_is_reported_rollback_incomplete() {
     assert_eq!(sweep.flagged_as(HealthClass::Tampered), vec![0, 3, 5, 7]);
     assert_eq!(sweep.count(HealthClass::Attested), 6);
 }
+
+/// `record` with its config's patch target replaced. The config section
+/// follows the 4-byte magic and opens `cohort:u8 ‖ target:u16`.
+fn with_target(record: &[u8], target: u16) -> Vec<u8> {
+    let mut forged = record.to_vec();
+    forged[5..7].copy_from_slice(&target.to_le_bytes());
+    forged
+}
+
+/// A record whose patch runs past the 64 KiB address space is refused
+/// when it is decoded, like the same config at begin, instead of
+/// loading and then panicking on the next step's memory slice.
+#[test]
+fn record_whose_patch_overruns_the_address_space_is_refused() {
+    let config = CampaignConfig::new(WorkloadId::LightSensor, BENIGN_PATCH_TARGET, benign_patch());
+    let len = config.payload.len();
+    let (mut fleet, mut verifier) = build(4);
+    let record = Campaign::new(config)
+        .unwrap()
+        .begin(&mut fleet, &mut verifier)
+        .unwrap()
+        .pause()
+        .to_bytes();
+
+    let last_fit = (0x1_0000 - len) as u16;
+    assert!(PausedCampaign::from_bytes(&with_target(&record, last_fit)).is_ok());
+    let forged = with_target(&record, last_fit + 1);
+    let err = PausedCampaign::from_bytes(&forged).unwrap_err();
+    assert!(err.to_string().contains("64 KiB"), "{err}");
+
+    let mut ops = eilid_fleet::LocalOps::new(&mut fleet, &mut verifier);
+    assert!(ops.campaign_resume(&forged).is_err());
+    assert!(matches!(
+        ops.campaign_step(),
+        Err(eilid_fleet::OpsError::NoCampaign)
+    ));
+}

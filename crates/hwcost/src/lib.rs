@@ -9,7 +9,7 @@
 //!   to policy ablations);
 //! * [`prior_work`] — the published costs of HAFIX, HCFI, Tiny-CFA, ACFA,
 //!   LO-FAT and LiteHAX used in Figure 10;
-//! * [`table1`] — the qualitative CFI/CFA comparison of Table I.
+//! * [`table1`](mod@table1) — the qualitative CFI/CFA comparison of Table I.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

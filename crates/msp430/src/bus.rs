@@ -43,7 +43,7 @@ pub struct MemAccess {
 
 impl MemAccess {
     /// Inclusive range of byte addresses touched by this access.
-    pub fn byte_range(&self) -> (u16, u16) {
+    fn byte_range(&self) -> (u16, u16) {
         match self.width {
             Width::Byte => (self.addr, self.addr),
             Width::Word => (self.addr & !1, (self.addr & !1).wrapping_add(1)),

@@ -33,12 +33,12 @@ pub const SR_V: u16 = 1 << 8;
 /// # Examples
 ///
 /// ```
+/// use eilid_msp430::flags::SR_GIE;
 /// use eilid_msp430::StatusFlags;
 ///
-/// let mut sr = StatusFlags::from_word(0);
+/// let mut sr = StatusFlags::from_word(SR_GIE);
 /// sr.set_zero(true);
-/// sr.set_gie(true);
-/// assert!(sr.zero());
+/// assert!(sr.zero() && sr.gie());
 /// assert_eq!(sr.to_word() & 0b1010, 0b1010);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -114,19 +114,9 @@ impl StatusFlags {
         self.get(SR_GIE)
     }
 
-    /// Sets the global interrupt enable bit.
-    pub fn set_gie(&mut self, value: bool) {
-        self.set(SR_GIE, value);
-    }
-
     /// CPU-off (low power mode) bit.
     pub fn cpu_off(self) -> bool {
         self.get(SR_CPUOFF)
-    }
-
-    /// Sets the CPU-off bit.
-    pub fn set_cpu_off(&mut self, value: bool) {
-        self.set(SR_CPUOFF, value);
     }
 }
 
@@ -374,13 +364,11 @@ mod tests {
 
     #[test]
     fn status_flags_roundtrip() {
-        let mut sr = StatusFlags::from_word(0);
+        let mut sr = StatusFlags::from_word(SR_GIE | SR_CPUOFF);
         sr.set_carry(true);
         sr.set_overflow(true);
         sr.set_negative(true);
         sr.set_zero(true);
-        sr.set_gie(true);
-        sr.set_cpu_off(true);
         assert!(sr.carry() && sr.overflow() && sr.negative() && sr.zero());
         assert!(sr.gie() && sr.cpu_off());
         assert_eq!(StatusFlags::from_word(sr.to_word()).to_word(), sr.to_word());

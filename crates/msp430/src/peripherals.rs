@@ -198,11 +198,6 @@ impl Peripherals {
         self.gpio_in = gpio_in;
     }
 
-    /// Sets the value presented on the GPIO input port.
-    pub fn set_gpio_in(&mut self, value: u16) {
-        self.gpio_in = value;
-    }
-
     /// `true` once the application has written [`SIM_DONE_MAGIC`] to
     /// [`SIM_CTL`].
     pub fn sim_done(&self) -> bool {
@@ -431,7 +426,7 @@ mod tests {
         let mut p = Peripherals::new();
         p.write(GPIO_DIR, 0x00FF);
         p.write(GPIO_OUT, 0x0055);
-        p.set_gpio_in(0x1234);
+        p.gpio_in = 0x1234;
         assert_eq!(p.read(GPIO_OUT), 0x0055);
         assert_eq!(p.read(GPIO_IN), 0x1234);
         assert_eq!(p.read(GPIO_DIR), 0x00FF);

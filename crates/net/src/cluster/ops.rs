@@ -46,6 +46,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
+use eilid_casu::wire::{put_bytes, CodecError, Reader};
 use eilid_fleet::{
     merge_agg_sweeps, merge_health, merge_phases, merge_reports, merge_sweeps, AggSweepSummary,
     CampaignConfig, CampaignPhase, CampaignReport, CampaignStatus, Fleet, FleetOps, OpsError,
@@ -57,6 +58,7 @@ use super::placement::Placement;
 use crate::error::NetError;
 use crate::ops::{DeviceAgent, RemoteOps, StopOnDrop};
 use crate::transport::TcpTransport;
+use crate::wire::MAX_OP_PAYLOAD;
 
 /// How long a placed agent waits between reconnect attempts while its
 /// gateway is down (crash-to-restart windows are measured in hundreds
@@ -598,8 +600,7 @@ fn encode_cluster_pause(
         match &records[gateway] {
             Some(bytes) => {
                 out.push(PAUSE_RECORD);
-                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                out.extend_from_slice(bytes);
+                put_bytes(&mut out, bytes);
             }
             None if participating[gateway] && finished[gateway] => out.push(PAUSE_FINISHED),
             None => out.push(PAUSE_NONE),
@@ -609,43 +610,39 @@ fn encode_cluster_pause(
 }
 
 /// Decodes the cluster pause blob, validating magic, gateway count and
-/// record framing.
+/// record framing (each record bounded like the frame that carried it).
 fn decode_cluster_pause(blob: &[u8], gateways: usize) -> Result<Vec<PauseRecord>, OpsError> {
-    let bad = |what: &str| OpsError::Backend(format!("malformed cluster pause record: {what}"));
-    if blob.len() < 8 || &blob[..4] != CLUSTER_PAUSE_MAGIC {
-        return Err(bad("missing ECL1 magic"));
-    }
-    let count = u32::from_le_bytes(blob[4..8].try_into().expect("4 bytes")) as usize;
+    let bad = |what: &dyn std::fmt::Display| {
+        OpsError::Backend(format!("malformed cluster pause record: {what}"))
+    };
+    let Some(body) = blob.strip_prefix(CLUSTER_PAUSE_MAGIC) else {
+        return Err(bad(&"missing ECL1 magic"));
+    };
+    let mut reader = Reader::new(body);
+    let count = reader.u32().map_err(|err| bad(&err))? as usize;
     if count != gateways {
         return Err(OpsError::Backend(format!(
             "cluster pause record covers {count} gateways, cluster has {gateways}"
         )));
     }
-    let mut records = Vec::with_capacity(count);
-    let mut at = 8usize;
-    for _ in 0..count {
-        let flag = *blob.get(at).ok_or_else(|| bad("truncated flag"))?;
-        at += 1;
-        match flag {
-            PAUSE_NONE => records.push(PauseRecord::None),
-            PAUSE_FINISHED => records.push(PauseRecord::Finished),
-            PAUSE_RECORD => {
-                let len_bytes = blob
-                    .get(at..at + 4)
-                    .ok_or_else(|| bad("truncated record length"))?;
-                let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-                at += 4;
-                let bytes = blob
-                    .get(at..at + len)
-                    .ok_or_else(|| bad("truncated record bytes"))?;
-                at += len;
-                records.push(PauseRecord::Paused(bytes.to_vec()));
-            }
-            _ => return Err(bad("unknown record flag")),
-        }
-    }
-    if at != blob.len() {
-        return Err(bad("trailing bytes"));
+    let records = (0..count)
+        .map(|_| {
+            Ok(match reader.u8()? {
+                PAUSE_NONE => PauseRecord::None,
+                PAUSE_FINISHED => PauseRecord::Finished,
+                PAUSE_RECORD => PauseRecord::Paused(reader.bytes(MAX_OP_PAYLOAD)?.to_vec()),
+                value => {
+                    return Err(CodecError::BadEnum {
+                        field: "cluster pause flag",
+                        value,
+                    })
+                }
+            })
+        })
+        .collect::<Result<Vec<_>, CodecError>>()
+        .map_err(|err| bad(&err))?;
+    if !reader.is_empty() {
+        return Err(bad(&"trailing bytes"));
     }
     Ok(records)
 }
@@ -802,7 +799,7 @@ mod tests {
             ),
             encode_cluster_pause(
                 &[
-                    Some(b"EPC2".to_vec()),
+                    Some(b"EPC3".to_vec()),
                     Some(Vec::new()),
                     Some(vec![0xFF; 40]),
                 ],

@@ -149,11 +149,11 @@ pub(crate) enum EngineInput {
     ConnClosed,
 }
 
-/// Bytes an operator-plane carrier frame spends around one `EPC2`
+/// Bytes an operator-plane carrier frame spends around one `EPC3`
 /// record: its cohort byte and its length prefix.
 const RECORD_FRAMING: usize = 5;
 
-/// The `EPC2` record `run` would pause into, when it fits in `budget`
+/// The `EPC3` record `run` would pause into, when it fits in `budget`
 /// bytes. A record past it cannot cross the wire, so the run stays
 /// loaded.
 fn record_within(run: &CampaignRun, budget: usize) -> Option<Vec<u8>> {

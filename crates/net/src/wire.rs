@@ -34,10 +34,11 @@ use std::fmt;
 
 use eilid_casu::agg::AggProof;
 use eilid_casu::wire as casu_wire;
-use eilid_casu::wire::{CodecError, Reader};
+use eilid_casu::wire::{put_bytes, CodecError, Reader};
 use eilid_casu::{AttestationReport, Challenge, DeltaUpdateRequest, UpdateError};
+use eilid_fleet::campaign::decode_cohort;
 pub use eilid_fleet::ProbeMode;
-use eilid_fleet::{CampaignConfig, CampaignOutcome, CampaignReport, Reply, Request, WaveReport};
+use eilid_fleet::{CampaignConfig, CampaignReport, Reply, Request};
 use eilid_workloads::WorkloadId;
 
 /// Frame magic, first on the wire.
@@ -108,10 +109,11 @@ pub const FRAME_HEADER_LEN: usize = 10;
 pub const MAX_FRAME_PAYLOAD: usize = casu_wire::MAX_UPDATE_PAYLOAD + 128;
 
 /// Hard ceiling on the payload of the operator-plane carrier frames:
-/// [`Frame::OpPaused`]/[`Frame::OpResume`] embed a serialised
-/// [`PausedCampaign`](eilid_fleet::PausedCampaign) record (the 64 KiB
-/// patched golden image plus per-device snapshots — with a wire-maximum
-/// patch, kilobytes per updated device), [`Frame::OpReport`] carries
+/// [`Frame::OpPaused`]/[`Frame::OpResume`] embed a serialised `EPC3`
+/// [`PausedCampaign`](eilid_fleet::PausedCampaign) record (its config
+/// section is an [`Frame::OpBegin`] payload; then the 64 KiB patched
+/// golden image plus per-device snapshots — with a wire-maximum patch,
+/// kilobytes per updated device), [`Frame::OpReport`] carries
 /// per-device id lists that outgrow [`MAX_FRAME_PAYLOAD`] on large
 /// fleets, [`Frame::OpDrained`] hands back *every* running campaign's
 /// record at once, and [`Frame::OpMetricsResult`] carries a
@@ -218,7 +220,10 @@ impl std::error::Error for WireError {}
 
 impl From<CodecError> for WireError {
     fn from(err: CodecError) -> Self {
-        WireError::BadPayload(err)
+        match err {
+            CodecError::BadEnum { field, value } => WireError::BadEnum { field, value },
+            err => WireError::BadPayload(err),
+        }
     }
 }
 
@@ -377,189 +382,6 @@ impl CampaignOp {
     }
 }
 
-fn cohort_from_u8(value: u8) -> Result<WorkloadId, WireError> {
-    WorkloadId::from_index(value).ok_or(WireError::BadEnum {
-        field: "cohort",
-        value,
-    })
-}
-
-/// Reads a `u32`-length-prefixed byte field, validating the claim
-/// against both `max` and the bytes actually remaining *before* any
-/// allocation.
-fn read_bounded_bytes(reader: &mut Reader<'_>, max: usize) -> Result<Vec<u8>, WireError> {
-    let len = reader.u32()? as usize;
-    if len > max {
-        return Err(WireError::BadPayload(CodecError::Oversized {
-            claimed: len,
-            max,
-        }));
-    }
-    Ok(reader.take(len)?.to_vec())
-}
-
-/// Validates a list-count claim against what the remaining bytes can
-/// possibly hold (`min_item_bytes` each) — a hard typed error before
-/// any allocation, never a clamp.
-fn checked_list_count(
-    count: usize,
-    min_item_bytes: usize,
-    remaining: usize,
-) -> Result<usize, WireError> {
-    if count.saturating_mul(min_item_bytes) > remaining {
-        return Err(WireError::BadPayload(CodecError::Oversized {
-            claimed: count,
-            max: remaining / min_item_bytes.max(1),
-        }));
-    }
-    Ok(count)
-}
-
-/// Wire layout of a [`CampaignConfig`] (the [`Frame::OpBegin`]
-/// payload): `cohort:u8 ‖ target:u16 ‖ canary:f64bits ‖
-/// threshold:f64bits ‖ smoke:u64 ‖ version:u64 ‖ delta:u8 ‖
-/// payload_len:u32 ‖ payload`.
-fn encode_campaign_config(config: &CampaignConfig, out: &mut Vec<u8>) {
-    debug_assert!(config.payload.len() <= casu_wire::MAX_UPDATE_PAYLOAD);
-    out.push(config.cohort.index());
-    out.extend_from_slice(&config.target.to_le_bytes());
-    out.extend_from_slice(&config.canary_fraction.to_bits().to_le_bytes());
-    out.extend_from_slice(&config.failure_threshold.to_bits().to_le_bytes());
-    out.extend_from_slice(&config.smoke_cycles.to_le_bytes());
-    out.extend_from_slice(&config.version.to_le_bytes());
-    out.push(u8::from(config.delta));
-    out.extend_from_slice(&(config.payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&config.payload);
-}
-
-/// Structural decode of a [`CampaignConfig`] — the semantic range
-/// checks (canary fraction, threshold) stay with `Campaign::new` on the
-/// gateway, exactly as they do in-process; this layer only bounds the
-/// payload like an update request's.
-fn decode_campaign_config(reader: &mut Reader<'_>) -> Result<CampaignConfig, WireError> {
-    let cohort = cohort_from_u8(reader.u8()?)?;
-    let target = reader.u16()?;
-    let canary_fraction = f64::from_bits(reader.u64()?);
-    let failure_threshold = f64::from_bits(reader.u64()?);
-    let smoke_cycles = reader.u64()?;
-    let version = reader.u64()?;
-    let delta = match reader.u8()? {
-        0 => false,
-        1 => true,
-        value => {
-            return Err(WireError::BadEnum {
-                field: "campaign delta flag",
-                value,
-            })
-        }
-    };
-    let len = reader.u32()? as usize;
-    if len > casu_wire::MAX_UPDATE_PAYLOAD {
-        return Err(WireError::BadPayload(CodecError::Oversized {
-            claimed: len,
-            max: casu_wire::MAX_UPDATE_PAYLOAD,
-        }));
-    }
-    if len == 0 {
-        return Err(WireError::BadPayload(CodecError::BadLength { len: 0 }));
-    }
-    let payload = reader.take(len)?.to_vec();
-    Ok(CampaignConfig {
-        cohort,
-        target,
-        payload,
-        canary_fraction,
-        failure_threshold,
-        smoke_cycles,
-        version,
-        delta,
-    })
-}
-
-/// Wire layout of a [`CampaignReport`] (inside [`Frame::OpReport`]):
-/// outcome tag + fields, the per-wave stats, then the quarantined and
-/// rollback-incomplete id lists.
-fn encode_campaign_report(report: &CampaignReport, out: &mut Vec<u8>) {
-    match &report.outcome {
-        CampaignOutcome::Completed { updated } => {
-            out.push(1);
-            out.extend_from_slice(&(*updated as u32).to_le_bytes());
-        }
-        CampaignOutcome::HaltedAndRolledBack {
-            wave,
-            failure_rate,
-            rolled_back,
-        } => {
-            out.push(2);
-            out.extend_from_slice(&(*wave as u32).to_le_bytes());
-            out.extend_from_slice(&failure_rate.to_bits().to_le_bytes());
-            out.extend_from_slice(&(*rolled_back as u32).to_le_bytes());
-        }
-    }
-    out.extend_from_slice(&(report.waves.len() as u32).to_le_bytes());
-    for wave in &report.waves {
-        out.extend_from_slice(&(wave.wave as u32).to_le_bytes());
-        out.extend_from_slice(&(wave.size as u32).to_le_bytes());
-        out.extend_from_slice(&(wave.updated as u32).to_le_bytes());
-        out.extend_from_slice(&(wave.failures as u32).to_le_bytes());
-    }
-    encode_id_list(&report.quarantined, out);
-    encode_id_list(&report.rollback_incomplete, out);
-}
-
-fn decode_campaign_report(reader: &mut Reader<'_>) -> Result<CampaignReport, WireError> {
-    let outcome = match reader.u8()? {
-        1 => CampaignOutcome::Completed {
-            updated: reader.u32()? as usize,
-        },
-        2 => CampaignOutcome::HaltedAndRolledBack {
-            wave: reader.u32()? as usize,
-            failure_rate: f64::from_bits(reader.u64()?),
-            rolled_back: reader.u32()? as usize,
-        },
-        value => {
-            return Err(WireError::BadEnum {
-                field: "campaign outcome",
-                value,
-            })
-        }
-    };
-    let wave_count = checked_list_count(reader.u32()? as usize, 16, reader.remaining())?;
-    let mut waves = Vec::with_capacity(wave_count);
-    for _ in 0..wave_count {
-        waves.push(WaveReport {
-            wave: reader.u32()? as usize,
-            size: reader.u32()? as usize,
-            updated: reader.u32()? as usize,
-            failures: reader.u32()? as usize,
-        });
-    }
-    let quarantined = decode_id_list(reader)?;
-    let rollback_incomplete = decode_id_list(reader)?;
-    Ok(CampaignReport {
-        outcome,
-        waves,
-        quarantined,
-        rollback_incomplete,
-    })
-}
-
-fn encode_id_list(ids: &[u64], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-    for id in ids {
-        out.extend_from_slice(&id.to_le_bytes());
-    }
-}
-
-fn decode_id_list(reader: &mut Reader<'_>) -> Result<Vec<u64>, WireError> {
-    let count = checked_list_count(reader.u32()? as usize, 8, reader.remaining())?;
-    let mut ids = Vec::with_capacity(count);
-    for _ in 0..count {
-        ids.push(reader.u64()?);
-    }
-    Ok(ids)
-}
-
 /// One protocol frame.
 ///
 /// `device` fields carry the fleet-wide device id, letting many devices
@@ -709,9 +531,11 @@ pub enum Frame {
     /// Operator → gateway: restore a campaign from serialised
     /// [`PausedCampaign`](eilid_fleet::PausedCampaign) bytes — the one
     /// resume path, on the same gateway or a replacement. Refused with
-    /// `CampaignActive` only while an unfinished run is loaded.
+    /// `Unsupported` when the record does not decode or its config
+    /// fails `Campaign::new`'s rules, and with `CampaignActive` only
+    /// while an unfinished run is loaded.
     OpResume {
-        /// The `EPC2` paused-campaign record.
+        /// The `EPC3` paused-campaign record.
         paused: Vec<u8>,
     },
     /// Gateway → operator: the paused campaign, serialised for the
@@ -720,7 +544,7 @@ pub enum Frame {
     OpPaused {
         /// The paused campaign's cohort.
         cohort: WorkloadId,
-        /// The `EPC2` paused-campaign record.
+        /// The `EPC3` paused-campaign record.
         paused: Vec<u8>,
     },
     /// Gateway → operator: the finished campaign's full report.
@@ -752,7 +576,7 @@ pub enum Frame {
     /// gateway via [`Frame::OpResume`]. A run whose record would not
     /// fit in the frame stays loaded instead.
     OpDrained {
-        /// `(cohort, EPC2 paused-campaign record)` pairs, one per
+        /// `(cohort, EPC3 paused-campaign record)` pairs, one per
         /// campaign running at drain time.
         paused: Vec<(WorkloadId, Vec<u8>)>,
     },
@@ -794,7 +618,7 @@ pub enum Frame {
     OpCheckpointAck {
         /// The campaign's cohort.
         cohort: WorkloadId,
-        /// The serialised `EPC2` record.
+        /// The serialised `EPC3` record.
         paused: Vec<u8>,
     },
     /// Operator → gateway (version 7): run a gateway-driven
@@ -925,8 +749,7 @@ impl Frame {
                 out.extend_from_slice(&last_nonce.to_le_bytes());
                 out.extend_from_slice(&version.to_le_bytes());
                 out.extend_from_slice(measurement);
-                out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-                out.extend_from_slice(data);
+                put_bytes(out, data);
             }
             Frame::ProbeRequest {
                 device,
@@ -948,20 +771,16 @@ impl Frame {
                 out.push(*healthy);
                 casu_wire::encode_report(report, out);
             }
-            Frame::OpBegin { config } => encode_campaign_config(config, out),
+            Frame::OpBegin { config } => config.encode(out),
             Frame::OpStep { cohort } => out.push(cohort.index()),
-            Frame::OpResume { paused } => {
-                out.extend_from_slice(&(paused.len() as u32).to_le_bytes());
-                out.extend_from_slice(paused);
-            }
+            Frame::OpResume { paused } => put_bytes(out, paused),
             Frame::OpPaused { cohort, paused } => {
                 out.push(cohort.index());
-                out.extend_from_slice(&(paused.len() as u32).to_le_bytes());
-                out.extend_from_slice(paused);
+                put_bytes(out, paused);
             }
             Frame::OpReport { cohort, report } => {
                 out.push(cohort.index());
-                encode_campaign_report(report, out);
+                report.encode(out);
             }
             Frame::OpHealth => {}
             Frame::OpHealthResult {
@@ -980,15 +799,11 @@ impl Frame {
                 out.extend_from_slice(&(paused.len() as u32).to_le_bytes());
                 for (cohort, record) in paused {
                     out.push(cohort.index());
-                    out.extend_from_slice(&(record.len() as u32).to_le_bytes());
-                    out.extend_from_slice(record);
+                    put_bytes(out, record);
                 }
             }
             Frame::OpMetrics => {}
-            Frame::OpMetricsResult { snapshot } => {
-                out.extend_from_slice(&(snapshot.len() as u32).to_le_bytes());
-                out.extend_from_slice(snapshot);
-            }
+            Frame::OpMetricsResult { snapshot } => put_bytes(out, snapshot),
             Frame::DeltaUpdateRequest { device, request } => {
                 out.extend_from_slice(&device.to_le_bytes());
                 casu_wire::encode_delta_update_request(request, out);
@@ -996,8 +811,7 @@ impl Frame {
             Frame::OpCheckpoint { cohort } => out.push(cohort.index()),
             Frame::OpCheckpointAck { cohort, paused } => {
                 out.push(cohort.index());
-                out.extend_from_slice(&(paused.len() as u32).to_le_bytes());
-                out.extend_from_slice(paused);
+                put_bytes(out, paused);
             }
             Frame::OpAggSweep => {}
             Frame::OpAggSweepResult {
@@ -1015,8 +829,7 @@ impl Frame {
                     out.extend_from_slice(&count.to_le_bytes());
                 }
                 out.extend_from_slice(&bitmap_base.to_le_bytes());
-                out.extend_from_slice(&(bitmap.len() as u32).to_le_bytes());
-                out.extend_from_slice(bitmap);
+                put_bytes(out, bitmap);
                 // The epoch is carried once at frame level; every
                 // proof's MAC binds it (the decoder re-attaches it).
                 out.extend_from_slice(&(proofs.len() as u32).to_le_bytes());
@@ -1051,11 +864,11 @@ impl Frame {
                 status: reader.u8()?,
             },
             0x09 => Frame::CampaignControl {
-                cohort: cohort_from_u8(reader.u8()?)?,
+                cohort: decode_cohort(&mut reader)?,
                 op: CampaignOp::from_u8(reader.u8()?)?,
             },
             0x0A => Frame::CampaignStatus {
-                cohort: cohort_from_u8(reader.u8()?)?,
+                cohort: decode_cohort(&mut reader)?,
                 state: reader.u8()?,
                 wave_cursor: reader.u32()?,
             },
@@ -1069,7 +882,7 @@ impl Frame {
             },
             0x0E => Frame::Attach {
                 device: reader.u64()?,
-                cohort: cohort_from_u8(reader.u8()?)?,
+                cohort: decode_cohort(&mut reader)?,
             },
             0x0F => Frame::AttachAck {
                 device: reader.u64()?,
@@ -1084,7 +897,7 @@ impl Frame {
                 let last_nonce = reader.u64()?;
                 let version = reader.u64()?;
                 let measurement = reader.array()?;
-                let data = read_bounded_bytes(&mut reader, casu_wire::MAX_UPDATE_PAYLOAD)?;
+                let data = reader.bytes(casu_wire::MAX_UPDATE_PAYLOAD)?.to_vec();
                 Frame::SnapshotReport {
                     device,
                     last_nonce,
@@ -1111,22 +924,22 @@ impl Frame {
                 report: casu_wire::decode_report(&mut reader)?,
             },
             0x14 => Frame::OpBegin {
-                config: decode_campaign_config(&mut reader)?,
+                config: CampaignConfig::decode(&mut reader)?,
             },
             0x15 => Frame::OpStep {
-                cohort: cohort_from_u8(reader.u8()?)?,
+                cohort: decode_cohort(&mut reader)?,
             },
             0x16 => Frame::OpResume {
-                paused: read_bounded_bytes(&mut reader, MAX_OP_PAYLOAD)?,
+                paused: reader.bytes(MAX_OP_PAYLOAD)?.to_vec(),
             },
             0x17 => {
-                let cohort = cohort_from_u8(reader.u8()?)?;
-                let paused = read_bounded_bytes(&mut reader, MAX_OP_PAYLOAD)?;
+                let cohort = decode_cohort(&mut reader)?;
+                let paused = reader.bytes(MAX_OP_PAYLOAD)?.to_vec();
                 Frame::OpPaused { cohort, paused }
             }
             0x18 => {
-                let cohort = cohort_from_u8(reader.u8()?)?;
-                let report = decode_campaign_report(&mut reader)?;
+                let cohort = decode_cohort(&mut reader)?;
+                let report = CampaignReport::decode(&mut reader)?;
                 Frame::OpReport { cohort, report }
             }
             0x1B => Frame::OpHealth,
@@ -1139,29 +952,29 @@ impl Frame {
             0x1D => Frame::OpDrain,
             0x1E => {
                 // Each record costs at least cohort(1) + len(4) bytes.
-                let count = checked_list_count(reader.u32()? as usize, 5, reader.remaining())?;
+                let count = reader.count(5)?;
                 let mut paused = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let cohort = cohort_from_u8(reader.u8()?)?;
-                    let record = read_bounded_bytes(&mut reader, MAX_OP_PAYLOAD)?;
+                    let cohort = decode_cohort(&mut reader)?;
+                    let record = reader.bytes(MAX_OP_PAYLOAD)?.to_vec();
                     paused.push((cohort, record));
                 }
                 Frame::OpDrained { paused }
             }
             0x1F => Frame::OpMetrics,
             0x20 => Frame::OpMetricsResult {
-                snapshot: read_bounded_bytes(&mut reader, MAX_OP_PAYLOAD)?,
+                snapshot: reader.bytes(MAX_OP_PAYLOAD)?.to_vec(),
             },
             0x21 => Frame::DeltaUpdateRequest {
                 device: reader.u64()?,
                 request: casu_wire::decode_delta_update_request(&mut reader)?,
             },
             0x22 => Frame::OpCheckpoint {
-                cohort: cohort_from_u8(reader.u8()?)?,
+                cohort: decode_cohort(&mut reader)?,
             },
             0x23 => {
-                let cohort = cohort_from_u8(reader.u8()?)?;
-                let paused = read_bounded_bytes(&mut reader, MAX_OP_PAYLOAD)?;
+                let cohort = decode_cohort(&mut reader)?;
+                let paused = reader.bytes(MAX_OP_PAYLOAD)?.to_vec();
                 Frame::OpCheckpointAck { cohort, paused }
             }
             0x24 => Frame::OpAggSweep,
@@ -1173,11 +986,10 @@ impl Frame {
                     *count = reader.u32()?;
                 }
                 let bitmap_base = reader.u64()?;
-                let bitmap = read_bounded_bytes(&mut reader, MAX_OP_PAYLOAD)?;
+                let bitmap = reader.bytes(MAX_OP_PAYLOAD)?.to_vec();
                 // Each proof costs shard(2) + count(4) + root(32) +
                 // mac(32) bytes on the wire.
-                let proof_count =
-                    checked_list_count(reader.u32()? as usize, 70, reader.remaining())?;
+                let proof_count = reader.count(70)?;
                 let mut proofs = Vec::with_capacity(proof_count);
                 for _ in 0..proof_count {
                     let shard = reader.u16()?;
@@ -1194,8 +1006,7 @@ impl Frame {
                         mac,
                     });
                 }
-                let suspect_count =
-                    checked_list_count(reader.u32()? as usize, 9, reader.remaining())?;
+                let suspect_count = reader.count(9)?;
                 let mut suspects = Vec::with_capacity(suspect_count);
                 for _ in 0..suspect_count {
                     suspects.push((reader.u64()?, WireHealth::from_u8(reader.u8()?)?));
@@ -1614,6 +1425,51 @@ mod tests {
             suspects: vec![(3, WireHealth::Stale), (77, WireHealth::Tampered)],
         };
         assert_eq!(Frame::decode(&frame.encode()), Ok(frame));
+    }
+
+    /// The paused-campaign record writes its config with the one config
+    /// codec: the section after the `EPC3` magic is byte-equal to the
+    /// `OpBegin` payload, and a record under the retired `EPC2` magic is
+    /// refused as a bad magic.
+    #[test]
+    fn paused_record_config_section_is_the_op_begin_payload() {
+        use eilid_casu::DeviceKey;
+        use eilid_fleet::{Campaign, FleetBuilder, FleetError, PausedCampaign};
+
+        let (mut fleet, mut verifier) =
+            FleetBuilder::new(DeviceKey::new(b"fleet-root-key-0123456789abcdef").unwrap())
+                .devices(3)
+                .workloads(&[WorkloadId::LightSensor])
+                .build()
+                .unwrap();
+        let config = CampaignConfig {
+            canary_fraction: 0.5,
+            failure_threshold: 0.125,
+            smoke_cycles: 4_321,
+            version: 3,
+            delta: false,
+            ..CampaignConfig::new(WorkloadId::LightSensor, 0xF600, vec![0x03, 0x43, 0x30])
+        };
+        let begin = Frame::OpBegin {
+            config: config.clone(),
+        }
+        .encode();
+        let payload = &begin[FRAME_HEADER_LEN..];
+        let record = Campaign::new(config)
+            .unwrap()
+            .begin(&mut fleet, &mut verifier)
+            .unwrap()
+            .pause()
+            .to_bytes();
+        assert_eq!(&record[..4], b"EPC3");
+        assert_eq!(&record[4..4 + payload.len()], payload);
+
+        let mut old = record;
+        old[..4].copy_from_slice(b"EPC2");
+        let Err(FleetError::InvalidCampaign(msg)) = PausedCampaign::from_bytes(&old) else {
+            panic!("an EPC2 record must be refused");
+        };
+        assert!(msg.contains("magic"), "{msg}");
     }
 
     #[test]

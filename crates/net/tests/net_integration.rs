@@ -11,8 +11,8 @@ use eilid_casu::{DeltaUpdateRequest, DeviceKey, UpdateError};
 use eilid_fleet::fixtures::{benign_patch, BENIGN_PATCH_TARGET};
 use eilid_fleet::{CampaignConfig, Fleet, FleetBuilder, FleetOps, HealthClass, SweepSummary};
 use eilid_net::{
-    with_attached_fleet, AttestationService, Frame, Gateway, GatewayConfig, GatewayHandle,
-    NetError, PipeTransport, RemoteOps, TcpTransport, Transport, PROTOCOL_VERSION,
+    with_attached_fleet, AttestationService, ErrorCode, Frame, Gateway, GatewayConfig,
+    GatewayHandle, NetError, PipeTransport, RemoteOps, TcpTransport, Transport, PROTOCOL_VERSION,
     TRACE_CAT_ENGINE, TRACE_ENGINE_WAVE,
 };
 use eilid_workloads::WorkloadId;
@@ -445,4 +445,66 @@ fn a_panicking_closure_in_the_agent_harness_fails_within_a_deadline() {
         "the closure's panic must reach the caller within the deadline"
     );
     thread.join().unwrap();
+}
+
+/// A paused-campaign record whose patch runs past the 64 KiB address
+/// space — a valid record re-encoded with its target moved — is refused
+/// with `Error{Unsupported}` at `OpResume`, so nothing is loaded for a
+/// later `OpStep` to panic the engine thread on. The same gateway then
+/// still answers `OpHealth` and completes a sweep.
+#[test]
+fn resume_of_a_record_overrunning_memory_is_refused_and_the_gateway_lives() {
+    let (mut fleet, mut verifier) = build_fleet(6);
+    let config = CampaignConfig::new(WorkloadId::LightSensor, BENIGN_PATCH_TARGET, benign_patch());
+    let len = config.payload.len();
+    let mut record = eilid_fleet::Campaign::new(config)
+        .unwrap()
+        .begin(&mut fleet, &mut verifier)
+        .unwrap()
+        .pause()
+        .to_bytes();
+    // The config section follows the 4-byte magic: cohort:u8 ‖ target:u16.
+    record[5..7].copy_from_slice(&((0x1_0000 - len + 1) as u16).to_le_bytes());
+
+    let service = Arc::new(AttestationService::new(verifier.service_snapshot(1 << 20)));
+    let handle = spawn_gateway(&service, GatewayConfig::default());
+    let addr = handle.addr();
+
+    let mut console = TcpTransport::connect(addr).unwrap();
+    let mut ask = |frame: Frame| {
+        console.send(&frame).unwrap();
+        console.recv().unwrap()
+    };
+    assert!(matches!(
+        ask(Frame::Hello {
+            min_version: PROTOCOL_VERSION,
+            max_version: PROTOCOL_VERSION,
+        }),
+        Frame::HelloAck { .. }
+    ));
+    assert_eq!(
+        ask(Frame::OpResume { paused: record }),
+        Frame::Error {
+            code: ErrorCode::Unsupported
+        }
+    );
+    assert_eq!(
+        ask(Frame::OpStep {
+            cohort: WorkloadId::LightSensor
+        }),
+        Frame::Error {
+            code: ErrorCode::NoCampaign
+        }
+    );
+    assert!(matches!(
+        ask(Frame::OpHealth),
+        Frame::OpHealthResult {
+            active_campaigns: 0,
+            ..
+        }
+    ));
+
+    let summary = sweep_through_agents(&mut fleet, 2, addr);
+    assert_eq!(summary.count(HealthClass::Attested), 6);
+    handle.shutdown().unwrap();
 }

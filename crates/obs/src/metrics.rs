@@ -200,7 +200,7 @@ impl HistogramSnapshot {
 
     /// Total observations according to the bucket cells (the
     /// authoritative total for quantile readout).
-    pub fn bucket_total(&self) -> u64 {
+    fn bucket_total(&self) -> u64 {
         self.buckets
             .iter()
             .fold(0u64, |acc, b| acc.saturating_add(*b))
@@ -227,21 +227,6 @@ impl HistogramSnapshot {
             }
         }
         bucket_upper_bound(HIST_BUCKETS - 1)
-    }
-
-    /// Median (see [`HistogramSnapshot::quantile`]).
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 90th percentile.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
     }
 
     /// Mean of recorded values (0.0 when empty).
@@ -426,10 +411,10 @@ mod tests {
         }
         let snap = h.snapshot();
         assert_eq!(snap.count, 10);
-        assert_eq!(snap.p50(), 1);
-        assert_eq!(snap.p90(), 1);
+        assert_eq!(snap.quantile(0.50), 1);
+        assert_eq!(snap.quantile(0.90), 1);
         // rank ceil(0.99 * 10) = 10 → the 1000 observation's bucket.
-        assert_eq!(snap.p99(), bucket_upper_bound(bucket_of(1000)));
+        assert_eq!(snap.quantile(0.99), bucket_upper_bound(bucket_of(1000)));
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl TraceRing {
 
     /// Milliseconds since the ring was created (the coarse tick stamped
     /// into events).
-    pub fn tick_ms(&self) -> u64 {
+    fn tick_ms(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 

@@ -1,7 +1,7 @@
 //! Run-time attack injectors (the paper's threat model, §III-B).
 //!
 //! The adversary "can arbitrarily access any executable memory location at
-//! run-time [and] tamper with any data (e.g., return addresses, function
+//! run-time \[and\] tamper with any data (e.g., return addresses, function
 //! pointers, and indirect function calls) on the stack and heap". The
 //! injectors model exactly that: a memory-corruption bug that fires at a
 //! known point in the application (`attack_point` / `isr_attack_point`

@@ -121,6 +121,11 @@ fmt:
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc of the workspace's own crates with every warning an error
+# (the vendor/ stand-ins stay out).
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p eilid-repro -p eilid -p eilid_asm -p eilid_bench -p eilid_casu -p eilid_fleet -p eilid_hwcost -p eilid_msp430 -p eilid_net -p eilid_obs -p eilid_workloads
+
 # Local CI. perfbench-test builds the benchmark crate against the
 # workspace, so removing a public item it uses fails here too.
-ci: fmt clippy test test-workspace perfbench-test
+ci: fmt clippy doc test test-workspace perfbench-test
