@@ -529,6 +529,110 @@ mod tests {
         assert_eq!(m.check(&trace), None);
     }
 
+    fn sized(pc: u16, instruction_size: u16) -> StepTrace {
+        StepTrace {
+            instruction_size,
+            next_pc: pc.wrapping_add(instruction_size),
+            ..executed(pc)
+        }
+    }
+
+    #[test]
+    fn fetch_span_straddling_pmem_into_secure_rom_passes() {
+        // 0xF7FE is PMEM's last word, 0xF800 secure ROM's first: both
+        // executable, so the two-region span is legal.
+        assert_eq!(monitor().check(&sized(0xF7FE, 4)), None);
+    }
+
+    #[test]
+    fn fetch_span_running_into_the_vector_table_names_its_first_bad_fetch() {
+        assert_eq!(
+            monitor().check(&sized(0xFFDE, 4)),
+            Some(Violation::ExecutionFromWritableMemory {
+                pc: 0xFFE0,
+                region: Region::VectorTable,
+            })
+        );
+    }
+
+    #[test]
+    fn fetch_span_wrapping_past_the_top_of_memory_faults() {
+        assert_eq!(
+            monitor().check(&sized(0xFFFC, 6)),
+            Some(Violation::ExecutionFromWritableMemory {
+                pc: 0xFFFC,
+                region: Region::VectorTable,
+            })
+        );
+    }
+
+    #[test]
+    fn idle_and_interrupt_steps_fetch_nothing() {
+        // Neither step fetches an instruction word, so a non-executable
+        // pc is no W⊕X fault.
+        let mut m = monitor();
+        let idle = StepTrace {
+            event: StepEvent::Idle,
+            instruction_size: 0,
+            next_pc: 0x0300,
+            ..executed(0x0300)
+        };
+        assert_eq!(m.check(&idle), None);
+        let mut interrupt = StepTrace {
+            event: StepEvent::InterruptTaken { vector: 8 },
+            instruction_size: 0,
+            next_pc: 0xE100,
+            cycles: 6,
+            ..executed(0x0300)
+        };
+        interrupt.writes.push(write(0x03FE, 0x0300));
+        interrupt.writes.push(write(0x03FC, 0x0008));
+        interrupt.reads.push(read(0xFFF0, 0xE100));
+        assert_eq!(m.check(&interrupt), None);
+        assert_eq!(m.violations_detected(), 0);
+    }
+
+    #[test]
+    fn register_only_step_entering_secure_rom_off_the_entry_faults() {
+        let mut m = monitor();
+        assert_eq!(m.check(&executed(0xE000)), None);
+        assert_eq!(
+            m.check(&executed(0xF802)),
+            Some(Violation::SecureEntryViolation {
+                pc: 0xF802,
+                entry: 0xF800,
+            })
+        );
+    }
+
+    #[test]
+    fn non_secure_read_of_secure_dmem_is_named_exactly() {
+        let mut trace = executed(0xE010);
+        trace.reads.push(read(0x10FE, 0x1234));
+        assert_eq!(
+            monitor().check(&trace),
+            Some(Violation::SecureDataAccess {
+                addr: 0x10FE,
+                pc: 0xE010,
+                write: false,
+            })
+        );
+    }
+
+    #[test]
+    fn violation_strobe_outranks_a_bad_fetch_in_the_same_step() {
+        let mut trace = executed(0x0300);
+        trace
+            .writes
+            .push(write(crate::policy::VIOLATION_STROBE_ADDR, 0xDEA1));
+        assert_eq!(
+            monitor().check(&trace),
+            Some(Violation::Cfi {
+                fault: CfiFault::ReturnAddress,
+            })
+        );
+    }
+
     #[test]
     fn reset_clears_transition_state() {
         let mut m = monitor();
