@@ -5,6 +5,21 @@
 //! data read/write. It evaluates the configured [`CasuPolicy`] over each
 //! step and reports the first [`Violation`] it finds; the device layer then
 //! resets the core, exactly as the CASU hardware asserts the reset line.
+//!
+//! On hardware the check is free; in simulation it runs once per step,
+//! so two fast checks keep its common case short without changing a
+//! verdict:
+//!
+//! * *W ⊕ X over the fetch span.* The regions are address ranges, so
+//!   when a step's first and last fetch lie in one executable region
+//!   without wrapping, every fetch between them does too, and the
+//!   per-fetch walk is skipped. Any other span is walked and its first
+//!   bad fetch named, as before.
+//! * *The quiet step.* A step with no data read or write, an `Executed`
+//!   event, no crossing of the secure-ROM boundary and a fetch span that
+//!   passed the check above passes at once: every rule needs one of
+//!   those to fire. All other steps run the rules in their fixed order,
+//!   so which violation wins is unchanged.
 
 use serde::{Deserialize, Serialize};
 
@@ -182,6 +197,23 @@ impl CasuMonitor {
     fn evaluate(&self, trace: &StepTrace) -> Option<Violation> {
         let pc = trace.pc;
         let pc_secure = self.layout.in_secure_rom(pc);
+        let prev_secure = self
+            .prev_pc
+            .is_some_and(|prev| self.layout.in_secure_rom(prev));
+        let fetch_span_ok = !self.policy.enforce_wxorx || self.fetches_in_one_region(trace);
+
+        // A quiet step passes here: each rule below needs a data access
+        // (1, 4), an interrupt (2), a fetch outside one executable
+        // region (3) or a crossing of the secure-ROM boundary (5) to
+        // fire, and this step has none of them.
+        if fetch_span_ok
+            && trace.event == StepEvent::Executed
+            && pc_secure == prev_secure
+            && trace.reads.is_empty()
+            && trace.writes.is_empty()
+        {
+            return None;
+        }
 
         // 1. The EILID violation strobe has priority: it is the trusted
         //    software asking for a reset.
@@ -202,7 +234,9 @@ impl CasuMonitor {
         }
 
         // 3. W ⊕ X: instruction fetches only from executable regions.
-        if self.policy.enforce_wxorx {
+        //    A span inside one region needs no per-fetch walk; any other
+        //    span is walked to name its first bad fetch.
+        if !fetch_span_ok {
             for fetch in trace.fetch_addresses() {
                 if !self.layout.is_executable(fetch) {
                     return Some(Violation::ExecutionFromWritableMemory {
@@ -264,10 +298,6 @@ impl CasuMonitor {
 
         // 5. Secure ROM entry/exit gates.
         if self.policy.enforce_secure_rom_isolation {
-            let prev_secure = self
-                .prev_pc
-                .map(|p| self.layout.in_secure_rom(p))
-                .unwrap_or(false);
             if pc_secure && !prev_secure && pc != self.policy.secure_entry {
                 return Some(Violation::SecureEntryViolation {
                     pc,
@@ -283,6 +313,26 @@ impl CasuMonitor {
         }
 
         None
+    }
+
+    /// `true` when the step fetched nothing, or when its first and last
+    /// fetch address lie in one executable region (PMEM or secure ROM)
+    /// without wrapping past 0xFFFF. Each region is one address range,
+    /// disjoint from the others as [`MemoryLayout::validate`] requires,
+    /// so every fetch between the two lies in it too: the span passes
+    /// W ⊕ X exactly as the per-fetch walk would find.
+    fn fetches_in_one_region(&self, trace: &StepTrace) -> bool {
+        let words = trace.fetch_addresses().len() as u16;
+        if words == 0 {
+            return true;
+        }
+        let first = trace.pc;
+        let Some(last) = first.checked_add(2 * (words - 1)) else {
+            return false;
+        };
+        [&self.layout.pmem, &self.layout.secure_rom]
+            .into_iter()
+            .any(|region| region.contains(&first) && region.contains(&last))
     }
 }
 

@@ -1,6 +1,6 @@
 //! Building baseline and EILID-protected devices from application source.
 
-use eilid_asm::assemble;
+use eilid_asm::{assemble, Image};
 use eilid_casu::{CasuMonitor, CasuPolicy, MemoryLayout};
 use eilid_msp430::{AdcStimulus, Cpu, Memory};
 
@@ -97,14 +97,26 @@ impl DeviceBuilder {
         self
     }
 
-    fn make_cpu(&self, memory: Memory) -> Cpu {
+    /// A core holding `images`, loaded in order, with their segments
+    /// predecoded once for this build and every clone of it.
+    fn make_cpu(&self, images: &[&Image]) -> Result<Cpu, EilidError> {
+        let mut memory = Memory::new();
+        for image in images {
+            image.load_into(&mut memory)?;
+        }
         let mut cpu = Cpu::new(memory);
+        cpu.predecode(
+            images
+                .iter()
+                .flat_map(|image| &image.segments)
+                .map(|segment| usize::from(segment.base)..segment.end() as usize),
+        );
         cpu.set_initial_sp(self.initial_sp);
         if let Some(stimulus) = &self.adc_stimulus {
             cpu.peripherals.set_adc_stimulus(stimulus.clone());
         }
         cpu.reset();
-        cpu
+        Ok(cpu)
     }
 
     /// Builds an unprotected baseline device running the application as
@@ -115,9 +127,7 @@ impl DeviceBuilder {
     /// Returns [`EilidError`] if the application fails to assemble or load.
     pub fn build_baseline(&self, app_source: &str) -> Result<Device, EilidError> {
         let image = assemble(app_source)?;
-        let mut memory = Memory::new();
-        image.load_into(&mut memory)?;
-        let cpu = self.make_cpu(memory);
+        let cpu = self.make_cpu(&[&image])?;
         Ok(Device::from_parts(
             cpu,
             None,
@@ -142,13 +152,9 @@ impl DeviceBuilder {
         let pipeline = InstrumentedBuild::new(self.config.clone());
         let artifacts = pipeline.run(app_source, &runtime)?;
 
-        let mut memory = Memory::new();
-        artifacts.instrumented_image.load_into(&mut memory)?;
-        runtime.image().load_into(&mut memory)?;
-
+        let cpu = self.make_cpu(&[&artifacts.instrumented_image, runtime.image()])?;
         let policy = runtime.gated_policy(&self.policy);
         let monitor = CasuMonitor::new(self.layout.clone(), policy);
-        let cpu = self.make_cpu(memory);
         Ok(Device::from_parts(
             cpu,
             Some(monitor),
@@ -168,12 +174,9 @@ impl DeviceBuilder {
     pub fn build_monitored_raw(&self, source: &str) -> Result<Device, EilidError> {
         let runtime = Runtime::build(&self.config, &self.layout, &self.policy)?;
         let image = assemble(source)?;
-        let mut memory = Memory::new();
-        image.load_into(&mut memory)?;
-        runtime.image().load_into(&mut memory)?;
+        let cpu = self.make_cpu(&[&image, runtime.image()])?;
         let policy = runtime.gated_policy(&self.policy);
         let monitor = CasuMonitor::new(self.layout.clone(), policy);
-        let cpu = self.make_cpu(memory);
         Ok(Device::from_parts(
             cpu,
             Some(monitor),

@@ -7,16 +7,28 @@
 //! hardware and the EILID extension — consume those traces to enforce their
 //! policies, exactly as the real hardware taps the core's bus signals.
 //!
-//! A step allocates nothing: the decoder reads the instruction straight
-//! from memory, the core's bus helpers log every data access into the
-//! step's inline [`AccessLog`]s, and the finished trace is a plain value
-//! copied out to the caller.
+//! A step allocates nothing: the core's bus helpers log every data access
+//! into the step's inline [`AccessLog`]s, and the finished trace is a
+//! plain value copied out to the caller.
+//!
+//! A step decodes nothing it decoded before, either. [`Cpu::predecode`]
+//! decodes every even address of the loaded firmware once, into a table
+//! that clones of the core share. A step uses the table's entry for its
+//! pc only after checking that the one to three words in memory still
+//! equal the words the entry was decoded from (a verified hit);
+//! otherwise it decodes from memory as a core without a table does. A
+//! write to code, whether a direct write, an attack, an OTA patch or
+//! self-modifying code, therefore decodes exactly as before, and the
+//! table needs no invalidation.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::bus::{AccessKind, AccessLog, MemAccess, StepEvent, StepTrace};
 use crate::cycles::{cycle_count, INTERRUPT_CYCLES};
-use crate::decoder::{decode_instruction, DecodeError};
+use crate::decoder::{decode_instruction, DecodeError, DecodeTable};
 use crate::execute::execute;
 use crate::flags::{StatusFlags, Width};
 use crate::gate::WriteGate;
@@ -82,6 +94,10 @@ pub struct Cpu {
     /// Data writes of the step in progress.
     #[serde(skip)]
     writes: AccessLog,
+    /// The firmware's instructions decoded once ([`Cpu::predecode`]),
+    /// shared by every clone.
+    #[serde(skip)]
+    table: Option<Arc<DecodeTable>>,
 }
 
 /// Error returned by [`Cpu::step`] when the instruction stream is invalid.
@@ -120,7 +136,39 @@ impl Cpu {
             vetoed_writes: 0,
             reads: AccessLog::new(),
             writes: AccessLog::new(),
+            table: None,
         }
+    }
+
+    /// Decodes every even address of `spans` (byte ranges of the loaded
+    /// firmware, such as its image segments) once, as memory holds them
+    /// now, into a table this core and all its clones share.
+    ///
+    /// The table only saves work: a step uses an entry only while the
+    /// words in memory still equal the ones it was decoded from, and
+    /// decodes from memory otherwise, so a core with a table steps
+    /// exactly like one without. Cover only the loaded code: each entry
+    /// costs memory.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use eilid_msp430::{Cpu, Memory, Reg};
+    ///
+    /// let mut mem = Memory::new();
+    /// mem.write_word(0xF000, 0x403A); // mov #0x1234, r10
+    /// mem.write_word(0xF002, 0x1234);
+    /// mem.write_word(0xFFFE, 0xF000);
+    /// let mut cpu = Cpu::new(mem);
+    /// cpu.predecode([0xF000..0xF004]);
+    /// cpu.reset();
+    /// cpu.memory.write_word(0xF002, 0x4321); // patch the immediate
+    /// cpu.step()?;
+    /// assert_eq!(cpu.regs.read(Reg::R10), 0x4321);
+    /// # Ok::<(), eilid_msp430::StepError>(())
+    /// ```
+    pub fn predecode(&mut self, spans: impl IntoIterator<Item = Range<usize>>) {
+        self.table = Some(Arc::new(DecodeTable::build(&self.memory, spans)));
     }
 
     /// Installs (or removes, with `None`) the pre-commit bus write gate.
@@ -308,8 +356,19 @@ impl Cpu {
             return Ok(self.trace(pc, StepEvent::Idle, None, 0, 1));
         }
 
-        let (instruction, size) = decode_instruction(&self.memory, pc)
-            .map_err(|DecodeError::IllegalOpcode { word, address }| StepError { address, word })?;
+        let hit = self
+            .table
+            .as_deref()
+            .and_then(|table| table.lookup(&self.memory, pc));
+        let (instruction, size, cycles) = match hit {
+            Some(hit) => hit,
+            None => {
+                let (instruction, size) = decode_instruction(&self.memory, pc).map_err(
+                    |DecodeError::IllegalOpcode { word, address }| StepError { address, word },
+                )?;
+                (instruction, size, cycle_count(&instruction))
+            }
+        };
 
         // Advance the PC past the instruction before executing it, so that
         // `call` pushes the correct return address and PC-relative reads see
@@ -324,7 +383,6 @@ impl Cpu {
             CpuState::Running
         };
 
-        let cycles = cycle_count(&instruction);
         self.total_cycles += cycles;
         self.peripherals.tick(cycles);
 

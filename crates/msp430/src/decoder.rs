@@ -4,12 +4,19 @@
 //! [`Instruction`] model. Symbolic (PC-relative) operands are resolved to
 //! absolute addresses at decode time, because the decoder knows the address
 //! of each extension word.
+//!
+//! `decode_instruction` is the one decoder. The core's per-build
+//! `DecodeTable` only caches its output for the loaded firmware (see
+//! [`Cpu::predecode`](crate::Cpu::predecode)).
 
 use std::fmt;
+use std::ops::Range;
 
+use crate::bus::MAX_FETCHES;
+use crate::cycles::cycle_count;
 use crate::flags::Width;
 use crate::instruction::{Condition, Instruction, OneOpOpcode, Operand, TwoOpOpcode};
-use crate::memory::Memory;
+use crate::memory::{Memory, ADDRESS_SPACE};
 use crate::registers::Reg;
 
 /// A decoded instruction together with its raw encoding.
@@ -141,6 +148,104 @@ pub(crate) fn decode_instruction(
         return Err(DecodeError::IllegalOpcode { word, address: pc });
     };
     Ok((instruction, fetcher.fetched * 2))
+}
+
+/// One [`DecodeTable`] entry: what [`decode_instruction`] returned at
+/// its address when the table was built, and the words it read.
+#[derive(Debug, Clone, Copy)]
+struct Predecoded {
+    words: [u16; MAX_FETCHES],
+    instruction: Instruction,
+    size: u8,
+    cycles: u8,
+}
+
+/// A run of entries, one per even address from `start`.
+struct Span {
+    start: u16,
+    entries: Box<[Option<Predecoded>]>,
+}
+
+/// The loaded firmware's instructions, decoded once per build.
+///
+/// [`DecodeTable::lookup`] answers only when the words now in memory
+/// equal the words the entry was decoded from, so a table never goes
+/// stale: any write to code (a direct write, an attack, an OTA patch,
+/// self-modifying code) turns its entries into misses, and the caller
+/// decodes as if there were no table.
+pub(crate) struct DecodeTable {
+    spans: Vec<Span>,
+}
+
+impl DecodeTable {
+    /// Decodes every even address of `spans` (byte ranges, clamped to
+    /// the address space) as `memory` holds it now. Illegal words get no
+    /// entry.
+    pub(crate) fn build(memory: &Memory, spans: impl IntoIterator<Item = Range<usize>>) -> Self {
+        let spans = spans
+            .into_iter()
+            .map(|span| {
+                let start = span.start & !1;
+                Span {
+                    start: start as u16,
+                    entries: (start..span.end.min(ADDRESS_SPACE))
+                        .step_by(2)
+                        .map(|addr| predecode_at(memory, addr as u16))
+                        .collect(),
+                }
+            })
+            .collect();
+        DecodeTable { spans }
+    }
+
+    /// The instruction at `pc`, its size and its cycle count, when the
+    /// table holds `pc` and memory still holds the words it was decoded
+    /// from. `pc` must be even, as the register file keeps it.
+    #[inline]
+    pub(crate) fn lookup(&self, memory: &Memory, pc: u16) -> Option<(Instruction, u16, u64)> {
+        debug_assert_eq!(pc & 1, 0, "the core's pc is always even");
+        let entry = self.spans.iter().find_map(|span| {
+            let offset = pc.wrapping_sub(span.start);
+            span.entries.get(usize::from(offset / 2))?.as_ref()
+        })?;
+        let mut addr = pc;
+        for &word in &entry.words[..usize::from(entry.size / 2)] {
+            if memory.read_word(addr) != word {
+                return None;
+            }
+            addr = addr.wrapping_add(2);
+        }
+        Some((
+            entry.instruction,
+            u16::from(entry.size),
+            u64::from(entry.cycles),
+        ))
+    }
+}
+
+impl fmt::Debug for DecodeTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(self.spans.iter().map(|span| {
+                let start = usize::from(span.start);
+                start..start + 2 * span.entries.len()
+            }))
+            .finish()
+    }
+}
+
+fn predecode_at(memory: &Memory, pc: u16) -> Option<Predecoded> {
+    let (instruction, size) = decode_instruction(memory, pc).ok()?;
+    let mut words = [0; MAX_FETCHES];
+    for (index, word) in words.iter_mut().take(usize::from(size / 2)).enumerate() {
+        *word = memory.read_word(pc.wrapping_add(2 * index as u16));
+    }
+    Some(Predecoded {
+        words,
+        instruction,
+        size: size as u8,
+        cycles: cycle_count(&instruction) as u8,
+    })
 }
 
 fn decode_jump(word: u16) -> Instruction {
@@ -376,6 +481,30 @@ mod tests {
                 offset: 3
             }
         );
+    }
+
+    #[test]
+    fn decode_table_answers_only_for_unchanged_words() {
+        let mut mem = Memory::new();
+        mem.write_word(0xF000, 0x4036); // mov #0xe200, r6
+        mem.write_word(0xF002, 0xE200);
+        mem.write_word(0xF004, 0x0FFF); // illegal
+        mem.write_word(0xF100, 0x4A0B); // mov r10, r11
+        let table = DecodeTable::build(&mem, [0xF100..0xF102, 0xF000..0xF006]);
+        assert_eq!(format!("{table:?}"), "[61696..61698, 61440..61446]");
+
+        let (instruction, size, cycles) = table.lookup(&mem, 0xF000).expect("a hit");
+        assert_eq!(instruction.to_string(), "mov #0xe200, r6");
+        assert_eq!((size, cycles), (4, 2));
+        assert!(table.lookup(&mem, 0xF100).is_some());
+        // An illegal word and an address outside every span: no entry.
+        assert_eq!(table.lookup(&mem, 0xF004), None);
+        assert_eq!(table.lookup(&mem, 0xF006), None);
+        // A changed extension word turns the entry into a miss.
+        mem.write_word(0xF002, 0xE202);
+        assert_eq!(table.lookup(&mem, 0xF000), None);
+        mem.write_word(0xF002, 0xE200);
+        assert!(table.lookup(&mem, 0xF000).is_some());
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl TwoOpOpcode {
 
     /// `true` for instructions that only update flags without writing the
     /// destination (`CMP`, `BIT`).
-    pub fn is_flags_only(self) -> bool {
+    fn is_flags_only(self) -> bool {
         matches!(self, TwoOpOpcode::Cmp | TwoOpOpcode::Bit)
     }
 
@@ -264,7 +264,7 @@ impl Operand {
     ///
     /// Immediates representable by the constant generators (0, 1, 2, 4, 8 and
     /// `0xFFFF`) need no extension word.
-    pub fn src_extension_words(&self) -> u16 {
+    fn src_extension_words(&self) -> u16 {
         match self {
             Operand::Register(_) | Operand::Indirect(_) | Operand::IndirectAutoInc(_) => 0,
             Operand::Immediate(v) => {
@@ -280,24 +280,13 @@ impl Operand {
 
     /// Number of extension words this operand occupies when encoded **as a
     /// destination** operand.
-    pub fn dst_extension_words(&self) -> u16 {
+    fn dst_extension_words(&self) -> u16 {
         match self {
             Operand::Register(_) => 0,
             Operand::Indexed { .. } | Operand::Absolute(_) | Operand::Symbolic { .. } => 1,
             // Not encodable as destinations; counted defensively.
             Operand::Indirect(_) | Operand::IndirectAutoInc(_) | Operand::Immediate(_) => 0,
         }
-    }
-
-    /// `true` if the operand can legally appear as a format-I destination.
-    pub fn is_valid_destination(&self) -> bool {
-        matches!(
-            self,
-            Operand::Register(_)
-                | Operand::Indexed { .. }
-                | Operand::Absolute(_)
-                | Operand::Symbolic { .. }
-        )
     }
 }
 
@@ -653,13 +642,5 @@ mod tests {
             offset: 3,
         };
         assert_eq!(jmp.to_string(), "jeq +8");
-    }
-
-    #[test]
-    fn destination_validity() {
-        assert!(Operand::Register(Reg::R4).is_valid_destination());
-        assert!(Operand::Absolute(0x200).is_valid_destination());
-        assert!(!Operand::Immediate(3).is_valid_destination());
-        assert!(!Operand::Indirect(Reg::R4).is_valid_destination());
     }
 }

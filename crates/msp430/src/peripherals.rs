@@ -46,7 +46,7 @@ pub const TIMER_COUNT: u16 = 0x0122;
 pub const TIMER_COMPARE: u16 = 0x0124;
 /// GPIO output register.
 pub const GPIO_OUT: u16 = 0x0130;
-/// GPIO input register.
+/// GPIO input register (no pin is driven, so it reads 0).
 pub const GPIO_IN: u16 = 0x0132;
 /// GPIO direction register.
 pub const GPIO_DIR: u16 = 0x0134;
@@ -152,7 +152,6 @@ pub struct Peripherals {
     timer_residual: u64,
     timer_irq_pending: bool,
     gpio_out: u16,
-    gpio_in: u16,
     gpio_dir: u16,
     ultra_echo: u16,
     ultra_pings: u64,
@@ -176,7 +175,6 @@ impl Peripherals {
             timer_residual: 0,
             timer_irq_pending: false,
             gpio_out: 0,
-            gpio_in: 0,
             gpio_dir: 0,
             ultra_echo: 0,
             ultra_pings: 0,
@@ -189,13 +187,11 @@ impl Peripherals {
     }
 
     /// Returns every peripheral to its power-on state while keeping the
-    /// configured ADC stimulus and GPIO input, as a device reboot does.
+    /// configured ADC stimulus, as a device reboot does.
     pub fn reset(&mut self) {
         let stimulus = self.adc_stimulus.clone();
-        let gpio_in = self.gpio_in;
         *self = Peripherals::new();
         self.adc_stimulus = stimulus;
-        self.gpio_in = gpio_in;
     }
 
     /// `true` once the application has written [`SIM_DONE_MAGIC`] to
@@ -256,7 +252,7 @@ impl Peripherals {
             TIMER_COUNT => self.timer_count,
             TIMER_COMPARE => self.timer_compare,
             GPIO_OUT => self.gpio_out,
-            GPIO_IN => self.gpio_in,
+            GPIO_IN => 0,
             GPIO_DIR => self.gpio_dir,
             UART_TX => 0,
             UART_STATUS => 1,
@@ -426,9 +422,8 @@ mod tests {
         let mut p = Peripherals::new();
         p.write(GPIO_DIR, 0x00FF);
         p.write(GPIO_OUT, 0x0055);
-        p.gpio_in = 0x1234;
+        assert_eq!(p.read(GPIO_IN), 0);
         assert_eq!(p.read(GPIO_OUT), 0x0055);
-        assert_eq!(p.read(GPIO_IN), 0x1234);
         assert_eq!(p.read(GPIO_DIR), 0x00FF);
         p.write(UART_TX, u16::from(b'H'));
         p.write(UART_TX, u16::from(b'i'));

@@ -119,11 +119,6 @@ impl Reg {
             .ok_or(RegisterIndexError { index })
     }
 
-    /// `true` for `r0`–`r3`, the registers with dedicated hardware roles.
-    pub fn is_special(self) -> bool {
-        self.index() < 4
-    }
-
     /// `true` for `r4`–`r7`, the registers reserved by the EILID ABI
     /// (paper Table III).
     pub fn is_eilid_reserved(self) -> bool {
@@ -245,10 +240,7 @@ mod tests {
     }
 
     #[test]
-    fn special_and_reserved_register_classes() {
-        assert!(Reg::PC.is_special());
-        assert!(Reg::CG.is_special());
-        assert!(!Reg::R4.is_special());
+    fn eilid_reserved_registers_are_r4_to_r7() {
         assert!(Reg::R4.is_eilid_reserved());
         assert!(Reg::R7.is_eilid_reserved());
         assert!(!Reg::R8.is_eilid_reserved());

@@ -38,11 +38,13 @@ fleet-scale:
     cargo test --release -p eilid_fleet -- --include-ignored thousand
 
 # The simulator step's oracles, release mode: pinned bus-trace digests
-# of every Table IV app (clean and attacked) and the per-step bus bound
-# over every first instruction word plus interrupt entry.
+# of every Table IV app (clean and attacked), the per-step bus bound
+# over every first instruction word plus interrupt entry, and a
+# predecoded core stepping like a plain one under code rewrites.
 sim-check:
     cargo test --release --test golden_bus_trace
     cargo test --release -p eilid_msp430 --test bus_bound
+    cargo test --release -p eilid_msp430 --test predecode_equivalence
 
 # Every property-test suite and parser fuzz loop in release mode, once
 # per seed in SOAK_SEEDS (default: eight fixed seeds), stopping at the

@@ -14,6 +14,7 @@ for seed in $SOAK_SEEDS; do
 	echo "soak: PROPTEST_SEED=$seed"
 	if ! PROPTEST_SEED=$seed cargo test -q --release --workspace \
 		--test assembler_properties --test isa_properties \
+		--test predecode_equivalence \
 		--test attest_adversarial --test merkle_props \
 		--test rollout_machine --test obs_props \
 		--test agg_equivalence --test batch_equivalence \
