@@ -376,6 +376,31 @@ mod tests {
         }
     }
 
+    /// `0xAB` repeated around each padding boundary, digests from
+    /// coreutils `sha256sum`: the padding fits the last block (55),
+    /// fills it exactly (56), or spills into one more (57..=63), for a
+    /// message of one block and of two.
+    #[test]
+    fn padding_boundaries_match_known_digests() {
+        let known = [
+            "55 48d76eab30e51201f4f03ec7a85dab8510fb3409ccd15b54767f9b4435c9f54d",
+            "56 a8c9906ade2a2eff868fd8f97a570bbc01a13cddc32c3dfdc9a18f0618d69e55",
+            "57 21d063693fbba44f9ffa966466e2f94d9931b9c9519120c3804ef1ceafd989b5",
+            "63 d1036ba30d050c74b1a5ab301fa29ff0c607a27cc55af3412577f7e06dbd190b",
+            "64 ec65c8798ecf95902413c40f7b9e6d4b0068885f5f324aba1f9ba1c8e14aea61",
+            "65 39cd843414d5125dd308568ace26d04e60b7fa6d2b1a901fb5184fa2eae0598b",
+            "119 a773085d98f8978583efd89d0f06e29076a12e2e059103ec533f63e1c6f17dd7",
+            "120 3442eea54f994b0d41c1da867e8347d69fa1a40e2d8a437dcde54dae74504922",
+            "127 f7488c3608a1dd18b17578527c61e872803356b6b8302bc3e0f0e4ce8ad1148d",
+            "128 80125c62d518fac6f8b487e1f784c1f12a6acc5d607d554f2e3cccf5342dd29a",
+        ];
+        for line in known {
+            let (len, digest) = line.split_once(' ').unwrap();
+            let data = vec![0xABu8; len.parse().unwrap()];
+            assert_eq!(hex(&sha256(&data)), digest, "length {len}");
+        }
+    }
+
     /// On SHA-NI hardware, the accelerated compression must agree with
     /// the scalar FIPS implementation on every state/block pair — not
     /// just the digests the other vectors pin, but raw compression

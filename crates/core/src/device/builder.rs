@@ -418,6 +418,41 @@ hang:
     }
 
     #[test]
+    fn store_into_a_freshly_updated_range_is_still_vetoed() {
+        // An authenticated update writes PMEM directly; no step runs
+        // while it does. A later store by the firmware into the updated
+        // range is an ordinary PMEM write: vetoed and punished.
+        use eilid_casu::{UpdateAuthority, UpdateEngine};
+        let source = "    .org 0xe000
+    .global main
+main:
+    mov #0x0400, sp
+    mov #0x1234, &0xf680
+hang:
+    jmp hang
+";
+        let mut device = DeviceBuilder::new().build_eilid(source).unwrap();
+        let key = b"update-gate-test-key-0123456789a";
+        let mut authority = UpdateAuthority::new(key);
+        let mut engine = UpdateEngine::new(key, device.layout().clone());
+        let request = authority.authorize(0xF680, &[0xAB, 0xCD]);
+        let (cpu, monitor) = device.cpu_and_monitor_mut();
+        engine
+            .apply(&request, &mut cpu.memory, monitor.unwrap())
+            .unwrap();
+        assert_eq!(device.cpu().memory.read_word(0xF680), 0xCDAB);
+
+        let vetoed = device.cpu().vetoed_writes();
+        let outcome = device.run_for(10_000);
+        assert!(matches!(
+            outcome.violation(),
+            Some(Violation::PmemWrite { addr: 0xF680, .. })
+        ));
+        assert_eq!(device.cpu().memory.read_word(0xF680), 0xCDAB);
+        assert_eq!(device.cpu().vetoed_writes(), vetoed + 1);
+    }
+
+    #[test]
     fn timeout_is_reported() {
         let source = "    .org 0xe000\n    .global main\nmain:\n    jmp main\n";
         let mut device = DeviceBuilder::new().build_baseline(source).unwrap();
