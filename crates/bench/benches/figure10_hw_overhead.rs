@@ -12,10 +12,7 @@ fn bench_hw(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("cost_model", |b| {
         b.iter(|| {
-            let cost = eilid_monitor_cost(
-                &eilid_casu::CasuPolicy::default(),
-                &eilid::EilidConfig::default(),
-            );
+            let cost = eilid_monitor_cost();
             (cost.luts, cost.registers, figure10().len())
         })
     });

@@ -3,16 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eilid::{EilidConfig, InstrumentedBuild, Runtime};
-use eilid_casu::{CasuPolicy, MemoryLayout};
+use eilid_casu::MemoryLayout;
 use eilid_workloads::WorkloadId;
 
 fn bench_compile(c: &mut Criterion) {
-    let runtime = Runtime::build(
-        &EilidConfig::default(),
-        &MemoryLayout::default(),
-        &CasuPolicy::default(),
-    )
-    .unwrap();
+    let runtime = Runtime::build(&EilidConfig::default(), &MemoryLayout::default()).unwrap();
     let pipeline = InstrumentedBuild::new(EilidConfig::default());
 
     let mut group = c.benchmark_group("table4_compile_time");

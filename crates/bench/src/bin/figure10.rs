@@ -6,10 +6,7 @@ use eilid_hwcost::{eilid_monitor_cost, openmsp430_baseline};
 fn main() {
     println!("{}", render_figure10a());
     println!("{}", render_figure10b());
-    let cost = eilid_monitor_cost(
-        &eilid_casu::CasuPolicy::default(),
-        &eilid::EilidConfig::default(),
-    );
+    let cost = eilid_monitor_cost();
     let (lut_pct, reg_pct) = cost.percent_of(&openmsp430_baseline());
     println!(
         "EILID over baseline openMSP430: +{} LUTs ({:.1}%), +{} registers ({:.1}%)",

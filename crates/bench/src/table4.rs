@@ -12,7 +12,7 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 
 use eilid::{DeviceBuilder, EilidConfig, InstrumentedBuild, Runtime};
-use eilid_casu::{CasuPolicy, MemoryLayout};
+use eilid_casu::MemoryLayout;
 use eilid_workloads::{Workload, WorkloadId};
 
 use crate::paper_reference::{paper_table4, PaperTable4Row};
@@ -176,8 +176,7 @@ fn median(samples: &mut [Duration]) -> Duration {
 /// both indicate a broken reproduction rather than a measurement outcome.
 pub fn measure_workload(workload: &Workload, options: &Table4Options) -> Table4Row {
     let layout = MemoryLayout::default();
-    let policy = CasuPolicy::default();
-    let runtime = Runtime::build(&options.config, &layout, &policy)
+    let runtime = Runtime::build(&options.config, &layout)
         .expect("runtime builds for the default configuration");
     let pipeline = InstrumentedBuild::new(options.config.clone());
 

@@ -189,11 +189,6 @@ impl MemoryLayout {
     pub fn secure_dmem_size(&self) -> usize {
         usize::from(*self.secure_dmem.end()) - usize::from(*self.secure_dmem.start()) + 1
     }
-
-    /// Size of the application PMEM region in bytes.
-    pub fn pmem_size(&self) -> usize {
-        usize::from(*self.pmem.end()) - usize::from(*self.pmem.start()) + 1
-    }
 }
 
 #[cfg(test)]
@@ -248,7 +243,6 @@ mod tests {
         let layout = MemoryLayout::default();
         assert_eq!(layout.shadow_stack_base(), 0x1000);
         assert_eq!(layout.secure_dmem_size(), 256);
-        assert_eq!(layout.pmem_size(), 0x1800);
         assert!(layout.in_secure_rom(0xF800));
         assert!(!layout.in_secure_rom(0xE000));
         assert!(layout.in_secure_dmem(0x10FF));

@@ -5,8 +5,9 @@
 //! than detects) software compromise by monitoring CPU bus signals in
 //! hardware and resetting the device whenever:
 //!
-//! * program memory or the interrupt-vector table is written outside an
-//!   authenticated update session (software immutability),
+//! * software writes program memory or the interrupt-vector table, which
+//!   only the authenticated update engine may change (software
+//!   immutability),
 //! * an instruction is fetched from writable memory (W⊕X),
 //! * trusted code in the secure ROM is entered anywhere but its entry point,
 //!   left outside its leave section, or interrupted (atomicity),
@@ -31,18 +32,17 @@
 //! Authenticated update flow:
 //!
 //! ```
-//! use eilid_casu::{CasuMonitor, CasuPolicy, MemoryLayout, UpdateAuthority, UpdateEngine};
+//! use eilid_casu::{MemoryLayout, UpdateAuthority, UpdateEngine};
 //! use eilid_msp430::Memory;
 //!
 //! let layout = MemoryLayout::default();
 //! let key = b"device-key";
 //! let mut authority = UpdateAuthority::new(key);
-//! let mut engine = UpdateEngine::new(key, layout.clone());
-//! let mut monitor = CasuMonitor::new(layout, CasuPolicy::default());
+//! let mut engine = UpdateEngine::new(key, layout);
 //! let mut memory = Memory::new();
 //!
 //! let request = authority.authorize(0xE000, &[0x03, 0x43]); // nop
-//! engine.apply(&request, &mut memory, &mut monitor)?;
+//! engine.apply(&request, &mut memory)?;
 //! assert_eq!(memory.read_word(0xE000), 0x4303);
 //! # Ok::<(), eilid_casu::UpdateError>(())
 //! ```

@@ -143,7 +143,7 @@ impl MerkleTree {
     /// Re-hashes the given leaves from `memory` and recomputes the spine
     /// above them. Returns the number of leaves re-hashed. Out-of-range
     /// leaf indices are ignored.
-    pub fn refresh_leaves<I: IntoIterator<Item = usize>>(
+    fn refresh_leaves<I: IntoIterator<Item = usize>>(
         &mut self,
         memory: &Memory,
         leaves: I,

@@ -2,9 +2,23 @@
 //!
 //! The monitor is a passive observer of the core's per-step bus signals
 //! ([`StepTrace`]): program counter, instruction fetch addresses, and every
-//! data read/write. It evaluates the configured [`CasuPolicy`] over each
-//! step and reports the first [`Violation`] it finds; the device layer then
-//! resets the core, exactly as the CASU hardware asserts the reset line.
+//! data read/write. It evaluates one fixed rule set over each step and
+//! reports the first [`Violation`] it finds; the device layer then resets
+//! the core, exactly as the CASU hardware asserts the reset line. In
+//! priority order:
+//!
+//! 1. a non-zero write to the [`VIOLATION_STROBE_ADDR`] register (a failed
+//!    EILID check);
+//! 2. an interrupt taken inside the secure ROM (atomicity);
+//! 3. an instruction fetched outside PMEM and the secure ROM (W ⊕ X);
+//! 4. a write to PMEM, the secure ROM or the vector table (immutability),
+//!    and a read or write of secure DMEM by non-secure code;
+//! 5. entering the secure ROM anywhere but its entry point, or leaving it
+//!    from outside its leave section (the gates of a [`CasuPolicy`]).
+//!
+//! PMEM changes only through the authenticated update engine
+//! ([`crate::update`]), which writes memory directly and never while a
+//! step runs, so no step sees an exception to rule 4.
 //!
 //! On hardware the check is free; in simulation it runs once per step,
 //! so two fast checks keep its common case short without changing a
@@ -26,7 +40,7 @@ use serde::{Deserialize, Serialize};
 use eilid_msp430::{StepEvent, StepTrace, WriteGate};
 
 use crate::layout::{MemoryLayout, Region};
-use crate::policy::CasuPolicy;
+use crate::policy::{CasuPolicy, VIOLATION_STROBE_ADDR};
 use crate::violation::{CfiFault, Violation};
 
 /// Stateful hardware monitor evaluated once per simulator step.
@@ -69,109 +83,38 @@ pub struct CasuMonitor {
     layout: MemoryLayout,
     policy: CasuPolicy,
     prev_pc: Option<u16>,
-    update_region: Option<(u16, u16)>,
-    violations_detected: u64,
-    mediated_update_writes: u64,
 }
 
 impl CasuMonitor {
-    /// Creates a monitor for the given layout and policy.
+    /// Creates a monitor for the given layout and secure gates.
     pub fn new(layout: MemoryLayout, policy: CasuPolicy) -> Self {
         CasuMonitor {
             layout,
             policy,
             prev_pc: None,
-            update_region: None,
-            violations_detected: 0,
-            mediated_update_writes: 0,
         }
-    }
-
-    /// The monitored memory layout.
-    pub fn layout(&self) -> &MemoryLayout {
-        &self.layout
-    }
-
-    /// The enforced policy.
-    pub fn policy(&self) -> &CasuPolicy {
-        &self.policy
-    }
-
-    /// Number of violations this monitor has reported since construction.
-    pub fn violations_detected(&self) -> u64 {
-        self.violations_detected
-    }
-
-    /// Number of bus writes observed landing inside an open update
-    /// window. Together with the reset-on-violation rule this is the
-    /// complete story of how measured memory can change — the invariant
-    /// the incremental measurement engine
-    /// ([`crate::merkle::IncrementalMeasurer`]) leans on: every mutation
-    /// of PMEM is either mediated (and dirty-tracked) or punished.
-    pub fn mediated_update_writes(&self) -> u64 {
-        self.mediated_update_writes
     }
 
     /// Clears transition state after a device reset.
     pub fn reset(&mut self) {
         self.prev_pc = None;
-        self.update_region = None;
     }
 
-    /// Opens an authorised update session: writes within `start..=end` of
-    /// PMEM are permitted until [`CasuMonitor::end_update_session`].
-    ///
-    /// The CASU secure-update routine calls this after verifying the update
-    /// request's MAC; see [`crate::update`].
-    pub fn begin_update_session(&mut self, start: u16, end: u16) {
-        self.update_region = Some((start, end));
-    }
-
-    /// Closes the update session opened by
-    /// [`CasuMonitor::begin_update_session`].
-    pub fn end_update_session(&mut self) {
-        self.update_region = None;
-    }
-
-    /// `true` while an authorised update session is open.
-    pub fn update_session_active(&self) -> bool {
-        self.update_region.is_some()
-    }
-
-    /// The currently open update window, if any (inclusive bounds).
-    /// The device layer mirrors this into the core's [`WriteGate`] so
-    /// the pre-commit veto and the trace-level check agree.
-    pub fn update_window(&self) -> Option<(u16, u16)> {
-        self.update_region
-    }
-
-    /// Builds the pre-commit bus [`WriteGate`] this monitor's policy
-    /// implies: with PMEM immutability enforced, bus writes to PMEM, the
-    /// secure ROM and the vector table are vetoed before they commit
-    /// (real CASU hardware blocks the flash write in the violating
+    /// Builds the pre-commit bus [`WriteGate`] of rule 4: bus writes to
+    /// PMEM, the secure ROM and the vector table are vetoed before they
+    /// commit (real CASU hardware blocks the flash write in the violating
     /// cycle; the trace-level check in [`CasuMonitor::check`] still
-    /// fires the reset). The gate's update window tracks
-    /// [`CasuMonitor::update_window`] via the device layer.
+    /// fires the reset).
     pub fn write_gate(&self) -> WriteGate {
         let mut gate = WriteGate::new();
-        if self.policy.enforce_pmem_immutability {
-            for range in [
-                &self.layout.pmem,
-                &self.layout.secure_rom,
-                &self.layout.vector_table,
-            ] {
-                gate.protect(*range.start(), *range.end());
-            }
+        for range in [
+            &self.layout.pmem,
+            &self.layout.secure_rom,
+            &self.layout.vector_table,
+        ] {
+            gate.protect(*range.start(), *range.end());
         }
-        gate.set_window(self.update_region);
         gate
-    }
-
-    fn write_allowed_by_update(&self, addr: u16) -> bool {
-        match self.update_region {
-            Some((start, end)) => addr >= start && addr <= end,
-            None => false,
-        }
     }
 
     /// Evaluates one step trace and returns the first violation found, if
@@ -179,16 +122,6 @@ impl CasuMonitor {
     /// [`CasuMonitor::reset`]) when a violation is reported.
     pub fn check(&mut self, trace: &StepTrace) -> Option<Violation> {
         let violation = self.evaluate(trace);
-        if violation.is_some() {
-            self.violations_detected += 1;
-        }
-        if self.update_region.is_some() {
-            self.mediated_update_writes += trace
-                .writes
-                .iter()
-                .filter(|w| self.write_allowed_by_update(w.addr))
-                .count() as u64;
-        }
         // Track the last executed address for entry/exit transition checks.
         self.prev_pc = Some(trace.pc);
         violation
@@ -200,7 +133,7 @@ impl CasuMonitor {
         let prev_secure = self
             .prev_pc
             .is_some_and(|prev| self.layout.in_secure_rom(prev));
-        let fetch_span_ok = !self.policy.enforce_wxorx || self.fetches_in_one_region(trace);
+        let fetch_span_ok = self.fetches_in_one_region(trace);
 
         // A quiet step passes here: each rule below needs a data access
         // (1, 4), an interrupt (2), a fetch outside one executable
@@ -218,7 +151,7 @@ impl CasuMonitor {
         // 1. The EILID violation strobe has priority: it is the trusted
         //    software asking for a reset.
         for write in &trace.writes {
-            if write.addr == self.policy.violation_strobe && write.value != 0 {
+            if write.addr == VIOLATION_STROBE_ADDR && write.value != 0 {
                 return Some(Violation::Cfi {
                     fault: CfiFault::from_code(write.value),
                 });
@@ -226,10 +159,7 @@ impl CasuMonitor {
         }
 
         // 2. Atomicity of secure execution.
-        if self.policy.enforce_atomicity
-            && matches!(trace.event, StepEvent::InterruptTaken { .. })
-            && pc_secure
-        {
+        if matches!(trace.event, StepEvent::InterruptTaken { .. }) && pc_secure {
             return Some(Violation::SecureAtomicityViolation { pc });
         }
 
@@ -250,31 +180,25 @@ impl CasuMonitor {
         // 4. Memory-protection rules for data accesses.
         for write in &trace.writes {
             match self.layout.region_of(write.addr) {
-                Region::Pmem
-                    if self.policy.enforce_pmem_immutability
-                        && !self.write_allowed_by_update(write.addr) =>
-                {
+                Region::Pmem => {
                     return Some(Violation::PmemWrite {
                         addr: write.addr,
                         pc,
                     });
                 }
-                Region::SecureRom if self.policy.enforce_pmem_immutability => {
+                Region::SecureRom => {
                     return Some(Violation::SecureRomWrite {
                         addr: write.addr,
                         pc,
                     });
                 }
-                Region::VectorTable
-                    if self.policy.enforce_pmem_immutability
-                        && !self.write_allowed_by_update(write.addr) =>
-                {
+                Region::VectorTable => {
                     return Some(Violation::VectorTableWrite {
                         addr: write.addr,
                         pc,
                     });
                 }
-                Region::SecureDmem if self.policy.enforce_secure_dmem_exclusivity && !pc_secure => {
+                Region::SecureDmem if !pc_secure => {
                     return Some(Violation::SecureDataAccess {
                         addr: write.addr,
                         pc,
@@ -284,7 +208,7 @@ impl CasuMonitor {
                 _ => {}
             }
         }
-        if self.policy.enforce_secure_dmem_exclusivity && !pc_secure {
+        if !pc_secure {
             for read in &trace.reads {
                 if self.layout.in_secure_dmem(read.addr) {
                     return Some(Violation::SecureDataAccess {
@@ -297,18 +221,16 @@ impl CasuMonitor {
         }
 
         // 5. Secure ROM entry/exit gates.
-        if self.policy.enforce_secure_rom_isolation {
-            if pc_secure && !prev_secure && pc != self.policy.secure_entry {
-                return Some(Violation::SecureEntryViolation {
-                    pc,
-                    entry: self.policy.secure_entry,
-                });
-            }
-            if !pc_secure && prev_secure {
-                let from = self.prev_pc.expect("prev_secure implies prev_pc");
-                if !self.policy.secure_leave.contains(&from) {
-                    return Some(Violation::SecureExitViolation { from, to: pc });
-                }
+        if pc_secure && !prev_secure && pc != self.policy.secure_entry {
+            return Some(Violation::SecureEntryViolation {
+                pc,
+                entry: self.policy.secure_entry,
+            });
+        }
+        if !pc_secure && prev_secure {
+            let from = self.prev_pc.expect("prev_secure implies prev_pc");
+            if !self.policy.secure_leave.contains(&from) {
+                return Some(Violation::SecureExitViolation { from, to: pc });
             }
         }
 
@@ -384,11 +306,10 @@ mod tests {
         for pc in (0xE000u16..0xE020).step_by(2) {
             assert_eq!(m.check(&executed(pc)), None);
         }
-        assert_eq!(m.violations_detected(), 0);
     }
 
     #[test]
-    fn pmem_write_is_blocked_and_update_session_allows_it() {
+    fn pmem_write_is_blocked() {
         let mut m = monitor();
         let mut trace = executed(0xE000);
         trace.writes.push(write(0xE100, 0x1234));
@@ -396,19 +317,6 @@ mod tests {
             m.check(&trace),
             Some(Violation::PmemWrite { addr: 0xE100, .. })
         ));
-
-        m.begin_update_session(0xE100, 0xE1FF);
-        assert!(m.update_session_active());
-        assert_eq!(m.check(&trace), None);
-        assert_eq!(m.mediated_update_writes(), 1);
-        // Writes outside the authorised window still fault.
-        let mut outside = executed(0xE000);
-        outside.writes.push(write(0xE200, 0x1));
-        assert!(m.check(&outside).is_some());
-        m.end_update_session();
-        assert!(m.check(&trace).is_some());
-        // Only in-window writes during a session count as mediated.
-        assert_eq!(m.mediated_update_writes(), 1);
     }
 
     #[test]
@@ -535,9 +443,7 @@ mod tests {
     fn violation_strobe_reports_cfi_fault() {
         let mut m = monitor();
         let mut trace = executed(0xF800);
-        trace
-            .writes
-            .push(write(crate::policy::VIOLATION_STROBE_ADDR, 0xDEA1));
+        trace.writes.push(write(VIOLATION_STROBE_ADDR, 0xDEA1));
         let v = m.check(&trace);
         assert!(matches!(
             v,
@@ -546,37 +452,16 @@ mod tests {
             })
         ));
         assert!(v.unwrap().is_cfi());
-        assert_eq!(m.violations_detected(), 1);
     }
 
     #[test]
-    fn write_gate_mirrors_policy_and_update_window() {
-        let mut m = monitor();
-        let gate = m.write_gate();
+    fn write_gate_covers_pmem_secure_rom_and_vector_table() {
+        let gate = monitor().write_gate();
         assert!(gate.blocks(0xE000)); // PMEM
         assert!(gate.blocks(0xF900)); // secure ROM
         assert!(gate.blocks(0xFFFE)); // vector table
         assert!(!gate.blocks(0x0300)); // DMEM
         assert!(!gate.blocks(0x1000)); // secure DMEM (data rules stay trace-level)
-
-        m.begin_update_session(0xE100, 0xE1FF);
-        assert_eq!(m.update_window(), Some((0xE100, 0xE1FF)));
-        let gate = m.write_gate();
-        assert!(!gate.blocks(0xE180));
-        assert!(gate.blocks(0xE200));
-
-        // A permissive policy gates nothing.
-        let m = CasuMonitor::new(MemoryLayout::default(), CasuPolicy::permissive());
-        assert!(!m.write_gate().blocks(0xE000));
-    }
-
-    #[test]
-    fn permissive_policy_disables_checks() {
-        let mut m = CasuMonitor::new(MemoryLayout::default(), CasuPolicy::permissive());
-        let mut trace = executed(0x0300);
-        trace.writes.push(write(0xE000, 1));
-        trace.reads.push(read(0x1000, 2));
-        assert_eq!(m.check(&trace), None);
     }
 
     fn sized(pc: u16, instruction_size: u16) -> StepTrace {
@@ -639,7 +524,6 @@ mod tests {
         interrupt.writes.push(write(0x03FC, 0x0008));
         interrupt.reads.push(read(0xFFF0, 0xE100));
         assert_eq!(m.check(&interrupt), None);
-        assert_eq!(m.violations_detected(), 0);
     }
 
     #[test]
@@ -672,9 +556,7 @@ mod tests {
     #[test]
     fn violation_strobe_outranks_a_bad_fetch_in_the_same_step() {
         let mut trace = executed(0x0300);
-        trace
-            .writes
-            .push(write(crate::policy::VIOLATION_STROBE_ADDR, 0xDEA1));
+        trace.writes.push(write(VIOLATION_STROBE_ADDR, 0xDEA1));
         assert_eq!(
             monitor().check(&trace),
             Some(Violation::Cfi {

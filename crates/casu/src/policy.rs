@@ -1,31 +1,33 @@
-//! Hardware-monitor policy configuration.
+//! The secure ROM's gates and the violation strobe.
 //!
-//! The policy captures what the CASU/EILID hardware enforces: which checks
-//! are active (useful for the ablation benchmarks), where the secure ROM's
-//! only legal entry point is, which addresses form its leave (exit) section,
-//! and which MMIO address the trusted software strobes to report a failed
-//! control-flow check.
+//! The CASU/EILID monitor enforces one fixed rule set (see
+//! [`crate::monitor`]); nothing about it is configurable. What differs
+//! from one trusted-software image to the next is where the secure ROM's
+//! only legal entry point and its leave (exit) section lie, so those two
+//! are the policy. The MMIO address the trusted software strobes to
+//! report a failed control-flow check is fixed:
+//! [`VIOLATION_STROBE_ADDR`].
 
 use std::ops::RangeInclusive;
 
 use serde::{Deserialize, Serialize};
 
-/// Default MMIO address of the CFI-violation strobe register.
+/// MMIO address of the CFI-violation strobe register.
 ///
 /// `EILIDsw` writes a [`CfiFault`](crate::CfiFault) code here when a check
 /// fails; the hardware monitor observes the write and resets the device.
 pub const VIOLATION_STROBE_ADDR: u16 = 0x01F0;
 
-/// Configuration of the CASU/EILID hardware checks.
+/// The secure ROM's entry point and leave section.
 ///
 /// # Examples
 ///
 /// ```
 /// use eilid_casu::CasuPolicy;
 ///
-/// let policy = CasuPolicy::default();
-/// assert!(policy.enforce_wxorx);
-/// assert_eq!(policy.violation_strobe, eilid_casu::VIOLATION_STROBE_ADDR);
+/// let policy = CasuPolicy::with_secure_gates(0xF800, 0xF880..=0xF881);
+/// assert_eq!(policy.secure_entry, 0xF800);
+/// assert!(policy.secure_leave.contains(&0xF880));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CasuPolicy {
@@ -35,59 +37,21 @@ pub struct CasuPolicy {
     /// instruction executed before returning to non-secure code must fall in
     /// this range.
     pub secure_leave: RangeInclusive<u16>,
-    /// MMIO address of the violation strobe register.
-    pub violation_strobe: u16,
-    /// Enforce W⊕X: instructions may only be fetched from PMEM/secure ROM.
-    pub enforce_wxorx: bool,
-    /// Enforce PMEM/vector-table immutability outside secure updates.
-    pub enforce_pmem_immutability: bool,
-    /// Enforce that the secure ROM is entered only at [`Self::secure_entry`]
-    /// and left only from [`Self::secure_leave`].
-    pub enforce_secure_rom_isolation: bool,
-    /// Enforce that only secure code touches the secure data region.
-    pub enforce_secure_dmem_exclusivity: bool,
-    /// Enforce that no interrupt is accepted while secure code runs.
-    pub enforce_atomicity: bool,
 }
 
 impl Default for CasuPolicy {
     fn default() -> Self {
-        CasuPolicy {
-            secure_entry: 0xF800,
-            secure_leave: 0xF800..=0xFFDF,
-            violation_strobe: VIOLATION_STROBE_ADDR,
-            enforce_wxorx: true,
-            enforce_pmem_immutability: true,
-            enforce_secure_rom_isolation: true,
-            enforce_secure_dmem_exclusivity: true,
-            enforce_atomicity: true,
-        }
+        CasuPolicy::with_secure_gates(0xF800, 0xF800..=0xFFDF)
     }
 }
 
 impl CasuPolicy {
-    /// Creates the default policy with a specific secure entry point and
-    /// leave section (as published by the trusted-software image).
+    /// The policy for a specific secure entry point and leave section (as
+    /// published by the trusted-software image).
     pub fn with_secure_gates(entry: u16, leave: RangeInclusive<u16>) -> Self {
         CasuPolicy {
             secure_entry: entry,
             secure_leave: leave,
-            ..CasuPolicy::default()
-        }
-    }
-
-    /// Returns a copy of the policy with every enforcement flag disabled.
-    ///
-    /// Used by the ablation benchmarks and by tests that need an
-    /// unprotected baseline device.
-    pub fn permissive() -> Self {
-        CasuPolicy {
-            enforce_wxorx: false,
-            enforce_pmem_immutability: false,
-            enforce_secure_rom_isolation: false,
-            enforce_secure_dmem_exclusivity: false,
-            enforce_atomicity: false,
-            ..CasuPolicy::default()
         }
     }
 }
@@ -97,30 +61,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_enables_every_check() {
-        let p = CasuPolicy::default();
-        assert!(p.enforce_wxorx);
-        assert!(p.enforce_pmem_immutability);
-        assert!(p.enforce_secure_rom_isolation);
-        assert!(p.enforce_secure_dmem_exclusivity);
-        assert!(p.enforce_atomicity);
-    }
-
-    #[test]
-    fn permissive_disables_every_check() {
-        let p = CasuPolicy::permissive();
-        assert!(!p.enforce_wxorx);
-        assert!(!p.enforce_pmem_immutability);
-        assert!(!p.enforce_secure_rom_isolation);
-        assert!(!p.enforce_secure_dmem_exclusivity);
-        assert!(!p.enforce_atomicity);
-    }
-
-    #[test]
     fn with_secure_gates_sets_entry_and_leave() {
         let p = CasuPolicy::with_secure_gates(0xFA00, 0xFB00..=0xFB10);
         assert_eq!(p.secure_entry, 0xFA00);
         assert_eq!(p.secure_leave, 0xFB00..=0xFB10);
-        assert!(p.enforce_wxorx);
     }
 }

@@ -6,8 +6,10 @@
 //! `("eilid-update-v1" ‖ target address ‖ nonce ‖ payload)` with a
 //! device-unique symmetric key, and the trusted update routine on the
 //! device verifies the MAC,
-//! checks the nonce for freshness, opens a hardware update window and writes
-//! the payload. Everything else that touches PMEM causes a reset.
+//! checks the nonce for freshness and writes the payload straight into
+//! memory, with no step of the core in between. Every bus write to PMEM
+//! by software is vetoed and causes a reset ([`crate::monitor`]), so this
+//! engine is the only way PMEM changes.
 //!
 //! This module models both ends of that protocol: [`UpdateAuthority`]
 //! (verifier side) and [`UpdateEngine`] (device side).
@@ -21,7 +23,6 @@ use eilid_msp430::Memory;
 use crate::hmac::{hmac_sha256, verify_tag, TAG_SIZE};
 use crate::key::DeviceKey;
 use crate::layout::{MemoryLayout, Region};
-use crate::monitor::CasuMonitor;
 
 /// An authenticated request to replace a range of program memory.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -294,8 +295,9 @@ impl UpdateEngine {
         Ok(())
     }
 
-    /// Verifies and applies a request: opens a hardware update window on the
-    /// monitor, writes the payload and closes the window again.
+    /// Verifies and applies a request: writes the payload into `memory`
+    /// directly, as the trusted update routine does, bypassing the bus
+    /// write gate.
     ///
     /// # Errors
     ///
@@ -305,17 +307,11 @@ impl UpdateEngine {
         &mut self,
         request: &UpdateRequest,
         memory: &mut Memory,
-        monitor: &mut CasuMonitor,
     ) -> Result<(), UpdateError> {
         self.verify(request)?;
-        let end = request
-            .target
-            .wrapping_add(request.payload.len() as u16 - 1);
-        monitor.begin_update_session(request.target, end);
         memory
             .load(request.target, &request.payload)
             .expect("range checked by verify");
-        monitor.end_update_session();
         self.last_nonce = request.nonce;
         self.last_version = request.version;
         self.updates_applied += 1;
@@ -338,10 +334,9 @@ impl UpdateEngine {
         &mut self,
         request: &DeltaUpdateRequest,
         memory: &mut Memory,
-        monitor: &mut CasuMonitor,
     ) -> Result<(), UpdateError> {
         let full = request.assemble_from(memory)?;
-        self.apply(&full, memory, monitor)
+        self.apply(&full, memory)
     }
 
     /// Measurement (SHA-256) of the PMEM region, used to confirm the
@@ -506,7 +501,7 @@ impl DeltaUpdateRequest {
     ///
     /// [`UpdateError::MalformedDelta`] when the declared target range
     /// does not fit the address space or a segment falls outside it.
-    pub fn assemble_from(&self, memory: &Memory) -> Result<UpdateRequest, UpdateError> {
+    fn assemble_from(&self, memory: &Memory) -> Result<UpdateRequest, UpdateError> {
         let start = usize::from(self.target);
         let end = start
             .checked_add(self.base_len as usize)
@@ -519,38 +514,34 @@ impl DeltaUpdateRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::CasuPolicy;
 
     const KEY: &[u8] = b"eilid-device-key-0001";
 
-    fn engine() -> (UpdateAuthority, UpdateEngine, CasuMonitor, Memory) {
-        let layout = MemoryLayout::default();
+    fn engine() -> (UpdateAuthority, UpdateEngine, Memory) {
         (
             UpdateAuthority::new(KEY),
-            UpdateEngine::new(KEY, layout.clone()),
-            CasuMonitor::new(layout, CasuPolicy::default()),
+            UpdateEngine::new(KEY, MemoryLayout::default()),
             Memory::new(),
         )
     }
 
     #[test]
     fn authorized_update_is_applied() {
-        let (mut authority, mut engine, mut monitor, mut memory) = engine();
+        let (mut authority, mut engine, mut memory) = engine();
         let request = authority.authorize(0xE000, &[0xAA, 0xBB, 0xCC, 0xDD]);
-        engine.apply(&request, &mut memory, &mut monitor).unwrap();
+        engine.apply(&request, &mut memory).unwrap();
         assert_eq!(memory.read_byte(0xE000), 0xAA);
         assert_eq!(memory.read_byte(0xE003), 0xDD);
         assert_eq!(engine.updates_applied(), 1);
-        assert!(!monitor.update_session_active());
     }
 
     #[test]
     fn forged_mac_is_rejected() {
-        let (mut authority, mut engine, mut monitor, mut memory) = engine();
+        let (mut authority, mut engine, mut memory) = engine();
         let mut request = authority.authorize(0xE000, &[1, 2, 3]);
         request.payload[0] = 0xFF;
         assert_eq!(
-            engine.apply(&request, &mut memory, &mut monitor),
+            engine.apply(&request, &mut memory),
             Err(UpdateError::BadMac)
         );
         assert_eq!(memory.read_byte(0xE000), 0);
@@ -558,64 +549,64 @@ mod tests {
 
     #[test]
     fn wrong_key_is_rejected() {
-        let (_, mut engine, mut monitor, mut memory) = engine();
+        let (_, mut engine, mut memory) = engine();
         let mut rogue = UpdateAuthority::new(b"attacker-key");
         let request = rogue.authorize(0xE000, &[1, 2, 3]);
         assert_eq!(
-            engine.apply(&request, &mut memory, &mut monitor),
+            engine.apply(&request, &mut memory),
             Err(UpdateError::BadMac)
         );
     }
 
     #[test]
     fn replayed_nonce_is_rejected() {
-        let (mut authority, mut engine, mut monitor, mut memory) = engine();
+        let (mut authority, mut engine, mut memory) = engine();
         let request = authority.authorize(0xE000, &[1, 2]);
-        engine.apply(&request, &mut memory, &mut monitor).unwrap();
+        engine.apply(&request, &mut memory).unwrap();
         assert!(matches!(
-            engine.apply(&request, &mut memory, &mut monitor),
+            engine.apply(&request, &mut memory),
             Err(UpdateError::StaleNonce { .. })
         ));
         // A fresh request from the same authority still works.
         let second = authority.authorize(0xE010, &[3, 4]);
-        engine.apply(&second, &mut memory, &mut monitor).unwrap();
+        engine.apply(&second, &mut memory).unwrap();
         assert_eq!(engine.last_nonce(), 2);
     }
 
     #[test]
     fn update_outside_pmem_is_rejected() {
-        let (mut authority, mut engine, mut monitor, mut memory) = engine();
+        let (mut authority, mut engine, mut memory) = engine();
         for target in [0x0200u16, 0xF900, 0xFFF0, 0x1000] {
             let request = authority.authorize(target, &[1, 2, 3, 4]);
             assert!(matches!(
-                engine.apply(&request, &mut memory, &mut monitor),
+                engine.apply(&request, &mut memory),
                 Err(UpdateError::TargetOutsidePmem { .. })
             ));
         }
         // A payload that starts in PMEM but runs past its end is rejected too.
         let request = authority.authorize(0xF7FE, &[1, 2, 3, 4]);
         assert!(matches!(
-            engine.apply(&request, &mut memory, &mut monitor),
+            engine.apply(&request, &mut memory),
             Err(UpdateError::TargetOutsidePmem { .. })
         ));
     }
 
     #[test]
     fn empty_payload_is_rejected() {
-        let (mut authority, mut engine, mut monitor, mut memory) = engine();
+        let (mut authority, mut engine, mut memory) = engine();
         let request = authority.authorize(0xE000, &[]);
         assert_eq!(
-            engine.apply(&request, &mut memory, &mut monitor),
+            engine.apply(&request, &mut memory),
             Err(UpdateError::EmptyPayload)
         );
     }
 
     #[test]
     fn pmem_measurement_changes_with_update() {
-        let (mut authority, mut engine, mut monitor, mut memory) = engine();
+        let (mut authority, mut engine, mut memory) = engine();
         let before = engine.measure_pmem(&memory);
         let request = authority.authorize(0xE000, &[9, 9, 9]);
-        engine.apply(&request, &mut memory, &mut monitor).unwrap();
+        engine.apply(&request, &mut memory).unwrap();
         let after = engine.measure_pmem(&memory);
         assert_ne!(before, after);
         // Measurement is deterministic.
@@ -624,10 +615,10 @@ mod tests {
 
     #[test]
     fn downgrade_version_is_rejected_even_with_valid_mac_and_nonce() {
-        let (_, mut engine, mut monitor, mut memory) = engine();
+        let (_, mut engine, mut memory) = engine();
         let mut v2 = UpdateAuthority::new(KEY).with_version(2);
         let request = v2.authorize(0xE000, &[2, 2]);
-        engine.apply(&request, &mut memory, &mut monitor).unwrap();
+        engine.apply(&request, &mut memory).unwrap();
         assert_eq!(engine.last_version(), 2);
 
         // A correctly MACed, fresh-nonced request at a *lower* version
@@ -637,7 +628,7 @@ mod tests {
         let _ = downgrade_authority.authorize(0xE000, &[0]);
         let downgrade = downgrade_authority.authorize(0xE000, &[1, 1]);
         assert_eq!(
-            engine.apply(&downgrade, &mut memory, &mut monitor),
+            engine.apply(&downgrade, &mut memory),
             Err(UpdateError::RollbackVersion {
                 presented: 1,
                 current: 2,
@@ -648,21 +639,21 @@ mod tests {
 
     #[test]
     fn equal_version_reissue_is_accepted_for_rollbacks() {
-        let (_, mut engine, mut monitor, mut memory) = engine();
+        let (_, mut engine, mut memory) = engine();
         let mut authority = UpdateAuthority::new(KEY).with_version(3);
         let request = authority.authorize(0xE000, &[7, 7]);
-        engine.apply(&request, &mut memory, &mut monitor).unwrap();
+        engine.apply(&request, &mut memory).unwrap();
         // Operator-authorized rollback of the *bytes* at the device's
         // current version: fresh nonce, same version — accepted.
         let rollback = authority.authorize(0xE000, &[5, 5]);
-        engine.apply(&rollback, &mut memory, &mut monitor).unwrap();
+        engine.apply(&rollback, &mut memory).unwrap();
         assert_eq!(memory.read_byte(0xE000), 5);
         assert_eq!(engine.last_version(), 3);
     }
 
     #[test]
     fn delta_assembles_to_the_full_image_and_applies() {
-        let (_, mut engine, mut monitor, mut memory) = engine();
+        let (_, mut engine, mut memory) = engine();
         // Base image: 4 granules of 0x11 starting at 0xE000.
         let base = vec![0x11u8; 4 * DELTA_GRANULE];
         memory.load(0xE000, &base).unwrap();
@@ -676,9 +667,7 @@ mod tests {
         assert_eq!(delta.segments.len(), 2);
         assert_eq!(delta.delta_bytes(), 2 * DELTA_GRANULE);
         assert_eq!(delta.assemble(&base).unwrap(), full);
-        engine
-            .apply_delta(&delta, &mut memory, &mut monitor)
-            .unwrap();
+        engine.apply_delta(&delta, &mut memory).unwrap();
         assert_eq!(memory.read_byte(0xE000 + DELTA_GRANULE as u16), 0x22);
         assert_eq!(engine.last_nonce(), full.nonce);
         assert_eq!(engine.last_version(), 1);
@@ -700,7 +689,7 @@ mod tests {
 
     #[test]
     fn tampered_base_makes_a_delta_fail_mac_not_apply_garbage() {
-        let (_, mut engine, mut monitor, mut memory) = engine();
+        let (_, mut engine, mut memory) = engine();
         let base = vec![0xAAu8; 2 * DELTA_GRANULE];
         memory.load(0xE000, &base).unwrap();
         let mut next = base.clone();
@@ -711,7 +700,7 @@ mod tests {
         // Adversary flips a byte the delta does not re-ship.
         memory.write_byte(0xE000 + DELTA_GRANULE as u16, 0xEE);
         assert_eq!(
-            engine.apply_delta(&delta, &mut memory, &mut monitor),
+            engine.apply_delta(&delta, &mut memory),
             Err(UpdateError::BadMac)
         );
         // The tampered byte is still there; nothing was applied.
@@ -721,7 +710,7 @@ mod tests {
 
     #[test]
     fn malformed_delta_segments_are_rejected_structurally() {
-        let (_, mut engine, mut monitor, mut memory) = engine();
+        let (_, mut engine, mut memory) = engine();
         let base = vec![0u8; DELTA_GRANULE];
         let mut next = base.clone();
         next[0] = 1;
@@ -730,7 +719,7 @@ mod tests {
         let mut delta = DeltaUpdateRequest::from_full(&full, &base);
         delta.segments[0].offset = delta.base_len;
         assert_eq!(
-            engine.apply_delta(&delta, &mut memory, &mut monitor),
+            engine.apply_delta(&delta, &mut memory),
             Err(UpdateError::MalformedDelta)
         );
     }

@@ -76,7 +76,8 @@ impl fmt::Display for CfiFault {
 /// A policy violation that forces a device reset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Violation {
-    /// A write targeted program memory outside an authorised update session.
+    /// A bus write targeted program memory, which only the authenticated
+    /// update engine may change.
     PmemWrite {
         /// Written address.
         addr: u16,

@@ -3,8 +3,9 @@
 //! The paper's prototype reserves 256 bytes of secure DMEM for the shadow
 //! stack ("it can store ≤128 return addresses and the interrupt context",
 //! §V) and notes that the size is configurable. [`EilidConfig`] captures
-//! those knobs plus the enforcement toggles used by the ablation
-//! experiments.
+//! those knobs plus the software protections (P1–P3) and the shadow-stack
+//! index placement that the ablation experiments toggle. The hardware
+//! monitor's rules are not configurable (see [`eilid_casu::monitor`]).
 
 use std::fmt;
 

@@ -1,7 +1,7 @@
 //! Building baseline and EILID-protected devices from application source.
 
 use eilid_asm::{assemble, Image};
-use eilid_casu::{CasuMonitor, CasuPolicy, MemoryLayout};
+use eilid_casu::{CasuMonitor, MemoryLayout};
 use eilid_msp430::{AdcStimulus, Cpu, Memory};
 
 use crate::config::EilidConfig;
@@ -41,10 +41,7 @@ use crate::sw::Runtime;
 #[derive(Debug, Clone)]
 pub struct DeviceBuilder {
     config: EilidConfig,
-    layout: MemoryLayout,
-    policy: CasuPolicy,
     adc_stimulus: Option<AdcStimulus>,
-    initial_sp: u16,
 }
 
 impl Default for DeviceBuilder {
@@ -54,14 +51,12 @@ impl Default for DeviceBuilder {
 }
 
 impl DeviceBuilder {
-    /// Creates a builder with the default configuration, layout and policy.
+    /// Creates a builder with the default configuration on the default
+    /// [`MemoryLayout`].
     pub fn new() -> Self {
         DeviceBuilder {
             config: EilidConfig::default(),
-            layout: MemoryLayout::default(),
-            policy: CasuPolicy::default(),
             adc_stimulus: None,
-            initial_sp: 0x0400,
         }
     }
 
@@ -71,29 +66,9 @@ impl DeviceBuilder {
         self
     }
 
-    /// Replaces the memory layout.
-    pub fn layout(mut self, layout: MemoryLayout) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// Replaces the base CASU policy (the secure gates are overwritten with
-    /// the runtime's entry/leave addresses when building a protected
-    /// device).
-    pub fn policy(mut self, policy: CasuPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Sets the stimulus pattern of the synthetic ADC peripheral.
     pub fn adc_stimulus(mut self, stimulus: AdcStimulus) -> Self {
         self.adc_stimulus = Some(stimulus);
-        self
-    }
-
-    /// Sets the initial stack pointer installed at reset.
-    pub fn initial_sp(mut self, sp: u16) -> Self {
-        self.initial_sp = sp;
         self
     }
 
@@ -111,7 +86,6 @@ impl DeviceBuilder {
                 .flat_map(|image| &image.segments)
                 .map(|segment| usize::from(segment.base)..segment.end() as usize),
         );
-        cpu.set_initial_sp(self.initial_sp);
         if let Some(stimulus) = &self.adc_stimulus {
             cpu.peripherals.set_adc_stimulus(stimulus.clone());
         }
@@ -131,7 +105,7 @@ impl DeviceBuilder {
         Ok(Device::from_parts(
             cpu,
             None,
-            self.layout.clone(),
+            MemoryLayout::default(),
             self.config.clone(),
             None,
         ))
@@ -148,17 +122,17 @@ impl DeviceBuilder {
     /// application cannot be instrumented, or any image fails to assemble or
     /// load.
     pub fn build_eilid(&self, app_source: &str) -> Result<Device, EilidError> {
-        let runtime = Runtime::build(&self.config, &self.layout, &self.policy)?;
+        let layout = MemoryLayout::default();
+        let runtime = Runtime::build(&self.config, &layout)?;
         let pipeline = InstrumentedBuild::new(self.config.clone());
         let artifacts = pipeline.run(app_source, &runtime)?;
 
         let cpu = self.make_cpu(&[&artifacts.instrumented_image, runtime.image()])?;
-        let policy = runtime.gated_policy(&self.policy);
-        let monitor = CasuMonitor::new(self.layout.clone(), policy);
+        let monitor = CasuMonitor::new(layout.clone(), runtime.policy());
         Ok(Device::from_parts(
             cpu,
             Some(monitor),
-            self.layout.clone(),
+            layout,
             self.config.clone(),
             Some(artifacts),
         ))
@@ -172,15 +146,15 @@ impl DeviceBuilder {
     ///
     /// Returns [`EilidError`] if assembly or loading fails.
     pub fn build_monitored_raw(&self, source: &str) -> Result<Device, EilidError> {
-        let runtime = Runtime::build(&self.config, &self.layout, &self.policy)?;
+        let layout = MemoryLayout::default();
+        let runtime = Runtime::build(&self.config, &layout)?;
         let image = assemble(source)?;
         let cpu = self.make_cpu(&[&image, runtime.image()])?;
-        let policy = runtime.gated_policy(&self.policy);
-        let monitor = CasuMonitor::new(self.layout.clone(), policy);
+        let monitor = CasuMonitor::new(layout.clone(), runtime.policy());
         Ok(Device::from_parts(
             cpu,
             Some(monitor),
-            self.layout.clone(),
+            layout,
             self.config.clone(),
             None,
         ))
@@ -400,7 +374,7 @@ hang:
     #[test]
     fn authenticated_update_still_writes_through_the_gate() {
         // The gate must not break the authorised update path: the engine
-        // opens a session on the monitor and writes the payload.
+        // writes the payload into memory directly, past the gate.
         use eilid_casu::{UpdateAuthority, UpdateEngine};
         let mut device = DeviceBuilder::new().build_eilid(APP).unwrap();
         let key = b"update-gate-test-key-0123456789a";
@@ -408,9 +382,8 @@ hang:
         let mut authority = UpdateAuthority::new(key);
         let mut engine = UpdateEngine::new(key, layout);
         let request = authority.authorize(0xF680, &[0xAB, 0xCD]);
-        let (cpu, monitor) = device.cpu_and_monitor_mut();
         engine
-            .apply(&request, &mut cpu.memory, monitor.unwrap())
+            .apply(&request, &mut device.cpu_mut().memory)
             .unwrap();
         assert_eq!(device.cpu().memory.read_byte(0xF680), 0xAB);
         // And the device still runs clean afterwards.
@@ -436,9 +409,8 @@ hang:
         let mut authority = UpdateAuthority::new(key);
         let mut engine = UpdateEngine::new(key, device.layout().clone());
         let request = authority.authorize(0xF680, &[0xAB, 0xCD]);
-        let (cpu, monitor) = device.cpu_and_monitor_mut();
         engine
-            .apply(&request, &mut cpu.memory, monitor.unwrap())
+            .apply(&request, &mut device.cpu_mut().memory)
             .unwrap();
         assert_eq!(device.cpu().memory.read_word(0xF680), 0xCDAB);
 
@@ -457,15 +429,5 @@ hang:
         let source = "    .org 0xe000\n    .global main\nmain:\n    jmp main\n";
         let mut device = DeviceBuilder::new().build_baseline(source).unwrap();
         assert!(matches!(device.run_for(1_000), RunOutcome::Timeout { .. }));
-    }
-
-    #[test]
-    fn builder_options_apply() {
-        let device = DeviceBuilder::new()
-            .initial_sp(0x0800)
-            .adc_stimulus(AdcStimulus::Constant(42))
-            .build_baseline("    .org 0xe000\n    .global main\nmain:\n    jmp main\n")
-            .unwrap();
-        assert_eq!(device.cpu().regs.sp(), 0x0800);
     }
 }

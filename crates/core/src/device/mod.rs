@@ -107,13 +107,6 @@ impl Device {
         self.monitor.as_ref()
     }
 
-    /// Simultaneous mutable access to the core and the monitor, for
-    /// callers (like [`eilid_casu::UpdateEngine::apply`]) that write
-    /// memory under an open update session.
-    pub fn cpu_and_monitor_mut(&mut self) -> (&mut Cpu, Option<&mut CasuMonitor>) {
-        (&mut self.cpu, self.monitor.as_mut())
-    }
-
     /// `true` when the hardware monitor is attached.
     pub fn is_protected(&self) -> bool {
         self.monitor.is_some()
@@ -174,8 +167,8 @@ impl Device {
     }
 
     /// The one step [`Device::step`] and [`Device::run_with_hook`]
-    /// share: gate the IRQ line and the write window, step the core,
-    /// let the monitor judge the trace.
+    /// share: gate the IRQ line, step the core, let the monitor judge
+    /// the trace.
     ///
     /// Always inlined: as a call, passing the trace back through it cost
     /// about a third of an unmonitored step in the run loop.
@@ -186,12 +179,6 @@ impl Device {
         let in_secure = self.layout.in_secure_rom(self.cpu.regs.pc());
         self.cpu
             .set_irq_inhibited(self.monitor.is_some() && in_secure);
-        // Keep the pre-commit write gate's update window in lockstep
-        // with the monitor's update-session state, so the veto and the
-        // trace-level check always agree on what is authorised.
-        if let Some(monitor) = &self.monitor {
-            self.cpu.set_write_gate_window(monitor.update_window());
-        }
         let trace = self.cpu.step()?;
         let violation = self
             .monitor

@@ -176,7 +176,7 @@ impl InstrumentedBuild {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eilid_casu::{CasuPolicy, MemoryLayout};
+    use eilid_casu::MemoryLayout;
 
     const APP: &str = "    .org 0xe000
     .global main
@@ -199,12 +199,7 @@ triple:
 ";
 
     fn runtime() -> Runtime {
-        Runtime::build(
-            &EilidConfig::default(),
-            &MemoryLayout::default(),
-            &CasuPolicy::default(),
-        )
-        .unwrap()
+        Runtime::build(&EilidConfig::default(), &MemoryLayout::default()).unwrap()
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! CASU violation strobe, which the hardware monitor turns into a device
 //! reset.
 
-use eilid_casu::{CasuPolicy, CfiFault, MemoryLayout};
+use eilid_casu::{CfiFault, MemoryLayout, VIOLATION_STROBE_ADDR};
 
 use crate::config::EilidConfig;
 use crate::sw::dispatch::{Selector, ENTRY_SYMBOL, LEAVE_SYMBOL};
@@ -43,8 +43,6 @@ pub struct RuntimeParams {
     pub function_table_addr: u16,
     /// Function-table capacity in entries.
     pub function_table_capacity: u16,
-    /// Address of the violation strobe register.
-    pub violation_strobe: u16,
     /// Keep the shadow-stack index in `r5` (`true`) or in secure memory
     /// (`false`).
     pub index_in_register: bool,
@@ -55,7 +53,7 @@ pub struct RuntimeParams {
 
 impl RuntimeParams {
     /// Derives the runtime parameters from a configuration and layout.
-    pub fn new(config: &EilidConfig, layout: &MemoryLayout, policy: &CasuPolicy) -> Self {
+    pub fn new(config: &EilidConfig, layout: &MemoryLayout) -> Self {
         RuntimeParams {
             trampoline_org: DEFAULT_TRAMPOLINE_ORG,
             secure_org: *layout.secure_rom.start(),
@@ -64,7 +62,6 @@ impl RuntimeParams {
             function_count_addr: config.function_count_addr(layout),
             function_table_addr: config.function_table_base(layout),
             function_table_capacity: config.function_table_capacity,
-            violation_strobe: policy.violation_strobe,
             index_in_register: config.index_in_register,
             index_addr: config.index_word_addr(layout),
         }
@@ -79,13 +76,9 @@ impl RuntimeParams {
 /// ```
 /// use eilid::sw::{emit_runtime_source, RuntimeParams};
 /// use eilid::EilidConfig;
-/// use eilid_casu::{CasuPolicy, MemoryLayout};
+/// use eilid_casu::MemoryLayout;
 ///
-/// let params = RuntimeParams::new(
-///     &EilidConfig::default(),
-///     &MemoryLayout::default(),
-///     &CasuPolicy::default(),
-/// );
+/// let params = RuntimeParams::new(&EilidConfig::default(), &MemoryLayout::default());
 /// let source = emit_runtime_source(&params);
 /// assert!(source.contains("S_EILID_entry:"));
 /// assert!(source.contains("NS_EILID_store_ra:"));
@@ -126,8 +119,7 @@ fn emit_constants(out: &mut String, p: &RuntimeParams) {
         p.function_table_capacity
     ));
     out.push_str(&format!(
-        "    .equ EILID_STROBE, 0x{:04x}\n",
-        p.violation_strobe
+        "    .equ EILID_STROBE, 0x{VIOLATION_STROBE_ADDR:04x}\n"
     ));
     if !p.index_in_register {
         out.push_str(&format!("    .equ EILID_INDEX, 0x{:04x}\n", p.index_addr));
@@ -301,11 +293,7 @@ mod tests {
     use super::*;
 
     fn params() -> RuntimeParams {
-        RuntimeParams::new(
-            &EilidConfig::default(),
-            &MemoryLayout::default(),
-            &CasuPolicy::default(),
-        )
+        RuntimeParams::new(&EilidConfig::default(), &MemoryLayout::default())
     }
 
     #[test]
@@ -316,13 +304,13 @@ mod tests {
         assert_eq!(p.shadow_capacity, 112);
         assert_eq!(p.function_count_addr, 0x10E0);
         assert_eq!(p.function_table_addr, 0x10E2);
-        assert_eq!(p.violation_strobe, eilid_casu::VIOLATION_STROBE_ADDR);
         assert!(p.index_in_register);
     }
 
     #[test]
     fn emitted_source_contains_all_sections_and_symbols() {
         let source = emit_runtime_source(&params());
+        assert!(source.contains(".equ EILID_STROBE, 0x01f0"));
         assert!(source.contains("S_EILID_entry:"));
         assert!(source.contains("S_EILID_leave:"));
         for selector in Selector::ALL {

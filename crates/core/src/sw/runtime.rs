@@ -28,22 +28,17 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Emits and assembles the runtime for a configuration, layout and base
-    /// policy.
+    /// Emits and assembles the runtime for a configuration and layout.
     ///
     /// # Errors
     ///
     /// Returns [`EilidError`] if the configuration does not fit the layout
     /// or the generated assembly fails to build (which would be an internal
     /// bug surfaced as [`EilidError::Asm`]).
-    pub fn build(
-        config: &EilidConfig,
-        layout: &MemoryLayout,
-        policy: &CasuPolicy,
-    ) -> Result<Self, EilidError> {
+    pub fn build(config: &EilidConfig, layout: &MemoryLayout) -> Result<Self, EilidError> {
         layout.validate()?;
         config.validate(layout)?;
-        let params = RuntimeParams::new(config, layout, policy);
+        let params = RuntimeParams::new(config, layout);
         let source = emit_runtime_source(&params);
         let image = assemble(&source)?;
 
@@ -126,14 +121,10 @@ impl Runtime {
             .collect()
     }
 
-    /// CASU policy with the secure gates set to this runtime's entry point
-    /// and leave section (all other fields taken from `base`).
-    pub fn gated_policy(&self, base: &CasuPolicy) -> CasuPolicy {
-        CasuPolicy {
-            secure_entry: self.entry,
-            secure_leave: self.leave_range(),
-            ..base.clone()
-        }
+    /// The CASU secure gates of this runtime: its entry point and leave
+    /// section.
+    pub fn policy(&self) -> CasuPolicy {
+        CasuPolicy::with_secure_gates(self.entry, self.leave_range())
     }
 }
 
@@ -142,12 +133,8 @@ mod tests {
     use super::*;
 
     fn runtime() -> Runtime {
-        Runtime::build(
-            &EilidConfig::default(),
-            &MemoryLayout::default(),
-            &CasuPolicy::default(),
-        )
-        .expect("default runtime builds")
+        Runtime::build(&EilidConfig::default(), &MemoryLayout::default())
+            .expect("default runtime builds")
     }
 
     #[test]
@@ -175,12 +162,11 @@ mod tests {
     }
 
     #[test]
-    fn gated_policy_points_at_runtime() {
+    fn policy_points_at_runtime() {
         let rt = runtime();
-        let policy = rt.gated_policy(&CasuPolicy::default());
+        let policy = rt.policy();
         assert_eq!(policy.secure_entry, rt.entry());
         assert_eq!(policy.secure_leave, rt.leave_range());
-        assert!(policy.enforce_wxorx);
     }
 
     #[test]
@@ -189,7 +175,7 @@ mod tests {
             shadow_stack_capacity: 0,
             ..EilidConfig::default()
         };
-        assert!(Runtime::build(&config, &MemoryLayout::default(), &CasuPolicy::default()).is_err());
+        assert!(Runtime::build(&config, &MemoryLayout::default()).is_err());
     }
 
     #[test]
@@ -203,7 +189,6 @@ mod tests {
                 ..EilidConfig::default()
             },
             &MemoryLayout::default(),
-            &CasuPolicy::default(),
         )
         .unwrap();
         assert!(slow.secure_rom_bytes() > fast.secure_rom_bytes());

@@ -141,16 +141,15 @@ impl SimDevice {
     }
 
     /// Verifies and applies an authenticated update through the CASU
-    /// engine, opening the hardware update window on the device monitor.
+    /// engine, which writes device memory directly.
     ///
     /// # Errors
     ///
     /// Returns the [`UpdateError`] of the first failed check; device
     /// memory is untouched in that case.
     pub fn apply_update(&mut self, request: &UpdateRequest) -> Result<(), UpdateError> {
-        let (cpu, monitor) = self.device.cpu_and_monitor_mut();
-        let monitor = monitor.expect("fleet devices are always monitor-protected");
-        self.engine.apply(request, &mut cpu.memory, monitor)
+        self.engine
+            .apply(request, &mut self.device.cpu_mut().memory)
     }
 
     /// Verifies and applies a sparse delta update: the post-image is
@@ -162,9 +161,8 @@ impl SimDevice {
     /// Returns the [`UpdateError`] of the first failed check; device
     /// memory is untouched in that case.
     pub fn apply_delta_update(&mut self, request: &DeltaUpdateRequest) -> Result<(), UpdateError> {
-        let (cpu, monitor) = self.device.cpu_and_monitor_mut();
-        let monitor = monitor.expect("fleet devices are always monitor-protected");
-        self.engine.apply_delta(request, &mut cpu.memory, monitor)
+        self.engine
+            .apply_delta(request, &mut self.device.cpu_mut().memory)
     }
 
     /// Reboots into the current firmware image (post-OTA restart).

@@ -5,8 +5,7 @@
 //! * [`model`] — a structural synthesis-cost estimator for the CASU/EILID
 //!   hardware monitor (the paper reports +99 LUTs / +34 registers over the
 //!   baseline openMSP430 from Vivado synthesis; the model derives the same
-//!   numbers from the monitor's comparator/flip-flop structure and responds
-//!   to policy ablations);
+//!   numbers from the monitor's comparator/flip-flop structure);
 //! * [`prior_work`] — the published costs of HAFIX, HCFI, Tiny-CFA, ACFA,
 //!   LO-FAT and LiteHAX used in Figure 10;
 //! * [`table1`](mod@table1) — the qualitative CFI/CFA comparison of Table I.

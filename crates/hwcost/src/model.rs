@@ -6,15 +6,12 @@
 //! *derived* from the monitor's structure instead: the monitor is a purely
 //! combinational set of address comparators over the CPU bus plus a handful
 //! of state flip-flops, so its FPGA cost is well approximated by counting
-//! comparators and state bits. The per-component costs are calibrated so
-//! that the full default policy lands on the paper's figures; the value of
-//! the model is that *disabling* rules (the ablation benchmarks) or adding
-//! rules changes the estimate in a structurally meaningful way.
+//! comparators and state bits. The monitor enforces one fixed rule set, so
+//! its structure is one constant, [`MonitorStructure::EILID`]; the
+//! per-component costs are calibrated so that it lands on the paper's
+//! figures.
 
 use serde::{Deserialize, Serialize};
-
-use eilid::EilidConfig;
-use eilid_casu::CasuPolicy;
 
 /// FPGA resource cost of a hardware block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -78,57 +75,29 @@ pub struct MonitorStructure {
     pub range_rules: u32,
     /// Exact-address rules (secure entry point, violation strobe).
     pub equality_rules: u32,
-    /// State bits held in flip-flops (secure-state tracker, update-session
-    /// flag, latched violation address and fault code, synchronisers).
+    /// State bits held in flip-flops (latched violation address and fault
+    /// code, status/reset, synchronisers, IRQ gating).
     pub state_bits: u32,
 }
 
 impl MonitorStructure {
-    /// Derives the monitor structure implied by a CASU policy and an EILID
-    /// configuration.
-    pub fn from_policy(policy: &CasuPolicy, config: &EilidConfig) -> Self {
-        let mut range_rules = 0;
-        let mut equality_rules = 0;
-        // Latched violation address (16) + fault code (4) + status/reset (6)
-        // + clock-domain synchronisers (7) — present in any variant.
-        let mut state_bits = 33;
-
-        if policy.enforce_wxorx {
-            // Fetch address must fall in PMEM or secure ROM: two windows.
-            range_rules += 2;
-        }
-        if policy.enforce_pmem_immutability {
-            // Write guards for PMEM, secure ROM and the vector table.
-            range_rules += 3;
-        }
-        if policy.enforce_secure_dmem_exclusivity {
-            // Secure-DMEM window checked on reads and on writes.
-            range_rules += 2;
-        }
-        if policy.enforce_secure_rom_isolation {
-            // Secure-ROM window (entry/exit tracking) + leave window.
-            range_rules += 2;
-            // Entry-point equality compare.
-            equality_rules += 1;
-        } else {
-            state_bits -= 1;
-        }
-        if policy.enforce_atomicity {
-            // IRQ gating needs no comparator (it reuses the secure-ROM
-            // window) but adds a gating flop.
-            state_bits += 1;
-        }
-        // The EILID extension: violation strobe decode, plus nothing else —
-        // the shadow stack itself lives in the existing secure data memory.
-        equality_rules += 1;
-        let _ = config;
-
-        MonitorStructure {
-            range_rules,
-            equality_rules,
-            state_bits,
-        }
-    }
+    /// The EILID monitor: CASU's rules plus the violation-strobe decode.
+    ///
+    /// * 9 range rules: W ⊕ X fetch windows for PMEM and the secure ROM
+    ///   (2); write guards for PMEM, the secure ROM and the vector table
+    ///   (3); the secure-DMEM window on reads and on writes (2); the
+    ///   secure-ROM window for entry/exit tracking and the leave window (2).
+    /// * 2 equality rules: the secure entry point and the violation strobe.
+    ///   The shadow stack itself lives in the existing secure data memory.
+    /// * 34 state bits: the latched violation address (16), fault code (4),
+    ///   status/reset (6), clock-domain synchronisers (7) and the IRQ
+    ///   gating flop of atomicity (1); the atomicity check reuses the
+    ///   secure-ROM window, so it needs no comparator.
+    pub const EILID: MonitorStructure = MonitorStructure {
+        range_rules: 9,
+        equality_rules: 2,
+        state_bits: 34,
+    };
 
     /// Estimated FPGA cost of this structure.
     pub fn cost(&self) -> HwCost {
@@ -141,22 +110,20 @@ impl MonitorStructure {
     }
 }
 
-/// Estimated hardware cost of the EILID monitor for a policy/configuration.
+/// Estimated hardware cost of the EILID monitor.
 ///
 /// # Examples
 ///
 /// ```
 /// use eilid_hwcost::{eilid_monitor_cost, openmsp430_baseline};
-/// use eilid::EilidConfig;
-/// use eilid_casu::CasuPolicy;
 ///
-/// let cost = eilid_monitor_cost(&CasuPolicy::default(), &EilidConfig::default());
+/// let cost = eilid_monitor_cost();
 /// let (lut_pct, reg_pct) = cost.percent_of(&openmsp430_baseline());
 /// assert!((4.0..7.0).contains(&lut_pct));
 /// assert!((4.0..6.0).contains(&reg_pct));
 /// ```
-pub fn eilid_monitor_cost(policy: &CasuPolicy, config: &EilidConfig) -> HwCost {
-    MonitorStructure::from_policy(policy, config).cost()
+pub fn eilid_monitor_cost() -> HwCost {
+    MonitorStructure::EILID.cost()
 }
 
 #[cfg(test)]
@@ -165,7 +132,7 @@ mod tests {
 
     #[test]
     fn default_policy_matches_the_paper_figures() {
-        let cost = eilid_monitor_cost(&CasuPolicy::default(), &EilidConfig::default());
+        let cost = eilid_monitor_cost();
         assert_eq!(cost.luts, 99, "paper: +99 LUTs");
         assert_eq!(cost.registers, 34, "paper: +34 registers");
         assert_eq!(cost.ram_bytes, 0, "EILID needs no dedicated RAM");
@@ -175,32 +142,8 @@ mod tests {
     }
 
     #[test]
-    fn disabling_rules_reduces_the_estimate() {
-        let full = eilid_monitor_cost(&CasuPolicy::default(), &EilidConfig::default());
-        let permissive = eilid_monitor_cost(&CasuPolicy::permissive(), &EilidConfig::default());
-        assert!(permissive.luts < full.luts);
-        assert!(permissive.registers <= full.registers);
-
-        let no_wxorx = CasuPolicy {
-            enforce_wxorx: false,
-            ..Default::default()
-        };
-        let partial = eilid_monitor_cost(&no_wxorx, &EilidConfig::default());
-        assert_eq!(full.luts - partial.luts, 2 * LUTS_PER_RANGE_RULE);
-        assert_eq!(full.luts, 99);
-    }
-
-    #[test]
     fn percent_of_handles_zero_baseline() {
         let cost = HwCost::new(10, 10);
         assert_eq!(cost.percent_of(&HwCost::default()), (0.0, 0.0));
-    }
-
-    #[test]
-    fn structure_is_deterministic() {
-        let a = MonitorStructure::from_policy(&CasuPolicy::default(), &EilidConfig::default());
-        let b = MonitorStructure::from_policy(&CasuPolicy::default(), &EilidConfig::default());
-        assert_eq!(a, b);
-        assert_eq!(a.cost(), b.cost());
     }
 }

@@ -64,10 +64,7 @@ impl TechniqueCost {
 /// All bars of Figure 10, EILID first (as in the paper's ordering).
 pub fn figure10() -> Vec<TechniqueCost> {
     let msp_base = openmsp430_baseline();
-    let eilid = eilid_monitor_cost(
-        &eilid_casu::CasuPolicy::default(),
-        &eilid::EilidConfig::default(),
-    );
+    let eilid = eilid_monitor_cost();
     vec![
         TechniqueCost {
             name: "EILID",

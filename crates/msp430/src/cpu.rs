@@ -37,6 +37,10 @@ use crate::memory::Memory;
 use crate::peripherals::Peripherals;
 use crate::registers::RegisterFile;
 
+/// Stack pointer installed by [`Cpu::reset`]: the top of the default
+/// data memory.
+const INITIAL_SP: u16 = 0x0400;
+
 /// Number of interrupt vectors in the vector table at `0xFFE0..=0xFFFF`.
 pub const NUM_VECTORS: u8 = 16;
 
@@ -81,7 +85,6 @@ pub struct Cpu {
     pub peripherals: Peripherals,
     state: CpuState,
     total_cycles: u64,
-    initial_sp: u16,
     irq_inhibited: bool,
     /// Pre-commit bus write gate installed by the hardware monitor;
     /// `None` for unprotected (baseline) cores.
@@ -130,7 +133,6 @@ impl Cpu {
             peripherals: Peripherals::new(),
             state: CpuState::Running,
             total_cycles: 0,
-            initial_sp: 0x0400,
             irq_inhibited: false,
             write_gate: None,
             vetoed_writes: 0,
@@ -173,8 +175,8 @@ impl Cpu {
 
     /// Installs (or removes, with `None`) the pre-commit bus write gate.
     ///
-    /// The CASU/EILID monitor builds the gate from its layout and policy
-    /// (see the companion crate); the core then vetoes any bus write the
+    /// The CASU/EILID monitor builds the gate from its memory layout (see
+    /// the companion crate); the core then vetoes any bus write the
     /// gate blocks *before* it commits to memory, exactly as the real
     /// hardware blocks the flash write in the violating cycle. The
     /// attempted write still appears in the [`StepTrace`], so monitors
@@ -188,23 +190,9 @@ impl Cpu {
         self.write_gate.as_ref()
     }
 
-    /// Opens/closes the gate's authorised update window (no-op without a
-    /// gate). The device layer mirrors the monitor's update-session state
-    /// here before every step.
-    pub fn set_write_gate_window(&mut self, window: Option<(u16, u16)>) {
-        if let Some(gate) = &mut self.write_gate {
-            gate.set_window(window);
-        }
-    }
-
     /// Number of bus writes the gate has vetoed since construction.
     pub fn vetoed_writes(&self) -> u64 {
         self.vetoed_writes
-    }
-
-    /// Sets the stack pointer value installed by [`Cpu::reset`].
-    pub fn set_initial_sp(&mut self, sp: u16) {
-        self.initial_sp = sp;
     }
 
     /// Masks or unmasks the external interrupt request line.
@@ -225,11 +213,12 @@ impl Cpu {
     }
 
     /// Performs a power-up/watchdog reset: clears registers, loads the PC
-    /// from the reset vector and installs the initial stack pointer.
+    /// from the reset vector and installs the initial stack pointer
+    /// (0x0400).
     pub fn reset(&mut self) {
         self.regs = RegisterFile::new();
         self.regs.set_pc(self.memory.reset_vector());
-        self.regs.set_sp(self.initial_sp);
+        self.regs.set_sp(INITIAL_SP);
         self.state = CpuState::Running;
     }
 
@@ -789,13 +778,6 @@ mod tests {
         // Unprotected stores still commit.
         cpu.step().unwrap();
         assert_eq!(cpu.memory.read_word(0x0200), 0x5678);
-        assert_eq!(cpu.vetoed_writes(), 1);
-
-        // An open update window re-admits the protected store.
-        cpu.regs.set_pc(0xF000);
-        cpu.set_write_gate_window(Some((0xE010, 0xE011)));
-        cpu.step().unwrap();
-        assert_eq!(cpu.memory.read_word(0xE010), 0x1234);
         assert_eq!(cpu.vetoed_writes(), 1);
     }
 

@@ -9,12 +9,11 @@
 //!
 //! [`WriteGate`] closes that gap. The CASU monitor configures it with
 //! the address ranges whose bus writes must be vetoed (PMEM, secure ROM,
-//! the vector table) plus the currently authorised update window; the
-//! core consults it in [`crate::Cpu`]'s bus-write path *before*
-//! committing to [`crate::Memory`]. A vetoed write still appears in the
-//! step trace — the transaction is observable on the bus, which is
-//! exactly what the monitor needs to report the violation — but memory
-//! is left untouched.
+//! the vector table); no bus write ever lands in them. The core consults
+//! it in [`crate::Cpu`]'s bus-write path *before* committing to
+//! [`crate::Memory`]. A vetoed write still appears in the step trace —
+//! the transaction is observable on the bus, which is exactly what the
+//! monitor needs to report the violation — but memory is left untouched.
 //!
 //! The gate only mediates *CPU bus* writes. Direct [`crate::Memory`]
 //! mutation (image loading, the authenticated update engine's
@@ -36,19 +35,11 @@ use serde::{Deserialize, Serialize};
 /// gate.protect(0xE000, 0xF7FF);
 /// assert!(gate.blocks(0xE010));
 /// assert!(!gate.blocks(0x0200));
-///
-/// // An authorised update window re-opens part of a protected range.
-/// gate.set_window(Some((0xE100, 0xE1FF)));
-/// assert!(!gate.blocks(0xE180));
-/// assert!(gate.blocks(0xE010));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WriteGate {
     /// Inclusive address ranges whose bus writes are vetoed.
     protected: Vec<(u16, u16)>,
-    /// Inclusive range of the currently open update window; writes
-    /// inside it commit even when a protected range covers them.
-    window: Option<(u16, u16)>,
 }
 
 impl WriteGate {
@@ -62,23 +53,8 @@ impl WriteGate {
         self.protected.push((start, end));
     }
 
-    /// Opens (or closes, with `None`) the authorised update window.
-    pub fn set_window(&mut self, window: Option<(u16, u16)>) {
-        self.window = window;
-    }
-
-    /// The currently open update window, if any.
-    pub fn window(&self) -> Option<(u16, u16)> {
-        self.window
-    }
-
     /// `true` when a bus write to byte address `addr` must be vetoed.
     pub fn blocks(&self, addr: u16) -> bool {
-        if let Some((start, end)) = self.window {
-            if addr >= start && addr <= end {
-                return false;
-            }
-        }
         self.protected
             .iter()
             .any(|&(start, end)| addr >= start && addr <= end)
@@ -107,18 +83,5 @@ mod tests {
         assert!(gate.blocks(0xFFFF));
         assert!(!gate.blocks(0xDFFF));
         assert!(!gate.blocks(0xF800));
-    }
-
-    #[test]
-    fn window_reopens_only_its_own_range() {
-        let mut gate = WriteGate::new();
-        gate.protect(0xE000, 0xF7FF);
-        gate.set_window(Some((0xE100, 0xE1FF)));
-        assert_eq!(gate.window(), Some((0xE100, 0xE1FF)));
-        assert!(!gate.blocks(0xE100));
-        assert!(!gate.blocks(0xE1FF));
-        assert!(gate.blocks(0xE200));
-        gate.set_window(None);
-        assert!(gate.blocks(0xE100));
     }
 }

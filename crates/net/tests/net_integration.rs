@@ -158,8 +158,8 @@ fn forged_report_is_unverified_not_a_wire_error() {
 }
 
 /// Gateway-pushed authenticated updates ride the same connection: the
-/// device applies a valid request (through its CASU engine and the
-/// monitor's update window) and rejects a forged one, acknowledging
+/// device applies a valid request (through its CASU update engine) and
+/// rejects a forged one, acknowledging
 /// each with a typed status. A full image travels as a one-segment
 /// delta — the only update frame.
 #[test]

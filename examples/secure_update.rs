@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --example secure_update`
 
-use eilid_casu::{CasuMonitor, CasuPolicy, MemoryLayout, UpdateAuthority, UpdateEngine};
+use eilid_casu::{MemoryLayout, UpdateAuthority, UpdateEngine};
 use eilid_msp430::{Cpu, Memory};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,8 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let layout = MemoryLayout::default();
     let key = b"device-unique-key-0001";
     let mut authority = UpdateAuthority::new(key);
-    let mut engine = UpdateEngine::new(key, layout.clone());
-    let mut monitor = CasuMonitor::new(layout, CasuPolicy::default());
+    let mut engine = UpdateEngine::new(key, layout);
     let mut memory = Memory::new();
 
     // Version 1 of the firmware: writes 1 to the debug output and finishes.
@@ -41,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let payload = &v2.segments[0].bytes;
     let request = authority.authorize(v2.segments[0].base, payload);
-    engine.apply(&request, &mut memory, &mut monitor)?;
+    engine.apply(&request, &mut memory)?;
     println!("\nupdate applied (nonce {})", request.nonce);
     println!(
         "v2 measurement: {:02x?}...",
@@ -58,14 +57,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let forged = rogue.authorize(0xE000, &[0xFF, 0xFF]);
     println!(
         "\nforged update  : {:?}",
-        engine.apply(&forged, &mut memory, &mut monitor)
+        engine.apply(&forged, &mut memory)
     );
 
     // Replaying the legitimate update is rejected too.
-    println!(
-        "replayed update: {:?}",
-        engine.apply(&request, &mut memory, &mut monitor)
-    );
+    println!("replayed update: {:?}", engine.apply(&request, &mut memory));
 
     println!("\nPMEM can only change through fresh, authenticated updates — the CASU property EILID builds on.");
     Ok(())

@@ -50,7 +50,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use eilid::{DeviceBuilder, EilidConfig, InstrumentedBuild, Runtime};
-use eilid_casu::{CasuPolicy, DeviceKey, MemoryLayout};
+use eilid_casu::{DeviceKey, MemoryLayout};
 use eilid_fleet::{
     CampaignConfig, CampaignOutcome, CampaignReport, Fleet, FleetBuilder, FleetOps, LocalOps,
     SweepSummary, Verifier,
@@ -98,8 +98,7 @@ fn cmd_instrument(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("usage: eilid-cli instrument <app.s>")?;
     let source = read_source(path)?;
     let config = EilidConfig::default();
-    let runtime = Runtime::build(&config, &MemoryLayout::default(), &CasuPolicy::default())
-        .map_err(|e| e.to_string())?;
+    let runtime = Runtime::build(&config, &MemoryLayout::default()).map_err(|e| e.to_string())?;
     let artifacts = InstrumentedBuild::new(config)
         .run(&source, &runtime)
         .map_err(|e| e.to_string())?;

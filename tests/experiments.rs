@@ -87,10 +87,7 @@ fn figure10_comparison_matches_the_paper() {
         assert!(eilid.cost.luts < other.cost.luts);
         assert!(eilid.cost.registers < other.cost.registers);
     }
-    let cost = eilid_monitor_cost(
-        &eilid_casu::CasuPolicy::default(),
-        &eilid::EilidConfig::default(),
-    );
+    let cost = eilid_monitor_cost();
     assert_eq!(cost.luts, 99);
     assert_eq!(cost.registers, 34);
     let (lut_pct, reg_pct) = cost.percent_of(&openmsp430_baseline());
