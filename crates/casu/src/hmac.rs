@@ -29,14 +29,12 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; TAG_SIZE] {
     }
 
     let mut inner = Sha256::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
+    inner.update(&key_block.map(|b| b ^ 0x36));
     inner.update(message);
     let inner_digest = inner.finalize();
 
     let mut outer = Sha256::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
+    outer.update(&key_block.map(|b| b ^ 0x5c));
     outer.update(&inner_digest);
     outer.finalize()
 }

@@ -102,14 +102,14 @@ impl Sha256 {
     /// Finishes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_SIZE] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
-        }
-        // Appending the length must not be counted towards total_len again,
-        // but total_len is already captured in bit_len, so plain update is fine.
-        self.update(&bit_len.to_be_bytes());
+        // Padding: 0x80, then zeros up to 56 mod 64, then the 64-bit
+        // big-endian length, in one update. Adding the padding to
+        // total_len is harmless: bit_len is already taken.
+        let zeros = (BLOCK_SIZE + 55 - self.buffer_len) % BLOCK_SIZE;
+        let mut padding = [0u8; 1 + 63 + 8];
+        padding[0] = 0x80;
+        padding[1 + zeros..1 + zeros + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&padding[..1 + zeros + 8]);
         debug_assert_eq!(self.buffer_len, 0);
 
         let mut digest = [0u8; DIGEST_SIZE];
