@@ -1,6 +1,6 @@
 # Convenience targets; `just` users get the same recipes from ./justfile.
 
-.PHONY: build test test-workspace perfbench-test perfbench-smoke bench-smoke fleet-smoke fleet-scale sim-check soak net-scale net-scale-10k net-campaign net-cluster net-smoke net-bench net-bench-smoke obs-smoke agg-smoke fmt clippy doc ci
+.PHONY: build test test-workspace perfbench-test perfbench-smoke bench-smoke fleet-smoke fleet-scale sim-check soak net-scale net-scale-10k net-campaign net-cluster net-smoke net-bench net-bench-smoke obs-smoke agg-smoke fmt clippy doc examples ci
 
 build:
 	cargo build --release
@@ -159,6 +159,15 @@ DOC_CRATES = -p eilid-repro -p eilid -p eilid_asm -p eilid_bench -p eilid_casu \
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --no-deps $(DOC_CRATES)
 
+# Every example in examples/, release mode (about 2 s in all after the
+# build); an example that returns an error or panics fails the target.
+examples:
+	cargo build --release --examples
+	for example in examples/*.rs; do \
+		name=$$(basename $$example .rs); echo "== $$name"; \
+		cargo run --release -q --example $$name > /dev/null || exit 1; \
+	done
+
 # Local CI. perfbench-test builds the benchmark crate against the
 # workspace, so removing a public item it uses fails here too.
-ci: fmt clippy doc test test-workspace perfbench-test
+ci: fmt clippy doc test test-workspace examples perfbench-test

@@ -128,6 +128,17 @@ clippy:
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p eilid-repro -p eilid -p eilid_asm -p eilid_bench -p eilid_casu -p eilid_fleet -p eilid_hwcost -p eilid_msp430 -p eilid_net -p eilid_obs -p eilid_workloads
 
+# Every example in examples/, release mode; an example that returns an
+# error or panics fails the recipe (same shape as the Makefile target).
+examples:
+    #!/bin/sh
+    set -e
+    cargo build --release --examples
+    for example in examples/*.rs; do
+        name=$(basename "$example" .rs); echo "== $name"
+        cargo run --release -q --example "$name" > /dev/null
+    done
+
 # Local CI. perfbench-test builds the benchmark crate against the
 # workspace, so removing a public item it uses fails here too.
-ci: fmt clippy doc test test-workspace perfbench-test
+ci: fmt clippy doc test test-workspace examples perfbench-test
