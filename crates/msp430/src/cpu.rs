@@ -804,6 +804,69 @@ mod tests {
     }
 
     #[test]
+    fn step_error_changes_nothing_and_the_next_trace_is_whole() {
+        use crate::bus::{AccessKind, MemAccess};
+        use crate::instruction::{OneOpOpcode, Operand};
+
+        for predecoded in [false, true] {
+            // push r10 ; mov @r4, &0xE010 (read, vetoed write) ; illegal
+            let mut cpu = cpu_with_program(&[0x120A, 0x44A2, 0xE010, 0x0FFF]);
+            if predecoded {
+                cpu.predecode(std::iter::once(0xF000..0xF008));
+            }
+            let mut gate = WriteGate::new();
+            gate.protect(0xE000, 0xE0FF);
+            cpu.set_write_gate(Some(gate));
+            cpu.regs.write(Reg::R10, 0xBEEF);
+            cpu.regs.write(Reg::R4, 0x0200);
+            cpu.memory.write_word(0x0200, 0x5555);
+            cpu.step().unwrap();
+            let trace = cpu.step().unwrap();
+            assert_eq!((trace.reads.len(), trace.writes.len()), (1, 1));
+            assert_eq!(cpu.vetoed_writes(), 1);
+
+            let regs = cpu.regs.clone();
+            let memory = cpu.memory.slice(0..0x1_0000).to_vec();
+            let total_cycles = cpu.total_cycles();
+            let err = cpu.step().unwrap_err();
+            assert_eq!((err.address, err.word), (0xF006, 0x0FFF));
+            assert_eq!(cpu.regs, regs);
+            assert_eq!(cpu.memory.slice(0..0x1_0000), &memory[..]);
+            assert_eq!(cpu.total_cycles(), total_cycles);
+            assert_eq!(cpu.vetoed_writes(), 1);
+
+            // push r10 in place of the illegal word: its trace holds its
+            // own write and nothing of the steps before.
+            cpu.memory.write_word(0xF006, 0x120A);
+            let push = Instruction::OneOp {
+                opcode: OneOpOpcode::Push,
+                width: Width::Word,
+                operand: Operand::Register(Reg::R10),
+            };
+            let cycles = cycle_count(&push);
+            let mut writes = AccessLog::new();
+            writes.push(MemAccess {
+                addr: 0x03FC,
+                value: 0xBEEF,
+                width: Width::Word,
+                kind: AccessKind::Write,
+            });
+            let expected = StepTrace {
+                pc: 0xF006,
+                next_pc: 0xF008,
+                event: StepEvent::Executed,
+                instruction: Some(push),
+                instruction_size: 2,
+                reads: AccessLog::new(),
+                writes,
+                cycles,
+                total_cycles: total_cycles + cycles,
+            };
+            assert_eq!(cpu.step().unwrap(), expected, "predecoded: {predecoded}");
+        }
+    }
+
+    #[test]
     fn byte_operations_clear_upper_register_byte() {
         // mov #0xFFFF, r10 ; mov.b #0x12, r10
         let mut mem = Memory::new();

@@ -6,12 +6,19 @@
 //! extension-word pattern on a fresh core, so every addressing mode of
 //! every format meets register, immediate, RAM, peripheral and wrapping
 //! operands; interrupt entry, the one step that writes twice, runs too.
+//!
+//! After each of those steps the core steps one register-only
+//! `mov r4, r5`, whose trace must hold no read or write: a step's trace
+//! carries only that step's accesses, never a leftover of the one
+//! before.
 
 use eilid_msp430::peripherals::{TIMER_COMPARE, TIMER_CTL, TIMER_DIVIDER};
-use eilid_msp430::{Cpu, Memory, Reg, StepEvent, StepTrace, MAX_ACCESSES, MAX_FETCHES};
+use eilid_msp430::{Cpu, CpuState, Memory, Reg, StepEvent, StepTrace, MAX_ACCESSES, MAX_FETCHES};
 
 const PC: u16 = 0xF000;
 const HANDLER: u16 = 0xE100;
+/// `mov r4, r5`: no data access, one word, one cycle.
+const MOV_R4_R5: u16 = 0x4405;
 
 /// Extension words following the first word: small offsets/immediates,
 /// RAM addresses, peripheral-page addresses, and odd/wrapping values.
@@ -56,6 +63,45 @@ impl Maxima {
     }
 }
 
+/// Steps a `mov r4, r5` written at the core's pc and checks that its
+/// trace describes that step alone. The step before may have set GIE or
+/// CPUOFF; SR is cleared first, and a sleeping core is woken by a reset,
+/// so the follow-up always executes.
+fn assert_next_step_is_clean(cpu: &mut Cpu, case: &str) {
+    cpu.regs.set_sr(0);
+    if cpu.state() == CpuState::LowPower {
+        cpu.reset();
+    }
+    let pc = cpu.regs.pc();
+    cpu.memory.write_word(pc, MOV_R4_R5);
+    let total_cycles = cpu.total_cycles();
+    let trace = cpu.step().expect("mov r4, r5 executes");
+    assert_eq!(trace.event, StepEvent::Executed, "{case}: follow-up event");
+    assert_eq!(trace.pc, pc, "{case}: follow-up pc");
+    assert_eq!(
+        trace.next_pc,
+        pc.wrapping_add(2),
+        "{case}: follow-up next_pc"
+    );
+    assert_eq!(trace.instruction_size, 2, "{case}: follow-up size");
+    assert_eq!(trace.cycles, 1, "{case}: follow-up cycles");
+    assert_eq!(
+        trace.total_cycles,
+        total_cycles + 1,
+        "{case}: follow-up total"
+    );
+    assert!(
+        trace.reads.is_empty(),
+        "{case}: stale reads {:?}",
+        trace.reads
+    );
+    assert!(
+        trace.writes.is_empty(),
+        "{case}: stale writes {:?}",
+        trace.writes
+    );
+}
+
 #[test]
 fn every_instruction_word_stays_within_the_bus_bound() {
     let template = template();
@@ -70,7 +116,9 @@ fn every_instruction_word_stays_within_the_bus_bound() {
             // Undecodable words are a step error, not a bus transaction.
             let Ok(trace) = cpu.step() else { continue };
             assert_eq!(trace.event, StepEvent::Executed);
-            maxima.record(&trace, &format!("{first:#06x} {ext:04x?}"));
+            let case = format!("{first:#06x} {ext:04x?}");
+            maxima.record(&trace, &case);
+            assert_next_step_is_clean(&mut cpu, &case);
             executed += 1;
         }
     }
@@ -103,4 +151,5 @@ fn interrupt_entry_stays_within_the_bus_bound() {
         (maxima.fetches, maxima.reads, maxima.writes),
         (0, 1, MAX_ACCESSES)
     );
+    assert_next_step_is_clean(&mut cpu, "interrupt entry");
 }
