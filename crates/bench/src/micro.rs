@@ -142,7 +142,7 @@ pub fn measure_micro_costs(config: &EilidConfig) -> MicroCosts {
         if total_cycles > 10_000_000 {
             panic!("protected microbenchmark did not finish");
         }
-        let (trace, violation) = device.step().expect("microbenchmark executes");
+        let (&trace, violation) = device.step().expect("microbenchmark executes");
         assert!(violation.is_none(), "unexpected violation: {violation:?}");
         total_cycles += trace.cycles;
         if trace.pc >= runtime_start && trace.pc < secure_start {

@@ -146,6 +146,7 @@ impl MemoryLayout {
     }
 
     /// Classifies an address.
+    #[inline]
     pub fn region_of(&self, addr: u16) -> Region {
         if self.peripherals.contains(&addr) {
             Region::Peripheral
@@ -165,16 +166,19 @@ impl MemoryLayout {
     }
 
     /// `true` if `addr` may legally be executed from (PMEM or secure ROM).
+    #[inline]
     pub fn is_executable(&self, addr: u16) -> bool {
         matches!(self.region_of(addr), Region::Pmem | Region::SecureRom)
     }
 
     /// `true` if `addr` lies in the secure ROM.
+    #[inline]
     pub fn in_secure_rom(&self, addr: u16) -> bool {
         self.secure_rom.contains(&addr)
     }
 
     /// `true` if `addr` lies in secure data memory.
+    #[inline]
     pub fn in_secure_dmem(&self, addr: u16) -> bool {
         self.secure_dmem.contains(&addr)
     }

@@ -67,7 +67,7 @@ use crate::violation::{CfiFault, Violation};
 /// let mut detected = None;
 /// for _ in 0..4 {
 ///     let trace = cpu.step()?;
-///     if let Some(v) = monitor.check(&trace) {
+///     if let Some(v) = monitor.check(trace) {
 ///         detected = Some(v);
 ///         break;
 ///     }
@@ -120,6 +120,7 @@ impl CasuMonitor {
     /// Evaluates one step trace and returns the first violation found, if
     /// any. The caller is expected to reset the device (and call
     /// [`CasuMonitor::reset`]) when a violation is reported.
+    #[inline]
     pub fn check(&mut self, trace: &StepTrace) -> Option<Violation> {
         let violation = self.evaluate(trace);
         // Track the last executed address for entry/exit transition checks.
@@ -127,18 +128,21 @@ impl CasuMonitor {
         violation
     }
 
+    /// The quiet-step exit: a few compares, `#[inline]` so the crate
+    /// that runs the step loop compiles it there. Every other step walks
+    /// the rules in [`CasuMonitor::apply_rules`], out of line.
+    #[inline]
     fn evaluate(&self, trace: &StepTrace) -> Option<Violation> {
-        let pc = trace.pc;
-        let pc_secure = self.layout.in_secure_rom(pc);
+        let pc_secure = self.layout.in_secure_rom(trace.pc);
         let prev_secure = self
             .prev_pc
             .is_some_and(|prev| self.layout.in_secure_rom(prev));
         let fetch_span_ok = self.fetches_in_one_region(trace);
 
-        // A quiet step passes here: each rule below needs a data access
-        // (1, 4), an interrupt (2), a fetch outside one executable
-        // region (3) or a crossing of the secure-ROM boundary (5) to
-        // fire, and this step has none of them.
+        // A quiet step passes here: each rule needs a data access (1,
+        // 4), an interrupt (2), a fetch outside one executable region
+        // (3) or a crossing of the secure-ROM boundary (5) to fire, and
+        // this step has none of them.
         if fetch_span_ok
             && trace.event == StepEvent::Executed
             && pc_secure == prev_secure
@@ -147,6 +151,19 @@ impl CasuMonitor {
         {
             return None;
         }
+        self.apply_rules(trace, pc_secure, prev_secure, fetch_span_ok)
+    }
+
+    /// Rules 1–5 in their fixed order over a step that is not quiet;
+    /// the first violation wins.
+    fn apply_rules(
+        &self,
+        trace: &StepTrace,
+        pc_secure: bool,
+        prev_secure: bool,
+        fetch_span_ok: bool,
+    ) -> Option<Violation> {
+        let pc = trace.pc;
 
         // 1. The EILID violation strobe has priority: it is the trusted
         //    software asking for a reset.
@@ -243,6 +260,7 @@ impl CasuMonitor {
     /// disjoint from the others as [`MemoryLayout::validate`] requires,
     /// so every fetch between the two lies in it too: the span passes
     /// W ⊕ X exactly as the per-fetch walk would find.
+    #[inline]
     fn fetches_in_one_region(&self, trace: &StepTrace) -> bool {
         let words = trace.fetch_addresses().len() as u16;
         if words == 0 {

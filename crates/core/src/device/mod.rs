@@ -155,25 +155,27 @@ impl Device {
         }
     }
 
-    /// Executes one step and evaluates the monitor over it.
+    /// Executes one step and evaluates the monitor over it, lending out
+    /// the core's trace of the step as [`Cpu::step`] does.
     ///
     /// # Errors
     ///
     /// Returns [`EilidError::Step`] if the core hits an undecodable
     /// instruction word (callers usually map this to
     /// [`RunOutcome::Fault`]).
-    pub fn step(&mut self) -> Result<(StepTrace, Option<Violation>), EilidError> {
+    pub fn step(&mut self) -> Result<(&StepTrace, Option<Violation>), EilidError> {
         Ok(self.monitored_step()?)
     }
 
     /// The one step [`Device::step`] and [`Device::run_with_hook`]
     /// share: gate the IRQ line, step the core, let the monitor judge
-    /// the trace.
+    /// the trace the core built in place, by reference.
     ///
-    /// Always inlined: as a call, passing the trace back through it cost
-    /// about a third of an unmonitored step in the run loop.
+    /// Always inlined. The run loop gets back a reference to the core's
+    /// trace, not a copy of it: the monitor reads it where the core
+    /// wrote it, and only the hook gets a copy.
     #[inline(always)]
-    fn monitored_step(&mut self) -> Result<(StepTrace, Option<Violation>), StepError> {
+    fn monitored_step(&mut self) -> Result<(&StepTrace, Option<Violation>), StepError> {
         // Hardware IRQ gating: interrupts are deferred while trusted
         // software executes in the secure ROM.
         let in_secure = self.layout.in_secure_rom(self.cpu.regs.pc());
@@ -183,7 +185,7 @@ impl Device {
         let violation = self
             .monitor
             .as_mut()
-            .and_then(|monitor| monitor.check(&trace));
+            .and_then(|monitor| monitor.check(trace));
         Ok((trace, violation))
     }
 
@@ -200,7 +202,9 @@ impl Device {
 
     /// Runs while invoking `hook` after every step. The hook receives
     /// mutable access to the core, which is how the attack injectors model
-    /// an adversary exploiting a memory-corruption bug at run time.
+    /// an adversary exploiting a memory-corruption bug at run time, and a
+    /// copy of the step's trace (dead code when an inlined hook ignores
+    /// it).
     pub fn run_with_hook<F>(&mut self, max_cycles: u64, mut hook: F) -> RunOutcome
     where
         F: FnMut(&mut Cpu, &StepTrace),
@@ -219,7 +223,7 @@ impl Device {
                 return RunOutcome::Timeout { cycles: elapsed };
             }
             match self.monitored_step() {
-                Ok((trace, None)) => hook(&mut self.cpu, &trace),
+                Ok((&trace, None)) => hook(&mut self.cpu, &trace),
                 Ok((_, Some(violation))) => {
                     let cycles = self.cpu.total_cycles() - start_cycles;
                     // The hardware resets the device; we stop and report so

@@ -8,11 +8,13 @@
 //! violated, so the trace is the natural integration point between the
 //! simulator and the monitor crate.
 //!
-//! A trace is plain, fixed-size data: the data reads and writes live in
-//! inline [`AccessLog`]s (the ISA bounds each to [`MAX_ACCESSES`] per
-//! step) and the fetch addresses are derived from `pc` and
-//! `instruction_size` by [`StepTrace::fetch_addresses`], so producing and
-//! consuming a step allocates nothing.
+//! A trace is plain, fixed-size `Copy` data: the data reads and writes
+//! live in inline [`AccessLog`]s (the ISA bounds each to [`MAX_ACCESSES`]
+//! per step) and the fetch addresses are derived from `pc` and
+//! `instruction_size` by [`StepTrace::fetch_addresses`]. The core keeps
+//! one trace and rebuilds it in place every step, and its consumers read
+//! it by reference, so producing and consuming a step allocates and
+//! copies nothing.
 
 use serde::{Deserialize, Serialize};
 
@@ -129,6 +131,12 @@ impl AccessLog {
         self.items[len] = access;
         self.len += 1;
     }
+
+    /// Empties the log, keeping its storage.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
 }
 
 impl Default for AccessLog {
@@ -189,7 +197,11 @@ pub enum StepEvent {
 }
 
 /// Full record of the hardware signals produced by one simulator step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The core builds it in place and lends it out from
+/// [`Cpu::step`](crate::Cpu::step); it is `Copy`, so a caller that keeps
+/// a trace past the next step copies it.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StepTrace {
     /// Program counter at the start of the step.
     pub pc: u16,

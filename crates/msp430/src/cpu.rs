@@ -7,9 +7,13 @@
 //! hardware and the EILID extension — consume those traces to enforce their
 //! policies, exactly as the real hardware taps the core's bus signals.
 //!
-//! A step allocates nothing: the core's bus helpers log every data access
-//! into the step's inline [`AccessLog`]s, and the finished trace is a
-//! plain value copied out to the caller.
+//! A step allocates nothing and copies no trace: the core keeps one
+//! [`StepTrace`] for the latest step and builds it in place. A step
+//! clears its two inline [`AccessLog`]s, the core's bus helpers log every
+//! data access straight into them, and the step's other fields are
+//! written once at its end. [`Cpu::step`] lends the finished trace to the
+//! caller, who copies it (it is `Copy`) only to keep it past the next
+//! step.
 //!
 //! A step decodes nothing it decoded before, either. [`Cpu::predecode`]
 //! decodes every even address of the loaded firmware once, into a table
@@ -91,12 +95,10 @@ pub struct Cpu {
     write_gate: Option<WriteGate>,
     /// Bus writes vetoed by the gate since construction.
     vetoed_writes: u64,
-    /// Data reads of the step in progress.
-    #[serde(skip)]
-    reads: AccessLog,
-    /// Data writes of the step in progress.
-    #[serde(skip)]
-    writes: AccessLog,
+    /// The latest step's trace, built in place: the bus helpers log the
+    /// step's data accesses into it as they happen.
+    #[serde(skip, default = "empty_trace")]
+    trace: StepTrace,
     /// The firmware's instructions decoded once ([`Cpu::predecode`]),
     /// shared by every clone.
     #[serde(skip)]
@@ -124,6 +126,21 @@ impl std::fmt::Display for StepError {
 
 impl std::error::Error for StepError {}
 
+/// The trace a core holds before its first step.
+fn empty_trace() -> StepTrace {
+    StepTrace {
+        pc: 0,
+        next_pc: 0,
+        event: StepEvent::Idle,
+        instruction: None,
+        instruction_size: 0,
+        reads: AccessLog::new(),
+        writes: AccessLog::new(),
+        cycles: 0,
+        total_cycles: 0,
+    }
+}
+
 impl Cpu {
     /// Creates a core around a pre-loaded memory image.
     pub fn new(memory: Memory) -> Self {
@@ -136,8 +153,7 @@ impl Cpu {
             irq_inhibited: false,
             write_gate: None,
             vetoed_writes: 0,
-            reads: AccessLog::new(),
-            writes: AccessLog::new(),
+            trace: empty_trace(),
             table: None,
         }
     }
@@ -256,7 +272,7 @@ impl Cpu {
                 Width::Byte => u16::from(self.memory.read_byte(addr)),
             }
         };
-        self.reads.push(MemAccess {
+        self.trace.reads.push(MemAccess {
             addr,
             value,
             width,
@@ -279,7 +295,7 @@ impl Cpu {
                 Width::Byte => self.memory.write_byte(addr, (value & 0xFF) as u8),
             }
         }
-        self.writes.push(MemAccess {
+        self.trace.writes.push(MemAccess {
             addr,
             value,
             width,
@@ -317,24 +333,28 @@ impl Cpu {
     }
 
     /// Executes one step: accepts a pending interrupt if possible, otherwise
-    /// executes the instruction at the current program counter.
+    /// executes the instruction at the current program counter, and lends
+    /// out the step's trace. The core rebuilds that trace in place on the
+    /// next step; copy it (`*cpu.step()?`) to keep it.
     ///
     /// # Errors
     ///
     /// Returns [`StepError`] when the word at the program counter is not a
     /// valid instruction. The core is left unchanged in that case so a
     /// monitor can treat the fault as a violation.
-    pub fn step(&mut self) -> Result<StepTrace, StepError> {
+    #[inline]
+    pub fn step(&mut self) -> Result<&StepTrace, StepError> {
         let pc = self.regs.pc();
-        self.reads = AccessLog::new();
-        self.writes = AccessLog::new();
+        self.trace.reads.clear();
+        self.trace.writes.clear();
 
         // Interrupt acceptance: GIE must be set, the IRQ line must not be
         // gated by the hardware monitor, and a peripheral must be requesting
         // service.
         if self.flags().gie() && !self.irq_inhibited {
             if let Some(vector) = self.peripherals.irq_pending() {
-                return Ok(self.take_interrupt(pc, vector));
+                self.take_interrupt(pc, vector);
+                return Ok(&self.trace);
             }
         }
 
@@ -342,7 +362,8 @@ impl Cpu {
             // CPU is off; burn one cycle waiting for an interrupt.
             self.peripherals.tick(1);
             self.total_cycles += 1;
-            return Ok(self.trace(pc, StepEvent::Idle, None, 0, 1));
+            self.finish(pc, StepEvent::Idle, None, 0, 1);
+            return Ok(&self.trace);
         }
 
         let hit = self
@@ -375,10 +396,11 @@ impl Cpu {
         self.total_cycles += cycles;
         self.peripherals.tick(cycles);
 
-        Ok(self.trace(pc, StepEvent::Executed, Some(instruction), size, cycles))
+        self.finish(pc, StepEvent::Executed, Some(instruction), size, cycles);
+        Ok(&self.trace)
     }
 
-    fn take_interrupt(&mut self, pc: u16, vector: u8) -> StepTrace {
+    fn take_interrupt(&mut self, pc: u16, vector: u8) {
         // Hardware interrupt sequence: push PC, push SR, clear SR (which
         // clears GIE and wakes the CPU from low-power mode), load the vector.
         self.push_word(pc);
@@ -386,7 +408,7 @@ impl Cpu {
         self.regs.set_sr(0);
         let handler = self.memory.interrupt_vector(vector);
         // Reading the vector is a visible bus access.
-        self.reads.push(MemAccess {
+        self.trace.reads.push(MemAccess {
             addr: crate::memory::IVT_BASE.wrapping_add(u16::from(vector) * 2),
             value: handler,
             width: Width::Word,
@@ -398,36 +420,35 @@ impl Cpu {
         self.total_cycles += INTERRUPT_CYCLES;
         self.peripherals.tick(INTERRUPT_CYCLES);
 
-        self.trace(
+        self.finish(
             pc,
             StepEvent::InterruptTaken { vector },
             None,
             0,
             INTERRUPT_CYCLES,
-        )
+        );
     }
 
-    /// The finished step's trace: the current PC as `next_pc` and the
-    /// step's logged data accesses.
-    fn trace(
-        &self,
+    /// Completes the step's trace in place: everything but the data
+    /// accesses, which the bus helpers logged as they happened, with the
+    /// current PC as `next_pc`.
+    #[inline]
+    fn finish(
+        &mut self,
         pc: u16,
         event: StepEvent,
         instruction: Option<Instruction>,
         instruction_size: u16,
         cycles: u64,
-    ) -> StepTrace {
-        StepTrace {
-            pc,
-            next_pc: self.regs.pc(),
-            event,
-            instruction,
-            instruction_size,
-            reads: self.reads,
-            writes: self.writes,
-            cycles,
-            total_cycles: self.total_cycles,
-        }
+    ) {
+        let trace = &mut self.trace;
+        trace.pc = pc;
+        trace.next_pc = self.regs.pc();
+        trace.event = event;
+        trace.instruction = instruction;
+        trace.instruction_size = instruction_size;
+        trace.cycles = cycles;
+        trace.total_cycles = self.total_cycles;
     }
 
     /// Runs until the application signals completion through the simulation
@@ -474,7 +495,7 @@ mod tests {
     #[test]
     fn mov_immediate_and_trace() {
         let mut cpu = cpu_with_program(&[0x403A, 0x1234]); // mov #0x1234, r10
-        let trace = cpu.step().unwrap();
+        let trace = *cpu.step().unwrap();
         assert_eq!(cpu.regs.read(Reg::R10), 0x1234);
         assert_eq!(trace.pc, 0xF000);
         assert_eq!(trace.next_pc, 0xF004);
@@ -489,7 +510,7 @@ mod tests {
     fn call_pushes_return_address() {
         // call #0xF100 at 0xF000 (4 bytes) => return address 0xF004.
         let mut cpu = cpu_with_program(&[0x12B0, 0xF100]);
-        let trace = cpu.step().unwrap();
+        let trace = *cpu.step().unwrap();
         assert_eq!(cpu.regs.pc(), 0xF100);
         assert_eq!(cpu.regs.sp(), 0x03FE);
         assert_eq!(cpu.memory.read_word(0x03FE), 0xF004);
@@ -508,7 +529,7 @@ mod tests {
         let mut cpu = cpu_with_program(&[0x12B0, 0xF100, 0x3FFF]);
         cpu.memory.write_word(0xF100, 0x4130);
         cpu.step().unwrap(); // call
-        let trace = cpu.step().unwrap(); // ret
+        let trace = *cpu.step().unwrap(); // ret
         assert!(trace.instruction.unwrap().is_ret());
         assert_eq!(cpu.regs.pc(), 0xF004);
         assert_eq!(cpu.regs.sp(), 0x0400);
@@ -583,7 +604,7 @@ mod tests {
         mem.write_word(0xFFFE, 0xF000);
         let mut cpu = Cpu::new(mem);
         cpu.reset();
-        let trace = cpu.step().unwrap();
+        let trace = *cpu.step().unwrap();
         assert!(cpu.peripherals.sim_done());
         assert!(trace.wrote_to(0x0100));
     }
@@ -642,7 +663,7 @@ mod tests {
         let mut took_interrupt = false;
         let mut returned = false;
         for _ in 0..200 {
-            let trace = cpu.step().unwrap();
+            let trace = *cpu.step().unwrap();
             if trace.interrupt_taken() {
                 took_interrupt = true;
                 assert_eq!(cpu.regs.pc(), 0xE100);
@@ -702,7 +723,7 @@ mod tests {
         let mut saw_idle = false;
         let mut took_interrupt = false;
         for _ in 0..500 {
-            let trace = cpu.step().unwrap();
+            let trace = *cpu.step().unwrap();
             if trace.event == StepEvent::Idle {
                 saw_idle = true;
             }
@@ -743,7 +764,7 @@ mod tests {
         cpu.set_irq_inhibited(true);
         assert!(cpu.irq_inhibited());
         for _ in 0..100 {
-            let trace = cpu.step().unwrap();
+            let trace = *cpu.step().unwrap();
             assert!(!trace.interrupt_taken(), "interrupt taken while inhibited");
         }
         // Unmasking delivers the pending interrupt promptly.
@@ -767,7 +788,7 @@ mod tests {
         gate.protect(0xE000, 0xF7FF);
         cpu.set_write_gate(Some(gate));
 
-        let trace = cpu.step().unwrap();
+        let trace = *cpu.step().unwrap();
         // The attempted store is on the bus for the monitor to see...
         assert!(trace.wrote_to(0xE010));
         assert_eq!(trace.written_value(0xE010), Some(0x1234));
@@ -821,7 +842,7 @@ mod tests {
             cpu.regs.write(Reg::R4, 0x0200);
             cpu.memory.write_word(0x0200, 0x5555);
             cpu.step().unwrap();
-            let trace = cpu.step().unwrap();
+            let trace = *cpu.step().unwrap();
             assert_eq!((trace.reads.len(), trace.writes.len()), (1, 1));
             assert_eq!(cpu.vetoed_writes(), 1);
 
@@ -862,7 +883,7 @@ mod tests {
                 cycles,
                 total_cycles: total_cycles + cycles,
             };
-            assert_eq!(cpu.step().unwrap(), expected, "predecoded: {predecoded}");
+            assert_eq!(*cpu.step().unwrap(), expected, "predecoded: {predecoded}");
         }
     }
 

@@ -117,7 +117,7 @@ fn every_instruction_word_stays_within_the_bus_bound() {
             let Ok(trace) = cpu.step() else { continue };
             assert_eq!(trace.event, StepEvent::Executed);
             let case = format!("{first:#06x} {ext:04x?}");
-            maxima.record(&trace, &case);
+            maxima.record(trace, &case);
             assert_next_step_is_clean(&mut cpu, &case);
             executed += 1;
         }
@@ -145,7 +145,7 @@ fn interrupt_entry_stays_within_the_bus_bound() {
     assert!(trace.interrupt_taken());
     assert_eq!(trace.next_pc, HANDLER);
     let mut maxima = Maxima::default();
-    maxima.record(&trace, "interrupt entry");
+    maxima.record(trace, "interrupt entry");
     // PC and SR pushed, the vector read; nothing fetched.
     assert_eq!(
         (maxima.fetches, maxima.reads, maxima.writes),

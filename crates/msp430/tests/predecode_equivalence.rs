@@ -200,8 +200,8 @@ proptest! {
                 plain.memory.write_word(addr, word);
                 cached.memory.write_word(addr, word);
             }
-            let expected = plain.step();
-            let got = cached.step();
+            let expected = plain.step().copied();
+            let got = cached.step().copied();
             prop_assert_eq!(&got, &expected, "step {} of {:04x?}", step, words);
             prop_assert_eq!(&cached.regs, &plain.regs);
             if expected.is_err() {

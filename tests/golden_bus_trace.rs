@@ -200,7 +200,7 @@ fn stepped_digest(
             break RunOutcome::Timeout { cycles };
         }
         match device.step() {
-            Ok((trace, violation)) => {
+            Ok((&trace, violation)) => {
                 digest.step(&trace);
                 digest.text(&format!("{violation:?}"));
                 if let Some(violation) = violation {
