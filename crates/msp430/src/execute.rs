@@ -56,17 +56,33 @@ fn read_source(cpu: &mut Cpu, operand: &Operand, width: Width) -> u16 {
             cpu.bus_read(addr, width)
         }
         Operand::IndirectAutoInc(r) => {
-            let addr = cpu.regs.read(*r);
-            let value = cpu.bus_read(addr, width);
-            // SP and PC always advance by a full word even for byte accesses.
-            let increment = if matches!(r, Reg::SP | Reg::PC) {
-                2
-            } else {
-                width.bytes()
-            };
-            cpu.regs.write(*r, addr.wrapping_add(increment));
-            value
+            let addr = post_increment(cpu, *r, width);
+            cpu.bus_read(addr, width)
         }
+    }
+}
+
+/// Advances `r` past an `@Rn+` access of `width` and returns the address
+/// it held. SP and PC always advance by a full word, even for byte
+/// accesses.
+fn post_increment(cpu: &mut Cpu, r: Reg, width: Width) -> u16 {
+    let addr = cpu.regs.read(r);
+    let increment = if matches!(r, Reg::SP | Reg::PC) {
+        2
+    } else {
+        width.bytes()
+    };
+    cpu.regs.write(r, addr.wrapping_add(increment));
+    addr
+}
+
+/// The operand of RRC, RRA, SWPB and SXT, which read a place and write
+/// their result back to it. `@Rn+` reads from `@Rn`, advances Rn as a
+/// source operand does, and the result goes back to the address read.
+fn resolve_read_modify_write(cpu: &mut Cpu, operand: &Operand, width: Width) -> Place {
+    match operand {
+        Operand::IndirectAutoInc(r) => Place::Memory(post_increment(cpu, *r, width)),
+        _ => resolve_destination(cpu, operand),
     }
 }
 
@@ -78,8 +94,9 @@ fn resolve_destination(cpu: &mut Cpu, operand: &Operand) -> Place {
         }
         Operand::Absolute(addr) => Place::Memory(*addr),
         Operand::Symbolic { offset } => Place::Memory(cpu.regs.pc().wrapping_add(*offset as u16)),
-        // Not legal destinations; resolve defensively to their address/value
-        // so a malformed program faults visibly instead of corrupting state.
+        // Not legal two-operand destinations; resolve defensively to their
+        // address/value so a malformed program faults visibly instead of
+        // corrupting state.
         Operand::Indirect(r) | Operand::IndirectAutoInc(r) => Place::Memory(cpu.regs.read(*r)),
         Operand::Immediate(_) => Place::Memory(0),
     }
@@ -202,10 +219,7 @@ fn execute_one_op(cpu: &mut Cpu, opcode: OneOpOpcode, width: Width, operand: &Op
             cpu.regs.set_pc(pc);
         }
         OneOpOpcode::Rrc | OneOpOpcode::Rra => {
-            let place = match operand {
-                Operand::Register(r) => Place::Register(*r),
-                _ => resolve_destination(cpu, operand),
-            };
+            let place = resolve_read_modify_write(cpu, operand, width);
             let value = read_place(cpu, &place, width);
             let mut flags = flags_of(cpu);
             let high_bit = match opcode {
@@ -232,19 +246,13 @@ fn execute_one_op(cpu: &mut Cpu, opcode: OneOpOpcode, width: Width, operand: &Op
             write_place(cpu, &place, result, width);
         }
         OneOpOpcode::Swpb => {
-            let place = match operand {
-                Operand::Register(r) => Place::Register(*r),
-                _ => resolve_destination(cpu, operand),
-            };
+            let place = resolve_read_modify_write(cpu, operand, Width::Word);
             let value = read_place(cpu, &place, Width::Word);
             let swapped = value.rotate_left(8);
             write_place(cpu, &place, swapped, Width::Word);
         }
         OneOpOpcode::Sxt => {
-            let place = match operand {
-                Operand::Register(r) => Place::Register(*r),
-                _ => resolve_destination(cpu, operand),
-            };
+            let place = resolve_read_modify_write(cpu, operand, Width::Word);
             let value = read_place(cpu, &place, Width::Word) & 0x00FF;
             let extended = if value & 0x0080 != 0 {
                 value | 0xFF00
@@ -280,5 +288,195 @@ fn execute_jump(cpu: &mut Cpu, condition: Condition, offset: i16) {
         let pc = cpu.regs.pc();
         cpu.regs
             .set_pc(pc.wrapping_add((offset as u16).wrapping_mul(2)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bus::{AccessKind, MemAccess};
+    use crate::encoder::encode;
+    use crate::memory::Memory;
+
+    /// A core about to run `program` from 0xF000.
+    fn cpu_with(program: &[Instruction]) -> Cpu {
+        let mut mem = Memory::new();
+        let mut addr = 0xF000u16;
+        for word in program.iter().flat_map(|i| encode(i).expect("encodable")) {
+            mem.write_word(addr, word);
+            addr += 2;
+        }
+        mem.write_word(0xFFFE, 0xF000);
+        let mut cpu = Cpu::new(mem);
+        cpu.reset();
+        cpu
+    }
+
+    fn one_op(opcode: OneOpOpcode, width: Width, reg: Reg) -> Instruction {
+        Instruction::OneOp {
+            opcode,
+            width,
+            operand: Operand::IndirectAutoInc(reg),
+        }
+    }
+
+    fn access(kind: AccessKind, addr: u16, value: u16, width: Width) -> MemAccess {
+        MemAccess {
+            addr,
+            value,
+            width,
+            kind,
+        }
+    }
+
+    /// Steps `opcode` on `@reg+` with `reg` at `addr`; checks that `reg`
+    /// advanced by `increment` and that the step read `before` from
+    /// `addr` and wrote `after` back there.
+    fn check_autoinc(
+        opcode: OneOpOpcode,
+        width: Width,
+        reg: Reg,
+        (addr, increment): (u16, u16),
+        (before, after): (u16, u16),
+    ) {
+        let mut cpu = cpu_with(&[one_op(opcode, width, reg)]);
+        cpu.regs.write(reg, addr);
+        match width {
+            Width::Word => cpu.memory.write_word(addr, before),
+            Width::Byte => cpu.memory.write_byte(addr, before as u8),
+        }
+        let trace = *cpu.step().expect("executes");
+        let case = format!("{opcode:?} {width:?} @{reg:?}+");
+        assert_eq!(cpu.regs.read(reg), addr + increment, "{case}: register");
+        assert_eq!(
+            &trace.reads[..],
+            &[access(AccessKind::Read, addr, before, width)],
+            "{case}: reads"
+        );
+        assert_eq!(
+            &trace.writes[..],
+            &[access(AccessKind::Write, addr, after, width)],
+            "{case}: writes"
+        );
+    }
+
+    #[test]
+    fn rrc_autoinc_advances_and_writes_back_to_the_address_read() {
+        // Carry is clear after reset, so RRC shifts in a zero.
+        check_autoinc(
+            OneOpOpcode::Rrc,
+            Width::Word,
+            Reg::R5,
+            (0x0200, 2),
+            (0x8003, 0x4001),
+        );
+        check_autoinc(
+            OneOpOpcode::Rrc,
+            Width::Byte,
+            Reg::R5,
+            (0x0201, 1),
+            (0x83, 0x41),
+        );
+        check_autoinc(
+            OneOpOpcode::Rrc,
+            Width::Byte,
+            Reg::SP,
+            (0x03F0, 2),
+            (0x02, 0x01),
+        );
+    }
+
+    #[test]
+    fn rra_autoinc_advances_and_writes_back_to_the_address_read() {
+        check_autoinc(
+            OneOpOpcode::Rra,
+            Width::Word,
+            Reg::R5,
+            (0x0200, 2),
+            (0x8004, 0xC002),
+        );
+        check_autoinc(
+            OneOpOpcode::Rra,
+            Width::Byte,
+            Reg::R5,
+            (0x0201, 1),
+            (0x84, 0xC2),
+        );
+        check_autoinc(
+            OneOpOpcode::Rra,
+            Width::Word,
+            Reg::SP,
+            (0x03F0, 2),
+            (0x0010, 0x0008),
+        );
+        check_autoinc(
+            OneOpOpcode::Rra,
+            Width::Byte,
+            Reg::SP,
+            (0x03F0, 2),
+            (0x10, 0x08),
+        );
+    }
+
+    #[test]
+    fn swpb_autoinc_advances_and_writes_back_to_the_address_read() {
+        check_autoinc(
+            OneOpOpcode::Swpb,
+            Width::Word,
+            Reg::R5,
+            (0x0200, 2),
+            (0x1234, 0x3412),
+        );
+        check_autoinc(
+            OneOpOpcode::Swpb,
+            Width::Word,
+            Reg::SP,
+            (0x03F0, 2),
+            (0xAB00, 0x00AB),
+        );
+    }
+
+    #[test]
+    fn sxt_autoinc_advances_and_writes_back_to_the_address_read() {
+        check_autoinc(
+            OneOpOpcode::Sxt,
+            Width::Word,
+            Reg::R5,
+            (0x0200, 2),
+            (0x0080, 0xFF80),
+        );
+        check_autoinc(
+            OneOpOpcode::Sxt,
+            Width::Word,
+            Reg::SP,
+            (0x03F0, 2),
+            (0x127F, 0x007F),
+        );
+    }
+
+    #[test]
+    fn autoinc_walks_one_word_per_single_operand_instruction() {
+        // mov #0x0200, r5 ; rra @r5+ ; swpb @r5+ ; sxt @r5+
+        let mut cpu = cpu_with(&[
+            Instruction::TwoOp {
+                opcode: TwoOpOpcode::Mov,
+                width: Width::Word,
+                src: Operand::Immediate(0x0200),
+                dst: Operand::Register(Reg::R5),
+            },
+            one_op(OneOpOpcode::Rra, Width::Word, Reg::R5),
+            one_op(OneOpOpcode::Swpb, Width::Word, Reg::R5),
+            one_op(OneOpOpcode::Sxt, Width::Word, Reg::R5),
+        ]);
+        for (addr, value) in [(0x0200, 0x0004), (0x0202, 0x1234), (0x0204, 0x0080)] {
+            cpu.memory.write_word(addr, value);
+        }
+        for _ in 0..4 {
+            cpu.step().expect("executes");
+        }
+        assert_eq!(cpu.regs.read(Reg::R5), 0x0206);
+        assert_eq!(cpu.memory.read_word(0x0200), 0x0002);
+        assert_eq!(cpu.memory.read_word(0x0202), 0x3412);
+        assert_eq!(cpu.memory.read_word(0x0204), 0xFF80);
     }
 }
