@@ -79,12 +79,6 @@ impl TwoOpOpcode {
         })
     }
 
-    /// `true` for instructions that only update flags without writing the
-    /// destination (`CMP`, `BIT`).
-    fn is_flags_only(self) -> bool {
-        matches!(self, TwoOpOpcode::Cmp | TwoOpOpcode::Bit)
-    }
-
     /// Lower-case mnemonic.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -424,20 +418,6 @@ impl Instruction {
             }
         )
     }
-
-    /// `true` if the instruction may write to the program counter, i.e. it is
-    /// a control-flow transfer.
-    pub fn is_control_flow(&self) -> bool {
-        match self {
-            Instruction::Jump { .. } => true,
-            Instruction::OneOp { opcode, .. } => {
-                matches!(opcode, OneOpOpcode::Call | OneOpOpcode::Reti)
-            }
-            Instruction::TwoOp { dst, opcode, .. } => {
-                *dst == Operand::Register(Reg::PC) && !opcode.is_flags_only()
-            }
-        }
-    }
 }
 
 impl fmt::Display for Instruction {
@@ -603,7 +583,6 @@ mod tests {
             operand: Operand::Immediate(0xF000),
         };
         assert!(call.is_call());
-        assert!(call.is_control_flow());
         assert!(!call.is_ret());
 
         let ret = Instruction::TwoOp {
@@ -613,15 +592,6 @@ mod tests {
             dst: Operand::Register(Reg::PC),
         };
         assert!(ret.is_ret());
-        assert!(ret.is_control_flow());
-
-        let cmp_pc = Instruction::TwoOp {
-            opcode: TwoOpOpcode::Cmp,
-            width: Width::Word,
-            src: Operand::Register(Reg::R4),
-            dst: Operand::Register(Reg::PC),
-        };
-        assert!(!cmp_pc.is_control_flow());
     }
 
     #[test]
