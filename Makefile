@@ -168,6 +168,8 @@ examples:
 		cargo run --release -q --example $$name > /dev/null || exit 1; \
 	done
 
-# Local CI. perfbench-test builds the benchmark crate against the
-# workspace, so removing a public item it uses fails here too.
-ci: fmt clippy doc test test-workspace examples perfbench-test
+# Local CI. sim-check runs the simulator step's oracles in release
+# mode, the build the benchmark times; perfbench-test builds the
+# benchmark crate against the workspace, so removing a public item it
+# uses fails here too.
+ci: fmt clippy doc test test-workspace sim-check examples perfbench-test
