@@ -76,17 +76,7 @@ fn post_increment(cpu: &mut Cpu, r: Reg, width: Width) -> u16 {
     addr
 }
 
-/// The operand of RRC, RRA, SWPB and SXT, which read a place and write
-/// their result back to it. `@Rn+` reads from `@Rn`, advances Rn as a
-/// source operand does, and the result goes back to the address read.
-fn resolve_read_modify_write(cpu: &mut Cpu, operand: &Operand, width: Width) -> Place {
-    match operand {
-        Operand::IndirectAutoInc(r) => Place::Memory(post_increment(cpu, *r, width)),
-        _ => resolve_destination(cpu, operand),
-    }
-}
-
-fn resolve_destination(cpu: &mut Cpu, operand: &Operand) -> Place {
+fn resolve_destination(cpu: &mut Cpu, operand: &Operand, width: Width) -> Place {
     match operand {
         Operand::Register(r) => Place::Register(*r),
         Operand::Indexed { reg, offset } => {
@@ -94,10 +84,13 @@ fn resolve_destination(cpu: &mut Cpu, operand: &Operand) -> Place {
         }
         Operand::Absolute(addr) => Place::Memory(*addr),
         Operand::Symbolic { offset } => Place::Memory(cpu.regs.pc().wrapping_add(*offset as u16)),
-        // Not legal two-operand destinations; resolve defensively to their
-        // address/value so a malformed program faults visibly instead of
-        // corrupting state.
-        Operand::Indirect(r) | Operand::IndirectAutoInc(r) => Place::Memory(cpu.regs.read(*r)),
+        // Only the single-operand RRC, RRA, SWPB and SXT address their
+        // operand as `@Rn` or `@Rn+`: they write the result back to the
+        // address read, and `@Rn+` advances Rn as a source operand does.
+        Operand::Indirect(r) => Place::Memory(cpu.regs.read(*r)),
+        Operand::IndirectAutoInc(r) => Place::Memory(post_increment(cpu, *r, width)),
+        // Not a legal destination; resolve defensively so a malformed
+        // program faults visibly instead of corrupting state.
         Operand::Immediate(_) => Place::Memory(0),
     }
 }
@@ -133,7 +126,7 @@ fn store_flags(cpu: &mut Cpu, flags: StatusFlags) {
 
 fn execute_two_op(cpu: &mut Cpu, opcode: TwoOpOpcode, width: Width, src: &Operand, dst: &Operand) {
     let src_value = read_source(cpu, src, width);
-    let place = resolve_destination(cpu, dst);
+    let place = resolve_destination(cpu, dst, width);
     let mut flags = flags_of(cpu);
 
     match opcode {
@@ -219,7 +212,7 @@ fn execute_one_op(cpu: &mut Cpu, opcode: OneOpOpcode, width: Width, operand: &Op
             cpu.regs.set_pc(pc);
         }
         OneOpOpcode::Rrc | OneOpOpcode::Rra => {
-            let place = resolve_read_modify_write(cpu, operand, width);
+            let place = resolve_destination(cpu, operand, width);
             let value = read_place(cpu, &place, width);
             let mut flags = flags_of(cpu);
             let high_bit = match opcode {
@@ -246,13 +239,13 @@ fn execute_one_op(cpu: &mut Cpu, opcode: OneOpOpcode, width: Width, operand: &Op
             write_place(cpu, &place, result, width);
         }
         OneOpOpcode::Swpb => {
-            let place = resolve_read_modify_write(cpu, operand, Width::Word);
+            let place = resolve_destination(cpu, operand, Width::Word);
             let value = read_place(cpu, &place, Width::Word);
             let swapped = value.rotate_left(8);
             write_place(cpu, &place, swapped, Width::Word);
         }
         OneOpOpcode::Sxt => {
-            let place = resolve_read_modify_write(cpu, operand, Width::Word);
+            let place = resolve_destination(cpu, operand, Width::Word);
             let value = read_place(cpu, &place, Width::Word) & 0x00FF;
             let extended = if value & 0x0080 != 0 {
                 value | 0xFF00
