@@ -45,12 +45,14 @@ fleet-scale:
 # Table IV app's EILID build (clean and under each applicable attack)
 # against pinned bus-trace digests, the per-step bus bound (fetches,
 # reads, writes) over every first instruction word plus interrupt entry,
-# and a predecoded core stepping like a plain one while its code is
-# rewritten under it.
+# a predecoded core stepping like a plain one while its code is
+# rewritten under it, and pinned per-opcode digests of every first
+# instruction word executed on seeded operands.
 sim-check:
 	cargo test --release --test golden_bus_trace
 	cargo test --release -p eilid_msp430 --test bus_bound
 	cargo test --release -p eilid_msp430 --test predecode_equivalence
+	cargo test --release -p eilid_msp430 --test executor_digest
 
 # Every property-test suite and parser fuzz loop in release mode, once
 # per seed in SOAK_SEEDS (default: eight fixed seeds), stopping at the
