@@ -291,7 +291,6 @@ mod tests {
             pc,
             next_pc: pc.wrapping_add(2),
             event: StepEvent::Executed,
-            instruction: None,
             instruction_size: 2,
             reads: AccessLog::new(),
             writes: AccessLog::new(),
@@ -444,7 +443,6 @@ mod tests {
             pc: 0xF802,
             next_pc: 0xE100,
             event: StepEvent::InterruptTaken { vector: 8 },
-            instruction: None,
             instruction_size: 0,
             reads: AccessLog::new(),
             writes: AccessLog::new(),

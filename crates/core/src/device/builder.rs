@@ -372,6 +372,30 @@ hang:
     }
 
     #[test]
+    fn immediate_operand_rewrite_in_pmem_is_vetoed_and_flagged() {
+        // `rra #N` writes its result back to its operand, the
+        // instruction's own extension word in PMEM (0xE006 here): a PMEM
+        // write like any other. Address 0 stays untouched.
+        let source = "    .org 0xe000
+    .global main
+main:
+    mov #0x0400, sp
+    rra #0x1234
+hang:
+    jmp hang
+";
+        let mut protected = DeviceBuilder::new().build_monitored_raw(source).unwrap();
+        let outcome = protected.run_for(10_000);
+        assert!(matches!(
+            outcome.violation(),
+            Some(Violation::PmemWrite { addr: 0xE006, .. })
+        ));
+        assert_eq!(protected.cpu().memory.read_word(0xE006), 0x1234);
+        assert_eq!(protected.cpu().memory.read_word(0x0000), 0);
+        assert_eq!(protected.cpu().vetoed_writes(), 1);
+    }
+
+    #[test]
     fn authenticated_update_still_writes_through_the_gate() {
         // The gate must not break the authorised update path: the engine
         // writes the payload into memory directly, past the gate.

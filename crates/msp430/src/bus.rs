@@ -8,6 +8,11 @@
 //! violated, so the trace is the natural integration point between the
 //! simulator and the monitor crate.
 //!
+//! The trace carries no decoded instruction: the CASU hardware taps the
+//! PC, the fetch addresses and the data bus, not a decoder's output. A
+//! consumer that wants the instruction decodes it at `pc` with
+//! [`decode`](crate::decode) before the step.
+//!
 //! A trace is plain, fixed-size `Copy` data: the data reads and writes
 //! live in inline [`AccessLog`]s (the ISA bounds each to [`MAX_ACCESSES`]
 //! per step) and the fetch addresses are derived from `pc` and
@@ -19,7 +24,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::flags::Width;
-use crate::instruction::Instruction;
 
 /// Direction of a data-memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -209,8 +213,6 @@ pub struct StepTrace {
     pub next_pc: u16,
     /// What happened during this step.
     pub event: StepEvent,
-    /// The executed instruction, when [`StepEvent::Executed`].
-    pub instruction: Option<Instruction>,
     /// Encoded size of the executed instruction in bytes (0 otherwise).
     /// With `pc` it gives the fetch addresses
     /// ([`StepTrace::fetch_addresses`]).
@@ -292,7 +294,6 @@ mod tests {
             pc: 0xF000,
             next_pc: 0xF004,
             event: StepEvent::Executed,
-            instruction: None,
             instruction_size: 4,
             reads: AccessLog::new(),
             writes,
@@ -318,7 +319,6 @@ mod tests {
             pc: 0xFFFC,
             next_pc: 0x0002,
             event: StepEvent::Executed,
-            instruction: None,
             instruction_size: 6,
             reads: AccessLog::new(),
             writes: AccessLog::new(),
@@ -357,7 +357,6 @@ mod tests {
             pc: 0xF000,
             next_pc: 0xE100,
             event: StepEvent::InterruptTaken { vector: 8 },
-            instruction: None,
             instruction_size: 0,
             reads: AccessLog::new(),
             writes: AccessLog::new(),

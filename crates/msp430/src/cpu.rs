@@ -16,14 +16,18 @@
 //! step.
 //!
 //! A step decodes nothing it decoded before, either. [`Cpu::predecode`]
-//! decodes every even address of the loaded firmware once, into a table
-//! that clones of the core share. A step uses the table's entry for its
-//! pc only after checking that the one to three words in memory still
-//! equal the words the entry was decoded from (a verified hit);
-//! otherwise it decodes from memory as a core without a table does. A
-//! write to code, whether a direct write, an attack, an OTA patch or
-//! self-modifying code, therefore decodes exactly as before, and the
-//! table needs no invalidation.
+//! decodes every even address of the loaded firmware once and lowers
+//! each instruction into an execution-ready op (its handler, chosen for
+//! its opcode, width and operand modes, and its resolved operands), into
+//! a table that clones of the core share. A step finds its pc's entry
+//! through an index over the build's code range and uses it only after
+//! checking that the one to three words in memory still equal the words
+//! the entry was decoded from (a verified hit); otherwise it decodes
+//! from memory and lowers the result, as a core without a table does.
+//! Either way the op runs through the same executor. A write to code,
+//! whether a direct write, an attack, an OTA patch or self-modifying
+//! code, therefore decodes exactly as before, and the table needs no
+//! invalidation.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -31,12 +35,11 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::bus::{AccessKind, AccessLog, MemAccess, StepEvent, StepTrace};
-use crate::cycles::{cycle_count, INTERRUPT_CYCLES};
+use crate::cycles::INTERRUPT_CYCLES;
 use crate::decoder::{decode_instruction, DecodeError, DecodeTable};
-use crate::execute::execute;
+use crate::execute::{execute, lower, Op};
 use crate::flags::{StatusFlags, Width};
 use crate::gate::WriteGate;
-use crate::instruction::Instruction;
 use crate::memory::Memory;
 use crate::peripherals::Peripherals;
 use crate::registers::RegisterFile;
@@ -132,7 +135,6 @@ fn empty_trace() -> StepTrace {
         pc: 0,
         next_pc: 0,
         event: StepEvent::Idle,
-        instruction: None,
         instruction_size: 0,
         reads: AccessLog::new(),
         writes: AccessLog::new(),
@@ -362,29 +364,38 @@ impl Cpu {
             // CPU is off; burn one cycle waiting for an interrupt.
             self.peripherals.tick(1);
             self.total_cycles += 1;
-            self.finish(pc, StepEvent::Idle, None, 0, 1);
+            self.finish(pc, StepEvent::Idle, 0, 1);
             return Ok(&self.trace);
         }
 
         let hit = self
             .table
             .as_deref()
-            .and_then(|table| table.lookup(&self.memory, pc));
-        let (instruction, size, cycles) = match hit {
-            Some(hit) => hit,
+            .and_then(|table| table.lookup(&self.memory, pc))
+            .copied();
+        match hit {
+            Some(op) => self.execute_at(pc, op),
             None => {
                 let (instruction, size) = decode_instruction(&self.memory, pc).map_err(
                     |DecodeError::IllegalOpcode { word, address }| StepError { address, word },
                 )?;
-                (instruction, size, cycle_count(&instruction))
+                self.execute_at(pc, lower(&instruction, pc, size));
             }
-        };
+        }
+        Ok(&self.trace)
+    }
 
+    /// Executes `op`, the instruction at `pc`, and completes the step.
+    /// Inlined into both arms of the lookup, so a table hit runs its
+    /// entry's op as loaded, without first merging it with a miss's.
+    #[inline(always)]
+    fn execute_at(&mut self, pc: u16, op: Op) {
         // Advance the PC past the instruction before executing it, so that
         // `call` pushes the correct return address and PC-relative reads see
         // the next instruction's address.
+        let size = op.size();
         self.regs.set_pc(pc.wrapping_add(size));
-        execute(self, &instruction);
+        execute(self, &op);
 
         // Entering low-power mode happens by setting CPUOFF in SR.
         self.state = if self.flags().cpu_off() {
@@ -393,11 +404,11 @@ impl Cpu {
             CpuState::Running
         };
 
+        let cycles = op.cycles();
         self.total_cycles += cycles;
         self.peripherals.tick(cycles);
 
-        self.finish(pc, StepEvent::Executed, Some(instruction), size, cycles);
-        Ok(&self.trace)
+        self.finish(pc, StepEvent::Executed, size, cycles);
     }
 
     fn take_interrupt(&mut self, pc: u16, vector: u8) {
@@ -423,7 +434,6 @@ impl Cpu {
         self.finish(
             pc,
             StepEvent::InterruptTaken { vector },
-            None,
             0,
             INTERRUPT_CYCLES,
         );
@@ -433,19 +443,11 @@ impl Cpu {
     /// accesses, which the bus helpers logged as they happened, with the
     /// current PC as `next_pc`.
     #[inline]
-    fn finish(
-        &mut self,
-        pc: u16,
-        event: StepEvent,
-        instruction: Option<Instruction>,
-        instruction_size: u16,
-        cycles: u64,
-    ) {
+    fn finish(&mut self, pc: u16, event: StepEvent, instruction_size: u16, cycles: u64) {
         let trace = &mut self.trace;
         trace.pc = pc;
         trace.next_pc = self.regs.pc();
         trace.event = event;
-        trace.instruction = instruction;
         trace.instruction_size = instruction_size;
         trace.cycles = cycles;
         trace.total_cycles = self.total_cycles;
@@ -471,6 +473,7 @@ impl Cpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decoder::decode;
     use crate::registers::Reg;
 
     /// Builds a CPU with `words` loaded at 0xF000 and the reset vector set.
@@ -529,8 +532,9 @@ mod tests {
         let mut cpu = cpu_with_program(&[0x12B0, 0xF100, 0x3FFF]);
         cpu.memory.write_word(0xF100, 0x4130);
         cpu.step().unwrap(); // call
-        let trace = *cpu.step().unwrap(); // ret
-        assert!(trace.instruction.unwrap().is_ret());
+        let ret = decode(&cpu.memory, cpu.regs.pc()).unwrap().instruction;
+        assert!(ret.is_ret());
+        cpu.step().unwrap();
         assert_eq!(cpu.regs.pc(), 0xF004);
         assert_eq!(cpu.regs.sp(), 0x0400);
     }
@@ -663,6 +667,7 @@ mod tests {
         let mut took_interrupt = false;
         let mut returned = false;
         for _ in 0..200 {
+            let next = decode(&cpu.memory, cpu.regs.pc()).map(|d| d.instruction);
             let trace = *cpu.step().unwrap();
             if trace.interrupt_taken() {
                 took_interrupt = true;
@@ -670,12 +675,11 @@ mod tests {
                 // PC and SR must have been pushed onto the main stack.
                 assert_eq!(trace.writes.len(), 2);
             }
-            if took_interrupt {
-                if let Some(instr) = &trace.instruction {
-                    if instr.is_reti() {
-                        returned = true;
-                    }
-                }
+            if took_interrupt
+                && trace.event == StepEvent::Executed
+                && next.is_ok_and(|instr| instr.is_reti())
+            {
+                returned = true;
             }
             if returned {
                 break;
@@ -827,7 +831,8 @@ mod tests {
     #[test]
     fn step_error_changes_nothing_and_the_next_trace_is_whole() {
         use crate::bus::{AccessKind, MemAccess};
-        use crate::instruction::{OneOpOpcode, Operand};
+        use crate::cycles::cycle_count;
+        use crate::instruction::{Instruction, OneOpOpcode, Operand};
 
         for predecoded in [false, true] {
             // push r10 ; mov @r4, &0xE010 (read, vetoed write) ; illegal
@@ -876,7 +881,6 @@ mod tests {
                 pc: 0xF006,
                 next_pc: 0xF008,
                 event: StepEvent::Executed,
-                instruction: Some(push),
                 instruction_size: 2,
                 reads: AccessLog::new(),
                 writes,

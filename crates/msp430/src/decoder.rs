@@ -6,14 +6,14 @@
 //! of each extension word.
 //!
 //! `decode_instruction` is the one decoder. The core's per-build
-//! `DecodeTable` only caches its output for the loaded firmware (see
-//! [`Cpu::predecode`](crate::Cpu::predecode)).
+//! `DecodeTable` only caches its output, lowered for execution, for the
+//! loaded firmware (see [`Cpu::predecode`](crate::Cpu::predecode)).
 
 use std::fmt;
 use std::ops::Range;
 
 use crate::bus::MAX_FETCHES;
-use crate::cycles::cycle_count;
+use crate::execute::{lower, Op};
 use crate::flags::Width;
 use crate::instruction::{Condition, Instruction, OneOpOpcode, Operand, TwoOpOpcode};
 use crate::memory::{Memory, ADDRESS_SPACE};
@@ -150,31 +150,32 @@ pub(crate) fn decode_instruction(
     Ok((instruction, fetcher.fetched * 2))
 }
 
-/// One [`DecodeTable`] entry: what [`decode_instruction`] returned at
-/// its address when the table was built, and the words it read.
-#[derive(Debug, Clone, Copy)]
-struct Predecoded {
+/// One [`DecodeTable`] entry: the words [`decode_instruction`] read at
+/// its address when the table was built, and their instruction lowered.
+#[derive(Clone, Copy)]
+struct Entry {
     words: [u16; MAX_FETCHES],
-    instruction: Instruction,
-    size: u8,
-    cycles: u8,
+    op: Op,
 }
 
-/// A run of entries, one per even address from `start`.
-struct Span {
-    start: u16,
-    entries: Box<[Option<Predecoded>]>,
-}
-
-/// The loaded firmware's instructions, decoded once per build.
+/// The loaded firmware's instructions, decoded and lowered once per
+/// build.
 ///
+/// An index over the build's code range maps each even address to its
+/// entry, so a lookup is one subtraction and one bounds check; only the
+/// addresses of `spans` that decode hold an entry.
 /// [`DecodeTable::lookup`] answers only when the words now in memory
 /// equal the words the entry was decoded from, so a table never goes
 /// stale: any write to code (a direct write, an attack, an OTA patch,
 /// self-modifying code) turns its entries into misses, and the caller
 /// decodes as if there were no table.
 pub(crate) struct DecodeTable {
-    spans: Vec<Span>,
+    /// The first address the index covers.
+    base: u16,
+    /// One slot per even address from `base`: 0 for no entry, else the
+    /// entry's index in `entries` plus one.
+    slots: Box<[u16]>,
+    entries: Box<[Entry]>,
 }
 
 impl DecodeTable {
@@ -182,69 +183,75 @@ impl DecodeTable {
     /// the address space) as `memory` holds it now. Illegal words get no
     /// entry.
     pub(crate) fn build(memory: &Memory, spans: impl IntoIterator<Item = Range<usize>>) -> Self {
-        let spans = spans
+        let spans: Vec<Range<usize>> = spans
             .into_iter()
-            .map(|span| {
-                let start = span.start & !1;
-                Span {
-                    start: start as u16,
-                    entries: (start..span.end.min(ADDRESS_SPACE))
-                        .step_by(2)
-                        .map(|addr| predecode_at(memory, addr as u16))
-                        .collect(),
-                }
-            })
+            .map(|span| span.start & !1..span.end.min(ADDRESS_SPACE))
+            .filter(|span| !span.is_empty())
             .collect();
-        DecodeTable { spans }
+        let base = spans.iter().map(|span| span.start).min().unwrap_or(0);
+        let end = spans.iter().map(|span| span.end).max().unwrap_or(base);
+        // At most 32 768 slots, so an entry's index plus one fits a u16.
+        let mut slots = vec![0u16; (end - base).div_ceil(2)];
+        let mut entries = Vec::new();
+        for addr in spans.into_iter().flat_map(|span| span.step_by(2)) {
+            let slot = &mut slots[(addr - base) / 2];
+            if *slot != 0 {
+                continue; // spans overlap here
+            }
+            if let Some(entry) = predecode_at(memory, addr as u16) {
+                entries.push(entry);
+                *slot = entries.len() as u16;
+            }
+        }
+        DecodeTable {
+            base: base as u16,
+            slots: slots.into_boxed_slice(),
+            entries: entries.into_boxed_slice(),
+        }
     }
 
-    /// The instruction at `pc`, its size and its cycle count, when the
-    /// table holds `pc` and memory still holds the words it was decoded
-    /// from. `pc` must be even, as the register file keeps it.
+    /// The lowered instruction at `pc`, when the table holds `pc` and
+    /// memory still holds the words it was decoded from. `pc` must be
+    /// even, as the register file keeps it.
     #[inline]
-    pub(crate) fn lookup(&self, memory: &Memory, pc: u16) -> Option<(Instruction, u16, u64)> {
+    pub(crate) fn lookup(&self, memory: &Memory, pc: u16) -> Option<&Op> {
         debug_assert_eq!(pc & 1, 0, "the core's pc is always even");
-        let entry = self.spans.iter().find_map(|span| {
-            let offset = pc.wrapping_sub(span.start);
-            span.entries.get(usize::from(offset / 2))?.as_ref()
-        })?;
+        // Below `base`, the subtraction wraps past every slot.
+        let slot = *self
+            .slots
+            .get(usize::from(pc.wrapping_sub(self.base) / 2))?;
+        // Slot 0 wraps to an index past every entry.
+        let entry = self.entries.get(usize::from(slot).wrapping_sub(1))?;
         let mut addr = pc;
-        for &word in &entry.words[..usize::from(entry.size / 2)] {
+        for &word in &entry.words[..usize::from(entry.op.size() / 2)] {
             if memory.read_word(addr) != word {
                 return None;
             }
             addr = addr.wrapping_add(2);
         }
-        Some((
-            entry.instruction,
-            u16::from(entry.size),
-            u64::from(entry.cycles),
-        ))
+        Some(&entry.op)
     }
 }
 
 impl fmt::Debug for DecodeTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list()
-            .entries(self.spans.iter().map(|span| {
-                let start = usize::from(span.start);
-                start..start + 2 * span.entries.len()
-            }))
+        let base = usize::from(self.base);
+        f.debug_struct("DecodeTable")
+            .field("range", &(base..base + 2 * self.slots.len()))
+            .field("entries", &self.entries.len())
             .finish()
     }
 }
 
-fn predecode_at(memory: &Memory, pc: u16) -> Option<Predecoded> {
+fn predecode_at(memory: &Memory, pc: u16) -> Option<Entry> {
     let (instruction, size) = decode_instruction(memory, pc).ok()?;
     let mut words = [0; MAX_FETCHES];
     for (index, word) in words.iter_mut().take(usize::from(size / 2)).enumerate() {
         *word = memory.read_word(pc.wrapping_add(2 * index as u16));
     }
-    Some(Predecoded {
+    Some(Entry {
         words,
-        instruction,
-        size: size as u8,
-        cycles: cycle_count(&instruction) as u8,
+        op: lower(&instruction, pc, size),
     })
 }
 
@@ -486,25 +493,53 @@ mod tests {
     #[test]
     fn decode_table_answers_only_for_unchanged_words() {
         let mut mem = Memory::new();
+        // `mov r10, r11` everywhere the index must not answer: below the
+        // first span, in the gap between spans, one past the end.
+        for addr in [0xEFFE, 0xF006, 0xF080, 0xF0FE, 0xF104, 0x0000] {
+            mem.write_word(addr, 0x4A0B);
+        }
         mem.write_word(0xF000, 0x4036); // mov #0xe200, r6
         mem.write_word(0xF002, 0xE200);
         mem.write_word(0xF004, 0x0FFF); // illegal
         mem.write_word(0xF100, 0x4A0B); // mov r10, r11
-        let table = DecodeTable::build(&mem, [0xF100..0xF102, 0xF000..0xF006]);
-        assert_eq!(format!("{table:?}"), "[61696..61698, 61440..61446]");
+        mem.write_word(0xF102, 0x3FFF); // jmp $
+                                        // Spans out of order; the second is the highest.
+        let table = DecodeTable::build(&mem, [0xF100..0xF104, 0xF000..0xF006]);
+        assert_eq!(
+            format!("{table:?}"),
+            "DecodeTable { range: 61440..61700, entries: 4 }"
+        );
+        let hit = |pc| table.lookup(&mem, pc).map(|op| (op.size(), op.cycles()));
 
-        let (instruction, size, cycles) = table.lookup(&mem, 0xF000).expect("a hit");
-        assert_eq!(instruction.to_string(), "mov #0xe200, r6");
-        assert_eq!((size, cycles), (4, 2));
-        assert!(table.lookup(&mem, 0xF100).is_some());
-        // An illegal word and an address outside every span: no entry.
-        assert_eq!(table.lookup(&mem, 0xF004), None);
-        assert_eq!(table.lookup(&mem, 0xF006), None);
+        assert_eq!(hit(0xF000), Some((4, 2)));
+        // The extension word decodes as an instruction of its own.
+        assert!(hit(0xF002).is_some());
+        // The last word of the last span.
+        assert_eq!(hit(0xF100), Some((2, 1)));
+        assert_eq!(hit(0xF102), Some((2, 2)));
+        // An illegal word, just below the first span, the gap between
+        // the spans, one past the end and an address the index wraps to:
+        // no entry.
+        for pc in [0xF004, 0xEFFE, 0xF006, 0xF080, 0xF0FE, 0xF104, 0x0000] {
+            assert_eq!(hit(pc), None, "{pc:#06x}");
+        }
         // A changed extension word turns the entry into a miss.
         mem.write_word(0xF002, 0xE202);
-        assert_eq!(table.lookup(&mem, 0xF000), None);
+        assert_eq!(table.lookup(&mem, 0xF000).map(|op| op.size()), None);
         mem.write_word(0xF002, 0xE200);
         assert!(table.lookup(&mem, 0xF000).is_some());
+    }
+
+    #[test]
+    fn decode_table_over_no_code_is_empty() {
+        let mem = Memory::new();
+        let table = DecodeTable::build(&mem, [0x1_0000..0x1_0004, 0xF000..0xF000]);
+        assert_eq!(
+            format!("{table:?}"),
+            "DecodeTable { range: 0..0, entries: 0 }"
+        );
+        assert!(table.lookup(&mem, 0x0000).is_none());
+        assert!(table.lookup(&mem, 0xF000).is_none());
     }
 
     #[test]

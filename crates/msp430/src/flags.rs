@@ -199,33 +199,78 @@ pub struct AluResult {
     pub overflow: bool,
 }
 
+/// The status-register bits an arithmetic or logic result sets.
+pub(crate) const ARITHMETIC_FLAGS: u16 = SR_C | SR_Z | SR_N | SR_V;
+
 impl AluResult {
     /// Applies the result's flags to `flags`.
     pub fn apply(&self, flags: &mut StatusFlags) {
-        flags.set_carry(self.carry);
-        flags.set_zero(self.zero);
-        flags.set_negative(self.negative);
-        flags.set_overflow(self.overflow);
+        flags.word = (flags.word & !ARITHMETIC_FLAGS) | self.flag_bits();
     }
+
+    /// The result's carry, zero, negative and overflow flags as
+    /// status-register bits.
+    #[inline]
+    pub(crate) fn flag_bits(&self) -> u16 {
+        u16::from(self.carry)
+            | u16::from(self.zero) << 1
+            | u16::from(self.negative) << 2
+            | u16::from(self.overflow) << 8
+    }
+}
+
+/// An operand width fixed at compile time: the executor's handlers and
+/// the flag arithmetic under them are specialised by it.
+pub(crate) trait Bits {
+    /// The width as a value.
+    const WIDTH: Width;
+    /// Mask selecting the bits that participate in the operation.
+    const MASK: u16;
+    /// Mask of the operand's sign bit.
+    const SIGN: u16;
+}
+
+/// Word (`.w`) operations.
+pub(crate) struct W16;
+
+/// Byte (`.b`) operations.
+pub(crate) struct W8;
+
+impl Bits for W16 {
+    const WIDTH: Width = Width::Word;
+    const MASK: u16 = 0xFFFF;
+    const SIGN: u16 = 0x8000;
+}
+
+impl Bits for W8 {
+    const WIDTH: Width = Width::Byte;
+    const MASK: u16 = 0x00FF;
+    const SIGN: u16 = 0x0080;
 }
 
 /// Computes `src + dst + carry_in` with MSP430 flag semantics.
 pub fn add(src: u16, dst: u16, carry_in: bool, width: Width) -> AluResult {
-    let mask = width.mask();
-    let sign = width.sign_bit();
+    match width {
+        Width::Word => add_as::<W16>(src, dst, carry_in),
+        Width::Byte => add_as::<W8>(src, dst, carry_in),
+    }
+}
+
+/// [`add`] at a compile-time width.
+#[inline(always)]
+pub(crate) fn add_as<B: Bits>(src: u16, dst: u16, carry_in: bool) -> AluResult {
+    let mask = u32::from(B::MASK);
+    let sign = u32::from(B::SIGN);
     let s = u32::from(src) & mask;
     let d = u32::from(dst) & mask;
-    let c = u32::from(carry_in);
-    let full = s + d + c;
+    let full = s + d + u32::from(carry_in);
     let value = full & mask;
-    let carry = full > mask;
-    let overflow = ((s ^ value) & (d ^ value) & sign) != 0;
     AluResult {
         value: value as u16,
-        carry,
+        carry: full > mask,
         zero: value == 0,
         negative: value & sign != 0,
-        overflow,
+        overflow: ((s ^ value) & (d ^ value) & sign) != 0,
     }
 }
 
@@ -234,9 +279,16 @@ pub fn add(src: u16, dst: u16, carry_in: bool, width: Width) -> AluResult {
 /// The MSP430 implements subtraction as `dst + !src + carry_in`, so the carry
 /// flag is set when no borrow occurs.
 pub fn sub(src: u16, dst: u16, carry_in: bool, width: Width) -> AluResult {
-    let mask = width.mask();
-    let not_src = (!u32::from(src)) & mask;
-    add(not_src as u16, dst, carry_in, width)
+    match width {
+        Width::Word => sub_as::<W16>(src, dst, carry_in),
+        Width::Byte => sub_as::<W8>(src, dst, carry_in),
+    }
+}
+
+/// [`sub`] at a compile-time width.
+#[inline(always)]
+pub(crate) fn sub_as<B: Bits>(src: u16, dst: u16, carry_in: bool) -> AluResult {
+    add_as::<B>(!src, dst, carry_in)
 }
 
 /// Computes flag effects for logical operations (`AND`, `BIT`, `XOR`).
@@ -245,21 +297,36 @@ pub fn sub(src: u16, dst: u16, carry_in: bool, width: Width) -> AluResult {
 /// `XOR`, overflow when both operands are negative; `AND`/`BIT` clear
 /// overflow.
 pub fn logic(value: u16, width: Width, xor_overflow: bool) -> AluResult {
-    let mask = width.mask();
-    let sign = width.sign_bit();
-    let v = u32::from(value) & mask;
+    match width {
+        Width::Word => logic_as::<W16>(value, xor_overflow),
+        Width::Byte => logic_as::<W8>(value, xor_overflow),
+    }
+}
+
+/// [`logic`] at a compile-time width.
+#[inline(always)]
+pub(crate) fn logic_as<B: Bits>(value: u16, xor_overflow: bool) -> AluResult {
+    let v = value & B::MASK;
     AluResult {
-        value: v as u16,
+        value: v,
         carry: v != 0,
         zero: v == 0,
-        negative: v & sign != 0,
+        negative: v & B::SIGN != 0,
         overflow: xor_overflow,
     }
 }
 
 /// Performs BCD addition for the `DADD` instruction.
 pub fn dadd(src: u16, dst: u16, carry_in: bool, width: Width) -> AluResult {
-    let digits = match width {
+    match width {
+        Width::Word => dadd_as::<W16>(src, dst, carry_in),
+        Width::Byte => dadd_as::<W8>(src, dst, carry_in),
+    }
+}
+
+/// [`dadd`] at a compile-time width.
+pub(crate) fn dadd_as<B: Bits>(src: u16, dst: u16, carry_in: bool) -> AluResult {
+    let digits = match B::WIDTH {
         Width::Word => 4,
         Width::Byte => 2,
     };
@@ -278,12 +345,11 @@ pub fn dadd(src: u16, dst: u16, carry_in: bool, width: Width) -> AluResult {
         }
         value |= (sum & 0xF) << shift;
     }
-    let sign = width.sign_bit() as u16;
     AluResult {
         value,
         carry: carry != 0,
         zero: value == 0,
-        negative: value & sign != 0,
+        negative: value & B::SIGN != 0,
         // Overflow is documented as undefined for DADD; the simulator clears it.
         overflow: false,
     }

@@ -83,8 +83,9 @@ impl std::error::Error for LoadImageError {}
 /// ```
 #[derive(Clone, Serialize, Deserialize)]
 pub struct Memory {
+    /// The whole address space, so a `u16` index needs no bounds check.
     #[serde(with = "serde_bytes_array")]
-    bytes: Vec<u8>,
+    bytes: Box<[u8; ADDRESS_SPACE]>,
     /// One bit per [`DIRTY_GRANULE`]-byte line, set by every content
     /// mutation since the bits were last cleared. `GRANULE_COUNT` bits
     /// packed into `u64` words.
@@ -95,15 +96,22 @@ pub struct Memory {
 // `#[serde(with = ...)]`; a real serde calls back into it.
 #[allow(dead_code)]
 mod serde_bytes_array {
+    use serde::de::Error;
     use serde::{Deserialize, Deserializer, Serializer};
+
+    use super::ADDRESS_SPACE;
 
     pub fn serialize<S: Serializer>(bytes: &[u8], ser: S) -> Result<S::Ok, S::Error> {
         ser.serialize_bytes(bytes)
     }
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<Vec<u8>, D::Error> {
+    pub fn deserialize<'de, D: Deserializer<'de>>(
+        de: D,
+    ) -> Result<Box<[u8; ADDRESS_SPACE]>, D::Error> {
         let v: Vec<u8> = Vec::deserialize(de)?;
-        Ok(v)
+        v.into_boxed_slice()
+            .try_into()
+            .map_err(|_| D::Error::custom("a memory image is exactly 64 KiB"))
     }
 }
 
@@ -111,7 +119,10 @@ impl Memory {
     /// Creates a memory image with every byte cleared to zero.
     pub fn new() -> Self {
         Memory {
-            bytes: vec![0; ADDRESS_SPACE],
+            bytes: vec![0; ADDRESS_SPACE]
+                .into_boxed_slice()
+                .try_into()
+                .expect("exactly the address space"),
             dirty: vec![0; GRANULE_COUNT / 64],
         }
     }

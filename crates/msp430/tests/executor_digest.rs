@@ -29,13 +29,17 @@ const SEED: u64 = 0x4549_4c49_445f_4558;
 const VARIANTS: u16 = 4;
 
 /// Pinned digests, one per opcode (the family of every first word),
-/// in the order the sweep first meets them.
+/// in the order the sweep first meets them. The `rrc`, `swpb`, `rra`
+/// and `sxt` digests were re-pinned once, when an immediate operand
+/// (`#N`) of theirs stopped reading and rewriting address 0: `@pc+`
+/// now reads and writes back its own extension word, and a
+/// constant-generator operand drops the result.
 const GOLDEN: &[(&str, u64)] = &[
     ("illegal", 0x9add5651c9aae678),
-    ("rrc", 0xbefead83b04f8e21),
-    ("swpb", 0x2de8ff1baed72be3),
-    ("rra", 0x7e58e94cdc044b28),
-    ("sxt", 0x6e4d962a513c0cb3),
+    ("rrc", 0x6e3b8e8ce650d2b6),
+    ("swpb", 0x8bbe388dac86202c),
+    ("rra", 0x5c6d6cd5b3bb7b23),
+    ("sxt", 0x89c59d08d0dabe21),
     ("push", 0x8a8d619052e5e754),
     ("call", 0x3f29c54f892811af),
     ("reti", 0x633494fd0372b3a8),
