@@ -6,7 +6,7 @@
 //! still pushes every frame through the [`FrameDecoder`], so codec
 //! behaviour is identical; only the syscalls disappear.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::time::{Duration, Instant};
@@ -149,30 +149,51 @@ impl Transport for TcpTransport {
 
     fn recv(&mut self) -> Result<Frame, NetError> {
         let deadline = Instant::now() + self.timeout;
-        loop {
-            if let Some(frame) = self.decoder.next_frame()? {
-                return Ok(frame);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(NetError::Timeout);
-            }
-            // Shrink the socket timeout to the *remaining* deadline so
-            // a peer trickling partial frames cannot stretch one recv
-            // to a multiple of the configured timeout.
-            self.stream
-                .set_read_timeout(Some(deadline - now))
-                .map_err(NetError::Io)?;
-            match self.stream.read(&mut self.read_buf) {
-                Ok(0) => return Err(NetError::Closed),
-                Ok(n) => self.decoder.extend(&self.read_buf[..n]),
-                Err(err) => return Err(err.into()),
-            }
-        }
+        let stream = &mut self.stream;
+        recv_until(
+            &mut self.decoder,
+            &mut self.read_buf,
+            deadline,
+            |buf, remaining| {
+                // Shrink the socket timeout to the *remaining* deadline so
+                // a peer trickling partial frames cannot stretch one recv
+                // to a multiple of the configured timeout.
+                stream.set_read_timeout(Some(remaining))?;
+                stream.read(buf)
+            },
+        )
     }
 
     fn recv_now(&mut self) -> Result<Option<Frame>, NetError> {
         Ok(self.decoder.next_frame()?)
+    }
+}
+
+/// Feeds `decoder` from `read` until it holds a whole frame or
+/// `deadline` passes. `read(buf, remaining)` is one blocking read
+/// bounded by `remaining`. A read a signal interrupted (`EINTR`) is
+/// retried within the same deadline: a process with a profiling or
+/// timer signal handler must not see it as a transport failure.
+fn recv_until(
+    decoder: &mut FrameDecoder,
+    buf: &mut [u8],
+    deadline: Instant,
+    mut read: impl FnMut(&mut [u8], Duration) -> io::Result<usize>,
+) -> Result<Frame, NetError> {
+    loop {
+        if let Some(frame) = decoder.next_frame()? {
+            return Ok(frame);
+        }
+        let now = Instant::now();
+        if now >= deadline {
+            return Err(NetError::Timeout);
+        }
+        match read(buf, deadline - now) {
+            Ok(0) => return Err(NetError::Closed),
+            Ok(n) => decoder.extend(&buf[..n]),
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            Err(err) => return Err(err.into()),
+        }
     }
 }
 
@@ -268,6 +289,42 @@ mod tests {
     use super::*;
     use crate::wire::PROTOCOL_VERSION;
     use std::time::Duration;
+
+    #[test]
+    fn recv_retries_an_interrupted_read_within_the_deadline() {
+        let bytes = Frame::Bye.encode();
+        let mut decoder = FrameDecoder::new();
+        let mut buf = [0u8; 64];
+        let mut reads = 0;
+        let frame = recv_until(
+            &mut decoder,
+            &mut buf,
+            Instant::now() + Duration::from_secs(5),
+            |buf, _remaining| {
+                reads += 1;
+                if reads == 1 {
+                    return Err(io::Error::from(io::ErrorKind::Interrupted));
+                }
+                buf[..bytes.len()].copy_from_slice(&bytes);
+                Ok(bytes.len())
+            },
+        );
+        assert_eq!(frame.unwrap(), Frame::Bye);
+        assert_eq!(reads, 2);
+    }
+
+    #[test]
+    fn recv_gives_up_on_interrupted_reads_at_the_deadline() {
+        let mut decoder = FrameDecoder::new();
+        let mut buf = [0u8; 64];
+        let frame = recv_until(
+            &mut decoder,
+            &mut buf,
+            Instant::now() + Duration::from_millis(20),
+            |_buf, _remaining| Err(io::Error::from(io::ErrorKind::Interrupted)),
+        );
+        assert!(matches!(frame, Err(NetError::Timeout)));
+    }
 
     #[test]
     fn pipe_round_trips_frames_through_the_codec() {
