@@ -145,22 +145,6 @@ pub enum Width {
 }
 
 impl Width {
-    /// Mask selecting the bits that participate in the operation.
-    pub fn mask(self) -> u32 {
-        match self {
-            Width::Word => 0xFFFF,
-            Width::Byte => 0x00FF,
-        }
-    }
-
-    /// Mask of the operand's sign bit.
-    pub fn sign_bit(self) -> u32 {
-        match self {
-            Width::Word => 0x8000,
-            Width::Byte => 0x0080,
-        }
-    }
-
     /// Size of the operand in bytes.
     pub fn bytes(self) -> u16 {
         match self {
@@ -203,11 +187,6 @@ pub struct AluResult {
 pub(crate) const ARITHMETIC_FLAGS: u16 = SR_C | SR_Z | SR_N | SR_V;
 
 impl AluResult {
-    /// Applies the result's flags to `flags`.
-    pub fn apply(&self, flags: &mut StatusFlags) {
-        flags.word = (flags.word & !ARITHMETIC_FLAGS) | self.flag_bits();
-    }
-
     /// The result's carry, zero, negative and overflow flags as
     /// status-register bits.
     #[inline]
