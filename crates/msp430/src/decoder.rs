@@ -162,8 +162,9 @@ struct Entry {
 /// build.
 ///
 /// An index over the build's code range maps each even address to its
-/// entry, so a lookup is one subtraction and one bounds check; only the
-/// addresses of `spans` that decode hold an entry.
+/// entry, so a lookup is one subtraction and a bounds check on the slot
+/// and on the entry; only the addresses of `spans` that decode hold an
+/// entry.
 /// [`DecodeTable::lookup`] answers only when the words now in memory
 /// equal the words the entry was decoded from, so a table never goes
 /// stale: any write to code (a direct write, an attack, an OTA patch,
