@@ -29,6 +29,7 @@
 //! leaf/node hashing.
 
 use crate::attest::AttestationReport;
+use crate::concat;
 use crate::hmac::{hmac_sha256, verify_tag, TAG_SIZE};
 use crate::sha256::sha256;
 
@@ -52,14 +53,15 @@ pub const AGG_FLEET_TAG: &[u8] = b"eilid-agg-fleet-v1";
 /// of what the device actually sent changes the leaf, and therefore the
 /// root (pinned by the adversarial tests).
 pub fn evidence_leaf(device: u64, report: &AttestationReport) -> [u8; 32] {
-    let mut msg = Vec::with_capacity(AGG_LEAF_TAG.len() + 8 + 12 + 32 + TAG_SIZE);
-    msg.extend_from_slice(AGG_LEAF_TAG);
-    msg.extend_from_slice(&device.to_le_bytes());
-    msg.extend_from_slice(&report.challenge.nonce.to_le_bytes());
-    msg.extend_from_slice(&report.challenge.start.to_le_bytes());
-    msg.extend_from_slice(&report.challenge.end.to_le_bytes());
-    msg.extend_from_slice(&report.measurement);
-    msg.extend_from_slice(&report.mac);
+    let msg: [u8; AGG_LEAF_TAG.len() + 8 + 12 + 32 + TAG_SIZE] = concat(&[
+        AGG_LEAF_TAG,
+        &device.to_le_bytes(),
+        &report.challenge.nonce.to_le_bytes(),
+        &report.challenge.start.to_le_bytes(),
+        &report.challenge.end.to_le_bytes(),
+        &report.measurement,
+        &report.mac,
+    ]);
     sha256(&msg)
 }
 
@@ -70,27 +72,20 @@ pub fn evidence_leaf(device: u64, report: &AttestationReport) -> [u8; 32] {
 /// Domain-separated from evidence leaves (84 bytes after the tag) and
 /// padding leaves (4 bytes) by carrying exactly 8.
 pub fn missing_leaf(device: u64) -> [u8; 32] {
-    let mut msg = Vec::with_capacity(AGG_LEAF_TAG.len() + 8);
-    msg.extend_from_slice(AGG_LEAF_TAG);
-    msg.extend_from_slice(&device.to_le_bytes());
+    let msg: [u8; AGG_LEAF_TAG.len() + 8] = concat(&[AGG_LEAF_TAG, &device.to_le_bytes()]);
     sha256(&msg)
 }
 
 /// Padding leaf for index `index` (real leaves carry 84 bytes after the
 /// tag, padding leaves 4 — the lengths keep the domains disjoint).
 fn padding_leaf(index: u32) -> [u8; 32] {
-    let mut msg = Vec::with_capacity(AGG_LEAF_TAG.len() + 4);
-    msg.extend_from_slice(AGG_LEAF_TAG);
-    msg.extend_from_slice(&index.to_le_bytes());
+    let msg: [u8; AGG_LEAF_TAG.len() + 4] = concat(&[AGG_LEAF_TAG, &index.to_le_bytes()]);
     sha256(&msg)
 }
 
 /// Hash of an interior node over its two children.
 fn node_hash(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
-    let mut msg = Vec::with_capacity(AGG_NODE_TAG.len() + 64);
-    msg.extend_from_slice(AGG_NODE_TAG);
-    msg.extend_from_slice(left);
-    msg.extend_from_slice(right);
+    let msg: [u8; AGG_NODE_TAG.len() + 64] = concat(&[AGG_NODE_TAG, left, right]);
     sha256(&msg)
 }
 
@@ -201,9 +196,7 @@ pub struct DescentReport {
 /// another's, and domain-tagged so the derivation can never collide
 /// with device-key derivation (`"eilid-device-key"`).
 pub fn shard_agg_key(root_key: &[u8], shard: u16) -> [u8; 32] {
-    let mut msg = Vec::with_capacity(AGG_SHARD_KEY_TAG.len() + 2);
-    msg.extend_from_slice(AGG_SHARD_KEY_TAG);
-    msg.extend_from_slice(&shard.to_le_bytes());
+    let msg: [u8; AGG_SHARD_KEY_TAG.len() + 2] = concat(&[AGG_SHARD_KEY_TAG, &shard.to_le_bytes()]);
     hmac_sha256(root_key, &msg)
 }
 
@@ -227,14 +220,19 @@ pub struct AggProof {
     pub mac: [u8; TAG_SIZE],
 }
 
-fn root_message(shard: u16, epoch: u64, count: u32, root: &[u8; 32]) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(AGG_ROOT_TAG.len() + 2 + 8 + 4 + 32);
-    msg.extend_from_slice(AGG_ROOT_TAG);
-    msg.extend_from_slice(&shard.to_le_bytes());
-    msg.extend_from_slice(&epoch.to_le_bytes());
-    msg.extend_from_slice(&count.to_le_bytes());
-    msg.extend_from_slice(root);
-    msg
+fn root_message(
+    shard: u16,
+    epoch: u64,
+    count: u32,
+    root: &[u8; 32],
+) -> [u8; AGG_ROOT_TAG.len() + 2 + 8 + 4 + 32] {
+    concat(&[
+        AGG_ROOT_TAG,
+        &shard.to_le_bytes(),
+        &epoch.to_le_bytes(),
+        &count.to_le_bytes(),
+        root,
+    ])
 }
 
 impl AggProof {

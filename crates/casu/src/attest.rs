@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use eilid_msp430::Memory;
 
-use crate::hmac::{hmac_sha256, verify_tag, TAG_SIZE};
+use crate::hmac::{verify_tag, HmacKey, TAG_SIZE};
 use crate::key::DeviceKey;
 use crate::layout::MemoryLayout;
 use crate::sha256::sha256;
@@ -47,14 +47,19 @@ pub struct AttestationReport {
 /// into an authenticated PMEM write.
 const ATTEST_MAC_TAG: &[u8] = b"eilid-attest-v1";
 
-fn report_message(challenge: &Challenge, measurement: &[u8; 32]) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(ATTEST_MAC_TAG.len() + 44);
-    msg.extend_from_slice(ATTEST_MAC_TAG);
-    msg.extend_from_slice(&challenge.nonce.to_le_bytes());
-    msg.extend_from_slice(&challenge.start.to_le_bytes());
-    msg.extend_from_slice(&challenge.end.to_le_bytes());
-    msg.extend_from_slice(measurement);
-    msg
+/// The report MAC's message: 59 bytes, so three compressions under a
+/// precomputed [`HmacKey`] schedule.
+fn report_message(
+    challenge: &Challenge,
+    measurement: &[u8; 32],
+) -> [u8; ATTEST_MAC_TAG.len() + 44] {
+    crate::concat(&[
+        ATTEST_MAC_TAG,
+        &challenge.nonce.to_le_bytes(),
+        &challenge.start.to_le_bytes(),
+        &challenge.end.to_le_bytes(),
+        measurement,
+    ])
 }
 
 /// SHA-256 measurement of the application PMEM region of `memory` —
@@ -69,18 +74,23 @@ pub fn measure_pmem(memory: &Memory, layout: &MemoryLayout) -> [u8; 32] {
 /// Device-side attestation routine (conceptually part of the secure ROM).
 #[derive(Debug, Clone)]
 pub struct Attestor {
-    key: Vec<u8>,
+    key: HmacKey,
 }
 
 impl Attestor {
-    /// Creates an attestor holding the device key.
+    /// Creates an attestor holding the device key's HMAC schedule.
     pub fn new(key: &[u8]) -> Self {
-        Attestor { key: key.to_vec() }
+        Attestor {
+            key: HmacKey::new(key),
+        }
     }
 
-    /// Creates an attestor from a length-checked [`DeviceKey`].
+    /// Creates an attestor from a length-checked [`DeviceKey`], copying
+    /// the schedule the key already holds.
     pub fn with_key(key: &DeviceKey) -> Self {
-        Attestor::new(key.as_bytes())
+        Attestor {
+            key: *key.schedule(),
+        }
     }
 
     /// Produces a report for `challenge` over the device memory.
@@ -96,7 +106,7 @@ impl Attestor {
     /// [`crate::merkle::IncrementalMeasurer`] produces the digest, the
     /// attestor MACs it into the standard (wire-compatible) report.
     pub fn report(&self, challenge: Challenge, measurement: [u8; 32]) -> AttestationReport {
-        let mac = hmac_sha256(&self.key, &report_message(&challenge, &measurement));
+        let mac = self.key.mac(&report_message(&challenge, &measurement));
         AttestationReport {
             challenge,
             measurement,
@@ -108,7 +118,7 @@ impl Attestor {
 /// Verifier-side check of an attestation report.
 #[derive(Debug, Clone)]
 pub struct AttestationVerifier {
-    key: Vec<u8>,
+    key: HmacKey,
 }
 
 /// Why an attestation report was rejected.
@@ -142,14 +152,19 @@ impl std::fmt::Display for AttestError {
 impl std::error::Error for AttestError {}
 
 impl AttestationVerifier {
-    /// Creates a verifier holding the device key.
+    /// Creates a verifier holding the device key's HMAC schedule.
     pub fn new(key: &[u8]) -> Self {
-        AttestationVerifier { key: key.to_vec() }
+        AttestationVerifier {
+            key: HmacKey::new(key),
+        }
     }
 
-    /// Creates a verifier from a length-checked [`DeviceKey`].
+    /// Creates a verifier from a length-checked [`DeviceKey`], copying
+    /// the schedule the key already holds.
     pub fn with_key(key: &DeviceKey) -> Self {
-        AttestationVerifier::new(key.as_bytes())
+        AttestationVerifier {
+            key: *key.schedule(),
+        }
     }
 
     /// Issues a challenge over the application PMEM region of `layout`.
@@ -176,10 +191,9 @@ impl AttestationVerifier {
         if report.challenge != *issued {
             return Err(AttestError::ChallengeMismatch);
         }
-        let expected_mac = hmac_sha256(
-            &self.key,
-            &report_message(&report.challenge, &report.measurement),
-        );
+        let expected_mac = self
+            .key
+            .mac(&report_message(&report.challenge, &report.measurement));
         if !verify_tag(&expected_mac, &report.mac) {
             return Err(AttestError::BadMac);
         }

@@ -31,7 +31,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 
 /// Minimum accepted key length in bytes (128 bits).
 pub const MIN_KEY_LEN: usize = 16;
@@ -65,9 +65,14 @@ impl std::error::Error for KeyError {}
 /// Deliberately implements neither `Serialize` nor a transparent
 /// `Debug`: key material must not leak through logs or serialized
 /// reports.
-#[derive(Clone, PartialEq, Eq)]
+///
+/// The key's [`HmacKey`] schedule is computed once, when the key is
+/// built, and every holder that MACs with the key copies the schedule
+/// instead of the bytes.
+#[derive(Clone)]
 pub struct DeviceKey {
     bytes: Vec<u8>,
+    schedule: HmacKey,
 }
 
 impl DeviceKey {
@@ -81,26 +86,41 @@ impl DeviceKey {
         if bytes.len() < MIN_KEY_LEN {
             return Err(KeyError::TooShort { len: bytes.len() });
         }
-        Ok(DeviceKey {
+        Ok(DeviceKey::from_material(bytes))
+    }
+
+    fn from_material(bytes: &[u8]) -> Self {
+        DeviceKey {
             bytes: bytes.to_vec(),
-        })
+            schedule: HmacKey::new(bytes),
+        }
     }
 
     /// Derives the key of device `device_id` from this (root) key.
     pub fn derive(&self, device_id: u64) -> DeviceKey {
-        let mut info = Vec::with_capacity(24);
-        info.extend_from_slice(b"eilid-device-key");
-        info.extend_from_slice(&device_id.to_le_bytes());
-        DeviceKey {
-            bytes: hmac_sha256(&self.bytes, &info).to_vec(),
-        }
+        let info: [u8; 24] = crate::concat(&[b"eilid-device-key", &device_id.to_le_bytes()]);
+        DeviceKey::from_material(&self.schedule.mac(&info))
     }
 
     /// The raw key material.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
     }
+
+    /// The key's HMAC schedule, computed when the key was built.
+    pub fn schedule(&self) -> &HmacKey {
+        &self.schedule
+    }
 }
+
+// The schedule is a function of the bytes, so the bytes decide.
+impl PartialEq for DeviceKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for DeviceKey {}
 
 // Keys must never leak through debug logs.
 impl fmt::Debug for DeviceKey {

@@ -19,9 +19,9 @@
 //! [`eilid_msp430`] simulator, plus the authenticated-update protocol
 //! ([`UpdateAuthority`] / [`UpdateEngine`]) with a self-contained
 //! HMAC-SHA-256 implementation. Device and verifier share that one
-//! crypto path: [`hmac_sha256`] and [`sha256()`] (SHA-NI when the CPU has
-//! it) back attestation reports, update MACs and the aggregation trees
-//! of [`agg`] alike.
+//! crypto path: [`HmacKey`] (a key's HMAC schedule, computed once per
+//! key) and [`sha256()`] (SHA-NI when the CPU has it) back attestation
+//! reports, update MACs and the aggregation trees of [`agg`] alike.
 //!
 //! The EILID core crate (`eilid`) composes this monitor with its
 //! instrumenter and trusted software to obtain run-time CFI on top of
@@ -73,7 +73,7 @@ pub use agg::{
 pub use attest::{
     measure_pmem, AttestError, AttestationReport, AttestationVerifier, Attestor, Challenge,
 };
-pub use hmac::{hmac_sha256, verify_tag, TAG_SIZE};
+pub use hmac::{hmac_sha256, verify_tag, HmacKey, TAG_SIZE};
 pub use key::{DeviceKey, KeyError, MIN_KEY_LEN};
 pub use layout::{LayoutError, MemoryLayout, Region};
 pub use merkle::{
@@ -89,3 +89,17 @@ pub use update::{
 };
 pub use violation::{CfiFault, Violation};
 pub use wire::CodecError;
+
+/// Concatenates `parts` into a stack buffer of exactly `N` bytes: how
+/// the fixed-size MAC and hash messages are built, with no heap
+/// allocation per hash.
+fn concat<const N: usize>(parts: &[&[u8]]) -> [u8; N] {
+    let mut out = [0u8; N];
+    let mut at = 0;
+    for part in parts {
+        out[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    assert_eq!(at, N, "message parts must fill the buffer exactly");
+    out
+}

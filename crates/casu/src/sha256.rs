@@ -72,6 +72,26 @@ impl Sha256 {
         }
     }
 
+    /// The state after compressing one `block` from the initial state:
+    /// a prefix that many messages share, computed once (the HMAC key
+    /// schedule in [`crate::hmac::HmacKey`]).
+    pub(crate) fn state_after_block(block: &[u8; BLOCK_SIZE]) -> [u32; 8] {
+        let mut hasher = Sha256::new();
+        hasher.compress(block);
+        hasher.state
+    }
+
+    /// A hasher that has absorbed exactly one block, leaving `state`
+    /// (as [`Sha256::state_after_block`] returns it).
+    pub(crate) fn resume_after_block(state: [u32; 8]) -> Self {
+        Sha256 {
+            state,
+            buffer: [0; BLOCK_SIZE],
+            buffer_len: 0,
+            total_len: BLOCK_SIZE as u64,
+        }
+    }
+
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use eilid_msp430::Memory;
 
-use crate::hmac::{hmac_sha256, verify_tag, TAG_SIZE};
+use crate::hmac::{verify_tag, HmacKey, TAG_SIZE};
 use crate::key::DeviceKey;
 use crate::layout::{MemoryLayout, Region};
 
@@ -130,7 +130,7 @@ impl std::error::Error for UpdateError {}
 /// Verifier-side helper that produces authenticated update requests.
 #[derive(Debug, Clone)]
 pub struct UpdateAuthority {
-    key: Vec<u8>,
+    key: HmacKey,
     next_nonce: u64,
     version: u64,
 }
@@ -142,7 +142,7 @@ impl UpdateAuthority {
     /// length; this raw constructor is kept for tests and legacy callers.
     pub fn new(key: &[u8]) -> Self {
         UpdateAuthority {
-            key: key.to_vec(),
+            key: HmacKey::new(key),
             next_nonce: 1,
             version: 0,
         }
@@ -150,7 +150,7 @@ impl UpdateAuthority {
 
     /// Creates an authority from a length-checked [`DeviceKey`].
     pub fn with_key(key: &DeviceKey) -> Self {
-        UpdateAuthority::new(key.as_bytes())
+        UpdateAuthority::with_key_resuming(key, 1)
     }
 
     /// Creates an authority that will issue `next_nonce` as its next
@@ -158,7 +158,7 @@ impl UpdateAuthority {
     /// per-device state rather than a factory-fresh device.
     pub fn with_key_resuming(key: &DeviceKey, next_nonce: u64) -> Self {
         UpdateAuthority {
-            key: key.as_bytes().to_vec(),
+            key: *key.schedule(),
             next_nonce: next_nonce.max(1),
             version: 0,
         }
@@ -189,10 +189,9 @@ impl UpdateAuthority {
         let nonce = self.next_nonce;
         self.next_nonce += 1;
         let version = self.version;
-        let mac = hmac_sha256(
-            &self.key,
-            &UpdateRequest::message(target, payload, nonce, version),
-        );
+        let mac = self
+            .key
+            .mac(&UpdateRequest::message(target, payload, nonce, version));
         UpdateRequest {
             target,
             payload: payload.to_vec(),
@@ -204,9 +203,12 @@ impl UpdateAuthority {
 }
 
 /// Device-side update engine (the trusted update routine in secure ROM).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Holds the device key's HMAC schedule, so, like [`DeviceKey`], it
+/// implements no `Serialize`.
+#[derive(Debug, Clone)]
 pub struct UpdateEngine {
-    key: Vec<u8>,
+    key: HmacKey,
     layout: MemoryLayout,
     last_nonce: u64,
     last_version: u64,
@@ -219,18 +221,22 @@ impl UpdateEngine {
     /// Prefer [`UpdateEngine::with_key`], which enforces a minimum key
     /// length; this raw constructor is kept for tests and legacy callers.
     pub fn new(key: &[u8], layout: MemoryLayout) -> Self {
+        UpdateEngine::with_schedule(HmacKey::new(key), layout)
+    }
+
+    /// Creates an engine from a length-checked [`DeviceKey`].
+    pub fn with_key(key: &DeviceKey, layout: MemoryLayout) -> Self {
+        UpdateEngine::with_schedule(*key.schedule(), layout)
+    }
+
+    fn with_schedule(key: HmacKey, layout: MemoryLayout) -> Self {
         UpdateEngine {
-            key: key.to_vec(),
+            key,
             layout,
             last_nonce: 0,
             last_version: 0,
             updates_applied: 0,
         }
-    }
-
-    /// Creates an engine from a length-checked [`DeviceKey`].
-    pub fn with_key(key: &DeviceKey, layout: MemoryLayout) -> Self {
-        UpdateEngine::new(key.as_bytes(), layout)
     }
 
     /// Number of updates successfully applied.
@@ -257,15 +263,12 @@ impl UpdateEngine {
         if request.payload.is_empty() {
             return Err(UpdateError::EmptyPayload);
         }
-        let expected = hmac_sha256(
-            &self.key,
-            &UpdateRequest::message(
-                request.target,
-                &request.payload,
-                request.nonce,
-                request.version,
-            ),
-        );
+        let expected = self.key.mac(&UpdateRequest::message(
+            request.target,
+            &request.payload,
+            request.nonce,
+            request.version,
+        ));
         if !verify_tag(&expected, &request.mac) {
             return Err(UpdateError::BadMac);
         }

@@ -6,8 +6,8 @@
 //! sweep backs the hand-picked cases.
 
 use eilid_casu::{
-    AttestError, AttestationReport, AttestationVerifier, Attestor, Challenge, DeviceKey,
-    MemoryLayout, UpdateAuthority, UpdateEngine, UpdateError, UpdateRequest,
+    hmac_sha256, sha256, AttestError, AttestationReport, AttestationVerifier, Attestor, Challenge,
+    DeviceKey, HmacKey, MemoryLayout, UpdateAuthority, UpdateEngine, UpdateError, UpdateRequest,
 };
 use eilid_msp430::Memory;
 use proptest::prelude::*;
@@ -325,5 +325,85 @@ proptest! {
             verifier.verify(&issued, &report, None),
             Err(AttestError::BadMac)
         );
+    }
+}
+
+/// No holder of a key prints anything of it: the `Debug` output of the
+/// schedule and of every protocol end built on it is the same under two
+/// different keys, and shows neither key's bytes.
+#[test]
+fn debug_output_shows_no_key_or_schedule_bytes() {
+    let keys = [
+        DeviceKey::new(b"first-secret-key-material-0001").unwrap(),
+        DeviceKey::new(b"other-secret-key-material-0002").unwrap(),
+    ];
+    let debug = |key: &DeviceKey| {
+        [
+            format!("{:?}", HmacKey::new(key.as_bytes())),
+            format!("{:?}", key.schedule()),
+            format!("{:?}", Attestor::with_key(key)),
+            format!("{:?}", Attestor::new(key.as_bytes())),
+            format!("{:?}", AttestationVerifier::with_key(key)),
+            format!("{:?}", UpdateEngine::with_key(key, MemoryLayout::default())),
+            format!("{:?}", UpdateAuthority::with_key(key)),
+        ]
+    };
+    let (first, other) = (debug(&keys[0]), debug(&keys[1]));
+    assert_eq!(first, other, "Debug output depends on the key");
+    for (text, key) in first.iter().flat_map(|t| keys.iter().map(move |k| (t, k))) {
+        assert!(text.contains("redacted"), "{text}");
+        assert!(!text.contains("secret"), "{text}");
+        assert!(!text.contains(&format!("{:?}", key.as_bytes())), "{text}");
+    }
+}
+
+/// HMAC-SHA-256 the plain two-pass way (RFC 2104): hash the key down
+/// if it is longer than a block, then `H(K ^ opad ‖ H(K ^ ipad ‖ m))`
+/// over whole concatenated buffers.
+fn reference_hmac(key: &[u8], message: &[u8]) -> [u8; 32] {
+    let mut block = [0u8; 64];
+    if key.len() > 64 {
+        block[..32].copy_from_slice(&sha256(key));
+    } else {
+        block[..key.len()].copy_from_slice(key);
+    }
+    let mut inner: Vec<u8> = block.iter().map(|b| b ^ 0x36).collect();
+    inner.extend_from_slice(message);
+    let mut outer: Vec<u8> = block.iter().map(|b| b ^ 0x5c).collect();
+    outer.extend_from_slice(&sha256(&inner));
+    sha256(&outer)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The one HMAC agrees with the two-pass reference on seeded keys
+    /// and messages around every block boundary: keys shorter than,
+    /// equal to and longer than a block (65 and 131 bytes are hashed
+    /// first), and messages whose inner hash pads into one block (0,
+    /// 55), spills into a second (56, 59 — the report message — 63,
+    /// 64, 65) or a third (119, 120).
+    #[test]
+    fn hmac_matches_the_two_pass_reference(seed in any::<u64>()) {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u8
+        };
+        for key_len in [16usize, 32, 64, 65, 131] {
+            let key: Vec<u8> = (0..key_len).map(|_| next()).collect();
+            for msg_len in [0usize, 55, 56, 59, 63, 64, 65, 119, 120] {
+                let message: Vec<u8> = (0..msg_len).map(|_| next()).collect();
+                let expected = reference_hmac(&key, &message);
+                prop_assert_eq!(
+                    HmacKey::new(&key).mac(&message),
+                    expected,
+                    "key {} bytes, message {} bytes", key_len, msg_len
+                );
+                prop_assert_eq!(hmac_sha256(&key, &message), expected);
+            }
+        }
     }
 }

@@ -15,7 +15,8 @@
 
 use eilid_casu::merkle::{merkle_measure, IncrementalMeasurer, MerkleTree, LEAF_SIZE};
 use eilid_casu::MemoryLayout;
-use eilid_msp430::Memory;
+use eilid_msp430::memory::{DIRTY_GRANULE, GRANULE_COUNT};
+use eilid_msp430::{Memory, ADDRESS_SPACE};
 use proptest::prelude::*;
 
 const PMEM_START: u16 = 0xE000;
@@ -164,6 +165,64 @@ proptest! {
         let same_root = merkle_measure(&a, PMEM_START, PMEM_END)
             == merkle_measure(&b, PMEM_START, PMEM_END);
         prop_assert_eq!(same_content, same_root);
+    }
+}
+
+/// The per-granule reference the word-wise dirty scan must agree with.
+fn dirty_granules_reference(memory: &Memory, start: usize, end: usize) -> Vec<usize> {
+    if end <= start {
+        return Vec::new();
+    }
+    let last = (end - 1).min(ADDRESS_SPACE - 1) / DIRTY_GRANULE;
+    (start / DIRTY_GRANULE..=last)
+        .filter(|&granule| memory.granule_dirty(granule))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `dirty_granules_in` walks the bitmap a word at a time; over
+    /// seeded bitmaps (sparse to dense) it lists exactly the granules a
+    /// per-granule test finds, for random ranges with unaligned ends
+    /// and for the edge cases: one granule, one byte, the whole space,
+    /// and ranges ending at 0x10000.
+    #[test]
+    fn word_wise_dirty_scan_matches_the_per_granule_reference(
+        seed in any::<u64>(),
+        density in 0u64..=64,
+        ranges in proptest::collection::vec((0usize..=ADDRESS_SPACE, 0usize..=ADDRESS_SPACE), 1..24),
+    ) {
+        let mut memory = Memory::new();
+        memory.clear_dirty_in(0, ADDRESS_SPACE);
+        let mut state = seed;
+        for granule in 0..GRANULE_COUNT {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if (state >> 58) < density {
+                memory.write_byte((granule * DIRTY_GRANULE + (state >> 8) as usize % DIRTY_GRANULE) as u16, 1);
+            }
+        }
+        let granule = (seed as usize) % GRANULE_COUNT;
+        let at = granule * DIRTY_GRANULE;
+        let fixed = [
+            (0, ADDRESS_SPACE),
+            (at, at + DIRTY_GRANULE),
+            (at + 5, at + 6),
+            (at, ADDRESS_SPACE),
+            (at + 17, ADDRESS_SPACE),
+            (0, at + 1),
+            (at, at),
+            (ADDRESS_SPACE - 1, ADDRESS_SPACE),
+        ];
+        for &(start, end) in fixed.iter().chain(&ranges) {
+            prop_assert_eq!(
+                memory.dirty_granules_in(start, end),
+                dirty_granules_reference(&memory, start, end),
+                "range {:#x}..{:#x}", start, end
+            );
+        }
     }
 }
 
