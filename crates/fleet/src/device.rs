@@ -38,8 +38,9 @@ impl SimDevice {
     /// Assembles a fleet member from a clone of its cohort's prototype
     /// device and the prototype-built incremental measurer (cloned, like
     /// the device, so spawning thousands of devices re-hashes nothing).
-    /// The clone copies the device state — memory, registers, monitor —
-    /// and shares the cohort's build artifacts with the prototype.
+    /// The clone copies the device state — registers, monitor — shares
+    /// the memory image until the device first writes it, and shares the
+    /// cohort's build artifacts with the prototype.
     pub(crate) fn new(
         id: DeviceId,
         cohort: WorkloadId,

@@ -74,8 +74,9 @@ impl FleetBuilder {
     /// ([`DeviceBuilder::build_eilid`]) and the resulting prototype is
     /// cloned per device, so construction cost is O(workloads) + O(devices)
     /// clones rather than O(devices) instrumentation runs. A clone copies
-    /// the device state (memory, registers, monitor, Merkle tree); the
-    /// build artifacts are shared by every device of a cohort.
+    /// the device state (registers, monitor, Merkle tree) and shares the
+    /// memory image until the device first writes it; the build
+    /// artifacts are shared by every device of a cohort.
     ///
     /// # Errors
     ///

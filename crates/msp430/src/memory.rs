@@ -7,6 +7,7 @@
 
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -84,8 +85,11 @@ impl std::error::Error for LoadImageError {}
 #[derive(Clone, Serialize, Deserialize)]
 pub struct Memory {
     /// The whole address space, so a `u16` index needs no bounds check.
+    /// Copy-on-write: a clone shares the image until either side first
+    /// writes, so cloning a device (thousands per fleet) copies and
+    /// touches no memory.
     #[serde(with = "serde_bytes_array")]
-    bytes: Box<[u8; ADDRESS_SPACE]>,
+    bytes: Arc<[u8; ADDRESS_SPACE]>,
     /// One bit per [`DIRTY_GRANULE`]-byte line, set by every content
     /// mutation since the bits were last cleared. `GRANULE_COUNT` bits
     /// packed into `u64` words.
@@ -99,6 +103,8 @@ mod serde_bytes_array {
     use serde::de::Error;
     use serde::{Deserialize, Deserializer, Serializer};
 
+    use std::sync::Arc;
+
     use super::ADDRESS_SPACE;
 
     pub fn serialize<S: Serializer>(bytes: &[u8], ser: S) -> Result<S::Ok, S::Error> {
@@ -107,11 +113,13 @@ mod serde_bytes_array {
 
     pub fn deserialize<'de, D: Deserializer<'de>>(
         de: D,
-    ) -> Result<Box<[u8; ADDRESS_SPACE]>, D::Error> {
+    ) -> Result<Arc<[u8; ADDRESS_SPACE]>, D::Error> {
         let v: Vec<u8> = Vec::deserialize(de)?;
-        v.into_boxed_slice()
+        let image: Box<[u8; ADDRESS_SPACE]> = v
+            .into_boxed_slice()
             .try_into()
-            .map_err(|_| D::Error::custom("a memory image is exactly 64 KiB"))
+            .map_err(|_| D::Error::custom("a memory image is exactly 64 KiB"))?;
+        Ok(Arc::from(image))
     }
 }
 
@@ -119,10 +127,7 @@ impl Memory {
     /// Creates a memory image with every byte cleared to zero.
     pub fn new() -> Self {
         Memory {
-            bytes: vec![0; ADDRESS_SPACE]
-                .into_boxed_slice()
-                .try_into()
-                .expect("exactly the address space"),
+            bytes: Arc::new([0; ADDRESS_SPACE]),
             dirty: vec![0; GRANULE_COUNT / 64],
         }
     }
@@ -135,9 +140,14 @@ impl Memory {
     /// Writes one byte.
     pub fn write_byte(&mut self, addr: u16, value: u8) {
         let addr = usize::from(addr);
-        self.bytes[addr] = value;
+        self.bytes_mut()[addr] = value;
         let granule = addr / DIRTY_GRANULE;
         self.dirty[granule / 64] |= 1 << (granule % 64);
+    }
+
+    /// The image for writing: copied first if a clone still shares it.
+    fn bytes_mut(&mut self) -> &mut [u8; ADDRESS_SPACE] {
+        Arc::make_mut(&mut self.bytes)
     }
 
     /// Marks every granule overlapping `start..end` (byte addresses,
@@ -166,15 +176,30 @@ impl Memory {
 
     /// Indices of the dirty granules overlapping the byte range
     /// `start..end` (half-open), in ascending order.
+    ///
+    /// Walks the bitmap a `u64` word at a time, masking the bits outside
+    /// the range off both edge words, and visits only the set bits.
     pub fn dirty_granules_in(&self, start: usize, end: usize) -> Vec<usize> {
+        let mut dirty = Vec::new();
         if end <= start {
-            return Vec::new();
+            return dirty;
         }
         let first = start / DIRTY_GRANULE;
         let last = (end - 1).min(ADDRESS_SPACE - 1) / DIRTY_GRANULE;
-        (first..=last)
-            .filter(|&granule| self.granule_dirty(granule))
-            .collect()
+        for word_index in first / 64..=last / 64 {
+            let mut word = self.dirty[word_index];
+            if word_index == first / 64 {
+                word &= u64::MAX << (first % 64);
+            }
+            if word_index == last / 64 {
+                word &= u64::MAX >> (63 - last % 64);
+            }
+            while word != 0 {
+                dirty.push(word_index * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+        }
+        dirty
     }
 
     /// Clears the dirty bits of the granules lying *fully inside*
@@ -208,9 +233,11 @@ impl Memory {
 
     /// Writes a little-endian word at an even-aligned address.
     pub fn write_word(&mut self, addr: u16, value: u16) {
-        let addr = addr & !1;
-        self.write_byte(addr, (value & 0xFF) as u8);
-        self.write_byte(addr.wrapping_add(1), (value >> 8) as u8);
+        // An even address and the next byte share one granule.
+        let addr = usize::from(addr & !1);
+        self.bytes_mut()[addr..addr + 2].copy_from_slice(&value.to_le_bytes());
+        let granule = addr / DIRTY_GRANULE;
+        self.dirty[granule / 64] |= 1 << (granule % 64);
     }
 
     /// Copies `image` into memory starting at `base`.
@@ -226,7 +253,7 @@ impl Memory {
                 len: image.len(),
             });
         }
-        self.bytes[usize::from(base)..end].copy_from_slice(image);
+        self.bytes_mut()[usize::from(base)..end].copy_from_slice(image);
         self.mark_dirty_range(usize::from(base), end);
         Ok(())
     }
@@ -257,7 +284,7 @@ impl Memory {
     ///
     /// Panics if the range end exceeds the 64 KiB address space.
     pub fn fill(&mut self, range: Range<usize>, value: u8) {
-        self.bytes[range.clone()].fill(value);
+        self.bytes_mut()[range.clone()].fill(value);
         self.mark_dirty_range(range.start, range.end);
     }
 }
@@ -280,7 +307,7 @@ impl fmt::Debug for Memory {
 
 impl PartialEq for Memory {
     fn eq(&self, other: &Self) -> bool {
-        self.bytes == other.bytes
+        Arc::ptr_eq(&self.bytes, &other.bytes) || self.bytes == other.bytes
     }
 }
 
@@ -375,6 +402,30 @@ mod tests {
         mem.clear_dirty_in(0, ADDRESS_SPACE);
         mem.fill(0x0200..0x0300, 0xAA);
         assert_eq!(mem.dirty_granules_in(0, ADDRESS_SPACE).len(), 4);
+    }
+
+    #[test]
+    fn dirty_scan_masks_both_edge_words() {
+        let mut mem = Memory::new();
+        mem.clear_dirty_in(0, ADDRESS_SPACE);
+        // Granules 63, 64, 127, 128 and 1023: both sides of two word
+        // boundaries and the last granule of the address space.
+        for granule in [63usize, 64, 127, 128, GRANULE_COUNT - 1] {
+            mem.write_byte((granule * DIRTY_GRANULE) as u16, 1);
+        }
+        let at = |granule: usize| granule * DIRTY_GRANULE;
+        assert_eq!(
+            mem.dirty_granules_in(0, ADDRESS_SPACE),
+            vec![63, 64, 127, 128, GRANULE_COUNT - 1]
+        );
+        assert_eq!(mem.dirty_granules_in(at(64), at(128)), vec![64, 127]);
+        assert_eq!(mem.dirty_granules_in(at(63) + 63, at(64) + 1), vec![63, 64]);
+        assert_eq!(mem.dirty_granules_in(at(65), at(127)), Vec::<usize>::new());
+        assert_eq!(mem.dirty_granules_in(at(128), at(128) + 1), vec![128]);
+        assert_eq!(
+            mem.dirty_granules_in(at(GRANULE_COUNT - 1), ADDRESS_SPACE),
+            vec![GRANULE_COUNT - 1]
+        );
     }
 
     #[test]
