@@ -46,7 +46,7 @@ use crate::poller::{
     Event, IdleBackoff, Interest, Poller, PollerBackend, PollerChoice, WaitOutcome, Waker,
 };
 use crate::service::{AttestationService, Session, SessionOutput};
-use crate::wire::{ErrorCode, Frame, FrameDecoder, WireError};
+use crate::wire::{ByteQueue, ErrorCode, Frame, FrameDecoder, WireError};
 
 /// Token the listening socket is registered under (connection ids count
 /// up from 0 and cannot collide in any realistic process lifetime).
@@ -122,7 +122,9 @@ struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
     session: Session,
-    outbox: Vec<u8>,
+    /// Encoded replies not yet written, read from an offset so a
+    /// partial write moves none of the residue.
+    outbox: ByteQueue,
     closing: bool,
     dead: bool,
     /// Interest currently registered with the poller (epoll backend).
@@ -136,7 +138,7 @@ const OUTBOX_HIGH_WATER: usize = 256 * 1024;
 
 impl Conn {
     fn queue(&mut self, frame: &Frame) {
-        frame.encode_into(&mut self.outbox);
+        frame.encode_into(self.outbox.tail());
     }
 
     /// Writes as much of the outbox as the socket accepts. Returns
@@ -144,13 +146,13 @@ impl Conn {
     fn flush(&mut self) -> bool {
         let mut progress = false;
         while !self.outbox.is_empty() {
-            match self.stream.write(&self.outbox) {
+            match self.stream.write(self.outbox.pending()) {
                 Ok(0) => {
                     self.dead = true;
                     return true;
                 }
                 Ok(n) => {
-                    self.outbox.drain(0..n);
+                    self.outbox.consume(n);
                     progress = true;
                 }
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
@@ -397,7 +399,7 @@ impl Gateway {
                             stream,
                             decoder: FrameDecoder::new(),
                             session: Session::new(),
-                            outbox: Vec::new(),
+                            outbox: ByteQueue::default(),
                             closing: false,
                             dead: false,
                             interest: Interest::READ,

@@ -1230,6 +1230,55 @@ fn update_error_from_code(code: u8) -> UpdateError {
     }
 }
 
+/// A byte FIFO that is read from an offset: consuming bytes advances
+/// the offset instead of moving what follows to the front, so taking
+/// many small items off one large burst costs no copying per item.
+///
+/// Appending clears the buffer once everything is consumed, and
+/// compacts only when the consumed prefix is at least half the buffer,
+/// so each byte is moved at most once more on average, however the
+/// appends and reads interleave.
+#[derive(Debug, Default)]
+pub(crate) struct ByteQueue {
+    buf: Vec<u8>,
+    /// Bytes of `buf` already consumed.
+    read: usize,
+}
+
+impl ByteQueue {
+    /// The unconsumed bytes.
+    pub(crate) fn pending(&self) -> &[u8] {
+        &self.buf[self.read..]
+    }
+
+    /// Number of unconsumed bytes.
+    pub(crate) fn len(&self) -> usize {
+        self.buf.len() - self.read
+    }
+
+    /// `true` when every byte has been consumed.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Marks the first `n` pending bytes consumed.
+    pub(crate) fn consume(&mut self, n: usize) {
+        debug_assert!(n <= self.len());
+        self.read += n;
+    }
+
+    /// The buffer to append to, reclaimed first: cleared when everything
+    /// was consumed, compacted when the consumed prefix is at least
+    /// half of it.
+    pub(crate) fn tail(&mut self) -> &mut Vec<u8> {
+        if self.read > 0 && 2 * self.read >= self.buf.len() {
+            self.buf.drain(..self.read);
+            self.read = 0;
+        }
+        &mut self.buf
+    }
+}
+
 /// Incremental frame decoder over a byte stream.
 ///
 /// Feed arbitrary chunks with [`FrameDecoder::extend`] and drain
@@ -1238,9 +1287,12 @@ fn update_error_from_code(code: u8) -> UpdateError {
 /// version, an unknown type or an oversized length claim all fail
 /// *before* any payload is buffered, so a hostile peer cannot make the
 /// decoder hold more than [`MAX_FRAME_PAYLOAD`] bytes per frame.
+///
+/// Decoded frames are read from an offset into the buffered bytes, so
+/// decoding a burst of frames copies none of the bytes behind them.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
-    buf: Vec<u8>,
+    buf: ByteQueue,
     /// Bytes needed before another decode attempt can make progress
     /// (diagnostic; 0 when unknown).
     needed: usize,
@@ -1254,10 +1306,10 @@ impl FrameDecoder {
 
     /// Appends raw bytes from the transport.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.buf.tail().extend_from_slice(bytes);
     }
 
-    /// Bytes currently buffered.
+    /// Bytes buffered and not yet decoded.
     pub fn buffered(&self) -> usize {
         self.buf.len()
     }
@@ -1277,21 +1329,22 @@ impl FrameDecoder {
     /// connection (framing can no longer be trusted after a malformed
     /// header).
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        if self.buf.len() < FRAME_HEADER_LEN {
-            self.needed = FRAME_HEADER_LEN - self.buf.len();
+        let buf = self.buf.pending();
+        if buf.len() < FRAME_HEADER_LEN {
+            self.needed = FRAME_HEADER_LEN - buf.len();
             return Ok(None);
         }
         let mut magic = [0u8; 4];
-        magic.copy_from_slice(&self.buf[0..4]);
+        magic.copy_from_slice(&buf[0..4]);
         if magic != FRAME_MAGIC {
             return Err(WireError::BadMagic(magic));
         }
-        let version = self.buf[4];
+        let version = buf[4];
         if version != PROTOCOL_VERSION {
             return Err(WireError::UnsupportedVersion(version));
         }
-        let type_byte = self.buf[5];
-        let len = u32::from_le_bytes([self.buf[6], self.buf[7], self.buf[8], self.buf[9]]) as usize;
+        let type_byte = buf[5];
+        let len = u32::from_le_bytes([buf[6], buf[7], buf[8], buf[9]]) as usize;
         // The ceiling is per frame type (the two paused-campaign
         // carriers get a larger one) and still enforced before any
         // payload is buffered.
@@ -1300,12 +1353,12 @@ impl FrameDecoder {
             return Err(WireError::Oversized { claimed: len, max });
         }
         let total = FRAME_HEADER_LEN + len;
-        if self.buf.len() < total {
-            self.needed = total - self.buf.len();
+        if buf.len() < total {
+            self.needed = total - buf.len();
             return Ok(None);
         }
-        let frame = Frame::decode_payload(type_byte, &self.buf[FRAME_HEADER_LEN..total])?;
-        self.buf.drain(0..total);
+        let frame = Frame::decode_payload(type_byte, &buf[FRAME_HEADER_LEN..total])?;
+        self.buf.consume(total);
         self.needed = 0;
         Ok(Some(frame))
     }
@@ -1347,6 +1400,59 @@ mod tests {
         }
         assert_eq!(decoded.as_slice(), frames.as_slice());
         assert_eq!(decoder.buffered(), 0);
+    }
+
+    #[test]
+    fn an_extend_after_everything_was_consumed_resets_the_buffer() {
+        let bytes = Frame::Bye.encode();
+        let mut decoder = FrameDecoder::new();
+        for _ in 0..3 {
+            decoder.extend(&bytes);
+            decoder.extend(&bytes);
+        }
+        while decoder.next_frame().unwrap().is_some() {}
+        assert_eq!(decoder.buffered(), 0);
+        assert_eq!(decoder.buf.read, 6 * bytes.len());
+        decoder.extend(&bytes[..4]);
+        assert_eq!(decoder.buf.read, 0);
+        assert_eq!(decoder.buf.buf, &bytes[..4]);
+        assert_eq!(decoder.buffered(), 4);
+    }
+
+    #[test]
+    fn a_partial_frame_survives_compaction() {
+        let attach = Frame::Attach {
+            device: 0x0102_0304,
+            cohort: WorkloadId::TempSensor,
+        };
+        let (bye, tail) = (Frame::Bye.encode(), attach.encode());
+        let mut decoder = FrameDecoder::new();
+        let mut stream = bye.repeat(4);
+        stream.extend_from_slice(&tail[..7]);
+        decoder.extend(&stream);
+        for _ in 0..4 {
+            assert_eq!(decoder.next_frame(), Ok(Some(Frame::Bye)));
+        }
+        assert_eq!(decoder.next_frame(), Ok(None));
+        // Four consumed frames are more than half the buffer: the next
+        // extend moves the seven pending bytes to the front.
+        assert_eq!(decoder.buf.read, 4 * bye.len());
+        decoder.extend(&tail[7..]);
+        assert_eq!(decoder.buf.read, 0);
+        assert_eq!(decoder.buf.buf, tail);
+        assert_eq!(decoder.next_frame(), Ok(Some(attach)));
+        assert_eq!(decoder.buffered(), 0);
+    }
+
+    #[test]
+    fn a_consumed_prefix_under_half_the_buffer_stays_in_place() {
+        let bye = Frame::Bye.encode();
+        let mut decoder = FrameDecoder::new();
+        decoder.extend(&bye.repeat(3));
+        assert_eq!(decoder.next_frame(), Ok(Some(Frame::Bye)));
+        decoder.extend(&bye[..1]);
+        assert_eq!(decoder.buf.read, bye.len());
+        assert_eq!(decoder.buffered(), 2 * bye.len() + 1);
     }
 
     #[test]

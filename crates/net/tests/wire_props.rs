@@ -363,6 +363,97 @@ proptest! {
         prop_assert_eq!(decoder.buffered(), 0);
     }
 
+    // Seeded interleavings of extends and partial decodes: after every
+    // step the decoder holds exactly the bytes fed minus the bytes of
+    // the frames it returned, however reading from an offset, clearing
+    // and compaction have moved them; and the frames come out in order.
+    #[test]
+    fn buffered_is_fed_minus_decoded_under_any_interleaving(
+        frames in proptest::collection::vec(arb_frame(), 1..12),
+        pattern in proptest::collection::vec((1usize..300, 0usize..4), 1..64),
+    ) {
+        let encoded: Vec<Vec<u8>> = frames.iter().map(Frame::encode).collect();
+        let stream = encoded.concat();
+        let mut decoder = FrameDecoder::new();
+        let (mut fed, mut decoded_bytes, mut decoded) = (0usize, 0usize, Vec::new());
+        for &(chunk, decodes) in pattern.iter().cycle() {
+            let take = chunk.min(stream.len() - fed);
+            decoder.extend(&stream[fed..fed + take]);
+            fed += take;
+            prop_assert_eq!(decoder.buffered(), fed - decoded_bytes);
+            // The last pass drains everything that is complete.
+            let decodes = if fed == stream.len() { usize::MAX } else { decodes };
+            for _ in 0..decodes {
+                match decoder.next_frame().expect("valid stream") {
+                    Some(frame) => {
+                        decoded_bytes += encoded[decoded.len()].len();
+                        decoded.push(frame);
+                        prop_assert_eq!(decoder.buffered(), fed - decoded_bytes);
+                    }
+                    None => break,
+                }
+            }
+            if fed == stream.len() {
+                break;
+            }
+        }
+        prop_assert_eq!(decoded, frames);
+        prop_assert_eq!(decoder.buffered(), 0);
+    }
+
+    // A corrupt header after K good frames, in one burst or fed in
+    // seeded chunks: the decoder yields the K frames, then the error a
+    // fresh decoder gives for the corrupt frame alone, and keeps giving
+    // it (the stream stays poisoned).
+    #[test]
+    fn a_corrupt_header_after_k_good_frames_yields_k_frames_then_its_error(
+        frames in proptest::collection::vec(arb_frame(), 0..8),
+        corrupt in arb_frame(),
+        (field, value) in (0usize..10, 0u8..=255),
+        chunk in 1usize..512,
+    ) {
+        let mut bad = corrupt.encode();
+        // Corrupt magic, version or length into a header error; keep
+        // the type byte (an unknown one also fails, from the header).
+        match field {
+            0..=3 => bad[field] ^= value | 1,
+            4 => bad[4] = PROTOCOL_VERSION.wrapping_add(1 + value % 200),
+            5 => bad[5] = 0xF0 | value,
+            _ => bad[6..10].copy_from_slice(&(MAX_OP_PAYLOAD as u32 + 1 + u32::from(value)).to_le_bytes()),
+        }
+        let mut alone = FrameDecoder::new();
+        alone.extend(&bad);
+        let expected = alone.next_frame();
+        prop_assert!(expected.is_err(), "corruption {field} left {expected:?}");
+
+        let mut stream: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+        let good = stream.len();
+        stream.extend_from_slice(&bad);
+        let mut decoder = FrameDecoder::new();
+        let (mut decoded, mut error, mut fed) = (Vec::new(), None, 0);
+        for piece in stream.chunks(chunk) {
+            decoder.extend(piece);
+            fed += piece.len();
+            loop {
+                match decoder.next_frame() {
+                    Ok(Some(frame)) => decoded.push(frame),
+                    Ok(None) => break,
+                    Err(err) => {
+                        error = Some(err);
+                        break;
+                    }
+                }
+            }
+            if error.is_some() {
+                break;
+            }
+        }
+        prop_assert_eq!(&decoded, &frames);
+        prop_assert_eq!(error.map(Err), Some(expected.clone()));
+        prop_assert_eq!(decoder.next_frame(), expected);
+        prop_assert_eq!(decoder.buffered(), fed - good);
+    }
+
     // Every strict prefix of a valid frame is Truncated — a typed
     // error, never a panic.
     #[test]
