@@ -46,13 +46,16 @@ fleet-scale:
 # against pinned bus-trace digests, the per-step bus bound (fetches,
 # reads, writes) over every first instruction word plus interrupt entry,
 # a predecoded core stepping like a plain one while its code is
-# rewritten under it, and pinned per-opcode digests of every first
-# instruction word executed on seeded operands.
+# rewritten under it, pinned per-opcode digests of every first
+# instruction word executed on seeded operands, and the memory map pin:
+# every address's region, the monitor's write gate and the runtime's
+# secure-DMEM and secure-ROM addresses.
 sim-check:
 	cargo test --release --test golden_bus_trace
 	cargo test --release -p eilid_msp430 --test bus_bound
 	cargo test --release -p eilid_msp430 --test predecode_equivalence
 	cargo test --release -p eilid_msp430 --test executor_digest
+	cargo test --release -p eilid_casu --test memory_map
 
 # Every property-test suite and parser fuzz loop in release mode, once
 # per seed in SOAK_SEEDS (default: eight fixed seeds), stopping at the

@@ -40,13 +40,16 @@ fleet-scale:
 # The simulator step's oracles, release mode: pinned bus-trace digests
 # of every Table IV app (clean and attacked), the per-step bus bound
 # over every first instruction word plus interrupt entry, a predecoded
-# core stepping like a plain one under code rewrites, and pinned
-# per-opcode digests of every first instruction word on seeded operands.
+# core stepping like a plain one under code rewrites, pinned per-opcode
+# digests of every first instruction word on seeded operands, and the
+# memory map pin (every address's region, the write gate, the runtime's
+# secure addresses).
 sim-check:
     cargo test --release --test golden_bus_trace
     cargo test --release -p eilid_msp430 --test bus_bound
     cargo test --release -p eilid_msp430 --test predecode_equivalence
     cargo test --release -p eilid_msp430 --test executor_digest
+    cargo test --release -p eilid_casu --test memory_map
 
 # Every property-test suite and parser fuzz loop in release mode, once
 # per seed in SOAK_SEEDS (default: eight fixed seeds), stopping at the
