@@ -15,7 +15,6 @@
 use serde::{Deserialize, Serialize};
 
 use eilid::{DeviceBuilder, EilidConfig};
-use eilid_casu::MemoryLayout;
 use eilid_workloads::WorkloadId;
 
 /// Result of comparing two device configurations on one workload.
@@ -104,7 +103,6 @@ pub struct ShadowSizingRow {
 
 /// Sweeps shadow-stack capacities and reports their secure-memory footprint.
 pub fn shadow_stack_sizing(capacities: &[u16]) -> Vec<ShadowSizingRow> {
-    let layout = MemoryLayout::default();
     capacities
         .iter()
         .map(|&capacity| {
@@ -115,7 +113,7 @@ pub fn shadow_stack_sizing(capacities: &[u16]) -> Vec<ShadowSizingRow> {
             ShadowSizingRow {
                 capacity,
                 secure_dmem_bytes: config.secure_dmem_bytes(),
-                fits_default_region: config.validate(&layout).is_ok(),
+                fits_default_region: config.validate().is_ok(),
             }
         })
         .collect()

@@ -69,8 +69,7 @@ timer_isr:                   ; Figure 5 site (ISR entry)
     reti                     ; Figure 6 site (ISR exit)
 ";
     let config = eilid::EilidConfig::default();
-    let runtime = eilid::Runtime::build(&config, &eilid_casu::MemoryLayout::default())
-        .expect("runtime builds");
+    let runtime = eilid::Runtime::build(&config).expect("runtime builds");
     let artifacts = eilid::InstrumentedBuild::new(config)
         .run(source, &runtime)
         .expect("template program instruments");

@@ -12,7 +12,6 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 
 use eilid::{DeviceBuilder, EilidConfig, InstrumentedBuild, Runtime};
-use eilid_casu::MemoryLayout;
 use eilid_workloads::{Workload, WorkloadId};
 
 use crate::paper_reference::{paper_table4, PaperTable4Row};
@@ -175,9 +174,8 @@ fn median(samples: &mut [Duration]) -> Duration {
 /// Panics if the workload fails to build or does not run to completion —
 /// both indicate a broken reproduction rather than a measurement outcome.
 pub fn measure_workload(workload: &Workload, options: &Table4Options) -> Table4Row {
-    let layout = MemoryLayout::default();
-    let runtime = Runtime::build(&options.config, &layout)
-        .expect("runtime builds for the default configuration");
+    let runtime =
+        Runtime::build(&options.config).expect("runtime builds for the default configuration");
     let pipeline = InstrumentedBuild::new(options.config.clone());
 
     // Compile-time measurement: the median of each side's per-iteration

@@ -14,7 +14,7 @@ use eilid_msp430::Memory;
 
 use crate::hmac::{verify_tag, HmacKey, TAG_SIZE};
 use crate::key::DeviceKey;
-use crate::layout::MemoryLayout;
+use crate::layout::LAYOUT;
 use crate::sha256::sha256;
 
 /// A verifier challenge: a fresh nonce and the PMEM range to attest.
@@ -60,15 +60,6 @@ fn report_message(
         &challenge.end.to_le_bytes(),
         measurement,
     ])
-}
-
-/// SHA-256 measurement of the application PMEM region of `memory` —
-/// the quantity both the attestation protocol and the update engine's
-/// post-update confirmation are defined over.
-pub fn measure_pmem(memory: &Memory, layout: &MemoryLayout) -> [u8; 32] {
-    let start = usize::from(*layout.pmem.start());
-    let end = usize::from(*layout.pmem.end()) + 1;
-    sha256(memory.slice(start..end))
 }
 
 /// Device-side attestation routine (conceptually part of the secure ROM).
@@ -167,12 +158,12 @@ impl AttestationVerifier {
         }
     }
 
-    /// Issues a challenge over the application PMEM region of `layout`.
-    pub fn challenge_pmem(&self, layout: &MemoryLayout, nonce: u64) -> Challenge {
+    /// Issues a challenge over the application PMEM region.
+    pub fn challenge_pmem(&self, nonce: u64) -> Challenge {
         Challenge {
             nonce,
-            start: *layout.pmem.start(),
-            end: *layout.pmem.end(),
+            start: *LAYOUT.pmem.start(),
+            end: *LAYOUT.pmem.end(),
         }
     }
 
@@ -220,12 +211,11 @@ mod tests {
 
     #[test]
     fn honest_prover_passes_verification() {
-        let layout = MemoryLayout::default();
         let verifier = AttestationVerifier::new(KEY);
         let attestor = Attestor::new(KEY);
         let memory = memory_with_code();
 
-        let challenge = verifier.challenge_pmem(&layout, 42);
+        let challenge = verifier.challenge_pmem(42);
         let report = attestor.attest(&memory, challenge);
         verifier.verify(&challenge, &report, None).unwrap();
 
@@ -238,11 +228,10 @@ mod tests {
 
     #[test]
     fn modified_software_changes_the_measurement() {
-        let layout = MemoryLayout::default();
         let verifier = AttestationVerifier::new(KEY);
         let attestor = Attestor::new(KEY);
         let memory = memory_with_code();
-        let challenge = verifier.challenge_pmem(&layout, 1);
+        let challenge = verifier.challenge_pmem(1);
         let good = attestor.attest(&memory, challenge);
 
         let mut compromised = memory.clone();
@@ -257,10 +246,9 @@ mod tests {
 
     #[test]
     fn wrong_key_and_wrong_challenge_are_rejected() {
-        let layout = MemoryLayout::default();
         let verifier = AttestationVerifier::new(KEY);
         let memory = memory_with_code();
-        let challenge = verifier.challenge_pmem(&layout, 7);
+        let challenge = verifier.challenge_pmem(7);
 
         let rogue = Attestor::new(b"not-the-device-key");
         let forged = rogue.attest(&memory, challenge);
@@ -285,12 +273,11 @@ mod tests {
 
     #[test]
     fn reports_are_nonce_dependent() {
-        let layout = MemoryLayout::default();
         let attestor = Attestor::new(KEY);
         let memory = memory_with_code();
         let verifier = AttestationVerifier::new(KEY);
-        let a = attestor.attest(&memory, verifier.challenge_pmem(&layout, 1));
-        let b = attestor.attest(&memory, verifier.challenge_pmem(&layout, 2));
+        let a = attestor.attest(&memory, verifier.challenge_pmem(1));
+        let b = attestor.attest(&memory, verifier.challenge_pmem(2));
         assert_eq!(a.measurement, b.measurement);
         assert_ne!(
             a.mac, b.mac,

@@ -5,7 +5,8 @@
 //! (DMEM), secure data memory (the EILID shadow-stack extension), program
 //! memory (PMEM), secure ROM (trusted software) and the interrupt vector
 //! table. The layout mirrors the openMSP430 configuration used by the
-//! paper's prototype; all boundaries are configurable.
+//! paper's prototype and is one constant, [`LAYOUT`]: nothing builds or
+//! configures another.
 
 use std::fmt;
 use std::ops::RangeInclusive;
@@ -48,41 +49,22 @@ impl fmt::Display for Region {
     }
 }
 
-/// Error returned when a [`MemoryLayout`] is internally inconsistent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LayoutError {
-    message: String,
-}
-
-impl LayoutError {
-    fn new(message: impl Into<String>) -> Self {
-        LayoutError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for LayoutError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid memory layout: {}", self.message)
-    }
-}
-
-impl std::error::Error for LayoutError {}
-
 /// Partition of the address space used by the CASU/EILID hardware monitor.
+///
+/// The reproduction has one map, [`LAYOUT`], and the queries of this
+/// module read it.
 ///
 /// # Examples
 ///
 /// ```
-/// use eilid_casu::{MemoryLayout, Region};
+/// use eilid_casu::layout::{region_of, shadow_stack_base};
+/// use eilid_casu::Region;
 ///
-/// let layout = MemoryLayout::default();
-/// assert_eq!(layout.region_of(0x0300), Region::Dmem);
-/// assert_eq!(layout.region_of(0xE000), Region::Pmem);
-/// assert_eq!(layout.region_of(layout.shadow_stack_base()), Region::SecureDmem);
+/// assert_eq!(region_of(0x0300), Region::Dmem);
+/// assert_eq!(region_of(0xE000), Region::Pmem);
+/// assert_eq!(region_of(shadow_stack_base()), Region::SecureDmem);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryLayout {
     /// Peripheral page (inclusive).
     pub peripherals: RangeInclusive<u16>,
@@ -98,101 +80,86 @@ pub struct MemoryLayout {
     pub vector_table: RangeInclusive<u16>,
 }
 
-impl Default for MemoryLayout {
-    fn default() -> Self {
-        MemoryLayout {
-            peripherals: 0x0000..=0x01FF,
-            dmem: 0x0200..=0x0FFF,
-            secure_dmem: 0x1000..=0x10FF,
-            pmem: 0xE000..=0xF7FF,
-            secure_rom: 0xF800..=0xFFDF,
-            vector_table: 0xFFE0..=0xFFFF,
-        }
+/// The memory map of the paper's openMSP430 prototype: the one map the
+/// monitor, the update engine, the trusted software and attestation use.
+pub const LAYOUT: MemoryLayout = MemoryLayout {
+    peripherals: 0x0000..=0x01FF,
+    dmem: 0x0200..=0x0FFF,
+    secure_dmem: 0x1000..=0x10FF,
+    pmem: 0xE000..=0xF7FF,
+    secure_rom: 0xF800..=0xFFDF,
+    vector_table: 0xFFE0..=0xFFFF,
+};
+
+// The regions are non-empty, in ascending address order and therefore
+// disjoint: the monitor's one-region fetch-span check relies on it.
+const _: () = {
+    let regions = [
+        &LAYOUT.peripherals,
+        &LAYOUT.dmem,
+        &LAYOUT.secure_dmem,
+        &LAYOUT.pmem,
+        &LAYOUT.secure_rom,
+        &LAYOUT.vector_table,
+    ];
+    let mut i = 0;
+    while i < regions.len() {
+        assert!(*regions[i].start() <= *regions[i].end(), "empty region");
+        assert!(
+            i == 0 || *regions[i - 1].end() < *regions[i].start(),
+            "regions out of order or overlapping"
+        );
+        i += 1;
+    }
+};
+
+/// Classifies an address.
+#[inline]
+pub fn region_of(addr: u16) -> Region {
+    if LAYOUT.peripherals.contains(&addr) {
+        Region::Peripheral
+    } else if LAYOUT.dmem.contains(&addr) {
+        Region::Dmem
+    } else if LAYOUT.secure_dmem.contains(&addr) {
+        Region::SecureDmem
+    } else if LAYOUT.pmem.contains(&addr) {
+        Region::Pmem
+    } else if LAYOUT.secure_rom.contains(&addr) {
+        Region::SecureRom
+    } else if LAYOUT.vector_table.contains(&addr) {
+        Region::VectorTable
+    } else {
+        Region::Unmapped
     }
 }
 
-impl MemoryLayout {
-    /// Validates that regions are non-empty and mutually disjoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LayoutError`] when two regions overlap or a region is empty.
-    pub fn validate(&self) -> Result<(), LayoutError> {
-        let regions: [(&str, &RangeInclusive<u16>); 6] = [
-            ("peripherals", &self.peripherals),
-            ("dmem", &self.dmem),
-            ("secure_dmem", &self.secure_dmem),
-            ("pmem", &self.pmem),
-            ("secure_rom", &self.secure_rom),
-            ("vector_table", &self.vector_table),
-        ];
-        for (name, range) in &regions {
-            if range.is_empty() {
-                return Err(LayoutError::new(format!("region `{name}` is empty")));
-            }
-        }
-        for i in 0..regions.len() {
-            for j in i + 1..regions.len() {
-                let (name_a, a) = regions[i];
-                let (name_b, b) = regions[j];
-                if a.start() <= b.end() && b.start() <= a.end() {
-                    return Err(LayoutError::new(format!(
-                        "regions `{name_a}` and `{name_b}` overlap"
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
+/// `true` if `addr` may legally be executed from (PMEM or secure ROM).
+#[inline]
+pub fn is_executable(addr: u16) -> bool {
+    matches!(region_of(addr), Region::Pmem | Region::SecureRom)
+}
 
-    /// Classifies an address.
-    #[inline]
-    pub fn region_of(&self, addr: u16) -> Region {
-        if self.peripherals.contains(&addr) {
-            Region::Peripheral
-        } else if self.dmem.contains(&addr) {
-            Region::Dmem
-        } else if self.secure_dmem.contains(&addr) {
-            Region::SecureDmem
-        } else if self.pmem.contains(&addr) {
-            Region::Pmem
-        } else if self.secure_rom.contains(&addr) {
-            Region::SecureRom
-        } else if self.vector_table.contains(&addr) {
-            Region::VectorTable
-        } else {
-            Region::Unmapped
-        }
-    }
+/// `true` if `addr` lies in the secure ROM.
+#[inline]
+pub fn in_secure_rom(addr: u16) -> bool {
+    LAYOUT.secure_rom.contains(&addr)
+}
 
-    /// `true` if `addr` may legally be executed from (PMEM or secure ROM).
-    #[inline]
-    pub fn is_executable(&self, addr: u16) -> bool {
-        matches!(self.region_of(addr), Region::Pmem | Region::SecureRom)
-    }
+/// `true` if `addr` lies in secure data memory.
+#[inline]
+pub fn in_secure_dmem(addr: u16) -> bool {
+    LAYOUT.secure_dmem.contains(&addr)
+}
 
-    /// `true` if `addr` lies in the secure ROM.
-    #[inline]
-    pub fn in_secure_rom(&self, addr: u16) -> bool {
-        self.secure_rom.contains(&addr)
-    }
+/// First address of the secure data region; EILID places the shadow
+/// stack here (paper §V: 256 bytes of secure DMEM).
+pub const fn shadow_stack_base() -> u16 {
+    *LAYOUT.secure_dmem.start()
+}
 
-    /// `true` if `addr` lies in secure data memory.
-    #[inline]
-    pub fn in_secure_dmem(&self, addr: u16) -> bool {
-        self.secure_dmem.contains(&addr)
-    }
-
-    /// First address of the secure data region; EILID places the shadow
-    /// stack here (paper §V: 256 bytes of secure DMEM).
-    pub fn shadow_stack_base(&self) -> u16 {
-        *self.secure_dmem.start()
-    }
-
-    /// Size of the secure data region in bytes.
-    pub fn secure_dmem_size(&self) -> usize {
-        usize::from(*self.secure_dmem.end()) - usize::from(*self.secure_dmem.start()) + 1
-    }
+/// Size of the secure data region in bytes.
+pub const fn secure_dmem_size() -> usize {
+    *LAYOUT.secure_dmem.end() as usize - *LAYOUT.secure_dmem.start() as usize + 1
 }
 
 #[cfg(test)]
@@ -201,56 +168,32 @@ mod tests {
 
     #[test]
     fn default_layout_is_valid_and_covers_key_regions() {
-        let layout = MemoryLayout::default();
-        layout.validate().expect("default layout is consistent");
-        assert_eq!(layout.region_of(0x0100), Region::Peripheral);
-        assert_eq!(layout.region_of(0x0200), Region::Dmem);
-        assert_eq!(layout.region_of(0x1000), Region::SecureDmem);
-        assert_eq!(layout.region_of(0xE000), Region::Pmem);
-        assert_eq!(layout.region_of(0xF800), Region::SecureRom);
-        assert_eq!(layout.region_of(0xFFFE), Region::VectorTable);
-        assert_eq!(layout.region_of(0x2000), Region::Unmapped);
-    }
-
-    #[test]
-    fn overlap_is_rejected() {
-        let layout = MemoryLayout {
-            secure_dmem: 0x0F00..=0x10FF,
-            ..MemoryLayout::default()
-        };
-        let err = layout.validate().unwrap_err();
-        assert!(err.to_string().contains("overlap"));
-    }
-
-    #[test]
-    fn empty_region_is_rejected() {
-        let layout = MemoryLayout {
-            #[allow(clippy::reversed_empty_ranges)]
-            secure_dmem: 0x1100..=0x10FF,
-            ..MemoryLayout::default()
-        };
-        assert!(layout.validate().is_err());
+        assert_eq!(region_of(0x0100), Region::Peripheral);
+        assert_eq!(region_of(0x0200), Region::Dmem);
+        assert_eq!(region_of(0x1000), Region::SecureDmem);
+        assert_eq!(region_of(0xE000), Region::Pmem);
+        assert_eq!(region_of(0xF800), Region::SecureRom);
+        assert_eq!(region_of(0xFFFE), Region::VectorTable);
+        assert_eq!(region_of(0x2000), Region::Unmapped);
     }
 
     #[test]
     fn executability_follows_regions() {
-        let layout = MemoryLayout::default();
-        assert!(layout.is_executable(0xE100));
-        assert!(layout.is_executable(0xF900));
-        assert!(!layout.is_executable(0x0300));
-        assert!(!layout.is_executable(0x1000));
-        assert!(!layout.is_executable(0x0100));
+        assert!(is_executable(0xE100));
+        assert!(is_executable(0xF900));
+        assert!(!is_executable(0x0300));
+        assert!(!is_executable(0x1000));
+        assert!(!is_executable(0x0100));
     }
 
     #[test]
     fn secure_region_helpers() {
-        let layout = MemoryLayout::default();
-        assert_eq!(layout.shadow_stack_base(), 0x1000);
-        assert_eq!(layout.secure_dmem_size(), 256);
-        assert!(layout.in_secure_rom(0xF800));
-        assert!(!layout.in_secure_rom(0xE000));
-        assert!(layout.in_secure_dmem(0x10FF));
-        assert!(!layout.in_secure_dmem(0x1100));
+        assert_eq!(shadow_stack_base(), 0x1000);
+        assert_eq!(secure_dmem_size(), 256);
+        assert!(in_secure_rom(0xF800));
+        assert!(!in_secure_rom(0xE000));
+        assert!(in_secure_dmem(0x10FF));
+        assert!(!in_secure_dmem(0x1100));
     }
 
     #[test]

@@ -32,13 +32,12 @@
 //! Authenticated update flow:
 //!
 //! ```
-//! use eilid_casu::{MemoryLayout, UpdateAuthority, UpdateEngine};
+//! use eilid_casu::{UpdateAuthority, UpdateEngine};
 //! use eilid_msp430::Memory;
 //!
-//! let layout = MemoryLayout::default();
 //! let key = b"device-key";
 //! let mut authority = UpdateAuthority::new(key);
-//! let mut engine = UpdateEngine::new(key, layout);
+//! let mut engine = UpdateEngine::new(key);
 //! let mut memory = Memory::new();
 //!
 //! let request = authority.authorize(0xE000, &[0x03, 0x43]); // nop
@@ -70,12 +69,10 @@ pub use agg::{
     evidence_leaf, fleet_root, missing_leaf, shard_agg_key, AggProof, DescentReport, EvidenceTree,
     AGG_FLEET_TAG, AGG_LEAF_TAG, AGG_NODE_TAG, AGG_ROOT_TAG, AGG_SHARD_KEY_TAG,
 };
-pub use attest::{
-    measure_pmem, AttestError, AttestationReport, AttestationVerifier, Attestor, Challenge,
-};
+pub use attest::{AttestError, AttestationReport, AttestationVerifier, Attestor, Challenge};
 pub use hmac::{hmac_sha256, verify_tag, HmacKey, TAG_SIZE};
 pub use key::{DeviceKey, KeyError, MIN_KEY_LEN};
-pub use layout::{LayoutError, MemoryLayout, Region};
+pub use layout::{MemoryLayout, Region, LAYOUT};
 pub use merkle::{
     merkle_measure, merkle_measure_pmem, IncrementalMeasurer, MeasurementScheme, MeasurerStats,
     MerkleTree, LEAF_SIZE,

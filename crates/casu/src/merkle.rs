@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 
 use eilid_msp430::{memory::DIRTY_GRANULE, Memory};
 
-use crate::layout::MemoryLayout;
+use crate::layout::{MemoryLayout, LAYOUT};
 use crate::sha256::Sha256;
 
 /// Bytes covered by one Merkle leaf. Equal to the memory dirty-tracking
@@ -189,8 +189,8 @@ pub fn merkle_measure(memory: &Memory, start: u16, end: u16) -> [u8; 32] {
 }
 
 /// Merkle measurement of the application PMEM region of `memory`.
-pub fn merkle_measure_pmem(memory: &Memory, layout: &MemoryLayout) -> [u8; 32] {
-    merkle_measure(memory, *layout.pmem.start(), *layout.pmem.end())
+pub fn merkle_measure_pmem(memory: &Memory) -> [u8; 32] {
+    merkle_measure(memory, *LAYOUT.pmem.start(), *LAYOUT.pmem.end())
 }
 
 /// Running statistics of one [`IncrementalMeasurer`].
@@ -258,9 +258,9 @@ impl IncrementalMeasurer {
         }
     }
 
-    /// Builds a measurer over the application PMEM region of `layout`.
-    pub fn for_pmem(memory: &mut Memory, layout: &MemoryLayout) -> Self {
-        IncrementalMeasurer::new(memory, *layout.pmem.start(), *layout.pmem.end())
+    /// Builds a measurer over the application PMEM region.
+    pub fn for_pmem(memory: &mut Memory) -> Self {
+        IncrementalMeasurer::new(memory, *LAYOUT.pmem.start(), *LAYOUT.pmem.end())
     }
 
     /// `true` if this measurer measures exactly `start..=end` — the
@@ -319,9 +319,10 @@ pub enum MeasurementScheme {
 
 impl MeasurementScheme {
     /// Measures the application PMEM region of `memory` from scratch
-    /// under this scheme.
-    pub fn measure_pmem(&self, memory: &Memory, layout: &MemoryLayout) -> [u8; 32] {
-        merkle_measure_pmem(memory, layout)
+    /// under this scheme. `_layout` is ignored (the map is [`LAYOUT`]);
+    /// the argument is kept for the frozen benchmark crate.
+    pub fn measure_pmem(&self, memory: &Memory, _layout: &MemoryLayout) -> [u8; 32] {
+        merkle_measure_pmem(memory)
     }
 }
 
@@ -468,7 +469,7 @@ mod tests {
     #[test]
     fn covers_is_exact() {
         let mut memory = image_memory();
-        let measurer = IncrementalMeasurer::for_pmem(&mut memory, &MemoryLayout::default());
+        let measurer = IncrementalMeasurer::for_pmem(&mut memory);
         assert!(measurer.covers(0xE000, 0xF7FF));
         assert!(!measurer.covers(0xE000, 0xF7FE));
         assert!(!measurer.covers(0xE002, 0xF7FF));

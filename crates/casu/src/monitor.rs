@@ -39,7 +39,7 @@ use serde::{Deserialize, Serialize};
 
 use eilid_msp430::{StepEvent, StepTrace, WriteGate};
 
-use crate::layout::{MemoryLayout, Region};
+use crate::layout::{self, Region, LAYOUT};
 use crate::policy::{CasuPolicy, VIOLATION_STROBE_ADDR};
 use crate::violation::{CfiFault, Violation};
 
@@ -50,7 +50,7 @@ use crate::violation::{CfiFault, Violation};
 /// Detecting a code-injection attempt (executing from data memory):
 ///
 /// ```
-/// use eilid_casu::{CasuMonitor, CasuPolicy, MemoryLayout, Violation};
+/// use eilid_casu::{CasuMonitor, CasuPolicy, Violation};
 /// use eilid_msp430::{Cpu, Memory};
 ///
 /// // Program at 0xE000 jumps straight into DMEM (0x0300).
@@ -62,7 +62,7 @@ use crate::violation::{CfiFault, Violation};
 ///
 /// let mut cpu = Cpu::new(mem);
 /// cpu.reset();
-/// let mut monitor = CasuMonitor::new(MemoryLayout::default(), CasuPolicy::default());
+/// let mut monitor = CasuMonitor::new(CasuPolicy::default());
 ///
 /// let mut detected = None;
 /// for _ in 0..4 {
@@ -80,16 +80,14 @@ use crate::violation::{CfiFault, Violation};
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CasuMonitor {
-    layout: MemoryLayout,
     policy: CasuPolicy,
     prev_pc: Option<u16>,
 }
 
 impl CasuMonitor {
-    /// Creates a monitor for the given layout and secure gates.
-    pub fn new(layout: MemoryLayout, policy: CasuPolicy) -> Self {
+    /// Creates a monitor over [`LAYOUT`] with the given secure gates.
+    pub fn new(policy: CasuPolicy) -> Self {
         CasuMonitor {
-            layout,
             policy,
             prev_pc: None,
         }
@@ -107,11 +105,7 @@ impl CasuMonitor {
     /// fires the reset).
     pub fn write_gate(&self) -> WriteGate {
         let mut gate = WriteGate::new();
-        for range in [
-            &self.layout.pmem,
-            &self.layout.secure_rom,
-            &self.layout.vector_table,
-        ] {
+        for range in [&LAYOUT.pmem, &LAYOUT.secure_rom, &LAYOUT.vector_table] {
             gate.protect(*range.start(), *range.end());
         }
         gate
@@ -133,10 +127,8 @@ impl CasuMonitor {
     /// the rules in [`CasuMonitor::apply_rules`], out of line.
     #[inline]
     fn evaluate(&self, trace: &StepTrace) -> Option<Violation> {
-        let pc_secure = self.layout.in_secure_rom(trace.pc);
-        let prev_secure = self
-            .prev_pc
-            .is_some_and(|prev| self.layout.in_secure_rom(prev));
+        let pc_secure = layout::in_secure_rom(trace.pc);
+        let prev_secure = self.prev_pc.is_some_and(layout::in_secure_rom);
         let fetch_span_ok = self.fetches_in_one_region(trace);
 
         // A quiet step passes here: each rule needs a data access (1,
@@ -185,10 +177,10 @@ impl CasuMonitor {
         //    span is walked to name its first bad fetch.
         if !fetch_span_ok {
             for fetch in trace.fetch_addresses() {
-                if !self.layout.is_executable(fetch) {
+                if !layout::is_executable(fetch) {
                     return Some(Violation::ExecutionFromWritableMemory {
                         pc: fetch,
-                        region: self.layout.region_of(fetch),
+                        region: layout::region_of(fetch),
                     });
                 }
             }
@@ -196,7 +188,7 @@ impl CasuMonitor {
 
         // 4. Memory-protection rules for data accesses.
         for write in &trace.writes {
-            match self.layout.region_of(write.addr) {
+            match layout::region_of(write.addr) {
                 Region::Pmem => {
                     return Some(Violation::PmemWrite {
                         addr: write.addr,
@@ -227,7 +219,7 @@ impl CasuMonitor {
         }
         if !pc_secure {
             for read in &trace.reads {
-                if self.layout.in_secure_dmem(read.addr) {
+                if layout::in_secure_dmem(read.addr) {
                     return Some(Violation::SecureDataAccess {
                         addr: read.addr,
                         pc,
@@ -257,7 +249,7 @@ impl CasuMonitor {
     /// `true` when the step fetched nothing, or when its first and last
     /// fetch address lie in one executable region (PMEM or secure ROM)
     /// without wrapping past 0xFFFF. Each region is one address range,
-    /// disjoint from the others as [`MemoryLayout::validate`] requires,
+    /// disjoint from the others (a compile-time check in [`layout`]),
     /// so every fetch between the two lies in it too: the span passes
     /// W ⊕ X exactly as the per-fetch walk would find.
     #[inline]
@@ -270,7 +262,7 @@ impl CasuMonitor {
         let Some(last) = first.checked_add(2 * (words - 1)) else {
             return false;
         };
-        [&self.layout.pmem, &self.layout.secure_rom]
+        [&LAYOUT.pmem, &LAYOUT.secure_rom]
             .into_iter()
             .any(|region| region.contains(&first) && region.contains(&last))
     }
@@ -283,7 +275,7 @@ mod tests {
 
     fn monitor() -> CasuMonitor {
         let policy = CasuPolicy::with_secure_gates(0xF800, 0xF880..=0xF88F);
-        CasuMonitor::new(MemoryLayout::default(), policy)
+        CasuMonitor::new(policy)
     }
 
     fn executed(pc: u16) -> StepTrace {

@@ -22,7 +22,7 @@ use eilid_msp430::Memory;
 
 use crate::hmac::{verify_tag, HmacKey, TAG_SIZE};
 use crate::key::DeviceKey;
-use crate::layout::{MemoryLayout, Region};
+use crate::layout::{self, Region};
 
 /// An authenticated request to replace a range of program memory.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -209,30 +209,28 @@ impl UpdateAuthority {
 #[derive(Debug, Clone)]
 pub struct UpdateEngine {
     key: HmacKey,
-    layout: MemoryLayout,
     last_nonce: u64,
     last_version: u64,
     updates_applied: u64,
 }
 
 impl UpdateEngine {
-    /// Creates an engine holding the device key for the given layout.
+    /// Creates an engine holding the device key.
     ///
     /// Prefer [`UpdateEngine::with_key`], which enforces a minimum key
     /// length; this raw constructor is kept for tests and legacy callers.
-    pub fn new(key: &[u8], layout: MemoryLayout) -> Self {
-        UpdateEngine::with_schedule(HmacKey::new(key), layout)
+    pub fn new(key: &[u8]) -> Self {
+        UpdateEngine::with_schedule(HmacKey::new(key))
     }
 
     /// Creates an engine from a length-checked [`DeviceKey`].
-    pub fn with_key(key: &DeviceKey, layout: MemoryLayout) -> Self {
-        UpdateEngine::with_schedule(*key.schedule(), layout)
+    pub fn with_key(key: &DeviceKey) -> Self {
+        UpdateEngine::with_schedule(*key.schedule())
     }
 
-    fn with_schedule(key: HmacKey, layout: MemoryLayout) -> Self {
+    fn with_schedule(key: HmacKey) -> Self {
         UpdateEngine {
             key,
-            layout,
             last_nonce: 0,
             last_version: 0,
             updates_applied: 0,
@@ -291,7 +289,7 @@ impl UpdateEngine {
             });
         }
         for addr in [request.target, end as u16] {
-            if self.layout.region_of(addr) != Region::Pmem {
+            if layout::region_of(addr) != Region::Pmem {
                 return Err(UpdateError::TargetOutsidePmem { addr });
             }
         }
@@ -340,13 +338,6 @@ impl UpdateEngine {
     ) -> Result<(), UpdateError> {
         let full = request.assemble_from(memory)?;
         self.apply(&full, memory)
-    }
-
-    /// Measurement (SHA-256) of the PMEM region, used to confirm the
-    /// software state after an update — the static-integrity guarantee that
-    /// CASU maintains between updates.
-    pub fn measure_pmem(&self, memory: &Memory) -> [u8; 32] {
-        crate::attest::measure_pmem(memory, &self.layout)
     }
 }
 
@@ -517,13 +508,14 @@ impl DeltaUpdateRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merkle::merkle_measure_pmem;
 
     const KEY: &[u8] = b"eilid-device-key-0001";
 
     fn engine() -> (UpdateAuthority, UpdateEngine, Memory) {
         (
             UpdateAuthority::new(KEY),
-            UpdateEngine::new(KEY, MemoryLayout::default()),
+            UpdateEngine::new(KEY),
             Memory::new(),
         )
     }
@@ -607,13 +599,13 @@ mod tests {
     #[test]
     fn pmem_measurement_changes_with_update() {
         let (mut authority, mut engine, mut memory) = engine();
-        let before = engine.measure_pmem(&memory);
+        let before = merkle_measure_pmem(&memory);
         let request = authority.authorize(0xE000, &[9, 9, 9]);
         engine.apply(&request, &mut memory).unwrap();
-        let after = engine.measure_pmem(&memory);
+        let after = merkle_measure_pmem(&memory);
         assert_ne!(before, after);
         // Measurement is deterministic.
-        assert_eq!(after, engine.measure_pmem(&memory));
+        assert_eq!(after, merkle_measure_pmem(&memory));
     }
 
     #[test]

@@ -7,14 +7,14 @@
 
 use eilid_casu::{
     hmac_sha256, sha256, AttestError, AttestationReport, AttestationVerifier, Attestor, Challenge,
-    DeviceKey, HmacKey, MemoryLayout, UpdateAuthority, UpdateEngine, UpdateError, UpdateRequest,
+    DeviceKey, HmacKey, UpdateAuthority, UpdateEngine, UpdateError, UpdateRequest, LAYOUT,
 };
 use eilid_msp430::Memory;
 use proptest::prelude::*;
 
 const ROOT: &[u8] = b"fleet-root-key-0123456789abcdef";
 
-fn setup() -> (Attestor, AttestationVerifier, Memory, MemoryLayout) {
+fn setup() -> (Attestor, AttestationVerifier, Memory) {
     let key = DeviceKey::new(ROOT).unwrap().derive(42);
     let mut memory = Memory::new();
     // A plausible firmware image: non-uniform so range truncation changes
@@ -25,14 +25,13 @@ fn setup() -> (Attestor, AttestationVerifier, Memory, MemoryLayout) {
         Attestor::with_key(&key),
         AttestationVerifier::with_key(&key),
         memory,
-        MemoryLayout::default(),
     )
 }
 
 #[test]
 fn wrong_nonce_fails_verification() {
-    let (attestor, verifier, memory, layout) = setup();
-    let issued = verifier.challenge_pmem(&layout, 1000);
+    let (attestor, verifier, memory) = setup();
+    let issued = verifier.challenge_pmem(1000);
 
     // The prover answers a challenge with a different nonce (e.g. an
     // attacker precomputed a response to a guessed nonce).
@@ -58,8 +57,8 @@ fn wrong_nonce_fails_verification() {
 
 #[test]
 fn truncated_range_fails_verification() {
-    let (attestor, verifier, memory, layout) = setup();
-    let issued = verifier.challenge_pmem(&layout, 7);
+    let (attestor, verifier, memory) = setup();
+    let issued = verifier.challenge_pmem(7);
 
     // The prover attests a truncated range (hiding the tail of PMEM where
     // an implant lives).
@@ -85,8 +84,8 @@ fn truncated_range_fails_verification() {
 
 #[test]
 fn flipped_measurement_byte_fails_verification() {
-    let (attestor, verifier, memory, layout) = setup();
-    let issued = verifier.challenge_pmem(&layout, 3);
+    let (attestor, verifier, memory) = setup();
+    let issued = verifier.challenge_pmem(3);
     let good = attestor.attest(&memory, issued);
     verifier.verify(&issued, &good, None).unwrap();
 
@@ -103,17 +102,17 @@ fn flipped_measurement_byte_fails_verification() {
 
 #[test]
 fn replayed_report_fails_verification() {
-    let (attestor, verifier, memory, layout) = setup();
+    let (attestor, verifier, memory) = setup();
 
     // Round 1: honest attestation, attacker records the report.
-    let round1 = verifier.challenge_pmem(&layout, 100);
+    let round1 = verifier.challenge_pmem(100);
     let recorded = attestor.attest(&memory, round1);
     verifier.verify(&round1, &recorded, None).unwrap();
 
     // The device is then compromised; the attacker replays the recorded
     // report against the next challenge instead of attesting the (now
     // modified) memory.
-    let round2 = verifier.challenge_pmem(&layout, 101);
+    let round2 = verifier.challenge_pmem(101);
     assert_eq!(
         verifier.verify(&round2, &recorded, None),
         Err(AttestError::ChallengeMismatch),
@@ -124,10 +123,9 @@ fn replayed_report_fails_verification() {
 #[test]
 fn report_from_anothers_device_key_fails_verification() {
     let root = DeviceKey::new(ROOT).unwrap();
-    let layout = MemoryLayout::default();
     let memory = Memory::new();
     let verifier_for_7 = AttestationVerifier::with_key(&root.derive(7));
-    let challenge = verifier_for_7.challenge_pmem(&layout, 1);
+    let challenge = verifier_for_7.challenge_pmem(1);
 
     // Device 8 (compromised) cannot answer for device 7.
     let report = Attestor::with_key(&root.derive(8)).attest(&memory, challenge);
@@ -151,7 +149,7 @@ fn report_from_anothers_device_key_fails_verification() {
 fn attest_mac_cannot_authorize_an_update() {
     let key = DeviceKey::new(ROOT).unwrap().derive(42);
     let attestor = Attestor::with_key(&key);
-    let engine = UpdateEngine::with_key(&key, MemoryLayout::default());
+    let engine = UpdateEngine::with_key(&key);
     let mut memory = Memory::new();
     memory.load(0xE000, &[0x5A; 64]).unwrap();
 
@@ -238,8 +236,8 @@ fn update_mac_cannot_forge_an_attestation_report() {
 #[test]
 fn stale_cache_attack_on_the_engine_is_detected() {
     use eilid_casu::merkle::{merkle_measure, IncrementalMeasurer};
-    let (_, _, mut memory, layout) = setup();
-    let (start, end) = (*layout.pmem.start(), *layout.pmem.end());
+    let (_, _, mut memory) = setup();
+    let (start, end) = (*LAYOUT.pmem.start(), *LAYOUT.pmem.end());
     let mut measurer = IncrementalMeasurer::new(&mut memory, start, end);
     let golden = measurer.root(&mut memory);
 
@@ -268,17 +266,17 @@ fn stale_cache_attack_on_the_engine_is_detected() {
 #[test]
 fn tampered_incremental_report_fails_golden_comparison() {
     use eilid_casu::merkle::IncrementalMeasurer;
-    let (attestor, verifier, mut memory, layout) = setup();
-    let (start, end) = (*layout.pmem.start(), *layout.pmem.end());
+    let (attestor, verifier, mut memory) = setup();
+    let (start, end) = (*LAYOUT.pmem.start(), *LAYOUT.pmem.end());
     let mut measurer = IncrementalMeasurer::new(&mut memory, start, end);
 
     let golden = measurer.root(&mut memory);
-    let challenge = verifier.challenge_pmem(&layout, 77);
+    let challenge = verifier.challenge_pmem(77);
     let honest = attestor.report(challenge, measurer.root(&mut memory));
     verifier.verify(&challenge, &honest, Some(&golden)).unwrap();
 
     memory.write_byte(0xF000, memory.read_byte(0xF000) ^ 0x80);
-    let challenge2 = verifier.challenge_pmem(&layout, 78);
+    let challenge2 = verifier.challenge_pmem(78);
     let tampered = attestor.report(challenge2, measurer.root(&mut memory));
     assert_eq!(
         verifier.verify(&challenge2, &tampered, Some(&golden)),
@@ -298,8 +296,8 @@ proptest! {
         flip_byte in 0usize..44,
         flip_bit in 0u8..8,
     ) {
-        let (attestor, verifier, memory, layout) = setup();
-        let issued = Challenge { nonce, ..verifier.challenge_pmem(&layout, 0) };
+        let (attestor, verifier, memory) = setup();
+        let issued = Challenge { nonce, ..verifier.challenge_pmem(0) };
         let mut report = attestor.attest(&memory, issued);
 
         // Flip one bit across the concatenated mutable fields:
@@ -317,8 +315,8 @@ proptest! {
     /// Flipping any byte of the MAC itself is rejected.
     #[test]
     fn mac_tampering_is_rejected(position in 0usize..32, mask in 1u8..=255) {
-        let (attestor, verifier, memory, layout) = setup();
-        let issued = verifier.challenge_pmem(&layout, 5);
+        let (attestor, verifier, memory) = setup();
+        let issued = verifier.challenge_pmem(5);
         let mut report = attestor.attest(&memory, issued);
         report.mac[position] ^= mask;
         prop_assert_eq!(
@@ -344,7 +342,7 @@ fn debug_output_shows_no_key_or_schedule_bytes() {
             format!("{:?}", Attestor::with_key(key)),
             format!("{:?}", Attestor::new(key.as_bytes())),
             format!("{:?}", AttestationVerifier::with_key(key)),
-            format!("{:?}", UpdateEngine::with_key(key, MemoryLayout::default())),
+            format!("{:?}", UpdateEngine::with_key(key)),
             format!("{:?}", UpdateAuthority::with_key(key)),
         ]
     };

@@ -5,7 +5,8 @@
 //! built against. A change that moves any boundary fails here.
 
 use eilid::{EilidConfig, Runtime};
-use eilid_casu::{CasuMonitor, CasuPolicy, MemoryLayout, Region};
+use eilid_casu::layout;
+use eilid_casu::{CasuMonitor, CasuPolicy, Region};
 
 /// The six regions of the paper's prototype, inclusive; every other
 /// address is unmapped.
@@ -24,39 +25,34 @@ fn expected_region(addr: u16) -> Region {
         .map_or(Region::Unmapped, |&(_, _, region)| region)
 }
 
-fn layout() -> MemoryLayout {
-    MemoryLayout::default()
-}
-
 #[test]
 fn every_address_lies_in_the_prototypes_region() {
-    let layout = layout();
     for addr in 0..=u16::MAX {
         let region = expected_region(addr);
-        assert_eq!(layout.region_of(addr), region, "{addr:#06x}");
+        assert_eq!(layout::region_of(addr), region, "{addr:#06x}");
         assert_eq!(
-            layout.is_executable(addr),
+            layout::is_executable(addr),
             matches!(region, Region::Pmem | Region::SecureRom),
             "{addr:#06x}"
         );
         assert_eq!(
-            layout.in_secure_rom(addr),
+            layout::in_secure_rom(addr),
             region == Region::SecureRom,
             "{addr:#06x}"
         );
         assert_eq!(
-            layout.in_secure_dmem(addr),
+            layout::in_secure_dmem(addr),
             region == Region::SecureDmem,
             "{addr:#06x}"
         );
     }
-    assert_eq!(layout.shadow_stack_base(), 0x1000);
-    assert_eq!(layout.secure_dmem_size(), 256);
+    assert_eq!(layout::shadow_stack_base(), 0x1000);
+    assert_eq!(layout::secure_dmem_size(), 256);
 }
 
 #[test]
 fn the_write_gate_vetoes_exactly_the_immutable_regions() {
-    let gate = CasuMonitor::new(layout(), CasuPolicy::default()).write_gate();
+    let gate = CasuMonitor::new(CasuPolicy::default()).write_gate();
     for addr in 0..=u16::MAX {
         let immutable = matches!(
             expected_region(addr),
@@ -68,7 +64,7 @@ fn the_write_gate_vetoes_exactly_the_immutable_regions() {
 
 #[test]
 fn the_runtime_is_built_against_the_maps_addresses() {
-    let runtime = Runtime::build(&EilidConfig::default(), &layout()).expect("default runtime");
+    let runtime = Runtime::build(&EilidConfig::default()).expect("default runtime");
     let params = runtime.params();
     assert_eq!(params.secure_org, 0xF800);
     assert_eq!(params.shadow_base, 0x1000);
@@ -82,6 +78,6 @@ fn the_runtime_is_built_against_the_maps_addresses() {
         shadow_stack_capacity: 64,
         ..EilidConfig::default()
     };
-    let runtime = Runtime::build(&config, &layout()).expect("memory-index runtime");
+    let runtime = Runtime::build(&config).expect("memory-index runtime");
     assert_eq!(runtime.params().index_addr, 0x10FE);
 }

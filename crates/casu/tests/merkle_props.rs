@@ -14,7 +14,6 @@
 //! hashing in a way that collides on single-bit differences.
 
 use eilid_casu::merkle::{merkle_measure, IncrementalMeasurer, MerkleTree, LEAF_SIZE};
-use eilid_casu::MemoryLayout;
 use eilid_msp430::memory::{DIRTY_GRANULE, GRANULE_COUNT};
 use eilid_msp430::{Memory, ADDRESS_SPACE};
 use proptest::prelude::*;
@@ -231,7 +230,6 @@ proptest! {
 /// but its granules clean.
 #[test]
 fn every_mutation_path_marks_dirty_granules() {
-    let layout = MemoryLayout::default();
     let mut memory = image_memory();
     memory.clear_dirty_in(0, 0x1_0000);
 
@@ -246,7 +244,6 @@ fn every_mutation_path_marks_dirty_granules() {
             "mutation at {addr:#06x} left its granule clean"
         );
     }
-    let _ = layout;
 }
 
 /// Padding leaves are index-bound: trees over ranges with different leaf

@@ -11,7 +11,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use eilid_casu::MemoryLayout;
+use eilid_casu::layout::{self, LAYOUT};
 
 /// Default simulated clock frequency (the paper evaluates at 100 MHz).
 pub const DEFAULT_CLOCK_HZ: u64 = 100_000_000;
@@ -26,7 +26,7 @@ pub const DEFAULT_CLOCK_HZ: u64 = 100_000_000;
 /// let config = EilidConfig::default();
 /// assert_eq!(config.shadow_stack_capacity, 112);
 /// assert_eq!(config.secure_dmem_bytes(), 256);
-/// config.validate(&eilid_casu::MemoryLayout::default())?;
+/// config.validate()?;
 /// # Ok::<(), eilid::EilidError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,7 +72,7 @@ impl Default for EilidConfig {
     }
 }
 
-/// Error returned when a configuration does not fit the memory layout.
+/// Error returned when a configuration does not fit secure DMEM.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
     message: String,
@@ -103,39 +103,37 @@ impl EilidConfig {
             + 2 * usize::from(self.function_table_capacity)
     }
 
-    /// Address of the shadow stack base within `layout`.
-    pub fn shadow_stack_base(&self, layout: &MemoryLayout) -> u16 {
-        layout.shadow_stack_base()
+    /// Address of the shadow stack base: the start of secure DMEM.
+    pub fn shadow_stack_base(&self) -> u16 {
+        layout::shadow_stack_base()
     }
 
     /// Address of the function-table count word.
-    pub fn function_count_addr(&self, layout: &MemoryLayout) -> u16 {
-        layout
-            .shadow_stack_base()
+    pub fn function_count_addr(&self) -> u16 {
+        self.shadow_stack_base()
             .wrapping_add(2 * self.shadow_stack_capacity)
     }
 
     /// Address of the first function-table entry.
-    pub fn function_table_base(&self, layout: &MemoryLayout) -> u16 {
-        self.function_count_addr(layout).wrapping_add(2)
+    pub fn function_table_base(&self) -> u16 {
+        self.function_count_addr().wrapping_add(2)
     }
 
     /// Address of the shadow-stack index word in secure memory, used only
     /// when [`EilidConfig::index_in_register`] is `false`.
-    pub fn index_word_addr(&self, layout: &MemoryLayout) -> u16 {
+    pub fn index_word_addr(&self) -> u16 {
         // Stored in the last word of the secure region.
-        (*layout.secure_dmem.end()) & !1
+        (*LAYOUT.secure_dmem.end()) & !1
     }
 
-    /// Checks that the configuration fits within the secure data region of
-    /// `layout`.
+    /// Checks that the configuration fits within secure DMEM.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] (wrapped in [`EilidError`](crate::EilidError))
-    /// when the shadow stack plus function table exceed the secure region or
-    /// a capacity is zero.
-    pub fn validate(&self, layout: &MemoryLayout) -> Result<(), crate::EilidError> {
+    /// when the shadow stack plus function table exceed the secure region,
+    /// a capacity is zero or the clock is zero.
+    pub fn validate(&self) -> Result<(), crate::EilidError> {
         if self.shadow_stack_capacity == 0 {
             return Err(ConfigError::new("shadow stack capacity must be non-zero").into());
         }
@@ -145,11 +143,11 @@ impl EilidConfig {
             )
             .into());
         }
-        let available = layout.secure_dmem_size();
+        let available = layout::secure_dmem_size();
         let needed = self.secure_dmem_bytes() + if self.index_in_register { 0 } else { 2 };
         if needed > available {
             return Err(ConfigError::new(format!(
-                "secure DMEM needs {needed} bytes but the layout provides {available}"
+                "secure DMEM needs {needed} bytes but the memory map provides {available}"
             ))
             .into());
         }
@@ -157,11 +155,6 @@ impl EilidConfig {
             return Err(ConfigError::new("clock frequency must be non-zero").into());
         }
         Ok(())
-    }
-
-    /// Convenience constructor matching the paper's prototype parameters.
-    pub fn paper_prototype() -> Self {
-        EilidConfig::default()
     }
 
     /// Configuration with forward-edge (P3) protection disabled, used by the
@@ -182,20 +175,19 @@ mod tests {
     fn default_matches_paper_allocation() {
         let config = EilidConfig::default();
         assert_eq!(config.secure_dmem_bytes(), 256);
-        config.validate(&MemoryLayout::default()).unwrap();
+        config.validate().unwrap();
     }
 
     #[test]
     fn secure_dmem_addresses_are_laid_out_in_order() {
         let config = EilidConfig::default();
-        let layout = MemoryLayout::default();
-        let base = config.shadow_stack_base(&layout);
-        let count = config.function_count_addr(&layout);
-        let table = config.function_table_base(&layout);
+        let base = config.shadow_stack_base();
+        let count = config.function_count_addr();
+        let table = config.function_table_base();
         assert_eq!(base, 0x1000);
         assert_eq!(count, base + 224);
         assert_eq!(table, count + 2);
-        assert!(table + 2 * config.function_table_capacity - 1 <= *layout.secure_dmem.end() + 1);
+        assert!(table + 2 * config.function_table_capacity - 1 <= *LAYOUT.secure_dmem.end() + 1);
     }
 
     #[test]
@@ -204,7 +196,7 @@ mod tests {
             shadow_stack_capacity: 1024,
             ..EilidConfig::default()
         };
-        let err = config.validate(&MemoryLayout::default()).unwrap_err();
+        let err = config.validate().unwrap_err();
         assert!(err.to_string().contains("secure DMEM"));
     }
 
@@ -214,13 +206,13 @@ mod tests {
             shadow_stack_capacity: 0,
             ..EilidConfig::default()
         };
-        assert!(config.validate(&MemoryLayout::default()).is_err());
+        assert!(config.validate().is_err());
 
         let config = EilidConfig {
             function_table_capacity: 0,
             ..EilidConfig::default()
         };
-        assert!(config.validate(&MemoryLayout::default()).is_err());
+        assert!(config.validate().is_err());
 
         // With P3 disabled an empty function table is fine.
         let config = EilidConfig {
@@ -229,13 +221,12 @@ mod tests {
             shadow_stack_capacity: 64,
             ..EilidConfig::default()
         };
-        assert!(config.validate(&MemoryLayout::default()).is_ok());
+        assert!(config.validate().is_ok());
     }
 
     #[test]
     fn ablation_constructors() {
         assert!(!EilidConfig::backward_edge_only().protect_indirect_calls);
-        assert!(EilidConfig::paper_prototype().protect_returns);
     }
 
     #[test]
@@ -245,8 +236,7 @@ mod tests {
             shadow_stack_capacity: 64,
             ..EilidConfig::default()
         };
-        let layout = MemoryLayout::default();
-        assert_eq!(config.index_word_addr(&layout), 0x10FE);
-        config.validate(&layout).unwrap();
+        assert_eq!(config.index_word_addr(), 0x10FE);
+        config.validate().unwrap();
     }
 }

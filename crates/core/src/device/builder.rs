@@ -1,7 +1,7 @@
 //! Building baseline and EILID-protected devices from application source.
 
 use eilid_asm::{assemble, Image};
-use eilid_casu::{CasuMonitor, MemoryLayout};
+use eilid_casu::CasuMonitor;
 use eilid_msp430::{AdcStimulus, Cpu, Memory};
 
 use crate::config::EilidConfig;
@@ -51,8 +51,7 @@ impl Default for DeviceBuilder {
 }
 
 impl DeviceBuilder {
-    /// Creates a builder with the default configuration on the default
-    /// [`MemoryLayout`].
+    /// Creates a builder with the default configuration.
     pub fn new() -> Self {
         DeviceBuilder {
             config: EilidConfig::default(),
@@ -102,13 +101,7 @@ impl DeviceBuilder {
     pub fn build_baseline(&self, app_source: &str) -> Result<Device, EilidError> {
         let image = assemble(app_source)?;
         let cpu = self.make_cpu(&[&image])?;
-        Ok(Device::from_parts(
-            cpu,
-            None,
-            MemoryLayout::default(),
-            self.config.clone(),
-            None,
-        ))
+        Ok(Device::from_parts(cpu, None, self.config.clone(), None))
     }
 
     /// Builds an EILID-protected device: instruments the application
@@ -122,17 +115,15 @@ impl DeviceBuilder {
     /// application cannot be instrumented, or any image fails to assemble or
     /// load.
     pub fn build_eilid(&self, app_source: &str) -> Result<Device, EilidError> {
-        let layout = MemoryLayout::default();
-        let runtime = Runtime::build(&self.config, &layout)?;
+        let runtime = Runtime::build(&self.config)?;
         let pipeline = InstrumentedBuild::new(self.config.clone());
         let artifacts = pipeline.run(app_source, &runtime)?;
 
         let cpu = self.make_cpu(&[&artifacts.instrumented_image, runtime.image()])?;
-        let monitor = CasuMonitor::new(layout.clone(), runtime.policy());
+        let monitor = CasuMonitor::new(runtime.policy());
         Ok(Device::from_parts(
             cpu,
             Some(monitor),
-            layout,
             self.config.clone(),
             Some(artifacts),
         ))
@@ -146,15 +137,13 @@ impl DeviceBuilder {
     ///
     /// Returns [`EilidError`] if assembly or loading fails.
     pub fn build_monitored_raw(&self, source: &str) -> Result<Device, EilidError> {
-        let layout = MemoryLayout::default();
-        let runtime = Runtime::build(&self.config, &layout)?;
+        let runtime = Runtime::build(&self.config)?;
         let image = assemble(source)?;
         let cpu = self.make_cpu(&[&image, runtime.image()])?;
-        let monitor = CasuMonitor::new(layout.clone(), runtime.policy());
+        let monitor = CasuMonitor::new(runtime.policy());
         Ok(Device::from_parts(
             cpu,
             Some(monitor),
-            layout,
             self.config.clone(),
             None,
         ))
@@ -246,7 +235,7 @@ double:
 
         // Scribble over the clone's secure DMEM: a reset must restore it
         // from the shared boot image and leave the original untouched.
-        let secure = crate::device::secure_dmem(device.layout());
+        let secure = crate::device::secure_dmem();
         let built = device.cpu().memory.slice(secure.clone()).to_vec();
         assert!(built.iter().any(|&byte| byte != 0xA5));
         clone.cpu_mut().memory.fill(secure.clone(), 0xA5);
@@ -402,9 +391,8 @@ hang:
         use eilid_casu::{UpdateAuthority, UpdateEngine};
         let mut device = DeviceBuilder::new().build_eilid(APP).unwrap();
         let key = b"update-gate-test-key-0123456789a";
-        let layout = device.layout().clone();
         let mut authority = UpdateAuthority::new(key);
-        let mut engine = UpdateEngine::new(key, layout);
+        let mut engine = UpdateEngine::new(key);
         let request = authority.authorize(0xF680, &[0xAB, 0xCD]);
         engine
             .apply(&request, &mut device.cpu_mut().memory)
@@ -431,7 +419,7 @@ hang:
         let mut device = DeviceBuilder::new().build_eilid(source).unwrap();
         let key = b"update-gate-test-key-0123456789a";
         let mut authority = UpdateAuthority::new(key);
-        let mut engine = UpdateEngine::new(key, device.layout().clone());
+        let mut engine = UpdateEngine::new(key);
         let request = authority.authorize(0xF680, &[0xAB, 0xCD]);
         engine
             .apply(&request, &mut device.cpu_mut().memory)

@@ -19,7 +19,7 @@ pub use outcome::RunOutcome;
 
 use std::sync::Arc;
 
-use eilid_casu::{CasuMonitor, MemoryLayout, Violation};
+use eilid_casu::{layout, CasuMonitor, MemoryLayout, Violation, LAYOUT};
 use eilid_msp430::{Cpu, StepError, StepTrace};
 
 use crate::config::EilidConfig;
@@ -37,7 +37,6 @@ use crate::instrument::BuildArtifacts;
 pub struct Device {
     cpu: Cpu,
     monitor: Option<CasuMonitor>,
-    layout: MemoryLayout,
     config: EilidConfig,
     artifacts: Option<Arc<BuildArtifacts>>,
     resets: u64,
@@ -52,7 +51,6 @@ impl Device {
     pub(crate) fn from_parts(
         mut cpu: Cpu,
         monitor: Option<CasuMonitor>,
-        layout: MemoryLayout,
         config: EilidConfig,
         artifacts: Option<BuildArtifacts>,
     ) -> Self {
@@ -63,11 +61,10 @@ impl Device {
         cpu.set_write_gate(monitor.as_ref().map(CasuMonitor::write_gate));
         let secure_boot = monitor
             .is_some()
-            .then(|| cpu.memory.slice(secure_dmem(&layout)).into());
+            .then(|| cpu.memory.slice(secure_dmem()).into());
         Device {
             cpu,
             monitor,
-            layout,
             config,
             artifacts: artifacts.map(Arc::new),
             resets: 0,
@@ -86,9 +83,10 @@ impl Device {
         &mut self.cpu
     }
 
-    /// The device's memory layout.
-    pub fn layout(&self) -> &MemoryLayout {
-        &self.layout
+    /// The memory map, always [`LAYOUT`]. Kept for the frozen benchmark
+    /// crate, which reads PMEM's bounds through it.
+    pub fn layout(&self) -> &'static MemoryLayout {
+        &LAYOUT
     }
 
     /// The EILID configuration the device was built with.
@@ -147,7 +145,7 @@ impl Device {
             monitor.reset();
         }
         if let Some(boot) = &self.secure_boot {
-            let start = *self.layout.secure_dmem.start();
+            let start = *LAYOUT.secure_dmem.start();
             self.cpu
                 .memory
                 .load(start, boot)
@@ -178,7 +176,7 @@ impl Device {
     fn monitored_step(&mut self) -> Result<(&StepTrace, Option<Violation>), StepError> {
         // Hardware IRQ gating: interrupts are deferred while trusted
         // software executes in the secure ROM.
-        let in_secure = self.layout.in_secure_rom(self.cpu.regs.pc());
+        let in_secure = layout::in_secure_rom(self.cpu.regs.pc());
         self.cpu
             .set_irq_inhibited(self.monitor.is_some() && in_secure);
         let trace = self.cpu.step()?;
@@ -244,6 +242,6 @@ impl Device {
 }
 
 /// The secure DMEM region as a byte range.
-fn secure_dmem(layout: &MemoryLayout) -> std::ops::Range<usize> {
-    usize::from(*layout.secure_dmem.start())..usize::from(*layout.secure_dmem.end()) + 1
+fn secure_dmem() -> std::ops::Range<usize> {
+    usize::from(*LAYOUT.secure_dmem.start())..usize::from(*LAYOUT.secure_dmem.end()) + 1
 }

@@ -17,10 +17,8 @@ pub enum EilidError {
     /// The simulated core hit an undecodable instruction outside of a
     /// monitored run (during loading or self-test).
     Step(StepError),
-    /// The EILID configuration is inconsistent with the memory layout.
+    /// The EILID configuration does not fit secure DMEM.
     Config(ConfigError),
-    /// The device memory layout is internally inconsistent.
-    Layout(eilid_casu::LayoutError),
     /// The application cannot be instrumented.
     Instrument(String),
     /// A required symbol is missing from an assembled image.
@@ -34,7 +32,6 @@ impl fmt::Display for EilidError {
             EilidError::Load(e) => write!(f, "image load failed: {e}"),
             EilidError::Step(e) => write!(f, "execution failed: {e}"),
             EilidError::Config(e) => write!(f, "{e}"),
-            EilidError::Layout(e) => write!(f, "{e}"),
             EilidError::Instrument(msg) => write!(f, "instrumentation failed: {msg}"),
             EilidError::MissingSymbol(name) => {
                 write!(f, "required symbol `{name}` missing from image")
@@ -50,7 +47,6 @@ impl std::error::Error for EilidError {
             EilidError::Load(e) => Some(e),
             EilidError::Step(e) => Some(e),
             EilidError::Config(e) => Some(e),
-            EilidError::Layout(e) => Some(e),
             _ => None,
         }
     }
@@ -77,12 +73,6 @@ impl From<StepError> for EilidError {
 impl From<ConfigError> for EilidError {
     fn from(e: ConfigError) -> Self {
         EilidError::Config(e)
-    }
-}
-
-impl From<eilid_casu::LayoutError> for EilidError {
-    fn from(e: eilid_casu::LayoutError) -> Self {
-        EilidError::Layout(e)
     }
 }
 

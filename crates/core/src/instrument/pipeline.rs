@@ -176,7 +176,6 @@ impl InstrumentedBuild {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eilid_casu::MemoryLayout;
 
     const APP: &str = "    .org 0xe000
     .global main
@@ -199,7 +198,7 @@ triple:
 ";
 
     fn runtime() -> Runtime {
-        Runtime::build(&EilidConfig::default(), &MemoryLayout::default()).unwrap()
+        Runtime::build(&EilidConfig::default()).unwrap()
     }
 
     #[test]

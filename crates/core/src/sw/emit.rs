@@ -17,7 +17,7 @@
 //! CASU violation strobe, which the hardware monitor turns into a device
 //! reset.
 
-use eilid_casu::{CfiFault, MemoryLayout, VIOLATION_STROBE_ADDR};
+use eilid_casu::{CfiFault, LAYOUT, VIOLATION_STROBE_ADDR};
 
 use crate::config::EilidConfig;
 use crate::sw::dispatch::{Selector, ENTRY_SYMBOL, LEAVE_SYMBOL};
@@ -52,18 +52,18 @@ pub struct RuntimeParams {
 }
 
 impl RuntimeParams {
-    /// Derives the runtime parameters from a configuration and layout.
-    pub fn new(config: &EilidConfig, layout: &MemoryLayout) -> Self {
+    /// Derives the runtime parameters from a configuration.
+    pub fn new(config: &EilidConfig) -> Self {
         RuntimeParams {
             trampoline_org: DEFAULT_TRAMPOLINE_ORG,
-            secure_org: *layout.secure_rom.start(),
-            shadow_base: config.shadow_stack_base(layout),
+            secure_org: *LAYOUT.secure_rom.start(),
+            shadow_base: config.shadow_stack_base(),
             shadow_capacity: config.shadow_stack_capacity,
-            function_count_addr: config.function_count_addr(layout),
-            function_table_addr: config.function_table_base(layout),
+            function_count_addr: config.function_count_addr(),
+            function_table_addr: config.function_table_base(),
             function_table_capacity: config.function_table_capacity,
             index_in_register: config.index_in_register,
-            index_addr: config.index_word_addr(layout),
+            index_addr: config.index_word_addr(),
         }
     }
 }
@@ -76,9 +76,8 @@ impl RuntimeParams {
 /// ```
 /// use eilid::sw::{emit_runtime_source, RuntimeParams};
 /// use eilid::EilidConfig;
-/// use eilid_casu::MemoryLayout;
 ///
-/// let params = RuntimeParams::new(&EilidConfig::default(), &MemoryLayout::default());
+/// let params = RuntimeParams::new(&EilidConfig::default());
 /// let source = emit_runtime_source(&params);
 /// assert!(source.contains("S_EILID_entry:"));
 /// assert!(source.contains("NS_EILID_store_ra:"));
@@ -293,11 +292,11 @@ mod tests {
     use super::*;
 
     fn params() -> RuntimeParams {
-        RuntimeParams::new(&EilidConfig::default(), &MemoryLayout::default())
+        RuntimeParams::new(&EilidConfig::default())
     }
 
     #[test]
-    fn params_are_derived_from_config_and_layout() {
+    fn params_are_derived_from_config_and_the_memory_map() {
         let p = params();
         assert_eq!(p.secure_org, 0xF800);
         assert_eq!(p.shadow_base, 0x1000);

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use eilid_asm::{assemble, Image};
-use eilid_casu::{CasuPolicy, MemoryLayout};
+use eilid_casu::CasuPolicy;
 
 use crate::config::EilidConfig;
 use crate::error::EilidError;
@@ -28,17 +28,16 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Emits and assembles the runtime for a configuration and layout.
+    /// Emits and assembles the runtime for a configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`EilidError`] if the configuration does not fit the layout
-    /// or the generated assembly fails to build (which would be an internal
-    /// bug surfaced as [`EilidError::Asm`]).
-    pub fn build(config: &EilidConfig, layout: &MemoryLayout) -> Result<Self, EilidError> {
-        layout.validate()?;
-        config.validate(layout)?;
-        let params = RuntimeParams::new(config, layout);
+    /// Returns [`EilidError`] if the configuration does not fit secure
+    /// DMEM or the generated assembly fails to build (which would be an
+    /// internal bug surfaced as [`EilidError::Asm`]).
+    pub fn build(config: &EilidConfig) -> Result<Self, EilidError> {
+        config.validate()?;
+        let params = RuntimeParams::new(config);
         let source = emit_runtime_source(&params);
         let image = assemble(&source)?;
 
@@ -81,31 +80,6 @@ impl Runtime {
         self.entry
     }
 
-    /// Address range of the leave section.
-    pub fn leave_range(&self) -> std::ops::RangeInclusive<u16> {
-        self.leave_start..=self.leave_end
-    }
-
-    /// Bytes of secure ROM occupied by `EILIDsw`.
-    pub fn secure_rom_bytes(&self) -> usize {
-        self.image
-            .segments
-            .iter()
-            .filter(|s| s.base >= self.params.secure_org)
-            .map(|s| s.bytes.len())
-            .sum()
-    }
-
-    /// Bytes of PMEM occupied by the non-secure trampolines.
-    pub fn trampoline_bytes(&self) -> usize {
-        self.image
-            .segments
-            .iter()
-            .filter(|s| s.base < self.params.secure_org)
-            .map(|s| s.bytes.len())
-            .sum()
-    }
-
     /// Addresses of every `NS_EILID_*` trampoline, keyed by symbol name.
     /// The instrumenter injects these as `.equ` definitions into the
     /// application source, playing the role of linking against the fixed
@@ -124,7 +98,7 @@ impl Runtime {
     /// The CASU secure gates of this runtime: its entry point and leave
     /// section.
     pub fn policy(&self) -> CasuPolicy {
-        CasuPolicy::with_secure_gates(self.entry, self.leave_range())
+        CasuPolicy::with_secure_gates(self.entry, self.leave_start..=self.leave_end)
     }
 }
 
@@ -133,20 +107,31 @@ mod tests {
     use super::*;
 
     fn runtime() -> Runtime {
-        Runtime::build(&EilidConfig::default(), &MemoryLayout::default())
-            .expect("default runtime builds")
+        Runtime::build(&EilidConfig::default()).expect("default runtime builds")
+    }
+
+    /// Bytes of the runtime image at or above (`secure`) or below the
+    /// start of secure ROM: `EILIDsw` or the non-secure trampolines.
+    fn image_bytes(rt: &Runtime, secure: bool) -> usize {
+        rt.image()
+            .segments
+            .iter()
+            .filter(|s| (s.base >= rt.params().secure_org) == secure)
+            .map(|s| s.bytes.len())
+            .sum()
     }
 
     #[test]
     fn runtime_builds_and_resolves_gates() {
         let rt = runtime();
+        let leave = rt.policy().secure_leave;
         assert!(rt.entry() >= 0xF800);
-        assert!(rt.leave_range().start() > &rt.entry());
-        assert!(rt.leave_range().end() <= &0xFFDF);
-        assert!(rt.secure_rom_bytes() > 50);
-        assert!(rt.secure_rom_bytes() < 512, "EILIDsw should stay tiny");
-        assert!(rt.trampoline_bytes() > 20);
-        assert!(rt.trampoline_bytes() < 128);
+        assert!(leave.start() > &rt.entry());
+        assert!(leave.end() <= &0xFFDF);
+        assert!(image_bytes(&rt, true) > 50);
+        assert!(image_bytes(&rt, true) < 512, "EILIDsw should stay tiny");
+        assert!(image_bytes(&rt, false) > 20);
+        assert!(image_bytes(&rt, false) < 128);
         assert!(rt.source().contains("S_EILID_store_ra"));
     }
 
@@ -166,7 +151,7 @@ mod tests {
         let rt = runtime();
         let policy = rt.policy();
         assert_eq!(policy.secure_entry, rt.entry());
-        assert_eq!(policy.secure_leave, rt.leave_range());
+        assert_eq!(policy.secure_leave, rt.leave_start..=rt.leave_end);
     }
 
     #[test]
@@ -175,22 +160,19 @@ mod tests {
             shadow_stack_capacity: 0,
             ..EilidConfig::default()
         };
-        assert!(Runtime::build(&config, &MemoryLayout::default()).is_err());
+        assert!(Runtime::build(&config).is_err());
     }
 
     #[test]
     fn memory_index_variant_builds_and_is_larger() {
         let fast = runtime();
         // A smaller shadow stack leaves room for the in-memory index word.
-        let slow = Runtime::build(
-            &EilidConfig {
-                index_in_register: false,
-                shadow_stack_capacity: 64,
-                ..EilidConfig::default()
-            },
-            &MemoryLayout::default(),
-        )
+        let slow = Runtime::build(&EilidConfig {
+            index_in_register: false,
+            shadow_stack_capacity: 64,
+            ..EilidConfig::default()
+        })
         .unwrap();
-        assert!(slow.secure_rom_bytes() > fast.secure_rom_bytes());
+        assert!(image_bytes(&slow, true) > image_bytes(&fast, true));
     }
 }

@@ -120,11 +120,6 @@ impl ShadowStack {
         }
         Ok(())
     }
-
-    /// Bytes of secure memory this stack occupies at `capacity`.
-    pub fn memory_bytes(&self) -> usize {
-        2 * usize::from(self.capacity)
-    }
 }
 
 /// Reference model of the legitimate-function table (P3).
@@ -268,7 +263,6 @@ mod tests {
         stack.check_interrupt_context(0xE104, 0x000F).unwrap();
         stack.check_return_address(0xE100).unwrap();
         assert_eq!(stack.depth(), 0);
-        assert_eq!(stack.memory_bytes(), 32);
     }
 
     #[test]

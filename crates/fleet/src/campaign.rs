@@ -68,8 +68,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
+use eilid_casu::merkle_measure_pmem;
 use eilid_casu::wire::{self, CodecError, Reader};
-use eilid_casu::{merkle_measure_pmem, MemoryLayout};
 use eilid_msp430::{Memory, ADDRESS_SPACE};
 use eilid_workloads::WorkloadId;
 
@@ -456,8 +456,6 @@ pub struct CohortInfo {
     /// The cohort's current golden memory image (the patch is applied to
     /// a copy of it to derive the expected post-patch measurement).
     pub golden: Memory,
-    /// Memory layout the cohort's devices attest over.
-    pub layout: MemoryLayout,
 }
 
 /// The mechanism half of the campaign engine: how a [`Rollout`]
@@ -470,7 +468,7 @@ pub struct CohortInfo {
 /// wave-for-wave equal to an in-process one.
 pub trait WaveExecutor {
     /// Describes `cohort` before the campaign starts: its members (the
-    /// wave-partition input), golden image and layout.
+    /// wave-partition input) and golden image.
     ///
     /// # Errors
     ///
@@ -519,11 +517,10 @@ impl WaveExecutor for LocalExecutor<'_> {
         if members.is_empty() {
             return Err(FleetError::UnknownCohort(cohort));
         }
-        let state = self.fleet.cohort(cohort).expect("cohort exists");
+        let golden = self.fleet.golden(cohort).expect("cohort exists");
         Ok(CohortInfo {
             members,
-            golden: state.golden.clone(),
-            layout: state.layout.clone(),
+            golden: golden.clone(),
         })
     }
 
@@ -571,7 +568,7 @@ impl WaveExecutor for LocalExecutor<'_> {
     }
 
     fn promote(&mut self, cohort: WorkloadId, golden: &Memory, measurement: [u8; 32]) {
-        self.fleet.cohort_mut(cohort).expect("cohort exists").golden = golden.clone();
+        *self.fleet.golden_mut(cohort).expect("cohort exists") = golden.clone();
         self.verifier
             .promote_measurement(cohort, measurement, golden);
     }
@@ -616,13 +613,12 @@ impl Campaign {
 
         // Expected post-patch measurement, computed on a golden copy
         // (devices attest Merkle roots, so the probe's expected value
-        // must be one too). Golden images are measured over the layout
-        // the cohort's devices were actually built with.
+        // must be one too).
         let mut patched_golden = info.golden.clone();
         patched_golden
             .load(self.config.target, &self.config.payload)
             .map_err(|e| FleetError::InvalidCampaign(e.to_string()))?;
-        let expected_after = merkle_measure_pmem(&patched_golden, &info.layout);
+        let expected_after = merkle_measure_pmem(&patched_golden);
 
         let waves = partition_waves(&info.members, &[self.config.canary_fraction, 1.0]);
         Ok(CampaignRun {

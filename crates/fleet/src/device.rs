@@ -48,12 +48,11 @@ impl SimDevice {
         key: &DeviceKey,
         measurer: IncrementalMeasurer,
     ) -> Self {
-        let layout = device.layout().clone();
         SimDevice {
             id,
             cohort,
             device,
-            engine: UpdateEngine::with_key(key, layout),
+            engine: UpdateEngine::with_key(key),
             attestor: Attestor::with_key(key),
             measurer,
             probe_isolated: false,

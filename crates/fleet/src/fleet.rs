@@ -6,7 +6,7 @@ use std::num::NonZeroUsize;
 use std::thread;
 
 use eilid::{DeviceBuilder, RunOutcome};
-use eilid_casu::{DeviceKey, IncrementalMeasurer, MeasurementScheme, MemoryLayout};
+use eilid_casu::{DeviceKey, IncrementalMeasurer, MeasurementScheme};
 use eilid_msp430::Memory;
 use eilid_workloads::WorkloadId;
 
@@ -14,16 +14,6 @@ use crate::device::{DeviceId, SimDevice};
 use crate::error::FleetError;
 use crate::exec::parallel_map_mut;
 use crate::report::{Ledger, LedgerEvent};
-
-/// Per-firmware-cohort state the verifier side keeps: the golden memory
-/// image every healthy device of the cohort must measure equal to, and
-/// the memory layout its devices were built with (golden measurements
-/// must be taken over the same PMEM range the devices attest).
-#[derive(Debug, Clone)]
-pub(crate) struct Cohort {
-    pub(crate) golden: Memory,
-    pub(crate) layout: MemoryLayout,
-}
 
 /// Builder for [`Fleet`]s.
 #[derive(Debug, Clone)]
@@ -100,15 +90,8 @@ impl FleetBuilder {
             // every cloned device starts from the same (clean) memory, so
             // the measurer clones along with it instead of re-hashing
             // 6 KiB per device.
-            let layout = prototype.layout().clone();
-            let measurer = IncrementalMeasurer::for_pmem(&mut prototype.cpu_mut().memory, &layout);
-            cohorts.insert(
-                id,
-                Cohort {
-                    golden: prototype.cpu().memory.clone(),
-                    layout: prototype.layout().clone(),
-                },
-            );
+            let measurer = IncrementalMeasurer::for_pmem(&mut prototype.cpu_mut().memory);
+            cohorts.insert(id, prototype.cpu().memory.clone());
             prototypes.push((id, prototype, measurer));
         }
 
@@ -162,7 +145,9 @@ pub struct SliceReport {
 #[derive(Debug, Clone)]
 pub struct Fleet {
     devices: Vec<SimDevice>,
-    cohorts: BTreeMap<WorkloadId, Cohort>,
+    /// Per cohort, the golden memory image every healthy device of the
+    /// cohort must measure equal to.
+    cohorts: BTreeMap<WorkloadId, Memory>,
     threads: usize,
     ledger: Ledger,
 }
@@ -221,12 +206,12 @@ impl Fleet {
     }
 
     /// The golden memory image for `cohort`, if present.
-    pub(crate) fn cohort(&self, cohort: WorkloadId) -> Option<&Cohort> {
+    pub(crate) fn golden(&self, cohort: WorkloadId) -> Option<&Memory> {
         self.cohorts.get(&cohort)
     }
 
-    /// Mutable cohort state (campaign promotion).
-    pub(crate) fn cohort_mut(&mut self, cohort: WorkloadId) -> Option<&mut Cohort> {
+    /// Mutable golden image (campaign promotion).
+    pub(crate) fn golden_mut(&mut self, cohort: WorkloadId) -> Option<&mut Memory> {
         self.cohorts.get_mut(&cohort)
     }
 

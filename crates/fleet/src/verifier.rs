@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, HashMap};
 use eilid_casu::agg::{evidence_leaf, shard_agg_key, AggProof, EvidenceTree};
 use eilid_casu::{
     merkle_measure_pmem, AttestError, AttestationReport, AttestationVerifier, Challenge, DeviceKey,
-    MemoryLayout,
+    MemoryLayout, LAYOUT,
 };
 use eilid_msp430::Memory;
 use eilid_workloads::WorkloadId;
@@ -136,7 +136,10 @@ pub struct ServiceSnapshot {
 /// and a [`ServiceSnapshot`] hands to a gateway.
 #[derive(Debug, Clone)]
 pub struct CohortSnapshot {
-    /// Layout the cohort's devices attest over.
+    /// The memory map, always [`LAYOUT`]. Kept for the frozen benchmark
+    /// crate, which passes it to [`MeasurementScheme::measure_pmem`].
+    ///
+    /// [`MeasurementScheme::measure_pmem`]: eilid_casu::MeasurementScheme::measure_pmem
     pub layout: MemoryLayout,
     /// The current golden measurement.
     pub current: [u8; 32],
@@ -194,20 +197,19 @@ pub struct Verifier {
 }
 
 impl Verifier {
-    /// Enrolls a fleet: records each cohort's golden measurement (over
-    /// the layout the cohort's devices were actually built with) and
+    /// Enrolls a fleet: records each cohort's golden measurement and
     /// sizes the stable shard set.
     pub(crate) fn enroll(root: DeviceKey, fleet: &Fleet) -> Self {
         let mut expected = BTreeMap::new();
         for cohort in fleet.cohort_ids() {
-            let state = fleet.cohort(cohort).expect("cohort exists");
+            let golden = fleet.golden(cohort).expect("cohort exists");
             expected.insert(
                 cohort,
                 CohortSnapshot {
-                    layout: state.layout.clone(),
-                    current: merkle_measure_pmem(&state.golden, &state.layout),
+                    layout: LAYOUT,
+                    current: merkle_measure_pmem(golden),
                     previous: Vec::new(),
-                    golden: state.golden.clone(),
+                    golden: golden.clone(),
                 },
             );
         }
@@ -295,7 +297,7 @@ impl Verifier {
     ) -> (HealthClass, AttestationReport) {
         let verifier = AttestationVerifier::with_key(shard.key(root, device.id()));
         // Offset nonces so no two devices ever share one.
-        let challenge = verifier.challenge_pmem(device.device().layout(), nonce_base + device.id());
+        let challenge = verifier.challenge_pmem(nonce_base + device.id());
         let report = device.attest(challenge);
         let verified = verifier.verify(&challenge, &report, None);
         let class = match expected.get(&device.cohort()) {
@@ -404,8 +406,9 @@ impl RolloutKeys for Verifier {
     }
 
     fn challenge(&mut self, cohort: WorkloadId, _device: DeviceId) -> Option<Challenge> {
-        let pmem = &self.expected.get(&cohort)?.layout.pmem;
-        let (start, end) = (*pmem.start(), *pmem.end());
+        // Only an enrolled cohort is challenged.
+        self.expected.get(&cohort)?;
+        let (start, end) = (*LAYOUT.pmem.start(), *LAYOUT.pmem.end());
         // One nonce from the domain sweeps draw from too, so no
         // challenge to a device key ever repeats.
         let nonce = self.reserve_challenge_nonces(1);

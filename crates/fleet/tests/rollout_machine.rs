@@ -10,7 +10,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
-use eilid_casu::{DeviceKey, DELTA_GRANULE};
+use eilid_casu::{merkle_measure_pmem, DeviceKey, DELTA_GRANULE};
 use eilid_fleet::fixtures::{benign_patch, bricking_patch, BRICKING_PATCH_TARGET};
 use eilid_fleet::rollout::{serve, BUSY_RETRIES};
 use eilid_fleet::{
@@ -60,7 +60,7 @@ fn golden(verifier: &mut Verifier) -> CohortSnapshot {
         .unwrap()
 }
 
-fn plan(fleet: &Fleet, verifier: &mut Verifier, target: u16, payload: Vec<u8>) -> Plan {
+fn plan(verifier: &mut Verifier, target: u16, payload: Vec<u8>) -> Plan {
     let cohort = golden(verifier);
     let range = usize::from(target)..usize::from(target) + payload.len();
     let delta_base = cohort.golden.slice(range).to_vec();
@@ -70,13 +70,13 @@ fn plan(fleet: &Fleet, verifier: &mut Verifier, target: u16, payload: Vec<u8>) -
     config.smoke_cycles = 200_000;
     Plan {
         config,
-        expected_after: fleet.scheme().measure_pmem(&patched, &cohort.layout),
+        expected_after: merkle_measure_pmem(&patched),
         delta_base,
     }
 }
 
 /// The benign patch inside a 64-byte image of the golden gap.
-fn sparse_plan(fleet: &Fleet, verifier: &mut Verifier) -> Plan {
+fn sparse_plan(verifier: &mut Verifier) -> Plan {
     let start = usize::from(IMAGE_TARGET);
     let mut image = golden(verifier)
         .golden
@@ -84,7 +84,7 @@ fn sparse_plan(fleet: &Fleet, verifier: &mut Verifier) -> Plan {
         .to_vec();
     let patch = benign_patch();
     image[..patch.len()].copy_from_slice(&patch);
-    plan(fleet, verifier, IMAGE_TARGET, image)
+    plan(verifier, IMAGE_TARGET, image)
 }
 
 /// How a scripted network delivers the machine's traffic. Requests to
@@ -304,7 +304,7 @@ proptest! {
         let (mut fleet, mut verifier) = build();
         diverge(&mut fleet, diverged);
         fleet.devices_mut()[isolated].set_probe_isolated(true);
-        let plan = sparse_plan(&fleet, &mut verifier);
+        let plan = sparse_plan(&mut verifier);
 
         let (reference, after) = wave(&fleet, &mut verifier, &plan, &Network::default());
         prop_assert_eq!(reference.updated.len(), DEVICES);
@@ -336,7 +336,7 @@ proptest! {
 fn update_bytes_count_sparse_segments_and_full_resends() {
     let (mut fleet, mut verifier) = build();
     diverge(&mut fleet, 3);
-    let plan = sparse_plan(&fleet, &mut verifier);
+    let plan = sparse_plan(&mut verifier);
     let mut devices = devices_of(&fleet);
     let ids: Vec<DeviceId> = devices.keys().copied().collect();
     let mut machine = Rollout::wave(
@@ -368,7 +368,7 @@ fn update_bytes_count_sparse_segments_and_full_resends() {
 #[test]
 fn a_device_lost_before_its_update_fails_once() {
     let (fleet, mut verifier) = build();
-    let plan = sparse_plan(&fleet, &mut verifier);
+    let plan = sparse_plan(&mut verifier);
     let network = Network {
         lost: [2].into(),
         duplicate: true,
@@ -406,7 +406,7 @@ fn a_tampered_device_counts_toward_neither_probe_counter() {
     // attestation then mismatches the expected post-patch image.
     let memory = &mut fleet.devices_mut()[4].device_mut().cpu_mut().memory;
     memory.write_byte(0xE200, memory.read_byte(0xE200) ^ 0xFF);
-    let plan = plan(&fleet, &mut verifier, IMAGE_TARGET, benign_patch());
+    let plan = plan(&mut verifier, IMAGE_TARGET, benign_patch());
     let (outcome, _) = wave(&fleet, &mut verifier, &plan, &Network::default());
     assert_eq!(outcome.updated.len(), DEVICES);
     assert_eq!(outcome.probe_failed, vec![4]);
@@ -423,12 +423,7 @@ fn a_tampered_device_counts_toward_neither_probe_counter() {
 #[test]
 fn a_failed_reference_fails_every_sibling_in_any_order() {
     let (fleet, mut verifier) = build();
-    let plan = plan(
-        &fleet,
-        &mut verifier,
-        BRICKING_PATCH_TARGET,
-        bricking_patch(),
-    );
+    let plan = plan(&mut verifier, BRICKING_PATCH_TARGET, bricking_patch());
     let (reference, _) = wave(&fleet, &mut verifier, &plan, &Network::default());
     assert_eq!(reference.probe_failed.len(), DEVICES);
     assert_eq!(reference.failures, DEVICES);
@@ -453,7 +448,7 @@ fn a_failed_reference_fails_every_sibling_in_any_order() {
 #[test]
 fn a_silent_device_expires_at_exactly_the_idle_deadline() {
     let (fleet, mut verifier) = build();
-    let plan = sparse_plan(&fleet, &mut verifier);
+    let plan = sparse_plan(&mut verifier);
     let mut devices = devices_of(&fleet);
     let (answering, silent) = (0, 1);
     let mut machine = Rollout::wave(
@@ -507,8 +502,8 @@ fn a_silent_device_expires_at_exactly_the_idle_deadline() {
 /// `BUSY_RETRIES` sheds.
 #[test]
 fn a_shed_device_is_re_pushed_after_exactly_its_backoff() {
-    let (fleet, mut verifier) = build();
-    let plan = sparse_plan(&fleet, &mut verifier);
+    let (_, mut verifier) = build();
+    let plan = sparse_plan(&mut verifier);
     let device = 3;
     let mut machine = Rollout::wave(
         &[device],

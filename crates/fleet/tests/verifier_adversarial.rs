@@ -116,11 +116,10 @@ fn cross_device_report_replay_is_rejected() {
     let key_a = verifier.device_key(0);
     let key_b = verifier.device_key(1);
     let verifier_b = AttestationVerifier::with_key(&key_b);
-    let layout = fleet.devices()[0].device().layout().clone();
 
     // The verifier challenges device B; the attacker answers with a
     // report honestly produced by (clean) device A under A's key.
-    let challenge_b = verifier_b.challenge_pmem(&layout, 10_001);
+    let challenge_b = verifier_b.challenge_pmem(10_001);
     let report_a = fleet.devices_mut()[0].attest(challenge_b);
     assert_eq!(
         verifier_b.verify(&challenge_b, &report_a, None),
@@ -132,7 +131,7 @@ fn cross_device_report_replay_is_rejected() {
     // challenge) against B's fresh challenge dies on challenge binding
     // even before the MAC check.
     let attestor_a = Attestor::with_key(&key_a);
-    let challenge_a = AttestationVerifier::with_key(&key_a).challenge_pmem(&layout, 10_000);
+    let challenge_a = AttestationVerifier::with_key(&key_a).challenge_pmem(10_000);
     let recorded_a = attestor_a.attest(&fleet.devices()[0].device().cpu().memory, challenge_a);
     assert_eq!(
         verifier_b.verify(&challenge_b, &recorded_a, None),

@@ -757,15 +757,11 @@ impl WaveExecutor for OpsEngine {
         if members.is_empty() {
             return Err(FleetError::UnknownCohort(cohort));
         }
-        let (golden, layout) = self
+        let golden = self
             .service
             .cohort_golden(cohort)
             .ok_or(FleetError::UnknownCohort(cohort))?;
-        Ok(CohortInfo {
-            members,
-            golden,
-            layout,
-        })
+        Ok(CohortInfo { members, golden })
     }
 
     /// Streams one wave (or rollback pass) over the device plane, with

@@ -21,7 +21,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock};
 
-use eilid_casu::{AttestError, AttestationVerifier, Challenge, DeviceKey};
+use eilid_casu::{AttestError, AttestationVerifier, Challenge, DeviceKey, LAYOUT};
 use eilid_fleet::{shard_of, CohortSnapshot, HealthClass, KeyShard, ServiceSnapshot, SHARD_COUNT};
 use eilid_msp430::Memory;
 use eilid_workloads::WorkloadId;
@@ -136,16 +136,11 @@ impl AttestationService {
         unpoisoned(self.cohorts.read()).contains_key(&cohort)
     }
 
-    /// The cohort's current golden image and layout (what a
-    /// gateway-resident campaign patches and probes against).
-    pub(crate) fn cohort_golden(
-        &self,
-        cohort: WorkloadId,
-    ) -> Option<(Memory, eilid_casu::MemoryLayout)> {
+    /// The cohort's current golden image (what a gateway-resident
+    /// campaign patches and probes against).
+    pub(crate) fn cohort_golden(&self, cohort: WorkloadId) -> Option<Memory> {
         let cohorts = unpoisoned(self.cohorts.read());
-        cohorts
-            .get(&cohort)
-            .map(|snapshot| (snapshot.golden.clone(), snapshot.layout.clone()))
+        cohorts.get(&cohort).map(|snapshot| snapshot.golden.clone())
     }
 
     /// Promotes `measurement`/`golden` to the cohort's current golden
@@ -198,8 +193,9 @@ impl AttestationService {
     /// not provisioned for; [`ChallengeError::NoncesExhausted`] once the
     /// reserved block runs dry.
     pub fn challenge_for(&self, cohort: WorkloadId) -> Result<Challenge, ChallengeError> {
-        let cohorts = unpoisoned(self.cohorts.read());
-        let snapshot = cohorts.get(&cohort).ok_or(ChallengeError::UnknownCohort)?;
+        if !self.has_cohort(cohort) {
+            return Err(ChallengeError::UnknownCohort);
+        }
         // fetch_add past the end is harmless: the overshot value is
         // never issued, and the counter cannot wrap a u64 in practice.
         let nonce = self.next_nonce.fetch_add(1, Ordering::Relaxed);
@@ -209,8 +205,8 @@ impl AttestationService {
         self.stats.challenges_issued.fetch_add(1, Ordering::Relaxed);
         Ok(Challenge {
             nonce,
-            start: *snapshot.layout.pmem.start(),
-            end: *snapshot.layout.pmem.end(),
+            start: *LAYOUT.pmem.start(),
+            end: *LAYOUT.pmem.end(),
         })
     }
 

@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use eilid_casu::{
     AttestError, AttestationReport, AttestationVerifier, Challenge, DeviceKey, MeasurementScheme,
+    LAYOUT,
 };
 use eilid_fleet::{FleetBuilder, SimDevice};
 use eilid_net::{
@@ -53,11 +54,10 @@ fn shuffled_devices() -> (Vec<SimDevice>, MeasurementScheme) {
 
 /// A distinct attest-only challenge per device id.
 fn challenge_for(device: &SimDevice) -> Challenge {
-    let layout = device.device().layout();
     Challenge {
         nonce: 1_000 + device.id(),
-        start: *layout.pmem.start(),
-        end: *layout.pmem.end(),
+        start: *LAYOUT.pmem.start(),
+        end: *LAYOUT.pmem.end(),
     }
 }
 

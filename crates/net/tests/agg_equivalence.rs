@@ -88,12 +88,11 @@ fn prepare(states: &[DeviceState]) -> (Fleet, Verifier, Golden) {
         .memory
         .slice(span)
         .to_vec();
-    let layout = fleet.devices()[0].device().layout().clone();
     let mut image = fleet.devices()[0].device().cpu().memory.clone();
-    let previous = merkle_measure_pmem(&image, &layout);
+    let previous = merkle_measure_pmem(&image);
     image.load(BENIGN_PATCH_TARGET, &benign_patch()).unwrap();
     let golden = Golden {
-        current: merkle_measure_pmem(&image, &layout),
+        current: merkle_measure_pmem(&image),
         previous,
     };
 
@@ -145,7 +144,7 @@ fn classify_per_device(fleet: &mut Fleet, verifier: &Verifier, golden: &Golden) 
     for device in fleet.devices_mut() {
         let id = device.id();
         let checker = AttestationVerifier::with_key(&verifier.device_key(id));
-        let challenge = checker.challenge_pmem(device.device().layout(), NONCE_BASE + id);
+        let challenge = checker.challenge_pmem(NONCE_BASE + id);
         let report = device.attest(challenge);
         let (slot, class) = match checker.verify(&challenge, &report, None) {
             Err(_) => (3, HealthClass::Unverified),

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use eilid::RunOutcome;
-use eilid_casu::{AttestationReport, Challenge, DeviceKey};
+use eilid_casu::{merkle_measure_pmem, AttestationReport, Challenge, DeviceKey};
 use eilid_fleet::fixtures::{benign_patch, BENIGN_PATCH_TARGET};
 use eilid_fleet::{
     CampaignConfig, CampaignOutcome, Fleet, FleetBuilder, FleetOps, HealthClass, LocalOps,
@@ -86,7 +86,6 @@ fn connect_and_attach(
 fn scripted_busy_agent(
     addr: std::net::SocketAddr,
     devices: &mut [eilid_fleet::SimDevice],
-    scheme: eilid_casu::MeasurementScheme,
     mut sheds: usize,
     busy_device: Option<u64>,
     stop: &std::sync::atomic::AtomicBool,
@@ -139,7 +138,7 @@ fn scripted_busy_agent(
                 let last_nonce = sim.engine().last_nonce();
                 let version = sim.engine().last_version();
                 let memory = &sim.device().cpu().memory;
-                let measurement = scheme.measure_pmem(memory, sim.device().layout());
+                let measurement = merkle_measure_pmem(memory);
                 let data = memory
                     .slice(usize::from(start)..usize::from(start) + usize::from(len))
                     .to_vec();
@@ -223,11 +222,10 @@ fn busy_sheds_during_campaign_pushes_are_retried_not_probe_failed() {
         .spawn();
     let addr = handle.addr();
 
-    let scheme = fleet_b.scheme();
     let stop = std::sync::atomic::AtomicBool::new(false);
     let report_b = std::thread::scope(|scope| {
-        let agent = scope
-            .spawn(|| scripted_busy_agent(addr, fleet_b.devices_mut(), scheme, 5, None, &stop));
+        let agent =
+            scope.spawn(|| scripted_busy_agent(addr, fleet_b.devices_mut(), 5, None, &stop));
         // The agent attaches before serving; give it a moment, then
         // drive the campaign.
         std::thread::sleep(Duration::from_millis(200));
@@ -277,12 +275,11 @@ fn permanently_busy_device_does_not_stall_the_fast_ones() {
     .spawn();
     let addr = handle.addr();
 
-    let scheme = fleet.scheme();
     let stop = std::sync::atomic::AtomicBool::new(false);
     let start = std::time::Instant::now();
     let report = std::thread::scope(|scope| {
-        let agent = scope
-            .spawn(|| scripted_busy_agent(addr, fleet.devices_mut(), scheme, 0, Some(busy), &stop));
+        let agent =
+            scope.spawn(|| scripted_busy_agent(addr, fleet.devices_mut(), 0, Some(busy), &stop));
         std::thread::sleep(Duration::from_millis(200));
         let mut ops = RemoteOps::connect(addr).map_err(|e| OpsError::Backend(e.to_string()))?;
         let report = ops.run_campaign(&config())?;
@@ -333,13 +330,11 @@ fn permanently_busy_device_eventually_fails_the_wave() {
     .spawn();
     let addr = handle.addr();
 
-    let scheme = fleet.scheme();
     let stop = std::sync::atomic::AtomicBool::new(false);
     // Shed effectively forever: every push is answered Busy.
     let report = std::thread::scope(|scope| {
-        let agent = scope.spawn(|| {
-            scripted_busy_agent(addr, fleet.devices_mut(), scheme, usize::MAX, None, &stop)
-        });
+        let agent =
+            scope.spawn(|| scripted_busy_agent(addr, fleet.devices_mut(), usize::MAX, None, &stop));
         std::thread::sleep(Duration::from_millis(200));
         let mut ops = RemoteOps::connect(addr).map_err(|e| OpsError::Backend(e.to_string()))?;
         let report = ops.run_campaign(&config())?;

@@ -3,20 +3,20 @@
 //! EILID inherits CASU's software-immutability guarantee: PMEM can only
 //! change through an authenticated update. This example walks through the
 //! update protocol — authorising an update, applying it, rejecting forgeries
-//! and replays — and shows the PMEM measurement changing accordingly.
+//! and replays — and shows the PMEM measurement (the Merkle root devices
+//! attest) changing accordingly.
 //!
 //! Run with: `cargo run --example secure_update`
 
-use eilid_casu::{MemoryLayout, UpdateAuthority, UpdateEngine};
+use eilid_casu::{merkle_measure_pmem, UpdateAuthority, UpdateEngine};
 use eilid_msp430::{Cpu, Memory};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== CASU authenticated software update ==\n");
 
-    let layout = MemoryLayout::default();
     let key = b"device-unique-key-0001";
     let mut authority = UpdateAuthority::new(key);
-    let mut engine = UpdateEngine::new(key, layout);
+    let mut engine = UpdateEngine::new(key);
     let mut memory = Memory::new();
 
     // Version 1 of the firmware: writes 1 to the debug output and finishes.
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     v1.load_into(&mut memory)?;
     println!(
         "v1 measurement: {:02x?}...",
-        &engine.measure_pmem(&memory)[..8]
+        &merkle_measure_pmem(&memory)[..8]
     );
 
     let mut cpu = Cpu::new(memory.clone());
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nupdate applied (nonce {})", request.nonce);
     println!(
         "v2 measurement: {:02x?}...",
-        &engine.measure_pmem(&memory)[..8]
+        &merkle_measure_pmem(&memory)[..8]
     );
 
     let mut cpu = Cpu::new(memory.clone());

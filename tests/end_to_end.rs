@@ -2,7 +2,7 @@
 //! → runtime → simulator → hardware monitor.
 
 use eilid::{DeviceBuilder, EilidConfig, RunOutcome};
-use eilid_casu::{CfiFault, Violation};
+use eilid_casu::{CfiFault, Violation, LAYOUT};
 use eilid_workloads::WorkloadId;
 
 /// Every workload must complete on the baseline device and produce the exact
@@ -241,7 +241,7 @@ fn images_fit_the_memory_map() {
         let workload = id.workload();
         let device = DeviceBuilder::new().build_eilid(&workload.source).unwrap();
         let artifacts = device.artifacts().unwrap();
-        let layout = device.layout();
+        let layout = &LAYOUT;
         for segment in &artifacts.instrumented_image.segments {
             let end = segment.base as u32 + segment.bytes.len() as u32 - 1;
             assert!(

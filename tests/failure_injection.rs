@@ -14,7 +14,7 @@
 //! pair that replays it.
 
 use eilid::{DeviceBuilder, RunOutcome};
-use eilid_casu::{merkle_measure_pmem, AttestError, AttestationVerifier, Attestor};
+use eilid_casu::{merkle_measure_pmem, AttestError, AttestationVerifier, Attestor, LAYOUT};
 use eilid_workloads::WorkloadId;
 use proptest::test_runner::{for_each_case, mix_seed, run_seed};
 use rand::rngs::StdRng;
@@ -117,8 +117,7 @@ fn random_code_bit_flips_do_not_produce_silently_wrong_results() {
     const KEY: &[u8] = b"bit-flip-attestation-key-0123456";
     let workload = WorkloadId::LightSensor.workload();
     let clean = DeviceBuilder::new().build_eilid(&workload.source).unwrap();
-    let layout = clean.layout().clone();
-    let expected = merkle_measure_pmem(&clean.cpu().memory, &layout);
+    let expected = merkle_measure_pmem(&clean.cpu().memory);
     let verifier = AttestationVerifier::new(KEY);
 
     let mut rng = StdRng::seed_from_u64(mix_seed(0xE11D, run_seed()));
@@ -131,16 +130,16 @@ fn random_code_bit_flips_do_not_produce_silently_wrong_results() {
         let byte_offset = rng.gen_range(0..segment.bytes.len()) as u16;
         let bit = rng.gen_range(0..8);
         let addr = segment.base + byte_offset;
-        assert!(layout.pmem.contains(&addr), "{addr:#06x} lies in PMEM");
+        assert!(LAYOUT.pmem.contains(&addr), "{addr:#06x} lies in PMEM");
         let original = device.cpu().memory.read_byte(addr);
         device
             .cpu_mut()
             .memory
             .write_byte(addr, original ^ (1 << bit));
 
-        let measurement = merkle_measure_pmem(&device.cpu().memory, &layout);
+        let measurement = merkle_measure_pmem(&device.cpu().memory);
         assert_ne!(measurement, expected, "flip at {addr:#06x} bit {bit}");
-        let challenge = verifier.challenge_pmem(&layout, nonce);
+        let challenge = verifier.challenge_pmem(nonce);
         let report = Attestor::new(KEY).report(challenge, measurement);
         assert_eq!(
             verifier.verify(&challenge, &report, Some(&expected)),
