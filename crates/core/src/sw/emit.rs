@@ -296,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn params_are_derived_from_config_and_the_memory_map() {
+    fn params_are_derived_from_config_and_layout() {
         let p = params();
         assert_eq!(p.secure_org, 0xF800);
         assert_eq!(p.shadow_base, 0x1000);
